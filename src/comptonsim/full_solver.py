@@ -7,7 +7,9 @@ since the tapered kernel vanishes at zero energy.  Mass is conserved by
 pairwise antisymmetric flux assembly, so the drift over a run is pure
 floating-point roundoff.  Diagnostics cover the exponential-moment growth
 bound, the entropy/dissipation balance, and the accumulation of mass near
-the origin.
+the origin.  The collision rate and the dissipation and origin-flux
+diagnostics all run over one list of in-support grid pairs, built once
+with the kernel table.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .truncation import TruncationParams, eval_cutoff, gamma1, gamma2, kernel_bo
 
 __all__ = [
     "StepCollapse",
+    "NonFiniteState",
     "SolverConfig",
     "RegularizedKernel",
     "TrajectoryRecord",
@@ -42,6 +45,10 @@ __all__ = [
 
 class StepCollapse(RuntimeError):
     """Positivity could not be restored above the minimal time step."""
+
+
+class NonFiniteState(StepCollapse):
+    """A time step produced NaN or infinite densities."""
 
 
 @dataclass(frozen=True)
@@ -104,25 +111,32 @@ def taper(n: int, x) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class RegularizedKernel:
-    """Tapered kernel table on a grid, with its coupling band.
+    """Tapered kernel table on a grid, with its in-support pair list.
 
     ``table[i, j]`` holds cutoff * B * taper(x_i) * taper(x_j); it is
     symmetric, vanishes off the energy window [1/(n+1), n+1], and is
-    bounded by cutoff * B/(x y).  ``band`` gives per-row index ranges
-    [j_lo, j_hi) outside which the row is zero.
+    bounded by cutoff * B/(x y).  ``pair_i`` < ``pair_j`` list the nonzero
+    entries of the strict upper triangle in row-major order, and ``pair_c``
+    holds their quadrature-weighted coupling table[i, j] * w_i * w_j.  The
+    collision rate and the snapshot diagnostics run over these pairs only;
+    the diagonal exchanges nothing and is left out.  ``tol`` is the kernel
+    quadrature tolerance, reused for kernel values off the grid.
     """
 
     n: int
     grid: Grid
     table: np.ndarray
-    band: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_c: np.ndarray
     bound_constant: float
     pp: PhysicalParams
     tp: TruncationParams
+    tol: float
 
     @property
     def coupling(self) -> np.ndarray:
-        # quadrature-weighted table, cached on first use
+        # dense quadrature-weighted table, built and cached on first use
         cached = getattr(self, "_coupling", None)
         if cached is None:
             w = self.grid.weights
@@ -163,12 +177,14 @@ class RegularizedKernel:
                 raw_x.append(xs[i])
                 raw_y.append(xs[j])
                 raw_B.append(B)
-        band = np.zeros((size, 2), dtype=int)
-        for i in range(size):
-            nz = np.nonzero(table[i])[0]
-            band[i] = (nz[0], nz[-1] + 1) if nz.size else (0, 0)
+        pair_i, pair_j = np.nonzero(np.triu(table, 1))
+        w = grid.weights
+        pair_c = table[pair_i, pair_j] * (w[pair_i] * w[pair_j])
         c_star = kernel_bound_constant(pp, raw_x, raw_y, raw_B)
-        return cls(n=n, grid=grid, table=table, band=band, bound_constant=c_star, pp=pp, tp=tp)
+        return cls(
+            n=n, grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c,
+            bound_constant=c_star, pp=pp, tp=tp, tol=tol,
+        )
 
 
 def _gain_factors(xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -178,17 +194,16 @@ def _gain_factors(xs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def collision_rhs(u: np.ndarray, kern: RegularizedKernel) -> np.ndarray:
     """Density rate of change from pairwise exchange.
 
-    The flux matrix is antisymmetrized exactly (F - F^T of floats), so the
-    quadrature-weighted rate sums to zero up to accumulation roundoff.
+    Each in-support pair i < j of the kernel's pair list exchanges
+    f = c_ij (A_i u_j - A_j u_i); node i gains f and node j loses the same
+    float, so the quadrature-weighted rate sums to zero up to accumulation
+    roundoff.
     """
     u = np.asarray(u, dtype=float)
-    xs = kern.grid.nodes
-    w = kern.grid.weights
-    A = _gain_factors(xs, u)
-    # P[i, j] = coupling * A_i u_j ; exchange flux F = P - P^T
-    P = kern.coupling * np.outer(A, u)
-    F = P - P.T
-    return F.sum(axis=1) / w
+    A = _gain_factors(kern.grid.nodes, u)
+    i, j = kern.pair_i, kern.pair_j
+    f = kern.pair_c * (A[i] * u[j] - A[j] * u[i])
+    return (np.bincount(i, f, u.size) - np.bincount(j, f, u.size)) / kern.grid.weights
 
 
 def step(
@@ -201,6 +216,8 @@ def step(
 
     A step producing any negative density is rejected and retried with dt
     halved, down to cfg.dt_min; persistent negativity raises StepCollapse.
+    A NaN or infinity in any stage reaches the stepped state, which then
+    raises NonFiniteState at once instead of being retried.
     """
     u = np.asarray(u, dtype=float)
     while True:
@@ -212,6 +229,8 @@ def step(
             k3 = collision_rhs(u + 0.5 * dt * k2, kern)
             k4 = collision_rhs(u + dt * k3, kern)
             u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(u_next)):
+            raise NonFiniteState(f"non-finite density after a step of dt={dt}")
         if np.all(u_next >= 0.0):
             return u_next, dt
         if dt <= cfg.dt_min:
@@ -221,7 +240,13 @@ def step(
 
 @dataclass(frozen=True)
 class DissipationParts:
-    """Dissipation split by the regular/singular structure of the state."""
+    """Dissipation split by the regular/singular structure of the state.
+
+    ``density_density`` sums over ordered grid pairs, i.e. twice the sum
+    over the kernel's pair list.  ``infinite_flags`` counts the infinite
+    brackets left out of the sums: among the ordered in-support grid
+    pairs, and among all (grid node, atom) pairs.
+    """
 
     density_density: float
     density_atoms: float
@@ -246,9 +271,11 @@ def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> DissipationParts:
     """Nonnegative dissipation of the state under the tapered kernel.
 
-    Pairs where exactly one argument of the log-mean bracket vanishes
-    carry an infinite contribution; those are counted in infinite_flags
-    and left out of the sums rather than poisoning them.
+    The density-density part is 2 sum c_ij J(A_i g_j, A_j g_i) over the
+    kernel's pair list, with J(a, b) = (a - b)(log a - log b) >= 0.  Pairs
+    where exactly one argument of J vanishes carry an infinite
+    contribution; those are counted in infinite_flags and left out of the
+    sums rather than poisoning them.
     """
     xs = kern.grid.nodes
     w = kern.grid.weights
@@ -259,10 +286,10 @@ def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> Dissipatio
             raise ValueError("state grid must match the kernel grid")
         g = u.density
         A = _gain_factors(xs, g)
-        a = np.outer(A, g)
-        vals, fl = _j(a, a.T)
-        flags += fl
-        d1 = float(np.sum(kern.table * np.outer(w, w) * vals))
+        i, j = kern.pair_i, kern.pair_j
+        vals, fl = _j(A[i] * g[j], A[j] * g[i])
+        flags += 2 * fl
+        d1 = 2.0 * float(np.dot(kern.pair_c, vals))
     locs = np.array([x for x, _ in u.atoms])
     masses = np.array([m for _, m in u.atoms])
     d2 = 0.0
@@ -299,7 +326,7 @@ def _kernel_point(kern: RegularizedKernel, x: float, y: float) -> float:
     phi = eval_cutoff(kern.tp, x, y)
     if phi == 0.0:
         return 0.0
-    return phi * eval_kernel(kern.pp, x, y).value * tx * ty
+    return phi * eval_kernel(kern.pp, x, y, kern.tol).value * tx * ty
 
 
 def _kernel_row_at(kern: RegularizedKernel, x: float) -> np.ndarray:
@@ -394,9 +421,12 @@ def origin_mass_estimate(
     """Estimate the origin mass by shrinking windows and their inflow.
 
     For each epsilon the estimate is the measure of [0, epsilon) and the
-    flux is the (nonnegative) pairing of the collision exchange against a
-    smooth decreasing window of width epsilon.  A window holding fewer
-    than three grid nodes is flagged as under-resolved.
+    flux is the pairing of the collision exchange against a smooth
+    decreasing window phi of width epsilon: the sum over the kernel's pair
+    list of c_ij g_i g_j (e^{-x_i} - e^{-x_j}) (phi_i - phi_j).  The factor
+    before the window difference is computed once per call; every term is
+    nonnegative because both differences share a sign.  A window holding
+    fewer than three grid nodes is flagged as under-resolved.
     """
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -406,6 +436,9 @@ def origin_mass_estimate(
     fluxes = []
     flags = []
     g = u.density if u.density is not None else np.zeros_like(xs)
+    i, j = kern.pair_i, kern.pair_j
+    e = np.exp(-xs)
+    pre = kern.pair_c * g[i] * g[j] * (e[i] - e[j])
     for eps in eps_list:
         below = math.fsum(m for x, m in u.atoms if x < eps)
         below += float(np.dot(w[xs < eps], g[xs < eps]))
@@ -413,10 +446,7 @@ def origin_mass_estimate(
         # window phi(x) = (1 - (x/eps)^2)^2 on [0, eps): decreasing, flat at 0
         s = np.clip(xs / eps, 0.0, 1.0)
         phi = (1.0 - s * s) ** 2
-        diff = phi[:, None] - phi[None, :]
-        rate = np.exp(-xs)[:, None] - np.exp(-xs)[None, :]
-        coupling = kern.table * np.outer(w * g, w * g)
-        fluxes.append(0.5 * float(np.sum(coupling * rate * diff)))
+        fluxes.append(float(np.dot(pre, phi[i] - phi[j])))
         flags.append(bool(np.count_nonzero(xs < eps) < 3))
     return OriginMassReport(
         eps=tuple(eps_list),

@@ -190,20 +190,17 @@ class AtomSystemState:
 def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np.ndarray:
     """Mass rates dm_i/dt = m_i sum_j R(x_i, x_j) m_j, assembled pairwise.
 
-    Each exchange contributes +f to one atom and -f (the same float) to the
-    other, so the rates cancel in exact arithmetic; what survives in floats
-    is accumulation roundoff only.
+    Each upper-triangle pair i < j exchanges f = R_ij m_i m_j: atom i gains
+    f and atom j loses the same float, so the rates cancel in exact
+    arithmetic; what survives in floats is accumulation roundoff only.
+    Row i of F - F^T is summed left to right, which adds the exchanges in
+    the order of the pairwise loop over (i, j) and gives the same floats.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
-    n = m.size
-    out = np.zeros(n)
-    R = state.rate_matrix
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = R[i, j] * m[i] * m[j]
-            out[i] += f
-            out[j] -= f
-    return out
+    if m.size == 0:
+        return np.zeros(0)
+    F = np.triu((state.rate_matrix * m[:, None]) * m[None, :], 1)
+    return np.add.accumulate(F - F.T, axis=1)[:, -1]
 
 
 @dataclass

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from comptonsim import full_solver
 from comptonsim.full_solver import (
+    NonFiniteState,
     RegularizedKernel,
     SolverConfig,
     StepCollapse,
@@ -143,6 +146,14 @@ class TestStep:
         with pytest.raises(StepCollapse):
             step(u, kern, cfg, dt=50.0)
 
+    def test_nan_state_reported_non_finite(self, kern, grid):
+        cfg = SolverConfig(t_end=1.0, dt_min=1e-8)
+        u = bump_state(grid)
+        u[grid.n // 3] = math.nan
+        for scheme in ("rk4", "euler"):
+            with pytest.raises(NonFiniteState, match="dt=0.001"):
+                step(u, kern, dataclasses.replace(cfg, scheme=scheme), dt=1e-3)
+
     def test_rk4_convergence_order(self, kern, grid):
         u0 = bump_state(grid)
         cfg = SolverConfig(t_end=1.0)
@@ -217,6 +228,19 @@ class TestDissipation:
         for _ in range(5):
             u = HybridMeasure(atoms=[], grid=grid, density=rng.uniform(0.0, 1.0, grid.n))
             assert entropy_dissipation(u, kern).total >= 0.0
+
+    def test_atom_rows_use_table_tolerance(self, kern, monkeypatch):
+        seen = []
+
+        def spy(pp, x, y, tol=1e-10):
+            seen.append(tol)
+            return real(pp, x, y, tol)
+
+        real = full_solver.eval_kernel
+        monkeypatch.setattr(full_solver, "eval_kernel", spy)
+        loose = dataclasses.replace(kern, tol=1e-7)
+        entropy_dissipation(HybridMeasure(atoms=[(1.0, 0.5), (1.2, 0.5)]), loose)
+        assert seen and set(seen) == {1e-7}
 
     def test_flags_counted_not_poisoning(self, kern, grid):
         dens = planck_density(grid, -1.0)
