@@ -9,7 +9,9 @@ floating-point roundoff.  Diagnostics cover the exponential-moment growth
 bound, the entropy/dissipation balance, and the accumulation of mass near
 the origin.  The collision rate and the dissipation and origin-flux
 diagnostics all run over one list of in-support grid pairs, built once
-with the kernel table.
+with the kernel table.  Kernel values on and off the grid come from one
+screened path: a vectorized cutoff picks the supported points, and one
+batch evaluation fills them in.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import PhysicalParams, eval_kernel
+from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, MomentReport, exp_moment
-from .truncation import TruncationParams, eval_cutoff, gamma1, gamma2, kernel_bound_constant
+from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 __all__ = [
     "StepCollapse",
     "NonFiniteState",
+    "MassDriftExceeded",
     "SolverConfig",
     "RegularizedKernel",
     "TrajectoryRecord",
@@ -51,6 +54,18 @@ class NonFiniteState(StepCollapse):
     """A time step produced NaN or infinite densities."""
 
 
+class MassDriftExceeded(StepCollapse):
+    """The run finished, but its mass drift exceeds the tolerance.
+
+    ``traj`` holds the finished trajectory, so the caller can still write
+    and report it.
+    """
+
+    def __init__(self, message: str, traj: "TrajectoryRecord") -> None:
+        super().__init__(message)
+        self.traj = traj
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Explicit time-stepping controls."""
@@ -58,9 +73,7 @@ class SolverConfig:
     t_end: float
     dt_init: float = 1e-3
     dt_min: float = 1e-8
-    dt_max: float = 1e-2
     scheme: str = "rk4"
-    positivity_mode: str = "reject_halve"
     mass_tolerance: float = 1e-10
     record_every: int = 1
     track_dissipation: bool = True
@@ -69,14 +82,12 @@ class SolverConfig:
     moment_orders: tuple[float, ...] = (1.0, 2.0, 3.0)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not (0.0 < self.dt_min <= self.dt_init):
+            raise ValueError("need 0 < dt_min <= dt_init")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
         if self.scheme not in ("rk4", "euler"):
             raise ValueError("scheme must be 'rk4' or 'euler'")
-        if self.positivity_mode != "reject_halve":
-            raise ValueError("only reject_halve positivity handling is implemented")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -115,12 +126,16 @@ class RegularizedKernel:
 
     ``table[i, j]`` holds cutoff * B * taper(x_i) * taper(x_j); it is
     symmetric, vanishes off the energy window [1/(n+1), n+1], and is
-    bounded by cutoff * B/(x y).  ``pair_i`` < ``pair_j`` list the nonzero
-    entries of the strict upper triangle in row-major order, and ``pair_c``
-    holds their quadrature-weighted coupling table[i, j] * w_i * w_j.  The
-    collision rate and the snapshot diagnostics run over these pairs only;
-    the diagonal exchanges nothing and is left out.  ``tol`` is the kernel
-    quadrature tolerance, reused for kernel values off the grid.
+    bounded by cutoff * B/(x y).  It is filled from the upper triangle
+    i <= j in one screened batch: the pairs where the taper and the cutoff
+    are nonzero, and no others, get a kernel evaluation; ``bound_constant``
+    is calibrated on exactly those pairs.  ``pair_i`` < ``pair_j`` list
+    the nonzero entries of the strict upper triangle in row-major order,
+    and ``pair_c`` holds their quadrature-weighted coupling
+    table[i, j] * w_i * w_j.  The collision rate and the snapshot
+    diagnostics run over these pairs only; the diagonal exchanges nothing
+    and is left out.  ``tol`` is the kernel quadrature tolerance, reused
+    for kernel values off the grid.
     """
 
     n: int
@@ -154,37 +169,35 @@ class RegularizedKernel:
         tol: float = 1e-10,
     ) -> "RegularizedKernel":
         xs = grid.nodes
-        size = xs.size
-        tap = np.asarray(taper(n, xs))
-        table = np.zeros((size, size))
-        raw_x: list[float] = []
-        raw_y: list[float] = []
-        raw_B: list[float] = []
-        for i in range(size):
-            if tap[i] == 0.0:
-                continue
-            lo = gamma1(tp, xs[i])
-            hi = gamma2(tp, xs[i])
-            for j in range(i, size):
-                if xs[j] < lo or xs[j] > hi or tap[j] == 0.0:
-                    continue
-                phi = eval_cutoff(tp, xs[i], xs[j])
-                if phi == 0.0:
-                    continue
-                B = eval_kernel(pp, xs[i], xs[j], tol).value
-                table[i, j] = phi * B * tap[i] * tap[j]
-                table[j, i] = table[i, j]
-                raw_x.append(xs[i])
-                raw_y.append(xs[j])
-                raw_B.append(B)
-        pair_i, pair_j = np.nonzero(np.triu(table, 1))
+        i, j = np.triu_indices(xs.size)
+        k, B, vals = _screened_kernel(pp, tp, n, tol, xs[i], xs[j])
+        i, j = i[k], j[k]
+        table = np.zeros((xs.size, xs.size))
+        table[i, j] = vals
+        table[j, i] = vals
+        off = (i != j) & (vals != 0.0)
+        pair_i, pair_j = i[off], j[off]
         w = grid.weights
-        pair_c = table[pair_i, pair_j] * (w[pair_i] * w[pair_j])
-        c_star = kernel_bound_constant(pp, raw_x, raw_y, raw_B)
+        pair_c = vals[off] * (w[pair_i] * w[pair_j])
+        c_star = kernel_bound_constant(pp, xs[i], xs[j], B)
         return cls(
             n=n, grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c,
             bound_constant=c_star, pp=pp, tp=tp, tol=tol,
         )
+
+
+def _screened_kernel(
+    pp: PhysicalParams, tp: TruncationParams, n: int, tol: float, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # cutoff * B * taper(x) * taper(y) over the 1-d point lists x, y: the
+    # indices k where the taper and the cutoff are nonzero, B at those
+    # points, and the tapered values there; no other point reaches B
+    tx, ty = np.asarray(taper(n, x)), np.asarray(taper(n, y))
+    k = np.flatnonzero((tx != 0.0) & (ty != 0.0))
+    phi = eval_cutoff(tp, x[k], y[k])
+    k, phi = k[phi != 0.0], phi[phi != 0.0]
+    B, _ = eval_kernel_batch(pp, x[k], y[k], tol)
+    return k, B, phi * B * tx[k] * ty[k]
 
 
 def _gain_factors(xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -297,17 +310,14 @@ def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> Dissipatio
     if locs.size:
         if u.density is not None:
             g = u.density
-            for xa, ma in zip(locs, masses):
-                b_row = _kernel_row_at(kern, xa)
-                a = (xs * xs + g) * np.exp(-xs)
+            a = (xs * xs + g) * np.exp(-xs)
+            rows = _kernel_point(kern, locs[:, None], xs[None, :])
+            for b_row, xa, ma in zip(rows, locs, masses):
                 b = g * math.exp(-xa)
                 vals, fl = _j(a, b)
                 flags += fl
                 d2 += ma * float(np.dot(w, b_row * vals))
-        bateval = np.zeros((locs.size, locs.size))
-        for i, xa in enumerate(locs):
-            for j, xb in enumerate(locs):
-                bateval[i, j] = _kernel_point(kern, xa, xb)
+        bateval = _kernel_point(kern, locs[:, None], locs[None, :])
         a = np.exp(-locs)[:, None] * np.ones_like(bateval)
         vals, fl = _j(a, a.T)
         flags += fl
@@ -315,22 +325,14 @@ def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> Dissipatio
     return DissipationParts(density_density=d1, density_atoms=d2, atoms_atoms=d3, infinite_flags=flags)
 
 
-def _kernel_point(kern: RegularizedKernel, x: float, y: float) -> float:
-    # tapered kernel off the tabulated grid (atoms sit anywhere)
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    tx = float(np.asarray(taper(kern.n, x)))
-    ty = float(np.asarray(taper(kern.n, y)))
-    if tx == 0.0 or ty == 0.0:
-        return 0.0
-    phi = eval_cutoff(kern.tp, x, y)
-    if phi == 0.0:
-        return 0.0
-    return phi * eval_kernel(kern.pp, x, y, kern.tol).value * tx * ty
-
-
-def _kernel_row_at(kern: RegularizedKernel, x: float) -> np.ndarray:
-    return np.array([_kernel_point(kern, x, float(yy)) for yy in kern.grid.nodes])
+def _kernel_point(kern: RegularizedKernel, x, y) -> np.ndarray:
+    # tapered kernel off the tabulated grid (atoms sit anywhere), at the
+    # points of x and y broadcast against each other
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    k, _, vals = _screened_kernel(kern.pp, kern.tp, kern.n, kern.tol, x.ravel(), y.ravel())
+    out = np.zeros(x.size)
+    out[k] = vals
+    return out.reshape(x.shape)
 
 
 @dataclass
@@ -479,6 +481,10 @@ def run_full(
     (the tapered kernel cannot move mass at zero energy) and atoms at
     positive energies are rejected.  Records moments, entropy, dissipation,
     origin-mass estimates, and the exponential-moment bound envelope.
+    Every step asks for ``cfg.dt_init`` (cut to the horizon); a rejected
+    step halves it for that step only.  A finished run whose mass drift
+    exceeds ``cfg.mass_tolerance`` raises MassDriftExceeded, which carries
+    the trajectory.
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
@@ -512,18 +518,15 @@ def run_full(
     x0 = exp_moment(u0, cfg.eta)
     snapshot(0.0, g, traj, x0)
     t = 0.0
-    dt = cfg.dt_init
     steps = 0
     horizon = cfg.t_end * (1.0 - 1e-12)  # slop absorbs step-sum roundoff
     while t < horizon:
-        dt = min(dt, cfg.t_end - t)
-        g, used = step(g, kern, cfg, dt)
+        g, used = step(g, kern, cfg, min(cfg.dt_init, cfg.t_end - t))
         t += used
-        dt = min(cfg.dt_max, max(used, cfg.dt_init))
         steps += 1
         if steps % cfg.record_every == 0 or t >= horizon:
             snapshot(t, g, traj, x0)
     drift = traj.max_mass_drift()
     if drift > cfg.mass_tolerance:
-        raise StepCollapse(f"mass drift {drift:.3e} exceeds tolerance {cfg.mass_tolerance:.3e}")
+        raise MassDriftExceeded(f"mass drift {drift:.3e} exceeds tolerance {cfg.mass_tolerance:.3e}", traj)
     return traj

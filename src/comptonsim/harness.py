@@ -26,11 +26,13 @@ from .kernel import (
     PhysicalParams,
     diagonal_closed_form,
     eval_kernel,
+    eval_kernel_batch,
     eval_majorant,
     peak_bound,
     verify_antidiagonal_monotonicity,
 )
 from .full_solver import (
+    MassDriftExceeded,
     RegularizedKernel,
     SolverConfig,
     TrajectoryRecord,
@@ -87,7 +89,6 @@ _DEFAULTS: dict = {
         "t_end": 1.0,
         "dt_init": 1e-3,
         "dt_min": 1e-8,
-        "dt_max": 1e-2,
         "scheme": "rk4",
         "mass_tolerance": 1e-10,
         "record_every": 1,
@@ -250,7 +251,6 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
             t_end=float(sol["t_end"]),
             dt_init=float(sol["dt_init"]),
             dt_min=float(sol["dt_min"]),
-            dt_max=float(sol["dt_max"]),
             scheme=sol["scheme"],
             mass_tolerance=float(sol["mass_tolerance"]),
             record_every=int(sol["record_every"]),
@@ -334,12 +334,9 @@ def write_kernel_table(
 ) -> None:
     """Log-spaced kernel table as CSV with columns x, y, B, err."""
     xs = np.geomspace(grid_min, grid_max, grid_points)
-    rows = []
-    for x in xs:
-        for y in xs:
-            s = eval_kernel(pp, float(x), float(y), tol)
-            rows.append((x, y, s.value, s.abs_error_estimate))
-    _write_csv(path, ["x", "y", "B", "err"], rows)
+    x, y = np.repeat(xs, xs.size), np.tile(xs, xs.size)
+    B, err = eval_kernel_batch(pp, x, y, tol)
+    _write_csv(path, ["x", "y", "B", "err"], zip(x, y, B, err))
 
 
 def write_region_dump(
@@ -366,7 +363,11 @@ def write_region_dump(
 
 
 def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int = 2) -> tuple[RunManifest, TrajectoryRecord]:
-    """Full-equation run: trajectory.csv, snapshots, manifest."""
+    """Full-equation run: trajectory.csv, snapshots, manifest.
+
+    A run whose mass drift exceeds ``solver.mass_tolerance`` still writes
+    every output; its manifest records ``mass_conservation`` as FAIL.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_for(cfg.raw)
     u0 = cfg.initial_measure()
@@ -381,7 +382,10 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
         "C_eta": c_eta,
         "eta": cfg.eta,
     }
-    traj = run_full(u0, cfg.physical, cfg.truncation, cfg.regularization_index, cfg.solver, kern=kern, keep_states=True)
+    try:
+        traj = run_full(u0, cfg.physical, cfg.truncation, cfg.regularization_index, cfg.solver, kern=kern, keep_states=True)
+    except MassDriftExceeded as e:
+        traj = e.traj
 
     rows = []
     for i, t in enumerate(traj.times):
@@ -552,7 +556,7 @@ def _preset_equilibrium(out_dir: str, seed: int) -> RunManifest:
     cfg = load_config(data={
         "grid": {"min": 0.02, "max": 22.0, "n": 128},
         "initial": {"preset": "planck_mu", "mu": -1.0},
-        "solver": {"t_end": 1.0, "dt_init": 1e-3, "dt_max": 1e-3, "record_every": 20},
+        "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
     })
     manifest, traj = run_full_experiment(cfg, out_dir)
     u0 = cfg.initial_measure()
@@ -566,7 +570,7 @@ def _preset_over_planck(out_dir: str, seed: int) -> RunManifest:
     cfg = load_config(data={
         "grid": {"min": 0.02, "max": 22.0, "n": 128},
         "initial": {"preset": "scaled_planck", "factor": 2.0, "mu": -1.0},
-        "solver": {"t_end": 1.0, "dt_init": 1e-3, "dt_max": 1e-3, "record_every": 20},
+        "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
     })
     manifest, traj = run_full_experiment(cfg, out_dir)
     h = traj.entropy_series

@@ -4,10 +4,10 @@ The kernel B(x, y) gives the rate density at which a photon of energy x is
 redistributed to energy y by scattering off a thermal electron bath with
 inverse temperature beta and electron mass m (both dimensionless after
 scaling).  It is defined by an angular integral over the scattering angle;
-this module evaluates it by adaptive Gauss quadrature, provides the exact
-error-function closed form on the diagonal, pointwise majorants, the
-antidiagonal sign structure, the beta-scaling maps, and the large-beta
-diagonal-concentration check.
+this module evaluates it by adaptive Gauss quadrature, pair by pair or
+over a batch of pairs, provides the exact error-function closed form on
+the diagonal, pointwise majorants, the antidiagonal sign structure, the
+beta-scaling maps, and the large-beta diagonal-concentration check.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "NonConvergence",
     "StepTooLarge",
     "eval_kernel",
+    "eval_kernel_batch",
     "diagonal_closed_form",
     "eval_majorant",
     "peak_bound",
@@ -196,6 +197,22 @@ def eval_kernel(
         f"kernel quadrature at (x={x}, y={y}) did not reach tol={tol} "
         f"within {max_panels} panels"
     )
+
+
+def eval_kernel_batch(
+    params: PhysicalParams, x: np.ndarray, y: np.ndarray, tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """B and its quadrature error bound at the point pairs (x[k], y[k]).
+
+    ``x`` and ``y`` are 1-d arrays of equal length.  This is the one place
+    where the kernel is evaluated over many pairs: every table, rate
+    matrix and CSV dump takes its values from here.  Each pair keeps the
+    contract of :func:`eval_kernel`, which evaluates it.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    ys = np.asarray(y, dtype=float).tolist()
+    samples = [eval_kernel(params, a, b, tol) for a, b in zip(xs, ys, strict=True)]
+    return np.array([s.value for s in samples]), np.array([s.abs_error_estimate for s in samples])
 
 
 def diagonal_closed_form(params: PhysicalParams, x: float) -> float:

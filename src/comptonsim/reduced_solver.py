@@ -1,9 +1,11 @@
 """The reduced quadratic equation: du/dt = u * (rate kernel paired with u).
 
-Two solvers share one rate kernel abstraction.  The atom solver evolves
-finitely many point masses at frozen locations by an adaptive high-order
-ODE integrator; the Picard solver evolves an integrable density through
-the exponential fixed-point representation on contraction windows.  Both
+Two solvers share one location-based rate matrix, ``rate_matrix``, which
+evaluates the physical kernel only at the cutoff-supported pairs.  The
+atom solver evolves finitely many point masses at frozen locations by an
+adaptive high-order ODE integrator; the Picard solver evolves an
+integrable density, whose grid nodes are the locations, through the
+exponential fixed-point representation on contraction windows.  Both
 conserve mass by antisymmetry, decrease every power moment of order >= 1,
 and converge to a sum of decoupled point masses whose structure is
 checked by the limit classifier.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from .kernel import PhysicalParams, eval_kernel
+from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
@@ -26,6 +28,7 @@ __all__ = [
     "NonContraction",
     "NotConverged",
     "RateKernel",
+    "rate_matrix",
     "AtomSystemState",
     "AtomTrajectory",
     "PicardTrajectory",
@@ -56,93 +59,83 @@ class NotConverged(RuntimeError):
 
 
 class RateKernel:
-    """Antisymmetric exchange rate R(x, y); physical or synthetic.
+    """Synthetic antisymmetric exchange rate: a user table bound to fixed
+    locations, with antisymmetry validated.
 
-    The physical form is cutoff * B(x, y)/(x y) * (e^{-x} - e^{-y}),
-    evaluated with canonical argument ordering so R(x, y) + R(y, x) is
-    exactly zero.  A synthetic kernel is a user table bound to fixed
-    locations, with antisymmetry validated; it makes the atom dynamics
-    testable independently of kernel quadrature.
+    It makes the atom dynamics testable independently of kernel
+    quadrature; physical rates come from :func:`rate_matrix`.
     """
 
-    def __init__(
-        self,
-        pp: PhysicalParams | None = None,
-        tp: TruncationParams | None = None,
-        tol: float = 1e-10,
-        locations: np.ndarray | None = None,
-        table: np.ndarray | None = None,
-    ) -> None:
-        synthetic = table is not None
-        physical = pp is not None and tp is not None
-        if synthetic == physical:
-            raise ValueError("provide either (pp, tp) or (locations, table)")
-        self.pp = pp
-        self.tp = tp
-        self.tol = tol
-        self._locations = None
-        self._table = None
-        if synthetic:
-            locations = np.asarray(locations, dtype=float)
-            table = np.asarray(table, dtype=float)
-            if locations.ndim != 1 or table.shape != (locations.size, locations.size):
-                raise ValueError("table must be square over the locations")
-            if not np.allclose(table, -table.T, atol=0.0):
-                raise ValueError("synthetic rate table must be antisymmetric")
-            self._locations = locations
-            self._table = table
-
-    @property
-    def synthetic(self) -> bool:
-        return self._table is not None
+    def __init__(self, locations: np.ndarray | None = None, table: np.ndarray | None = None) -> None:
+        if table is None:
+            raise ValueError("a synthetic rate kernel needs its table")
+        locations = np.asarray(locations, dtype=float)
+        table = np.asarray(table, dtype=float)
+        if locations.ndim != 1 or table.shape != (locations.size, locations.size):
+            raise ValueError("table must be square over the locations")
+        if not np.allclose(table, -table.T, atol=0.0):
+            raise ValueError("synthetic rate table must be antisymmetric")
+        self._locations = locations
+        self._table = table
 
     def rate(self, x: float, y: float) -> float:
-        if self.synthetic:
-            i = int(np.argmin(np.abs(self._locations - x)))
-            j = int(np.argmin(np.abs(self._locations - y)))
-            if abs(self._locations[i] - x) > 1e-12 or abs(self._locations[j] - y) > 1e-12:
-                raise ValueError("synthetic kernel queried off its locations")
-            return float(self._table[i, j])
-        if x == y:
-            return 0.0
-        lo, hi = (x, y) if x < y else (y, x)
-        phi = eval_cutoff(self.tp, lo, hi)
-        if phi == 0.0:
-            return 0.0
-        value = (
-            phi
-            * eval_kernel(self.pp, lo, hi, self.tol).value
-            / (lo * hi)
-            * (math.exp(-lo) - math.exp(-hi))
-        )
-        return value if x < y else -value
+        i = int(np.argmin(np.abs(self._locations - x)))
+        j = int(np.argmin(np.abs(self._locations - y)))
+        if abs(self._locations[i] - x) > 1e-12 or abs(self._locations[j] - y) > 1e-12:
+            raise ValueError("synthetic kernel queried off its locations")
+        return float(self._table[i, j])
 
     def matrix(self, locations: np.ndarray) -> np.ndarray:
         locations = np.asarray(locations, dtype=float)
-        if self.synthetic:
-            if locations.size != self._locations.size or not np.allclose(
-                locations, self._locations, atol=0.0
-            ):
-                raise ValueError("synthetic kernel is bound to its own locations")
-            return self._table.copy()
-        n = locations.size
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = self.rate(float(locations[i]), float(locations[j]))
-                out[j, i] = -out[i, j]
-        return out
+        if locations.size != self._locations.size or not np.allclose(locations, self._locations, atol=0.0):
+            raise ValueError("synthetic kernel is bound to its own locations")
+        return self._table.copy()
 
     def coupled(self, x: float, y: float) -> bool:
-        """Whether the kernel can exchange mass between x and y."""
-        if self.synthetic:
-            return self.rate(x, y) != 0.0
-        return eval_cutoff(self.tp, x, y) > 0.0
+        """Whether the table exchanges mass between x and y."""
+        return self.rate(x, y) != 0.0
+
+
+def rate_matrix(
+    pp: PhysicalParams,
+    tp: TruncationParams,
+    locations,
+    tol: float = 1e-10,
+    apply_cutoff: bool = True,
+) -> tuple[np.ndarray, float]:
+    """Physical rate matrix at sorted locations, and its bound constant.
+
+    R[i, j] = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) for
+    i < j and R[j, i] = -R[i, j], so R is exactly antisymmetric.  One
+    vectorized cutoff call picks the pairs of distinct locations where the
+    cutoff is nonzero (every pair when ``apply_cutoff`` is False); only
+    those reach the kernel, and the bound constant C_star is calibrated on
+    them.
+    """
+    x = np.asarray(locations, dtype=float)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("locations must be sorted")
+    i, j = np.triu_indices(x.size, 1)
+    phi = eval_cutoff(tp, x[i], x[j]) if apply_cutoff else np.ones(i.size)
+    on = (phi != 0.0) & (x[i] != x[j])
+    i, j, phi = i[on], j[on], phi[on]
+    B, _ = eval_kernel_batch(pp, x[i], x[j], tol)
+    # math.exp, not np.exp: the two differ in the last bit at some nodes
+    e = np.array([math.exp(-v) for v in x.tolist()])
+    R = np.zeros((x.size, x.size))
+    R[i, j] = phi * B / (x[i] * x[j]) * (e[i] - e[j])
+    R[j, i] = -R[i, j]
+    return R, kernel_bound_constant(pp, x[i], x[j], B)
 
 
 @dataclass
 class AtomSystemState:
-    """Point masses at frozen locations with their precomputed rate matrix."""
+    """Point masses at frozen locations with their precomputed rate matrix.
+
+    ``kern`` is the synthetic table of a :meth:`from_table` state and None
+    for a physical one; the limit classifier then takes the coupling test
+    from the cutoff.
+    """
 
     locations: np.ndarray
     masses: np.ndarray
@@ -171,10 +164,9 @@ class AtomSystemState:
         masses,
         tol: float = 1e-10,
     ) -> "AtomSystemState":
-        kern = RateKernel(pp=pp, tp=tp, tol=tol)
         locations = np.asarray(locations, dtype=float)
         return cls(locations=locations, masses=np.asarray(masses, dtype=float),
-                   rate_matrix=kern.matrix(locations), kern=kern)
+                   rate_matrix=rate_matrix(pp, tp, locations, tol)[0])
 
     @classmethod
     def from_table(cls, locations, masses, table) -> "AtomSystemState":
@@ -304,12 +296,9 @@ def dissipation_alpha(
         return 0.0
     locs = np.array([p for p, _ in pts])
     masses = np.array([m for _, m in pts])
-    kern = RateKernel(pp=pp, tp=tp, tol=tol)
-    positive = locs > 0.0
     R = np.zeros((locs.size, locs.size))
-    idx = np.nonzero(positive)[0]
-    sub = kern.matrix(locs[idx])
-    R[np.ix_(idx, idx)] = sub
+    idx = np.nonzero(locs > 0.0)[0]
+    R[np.ix_(idx, idx)] = rate_matrix(pp, tp, locs[idx], tol)[0]
     return dissipation_alpha_points(locs, masses, R, alpha)
 
 
@@ -444,30 +433,6 @@ class PicardTrajectory:
         return u0 * np.exp(np.minimum(self.growth_constant * t / self.grid.nodes**1.5, 700.0))
 
 
-def _rate_matrix_on_grid(
-    pp: PhysicalParams,
-    tp: TruncationParams,
-    grid: Grid,
-    tol: float,
-    apply_cutoff: bool = True,
-) -> tuple[np.ndarray, float]:
-    xs = grid.nodes
-    n = xs.size
-    R = np.zeros((n, n))
-    raw = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            phi = eval_cutoff(tp, xs[i], xs[j]) if apply_cutoff else 1.0
-            if phi == 0.0:
-                continue
-            B = eval_kernel(pp, xs[i], xs[j], tol).value
-            raw.append((xs[i], xs[j], B))
-            R[i, j] = phi * B / (xs[i] * xs[j]) * (math.exp(-xs[i]) - math.exp(-xs[j]))
-            R[j, i] = -R[i, j]
-    c_star = kernel_bound_constant(pp, [a for a, _, _ in raw], [b for _, b, _ in raw], [c for _, _, c in raw])
-    return R, c_star
-
-
 def picard_solve(
     u0: HybridMeasure,
     pp: PhysicalParams,
@@ -506,7 +471,7 @@ def picard_solve(
     grid = u0.grid
     flatness_certificate(grid, u0.density, flat_r, eta)
     if rate_grid is None or c_star is None:
-        rate_grid, c_star = _rate_matrix_on_grid(pp, tp, grid, kernel_tol, apply_cutoff)
+        rate_grid, c_star = rate_matrix(pp, tp, grid.nodes, kernel_tol, apply_cutoff)
     x_eta0 = float(np.dot(grid.weights, u0.density * np.exp(eta * grid.nodes)))
     c0 = pointwise_growth_constant(tp, c_star, x_eta0)
 

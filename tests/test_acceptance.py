@@ -150,7 +150,6 @@ def test_criterion_05_full_conservation(full_grid, full_kernel):
     cfg = SolverConfig(
         t_end=1.0,
         dt_init=1e-4,
-        dt_max=1e-4,
         eta=0.3,
         record_every=1,
         track_dissipation=False,
@@ -178,7 +177,7 @@ def test_criterion_06_entropy_structure(full_grid, full_kernel):
     grid = Grid.log_spaced(0.02, 22.0, 128)
     kern = RegularizedKernel.build(PP, TP, grid, n=20)
     u0 = _planck_bump(grid)
-    cfg = SolverConfig(t_end=1.0, dt_init=1e-3, dt_max=1e-3, eta=0.3, record_every=1)
+    cfg = SolverConfig(t_end=1.0, dt_init=1e-3, eta=0.3, record_every=1)
     traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
     balance = entropy_balance_check(traj, rel_tolerance=1e-4)
     d_ok = balance.dissipation_nonnegative

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from comptonsim import full_solver
+from comptonsim import kernel as kernel_module
 from comptonsim.full_solver import (
+    MassDriftExceeded,
     NonFiniteState,
     RegularizedKernel,
     SolverConfig,
@@ -135,13 +136,13 @@ class TestStep:
         assert abs(float(np.dot(grid.weights, u1)) - m0) <= 1e-13 * m0
 
     def test_positivity_rejection_halves(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, dt_min=1e-6, dt_init=1e-3, dt_max=50.0)
+        cfg = SolverConfig(t_end=1.0, dt_min=1e-6, dt_init=1e-3)
         u = bump_state(grid)
         _, used = step(u, kern, cfg, dt=50.0)
         assert used < 50.0
 
     def test_step_collapse(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, dt_min=40.0, dt_init=40.0, dt_max=50.0)
+        cfg = SolverConfig(t_end=1.0, dt_min=40.0, dt_init=40.0)
         u = bump_state(grid)
         with pytest.raises(StepCollapse):
             step(u, kern, cfg, dt=50.0)
@@ -192,7 +193,7 @@ class TestCrossValidation:
         from scipy.integrate import solve_ivp
 
         u0 = bump_state(grid)
-        cfg = SolverConfig(t_end=0.5, dt_init=1e-3, dt_max=1e-3, record_every=100)
+        cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=100)
         traj = run_full(
             HybridMeasure(atoms=[], grid=grid, density=u0), PP, TP, 20, cfg, kern=kern, keep_states=True
         )
@@ -236,8 +237,8 @@ class TestDissipation:
             seen.append(tol)
             return real(pp, x, y, tol)
 
-        real = full_solver.eval_kernel
-        monkeypatch.setattr(full_solver, "eval_kernel", spy)
+        real = kernel_module.eval_kernel
+        monkeypatch.setattr(kernel_module, "eval_kernel", spy)
         loose = dataclasses.replace(kern, tol=1e-7)
         entropy_dissipation(HybridMeasure(atoms=[(1.0, 0.5), (1.2, 0.5)]), loose)
         assert seen and set(seen) == {1e-7}
@@ -254,7 +255,7 @@ class TestDissipation:
 class TestBalance:
     def test_stationary_balance_trivial(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
-        cfg = SolverConfig(t_end=0.05, dt_init=1e-3, dt_max=1e-3)
+        cfg = SolverConfig(t_end=0.05, dt_init=1e-3)
         traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
         rep = entropy_balance_check(traj)
         assert abs(rep.entropy_change) <= 1e-10
@@ -263,7 +264,7 @@ class TestBalance:
 
     def test_bump_balance(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        cfg = SolverConfig(t_end=0.3, dt_init=1e-3, dt_max=1e-3)
+        cfg = SolverConfig(t_end=0.3, dt_init=1e-3)
         traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
         rep = entropy_balance_check(traj)
         assert rep.dissipation_nonnegative
@@ -316,12 +317,28 @@ class TestRunFull:
 
     def test_growth_bound_and_mass(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        cfg = SolverConfig(t_end=0.5, dt_init=1e-3, dt_max=1e-3, record_every=10, eta=0.3)
+        cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=10, eta=0.3)
         traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
         assert traj.max_mass_drift() <= 1e-12
         xs = np.array([r.X_eta for r in traj.reports])
         bound = np.array(traj.exp_moment_bound)
         assert np.all(xs <= (1.0 + 1e-6) * bound)
+
+    def test_every_step_asks_for_dt_init(self, kern, grid):
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        cfg = SolverConfig(t_end=0.1, dt_init=1e-3, track_dissipation=False, track_origin=False)
+        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+        assert len(traj.times) == 101
+        assert np.diff(traj.times) == pytest.approx(1e-3, rel=1e-9)
+
+    def test_mass_drift_raises_with_trajectory(self, kern, grid):
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        cfg = SolverConfig(t_end=0.05, record_every=5, mass_tolerance=1e-18)
+        with pytest.raises(MassDriftExceeded, match="exceeds tolerance") as err:
+            run_full(u0, PP, TP, 20, cfg, kern=kern)
+        assert isinstance(err.value, StepCollapse)
+        assert len(err.value.traj.times) == 11
+        assert err.value.traj.max_mass_drift() > cfg.mass_tolerance
 
     def test_origin_atom_rides_along(self, kern, grid):
         u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))

@@ -58,6 +58,10 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="solver.bogus"):
             load_config(data={"solver": {"bogus": 1}})
 
+    def test_dt_max_is_no_longer_a_field(self):
+        with pytest.raises(ParseError, match="solver.dt_max"):
+            load_config(data={"solver": {"dt_max": 1e-2}})
+
     def test_missing_file(self):
         with pytest.raises(ParseError, match="not found"):
             load_config(path="/nonexistent/config.json")
@@ -186,6 +190,28 @@ class TestCli:
         assert header == "t,M0,X_eta,H,D_total,alpha_est"
         snaps = [p for p in os.listdir(out) if p.startswith("snapshot_")]
         assert snaps
+
+    def test_simulate_full_mass_drift_fails_with_outputs(self, tmp_path):
+        # roundoff drift of this run is about 4e-16, above the tolerance
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"min": 0.05, "max": 15.0, "n": 48},
+            "initial": {"preset": "bump", "mu": -1.0},
+            "solver": {"t_end": 0.05, "record_every": 5, "mass_tolerance": 1e-18},
+        }))
+        out = tmp_path / "full"
+        rc = cli_main(["simulate-full", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in manifest["outputs"]:
+            assert (out / name).is_file()
+        assert "trajectory.csv" in manifest["outputs"]
+        assert any(name.startswith("snapshot_") for name in manifest["outputs"])
+        checks = {a["name"]: a for a in manifest["assertions"]}
+        mass = checks.pop("mass_conservation")
+        assert not mass["passed"]
+        assert float(mass["detail"].split()[-1]) > 1e-18
+        assert checks and all(a["passed"] for a in checks.values())
 
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])

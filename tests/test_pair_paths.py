@@ -2,13 +2,17 @@
 
 The collision rate, the dissipation, the origin flux and the atom RHS are
 computed from the kernel's list of in-support pairs (or, for atoms, from
-the upper triangle of the rate matrix).  The reference forms below are
-the dense n x n and pairwise-loop versions they replaced; they stay here
-only as oracles.
+the upper triangle of the rate matrix).  The kernel table, the off-grid
+kernel points and the physical rate matrix are filled by one screened
+batch: a vectorized cutoff picks the pairs, one batch call evaluates them.
+The reference forms below are the dense n x n, scalar per-pair and
+pairwise-loop versions they replaced; they stay here only as oracles and
+must match bit for bit where the new path only reorganizes the loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -16,18 +20,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comptonsim import kernel as kernel_module
 from comptonsim.full_solver import (
     RegularizedKernel,
     _gain_factors,
     _j,
+    _kernel_point,
     collision_rhs,
     entropy_dissipation,
     origin_mass_estimate,
+    taper,
 )
-from comptonsim.kernel import PhysicalParams
+from comptonsim.kernel import PhysicalParams, eval_kernel, eval_kernel_batch
 from comptonsim.measure import Grid, HybridMeasure, planck_density
-from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs
-from comptonsim.truncation import TruncationParams
+from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, rate_matrix
+from comptonsim.truncation import (
+    TruncationParams,
+    eval_cutoff,
+    gamma1,
+    gamma2,
+    kernel_bound_constant,
+)
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -74,6 +87,102 @@ def loop_atom_ode_rhs(R, m):
             out[i] += f
             out[j] -= f
     return out
+
+
+def loop_table_build(pp, tp, grid, n, tol=1e-10):
+    """The scalar double loop: gamma window, then cutoff, then kernel, per pair."""
+    xs = grid.nodes
+    size = xs.size
+    tap = np.asarray(taper(n, xs))
+    table = np.zeros((size, size))
+    raw_x, raw_y, raw_B = [], [], []
+    for i in range(size):
+        if tap[i] == 0.0:
+            continue
+        lo = gamma1(tp, xs[i])
+        hi = gamma2(tp, xs[i])
+        for j in range(i, size):
+            if xs[j] < lo or xs[j] > hi or tap[j] == 0.0:
+                continue
+            phi = eval_cutoff(tp, xs[i], xs[j])
+            if phi == 0.0:
+                continue
+            B = kernel_module.eval_kernel(pp, xs[i], xs[j], tol).value
+            table[i, j] = phi * B * tap[i] * tap[j]
+            table[j, i] = table[i, j]
+            raw_x.append(xs[i])
+            raw_y.append(xs[j])
+            raw_B.append(B)
+    pair_i, pair_j = np.nonzero(np.triu(table, 1))
+    w = grid.weights
+    pair_c = table[pair_i, pair_j] * (w[pair_i] * w[pair_j])
+    return table, pair_i, pair_j, pair_c, kernel_bound_constant(pp, raw_x, raw_y, raw_B)
+
+
+def scalar_rate(pp, tp, x, y, tol=1e-10, apply_cutoff=True):
+    """The per-pair physical rate R(x, y), canonically ordered, and B(x, y)
+    (None when the pair never reached the kernel)."""
+    if x == y:
+        return 0.0, None
+    lo, hi = (x, y) if x < y else (y, x)
+    phi = eval_cutoff(tp, lo, hi) if apply_cutoff else 1.0
+    if phi == 0.0:
+        return 0.0, None
+    B = kernel_module.eval_kernel(pp, lo, hi, tol).value
+    value = phi * B / (lo * hi) * (math.exp(-lo) - math.exp(-hi))
+    return (value if x < y else -value), B
+
+
+def loop_rate_matrix(pp, tp, locs, tol=1e-10, apply_cutoff=True):
+    """R from scalar_rate over the upper triangle, and C_star over the pairs
+    that reached the kernel."""
+    n = len(locs)
+    R = np.zeros((n, n))
+    raw = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = float(locs[i]), float(locs[j])
+            R[i, j], B = scalar_rate(pp, tp, x, y, tol, apply_cutoff)
+            R[j, i] = -R[i, j]
+            if B is not None:
+                raw.append((x, y, B))
+    c_star = kernel_bound_constant(pp, *zip(*raw)) if raw else 0.0
+    return R, c_star
+
+
+def scalar_kernel_point(kern, x, y):
+    """Tapered kernel at one off-grid point."""
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    tx = float(np.asarray(taper(kern.n, x)))
+    ty = float(np.asarray(taper(kern.n, y)))
+    if tx == 0.0 or ty == 0.0:
+        return 0.0
+    phi = eval_cutoff(kern.tp, x, y)
+    if phi == 0.0:
+        return 0.0
+    return phi * kernel_module.eval_kernel(kern.pp, x, y, kern.tol).value * tx * ty
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """Count the kernel quadratures made inside the block."""
+    real = kernel_module.eval_kernel
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[1:3])
+        return real(*args, **kwargs)
+
+    kernel_module.eval_kernel = counted
+    try:
+        yield seen
+    finally:
+        kernel_module.eval_kernel = real
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def holey_state(rng, n):
@@ -167,6 +276,13 @@ def kernels(draw):
     return RegularizedKernel.build(PP, TP, draw(grids()), n=draw(st.sampled_from([3, 8, 20])))
 
 
+@st.composite
+def truncations(draw):
+    theta = draw(st.floats(0.1, 0.85))
+    theta1 = draw(st.floats(theta + 0.02, 0.97))
+    return TruncationParams.solve(theta, draw(st.floats(0.05, 5.0)), theta1)
+
+
 PROPERTY = settings(max_examples=15, deadline=None)
 
 
@@ -198,3 +314,107 @@ class TestProperties:
         assert np.all(np.abs(rate) <= 1e-13 * gross_rate(g, kern))
         parts = entropy_dissipation(HybridMeasure(atoms=[], grid=kern.grid, density=g), kern)
         assert parts.infinite_flags == 0
+
+
+class TestScreenedBatchAgainstLoops:
+    """The screened batch path against the scalar per-pair loops."""
+
+    @PROPERTY
+    @given(grid=grids(), n=st.integers(1, 25), tp=truncations())
+    def test_table_pairs_and_bound_constant(self, grid, n, tp):
+        with kernel_calls() as seen:
+            kern = RegularizedKernel.build(PP, tp, grid, n)
+        with kernel_calls() as ref:
+            table, pair_i, pair_j, pair_c, c_star = loop_table_build(PP, tp, grid, n)
+        assert seen == ref  # the same points reach the quadrature, in order
+        assert np.array_equal(kern.table, table)
+        assert np.array_equal(kern.pair_i, pair_i) and np.array_equal(kern.pair_j, pair_j)
+        assert np.array_equal(kern.pair_c, pair_c)
+        assert kern.bound_constant == c_star
+
+    @pytest.mark.parametrize("size", [128, 192])
+    def test_table_on_benchmark_grids(self, size):
+        grid = Grid.log_spaced(0.02, 22.0, size)
+        kern = RegularizedKernel.build(PP, TP, grid, 20)
+        table, _, _, pair_c, c_star = loop_table_build(PP, TP, grid, 20)
+        assert np.array_equal(kern.table, table) and np.array_equal(kern.pair_c, pair_c)
+        assert kern.bound_constant == c_star
+
+    @PROPERTY
+    @given(grid=grids(), tp=truncations(), apply_cutoff=st.booleans())
+    def test_rate_matrix_on_grids(self, grid, tp, apply_cutoff):
+        with kernel_calls() as seen:
+            R, c_star = rate_matrix(PP, tp, grid.nodes, 1e-10, apply_cutoff)
+        with kernel_calls() as ref:
+            R_ref, c_ref = loop_rate_matrix(PP, tp, grid.nodes, 1e-10, apply_cutoff)
+        assert seen == ref
+        assert np.array_equal(R, R_ref) and c_star == c_ref
+        assert np.array_equal(R, -R.T)
+
+    def test_rate_matrix_on_picard_grid(self):
+        grid = Grid.log_spaced(0.5, 30.0, 128)
+        R, c_star = rate_matrix(PP, TP, grid.nodes)
+        R_ref, c_ref = loop_rate_matrix(PP, TP, grid.nodes)
+        assert np.array_equal(R, R_ref) and c_star == c_ref
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rate_matrix_on_atom_sets(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        locs = np.sort(rng.uniform(0.05, 8.0, 16))
+        state = AtomSystemState.from_physical(PP, TP, locs, np.full(16, 1.0 / 16))
+        assert state.kern is None
+        R_ref, _ = loop_rate_matrix(PP, TP, locs)
+        assert np.array_equal(state.rate_matrix, R_ref)
+
+    def test_repeated_location_does_not_couple(self):
+        # an atom sitting on a grid node appears twice among the support points
+        locs = [1.0, 1.2, 1.2, 1.5]
+        with kernel_calls() as seen:
+            R, _ = rate_matrix(PP, TP, locs)
+        with kernel_calls() as ref:
+            R_ref, _ = loop_rate_matrix(PP, TP, locs)
+        assert R[1, 2] == 0.0 and R[2, 1] == 0.0
+        assert np.array_equal(R, R_ref) and seen == ref
+
+    def test_rate_matrix_needs_sorted_locations(self):
+        with pytest.raises(ValueError, match="sorted"):
+            rate_matrix(PP, TP, [1.2, 1.0])
+
+    def test_kernel_points_off_the_grid(self, kern):
+        rng = np.random.default_rng(71)
+        x = np.concatenate([[0.0, 1.0, 0.01, 30.0], rng.uniform(0.03, 25.0, 12)])
+        with kernel_calls() as seen:
+            pts = _kernel_point(kern, x[:, None], x[None, :])
+        with kernel_calls() as seen_ref:
+            ref = np.array([[scalar_kernel_point(kern, a, b) for b in x] for a in x])
+        assert np.array_equal(pts, ref) and seen == seen_ref
+        assert np.count_nonzero(pts) > x.size
+        assert _kernel_point(kern, 1.0, 1.1).shape == ()
+        assert float(_kernel_point(kern, 1.0, 1.1)) == scalar_kernel_point(kern, 1.0, 1.1)
+
+    def test_batch_matches_scalar_kernel(self):
+        x = np.array([0.1, 1.0, 2.0, 5.0])
+        y = np.array([0.12, 1.0, 2.6, 4.0])
+        values, errors = eval_kernel_batch(PP, x, y, 1e-9)
+        for k in range(x.size):
+            s = eval_kernel(PP, x[k], y[k], 1e-9)
+            assert (values[k], errors[k]) == (s.value, s.abs_error_estimate)
+        empty = eval_kernel_batch(PP, np.zeros(0), np.zeros(0))
+        assert empty[0].shape == empty[1].shape == (0,)
+
+
+class TestCutoffProperties:
+    @PROPERTY
+    @given(tp=truncations(), x=st.floats(1e-4, 50.0), y=st.floats(1e-4, 50.0))
+    def test_symmetric_bitwise(self, tp, x, y):
+        assert bits(eval_cutoff(tp, x, y)) == bits(eval_cutoff(tp, y, x))
+
+    @PROPERTY
+    @given(tp=truncations(), grid=grids())
+    def test_vectorized_equals_scalar_bitwise(self, tp, grid):
+        i, j = np.triu_indices(grid.n)
+        x, y = grid.nodes[i], grid.nodes[j]
+        vec = eval_cutoff(tp, x, y)
+        scalar = [eval_cutoff(tp, float(a), float(b)) for a, b in zip(x, y)]
+        assert np.array_equal(bits(vec), bits(scalar))
+        assert np.array_equal(bits(vec), bits(eval_cutoff(tp, y, x)))

@@ -22,6 +22,7 @@ from comptonsim.reduced_solver import (
     flatness_certificate,
     lyapunov_check,
     picard_solve,
+    rate_matrix,
     run_atoms,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff
@@ -55,28 +56,43 @@ def random_resolvable_state(rng, n_atoms: int = 4, margin: float = 0.04) -> Atom
             return AtomSystemState.from_physical(PP, TP, locs, rng.uniform(0.1, 1.0, n_atoms))
 
 
+class PhysicalRates:
+    """The physical R(x, y) read off ``rate_matrix``, with the cutoff as
+    its coupling test (the one the limit classifier applies)."""
+
+    def rate(self, x: float, y: float) -> float:
+        R, _ = rate_matrix(PP, TP, sorted((x, y)))
+        return R[0, 1] if x <= y else R[1, 0]
+
+    def matrix(self, locs) -> np.ndarray:
+        return rate_matrix(PP, TP, locs)[0]
+
+    def coupled(self, x: float, y: float) -> bool:
+        return eval_cutoff(TP, x, y) > 0.0
+
+
 class TestRateKernel:
     def test_antisymmetry_bitwise(self):
-        kern = RateKernel(pp=PP, tp=TP)
+        kern = PhysicalRates()
         rng = np.random.default_rng(61)
         for _ in range(30):
             x, y = rng.uniform(0.1, 6.0, 2)
             assert kern.rate(x, y) == -kern.rate(y, x)
 
     def test_sign_toward_lower_energy(self):
-        kern = RateKernel(pp=PP, tp=TP)
+        kern = PhysicalRates()
         assert kern.rate(1.0, 1.4) > 0.0  # lower energy gains
         assert kern.rate(1.4, 1.0) < 0.0
         assert kern.rate(2.0, 2.0) == 0.0
 
     def test_zero_off_support(self):
-        kern = RateKernel(pp=PP, tp=TP)
+        kern = PhysicalRates()
         assert kern.rate(1.0, 9.0) == 0.0
         assert not kern.coupled(1.0, 9.0)
         assert kern.coupled(1.0, 1.4)
 
     def test_matrix_antisymmetric(self):
-        kern = RateKernel(pp=PP, tp=TP)
+        kern = PhysicalRates()
         locs = np.array([0.5, 0.8, 1.0, 2.2])
         R = kern.matrix(locs)
         assert np.array_equal(R, -R.T)
@@ -291,10 +307,8 @@ class TestPicard:
         # semi-discrete system
         from scipy.integrate import solve_ivp
 
-        from comptonsim.reduced_solver import _rate_matrix_on_grid
-
         grid, u0 = flat_setup
-        R, c_star = _rate_matrix_on_grid(PP, TP, grid, 1e-10)
+        R, c_star = rate_matrix(PP, TP, grid.nodes, 1e-10)
         traj = picard_solve(
             u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3, rate_grid=R, c_star=c_star
         )
