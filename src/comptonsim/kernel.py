@@ -4,10 +4,16 @@ The kernel B(x, y) gives the rate density at which a photon of energy x is
 redistributed to energy y by scattering off a thermal electron bath with
 inverse temperature beta and electron mass m (both dimensionless after
 scaling).  It is defined by an angular integral over the scattering angle;
-this module evaluates it by adaptive Gauss quadrature, pair by pair or
-over a batch of pairs, provides the exact error-function closed form on
-the diagonal, pointwise majorants, the antidiagonal sign structure, the
-beta-scaling maps, and the large-beta diagonal-concentration check.
+this module evaluates it by adaptive Gauss quadrature, provides the exact
+error-function closed form on the diagonal, pointwise majorants, the
+antidiagonal sign structure, the beta-scaling maps, and the large-beta
+diagonal-concentration check.
+
+:func:`eval_kernel` integrates one pair by global adaptive bisection of
+Gauss panels.  :func:`eval_kernel_batch`, which every table, rate matrix
+and CSV dump uses, runs the same bisection for many pairs side by side,
+one vectorized integrand call per round, and gives every pair the bits
+eval_kernel gives it; eval_kernel stays as its reference.
 """
 
 from __future__ import annotations
@@ -130,21 +136,28 @@ def _diagonal_series_coefficients(n_terms: int = 28) -> np.ndarray:
 _DIAGONAL_SERIES = _diagonal_series_coefficients()
 
 
-def _integrand(s: np.ndarray, x: float, y: float, beta: float, m: float) -> np.ndarray:
+def _integrand(s: np.ndarray, d2, c, beta: float, m: float) -> np.ndarray:
     # Angular integrand after the substitution s = sqrt(1 - cos(angle)),
-    # which removes the integrable spike at s = 0 when x ~ y.
-    d2 = (x - y) ** 2
-    r2 = d2 + 2.0 * x * y * s * s
+    # which removes the integrable spike at s = 0 when x ~ y.  It takes
+    # d2 = (x - y)^2 and c = 2 x y: Python floats for one pair, or
+    # (panels, 1) columns for a batch of panels; the elementwise operations
+    # are the same either way.
+    r2 = d2 + c * s * s
     t = 1.0 - s * s
     expo = -beta * (m * d2 + r2 * r2 / (4.0 * m * beta * beta)) / (2.0 * r2)
     return (1.0 + t * t) * 2.0 * s / np.sqrt(r2) * np.exp(expo)
 
 
+# eval_kernel's default panel budget, and the batch's.
+_MAX_PANELS = 4000
+
+
 def _panel(a: float, b: float, x: float, y: float, beta: float, m: float) -> tuple[float, float]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    hi = half * float(np.dot(_GL_HI[1], _integrand(mid + half * _GL_HI[0], x, y, beta, m)))
-    lo = half * float(np.dot(_GL_LO[1], _integrand(mid + half * _GL_LO[0], x, y, beta, m)))
+    d2, c = (x - y) ** 2, 2.0 * x * y
+    hi = half * float(np.dot(_GL_HI[1], _integrand(mid + half * _GL_HI[0], d2, c, beta, m)))
+    lo = half * float(np.dot(_GL_LO[1], _integrand(mid + half * _GL_LO[0], d2, c, beta, m)))
     return hi, abs(hi - lo)
 
 
@@ -153,7 +166,7 @@ def eval_kernel(
     x: float,
     y: float,
     tol: float = 1e-10,
-    max_panels: int = 4000,
+    max_panels: int = _MAX_PANELS,
     force_quadrature: bool = False,
 ) -> KernelSample:
     """Evaluate B(x, y) by adaptive bisection with Gauss panels.
@@ -200,19 +213,130 @@ def eval_kernel(
 
 
 def eval_kernel_batch(
-    params: PhysicalParams, x: np.ndarray, y: np.ndarray, tol: float = 1e-10
+    params: PhysicalParams,
+    x: np.ndarray,
+    y: np.ndarray,
+    tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """B and its quadrature error bound at the point pairs (x[k], y[k]).
 
     ``x`` and ``y`` are 1-d arrays of equal length.  This is the one place
     where the kernel is evaluated over many pairs: every table, rate
-    matrix and CSV dump takes its values from here.  Each pair keeps the
-    contract of :func:`eval_kernel`, which evaluates it.
+    matrix and CSV dump takes its values from here.  Each pair gets the
+    bits :func:`eval_kernel` gives it, value and error, and so keeps its
+    contract (``ValueError``, ``err <= tol * value``, ``NonConvergence``
+    at eval_kernel's default panel budget).
+
+    B is symmetric bit for bit, so each unordered pair is integrated once.
+    Near-diagonal pairs take the diagonal closed form.  The others run
+    eval_kernel's adaptive bisection side by side: each round, every pair
+    that misses ``tol`` bisects its worst panel, and the children of all
+    those pairs go through one vectorized integrand call.  The bits match
+    the scalar path because every step repeats its arithmetic: the
+    integrand elementwise, each panel's weighted sum through the BLAS dot
+    that ``np.dot`` calls, the panel totals left to right in the order of
+    eval_kernel's panel list, the first maximum as the worst panel, and
+    ``(x - y) ** 2`` and the prefactor in Python floats.
     """
-    xs = np.asarray(x, dtype=float).tolist()
-    ys = np.asarray(y, dtype=float).tolist()
-    samples = [eval_kernel(params, a, b, tol) for a, b in zip(xs, ys, strict=True)]
-    return np.array([s.value for s in samples]), np.array([s.abs_error_estimate for s in samples])
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    if not np.all((x > 0.0) & (y > 0.0)):
+        raise ValueError("x and y must be positive")
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError("tol must lie in (0, 1e-3]")
+    if x.size == 0:
+        return np.zeros(0), np.zeros(0)
+    # each unordered pair once: (min, max) viewed as one complex key
+    keys = np.stack([np.minimum(x, y), np.maximum(x, y)], axis=1).view(complex).ravel()
+    keys, inverse = np.unique(keys, return_inverse=True)
+    lo, hi = keys.real, keys.imag
+    values = np.empty(lo.size)
+    errors = np.empty(lo.size)
+    diag = np.abs(lo - hi) < 1e-8 * (lo + hi)
+    for k in np.flatnonzero(diag).tolist():
+        values[k] = diagonal_closed_form(params, 0.5 * (float(lo[k]) + float(hi[k])))
+        errors[k] = 4.0 * np.finfo(float).eps * values[k]
+    off = np.flatnonzero(~diag)
+    values[off], errors[off] = _bisect_batch(params, lo[off], hi[off], tol)
+    return values[inverse], errors[inverse]
+
+
+# Panels per vectorized integrand call: bounds the batch's temporaries.
+_CHUNK = 256
+# Both rules' nodes, so one integrand call serves both.
+_NODES = np.concatenate([_GL_HI[0], _GL_LO[0]])
+
+
+def _bisect_batch(
+    params: PhysicalParams, x: np.ndarray, y: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    # eval_kernel's adaptive loop for many off-diagonal pairs at once.
+    # panels[r] is the panel list (a, b, value, error) of pair act[r], in
+    # the order of eval_kernel's list: the worst panel leaves its place and
+    # its two halves are appended.  Every active pair holds the same number
+    # of panels.
+    beta, m = params.beta, params.m
+    xs, ys = x.tolist(), y.tolist()
+    d2 = np.array([(p - q) ** 2 for p, q in zip(xs, ys)])
+    c = 2.0 * x * y
+    root_beta = math.sqrt(beta)
+    prefactor = np.array([root_beta * math.exp(0.5 * (p + q)) for p, q in zip(xs, ys)])
+    values = np.empty(x.size)
+    errors = np.empty(x.size)
+    act = np.arange(x.size)
+    h = 0.5 * _SQRT2
+    panels = _panels(np.tile([0.0, h, h, _SQRT2], x.size), act, d2, c, beta, m)
+    while act.size:
+        width = panels.shape[1]
+        if width >= _MAX_PANELS:
+            k = act[0]
+            raise NonConvergence(
+                f"kernel quadrature at (x={xs[k]}, y={ys[k]}) did not reach tol={tol} "
+                f"within {_MAX_PANELS} panels"
+            )
+        total = np.add.accumulate(panels[:, :, 2], axis=1)[:, -1]
+        total_err = np.add.accumulate(panels[:, :, 3], axis=1)[:, -1]
+        done = (total_err <= tol * np.abs(total)) | (total_err == 0.0)
+        k = act[done]
+        values[k] = prefactor[k] * total[done]
+        errors[k] = prefactor[k] * total_err[done]
+        act, panels = act[~done], panels[~done]
+        rows = np.arange(act.size)
+        worst = np.argmax(panels[:, :, 3], axis=1)
+        a, b = panels[rows, worst, 0], panels[rows, worst, 1]
+        mid = 0.5 * (a + b)
+        kept = np.ones(panels.shape[:2], dtype=bool)
+        kept[rows, worst] = False
+        halves = _panels(np.stack([a, mid, mid, b], axis=1).ravel(), act, d2, c, beta, m)
+        panels = np.concatenate([panels[kept].reshape(act.size, width - 1, 4), halves], axis=1)
+    return values, errors
+
+
+def _panels(
+    bounds: np.ndarray, act: np.ndarray, d2: np.ndarray, c: np.ndarray, beta: float, m: float
+) -> np.ndarray:
+    # _panel on two panels per pair act[r], with bounds[4 r : 4 r + 4] =
+    # (a1, b1, a2, b2); returns the (pairs, 2, 4) rows (a, b, value, error)
+    out = np.empty((2 * act.size, 4))
+    out[:, :2] = bounds.reshape(-1, 2)
+    a, b = out[:, 0], out[:, 1]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    owner = np.repeat(act, 2)
+    n_hi = _GL_HI[0].size
+    for start in range(0, out.shape[0], _CHUNK):
+        k = slice(start, start + _CHUNK)
+        s = mid[k, None] + half[k, None] * _NODES
+        f = _integrand(s, d2[owner[k], None], c[owner[k], None], beta, m)
+        # np.vecdot makes the BLAS dot call of np.dot in _panel once per
+        # panel; a matrix product would sum in another order
+        hi = half[k] * np.vecdot(_GL_HI[1], f[:, :n_hi])
+        lo = half[k] * np.vecdot(_GL_LO[1], f[:, n_hi:])
+        out[k, 2] = hi
+        out[k, 3] = np.abs(hi - lo)
+    return out.reshape(act.size, 2, 4)
 
 
 def diagonal_closed_form(params: PhysicalParams, x: float) -> float:
@@ -286,16 +410,21 @@ def verify_antidiagonal_monotonicity(
     for y > x and negative for x > y.  Central differences with step
     h = step_factor * min(x, y); a step above min(x, y)/10 is refused.
     """
-    violations: list[tuple[float, float, float]] = []
+    steps = []
     for x, y in samples:
         if not (x > 0.0 and y > 0.0) or x == y:
             raise ValueError("samples must have x > 0, y > 0, x != y")
         h = step_factor * min(x, y)
         if h > 0.1 * min(x, y):
             raise StepTooLarge(f"step {h} exceeds min(x, y)/10 at ({x}, {y})")
-        plus = eval_kernel(params, x + h, y - h, tol).value
-        minus = eval_kernel(params, x - h, y + h, tol).value
-        derivative = (plus - minus) / (2.0 * h)
+        steps.append(h)
+    xs, ys = np.array(samples, dtype=float).reshape(-1, 2).T
+    hs = np.array(steps, dtype=float)
+    B, _ = eval_kernel_batch(params, np.concatenate([xs + hs, xs - hs]), np.concatenate([ys - hs, ys + hs]), tol)
+    plus, minus = np.split(B, 2)
+    violations: list[tuple[float, float, float]] = []
+    for (x, y), h, p, q in zip(samples, steps, plus.tolist(), minus.tolist()):
+        derivative = (p - q) / (2.0 * h)
         expected_sign = 1.0 if y > x else -1.0
         if derivative * expected_sign <= 0.0:
             violations.append((x, y, derivative))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from comptonsim import kernel as kernel_module
+from comptonsim import full_solver as full_solver_module
 from comptonsim.full_solver import (
     MassDriftExceeded,
     NonFiniteState,
@@ -237,8 +237,8 @@ class TestDissipation:
             seen.append(tol)
             return real(pp, x, y, tol)
 
-        real = kernel_module.eval_kernel
-        monkeypatch.setattr(kernel_module, "eval_kernel", spy)
+        real = full_solver_module.eval_kernel_batch
+        monkeypatch.setattr(full_solver_module, "eval_kernel_batch", spy)
         loose = dataclasses.replace(kern, tol=1e-7)
         entropy_dissipation(HybridMeasure(atoms=[(1.0, 0.5), (1.2, 0.5)]), loose)
         assert seen and set(seen) == {1e-7}

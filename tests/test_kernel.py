@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from comptonsim import harness
+from comptonsim import kernel as kernel_module
 from comptonsim.kernel import (
     ConcentrationRow,
     KernelSample,
@@ -19,6 +23,7 @@ from comptonsim.kernel import (
     diagonal_concentration_check,
     diagonal_profile,
     eval_kernel,
+    eval_kernel_batch,
     eval_majorant,
     peak_bound,
     scale_from_dimensionless,
@@ -85,6 +90,110 @@ class TestEvalKernel:
         s = eval_kernel(PP, 2.0, 3.0)
         assert isinstance(s, KernelSample)
         assert s.x == 2.0 and s.y == 3.0 and s.value > 0.0
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def kernel_params(draw):
+    return PhysicalParams(beta=draw(st.floats(0.2, 10.0)), m=draw(st.floats(0.2, 5.0)))
+
+
+@st.composite
+def point_pairs(draw):
+    """Random pairs in [1e-3, 60]^2, some swapped or repeated, and pairs
+    just inside or outside the diagonal seam |x - y| < 1e-8 (x + y)."""
+    coord = st.floats(1e-3, 60.0)
+    pairs = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    for x, d, flip in draw(st.lists(st.tuples(coord, st.floats(1.9e-8, 2.1e-8), st.booleans()), max_size=6)):
+        pairs.append((x * (1.0 + d), x) if flip else (x, x * (1.0 + d)))
+    if pairs:
+        pairs += [(y, x) for x, y in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return x, y
+
+
+BATCH = settings(max_examples=30, deadline=None)
+
+
+class TestBatchContract:
+    """eval_kernel_batch gives every pair the bits of eval_kernel."""
+
+    @BATCH
+    @given(pp=kernel_params(), xy=point_pairs(), tol=st.floats(1e-13, 1e-3))
+    def test_bitwise_equal_to_scalar(self, pp, xy, tol):
+        x, y = xy
+        values, errors = eval_kernel_batch(pp, x, y, tol)
+        ref = [eval_kernel(pp, a, b, tol) for a, b in zip(x.tolist(), y.tolist())]
+        assert np.array_equal(bits(values), bits([s.value for s in ref]))
+        assert np.array_equal(bits(errors), bits([s.abs_error_estimate for s in ref]))
+        assert np.all(errors <= tol * values)
+
+    @BATCH
+    @given(pp=kernel_params(), xy=point_pairs(), tol=st.floats(1e-13, 1e-3))
+    def test_symmetric_bitwise(self, pp, xy, tol):
+        x, y = xy
+        forward = eval_kernel_batch(pp, x, y, tol)
+        backward = eval_kernel_batch(pp, y, x, tol)
+        assert np.array_equal(bits(forward), bits(backward))
+
+    @pytest.mark.parametrize("x, y", [(0.3, 0.31), (5.0, 40.0), (1.0, 1.001)])
+    def test_panel_budget_as_scalar(self, x, y, monkeypatch):
+        # the smallest budget the scalar loop converges in is the batch's too
+        budget = next(n for n in range(2, 4000) if _converges(lambda: eval_kernel(PP, x, y, max_panels=n)))
+        assert budget > 3
+        monkeypatch.setattr(kernel_module, "_MAX_PANELS", budget)
+        values, _ = eval_kernel_batch(PP, np.array([x]), np.array([y]))
+        assert values[0] == eval_kernel(PP, x, y, max_panels=budget).value
+        monkeypatch.setattr(kernel_module, "_MAX_PANELS", budget - 1)
+        with pytest.raises(NonConvergence):
+            eval_kernel_batch(PP, np.array([x, 2.0]), np.array([y, 2.5]))
+
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_MAX_PANELS", 3)
+        with pytest.raises(NonConvergence):
+            eval_kernel_batch(PhysicalParams(beta=1e4, m=1.0), np.array([1.0]), np.array([2.0]))
+
+    @pytest.mark.parametrize("x, y", [([1.0, -1.0], [1.0, 2.0]), ([1.0, 2.0], [0.0, 2.0]), ([np.nan], [1.0])])
+    def test_rejects_non_positive_points(self, x, y):
+        with pytest.raises(ValueError):
+            eval_kernel_batch(PP, np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 2e-3, np.nan])
+    def test_rejects_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            eval_kernel_batch(PP, np.array([1.0]), np.array([2.0]), tol)
+
+    def test_empty_batch(self):
+        values, errors = eval_kernel_batch(PP, np.zeros(0), np.zeros(0))
+        assert values.shape == errors.shape == (0,)
+
+    def test_one_quadrature_per_unordered_pair(self, tmp_path, monkeypatch):
+        counts = {"bisected": 0, "diagonal": 0}
+        bisect, diagonal = kernel_module._bisect_batch, kernel_module.diagonal_closed_form
+
+        def counted_bisect(pp, x, *args):
+            counts["bisected"] += x.size
+            return bisect(pp, x, *args)
+
+        def counted_diagonal(*args):
+            counts["diagonal"] += 1
+            return diagonal(*args)
+
+        monkeypatch.setattr(kernel_module, "_bisect_batch", counted_bisect)
+        monkeypatch.setattr(kernel_module, "diagonal_closed_form", counted_diagonal)
+        harness.write_kernel_table(PP, 0.1, 10.0, 40, 1e-10, str(tmp_path / "kernel.csv"))
+        assert counts == {"bisected": 40 * 39 // 2, "diagonal": 40}
+
+
+def _converges(run) -> bool:
+    try:
+        run()
+    except NonConvergence:
+        return False
+    return True
 
 
 class TestDiagonalClosedForm:

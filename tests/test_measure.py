@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from comptonsim.measure import (
@@ -273,6 +275,25 @@ class TestComponents:
             assert dist >= z_gap(TP, x_right) - 1e-12
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def hybrid_measures(draw):
+    """Random atoms (the origin included) with or without a random
+    log-grid density; masses and densities span many decades."""
+    value = st.floats(0.0, 1e3) | st.floats(0.0, 1e-300)
+    atoms = draw(st.lists(st.tuples(st.just(0.0) | st.floats(0.0, 60.0), value), max_size=6))
+    if not draw(st.booleans()):
+        return HybridMeasure(atoms=atoms)
+    lo = draw(st.floats(1e-4, 1.0))
+    n = draw(st.integers(2, 40))
+    grid = Grid.log_spaced(lo, lo * draw(st.floats(1.5, 1e4)), n)
+    density = draw(st.lists(value, min_size=n, max_size=n))
+    return HybridMeasure(atoms=atoms, grid=grid, density=np.array(density))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(47)
@@ -287,6 +308,17 @@ class TestSerialization:
         assert v.atoms == u.atoms
         assert np.array_equal(v.grid.nodes, u.grid.nodes)
         assert np.array_equal(v.density, u.density)
+
+    @settings(max_examples=50, deadline=None)
+    @given(u=hybrid_measures())
+    def test_round_trip_bit_exact_on_random_measures(self, u):
+        v = measure_from_dict(json.loads(json.dumps(measure_to_dict(u))))
+        assert np.array_equal(bits(v.atoms), bits(u.atoms))
+        assert (v.grid is None) == (u.grid is None)
+        if u.grid is not None:
+            assert np.array_equal(bits(v.grid.nodes), bits(u.grid.nodes))
+            assert np.array_equal(bits(v.grid.weights), bits(u.grid.weights))
+            assert np.array_equal(bits(v.density), bits(u.density))
 
     def test_atoms_only_round_trip(self):
         u = HybridMeasure(atoms=[(1.0, 0.1)])

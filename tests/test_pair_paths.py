@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comptonsim import full_solver as full_solver_module
 from comptonsim import kernel as kernel_module
+from comptonsim import reduced_solver as reduced_solver_module
 from comptonsim.full_solver import (
     RegularizedKernel,
     _gain_factors,
@@ -166,19 +168,32 @@ def scalar_kernel_point(kern, x, y):
 
 @contextlib.contextmanager
 def kernel_calls():
-    """Count the kernel quadratures made inside the block."""
-    real = kernel_module.eval_kernel
+    """Record the (x, y, tol) of every pair handed to the kernel inside the
+    block: each pair of the batches that the consumers pass to
+    eval_kernel_batch, and each call of the scalar eval_kernel that the
+    oracles make."""
     seen = []
+    real_scalar = kernel_module.eval_kernel
+    real_batch = kernel_module.eval_kernel_batch
 
-    def counted(*args, **kwargs):
-        seen.append(args[1:3])
-        return real(*args, **kwargs)
+    def scalar(pp, x, y, tol=1e-10, *args, **kwargs):
+        seen.append((x, y, tol))
+        return real_scalar(pp, x, y, tol, *args, **kwargs)
 
-    kernel_module.eval_kernel = counted
+    def batch(pp, x, y, tol=1e-10, *args, **kwargs):
+        seen.extend((a, b, tol) for a, b in zip(np.asarray(x).tolist(), np.asarray(y).tolist()))
+        return real_batch(pp, x, y, tol, *args, **kwargs)
+
+    patched = [(kernel_module, "eval_kernel", scalar)]
+    patched += [(mod, "eval_kernel_batch", batch) for mod in (full_solver_module, reduced_solver_module)]
+    originals = [(mod, name, getattr(mod, name)) for mod, name, _ in patched]
+    for mod, name, fn in patched:
+        setattr(mod, name, fn)
     try:
         yield seen
     finally:
-        kernel_module.eval_kernel = real
+        for mod, name, fn in originals:
+            setattr(mod, name, fn)
 
 
 def bits(a):
@@ -326,7 +341,7 @@ class TestScreenedBatchAgainstLoops:
             kern = RegularizedKernel.build(PP, tp, grid, n)
         with kernel_calls() as ref:
             table, pair_i, pair_j, pair_c, c_star = loop_table_build(PP, tp, grid, n)
-        assert seen == ref  # the same points reach the quadrature, in order
+        assert seen == ref  # the same points reach the kernel, in order
         assert np.array_equal(kern.table, table)
         assert np.array_equal(kern.pair_i, pair_i) and np.array_equal(kern.pair_j, pair_j)
         assert np.array_equal(kern.pair_c, pair_c)

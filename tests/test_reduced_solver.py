@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptonsim.kernel import PhysicalParams, eval_kernel
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import Grid, HybridMeasure, components, planck_density
 from comptonsim.reduced_solver import (
     AtomSystemState,
     FlatnessViolation,
@@ -25,7 +27,7 @@ from comptonsim.reduced_solver import (
     rate_matrix,
     run_atoms,
 )
-from comptonsim.truncation import TruncationParams, eval_cutoff
+from comptonsim.truncation import TruncationParams, eval_cutoff, gamma2
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -54,6 +56,23 @@ def random_resolvable_state(rng, n_atoms: int = 4, margin: float = 0.04) -> Atom
             continue
         if np.all(np.abs(ratios - TP.theta) > margin) and np.all(np.abs(ratios - TP.theta1) > margin):
             return AtomSystemState.from_physical(PP, TP, locs, rng.uniform(0.1, 1.0, n_atoms))
+
+
+@st.composite
+def decoupled_blocks(draw):
+    """Atoms in two or three blocks.  Neighbours inside a block lie within
+    a factor 1.15 of each other and couple; each block starts beyond gamma2
+    of the last atom before it, so no pair across blocks couples."""
+    locs, masses = [], []
+    start = draw(st.floats(0.3, 2.0))
+    for _ in range(draw(st.integers(2, 3))):
+        x = start
+        for _ in range(draw(st.integers(2, 4))):
+            locs.append(x)
+            masses.append(draw(st.floats(0.05, 1.0)))
+            x *= 1.0 + draw(st.floats(0.02, 0.15))
+        start = float(gamma2(TP, locs[-1])) * (1.0 + draw(st.floats(0.01, 0.5)))
+    return np.array(locs), np.array(masses)
 
 
 class PhysicalRates:
@@ -162,6 +181,21 @@ class TestRunAtoms:
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
         traj = run_atoms(st, 10.0, n_record=51)
         assert np.allclose(traj.masses, traj.masses[0], atol=0.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(blocks=decoupled_blocks())
+    def test_block_masses_invariant(self, blocks):
+        locs, masses = blocks
+        state = AtomSystemState.from_physical(PP, TP, locs, masses)
+        parts = components(state.as_measure(), TP)
+        assert len(parts.components) >= 2
+        traj = run_atoms(state, 20.0, n_record=41)
+        assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
+        total = float(masses.sum())
+        for comp in parts.components:
+            inside = np.isin(locs, comp.points)
+            series = [math.fsum(row) for row in traj.masses[:, inside]]
+            assert np.max(np.abs(np.array(series) - comp.mass)) <= 1e-12 * total
 
     def test_leftmost_mass_nondecreasing(self):
         traj = run_atoms(chain_state(), 100.0, n_record=1001)
