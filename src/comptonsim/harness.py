@@ -11,7 +11,6 @@ be audited from artifacts alone.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -316,12 +315,17 @@ def _manifest_for(cfg_raw: dict) -> RunManifest:
     )
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Equal-length numeric columns as CSV, each value as repr(float(v)).
+
+    Writes the bytes of ``csv.writer`` (its default dialect ends rows with
+    CRLF and quotes none of these fields), but converts the columns to
+    Python floats in one ``tolist`` call instead of one scalar at a time.
+    """
+    rows = np.column_stack(columns).astype(float, copy=False).tolist()
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_kernel_table(
@@ -336,7 +340,7 @@ def write_kernel_table(
     xs = np.geomspace(grid_min, grid_max, grid_points)
     x, y = np.repeat(xs, xs.size), np.tile(xs, xs.size)
     B, err = eval_kernel_batch(pp, x, y, tol)
-    _write_csv(path, ["x", "y", "B", "err"], zip(x, y, B, err))
+    _write_csv(path, ["x", "y", "B", "err"], (x, y, B, err))
 
 
 def write_region_dump(
@@ -355,11 +359,15 @@ def write_region_dump(
         rho1=solve_rho(0.5 * (tp.theta1 + 1.0), tp.delta_star),
     )
     xs = np.geomspace(grid_min, grid_max, grid_points)
-    rows = [
-        (x, gamma1(tp, float(x)), gamma2(tp, float(x)), gamma1(inner, float(x)), gamma2(inner, float(x)))
-        for x in xs
-    ]
-    _write_csv(path, ["x", "gamma1", "gamma2", "d1_lower", "d1_upper"], rows)
+    x = xs.tolist()
+    columns = (
+        xs,
+        [gamma1(tp, v) for v in x],
+        [gamma2(tp, v) for v in x],
+        [gamma1(inner, v) for v in x],
+        [gamma2(inner, v) for v in x],
+    )
+    _write_csv(path, ["x", "gamma1", "gamma2", "d1_lower", "d1_upper"], columns)
 
 
 def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int = 2) -> tuple[RunManifest, TrajectoryRecord]:
@@ -387,14 +395,17 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
     except MassDriftExceeded as e:
         traj = e.traj
 
-    rows = []
-    for i, t in enumerate(traj.times):
-        rep = traj.reports[i]
-        d_total = traj.entropy_dissipation[i] if traj.entropy_dissipation else math.nan
-        alpha_est = traj.origin_mass_series[i] if traj.origin_mass_series else math.nan
-        rows.append((t, rep.M0, rep.X_eta, rep.H, d_total, alpha_est))
+    n = len(traj.times)
+    columns = [
+        traj.times,
+        [r.M0 for r in traj.reports],
+        [r.X_eta for r in traj.reports],
+        [r.H for r in traj.reports],
+        traj.entropy_dissipation or [math.nan] * n,
+        traj.origin_mass_series or [math.nan] * n,
+    ]
     traj_path = os.path.join(out_dir, "trajectory.csv")
-    _write_csv(traj_path, ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], rows)
+    _write_csv(traj_path, ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
     manifest.outputs.append("trajectory.csv")
 
     idxs = np.unique(np.linspace(0, len(traj.times) - 1, max(2, snapshot_count)).astype(int))
@@ -486,8 +497,8 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     m2 = traj.moment_series(2.0)
     x_eta = traj.exp_moment_series(cfg.eta)
     d2 = traj.dissipation_series(2.0)
-    rows = list(zip(traj.times, m0, m1, m2, x_eta, d2))
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], rows)
+    columns = (traj.times, m0, m1, m2, x_eta, d2)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], columns)
     manifest.outputs.append("trajectory.csv")
 
     mass_scale = abs(m0[0]) if m0[0] != 0.0 else 1.0

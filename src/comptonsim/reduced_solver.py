@@ -14,7 +14,7 @@ checked by the limit classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
@@ -73,8 +73,8 @@ class RateKernel:
         table = np.asarray(table, dtype=float)
         if locations.ndim != 1 or table.shape != (locations.size, locations.size):
             raise ValueError("table must be square over the locations")
-        if not np.allclose(table, -table.T, atol=0.0):
-            raise ValueError("synthetic rate table must be antisymmetric")
+        if not np.array_equal(table, -table.T):
+            raise ValueError("synthetic rate table must be exactly antisymmetric")
         self._locations = locations
         self._table = table
 
@@ -87,7 +87,7 @@ class RateKernel:
 
     def matrix(self, locations: np.ndarray) -> np.ndarray:
         locations = np.asarray(locations, dtype=float)
-        if locations.size != self._locations.size or not np.allclose(locations, self._locations, atol=0.0):
+        if not np.array_equal(locations, self._locations):
             raise ValueError("synthetic kernel is bound to its own locations")
         return self._table.copy()
 
@@ -134,13 +134,16 @@ class AtomSystemState:
 
     ``kern`` is the synthetic table of a :meth:`from_table` state and None
     for a physical one; the limit classifier then takes the coupling test
-    from the cutoff.
+    from the cutoff.  The rate matrix must be exactly antisymmetric: the
+    atom RHS reads only its upper triangle, the dissipation both.
     """
 
     locations: np.ndarray
     masses: np.ndarray
     rate_matrix: np.ndarray
     kern: RateKernel | None = None
+    # i >= j: the entries atom_ode_rhs drops, built once per state
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.locations = np.asarray(self.locations, dtype=float)
@@ -152,8 +155,9 @@ class AtomSystemState:
         n = self.locations.size
         if self.masses.shape != (n,) or self.rate_matrix.shape != (n, n):
             raise ValueError("shape mismatch between locations, masses and rate matrix")
-        if not np.allclose(self.rate_matrix, -self.rate_matrix.T, atol=0.0):
-            raise ValueError("rate matrix must be antisymmetric")
+        if not np.array_equal(self.rate_matrix, -self.rate_matrix.T):
+            raise ValueError("rate matrix must be exactly antisymmetric")
+        self._lower = np.tri(n, dtype=bool)
 
     @classmethod
     def from_physical(
@@ -187,11 +191,15 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
     arithmetic; what survives in floats is accumulation roundoff only.
     Row i of F - F^T is summed left to right, which adds the exchanges in
     the order of the pairwise loop over (i, j) and gives the same floats.
+    F keeps the upper triangle through the state's precomputed mask
+    ``_lower`` (set to +0.0, as ``np.triu`` would), so no call rebuilds
+    the triangle.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
     if m.size == 0:
         return np.zeros(0)
-    F = np.triu((state.rate_matrix * m[:, None]) * m[None, :], 1)
+    F = (state.rate_matrix * m[:, None]) * m[None, :]
+    F[state._lower] = 0.0
     return np.add.accumulate(F - F.T, axis=1)[:, -1]
 
 
@@ -223,10 +231,8 @@ class AtomTrajectory:
         return self.masses @ np.exp(eta * self.locations)
 
     def dissipation_series(self, alpha: float) -> np.ndarray:
-        R = self.state0.rate_matrix
-        x = self.locations
-        weight = R * (x[:, None] ** alpha - x[None, :] ** alpha)
-        return np.einsum("ij,ti,tj->t", weight, self.masses, self.masses)
+        """Moment dissipation of every recorded state, see :func:`_dissipation`."""
+        return _dissipation(self.state0.rate_matrix, self.locations, self.masses, alpha)
 
     def tail_mass_series(self, r: float) -> np.ndarray:
         sel = self.locations >= r
@@ -266,14 +272,24 @@ def run_atoms(
     return AtomTrajectory(state0=state, times=sol.t.copy(), masses=masses)
 
 
+def _dissipation(R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float) -> np.ndarray:
+    """Quadratic form sum_ij R_ij (x_i^alpha - x_j^alpha) U_i U_j of each
+    row of U (point masses at the locations x; U may be one state or a
+    stack of them).
+
+    One matrix product U @ W and a row-wise dot: the work of a matvec per
+    state, instead of a three-operand contraction.
+    """
+    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
+    return np.einsum("...i,...i->...", U @ W, U)
+
+
 def dissipation_alpha_points(
     locations: np.ndarray, masses: np.ndarray, rate_matrix: np.ndarray, alpha: float
 ) -> float:
     """Moment dissipation of a purely atomic state; always <= 0 for alpha > 1."""
     x = np.asarray(locations, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    weight = rate_matrix * (x[:, None] ** alpha - x[None, :] ** alpha)
-    return float(m @ weight @ m)
+    return float(_dissipation(rate_matrix, x, np.asarray(masses, dtype=float), alpha))
 
 
 def dissipation_alpha(
@@ -418,11 +434,9 @@ class PicardTrajectory:
         return self.states @ (self.grid.weights * np.exp(eta * self.grid.nodes))
 
     def dissipation_series(self, alpha: float) -> np.ndarray:
-        x = self.grid.nodes
-        w = self.grid.weights
-        weight = self.rate_grid * (x[:, None] ** alpha - x[None, :] ** alpha)
-        wu = self.states * w
-        return np.einsum("ij,ti,tj->t", weight, wu, wu)
+        """Moment dissipation of every recorded density, its node values
+        weighted into point masses; see :func:`_dissipation`."""
+        return _dissipation(self.rate_grid, self.grid.nodes, self.states * self.grid.weights, alpha)
 
     def tail_mass_series(self, r: float) -> np.ndarray:
         sel = self.grid.nodes >= r

@@ -134,7 +134,8 @@ class TestManifest:
         cfg = load_config(data=EXAMPLE51_CONFIG)
         manifest, _ = run_reduced_experiment(cfg, str(tmp_path / "r"), mode="atoms")
         assert "rho_star" in manifest.derived_constants
-        payload = json.load(open(tmp_path / "r" / "manifest.json"))
+        with open(tmp_path / "r" / "manifest.json") as f:
+            payload = json.load(f)
         assert payload["config_hash"] == manifest.config_hash
 
     def test_byte_identical_reruns(self, tmp_path):

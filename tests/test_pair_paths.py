@@ -5,14 +5,18 @@ computed from the kernel's list of in-support pairs (or, for atoms, from
 the upper triangle of the rate matrix).  The kernel table, the off-grid
 kernel points and the physical rate matrix are filled by one screened
 batch: a vectorized cutoff picks the pairs, one batch call evaluates them.
-The reference forms below are the dense n x n, scalar per-pair and
-pairwise-loop versions they replaced; they stay here only as oracles and
-must match bit for bit where the new path only reorganizes the loop.
+The reduced equation's moment dissipation is one matrix product per
+trajectory, and the CSV writer converts whole columns.
+The reference forms below are the dense n x n, scalar per-pair,
+pairwise-loop, three-operand-contraction and ``csv.writer`` versions they
+replaced; they stay here only as oracles and must match bit for bit where
+the new path only reorganizes the loop.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 
 import numpy as np
@@ -33,9 +37,19 @@ from comptonsim.full_solver import (
     origin_mass_estimate,
     taper,
 )
+from comptonsim.harness import _write_csv, build_initial
 from comptonsim.kernel import PhysicalParams, eval_kernel, eval_kernel_batch
 from comptonsim.measure import Grid, HybridMeasure, planck_density
-from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, rate_matrix
+from comptonsim.reduced_solver import (
+    AtomSystemState,
+    AtomTrajectory,
+    PicardTrajectory,
+    atom_ode_rhs,
+    dissipation_alpha_points,
+    picard_solve,
+    rate_matrix,
+    run_atoms,
+)
 from comptonsim.truncation import (
     TruncationParams,
     eval_cutoff,
@@ -89,6 +103,37 @@ def loop_atom_ode_rhs(R, m):
             out[i] += f
             out[j] -= f
     return out
+
+
+def triu_atom_ode_rhs(R, m):
+    """The atom RHS with the triangle rebuilt by np.triu on every call."""
+    if m.size == 0:
+        return np.zeros(0)
+    F = np.triu((R * m[:, None]) * m[None, :], 1)
+    return np.add.accumulate(F - F.T, axis=1)[:, -1]
+
+
+def einsum_dissipation(R, x, U, alpha):
+    """Moment dissipation of each row of U as one three-operand einsum."""
+    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
+    return np.einsum("ij,ti,tj->t", W, U, U)
+
+
+def assert_dissipation_matches(new, R, x, U, alpha):
+    """Within 1e-12 of the sum of |terms| of the einsum oracle, row by row."""
+    U = np.atleast_2d(U)
+    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
+    scale = np.einsum("ij,ti,tj->t", np.abs(W), np.abs(U), np.abs(U))
+    assert np.all(np.abs(new - einsum_dissipation(R, x, U, alpha)) <= 1e-12 * scale)
+
+
+def csv_writer_rows(path, header, rows):
+    """The CSV as csv.writer wrote it, one repr(float(v)) per value."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def loop_table_build(pp, tp, grid, n, tol=1e-10):
@@ -299,6 +344,160 @@ def truncations(draw):
 
 
 PROPERTY = settings(max_examples=15, deadline=None)
+
+
+class TestAtomRhsAgainstTriu:
+    @pytest.mark.parametrize("n_atoms", range(41))
+    def test_bitwise_with_zero_and_negative_masses(self, n_atoms):
+        rng = np.random.default_rng(300 + n_atoms)
+        locs = np.cumsum(rng.uniform(0.05, 0.3, n_atoms)) + 1.0
+        upper = np.triu(rng.normal(size=(n_atoms, n_atoms)), 1)
+        upper[rng.random((n_atoms, n_atoms)) < 0.3] = 0.0
+        R = upper - upper.T
+        state = AtomSystemState(locations=locs, masses=rng.uniform(0.0, 1.0, n_atoms), rate_matrix=R)
+        undershoot = state.masses.copy()
+        undershoot[rng.random(n_atoms) < 0.3] = -1e-14
+        undershoot[rng.random(n_atoms) < 0.2] = 0.0
+        undershoot[rng.random(n_atoms) < 0.1] = -0.0
+        for m in (state.masses, undershoot, np.zeros(n_atoms), np.full(n_atoms, -0.0)):
+            fast, ref = atom_ode_rhs(state, m), triu_atom_ode_rhs(R, m)
+            assert np.array_equal(fast, ref)
+            assert np.array_equal(np.signbit(fast), np.signbit(ref))
+        assert np.array_equal(state.rate_matrix, R)  # the state is only read
+
+
+def seed7_reduced_inputs():
+    """The benchmark's reduced-both inputs at seed 7: sixteen atoms on two
+    jittered lattices decoupled from each other, then mu of the truncated
+    Planck density of the Picard run, drawn in that order."""
+    rng = np.random.default_rng(7)
+    locs = []
+    for lo, hi, k in ((1.05, 1.35, 8), (2.9, 3.5, 8)):
+        locs.append(np.linspace(lo, hi, k) + rng.uniform(-0.05, 0.05, k) * (hi - lo) / (k - 1))
+    locs = np.concatenate(locs)
+    masses = rng.uniform(0.9, 1.1, locs.size) / locs.size
+    return locs, masses, float(rng.uniform(-0.5, 0.0))
+
+
+@pytest.fixture(scope="module")
+def seed7_trajectories():
+    locs, masses, mu = seed7_reduced_inputs()
+    atoms = run_atoms(AtomSystemState.from_physical(PP, TP, locs, masses), 5e4, rtol=1e-12, n_record=20001)
+    grid = Grid.log_spaced(0.5, 30.0, 128)
+    u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": 0.5}, grid)
+    picard = picard_solve(u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)
+    return atoms, picard
+
+
+def atom_form(traj):
+    return traj.state0.rate_matrix, traj.locations, traj.masses
+
+
+def picard_form(traj):
+    return traj.rate_grid, traj.grid.nodes, traj.states * traj.grid.weights
+
+
+@st.composite
+def admissible_rates(draw):
+    """Sorted locations and an antisymmetric rate matrix that moves mass
+    toward lower energy (R_ij >= 0 for i < j): the physical one of a random
+    truncation, or a random sparse one."""
+    grid = draw(grids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        R = rate_matrix(PP, draw(truncations()), grid.nodes)[0]
+    else:
+        upper = np.triu(rng.exponential(size=(grid.n, grid.n)), 1)
+        upper[rng.random(upper.shape) < 0.5] = 0.0
+        R = upper - upper.T
+    U = rng.uniform(0.0, 2.0, (draw(st.integers(1, 30)), grid.n))
+    U[rng.random(U.shape) < 0.2] = 0.0
+    return grid, R, U
+
+
+class TestDissipationAgainstEinsum:
+    """U @ W and a row-wise dot against the three-operand einsum."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_seed7_benchmark_trajectories(self, seed7_trajectories, alpha):
+        atoms, picard = seed7_trajectories
+        for traj, form in ((atoms, atom_form), (picard, picard_form)):
+            d = traj.dissipation_series(alpha)
+            assert d.shape == traj.times.shape
+            assert_dissipation_matches(d, *form(traj), alpha)
+            assert np.all(d <= 0.0) and np.min(d) < 0.0
+
+    @PROPERTY
+    @given(data=admissible_rates(), alpha=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_random_grids_rates_and_states(self, data, alpha):
+        grid, R, U = data
+        x = grid.nodes
+        atoms = AtomTrajectory(
+            state0=AtomSystemState(locations=x, masses=U[0], rate_matrix=R),
+            times=np.arange(len(U), dtype=float),
+            masses=U,
+        )
+        picard = PicardTrajectory(
+            grid=grid, times=atoms.times, states=U / grid.weights, rate_grid=R,
+            growth_constant=0.0, window_count=0, iterations_total=0,
+        )
+        for traj, form in ((atoms, atom_form), (picard, picard_form)):
+            d = traj.dissipation_series(alpha)
+            assert_dissipation_matches(d, *form(traj), alpha)
+            assert np.all(d <= 0.0)
+        for m in U[:3]:
+            d = dissipation_alpha_points(x, m, R, alpha)
+            assert_dissipation_matches(d, R, x, m, alpha)
+            assert d <= 0.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_exactly_zero_when_decoupled(self, alpha):
+        # mass only on grid nodes that are pairwise decoupled, while the
+        # empty nodes between them couple to every one of them
+        grid = Grid.log_spaced(0.5, 30.0, 64)
+        x = grid.nodes
+        R = rate_matrix(PP, TP, x)[0]
+        support = [0]
+        for k in range(1, x.size):
+            if x[k] > gamma2(TP, x[support[-1]]):
+                support.append(k)
+        assert len(support) >= 3 and not np.any(R[np.ix_(support, support)])
+        U = np.zeros((5, x.size))
+        U[:, support] = np.random.default_rng(14).uniform(0.1, 1.0, (5, len(support)))
+        atoms = AtomTrajectory(AtomSystemState(locations=x, masses=U[0], rate_matrix=R), np.arange(5.0), U)
+        assert np.all(atoms.dissipation_series(alpha) == 0.0)
+        assert np.all(einsum_dissipation(R, x, U, alpha) == 0.0)
+        assert dissipation_alpha_points(x, U[0], R, alpha) == 0.0
+
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+    1.0, -3.0, 2.0**53, 1e16, 123456789.0, 0.1, 1e-5, 1e-300, 2.5e-7,
+]
+
+
+class TestCsvWriterAgainstCsvModule:
+    """_write_csv takes columns and must write csv.writer's bytes."""
+
+    def check(self, tmp_path, header, columns):
+        _write_csv(str(tmp_path / "new.csv"), header, columns)
+        csv_writer_rows(str(tmp_path / "ref.csv"), header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_special_values(self, tmp_path):
+        col = np.array(SPECIAL_FLOATS)
+        ints = list(range(-3, col.size - 3))  # integer-valued, written as floats
+        self.check(tmp_path, ["a", "b", "c", "d"], (col, col[::-1], ints, list(reversed(SPECIAL_FLOATS))))
+
+    def test_integer_columns_and_no_rows(self, tmp_path):
+        self.check(tmp_path, ["i", "j"], ([1, 2, 3], np.array([-4, 0, 7])))
+        self.check(tmp_path, ["t", "x"], (np.zeros(0), []))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats(width=32)), max_size=40))
+    def test_arbitrary_floats(self, tmp_path_factory, rows):
+        columns = [np.array([r[k] for r in rows], dtype=float) for k in range(3)]
+        self.check(tmp_path_factory.mktemp("csv"), ["x", "y", "z"], columns)
 
 
 class TestProperties:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comptonsim.harness import EXAMPLE51
 from comptonsim.kernel import PhysicalParams, eval_kernel
 from comptonsim.measure import Grid, HybridMeasure, components, planck_density
 from comptonsim.reduced_solver import (
@@ -121,6 +122,26 @@ class TestRateKernel:
             RateKernel(locations=np.array([1.0, 2.0]), table=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             RateKernel()
+
+    def test_antisymmetry_is_exact(self):
+        # the atom RHS reads only the upper triangle and the dissipation
+        # both, so a table off by a single ulp is refused, not rounded
+        ulp_off = [[0.0, 1.0], [-np.nextafter(1.0, 2.0), 0.0]]
+        for table in (ulp_off, [[0.0, 1.0], [-1.000009, 0.0]]):
+            with pytest.raises(ValueError, match="exactly antisymmetric"):
+                AtomSystemState.from_table([1.0, 2.0], [0.5, 0.5], table)
+            with pytest.raises(ValueError, match="exactly antisymmetric"):
+                AtomSystemState(locations=[1.0, 2.0], masses=[0.5, 0.5], rate_matrix=np.array(table))
+        state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], EXAMPLE51["table"])
+        assert np.array_equal(state.rate_matrix, -state.rate_matrix.T)
+
+    def test_synthetic_table_bound_to_exact_locations(self):
+        kern = RateKernel(locations=np.array([A, B, C]), table=CHAIN_TABLE)
+        assert np.array_equal(kern.matrix([A, B, C]), CHAIN_TABLE)
+        with pytest.raises(ValueError, match="its own locations"):
+            kern.matrix([A, np.nextafter(B, 2.0), C])
+        with pytest.raises(ValueError, match="its own locations"):
+            kern.matrix([A, B])
 
     def test_chain_example_coupling_consistent_with_region(self):
         # the synthetic chain matches the geometry at these locations
