@@ -39,7 +39,7 @@ from .full_solver import (
     exp_moment_rate,
     run_full,
 )
-from .measure import Grid, HybridMeasure, measure_to_dict, planck_density
+from .measure import Grid, HybridMeasure, planck_density, save_measure
 from .reduced_solver import (
     AtomSystemState,
     NotConverged,
@@ -409,15 +409,10 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
     manifest.outputs.append("trajectory.csv")
 
     idxs = np.unique(np.linspace(0, len(traj.times) - 1, max(2, snapshot_count)).astype(int))
-    for i in idxs:
-        state = HybridMeasure(
-            atoms=([(0.0, u0.origin_mass)] if u0.origin_mass > 0 else []),
-            grid=cfg.grid,
-            density=traj.states[i],
-        )
-        name = f"snapshot_{traj.times[i]:.6f}.json"
-        with open(os.path.join(out_dir, name), "w") as f:
-            json.dump(measure_to_dict(state), f, indent=1)
+    stamps = [f"{traj.times[i]:.6f}" for i in idxs]
+    for i, stamp in zip(idxs, stamps):  # on a short horizon, stamps can repeat: add the record index
+        name = f"snapshot_{stamp}.json" if len(set(stamps)) == len(stamps) else f"snapshot_{stamp}_{i}.json"
+        save_measure(HybridMeasure(atoms=u0.atoms, grid=cfg.grid, density=traj.states[i]), os.path.join(out_dir, name))
         manifest.outputs.append(name)
 
     manifest.check(
@@ -551,10 +546,9 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         json.dump(limit_payload, f, indent=1)
     manifest.outputs.append("limit.json")
     if u0.density is not None:
-        final = HybridMeasure(atoms=[], grid=cfg.grid, density=traj.states[-1])
-        with open(os.path.join(out_dir, f"snapshot_{traj.times[-1]:.6f}.json"), "w") as f:
-            json.dump(measure_to_dict(final), f, indent=1)
-        manifest.outputs.append(f"snapshot_{traj.times[-1]:.6f}.json")
+        name = f"snapshot_{traj.times[-1]:.6f}.json"
+        save_measure(HybridMeasure(atoms=[], grid=cfg.grid, density=traj.states[-1]), os.path.join(out_dir, name))
+        manifest.outputs.append(name)
     manifest.write(out_dir)
     return manifest, traj
 

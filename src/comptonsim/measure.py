@@ -133,10 +133,7 @@ class HybridMeasure:
 
     @property
     def origin_mass(self) -> float:
-        for x, m in self.atoms:
-            if x == 0.0:
-                return m
-        return 0.0
+        return next((m for x, m in self.atoms if x == 0.0), 0.0)
 
     @property
     def total_mass(self) -> float:
@@ -177,19 +174,29 @@ class MomentReport:
 
     @classmethod
     def of(cls, u: "HybridMeasure", alphas: tuple[float, ...] = (1.0, 2.0, 3.0), eta: float = 0.25) -> "MomentReport":
-        return cls(
-            M0=moment(u, 0.0),
-            M_alpha={a: moment(u, a) for a in alphas},
-            X_eta=exp_moment(u, eta),
-            H=entropy(u),
-            alpha0=u.origin_mass,
-        )
+        return cls.of_rows(u, None if u.density is None else u.density[None], alphas, eta)[0]
+
+    @classmethod
+    def of_rows(cls, u: "HybridMeasure", rows: np.ndarray | None, alphas=(1.0, 2.0, 3.0), eta=0.25) -> list["MomentReport"]:
+        """Reports of u's atoms plus each row of the (B, n) density block rows on u's grid."""
+        cols = [_moment_rows(u.atoms, u.grid, rows, a) for a in (0.0, *alphas)]
+        cols += [_exp_moment_rows(u.atoms, u.grid, rows, eta), _entropy_rows(u.atoms, u.grid, rows)]
+        cols = zip(*(np.atleast_1d(c).tolist() for c in cols))
+        return [cls(M0=m0, M_alpha=dict(zip(alphas, ms)), X_eta=x, H=h, alpha0=u.origin_mass) for m0, *ms, x, h in cols]
+
+
+# The density parts below are row-wise dots against the weights, for one density
+# or each row of a (B, n) block; for C-contiguous rows np.vecdot gives np.dot's bits.
 
 
 def moment(u: HybridMeasure, rho: float) -> float:
     """Power moment of order rho: sum of x^rho against the measure."""
+    return float(_moment_rows(u.atoms, u.grid, u.density, rho))
+
+
+def _moment_rows(atoms, grid, rows, rho):
     terms = []
-    for x, m in u.atoms:
+    for x, m in atoms:
         if x == 0.0:
             if rho < 0.0:
                 raise DomainError("negative-order moment of an atom at the origin")
@@ -198,25 +205,29 @@ def moment(u: HybridMeasure, rho: float) -> float:
         else:
             terms.append(x**rho * m)
     total = math.fsum(terms)
-    if u.density is not None:
-        total += float(np.dot(u.grid.weights, u.grid.nodes**rho * u.density))
+    if rows is not None:
+        total = total + np.vecdot(rows * grid.nodes**rho, grid.weights)
     return total
 
 
 def exp_moment(u: HybridMeasure, eta: float) -> float:
     """Exponential moment with rate eta >= 0; equals the mass at eta = 0."""
+    return float(_exp_moment_rows(u.atoms, u.grid, u.density, eta))
+
+
+def _exp_moment_rows(atoms, grid, rows, eta):
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
-        return moment(u, 0.0)
-    top = max((x for x, _ in u.atoms), default=0.0)
-    if u.density is not None:
-        top = max(top, float(u.grid.nodes[-1]))
+        return _moment_rows(atoms, grid, rows, 0.0)
+    top = max((x for x, _ in atoms), default=0.0)
+    if rows is not None:
+        top = max(top, float(grid.nodes[-1]))
     if eta * top > 700.0:
         raise OverflowError(f"exp moment overflows: eta * max support = {eta * top:.3g} > 700")
-    total = math.fsum(m * math.exp(eta * x) for x, m in u.atoms)
-    if u.density is not None:
-        total += float(np.dot(u.grid.weights, np.exp(eta * u.grid.nodes) * u.density))
+    total = math.fsum(m * math.exp(eta * x) for x, m in atoms)
+    if rows is not None:
+        total = total + np.vecdot(rows * np.exp(eta * grid.nodes), grid.weights)
     return total
 
 
@@ -236,9 +247,13 @@ def entropy(u: HybridMeasure) -> float:
     the entropy is maximal exactly at the equilibrium family (a chemical-
     potential density plus an optional origin atom).
     """
-    total = -math.fsum(x * m for x, m in u.atoms)
-    if u.density is not None:
-        total += float(np.dot(u.grid.weights, _entropy_integrand(u.grid.nodes, u.density)))
+    return float(_entropy_rows(u.atoms, u.grid, u.density))
+
+
+def _entropy_rows(atoms, grid, rows):
+    total = -math.fsum(x * m for x, m in atoms)
+    if rows is not None:
+        total = total + np.vecdot(_entropy_integrand(grid.nodes, rows), grid.weights)
     return total
 
 

@@ -340,6 +340,54 @@ class TestRunFull:
         assert len(err.value.traj.times) == 11
         assert err.value.traj.max_mass_drift() > cfg.mass_tolerance
 
+    def test_mass_drift_trajectory_fills_the_last_partial_block(self, kern, grid):
+        records = 3 * full_solver_module._BLOCK_ROWS + 2
+        u0 = HybridMeasure(atoms=[(0.0, 0.1)], grid=grid, density=bump_state(grid))
+        cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
+        with pytest.raises(MassDriftExceeded) as err:
+            run_full(u0, PP, TP, 20, cfg, kern=kern, keep_states=True)
+        traj = err.value.traj
+        series = [traj.times, traj.reports, traj.entropy_dissipation, traj.origin_mass_series]
+        series += [traj.exp_moment_bound, traj.states]
+        assert [len(s) for s in series] == [records] * len(series)
+        passing = run_full(u0, PP, TP, 20, dataclasses.replace(cfg, mass_tolerance=1.0), kern=kern, keep_states=True)
+        assert traj.reports == passing.reports and traj.exp_moment_bound == passing.exp_moment_bound
+        assert traj.entropy_dissipation == passing.entropy_dissipation
+        assert traj.origin_mass_series == passing.origin_mass_series
+        assert all(np.array_equal(a, b) for a, b in zip(traj.states, passing.states))
+
+    @pytest.mark.parametrize("nan_step", [3, full_solver_module._BLOCK_ROWS, 21])
+    def test_nan_state_raises_before_its_diagnostics(self, kern, grid, monkeypatch, nan_step):
+        calls = []
+        real_rhs = full_solver_module.collision_rhs
+
+        def rhs(u, kern):
+            calls.append(1)
+            rate = real_rhs(u, kern)
+            return rate * math.nan if len(calls) > 4 * (nan_step - 1) else rate
+
+        seen = []
+        real_reports = full_solver_module.MomentReport.of_rows
+        real_pairs = full_solver_module._pair_dissipation
+        real_below = full_solver_module._mass_below
+        monkeypatch.setattr(full_solver_module, "collision_rhs", rhs)
+        monkeypatch.setattr(
+            full_solver_module.MomentReport, "of_rows",
+            classmethod(lambda cls, u, rows, *a: seen.append(rows.copy()) or real_reports(u, rows, *a)),
+        )
+        monkeypatch.setattr(
+            full_solver_module, "_pair_dissipation", lambda k, rows: seen.append(rows.copy()) or real_pairs(k, rows)
+        )
+        monkeypatch.setattr(
+            full_solver_module, "_mass_below", lambda a, g, rows, e: seen.append(rows.copy()) or real_below(a, g, rows, e)
+        )
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        with pytest.raises(NonFiniteState):
+            run_full(u0, PP, TP, 20, SolverConfig(t_end=1.0, dt_init=1e-3), kern=kern)
+        blocks = nan_step // full_solver_module._BLOCK_ROWS  # full blocks before the NaN step's block
+        assert len(seen) == 3 * blocks
+        assert all(np.all(np.isfinite(rows)) for rows in seen)
+
     def test_origin_atom_rides_along(self, kern, grid):
         u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
         cfg = SolverConfig(t_end=0.02, record_every=5, track_origin=True)

@@ -214,6 +214,25 @@ class TestCli:
         assert float(mass["detail"].split()[-1]) > 1e-18
         assert checks and all(a["passed"] for a in checks.values())
 
+    def test_snapshot_names_stay_distinct_on_short_horizons(self, tmp_path):
+        # both snapshot times print as 0.000000
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"min": 0.05, "max": 15.0, "n": 48},
+            "initial": {"preset": "bump", "mu": -1.0},
+            "solver": {"t_end": 5e-7, "dt_init": 1e-7},
+        }))
+        out = tmp_path / "full"
+        assert cli_main(["simulate-full", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        snapshots = [name for name in outputs if name.startswith("snapshot_")]
+        assert snapshots == ["snapshot_0.000000_0.json", "snapshot_0.000000_5.json"]
+        assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
+        first, last = (json.loads((out / name).read_text())["density"] for name in snapshots)
+        cfg = load_config(path=str(cfg_path), equation="full")
+        assert first == [float(v) for v in cfg.initial_measure().density]
+        assert first != last
+
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])
         assert rc == 2

@@ -6,9 +6,11 @@ the upper triangle of the rate matrix).  The kernel table, the off-grid
 kernel points and the physical rate matrix are filled by one screened
 batch: a vectorized cutoff picks the pairs, one batch call evaluates them.
 The reduced equation's moment dissipation is one matrix product per
-trajectory, and the CSV writer converts whole columns.
+trajectory, and the CSV writer converts whole columns.  The full solver's
+recorded diagnostics are whole-array passes over blocks of recorded states,
+against the per-record closure of per-state functions that they replaced.
 The reference forms below are the dense n x n, scalar per-pair,
-pairwise-loop, three-operand-contraction and ``csv.writer`` versions they
+pairwise-loop, three-operand-contraction, ``csv.writer`` and per-record versions they
 replaced; they stay here only as oracles and must match bit for bit where
 the new path only reorganizes the loop.
 """
@@ -28,18 +30,32 @@ from comptonsim import full_solver as full_solver_module
 from comptonsim import kernel as kernel_module
 from comptonsim import reduced_solver as reduced_solver_module
 from comptonsim.full_solver import (
+    _BLOCK_ROWS,
     RegularizedKernel,
+    SolverConfig,
+    TrajectoryRecord,
     _gain_factors,
     _j,
     _kernel_point,
     collision_rhs,
     entropy_dissipation,
+    exp_moment_rate,
     origin_mass_estimate,
+    run_full,
     taper,
 )
 from comptonsim.harness import _write_csv, build_initial
 from comptonsim.kernel import PhysicalParams, eval_kernel, eval_kernel_batch
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import (
+    Grid,
+    HybridMeasure,
+    MomentReport,
+    _entropy_integrand,
+    entropy,
+    exp_moment,
+    moment,
+    planck_density,
+)
 from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
@@ -528,6 +544,137 @@ class TestProperties:
         assert np.all(np.abs(rate) <= 1e-13 * gross_rate(g, kern))
         parts = entropy_dissipation(HybridMeasure(atoms=[], grid=kern.grid, density=g), kern)
         assert parts.infinite_flags == 0
+
+
+def per_record_run(u0, kern, cfg):
+    """run_full as it was before the block pass: the same steps, and per
+    record one HybridMeasure handed to the per-state functions."""
+    c_eta = exp_moment_rate(kern.tp, kern.bound_constant, cfg.eta)
+    origin = u0.origin_mass
+    eps_ladder = list(u0.grid.nodes[0] * np.array([32.0, 8.0, 2.0]))
+    x0 = exp_moment(u0, cfg.eta)
+    ref = TrajectoryRecord()
+
+    def snapshot(t, g):
+        state = HybridMeasure(atoms=([(0.0, origin)] if origin > 0.0 else []), grid=u0.grid, density=g.copy())
+        ref.times.append(t)
+        ref.reports.append(MomentReport.of(state, cfg.moment_orders, cfg.eta))
+        if cfg.track_dissipation:
+            ref.entropy_dissipation.append(entropy_dissipation(state, kern).total)
+        if cfg.track_origin:
+            ref.origin_mass_series.append(origin_mass_estimate(state, kern, eps_ladder).extrapolated)
+        ref.exp_moment_bound.append(math.exp(c_eta * t) * x0)
+        ref.states.append(g.copy())
+
+    g = u0.density.copy()
+    snapshot(0.0, g)
+    t, steps = 0.0, 0
+    horizon = cfg.t_end * (1.0 - 1e-12)
+    while t < horizon:
+        g, used = full_solver_module.step(g, kern, cfg, min(cfg.dt_init, cfg.t_end - t))
+        t += used
+        steps += 1
+        if steps % cfg.record_every == 0 or t >= horizon:
+            snapshot(t, g)
+    return ref
+
+
+def assert_same_records(traj, ref, states=True):
+    """Every field equal with ==, no tolerance; the states bit for bit."""
+    assert traj.times == ref.times
+    assert traj.reports == ref.reports
+    assert traj.entropy_dissipation == ref.entropy_dissipation
+    assert traj.origin_mass_series == ref.origin_mass_series
+    assert traj.exp_moment_bound == ref.exp_moment_bound
+    if states:
+        assert len(traj.states) == len(ref.states)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(traj.states, ref.states))
+    else:
+        assert traj.states == []
+
+
+def parent_density_parts(g, kern, eps):
+    """The per-state density formulas as written before the row helpers:
+    the power moments of order 0 to 3, X_0.3, H, the pair part of D and the
+    grid mass below eps."""
+    xs, w = kern.grid.nodes, kern.grid.weights
+    A = _gain_factors(xs, g)
+    i, j = kern.pair_i, kern.pair_j
+    vals, _ = _j(A[i] * g[j], A[j] * g[i])
+    return (
+        [float(np.dot(w, xs**rho * g)) for rho in (0.0, 1.0, 2.0, 3.0)],
+        float(np.dot(w, np.exp(0.3 * xs) * g)),
+        float(np.dot(w, _entropy_integrand(xs, g))),
+        2.0 * float(np.dot(kern.pair_c, vals)),
+        float(np.dot(w[xs < eps], g[xs < eps])),
+    )
+
+
+@st.composite
+def full_runs(draw):
+    """A kernel on a random log grid, a density (Planck or random with holes)
+    with or without an origin atom, and a config recording a given number of
+    states: 1 at t = 0, then one per record_every steps, and the last step."""
+    grid = Grid.log_spaced(draw(st.floats(0.01, 0.2)), draw(st.floats(8.0, 30.0)), draw(st.integers(8, 96)))
+    kern = RegularizedKernel.build(PP, TP, grid, draw(st.sampled_from([3, 8, 20])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = planck_density(grid, draw(st.floats(-2.0, -0.1))) if draw(st.booleans()) else holey_state(rng, grid.n)
+    atoms = [(0.0, draw(st.floats(0.01, 1.0)))] if draw(st.booleans()) else []
+    every = draw(st.sampled_from([1, 3]))
+    records = draw(st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 2]))
+    steps = (records - 2) * every + draw(st.integers(1, every))  # the last group may be partial
+    dt = 2.0**-10  # dyadic, so the step times sum exactly
+    cfg = SolverConfig(
+        t_end=steps * dt, dt_init=dt, record_every=every, mass_tolerance=1e-6,
+        track_dissipation=draw(st.booleans()), track_origin=draw(st.booleans()),
+    )
+    return HybridMeasure(atoms=atoms, grid=grid, density=g), kern, cfg, records
+
+
+class TestBlockDiagnosticsAgainstPerRecord:
+    """run_full's block pass against the per-record closure it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=full_runs())
+    def test_every_field_equal(self, run):
+        u0, kern, cfg, records = run
+        ref = per_record_run(u0, kern, cfg)
+        traj = run_full(u0, PP, TP, kern.n, cfg, kern=kern, keep_states=True)
+        assert len(traj.times) == records
+        assert_same_records(traj, ref)
+        assert_same_records(run_full(u0, PP, TP, kern.n, cfg, kern=kern), ref, states=False)
+
+    @pytest.mark.parametrize("atoms", [[], [(0.0, 0.3)]])
+    def test_with_rejected_steps(self, kern, atoms, monkeypatch):
+        asked_used = []
+        real_step = full_solver_module.step
+
+        def spy(u, kern, cfg, dt):
+            u_next, used = real_step(u, kern, cfg, dt)
+            asked_used.append((dt, used))
+            return u_next, used
+
+        monkeypatch.setattr(full_solver_module, "step", spy)
+        u0 = HybridMeasure(atoms=atoms, grid=kern.grid, density=holey_state(np.random.default_rng(41), kern.grid.n))
+        cfg = SolverConfig(t_end=24.0, dt_init=2.0, record_every=1, mass_tolerance=1e-6)
+        traj = run_full(u0, PP, TP, kern.n, cfg, kern=kern, keep_states=True)
+        assert any(used < dt for dt, used in asked_used)
+        assert len(traj.times) > _BLOCK_ROWS
+        assert_same_records(traj, per_record_run(u0, kern, cfg))
+
+    @PROPERTY
+    @given(kern=kernels(), seed=st.integers(0, 2**32 - 1), planck=st.booleans())
+    def test_per_state_functions_keep_their_bits(self, kern, seed, planck):
+        g = planck_density(kern.grid, -0.7) if planck else holey_state(np.random.default_rng(seed), kern.grid.n)
+        u = HybridMeasure(atoms=[], grid=kern.grid, density=g)
+        eps = float(kern.grid.nodes[0] * 2.0)
+        moments, x_eta, h, d_pairs, below = parent_density_parts(g, kern, eps)
+        assert [moment(u, rho) for rho in (0.0, 1.0, 2.0, 3.0)] == moments
+        assert exp_moment(u, 0.3) == x_eta and entropy(u) == h
+        report = MomentReport(moments[0], dict(zip((1.0, 2.0, 3.0), moments[1:])), x_eta, h, 0.0)
+        assert MomentReport.of(u, (1.0, 2.0, 3.0), 0.3) == report
+        assert entropy_dissipation(u, kern).density_density == d_pairs
+        assert origin_mass_estimate(u, kern, [4.0 * eps, eps]).mass_estimates[-1] == below
 
 
 class TestScreenedBatchAgainstLoops:
