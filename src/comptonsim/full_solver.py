@@ -278,11 +278,19 @@ class DissipationParts:
 def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     # (a - b)(log a - log b), zero when both arguments vanish; a single
     # vanishing argument would give +inf, which is flagged and excluded.
+    # Two full-size buffers worked in place, not six temporaries: each
+    # diagnostics block then hands fewer heap pages back to be faulted in again.
     both = (a > 0.0) & (b > 0.0)
     one = (a > 0.0) ^ (b > 0.0)
+    la, lb = np.where(both, a, 1.0), np.where(both, b, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(both, (a - b) * (np.log(np.where(both, a, 1.0)) - np.log(np.where(both, b, 1.0))), 0.0)
-    return vals, int(np.count_nonzero(one))
+        np.log(la, out=la)
+        np.log(lb, out=lb)
+        la -= lb
+        np.subtract(a, b, out=lb)
+        lb *= la
+    lb[~both] = 0.0
+    return lb, int(np.count_nonzero(one))
 
 
 def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> DissipationParts:
@@ -327,7 +335,10 @@ def _pair_dissipation(kern: RegularizedKernel, rows: np.ndarray) -> tuple[np.nda
     # take(..., axis=-1) keeps gathered rows C-contiguous (rows[:, i] would not)
     A = _gain_factors(kern.grid.nodes, rows)
     i, j = kern.pair_i, kern.pair_j
-    vals, flags = _j(A.take(i, axis=-1) * rows.take(j, axis=-1), A.take(j, axis=-1) * rows.take(i, axis=-1))
+    a, b = A.take(i, axis=-1), A.take(j, axis=-1)
+    a *= rows.take(j, axis=-1)
+    b *= rows.take(i, axis=-1)
+    vals, flags = _j(a, b)
     return 2.0 * np.vecdot(vals, kern.pair_c), flags
 
 

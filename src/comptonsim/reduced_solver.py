@@ -2,13 +2,16 @@
 
 Two solvers share one location-based rate matrix, ``rate_matrix``, which
 evaluates the physical kernel only at the cutoff-supported pairs.  The
-atom solver evolves finitely many point masses at frozen locations by an
-adaptive high-order ODE integrator; the Picard solver evolves an
-integrable density, whose grid nodes are the locations, through the
-exponential fixed-point representation on contraction windows.  Both
+atom solver evolves finitely many point masses at frozen locations by
+DOP853 (the in-repo port of SciPy's stepper in ``_dop853``); the Picard
+solver evolves an integrable density, whose grid nodes are the locations,
+through the exponential fixed-point representation on contraction
+windows, with SciPy's cumulative Simpson rule as per-window weights.  Both
 conserve mass by antisymmetry, decrease every power moment of order >= 1,
 and converge to a sum of decoupled point masses whose structure is
-checked by the limit classifier.
+checked by the limit classifier through the exact bounded-Lipschitz
+distance.  Nothing here imports SciPy; the tests hold both ports to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
+from ._dop853 import StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
@@ -246,11 +249,14 @@ def run_atoms(
     atol: float = 1e-20,
     n_record: int = 2001,
 ) -> AtomTrajectory:
-    """Integrate the atom system with an adaptive high-order scheme.
+    """Integrate the atom system with DOP853 and record n_record equally
+    spaced states by its dense output.
 
-    Masses remain in [0, M0]; negative undershoot within integrator noise
-    is clipped to zero, anything worse raises.  Total mass is conserved to
-    roundoff by the pairwise right-hand side.
+    The stepper is the in-repo port of SciPy's (``_dop853``), so the
+    records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
+    bit for bit.  Masses remain in [0, M0]; negative undershoot within
+    integrator noise is clipped to zero, anything worse raises.  Total mass
+    is conserved to roundoff by the pairwise right-hand side.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -260,16 +266,15 @@ def run_atoms(
     def rhs(_t: float, m: np.ndarray) -> np.ndarray:
         return atom_ode_rhs(state, m)
 
-    t_eval = np.linspace(0.0, t_end, n_record)
-    sol = solve_ivp(rhs, (0.0, t_end), m0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise RuntimeError(f"atom integration failed: {sol.message}")
-    masses = sol.y.T.copy()
+    try:
+        times, masses, _ = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, atol)
+    except StepSizeTooSmall as e:
+        raise RuntimeError(f"atom integration failed: {e}") from None
     low = masses.min()
     if low < -1e-12 * max(total, 1.0):
         raise RuntimeError(f"mass positivity violated beyond integrator noise: {low}")
     np.clip(masses, 0.0, None, out=masses)
-    return AtomTrajectory(state0=state, times=sol.t.copy(), masses=masses)
+    return AtomTrajectory(state0=state, times=times, masses=masses)
 
 
 def _dissipation(R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float) -> np.ndarray:
@@ -505,12 +510,13 @@ def picard_solve(
         length = min(current_window, t_end - t0)
         n_nodes = max(2, int(math.ceil(length / dt)) + 1)
         local_t = np.linspace(0.0, length, n_nodes)
+        cumulative = _cumulative_simpson(local_t)
         iterate = np.tile(u_start, (n_nodes, 1))
         converged = False
         prev_err = math.inf
         for _ in range(max_iterations):
             rates = iterate @ paired.T  # W(s_j, x_i)
-            exponents = cumulative_simpson(rates, x=local_t, axis=0, initial=0.0)
+            exponents = cumulative(rates)
             # cap keeps a diverging iterate finite so divergence is detected
             # by the error growth instead of overflow noise
             new = u_start[None, :] * np.exp(np.minimum(exponents, 700.0))
@@ -544,6 +550,41 @@ def picard_solve(
         window_count=window_count,
         iterations_total=iter_total,
     )
+
+
+def _cumulative_simpson(t: np.ndarray):
+    """``y -> cumulative_simpson(y, x=t, axis=0, initial=0.0)`` for a fixed
+    increasing t, bit for bit, with its weights computed once.
+
+    Interval i is integrated over (t_i, t_{i+1}, t_{i+2}) when i is even and
+    not the last interval, else over (t_{i+1}, t_i, t_{i-1}): SciPy's
+    interleaving of its h1 and h2 sub-integrals, with its unequal-interval
+    coefficients in its order of operations (SciPy, BSD-3-Clause; the
+    notice is in ``_dop853``).  Two nodes take SciPy's trapezoid branch.
+    """
+    dx = np.diff(t)
+    if dx.size == 1:
+        def parts(y):
+            return dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        i = np.arange(dx.size)
+        first = (i % 2 == 0) & (i < dx.size - 1)
+        x21, x32 = dx, dx[np.where(first, i + 1, i - 1)]
+        x21_x31 = x21 / (x21 + x32)
+        q = x21_x31 * (x21 / x32)
+        a, c1, c2, c3 = (c[:, None] for c in (x21 / 6, 3 - x21_x31, 3 + q + x21_x31, -q))
+        i1, i2, i3 = np.where(first, i, i + 1), np.where(first, i + 1, i), np.where(first, i + 2, i - 1)
+
+        def parts(y):
+            return a * (c1 * y[i1] + c2 * y[i2] + c3 * y[i3])
+
+    def cumulative(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(y.shape)
+        np.cumsum(parts(y), axis=0, out=out[1:])
+        out[1:] += 0.0  # SciPy adds the initial value: -0.0 becomes +0.0
+        return out
+
+    return cumulative
 
 
 @dataclass(frozen=True)

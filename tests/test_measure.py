@@ -16,6 +16,7 @@ from comptonsim.measure import (
     Grid,
     HybridMeasure,
     MomentReport,
+    _signed_point_masses,
     bl_distance,
     components,
     entropy,
@@ -214,6 +215,88 @@ class TestBoundedLipschitz:
         v = HybridMeasure(atoms=[(1.0, moment(u, 0.0))])
         d = bl_distance(u, v)
         assert 0.0 < d <= 2.0 * moment(u, 0.0)
+
+
+def rescaled_lp(pts: np.ndarray, mu: np.ndarray) -> float:
+    """The dual LP by HiGHS on mu rescaled to unit total variation.
+
+    HiGHS works to absolute tolerances of about 1e-7, so on masses far from
+    unit scale it must see them rescaled to be an oracle at all.
+    """
+    total = float(np.abs(mu).sum())
+    if pts.size == 1 or total == 0.0:
+        return abs(float(mu.sum()))
+    n = pts.size
+    diff = np.zeros((n - 1, n))
+    diff[np.arange(n - 1), np.arange(n - 1)] = 1.0
+    diff[np.arange(n - 1), np.arange(1, n)] = -1.0
+    gaps = np.diff(pts)
+    res = linprog(-mu / total, A_ub=np.vstack([diff, -diff]), b_ub=np.concatenate([gaps, gaps]),
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    assert res.success
+    return max(0.0, -res.fun * total)
+
+
+def assert_matches_rescaled_lp(u: HybridMeasure, v: HybridMeasure) -> None:
+    pts, mu = _signed_point_masses(u, v)
+    assert abs(bl_distance(u, v) - rescaled_lp(pts, mu)) <= 1e-12 * np.abs(mu).sum()
+
+
+@st.composite
+def signed_atoms(draw):
+    """Atoms of u and v at 1 to 80 sorted points: O(1) masses, or a zero-net-mass
+    difference of size 1e-12 to 1e-6, with some of v's atoms within the merging
+    distance of u's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 80))
+    span = draw(st.sampled_from([0.01, 1.0, 10.0, 30.0]))
+    pts = np.unique(0.5 + rng.uniform(0.0, span, n))
+    if draw(st.booleans()):
+        delta = rng.normal(size=pts.size) * 10.0 ** draw(st.floats(-12.0, -6.0))
+        delta -= delta.mean()
+        mu_u, mu_v = np.maximum(delta, 0.0), np.maximum(-delta, 0.0)
+    else:
+        mu_u, mu_v = rng.uniform(0.0, 1.0, pts.size), rng.uniform(0.0, 1.0, pts.size)
+    pts_v = pts.copy()
+    if draw(st.booleans()):  # nudged below LOCATION_EPSILON: merged with u's point
+        near = rng.random(pts.size) < 0.5
+        pts_v[near] += 0.3e-12 * np.maximum(1.0, pts[near])
+    u = HybridMeasure(atoms=list(zip(pts, mu_u)))
+    v = HybridMeasure(atoms=list(zip(pts_v, mu_v)))
+    return u, v
+
+
+class TestBoundedLipschitzAgainstRescaledLP:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=signed_atoms())
+    def test_atomic_measures(self, pair):
+        assert_matches_rescaled_lp(*pair)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        n_atoms=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_atom_density_measures(self, n, n_atoms, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid.log_spaced(0.5, float(rng.uniform(1.0, 30.0)), n)
+        atoms = [(float(x), float(m)) for x, m in zip(rng.uniform(0.0, 30.0, n_atoms), rng.uniform(0.0, 1.0, n_atoms))]
+        u = HybridMeasure(atoms=atoms, grid=g, density=rng.uniform(0.0, 1.0, n))
+        v = HybridMeasure(atoms=[(float(g.nodes[k]), 0.1) for k in rng.integers(0, n, 3)] + atoms[:1])
+        assert_matches_rescaled_lp(u, v)
+
+    def test_zero_net_mass_below_lp_tolerance(self):
+        # 256 points on [0.5, 30] with masses of about 1e-8: HiGHS on the
+        # unscaled problem works to ~1e-7 and cannot see a gap this size
+        rng = np.random.default_rng(1)
+        pts = np.sort(rng.uniform(0.5, 30.0, 256))
+        delta = rng.normal(0.0, 1e-8, 256)
+        delta -= delta.mean()
+        u = HybridMeasure(atoms=list(zip(pts, np.maximum(delta, 0.0))))
+        v = HybridMeasure(atoms=list(zip(pts, np.maximum(-delta, 0.0))))
+        assert_matches_rescaled_lp(u, v)
+        assert bl_distance(u, v) > 1e-7
 
 
 class TestComponents:

@@ -593,6 +593,15 @@ def assert_same_records(traj, ref, states=True):
         assert traj.states == []
 
 
+def parent_j(a, b):
+    """J(a, b) = (a - b)(log a - log b) as one expression, as _j computed it
+    before it worked in place, and its one-sided count."""
+    both = (a > 0.0) & (b > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(both, (a - b) * (np.log(np.where(both, a, 1.0)) - np.log(np.where(both, b, 1.0))), 0.0)
+    return vals, int(np.count_nonzero((a > 0.0) ^ (b > 0.0)))
+
+
 def parent_density_parts(g, kern, eps):
     """The per-state density formulas as written before the row helpers:
     the power moments of order 0 to 3, X_0.3, H, the pair part of D and the
@@ -600,7 +609,7 @@ def parent_density_parts(g, kern, eps):
     xs, w = kern.grid.nodes, kern.grid.weights
     A = _gain_factors(xs, g)
     i, j = kern.pair_i, kern.pair_j
-    vals, _ = _j(A[i] * g[j], A[j] * g[i])
+    vals, _ = parent_j(A[i] * g[j], A[j] * g[i])
     return (
         [float(np.dot(w, xs**rho * g)) for rho in (0.0, 1.0, 2.0, 3.0)],
         float(np.dot(w, np.exp(0.3 * xs) * g)),
@@ -675,6 +684,19 @@ class TestBlockDiagnosticsAgainstPerRecord:
         assert MomentReport.of(u, (1.0, 2.0, 3.0), 0.3) == report
         assert entropy_dissipation(u, kern).density_density == d_pairs
         assert origin_mass_estimate(u, kern, [4.0 * eps, eps]).mass_estimates[-1] == below
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(7,), (9, 9), (40, 40)]))
+    def test_j_keeps_the_one_expression_bits(self, seed, shape):
+        # zeros on both sides, one side, or neither; and the aliased call
+        # _j(a, a.T) of entropy_dissipation's atoms part
+        rng = np.random.default_rng(seed)
+        a, b = (rng.lognormal(0.0, 3.0, shape) * (rng.random(shape) < 0.7) for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a.T)):
+            before = x.copy(), y.copy()
+            (got, got_flags), (want, want_flags) = _j(x, y), parent_j(x, y)
+            assert np.array_equal(bits(got), bits(want)) and got_flags == want_flags
+            assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
 
 
 class TestScreenedBatchAgainstLoops:

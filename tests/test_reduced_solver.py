@@ -14,6 +14,7 @@ from comptonsim.kernel import PhysicalParams, eval_kernel
 from comptonsim.measure import Grid, HybridMeasure, components, planck_density
 from comptonsim.reduced_solver import (
     AtomSystemState,
+    AtomTrajectory,
     FlatnessViolation,
     NonContraction,
     NotConverged,
@@ -415,6 +416,22 @@ class TestClassifyLimit:
         cls = classify_limit(traj, TP, stationarity_window=1.0)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.passed
+
+    def test_gap_below_lp_tolerance_is_not_converged(self):
+        # The last window moves a zero-net-mass signed measure of 256 point
+        # masses of about 1e-8 on [0.5, 30]: its bounded-Lipschitz size is
+        # about 5.2e-7, far above limit_tol = 1e-8, but an LP solver working
+        # to ~1e-7 (HiGHS on the unscaled problem) reports 0.0 for it.
+        rng = np.random.default_rng(1)
+        locs = np.sort(rng.uniform(0.5, 30.0, 256))
+        delta = rng.normal(0.0, 1e-8, 256)
+        delta -= delta.mean()
+        base = np.full(256, 1.0 / 256)
+        state = AtomSystemState.from_table(locs, base, np.zeros((256, 256)))
+        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]),
+                              masses=np.stack([base, base + delta, base]))
+        with pytest.raises(NotConverged, match="stationarity gap 5.23"):
+            classify_limit(traj, TP)
 
     def test_not_converged_raised(self):
         traj = run_atoms(chain_state(), 3.0, n_record=301)
