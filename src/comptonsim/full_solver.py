@@ -72,16 +72,13 @@ class MassDriftExceeded(StepCollapse):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Explicit time-stepping controls."""
+    """Controls of the positivity-guarded RK4 stepping."""
 
     t_end: float
     dt_init: float = 1e-3
     dt_min: float = 1e-8
-    scheme: str = "rk4"
     mass_tolerance: float = 1e-10
     record_every: int = 1
-    track_dissipation: bool = True
-    track_origin: bool = True
     eta: float = 0.3
     moment_orders: tuple[float, ...] = (1.0, 2.0, 3.0)
 
@@ -90,8 +87,6 @@ class SolverConfig:
             raise ValueError("need 0 < dt_min <= dt_init")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError("scheme must be 'rk4' or 'euler'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -229,7 +224,7 @@ def step(
     cfg: SolverConfig,
     dt: float,
 ) -> tuple[np.ndarray, float]:
-    """One positivity-guarded explicit step; returns (state, dt actually used).
+    """One positivity-guarded RK4 step; returns (state, dt actually used).
 
     A step producing any negative density is rejected and retried with dt
     halved, down to cfg.dt_min; persistent negativity raises StepCollapse.
@@ -238,14 +233,11 @@ def step(
     """
     u = np.asarray(u, dtype=float)
     while True:
-        if cfg.scheme == "euler":
-            u_next = u + dt * collision_rhs(u, kern)
-        else:
-            k1 = collision_rhs(u, kern)
-            k2 = collision_rhs(u + 0.5 * dt * k1, kern)
-            k3 = collision_rhs(u + 0.5 * dt * k2, kern)
-            k4 = collision_rhs(u + dt * k3, kern)
-            u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = collision_rhs(u, kern)
+        k2 = collision_rhs(u + 0.5 * dt * k1, kern)
+        k3 = collision_rhs(u + 0.5 * dt * k2, kern)
+        k4 = collision_rhs(u + dt * k3, kern)
+        u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u_next)):
             raise NonFiniteState(f"non-finite density after a step of dt={dt}")
         if np.all(u_next >= 0.0):
@@ -540,11 +532,9 @@ def run_full(
         rows = np.array(states)
         traj.times += times
         traj.reports += MomentReport.of_rows(u0, rows, cfg.moment_orders, cfg.eta)
-        if cfg.track_dissipation:
-            # the origin atom's parts of D are exact zeros: the taper vanishes at 0
-            traj.entropy_dissipation += (0.5 * _pair_dissipation(kern, rows)[0]).tolist()
-        if cfg.track_origin:
-            traj.origin_mass_series += _mass_below(u0.atoms, kern.grid, rows, eps)[0].tolist()
+        # the origin atom's parts of D are exact zeros: the taper vanishes at 0
+        traj.entropy_dissipation += (0.5 * _pair_dissipation(kern, rows)[0]).tolist()
+        traj.origin_mass_series += _mass_below(u0.atoms, kern.grid, rows, eps)[0].tolist()
         traj.exp_moment_bound += [math.exp(c_eta * t) * x0 for t in times]
         if keep_states:
             traj.states += states

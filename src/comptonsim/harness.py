@@ -88,11 +88,8 @@ _DEFAULTS: dict = {
         "t_end": 1.0,
         "dt_init": 1e-3,
         "dt_min": 1e-8,
-        "scheme": "rk4",
         "mass_tolerance": 1e-10,
         "record_every": 1,
-        "track_dissipation": True,
-        "track_origin": True,
     },
     "reduced": {
         "t_end": 200.0,
@@ -105,7 +102,6 @@ _DEFAULTS: dict = {
         "limit_tol": 1e-8,
         "stationarity_window": 1.0,
         "rate_table": None,
-        "disable_cutoff": False,
     },
     "diagnostics": {
         "eta": None,  # default picked inside the admissible window
@@ -129,7 +125,6 @@ class ExperimentConfig:
     moment_orders: tuple[float, ...]
     regularization_index: int
     kernel_tol: float
-    seed: int
     raw: dict
 
     def initial_measure(self) -> HybridMeasure:
@@ -250,16 +245,20 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
             t_end=float(sol["t_end"]),
             dt_init=float(sol["dt_init"]),
             dt_min=float(sol["dt_min"]),
-            scheme=sol["scheme"],
             mass_tolerance=float(sol["mass_tolerance"]),
             record_every=int(sol["record_every"]),
-            track_dissipation=bool(sol["track_dissipation"]),
-            track_origin=bool(sol["track_origin"]),
             eta=eta,
             moment_orders=tuple(float(a) for a in diag["moment_orders"]),
         )
     except ValueError as e:
         raise ValidationError(f"solver: {e}")
+
+    red = cfg["reduced"]  # the checks picard_solve and run_atoms make, by field
+    for key in ("t_end", "dt", "window"):
+        if not 0.0 < float(red[key]) < math.inf:
+            raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
+    if int(red["n_record"]) < 2:
+        raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
 
     n_reg = int(diag["regularization_index"])
     if n_reg < 1:
@@ -276,7 +275,6 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         moment_orders=tuple(float(a) for a in diag["moment_orders"]),
         regularization_index=n_reg,
         kernel_tol=float(diag["kernel_tol"]),
-        seed=int(cfg["seed"]),
         raw=cfg,
     )
 
@@ -395,14 +393,13 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
     except MassDriftExceeded as e:
         traj = e.traj
 
-    n = len(traj.times)
     columns = [
         traj.times,
         [r.M0 for r in traj.reports],
         [r.X_eta for r in traj.reports],
         [r.H for r in traj.reports],
-        traj.entropy_dissipation or [math.nan] * n,
-        traj.origin_mass_series or [math.nan] * n,
+        traj.entropy_dissipation,
+        traj.origin_mass_series,
     ]
     traj_path = os.path.join(out_dir, "trajectory.csv")
     _write_csv(traj_path, ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
@@ -428,19 +425,18 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
         bool(np.all(xs <= (1.0 + 1e-6) * bound)),
         f"max X_eta/bound {np.max(xs / bound):.6f}",
     )
-    if traj.entropy_dissipation:
-        balance = entropy_balance_check(traj)
-        manifest.check(
-            "dissipation_nonnegative", balance.dissipation_nonnegative, f"min D {min(traj.entropy_dissipation):.3e}"
-        )
-        manifest.check(
-            "entropy_monotone_nondecreasing", balance.entropy_monotone, f"Delta H {balance.entropy_change:.6e}"
-        )
-        manifest.check(
-            "entropy_dissipation_balance",
-            balance.residual <= balance.tolerance,
-            f"residual {balance.residual:.3e} tol {balance.tolerance:.3e}",
-        )
+    balance = entropy_balance_check(traj)
+    manifest.check(
+        "dissipation_nonnegative", balance.dissipation_nonnegative, f"min D {min(traj.entropy_dissipation):.3e}"
+    )
+    manifest.check(
+        "entropy_monotone_nondecreasing", balance.entropy_monotone, f"Delta H {balance.entropy_change:.6e}"
+    )
+    manifest.check(
+        "entropy_dissipation_balance",
+        balance.residual <= balance.tolerance,
+        f"residual {balance.residual:.3e} tol {balance.tolerance:.3e}",
+    )
     manifest.write(out_dir)
     return manifest, traj
 
@@ -482,7 +478,6 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
             flat_r=float(red["flat_r"]),
             window=float(red["window"]),
             kernel_tol=cfg.kernel_tol,
-            apply_cutoff=not bool(red["disable_cutoff"]),
         )
         manifest.derived_constants["C_0"] = traj.growth_constant
     else:

@@ -16,6 +16,7 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ __all__ = [
     "FlatnessViolation",
     "NonContraction",
     "NotConverged",
-    "RateKernel",
     "rate_matrix",
     "AtomSystemState",
     "AtomTrajectory",
@@ -61,65 +61,25 @@ class NotConverged(RuntimeError):
     """The trajectory did not reach the stationarity criterion in time."""
 
 
-class RateKernel:
-    """Synthetic antisymmetric exchange rate: a user table bound to fixed
-    locations, with antisymmetry validated.
-
-    It makes the atom dynamics testable independently of kernel
-    quadrature; physical rates come from :func:`rate_matrix`.
-    """
-
-    def __init__(self, locations: np.ndarray | None = None, table: np.ndarray | None = None) -> None:
-        if table is None:
-            raise ValueError("a synthetic rate kernel needs its table")
-        locations = np.asarray(locations, dtype=float)
-        table = np.asarray(table, dtype=float)
-        if locations.ndim != 1 or table.shape != (locations.size, locations.size):
-            raise ValueError("table must be square over the locations")
-        if not np.array_equal(table, -table.T):
-            raise ValueError("synthetic rate table must be exactly antisymmetric")
-        self._locations = locations
-        self._table = table
-
-    def rate(self, x: float, y: float) -> float:
-        i = int(np.argmin(np.abs(self._locations - x)))
-        j = int(np.argmin(np.abs(self._locations - y)))
-        if abs(self._locations[i] - x) > 1e-12 or abs(self._locations[j] - y) > 1e-12:
-            raise ValueError("synthetic kernel queried off its locations")
-        return float(self._table[i, j])
-
-    def matrix(self, locations: np.ndarray) -> np.ndarray:
-        locations = np.asarray(locations, dtype=float)
-        if not np.array_equal(locations, self._locations):
-            raise ValueError("synthetic kernel is bound to its own locations")
-        return self._table.copy()
-
-    def coupled(self, x: float, y: float) -> bool:
-        """Whether the table exchanges mass between x and y."""
-        return self.rate(x, y) != 0.0
-
-
 def rate_matrix(
     pp: PhysicalParams,
     tp: TruncationParams,
     locations,
     tol: float = 1e-10,
-    apply_cutoff: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Physical rate matrix at sorted locations, and its bound constant.
 
     R[i, j] = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) for
     i < j and R[j, i] = -R[i, j], so R is exactly antisymmetric.  One
     vectorized cutoff call picks the pairs of distinct locations where the
-    cutoff is nonzero (every pair when ``apply_cutoff`` is False); only
-    those reach the kernel, and the bound constant C_star is calibrated on
-    them.
+    cutoff is nonzero; only those reach the kernel, and the bound constant
+    C_star is calibrated on them.
     """
     x = np.asarray(locations, dtype=float)
     if np.any(np.diff(x) < 0.0):
         raise ValueError("locations must be sorted")
     i, j = np.triu_indices(x.size, 1)
-    phi = eval_cutoff(tp, x[i], x[j]) if apply_cutoff else np.ones(i.size)
+    phi = eval_cutoff(tp, x[i], x[j])
     on = (phi != 0.0) & (x[i] != x[j])
     i, j, phi = i[on], j[on], phi[on]
     B, _ = eval_kernel_batch(pp, x[i], x[j], tol)
@@ -135,16 +95,16 @@ def rate_matrix(
 class AtomSystemState:
     """Point masses at frozen locations with their precomputed rate matrix.
 
-    ``kern`` is the synthetic table of a :meth:`from_table` state and None
-    for a physical one; the limit classifier then takes the coupling test
-    from the cutoff.  The rate matrix must be exactly antisymmetric: the
-    atom RHS reads only its upper triangle, the dissipation both.
+    The matrix is physical (:meth:`from_physical`) or a synthetic table
+    (:meth:`from_table`, which makes the atom dynamics testable apart from
+    the kernel quadrature); the limit classifier reads the coupling of the
+    atoms off it.  It must be exactly antisymmetric: the atom RHS reads
+    only its upper triangle, the dissipation both.
     """
 
     locations: np.ndarray
     masses: np.ndarray
     rate_matrix: np.ndarray
-    kern: RateKernel | None = None
     # i >= j: the entries atom_ode_rhs drops, built once per state
     _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -177,10 +137,7 @@ class AtomSystemState:
 
     @classmethod
     def from_table(cls, locations, masses, table) -> "AtomSystemState":
-        locations = np.asarray(locations, dtype=float)
-        kern = RateKernel(locations=locations, table=np.asarray(table, dtype=float))
-        return cls(locations=locations, masses=np.asarray(masses, dtype=float),
-                   rate_matrix=kern.matrix(locations), kern=kern)
+        return cls(locations=locations, masses=masses, rate_matrix=np.array(table, dtype=float))
 
     def as_measure(self) -> HybridMeasure:
         return HybridMeasure(atoms=list(zip(self.locations, self.masses)))
@@ -258,8 +215,10 @@ def run_atoms(
     integrator noise is clipped to zero, anything worse raises.  Total mass
     is conserved to roundoff by the pairwise right-hand side.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if n_record < 2:
+        raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
     m0 = state.masses.copy()
     total = float(m0.sum())
 
@@ -466,7 +425,6 @@ def picard_solve(
     kernel_tol: float = 1e-10,
     rate_grid: np.ndarray | None = None,
     c_star: float | None = None,
-    apply_cutoff: bool = True,
 ) -> PicardTrajectory:
     """Solve the reduced equation for flat integrable data by fixed point.
 
@@ -476,11 +434,11 @@ def picard_solve(
     non-contraction (NonContraction below a minimal window).  The flatness
     certificate is checked up front, mass is conserved by antisymmetry,
     and the pointwise growth envelope holds with the calibrated constants.
-
-    ``apply_cutoff=False`` runs the untruncated kernel (experimental):
-    the flatness certificate is still mandatory and the growth envelope
-    is no longer guaranteed.
+    ``t_end``, ``dt`` and ``window`` must be positive and finite.
     """
+    for name, value in (("t_end", t_end), ("dt", dt), ("window", window)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     if u0.density is None or u0.atoms:
         raise ValueError("the fixed-point solver evolves a pure density")
     if eta is None:
@@ -490,7 +448,7 @@ def picard_solve(
     grid = u0.grid
     flatness_certificate(grid, u0.density, flat_r, eta)
     if rate_grid is None or c_star is None:
-        rate_grid, c_star = rate_matrix(pp, tp, grid.nodes, kernel_tol, apply_cutoff)
+        rate_grid, c_star = rate_matrix(pp, tp, grid.nodes, kernel_tol)
     x_eta0 = float(np.dot(grid.weights, u0.density * np.exp(eta * grid.nodes)))
     c0 = pointwise_growth_constant(tp, c_star, x_eta0)
 
@@ -658,19 +616,18 @@ def classify_limit(
             ms = np.asarray(comp.masses)
             limit_atoms.append((float(np.dot(pts, ms) / ms.sum()), float(ms.sum())))
 
-    kern = getattr(traj, "state0", None)
-    kern = kern.kern if kern is not None else None
+    state0 = getattr(traj, "state0", None)
+    if state0 is not None:
+        # atoms: no rate between any member point of one limit component and any of the other
+        members = [np.searchsorted(state0.locations, comp.points) for comp in parts_limit.components]
 
-    def decoupled(a: float, c: float) -> bool:
-        if kern is not None:
-            return not kern.coupled(a, c)
-        return eval_cutoff(tp, a, c) == 0.0
+        def decoupled(a: int, c: int) -> bool:
+            return not np.any(state0.rate_matrix[np.ix_(members[a], members[c])])
+    else:
+        def decoupled(a: int, c: int) -> bool:
+            return eval_cutoff(tp, limit_atoms[a][0], limit_atoms[c][0]) == 0.0
 
-    pairwise = all(
-        decoupled(limit_atoms[i][0], limit_atoms[j][0])
-        for i in range(len(limit_atoms))
-        for j in range(i + 1, len(limit_atoms))
-    )
+    pairwise = all(decoupled(a, c) for a, c in itertools.combinations(range(len(limit_atoms)), 2))
 
     support0 = [x for x, _ in initial.support_points()]
     span = max(support0) if support0 else 1.0

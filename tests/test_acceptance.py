@@ -152,8 +152,6 @@ def test_criterion_05_full_conservation(full_grid, full_kernel):
         dt_init=1e-4,
         eta=0.3,
         record_every=1,
-        track_dissipation=False,
-        track_origin=False,
     )
     traj = run_full(u0, PP, TP, 20, cfg, kern=full_kernel)
     steps = len(traj.times) - 1

@@ -151,9 +151,8 @@ class TestStep:
         cfg = SolverConfig(t_end=1.0, dt_min=1e-8)
         u = bump_state(grid)
         u[grid.n // 3] = math.nan
-        for scheme in ("rk4", "euler"):
-            with pytest.raises(NonFiniteState, match="dt=0.001"):
-                step(u, kern, dataclasses.replace(cfg, scheme=scheme), dt=1e-3)
+        with pytest.raises(NonFiniteState, match="dt=0.001"):
+            step(u, kern, cfg, dt=1e-3)
 
     def test_rk4_convergence_order(self, kern, grid):
         u0 = bump_state(grid)
@@ -178,12 +177,6 @@ class TestStep:
         g = planck_density(grid, -0.5)
         g1, _ = step(g, kern, cfg, dt=1e-3)
         assert float(np.dot(grid.weights, np.abs(g1 - g))) <= 1e-6
-
-    def test_euler_scheme_available(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, scheme="euler")
-        u = bump_state(grid)
-        u1, _ = step(u, kern, cfg, dt=1e-4)
-        assert np.all(u1 >= 0.0)
 
 
 class TestCrossValidation:
@@ -326,7 +319,7 @@ class TestRunFull:
 
     def test_every_step_asks_for_dt_init(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        cfg = SolverConfig(t_end=0.1, dt_init=1e-3, track_dissipation=False, track_origin=False)
+        cfg = SolverConfig(t_end=0.1, dt_init=1e-3)
         traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
         assert len(traj.times) == 101
         assert np.diff(traj.times) == pytest.approx(1e-3, rel=1e-9)
@@ -390,7 +383,7 @@ class TestRunFull:
 
     def test_origin_atom_rides_along(self, kern, grid):
         u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
-        cfg = SolverConfig(t_end=0.02, record_every=5, track_origin=True)
+        cfg = SolverConfig(t_end=0.02, record_every=5)
         traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
         assert traj.reports[-1].alpha0 == 0.2
         assert traj.origin_mass_series[-1] >= 0.2

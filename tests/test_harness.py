@@ -32,6 +32,15 @@ EXAMPLE51_CONFIG = {
     },
 }
 
+# retired fields, each with a value it once took: setting one is a ParseError
+RETIRED_FIELDS = {
+    "solver.dt_max": 1e-2,
+    "solver.scheme": "rk4",
+    "solver.track_dissipation": True,
+    "solver.track_origin": True,
+    "reduced.disable_cutoff": False,
+}
+
 
 class TestLoadConfig:
     def test_minimal_defaults(self):
@@ -58,9 +67,18 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="solver.bogus"):
             load_config(data={"solver": {"bogus": 1}})
 
-    def test_dt_max_is_no_longer_a_field(self):
-        with pytest.raises(ParseError, match="solver.dt_max"):
-            load_config(data={"solver": {"dt_max": 1e-2}})
+    @pytest.mark.parametrize("field", RETIRED_FIELDS)
+    def test_dt_max_is_no_longer_a_field(self, field):
+        section, key = field.split(".")
+        with pytest.raises(ParseError, match=field):
+            load_config(data={section: {key: RETIRED_FIELDS[field]}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", -1.0), ("t_end", 0.0), ("t_end", float("inf")), ("dt", 0.0), ("window", -1.0), ("n_record", 1),
+    ])
+    def test_bad_reduced_control_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"reduced.{field}: "):
+            load_config(data={"reduced": {field: value}}, equation="reduced")
 
     def test_missing_file(self):
         with pytest.raises(ParseError, match="not found"):
@@ -137,6 +155,20 @@ class TestManifest:
         with open(tmp_path / "r" / "manifest.json") as f:
             payload = json.load(f)
         assert payload["config_hash"] == manifest.config_hash
+
+    def test_zero_table_limit_is_written(self, tmp_path):
+        # {1.0, 1.2} is one limit component under the cutoff; its mean location
+        # 1.1 is no atom, so a coupling test by location could not read the table
+        cfg = load_config(data={
+            "initial": {"preset": "atoms", "atoms": [[1.0, 0.3], [1.2, 0.3], [5.0, 0.4]]},
+            "reduced": {"t_end": 5.0, "n_record": 101, "rate_table": np.zeros((3, 3)).tolist()},
+        }, equation="reduced")
+        out = tmp_path / "zero"
+        run_reduced_experiment(cfg, str(out), mode="atoms")
+        assert (out / "manifest.json").is_file()
+        limit = json.loads((out / "limit.json").read_text())
+        assert limit["pairwise_decoupled"] is True
+        assert [x for x, _ in limit["atoms"]] == [pytest.approx(1.1), 5.0]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = load_config(data=EXAMPLE51_CONFIG)

@@ -182,13 +182,13 @@ def loop_table_build(pp, tp, grid, n, tol=1e-10):
     return table, pair_i, pair_j, pair_c, kernel_bound_constant(pp, raw_x, raw_y, raw_B)
 
 
-def scalar_rate(pp, tp, x, y, tol=1e-10, apply_cutoff=True):
+def scalar_rate(pp, tp, x, y, tol=1e-10):
     """The per-pair physical rate R(x, y), canonically ordered, and B(x, y)
     (None when the pair never reached the kernel)."""
     if x == y:
         return 0.0, None
     lo, hi = (x, y) if x < y else (y, x)
-    phi = eval_cutoff(tp, lo, hi) if apply_cutoff else 1.0
+    phi = eval_cutoff(tp, lo, hi)
     if phi == 0.0:
         return 0.0, None
     B = kernel_module.eval_kernel(pp, lo, hi, tol).value
@@ -196,7 +196,7 @@ def scalar_rate(pp, tp, x, y, tol=1e-10, apply_cutoff=True):
     return (value if x < y else -value), B
 
 
-def loop_rate_matrix(pp, tp, locs, tol=1e-10, apply_cutoff=True):
+def loop_rate_matrix(pp, tp, locs, tol=1e-10):
     """R from scalar_rate over the upper triangle, and C_star over the pairs
     that reached the kernel."""
     n = len(locs)
@@ -205,7 +205,7 @@ def loop_rate_matrix(pp, tp, locs, tol=1e-10, apply_cutoff=True):
     for i in range(n):
         for j in range(i + 1, n):
             x, y = float(locs[i]), float(locs[j])
-            R[i, j], B = scalar_rate(pp, tp, x, y, tol, apply_cutoff)
+            R[i, j], B = scalar_rate(pp, tp, x, y, tol)
             R[j, i] = -R[i, j]
             if B is not None:
                 raw.append((x, y, B))
@@ -559,10 +559,8 @@ def per_record_run(u0, kern, cfg):
         state = HybridMeasure(atoms=([(0.0, origin)] if origin > 0.0 else []), grid=u0.grid, density=g.copy())
         ref.times.append(t)
         ref.reports.append(MomentReport.of(state, cfg.moment_orders, cfg.eta))
-        if cfg.track_dissipation:
-            ref.entropy_dissipation.append(entropy_dissipation(state, kern).total)
-        if cfg.track_origin:
-            ref.origin_mass_series.append(origin_mass_estimate(state, kern, eps_ladder).extrapolated)
+        ref.entropy_dissipation.append(entropy_dissipation(state, kern).total)
+        ref.origin_mass_series.append(origin_mass_estimate(state, kern, eps_ladder).extrapolated)
         ref.exp_moment_bound.append(math.exp(c_eta * t) * x0)
         ref.states.append(g.copy())
 
@@ -633,10 +631,7 @@ def full_runs(draw):
     records = draw(st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 2]))
     steps = (records - 2) * every + draw(st.integers(1, every))  # the last group may be partial
     dt = 2.0**-10  # dyadic, so the step times sum exactly
-    cfg = SolverConfig(
-        t_end=steps * dt, dt_init=dt, record_every=every, mass_tolerance=1e-6,
-        track_dissipation=draw(st.booleans()), track_origin=draw(st.booleans()),
-    )
+    cfg = SolverConfig(t_end=steps * dt, dt_init=dt, record_every=every, mass_tolerance=1e-6)
     return HybridMeasure(atoms=atoms, grid=grid, density=g), kern, cfg, records
 
 
@@ -724,12 +719,12 @@ class TestScreenedBatchAgainstLoops:
         assert kern.bound_constant == c_star
 
     @PROPERTY
-    @given(grid=grids(), tp=truncations(), apply_cutoff=st.booleans())
-    def test_rate_matrix_on_grids(self, grid, tp, apply_cutoff):
+    @given(grid=grids(), tp=truncations())
+    def test_rate_matrix_on_grids(self, grid, tp):
         with kernel_calls() as seen:
-            R, c_star = rate_matrix(PP, tp, grid.nodes, 1e-10, apply_cutoff)
+            R, c_star = rate_matrix(PP, tp, grid.nodes, 1e-10)
         with kernel_calls() as ref:
-            R_ref, c_ref = loop_rate_matrix(PP, tp, grid.nodes, 1e-10, apply_cutoff)
+            R_ref, c_ref = loop_rate_matrix(PP, tp, grid.nodes, 1e-10)
         assert seen == ref
         assert np.array_equal(R, R_ref) and c_star == c_ref
         assert np.array_equal(R, -R.T)
@@ -745,7 +740,6 @@ class TestScreenedBatchAgainstLoops:
         rng = np.random.default_rng(500 + seed)
         locs = np.sort(rng.uniform(0.05, 8.0, 16))
         state = AtomSystemState.from_physical(PP, TP, locs, np.full(16, 1.0 / 16))
-        assert state.kern is None
         R_ref, _ = loop_rate_matrix(PP, TP, locs)
         assert np.array_equal(state.rate_matrix, R_ref)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from comptonsim.reduced_solver import (
     FlatnessViolation,
     NonContraction,
     NotConverged,
-    RateKernel,
     atom_ode_rhs,
     classify_limit,
     dissipation_alpha,
@@ -77,9 +78,25 @@ def decoupled_blocks(draw):
     return np.array(locs), np.array(masses)
 
 
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail a call that does not return within ``seconds`` instead of hanging."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class PhysicalRates:
     """The physical R(x, y) read off ``rate_matrix``, with the cutoff as
-    its coupling test (the one the limit classifier applies)."""
+    its coupling test (the classifier's test for Picard trajectories; for
+    physical atoms it reads R, which vanishes where the cutoff does)."""
 
     def rate(self, x: float, y: float) -> float:
         R, _ = rate_matrix(PP, TP, sorted((x, y)))
@@ -120,9 +137,7 @@ class TestRateKernel:
 
     def test_synthetic_validation(self):
         with pytest.raises(ValueError):
-            RateKernel(locations=np.array([1.0, 2.0]), table=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            RateKernel()
+            AtomSystemState.from_table([1.0, 2.0], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_antisymmetry_is_exact(self):
         # the atom RHS reads only the upper triangle and the dissipation
@@ -135,14 +150,6 @@ class TestRateKernel:
                 AtomSystemState(locations=[1.0, 2.0], masses=[0.5, 0.5], rate_matrix=np.array(table))
         state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], EXAMPLE51["table"])
         assert np.array_equal(state.rate_matrix, -state.rate_matrix.T)
-
-    def test_synthetic_table_bound_to_exact_locations(self):
-        kern = RateKernel(locations=np.array([A, B, C]), table=CHAIN_TABLE)
-        assert np.array_equal(kern.matrix([A, B, C]), CHAIN_TABLE)
-        with pytest.raises(ValueError, match="its own locations"):
-            kern.matrix([A, np.nextafter(B, 2.0), C])
-        with pytest.raises(ValueError, match="its own locations"):
-            kern.matrix([A, B])
 
     def test_chain_example_coupling_consistent_with_region(self):
         # the synthetic chain matches the geometry at these locations
@@ -218,6 +225,17 @@ class TestRunAtoms:
             inside = np.isin(locs, comp.points)
             series = [math.fsum(row) for row in traj.masses[:, inside]]
             assert np.max(np.abs(np.array(series) - comp.mass)) <= 1e-12 * total
+
+    @pytest.mark.parametrize("t_end, n_record, message", [
+        (10.0, 1, "n_record must be >= 2"),
+        (10.0, 0, "n_record must be >= 2"),
+        (math.inf, 3, "t_end must be positive and finite"),
+    ])
+    def test_bad_controls_raise(self, t_end, n_record, message):
+        # one record would hold t = 0 only, though the run goes on to t_end;
+        # an infinite t_end used to step forever
+        with time_limit(5.0), pytest.raises(ValueError, match=message):
+            run_atoms(chain_state(), t_end, n_record=n_record)
 
     def test_leftmost_mass_nondecreasing(self):
         traj = run_atoms(chain_state(), 100.0, n_record=1001)
@@ -381,14 +399,16 @@ class TestPicard:
         flat, tail = flatness_certificate(grid, traj.states[-1], r=1.0, eta=0.3)
         assert math.isfinite(flat) and math.isfinite(tail)
 
-    def test_untruncated_mode_experimental(self, flat_setup):
+    @pytest.mark.parametrize("control", [
+        {"t_end": -1.0}, {"t_end": 0.0}, {"t_end": math.inf}, {"dt": 0.0}, {"dt": -1e-3},
+        {"window": -1.0}, {"window": math.nan},
+    ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_bad_controls_raise(self, flat_setup, control):
+        # window <= 0 used to step t0 backwards forever, dt = 0 to divide by it
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=0.2, dt=2e-3, eta=0.3, apply_cutoff=False)
-        ms = traj.mass_series()
-        assert np.max(np.abs(ms - ms[0])) <= 1e-10 * ms[0]
-        assert np.all(traj.states[-1] >= 0.0)
-        # the untruncated rate couples pairs the cutoff forbids
-        assert np.count_nonzero(traj.rate_grid) > 0
+        name = next(iter(control))
+        with time_limit(5.0), pytest.raises(ValueError, match=f"{name} must be positive"):
+            picard_solve(u0, PP, TP, **{"t_end": 0.1, **control})
 
     def test_atoms_rejected(self):
         grid = Grid.log_spaced(0.5, 10.0, 16)
@@ -432,6 +452,15 @@ class TestClassifyLimit:
                               masses=np.stack([base, base + delta, base]))
         with pytest.raises(NotConverged, match="stationarity gap 5.23"):
             classify_limit(traj, TP)
+
+    @pytest.mark.parametrize("rate, decoupled", [(0.0, True), (1e-3, False)])
+    def test_coupling_read_off_the_rate_matrix(self, rate, decoupled):
+        # 1.0 and 9.0 are decoupled by the cutoff; only the table can couple them
+        state = AtomSystemState.from_table([1.0, 9.0], [0.4, 0.6], [[0.0, rate], [-rate, 0.0]])
+        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=np.tile(state.masses, (3, 1)))
+        cls = classify_limit(traj, TP)
+        assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
+        assert cls.pairwise_decoupled is decoupled
 
     def test_not_converged_raised(self):
         traj = run_atoms(chain_state(), 3.0, n_record=301)
