@@ -8,6 +8,14 @@ are evaluated only on steps that contain requested times.  Every floating-
 point operation is SciPy's, in SciPy's order and on arrays of SciPy's
 layout, so the recorded states and the evaluation count agree with it bit
 for bit (the tests hold it to that).
+
+The dense output is deferred: stepping buffers each record-holding step
+and evaluates the dense output of ``_DENSE_CHUNK`` such steps in one pass,
+whose 3 extra stages are one call of ``fun`` each on a stack of states.
+So ``fun`` must also take a (k, n) stack of states with a (k,) vector of
+times and return the (k, n) stack of rates, each row as the 1-D call
+returns it.  Only the grouping of the evaluations changes: a stacked call
+counts k evaluations, and ``nfev`` is SciPy's.
 """
 
 # Ported from scipy/integrate/_ivp/{rk.py,common.py,ivp.py,dop853_coefficients.py}:
@@ -251,6 +259,7 @@ MIN_FACTOR = 0.2  # smallest allowed decrease of the step size
 MAX_FACTOR = 10  # largest allowed increase of the step size
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 EPS = np.finfo(float).eps
+_DENSE_CHUNK = 64  # record-holding steps per dense-output pass; its buffers hold 18 rows of n per step
 
 
 class StepSizeTooSmall(RuntimeError):
@@ -305,37 +314,88 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _dense(fun, K_ext, t_old, h, y_old, y, f, t):
-    """States at the times t inside the last step [t_old, t_old + h], as rows."""
-    for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-        dy = np.dot(K_ext[:s].T, a[:s]) * h
-        K_ext[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((INTERPOLATOR_POWER, y.size))
-    f_old = K_ext[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K_ext)
+def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
+    """Dense output of k buffered steps, written to the rows of out.
 
-    x = ((t - t_old) / h)[:, None]
-    out = np.zeros((len(x), y.size))
-    for i, row in enumerate(reversed(F)):
-        out += row
+    Step j spans [t_old[j], t_old[j] + h[j]] from y_old[j] to y[j], with
+    its 13 stages in K_ext[j, :13]; the requested time t[r] lies in step
+    step[r].  The 3 extra stages take one stacked fun call each, on the
+    (k, n) states at the (k,) stage times.  The dot products stay per-step
+    calls on SciPy's array layouts, because BLAS summation order decides
+    the bits; everything else is elementwise over the chunk, so each row
+    is the float SciPy computes for it.
+    """
+    hk = h[:, None]
+    dy = np.empty_like(y)
+    for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
+        for j, K in enumerate(K_ext):
+            dy[j] = np.dot(K[:s].T, a[:s])
+        K_ext[:, s] = fun(t_old + c * h, y_old + dy * hk)
+    F = np.empty((t_old.size, INTERPOLATOR_POWER, y.shape[1]))
+    f_old = K_ext[:, 0]
+    delta_y = y - y_old
+    F[:, 0] = delta_y
+    F[:, 1] = hk * f_old - delta_y
+    F[:, 2] = 2 * delta_y - hk * (K_ext[:, N_STAGES] + f_old)
+    for j, K in enumerate(K_ext):
+        F[j, 3:] = np.dot(D, K)
+    F[:, 3:] *= h[:, None, None]
+
+    x = ((t - t_old[step]) / h[step])[:, None]
+    out[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
+    for i in range(INTERPOLATOR_POWER):
+        out += F[step, INTERPOLATOR_POWER - 1 - i]
         if i % 2 == 0:
             out *= x
         else:
             out *= 1 - x
-    out += y_old
-    return out
+    out += y_old[step]
+
+
+class _DeferredDense:
+    """Accepted steps that hold requested times, buffered until the dense
+    output of ``_DENSE_CHUNK`` of them (or of the last ones) is evaluated
+    by one :func:`_dense` pass."""
+
+    def __init__(self, fun, t_eval: np.ndarray, n: int):
+        self.fun, self.t_eval = fun, t_eval
+        self.out = np.empty((t_eval.size, n))
+        self.K_ext = np.empty((_DENSE_CHUNK, N_STAGES_EXTENDED, n))
+        self.t_old, self.h = np.empty(_DENSE_CHUNK), np.empty(_DENSE_CHUNK)
+        self.y_old, self.y = np.empty((_DENSE_CHUNK, n)), np.empty((_DENSE_CHUNK, n))
+        self.held = np.empty(_DENSE_CHUNK, dtype=np.intp)  # requested times in each step
+        self.k = 0  # steps buffered
+        self.done = 0  # requested times written
+        self.upto = 0  # requested times written or held by a buffered step
+
+    def add(self, t_old, h, y_old, y, K, upto: int) -> None:
+        k = self.k
+        self.t_old[k], self.h[k], self.y_old[k], self.y[k] = t_old, h, y_old, y
+        self.K_ext[k, :N_STAGES + 1] = K
+        self.held[k], self.upto = upto - self.upto, upto
+        self.k += 1
+        if self.k == _DENSE_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        k = self.k
+        if k:
+            step = np.repeat(np.arange(k), self.held[:k])
+            _dense(self.fun, self.K_ext[:k], self.t_old[:k], self.h[:k], self.y_old[:k], self.y[:k],
+                   self.t_eval[self.done:self.upto], step, self.out[self.done:self.upto])
+            self.done, self.k = self.upto, 0
 
 
 def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float):
     """Integrate dy/dt = fun(t, y) forward from t0 to t_bound > t0.
 
+    ``fun(t, y)`` takes a state of shape (n,) at a time t, or a (k, n)
+    stack of states at a (k,) vector of times (the deferred dense output,
+    see the module docstring), and returns rates of the same shape.
     Returns ``(t, y, nfev)``: the requested times (sorted, inside
     [t0, t_bound]), the states there as rows of a (len(t), n) array, and
-    the number of ``fun`` calls.  Raises :class:`StepSizeTooSmall` with
+    the number of evaluations of ``fun``, a stacked call counting one per
+    row, which is SciPy's ``nfev``.  Raises :class:`StepSizeTooSmall` with
     SciPy's message when the controller stalls, and clamps an ``rtol``
     below 100 eps to it with SciPy's warning.
     """
@@ -353,7 +413,7 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
 
     def counted(t, y):
         nonlocal nfev
-        nfev += 1
+        nfev += 1 if y.ndim == 1 else len(y)
         return np.asarray(fun(t, y), dtype=float)
 
     n = y.size
@@ -361,11 +421,9 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
     if n == 0:
         return t_eval, np.empty((t_eval.size, 0)), nfev
     h_abs = _initial_step(counted, t0, y, t_bound, f, rtol, atol)
-    K_ext = np.empty((N_STAGES_EXTENDED, n))
-    K = K_ext[:N_STAGES + 1]
-    out = np.empty((t_eval.size, n))
+    K = np.empty((N_STAGES + 1, n))
+    dense = _DeferredDense(counted, t_eval, n)
     t = t0
-    done = 0  # requested times already written
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -393,8 +451,8 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
         upto = int(np.searchsorted(t_eval, t_new, side="right"))
-        if upto > done:
-            out[done:upto] = _dense(counted, K_ext, t, h, y, y_new, f_new, t_eval[done:upto])
-            done = upto
+        if upto > dense.upto:
+            dense.add(t, h, y, y_new, K, upto)
         t, y, f = t_new, y_new, f_new
-    return t_eval, out, nfev
+    dense.flush()
+    return t_eval, dense.out, nfev

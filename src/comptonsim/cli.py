@@ -3,7 +3,8 @@
 Subcommands: kernel-table, region-dump, simulate-full, simulate-reduced,
 verify, preset.  The THREADS environment variable caps numerical-library
 parallelism; all runs are deterministic for a fixed config and seed.
-Exit code is 0 exactly when every assertion of the invoked command passed.
+Exit code is 0 exactly when every assertion of the invoked command passed,
+1 when one failed, and 2 for an invalid config or an unknown preset.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     from .harness import (
+        ParseError,
         UnknownPreset,
+        ValidationError,
         load_config,
         preset_names,
         run_full_experiment,
@@ -102,14 +105,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.out}")
         return 0
 
+    if args.command in ("simulate-full", "simulate-reduced"):
+        try:
+            cfg = load_config(args.config, equation="full" if args.command == "simulate-full" else "reduced")
+        except (ParseError, ValidationError) as e:
+            print(f"invalid config {args.config}: {e}", file=sys.stderr)
+            return 2
+
     if args.command == "simulate-full":
-        cfg = load_config(args.config, equation="full")
         manifest, _ = run_full_experiment(cfg, args.out)
         _print_assertions(manifest.assertions)
         return 0 if manifest.all_passed else 1
 
     if args.command == "simulate-reduced":
-        cfg = load_config(args.config, equation="reduced")
         manifest, _ = run_reduced_experiment(cfg, args.out, mode=args.mode)
         _print_assertions(manifest.assertions)
         return 0 if manifest.all_passed else 1

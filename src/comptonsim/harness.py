@@ -317,13 +317,34 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     """Equal-length numeric columns as CSV, each value as repr(float(v)).
 
     Writes the bytes of ``csv.writer`` (its default dialect ends rows with
-    CRLF and quotes none of these fields), but converts the columns to
-    Python floats in one ``tolist`` call instead of one scalar at a time.
+    CRLF and quotes none of these fields).  Each column is formatted once
+    per distinct bit pattern (:func:`_column_strings`), which pays off on
+    the long runs of repeated values of a converged trajectory, and the
+    strings are joined into rows afterwards.
     """
-    rows = np.column_stack(columns).astype(float, copy=False).tolist()
+    table = np.column_stack(columns).astype(float, copy=False)
+    strings = [_column_strings(np.ascontiguousarray(col)) for col in table.T]
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        f.writelines(",".join(row) + "\r\n" for row in zip(*strings))
+
+
+def _column_strings(col: np.ndarray) -> np.ndarray:
+    """repr(float(v)) of each value of a float column, as an object array,
+    calling repr once per distinct bit pattern.
+
+    Grouping by bits keeps 0.0 and -0.0 apart; it uses an argsort,
+    not np.unique, whose masked-array check imports numpy.ma.
+    """
+    bits = col.view(np.uint64)
+    order = np.argsort(bits)
+    sorted_bits = bits[order]
+    first = np.ones(col.size, dtype=bool)  # the first of each run of equal bits
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
+    distinct = np.array(list(map(repr, col[order[first]].tolist())), dtype=object)
+    out = np.empty(col.size, dtype=object)
+    out[order] = distinct[np.cumsum(first) - 1]
+    return out
 
 
 def write_kernel_table(

@@ -153,14 +153,17 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
     the order of the pairwise loop over (i, j) and gives the same floats.
     F keeps the upper triangle through the state's precomputed mask
     ``_lower`` (set to +0.0, as ``np.triu`` would), so no call rebuilds
-    the triangle.
+    the triangle.  ``masses`` may be a (..., N) stack, as the deferred
+    dense output of ``_dop853`` passes it: every step is elementwise or
+    runs along the last axis, so each row of the result is the 1-D call's
+    bit for bit.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
-    if m.size == 0:
-        return np.zeros(0)
-    F = (state.rate_matrix * m[:, None]) * m[None, :]
-    F[state._lower] = 0.0
-    return np.add.accumulate(F - F.T, axis=1)[:, -1]
+    if m.shape[-1] == 0:
+        return np.zeros(m.shape)
+    F = (state.rate_matrix * m[..., :, None]) * m[..., None, :]
+    np.copyto(F, 0.0, where=state._lower)
+    return np.add.accumulate(F - F.mT, axis=-1)[..., -1]
 
 
 @dataclass
@@ -673,7 +676,7 @@ def classify_limit(
                 conservation_ok = False
 
     # tail masses nonincreasing for a ladder of thresholds
-    r_values = np.quantile([x for x, _ in initial.support_points()], np.linspace(0.05, 0.95, 10))
+    r_values = _quantiles([x for x, _ in initial.support_points()], np.linspace(0.05, 0.95, 10))
     queue_ok = True
     for r in r_values:
         series = traj.tail_mass_series(float(r))
@@ -693,6 +696,26 @@ def classify_limit(
         queue_monotone=queue_ok,
         stationarity_gap=gap,
     )
+
+
+def _quantiles(points, q: np.ndarray) -> np.ndarray:
+    """np.quantile(points, q) by its default 'linear' method, bit for bit,
+    for finite points and q in [0, 1].
+
+    numpy's arithmetic in numpy's order: the virtual index (n - 1) q, both
+    neighbours pinned to the last point at or past it, and the lerp that
+    works from the nearer end.  np.quantile itself reaches np.unique, whose
+    masked-array check imports numpy.ma (about 10 ms).
+    """
+    s = np.sort(np.asarray(points, dtype=float))
+    virtual = (s.size - 1) * q
+    prev = np.floor(virtual).astype(np.intp)
+    above = virtual >= s.size - 1
+    prev[above] = -1
+    a, b = s[prev], s[np.where(above, -1, prev + 1)]
+    t = virtual - prev
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def _block_pad(initial: HybridMeasure, x: float) -> float:

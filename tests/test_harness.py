@@ -265,6 +265,21 @@ class TestCli:
         assert first == [float(v) for v in cfg.initial_measure().density]
         assert first != last
 
+    @pytest.mark.parametrize("command", [["simulate-full"], ["simulate-reduced", "--mode", "atoms"]])
+    @pytest.mark.parametrize("data, message", [
+        ({"reduced": {"window": -1.0}}, "reduced.window: "),
+        ({"solver": {"scheme": "rk4"}}, "solver.scheme"),
+    ])
+    def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = cli_main([command[0], "--config", str(cfg_path), *command[1:], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert not out.exists()
+
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])
         assert rc == 2

@@ -362,24 +362,44 @@ def truncations(draw):
 PROPERTY = settings(max_examples=15, deadline=None)
 
 
+def rhs_cases(n_atoms):
+    """A sparse random antisymmetric system of n_atoms and mass vectors
+    with 0.0, -0.0 and -1e-14 (integrator undershoot) entries."""
+    rng = np.random.default_rng(300 + n_atoms)
+    locs = np.cumsum(rng.uniform(0.05, 0.3, n_atoms)) + 1.0
+    upper = np.triu(rng.normal(size=(n_atoms, n_atoms)), 1)
+    upper[rng.random((n_atoms, n_atoms)) < 0.3] = 0.0
+    R = upper - upper.T
+    state = AtomSystemState(locations=locs, masses=rng.uniform(0.0, 1.0, n_atoms), rate_matrix=R)
+    undershoot = state.masses.copy()
+    undershoot[rng.random(n_atoms) < 0.3] = -1e-14
+    undershoot[rng.random(n_atoms) < 0.2] = 0.0
+    undershoot[rng.random(n_atoms) < 0.1] = -0.0
+    return state, R, (state.masses, undershoot, np.zeros(n_atoms), np.full(n_atoms, -0.0))
+
+
 class TestAtomRhsAgainstTriu:
     @pytest.mark.parametrize("n_atoms", range(41))
     def test_bitwise_with_zero_and_negative_masses(self, n_atoms):
-        rng = np.random.default_rng(300 + n_atoms)
-        locs = np.cumsum(rng.uniform(0.05, 0.3, n_atoms)) + 1.0
-        upper = np.triu(rng.normal(size=(n_atoms, n_atoms)), 1)
-        upper[rng.random((n_atoms, n_atoms)) < 0.3] = 0.0
-        R = upper - upper.T
-        state = AtomSystemState(locations=locs, masses=rng.uniform(0.0, 1.0, n_atoms), rate_matrix=R)
-        undershoot = state.masses.copy()
-        undershoot[rng.random(n_atoms) < 0.3] = -1e-14
-        undershoot[rng.random(n_atoms) < 0.2] = 0.0
-        undershoot[rng.random(n_atoms) < 0.1] = -0.0
-        for m in (state.masses, undershoot, np.zeros(n_atoms), np.full(n_atoms, -0.0)):
+        state, R, masses = rhs_cases(n_atoms)
+        for m in masses:
             fast, ref = atom_ode_rhs(state, m), triu_atom_ode_rhs(R, m)
             assert np.array_equal(fast, ref)
             assert np.array_equal(np.signbit(fast), np.signbit(ref))
         assert np.array_equal(state.rate_matrix, R)  # the state is only read
+
+    @pytest.mark.parametrize("n_atoms", range(41))
+    def test_stacked_rows_are_the_1d_calls(self, n_atoms):
+        state, R, masses = rhs_cases(n_atoms)
+        stack = np.stack(masses)
+        for shaped in (stack, stack.reshape(2, 2, n_atoms), stack[1:2]):
+            rates = atom_ode_rhs(state, shaped)
+            assert rates.shape == shaped.shape
+            for idx in np.ndindex(shaped.shape[:-1]):
+                row, one = rates[idx], atom_ode_rhs(state, shaped[idx])
+                assert np.array_equal(row, one)
+                assert np.array_equal(np.signbit(row), np.signbit(one))
+        assert np.array_equal(state.rate_matrix, R)
 
 
 def seed7_reduced_inputs():
@@ -492,6 +512,12 @@ SPECIAL_FLOATS = [
 ]
 
 
+# distinct bit patterns, some with equal repr: -nan and nan both print as nan
+REPEATED_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1.0 / 3.0, -2.5, 1e300,
+]
+
+
 class TestCsvWriterAgainstCsvModule:
     """_write_csv takes columns and must write csv.writer's bytes."""
 
@@ -512,6 +538,20 @@ class TestCsvWriterAgainstCsvModule:
     @settings(max_examples=30, deadline=None)
     @given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats(width=32)), max_size=40))
     def test_arbitrary_floats(self, tmp_path_factory, rows):
+        columns = [np.array([r[k] for r in rows], dtype=float) for k in range(3)]
+        self.check(tmp_path_factory.mktemp("csv"), ["x", "y", "z"], columns)
+
+    def test_long_runs_of_repeated_values(self, tmp_path):
+        # a converged trajectory repeats its values; the writer formats each bit pattern once
+        rng = np.random.default_rng(17)
+        pool = np.array(REPEATED_FLOATS)
+        runs = np.repeat(pool[rng.integers(0, pool.size, 80)], rng.integers(1, 300, 80))
+        columns = (runs, runs[::-1], rng.permutation(runs), np.full(runs.size, -0.0), np.arange(runs.size))
+        self.check(tmp_path, ["a", "b", "c", "d", "i"], columns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.sampled_from(REPEATED_FLOATS)] * 2, st.floats()), max_size=200))
+    def test_repeated_special_floats(self, tmp_path_factory, rows):
         columns = [np.array([r[k] for r in rows], dtype=float) for k in range(3)]
         self.check(tmp_path_factory.mktemp("csv"), ["x", "y", "z"], columns)
 

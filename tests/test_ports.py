@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from comptonsim._dop853 import dop853
+from comptonsim._dop853 import _DENSE_CHUNK, dop853
 from comptonsim.reduced_solver import AtomSystemState, _cumulative_simpson, atom_ode_rhs, run_atoms
 
 ATOL = 1e-20  # run_atoms' default
@@ -76,6 +76,23 @@ class TestDop853AgainstSolveIvp:
         attempts, accepted = (steps.nfev - 2) // 12, steps.t.size - 1
         assert attempts > accepted  # the run rejects steps
         assert_same_run(state, 10.0, 1e-10, n_record)
+
+    @pytest.mark.parametrize("n, t_end, log_rtol", [(1, 0.5, -6.0), (16, 20.0, -12.0), (40, 7.0, -9.0)])
+    def test_many_records_per_step(self, n, t_end, log_rtol):
+        state = antisymmetric_state(np.random.default_rng(n), n)
+        steps = oracle(state, t_end, 10.0**log_rtol).t
+        assert steps.size - 1 < 20001 // 10  # at least ten records per step on average
+        assert_same_run(state, t_end, 10.0**log_rtol, 20001)
+
+    @pytest.mark.parametrize("n_record", [300, 2001])
+    def test_more_record_holding_steps_than_a_chunk(self, n_record):
+        state = antisymmetric_state(np.random.default_rng(23), 8)
+        t_end = 20.0
+        steps = oracle(state, t_end, 1e-12).t
+        # the step (steps[i-1], steps[i]] holds every record searchsorted sends to i; t = 0 is in step 1
+        holding = np.unique(np.maximum(np.searchsorted(steps, np.linspace(0.0, t_end, n_record)), 1)).size
+        assert holding > 2 * _DENSE_CHUNK and holding % _DENSE_CHUNK  # full chunks and a partial one
+        assert_same_run(state, t_end, 1e-12, n_record)
 
     def test_failure_keeps_error_type_and_message(self):
         state = self.stiff_state(5)

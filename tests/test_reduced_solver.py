@@ -20,6 +20,7 @@ from comptonsim.reduced_solver import (
     FlatnessViolation,
     NonContraction,
     NotConverged,
+    _quantiles,
     atom_ode_rhs,
     classify_limit,
     dissipation_alpha,
@@ -472,6 +473,19 @@ class TestClassifyLimit:
         for r in (0.5, 1.2, 2.0, 3.0):
             series = traj.tail_mass_series(r)
             assert np.all(np.diff(series) <= 1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)  # ties
+        ),
+        q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    )
+    def test_tail_thresholds_are_numpy_quantiles(self, points, q):
+        for qs in (np.linspace(0.05, 0.95, 10), np.array(q)):  # the classifier's, then any
+            got, want = _quantiles(points, qs), np.quantile(points, qs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_random_systems_classify(self):
         rng = np.random.default_rng(64)
