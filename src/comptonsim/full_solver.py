@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Grid, HybridMeasure, MomentReport, exp_moment
+from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows, exp_moment
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 _BLOCK_ROWS = 4  # states per diagnostics pass: rows x pairs temporaries near 128 KiB at 4k pairs; 8 ran slower
@@ -80,15 +80,14 @@ class SolverConfig:
     mass_tolerance: float = 1e-10
     record_every: int = 1
     eta: float = 0.3
-    moment_orders: tuple[float, ...] = (1.0, 2.0, 3.0)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_min <= self.dt_init):
-            raise ValueError("need 0 < dt_min <= dt_init")
-        if not (self.t_end > 0.0):
-            raise ValueError("t_end must be positive")
+            raise ValueError("dt_min: need 0 < dt_min <= dt_init")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError("t_end: must be positive and finite")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError("record_every: must be >= 1")
 
 
 def taper(n: int, x) -> np.ndarray | float:
@@ -350,31 +349,30 @@ def _kernel_point(kern: RegularizedKernel, x, y) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryRecord:
-    """Recorded diagnostics along a run."""
+    """Diagnostics of the recorded states of a run, one float64 column each.
 
-    times: list[float] = field(default_factory=list)
-    reports: list[MomentReport] = field(default_factory=list)
-    entropy_dissipation: list[float] = field(default_factory=list)
-    origin_mass_series: list[float] = field(default_factory=list)
-    exp_moment_bound: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
+    Record k is the state at ``times[k]``: ``M0`` its mass, ``X_eta`` its
+    exponential moment, ``H`` its entropy, ``entropy_dissipation`` its
+    dissipation D, ``origin_mass_series`` its mass on [0, 2 x_min) (the
+    smallest origin window), and ``exp_moment_bound`` the a-priori bound
+    e^{C_eta t} X_eta(0).  ``final`` is the last recorded density; no other
+    state is kept.
+    """
 
-    @property
-    def mass_series(self) -> np.ndarray:
-        return np.array([r.M0 for r in self.reports])
-
-    @property
-    def entropy_series(self) -> np.ndarray:
-        return np.array([r.H for r in self.reports])
+    times: np.ndarray
+    M0: np.ndarray
+    X_eta: np.ndarray
+    H: np.ndarray
+    entropy_dissipation: np.ndarray
+    origin_mass_series: np.ndarray
+    exp_moment_bound: np.ndarray
+    final: np.ndarray
 
     def max_mass_drift(self) -> float:
-        masses = self.mass_series
-        if masses.size == 0:
-            return 0.0
-        scale = abs(masses[0]) if masses[0] != 0.0 else 1.0
-        return float(np.max(np.abs(masses - masses[0])) / scale)
+        scale = abs(self.M0[0]) if self.M0[0] != 0.0 else 1.0
+        return float(np.max(np.abs(self.M0 - self.M0[0])) / scale)
 
 
 @dataclass(frozen=True)
@@ -401,9 +399,7 @@ def entropy_balance_check(traj: TrajectoryRecord, rel_tolerance: float = 1e-4) -
     """
     if len(traj.times) < 2 or len(traj.entropy_dissipation) != len(traj.times):
         raise ValueError("trajectory must record dissipation at every recorded time")
-    t = np.asarray(traj.times)
-    d = np.asarray(traj.entropy_dissipation)
-    h = traj.entropy_series
+    t, d, h = traj.times, traj.entropy_dissipation, traj.H
     integral = float(np.trapezoid(d, t))
     change = float(h[-1] - h[0])
     return BalanceReport(
@@ -490,54 +486,56 @@ def _recorded(g: np.ndarray, kern: RegularizedKernel, cfg: SolverConfig):
             yield t, g
 
 
-def run_full(
-    u0: HybridMeasure,
-    pp: PhysicalParams,
-    tp: TruncationParams,
-    n: int,
-    cfg: SolverConfig,
-    kern: RegularizedKernel | None = None,
-    keep_states: bool = False,
-) -> TrajectoryRecord:
+def _growth_bound(c_eta: float, t: float, x0: float) -> float:
+    # e^{c_eta t} X_eta(0); past c_eta t ~ 709.78 math.exp overflows and the bound is infinite
+    try:
+        return math.exp(c_eta * t) * x0
+    except OverflowError:
+        return math.inf if x0 > 0.0 else 0.0
+
+
+def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
     """Integrate the regularized equation from a hybrid initial state.
 
-    Only the density evolves; an origin atom rides along as a diagnostic
-    (the tapered kernel cannot move mass at zero energy) and atoms at
-    positive energies are rejected.  Records moments, entropy, dissipation,
-    the mass below the smallest origin window and the exponential-moment
-    bound, in one pass per block of ``_BLOCK_ROWS`` recorded states: take
-    gathers and prefix slices keep every row C-contiguous, so each row's
-    np.vecdot sums in np.dot's order and the values keep the per-state bits.
-    Every step asks for ``cfg.dt_init`` (cut to the horizon); a rejected
-    step halves it for that step only.  A finished run whose mass drift
-    exceeds ``cfg.mass_tolerance`` raises MassDriftExceeded, which carries
-    the trajectory.
+    The kernel fixes the grid, the physical and truncation parameters and
+    the regularization index.  Only the density evolves; an origin atom
+    rides along as a diagnostic (the tapered kernel cannot move mass at
+    zero energy) and atoms at positive energies are rejected.  The columns
+    of the returned record are filled in one pass per block of
+    ``_BLOCK_ROWS`` recorded states: take gathers and prefix slices keep
+    every row C-contiguous, so each row's np.vecdot sums in np.dot's order
+    and the values keep the per-state bits of ``MomentReport.of``,
+    ``entropy_dissipation`` and ``origin_mass_estimate``.  Every step asks
+    for ``cfg.dt_init`` (cut to the horizon); a rejected step halves it for
+    that step only.  A finished run whose mass drift exceeds
+    ``cfg.mass_tolerance`` raises MassDriftExceeded, which carries the record.
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
     if any(x > 0.0 for x, _ in u0.atoms):
         raise ValueError("initial atoms away from the origin are not supported")
-    if kern is None:
-        kern = RegularizedKernel.build(pp, tp, u0.grid, n)
     if not np.array_equal(u0.grid.nodes, kern.grid.nodes):
         raise ValueError("state grid must match the kernel grid")
 
-    c_eta = exp_moment_rate(tp, kern.bound_constant, cfg.eta)
+    c_eta = exp_moment_rate(kern.tp, kern.bound_constant, cfg.eta)
     x0 = exp_moment(u0, cfg.eta)
     eps = u0.grid.nodes[0] * 2.0  # the smallest window of origin_mass_estimate's ladder
-    traj = TrajectoryRecord()
+    blocks = []
     records = _recorded(u0.density.copy(), kern, cfg)
     while block := list(itertools.islice(records, _BLOCK_ROWS)):
         times, states = zip(*block)
         rows = np.array(states)
-        traj.times += times
-        traj.reports += MomentReport.of_rows(u0, rows, cfg.moment_orders, cfg.eta)
-        # the origin atom's parts of D are exact zeros: the taper vanishes at 0
-        traj.entropy_dissipation += (0.5 * _pair_dissipation(kern, rows)[0]).tolist()
-        traj.origin_mass_series += _mass_below(u0.atoms, kern.grid, rows, eps)[0].tolist()
-        traj.exp_moment_bound += [math.exp(c_eta * t) * x0 for t in times]
-        if keep_states:
-            traj.states += states
+        blocks.append((
+            times,
+            _moment_rows(u0.atoms, u0.grid, rows, 0.0),
+            _exp_moment_rows(u0.atoms, u0.grid, rows, cfg.eta),
+            _entropy_rows(u0.atoms, u0.grid, rows),
+            # the origin atom's parts of D are exact zeros: the taper vanishes at 0
+            0.5 * _pair_dissipation(kern, rows)[0],
+            _mass_below(u0.atoms, u0.grid, rows, eps)[0],
+            [_growth_bound(c_eta, t, x0) for t in times],
+        ))
+    traj = TrajectoryRecord(*(np.concatenate(col, dtype=float) for col in zip(*blocks)), final=states[-1])
     drift = traj.max_mass_drift()
     if drift > cfg.mass_tolerance:
         raise MassDriftExceeded(f"mass drift {drift:.3e} exceeds tolerance {cfg.mass_tolerance:.3e}", traj)

@@ -248,10 +248,9 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
             mass_tolerance=float(sol["mass_tolerance"]),
             record_every=int(sol["record_every"]),
             eta=eta,
-            moment_orders=tuple(float(a) for a in diag["moment_orders"]),
         )
     except ValueError as e:
-        raise ValidationError(f"solver: {e}")
+        raise ValidationError(f"solver.{e}")
 
     red = cfg["reduced"]  # the checks picard_solve and run_atoms make, by field
     for key in ("t_end", "dt", "window"):
@@ -389,8 +388,10 @@ def write_region_dump(
     _write_csv(path, ["x", "gamma1", "gamma2", "d1_lower", "d1_upper"], columns)
 
 
-def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int = 2) -> tuple[RunManifest, TrajectoryRecord]:
-    """Full-equation run: trajectory.csv, snapshots, manifest.
+def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifest, TrajectoryRecord]:
+    """Full-equation run: trajectory.csv, manifest, and snapshots of the
+    initial and the last recorded state, named by their times (and record
+    indices when the two stamps coincide, on horizons below 5e-7).
 
     A run whose mass drift exceeds ``solver.mass_tolerance`` still writes
     every output; its manifest records ``mass_conservation`` as FAIL.
@@ -410,28 +411,19 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
         "eta": cfg.eta,
     }
     try:
-        traj = run_full(u0, cfg.physical, cfg.truncation, cfg.regularization_index, cfg.solver, kern=kern, keep_states=True)
+        traj = run_full(u0, kern, cfg.solver)
     except MassDriftExceeded as e:
         traj = e.traj
 
-    columns = [
-        traj.times,
-        [r.M0 for r in traj.reports],
-        [r.X_eta for r in traj.reports],
-        [r.H for r in traj.reports],
-        traj.entropy_dissipation,
-        traj.origin_mass_series,
-    ]
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    _write_csv(traj_path, ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
+    columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
     manifest.outputs.append("trajectory.csv")
 
-    # a set, not np.unique: np.unique's masked-array check imports numpy.ma (about 10 ms)
-    idxs = sorted(set(np.linspace(0, len(traj.times) - 1, max(2, snapshot_count)).astype(int).tolist()))
-    stamps = [f"{traj.times[i]:.6f}" for i in idxs]
-    for i, stamp in zip(idxs, stamps):  # on a short horizon, stamps can repeat: add the record index
-        name = f"snapshot_{stamp}.json" if len(set(stamps)) == len(stamps) else f"snapshot_{stamp}_{i}.json"
-        save_measure(HybridMeasure(atoms=u0.atoms, grid=cfg.grid, density=traj.states[i]), os.path.join(out_dir, name))
+    last = len(traj.times) - 1
+    stamps = [f"{traj.times[0]:.6f}", f"{traj.times[last]:.6f}"]
+    for i, stamp, density in zip((0, last), stamps, (u0.density, traj.final)):
+        name = f"snapshot_{stamp}.json" if stamps[0] != stamps[1] else f"snapshot_{stamp}_{i}.json"
+        save_measure(HybridMeasure(atoms=u0.atoms, grid=cfg.grid, density=density), os.path.join(out_dir, name))
         manifest.outputs.append(name)
 
     manifest.check(
@@ -439,12 +431,10 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str, snapshot_count: int
         traj.max_mass_drift() <= cfg.solver.mass_tolerance,
         f"max drift {traj.max_mass_drift():.3e}",
     )
-    xs = np.array([r.X_eta for r in traj.reports])
-    bound = np.array(traj.exp_moment_bound)
     manifest.check(
         "exp_moment_growth_bound",
-        bool(np.all(xs <= (1.0 + 1e-6) * bound)),
-        f"max X_eta/bound {np.max(xs / bound):.6f}",
+        bool(np.all(traj.X_eta <= (1.0 + 1e-6) * traj.exp_moment_bound)),
+        f"max X_eta/bound {np.max(traj.X_eta / traj.exp_moment_bound):.6f}",
     )
     balance = entropy_balance_check(traj)
     manifest.check(
@@ -529,36 +519,35 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
 
     limit_payload: dict = {"mode": mode}
     if not classify:
-        limit_payload["skipped"] = "classification disabled for this run"
-    try:
-        if not classify:
-            raise NotConverged("classification disabled")
-        cls = classify_limit(
-            traj,
-            cfg.truncation,
-            limit_tol=float(red["limit_tol"]),
-            stationarity_window=float(red["stationarity_window"]),
-        )
-        limit_payload.update(
-            {
-                "atoms": [[x, m] for x, m in cls.atoms],
-                "initial_component_masses": list(cls.initial_component_masses),
-                "initial_component_minima": list(cls.initial_component_minima),
-                "component_mass_table": [list(row) for row in cls.component_mass_table],
-                "in_initial_support": cls.in_initial_support,
-                "pairwise_decoupled": cls.pairwise_decoupled,
-                "mass_sums_ok": cls.mass_sums_ok,
-                "leftmost_ok": cls.leftmost_ok,
-                "component_conservation_ok": cls.component_conservation_ok,
-                "queue_monotone": cls.queue_monotone,
-                "stationarity_gap": cls.stationarity_gap,
-            }
-        )
-        manifest.check("limit_structure", cls.passed, f"atoms {cls.atoms}")
-    except NotConverged as e:
-        limit_payload["error"] = str(e)
-        if classify:
+        limit_payload.update(skipped="classification disabled for this run", error="classification disabled")
+    else:
+        try:
+            cls = classify_limit(
+                traj,
+                cfg.truncation,
+                limit_tol=float(red["limit_tol"]),
+                stationarity_window=float(red["stationarity_window"]),
+            )
+        except NotConverged as e:
+            limit_payload["error"] = str(e)
             manifest.check("limit_structure", False, str(e))
+        else:
+            limit_payload.update(
+                {
+                    "atoms": [[x, m] for x, m in cls.atoms],
+                    "initial_component_masses": list(cls.initial_component_masses),
+                    "initial_component_minima": list(cls.initial_component_minima),
+                    "component_mass_table": [list(row) for row in cls.component_mass_table],
+                    "in_initial_support": cls.in_initial_support,
+                    "pairwise_decoupled": cls.pairwise_decoupled,
+                    "mass_sums_ok": cls.mass_sums_ok,
+                    "leftmost_ok": cls.leftmost_ok,
+                    "component_conservation_ok": cls.component_conservation_ok,
+                    "queue_monotone": cls.queue_monotone,
+                    "stationarity_gap": cls.stationarity_gap,
+                }
+            )
+            manifest.check("limit_structure", cls.passed, f"atoms {cls.atoms}")
     with open(os.path.join(out_dir, "limit.json"), "w") as f:
         json.dump(limit_payload, f, indent=1)
     manifest.outputs.append("limit.json")
@@ -582,7 +571,7 @@ def _preset_equilibrium(out_dir: str, seed: int) -> RunManifest:
     })
     manifest, traj = run_full_experiment(cfg, out_dir)
     u0 = cfg.initial_measure()
-    drift_l1 = float(np.dot(cfg.grid.weights, np.abs(traj.states[-1] - u0.density)))
+    drift_l1 = float(np.dot(cfg.grid.weights, np.abs(traj.final - u0.density)))
     manifest.check("equilibrium_stationarity", drift_l1 <= 1e-5, f"L1 drift {drift_l1:.3e}")
     manifest.write(out_dir)
     return manifest
@@ -595,7 +584,7 @@ def _preset_over_planck(out_dir: str, seed: int) -> RunManifest:
         "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
     })
     manifest, traj = run_full_experiment(cfg, out_dir)
-    h = traj.entropy_series
+    h = traj.H
     manifest.check(
         "entropy_rises_toward_saturation",
         bool(h[-1] > h[0] and np.all(np.diff(h) >= -1e-12 * abs(h[0]))),

@@ -173,15 +173,8 @@ class MomentReport:
 
     @classmethod
     def of(cls, u: "HybridMeasure", alphas: tuple[float, ...] = (1.0, 2.0, 3.0), eta: float = 0.25) -> "MomentReport":
-        return cls.of_rows(u, None if u.density is None else u.density[None], alphas, eta)[0]
-
-    @classmethod
-    def of_rows(cls, u: "HybridMeasure", rows: np.ndarray | None, alphas=(1.0, 2.0, 3.0), eta=0.25) -> list["MomentReport"]:
-        """Reports of u's atoms plus each row of the (B, n) density block rows on u's grid."""
-        cols = [_moment_rows(u.atoms, u.grid, rows, a) for a in (0.0, *alphas)]
-        cols += [_exp_moment_rows(u.atoms, u.grid, rows, eta), _entropy_rows(u.atoms, u.grid, rows)]
-        cols = zip(*(np.atleast_1d(c).tolist() for c in cols))
-        return [cls(M0=m0, M_alpha=dict(zip(alphas, ms)), X_eta=x, H=h, alpha0=u.origin_mass) for m0, *ms, x, h in cols]
+        return cls(M0=moment(u, 0.0), M_alpha={a: moment(u, a) for a in alphas}, X_eta=exp_moment(u, eta),
+                   H=entropy(u), alpha0=u.origin_mass)
 
 
 # The density parts below are row-wise dots against the weights, for one density

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._dop853 import StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Grid, HybridMeasure, bl_distance, components
+from .measure import Component, ComponentPartition, Grid, HybridMeasure, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 __all__ = [
@@ -591,7 +591,10 @@ def classify_limit(
     decoupled, reproduce each initial block's mass, and include the
     leftmost point of every block with positive minimum.  Per-block mass
     conservation and tail-mass monotonicity are verified along the whole
-    recorded trajectory, not just the limit.
+    recorded trajectory, not just the limit.  An atom trajectory reads its
+    blocks and couplings off its rate table, and its limit atoms are its
+    surviving atoms; a density trajectory reads both off the cutoff
+    geometry, with one limit atom per block of the final support.
     """
     t = np.asarray(traj.times)
     if t[-1] - t[0] < stationarity_window:
@@ -606,31 +609,25 @@ def classify_limit(
 
     initial = traj.state_at(0)
     final = traj.state_at(len(t) - 1)
-    parts0 = components(initial, tp)
-    parts_limit = components(final, tp)
     total0 = initial.total_mass
-
-    limit_atoms = []
-    for comp in parts_limit.components:
-        if len(comp.points) == 1:
-            limit_atoms.append((comp.points[0], comp.mass))
-        else:
-            pts = np.asarray(comp.points)
-            ms = np.asarray(comp.masses)
-            limit_atoms.append((float(np.dot(pts, ms) / ms.sum()), float(ms.sum())))
-
     state0 = getattr(traj, "state0", None)
     if state0 is not None:
-        # atoms: no rate between any member point of one limit component and any of the other
-        members = [np.searchsorted(state0.locations, comp.points) for comp in parts_limit.components]
-
-        def decoupled(a: int, c: int) -> bool:
-            return not np.any(state0.rate_matrix[np.ix_(members[a], members[c])])
+        # atoms never leave their locations: the initial blocks are the table's,
+        # each surviving atom is a limit atom, and the table says which couple
+        parts0 = _table_components(initial, state0)
+        limit_atoms = final.support_points()
+        at = np.searchsorted(state0.locations, [x for x, _ in limit_atoms])
+        pairwise = not np.any(state0.rate_matrix[np.ix_(at, at)])
     else:
-        def decoupled(a: int, c: int) -> bool:
-            return eval_cutoff(tp, limit_atoms[a][0], limit_atoms[c][0]) == 0.0
-
-    pairwise = all(decoupled(a, c) for a, c in itertools.combinations(range(len(limit_atoms)), 2))
+        parts0 = components(initial, tp)
+        limit_atoms = []
+        for comp in components(final, tp).components:
+            pts, ms = np.asarray(comp.points), np.asarray(comp.masses)
+            if pts.size == 1:
+                limit_atoms.append((comp.points[0], comp.mass))
+            else:
+                limit_atoms.append((float(np.dot(pts, ms) / ms.sum()), float(ms.sum())))
+        pairwise = all(eval_cutoff(tp, a[0], c[0]) == 0.0 for a, c in itertools.combinations(limit_atoms, 2))
 
     support0 = [x for x, _ in initial.support_points()]
     span = max(support0) if support0 else 1.0
@@ -696,6 +693,24 @@ def classify_limit(
         queue_monotone=queue_ok,
         stationarity_gap=gap,
     )
+
+
+def _table_components(u: HybridMeasure, state: AtomSystemState) -> ComponentPartition:
+    """Blocks of an atom state's support under its rate table: the gap between
+    consecutive support atoms p < q splits the support when no table entry
+    links a support atom <= p to one >= q (on a physical table, the gamma1
+    rule of :func:`components`)."""
+    pts = u.support_points()
+    idx = np.searchsorted(state.locations, [x for x, _ in pts])
+    linked = state.rate_matrix[np.ix_(idx, idx)] != 0.0
+    blocks: list[list[tuple[float, float]]] = []
+    for a, p in enumerate(pts):
+        if not linked[:a, a:].any():
+            blocks.append([])
+        blocks[-1].append(p)
+    return ComponentPartition(components=tuple(
+        Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks
+    ))
 
 
 def _quantiles(points, q: np.ndarray) -> np.ndarray:

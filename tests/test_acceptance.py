@@ -153,11 +153,10 @@ def test_criterion_05_full_conservation(full_grid, full_kernel):
         eta=0.3,
         record_every=1,
     )
-    traj = run_full(u0, PP, TP, 20, cfg, kern=full_kernel)
+    traj = run_full(u0, full_kernel, cfg)
     steps = len(traj.times) - 1
     drift = traj.max_mass_drift()
-    xs = np.array([r.X_eta for r in traj.reports])
-    bound = np.array(traj.exp_moment_bound)
+    xs, bound = traj.X_eta, traj.exp_moment_bound
     growth_ok = bool(np.all(xs <= (1.0 + 1e-6) * bound))
     elapsed = time.monotonic() - t0
     report(
@@ -176,7 +175,7 @@ def test_criterion_06_entropy_structure(full_grid, full_kernel):
     kern = RegularizedKernel.build(PP, TP, grid, n=20)
     u0 = _planck_bump(grid)
     cfg = SolverConfig(t_end=1.0, dt_init=1e-3, eta=0.3, record_every=1)
-    traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+    traj = run_full(u0, kern, cfg)
     balance = entropy_balance_check(traj, rel_tolerance=1e-4)
     d_ok = balance.dissipation_nonnegative
     report(

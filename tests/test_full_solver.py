@@ -25,7 +25,7 @@ from comptonsim.full_solver import (
     taper,
 )
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import Grid, HybridMeasure, MomentReport, planck_density
 from comptonsim.truncation import TruncationParams, eval_cutoff
 
 PP = PhysicalParams()
@@ -187,13 +187,11 @@ class TestCrossValidation:
 
         u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=100)
-        traj = run_full(
-            HybridMeasure(atoms=[], grid=grid, density=u0), PP, TP, 20, cfg, kern=kern, keep_states=True
-        )
+        traj = run_full(HybridMeasure(atoms=[], grid=grid, density=u0), kern, cfg)
         ref = solve_ivp(
             lambda t, u: collision_rhs(u, kern), (0.0, 0.5), u0, method="DOP853", rtol=1e-12, atol=1e-14
         )
-        err = float(np.dot(grid.weights, np.abs(traj.states[-1] - ref.y[:, -1])))
+        err = float(np.dot(grid.weights, np.abs(traj.final - ref.y[:, -1])))
         mass = float(np.dot(grid.weights, u0))
         assert err <= 1e-10 * mass
 
@@ -249,7 +247,7 @@ class TestBalance:
     def test_stationary_balance_trivial(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
         cfg = SolverConfig(t_end=0.05, dt_init=1e-3)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+        traj = run_full(u0, kern, cfg)
         rep = entropy_balance_check(traj)
         assert abs(rep.entropy_change) <= 1e-10
         assert abs(rep.integrated_dissipation) <= 1e-10
@@ -258,7 +256,7 @@ class TestBalance:
     def test_bump_balance(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=0.3, dt_init=1e-3)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+        traj = run_full(u0, kern, cfg)
         rep = entropy_balance_check(traj)
         assert rep.dissipation_nonnegative
         assert rep.entropy_monotone  # entropy grows toward the constrained maximum
@@ -300,27 +298,26 @@ class TestRunFull:
     def test_zero_initial_state(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(grid.n))
         cfg = SolverConfig(t_end=0.01, record_every=5)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern, keep_states=True)
-        assert all(np.all(s == 0.0) for s in traj.states)
+        traj = run_full(u0, kern, cfg)
+        assert np.all(traj.final == 0.0)
+        assert np.all(traj.M0 == 0.0) and np.all(traj.X_eta == 0.0) and np.all(traj.exp_moment_bound == 0.0)
 
     def test_positive_atoms_rejected(self, kern, grid):
         u0 = HybridMeasure(atoms=[(1.0, 0.1)], grid=grid, density=planck_density(grid, -1.0))
         with pytest.raises(ValueError):
-            run_full(u0, PP, TP, 20, SolverConfig(t_end=0.01), kern=kern)
+            run_full(u0, kern, SolverConfig(t_end=0.01))
 
     def test_growth_bound_and_mass(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=10, eta=0.3)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+        traj = run_full(u0, kern, cfg)
         assert traj.max_mass_drift() <= 1e-12
-        xs = np.array([r.X_eta for r in traj.reports])
-        bound = np.array(traj.exp_moment_bound)
-        assert np.all(xs <= (1.0 + 1e-6) * bound)
+        assert np.all(traj.X_eta <= (1.0 + 1e-6) * traj.exp_moment_bound)
 
     def test_every_step_asks_for_dt_init(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=0.1, dt_init=1e-3)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
+        traj = run_full(u0, kern, cfg)
         assert len(traj.times) == 101
         assert np.diff(traj.times) == pytest.approx(1e-3, rel=1e-9)
 
@@ -328,7 +325,7 @@ class TestRunFull:
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=0.05, record_every=5, mass_tolerance=1e-18)
         with pytest.raises(MassDriftExceeded, match="exceeds tolerance") as err:
-            run_full(u0, PP, TP, 20, cfg, kern=kern)
+            run_full(u0, kern, cfg)
         assert isinstance(err.value, StepCollapse)
         assert len(err.value.traj.times) == 11
         assert err.value.traj.max_mass_drift() > cfg.mass_tolerance
@@ -338,16 +335,14 @@ class TestRunFull:
         u0 = HybridMeasure(atoms=[(0.0, 0.1)], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
         with pytest.raises(MassDriftExceeded) as err:
-            run_full(u0, PP, TP, 20, cfg, kern=kern, keep_states=True)
+            run_full(u0, kern, cfg)
         traj = err.value.traj
-        series = [traj.times, traj.reports, traj.entropy_dissipation, traj.origin_mass_series]
-        series += [traj.exp_moment_bound, traj.states]
-        assert [len(s) for s in series] == [records] * len(series)
-        passing = run_full(u0, PP, TP, 20, dataclasses.replace(cfg, mass_tolerance=1.0), kern=kern, keep_states=True)
-        assert traj.reports == passing.reports and traj.exp_moment_bound == passing.exp_moment_bound
-        assert traj.entropy_dissipation == passing.entropy_dissipation
-        assert traj.origin_mass_series == passing.origin_mass_series
-        assert all(np.array_equal(a, b) for a, b in zip(traj.states, passing.states))
+        columns = [f.name for f in dataclasses.fields(traj) if f.name != "final"]
+        assert [len(getattr(traj, name)) for name in columns] == [records] * len(columns)
+        passing = run_full(u0, kern, dataclasses.replace(cfg, mass_tolerance=1.0))
+        for name in columns:
+            assert getattr(traj, name).tolist() == getattr(passing, name).tolist(), name
+        assert np.array_equal(traj.final, passing.final)
 
     @pytest.mark.parametrize("nan_step", [3, full_solver_module._BLOCK_ROWS, 21])
     def test_nan_state_raises_before_its_diagnostics(self, kern, grid, monkeypatch, nan_step):
@@ -360,13 +355,13 @@ class TestRunFull:
             return rate * math.nan if len(calls) > 4 * (nan_step - 1) else rate
 
         seen = []
-        real_reports = full_solver_module.MomentReport.of_rows
+        real_moments = full_solver_module._moment_rows
         real_pairs = full_solver_module._pair_dissipation
         real_below = full_solver_module._mass_below
         monkeypatch.setattr(full_solver_module, "collision_rhs", rhs)
         monkeypatch.setattr(
-            full_solver_module.MomentReport, "of_rows",
-            classmethod(lambda cls, u, rows, *a: seen.append(rows.copy()) or real_reports(u, rows, *a)),
+            full_solver_module, "_moment_rows",
+            lambda a, g, rows, rho: seen.append(rows.copy()) or real_moments(a, g, rows, rho),
         )
         monkeypatch.setattr(
             full_solver_module, "_pair_dissipation", lambda k, rows: seen.append(rows.copy()) or real_pairs(k, rows)
@@ -376,7 +371,7 @@ class TestRunFull:
         )
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         with pytest.raises(NonFiniteState):
-            run_full(u0, PP, TP, 20, SolverConfig(t_end=1.0, dt_init=1e-3), kern=kern)
+            run_full(u0, kern, SolverConfig(t_end=1.0, dt_init=1e-3))
         blocks = nan_step // full_solver_module._BLOCK_ROWS  # full blocks before the NaN step's block
         assert len(seen) == 3 * blocks
         assert all(np.all(np.isfinite(rows)) for rows in seen)
@@ -384,9 +379,22 @@ class TestRunFull:
     def test_origin_atom_rides_along(self, kern, grid):
         u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
         cfg = SolverConfig(t_end=0.02, record_every=5)
-        traj = run_full(u0, PP, TP, 20, cfg, kern=kern)
-        assert traj.reports[-1].alpha0 == 0.2
+        traj = run_full(u0, kern, cfg)
+        last = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=traj.final)
+        assert traj.M0[-1] == MomentReport.of(last).M0 == 0.2 + float(np.dot(grid.weights, traj.final))
         assert traj.origin_mass_series[-1] >= 0.2
+
+    def test_growth_bound_is_inf_past_overflow(self):
+        c_eta = 11.73
+        for t in (0.0, 1.0, 60.0, 709.7 / c_eta):
+            assert full_solver_module._growth_bound(c_eta, t, 2.5) == math.exp(c_eta * t) * 2.5
+        assert full_solver_module._growth_bound(c_eta, 709.8 / c_eta, 2.5) == math.inf
+        assert full_solver_module._growth_bound(c_eta, 709.8 / c_eta, 0.0) == 0.0
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_t_end_must_be_positive_and_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end: must be positive and finite"):
+            SolverConfig(t_end=t_end)
 
     def test_eta_window_enforced(self, kern):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from comptonsim.harness import (
     build_initial,
     load_config,
     preset_names,
+    run_full_experiment,
     run_preset,
     run_reduced_experiment,
 )
@@ -79,6 +80,11 @@ class TestLoadConfig:
     def test_bad_reduced_control_names_its_field(self, field, value):
         with pytest.raises(ValidationError, match=f"reduced.{field}: "):
             load_config(data={"reduced": {field: value}}, equation="reduced")
+
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+    def test_bad_solver_t_end_names_its_field(self, value):
+        with pytest.raises(ValidationError, match="solver.t_end: "):
+            load_config(data={"solver": {"t_end": value}}, equation="full")
 
     def test_missing_file(self):
         with pytest.raises(ParseError, match="not found"):
@@ -157,18 +163,51 @@ class TestManifest:
         assert payload["config_hash"] == manifest.config_hash
 
     def test_zero_table_limit_is_written(self, tmp_path):
-        # {1.0, 1.2} is one limit component under the cutoff; its mean location
-        # 1.1 is no atom, so a coupling test by location could not read the table
+        # {1.0, 1.2} would be one block under the cutoff; the all-zero table
+        # couples nothing, so every atom is its own block and its own limit
         cfg = load_config(data={
             "initial": {"preset": "atoms", "atoms": [[1.0, 0.3], [1.2, 0.3], [5.0, 0.4]]},
             "reduced": {"t_end": 5.0, "n_record": 101, "rate_table": np.zeros((3, 3)).tolist()},
         }, equation="reduced")
         out = tmp_path / "zero"
         run_reduced_experiment(cfg, str(out), mode="atoms")
-        assert (out / "manifest.json").is_file()
+        manifest = json.loads((out / "manifest.json").read_text())
         limit = json.loads((out / "limit.json").read_text())
         assert limit["pairwise_decoupled"] is True
-        assert [x for x, _ in limit["atoms"]] == [pytest.approx(1.1), 5.0]
+        assert [x for x, _ in limit["atoms"]] == [1.0, 1.2, 5.0]
+        assert {a["name"]: a["passed"] for a in manifest["assertions"]}["limit_structure"] is True
+
+    def test_snapshots_hold_the_initial_and_final_bits(self, tmp_path):
+        cfg = load_config(data={
+            "grid": {"min": 0.05, "max": 15.0, "n": 48},
+            "initial": {"preset": "bump", "mu": -1.0},
+            "solver": {"t_end": 0.02, "record_every": 5},
+        }, equation="full")
+        out = tmp_path / "full"
+        manifest, traj = run_full_experiment(cfg, str(out))
+        snapshots = [name for name in manifest.outputs if name.startswith("snapshot_")]
+        assert snapshots == ["snapshot_0.000000.json", "snapshot_0.020000.json"]
+        first, last = (np.array(json.loads((out / name).read_text())["density"]) for name in snapshots)
+        assert np.array_equal(first.view(np.uint64), cfg.initial_measure().density.view(np.uint64))
+        assert np.array_equal(last.view(np.uint64), traj.final.view(np.uint64))
+
+    def test_long_full_run_writes_every_output(self, tmp_path):
+        # C_eta t passes 709.78 at t = 60.5, where e^{C_eta t} overflows a float
+        cfg = load_config(data={
+            "grid": {"n": 48}, "solver": {"t_end": 70.0, "dt_init": 0.01, "record_every": 100},
+        }, equation="full")
+        out = tmp_path / "long"
+        manifest, traj = run_full_experiment(cfg, str(out))
+        assert sorted(os.listdir(out)) == sorted(manifest.outputs + ["manifest.json"])
+        assert len(manifest.outputs) == 3
+        checks = {a["name"]: a["passed"] for a in manifest.assertions}
+        assert checks["exp_moment_growth_bound"] is True
+        assert all(checks.values())
+        c_eta = manifest.derived_constants["C_eta"]
+        finite = c_eta * traj.times < 709.0
+        assert finite[0] and not finite[-1]
+        assert np.all(np.isfinite(traj.exp_moment_bound[finite]))
+        assert np.all(traj.exp_moment_bound[c_eta * traj.times > 710.0] == np.inf)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = load_config(data=EXAMPLE51_CONFIG)
@@ -269,6 +308,7 @@ class TestCli:
     @pytest.mark.parametrize("data, message", [
         ({"reduced": {"window": -1.0}}, "reduced.window: "),
         ({"solver": {"scheme": "rk4"}}, "solver.scheme"),
+        ({"solver": {"t_end": float("inf")}}, "solver.t_end: "),  # would step forever
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         cfg_path = tmp_path / "cfg.json"

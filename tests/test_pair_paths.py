@@ -33,7 +33,6 @@ from comptonsim.full_solver import (
     _BLOCK_ROWS,
     RegularizedKernel,
     SolverConfig,
-    TrajectoryRecord,
     _gain_factors,
     _j,
     _kernel_point,
@@ -586,23 +585,30 @@ class TestProperties:
         assert parts.infinite_flags == 0
 
 
+COLUMNS = ("times", "M0", "X_eta", "H", "entropy_dissipation", "origin_mass_series", "exp_moment_bound")
+
+
 def per_record_run(u0, kern, cfg):
     """run_full as it was before the block pass: the same steps, and per
-    record one HybridMeasure handed to the per-state functions."""
+    record one HybridMeasure handed to the per-state functions.  Returns
+    each column as a list of per-record values, and every state."""
     c_eta = exp_moment_rate(kern.tp, kern.bound_constant, cfg.eta)
     origin = u0.origin_mass
     eps_ladder = list(u0.grid.nodes[0] * np.array([32.0, 8.0, 2.0]))
     x0 = exp_moment(u0, cfg.eta)
-    ref = TrajectoryRecord()
+    ref = {name: [] for name in (*COLUMNS, "states")}
 
     def snapshot(t, g):
         state = HybridMeasure(atoms=([(0.0, origin)] if origin > 0.0 else []), grid=u0.grid, density=g.copy())
-        ref.times.append(t)
-        ref.reports.append(MomentReport.of(state, cfg.moment_orders, cfg.eta))
-        ref.entropy_dissipation.append(entropy_dissipation(state, kern).total)
-        ref.origin_mass_series.append(origin_mass_estimate(state, kern, eps_ladder).extrapolated)
-        ref.exp_moment_bound.append(math.exp(c_eta * t) * x0)
-        ref.states.append(g.copy())
+        report = MomentReport.of(state, (), cfg.eta)
+        ref["times"].append(t)
+        ref["M0"].append(report.M0)
+        ref["X_eta"].append(report.X_eta)
+        ref["H"].append(report.H)
+        ref["entropy_dissipation"].append(entropy_dissipation(state, kern).total)
+        ref["origin_mass_series"].append(origin_mass_estimate(state, kern, eps_ladder).extrapolated)
+        ref["exp_moment_bound"].append(math.exp(c_eta * t) * x0)
+        ref["states"].append(g.copy())
 
     g = u0.density.copy()
     snapshot(0.0, g)
@@ -617,18 +623,13 @@ def per_record_run(u0, kern, cfg):
     return ref
 
 
-def assert_same_records(traj, ref, states=True):
-    """Every field equal with ==, no tolerance; the states bit for bit."""
-    assert traj.times == ref.times
-    assert traj.reports == ref.reports
-    assert traj.entropy_dissipation == ref.entropy_dissipation
-    assert traj.origin_mass_series == ref.origin_mass_series
-    assert traj.exp_moment_bound == ref.exp_moment_bound
-    if states:
-        assert len(traj.states) == len(ref.states)
-        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(traj.states, ref.states))
-    else:
-        assert traj.states == []
+def assert_same_records(traj, ref):
+    """Every column equal to the per-record values with ==, no tolerance,
+    at every record; the final state bit for bit."""
+    for name in COLUMNS:
+        column = getattr(traj, name)
+        assert column.dtype == np.float64 and column.tolist() == ref[name], name
+    assert np.array_equal(bits(traj.final), bits(ref["states"][-1]))
 
 
 def parent_j(a, b):
@@ -683,10 +684,9 @@ class TestBlockDiagnosticsAgainstPerRecord:
     def test_every_field_equal(self, run):
         u0, kern, cfg, records = run
         ref = per_record_run(u0, kern, cfg)
-        traj = run_full(u0, PP, TP, kern.n, cfg, kern=kern, keep_states=True)
+        traj = run_full(u0, kern, cfg)
         assert len(traj.times) == records
         assert_same_records(traj, ref)
-        assert_same_records(run_full(u0, PP, TP, kern.n, cfg, kern=kern), ref, states=False)
 
     @pytest.mark.parametrize("atoms", [[], [(0.0, 0.3)]])
     def test_with_rejected_steps(self, kern, atoms, monkeypatch):
@@ -701,7 +701,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         monkeypatch.setattr(full_solver_module, "step", spy)
         u0 = HybridMeasure(atoms=atoms, grid=kern.grid, density=holey_state(np.random.default_rng(41), kern.grid.n))
         cfg = SolverConfig(t_end=24.0, dt_init=2.0, record_every=1, mass_tolerance=1e-6)
-        traj = run_full(u0, PP, TP, kern.n, cfg, kern=kern, keep_states=True)
+        traj = run_full(u0, kern, cfg)
         assert any(used < dt for dt, used in asked_used)
         assert len(traj.times) > _BLOCK_ROWS
         assert_same_records(traj, per_record_run(u0, kern, cfg))

@@ -8,7 +8,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from comptonsim.harness import EXAMPLE51
@@ -21,6 +21,7 @@ from comptonsim.reduced_solver import (
     NonContraction,
     NotConverged,
     _quantiles,
+    _table_components,
     atom_ode_rhs,
     classify_limit,
     dissipation_alpha,
@@ -462,6 +463,34 @@ class TestClassifyLimit:
         cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.pairwise_decoupled is decoupled
+
+    @pytest.mark.parametrize("links, masses, blocks", [
+        ([], [0.3, 0.3, 0.4], [[1.0], [1.2], [5.0]]),
+        ([(0, 1)], [0.3, 0.3, 0.4], [[1.0, 1.2], [5.0]]),
+        ([(0, 2)], [0.3, 0.3, 0.4], [[1.0, 1.2, 5.0]]),  # 1.0-5.0 crosses both gaps
+        ([(0, 1), (1, 2)], [0.3, 0.0, 0.4], [[1.0], [5.0]]),  # the link runs through an empty atom
+    ])
+    def test_table_blocks_split_where_no_entry_crosses(self, links, masses, blocks):
+        table = np.zeros((3, 3))
+        for i, j in links:
+            table[i, j], table[j, i] = 1.0, -1.0
+        state = AtomSystemState.from_table([1.0, 1.2, 5.0], masses, table)
+        parts = _table_components(state.as_measure(), state)
+        assert [list(c.points) for c in parts.components] == blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        locs=st.lists(st.floats(0.3, 12.0), min_size=1, max_size=8, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_physical_table_blocks_are_the_cutoff_blocks(self, locs, seed):
+        locs = np.sort(locs)
+        assume(np.all(np.diff(locs) > 1e-6))
+        rng = np.random.default_rng(seed)
+        masses = rng.uniform(0.05, 1.0, locs.size) * (rng.random(locs.size) > 0.2)  # some atoms empty
+        state = AtomSystemState.from_physical(PP, TP, locs, masses)
+        u = state.as_measure()
+        assert _table_components(u, state) == components(u, TP)
 
     def test_not_converged_raised(self):
         traj = run_atoms(chain_state(), 3.0, n_record=301)
