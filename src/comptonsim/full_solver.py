@@ -9,10 +9,10 @@ floating-point roundoff.  Diagnostics cover the exponential-moment growth
 bound, the entropy/dissipation balance, and the accumulation of mass near
 the origin.  The collision rate and the dissipation and origin-flux
 diagnostics all run over one list of in-support grid pairs, built once
-with the kernel table.  Kernel values on and off the grid come from one
-screened path: a vectorized cutoff picks the supported points, and one
-batch evaluation fills them in.  A run computes the diagnostics of its
-recorded states in one whole-array pass per block of states.
+with the kernel table by one screened batch: a vectorized cutoff picks
+the supported pairs, and one batch evaluation fills them in.  A run
+computes the diagnostics of its recorded states in one whole-array pass
+per block of states.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ __all__ = [
     "SolverConfig",
     "RegularizedKernel",
     "TrajectoryRecord",
-    "DissipationParts",
     "BalanceReport",
     "OriginMassReport",
     "taper",
     "collision_rhs",
     "step",
-    "entropy_dissipation",
     "entropy_balance_check",
     "origin_mass_estimate",
     "exp_moment_rate",
@@ -132,8 +130,7 @@ class RegularizedKernel:
     and ``pair_c`` holds their quadrature-weighted coupling
     table[i, j] * w_i * w_j.  The collision rate and the snapshot
     diagnostics run over these pairs only; the diagonal exchanges nothing
-    and is left out.  ``tol`` is the kernel quadrature tolerance, reused
-    for kernel values off the grid.
+    and is left out.
     """
 
     n: int
@@ -143,9 +140,7 @@ class RegularizedKernel:
     pair_j: np.ndarray
     pair_c: np.ndarray
     bound_constant: float
-    pp: PhysicalParams
     tp: TruncationParams
-    tol: float
 
     @property
     def coupling(self) -> np.ndarray:
@@ -166,10 +161,18 @@ class RegularizedKernel:
         n: int,
         tol: float = 1e-10,
     ) -> "RegularizedKernel":
+        # cutoff * B * taper(x) * taper(y) at the pairs where the taper and
+        # the cutoff are nonzero; no other pair reaches B
         xs = grid.nodes
+        tx = np.asarray(taper(n, xs))
         i, j = np.triu_indices(xs.size)
-        k, B, vals = _screened_kernel(pp, tp, n, tol, xs[i], xs[j])
-        i, j = i[k], j[k]
+        on = (tx[i] != 0.0) & (tx[j] != 0.0)
+        i, j = i[on], j[on]
+        phi = eval_cutoff(tp, xs[i], xs[j])
+        on = phi != 0.0
+        i, j, phi = i[on], j[on], phi[on]
+        B, _ = eval_kernel_batch(pp, xs[i], xs[j], tol)
+        vals = phi * B * tx[i] * tx[j]
         table = np.zeros((xs.size, xs.size))
         table[i, j] = vals
         table[j, i] = vals
@@ -180,22 +183,8 @@ class RegularizedKernel:
         c_star = kernel_bound_constant(pp, xs[i], xs[j], B)
         return cls(
             n=n, grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c,
-            bound_constant=c_star, pp=pp, tp=tp, tol=tol,
+            bound_constant=c_star, tp=tp,
         )
-
-
-def _screened_kernel(
-    pp: PhysicalParams, tp: TruncationParams, n: int, tol: float, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cutoff * B * taper(x) * taper(y) over the 1-d point lists x, y: the
-    # indices k where the taper and the cutoff are nonzero, B at those
-    # points, and the tapered values there; no other point reaches B
-    tx, ty = np.asarray(taper(n, x)), np.asarray(taper(n, y))
-    k = np.flatnonzero((tx != 0.0) & (ty != 0.0))
-    phi = eval_cutoff(tp, x[k], y[k])
-    k, phi = k[phi != 0.0], phi[phi != 0.0]
-    B, _ = eval_kernel_batch(pp, x[k], y[k], tol)
-    return k, B, phi * B * tx[k] * ty[k]
 
 
 def _gain_factors(xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -246,26 +235,6 @@ def step(
         dt = max(0.5 * dt, cfg.dt_min)
 
 
-@dataclass(frozen=True)
-class DissipationParts:
-    """Dissipation split by the regular/singular structure of the state.
-
-    ``density_density`` sums over ordered grid pairs, i.e. twice the sum
-    over the kernel's pair list.  ``infinite_flags`` counts the infinite
-    brackets left out of the sums: among the ordered in-support grid
-    pairs, and among all (grid node, atom) pairs.
-    """
-
-    density_density: float
-    density_atoms: float
-    atoms_atoms: float
-    infinite_flags: int
-
-    @property
-    def total(self) -> float:
-        return 0.5 * self.density_density + self.density_atoms + 0.5 * self.atoms_atoms
-
-
 def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     # (a - b)(log a - log b), zero when both arguments vanish; a single
     # vanishing argument would give +inf, which is flagged and excluded.
@@ -284,45 +253,10 @@ def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return lb, int(np.count_nonzero(one))
 
 
-def entropy_dissipation(u: HybridMeasure, kern: RegularizedKernel) -> DissipationParts:
-    """Nonnegative dissipation of the state under the tapered kernel.
-
-    The density-density part is 2 sum c_ij J(A_i g_j, A_j g_i) over the
-    kernel's pair list, with J(a, b) = (a - b)(log a - log b) >= 0.  Pairs
-    where exactly one argument of J vanishes carry an infinite
-    contribution; those are counted in infinite_flags and left out of the
-    sums rather than poisoning them.
-    """
-    xs = kern.grid.nodes
-    w = kern.grid.weights
-    flags, d1, d2, d3 = 0, 0.0, 0.0, 0.0
-    if u.density is not None:
-        if not np.array_equal(u.grid.nodes, xs):
-            raise ValueError("state grid must match the kernel grid")
-        d1, flags = _pair_dissipation(kern, u.density)
-        d1, flags = float(d1), 2 * flags
-    locs = np.array([x for x, _ in u.atoms])
-    masses = np.array([m for _, m in u.atoms])
-    if locs.size:
-        if u.density is not None:
-            g = u.density
-            a = _gain_factors(xs, g)
-            rows = _kernel_point(kern, locs[:, None], xs[None, :])
-            for b_row, xa, ma in zip(rows, locs, masses):
-                b = g * math.exp(-xa)
-                vals, fl = _j(a, b)
-                flags += fl
-                d2 += ma * float(np.dot(w, b_row * vals))
-        bateval = _kernel_point(kern, locs[:, None], locs[None, :])
-        a = np.exp(-locs)[:, None] * np.ones_like(bateval)
-        vals, fl = _j(a, a.T)
-        flags += fl
-        d3 = float(np.sum(bateval * np.outer(masses, masses) * vals))
-    return DissipationParts(density_density=d1, density_atoms=d2, atoms_atoms=d3, infinite_flags=flags)
-
-
 def _pair_dissipation(kern: RegularizedKernel, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    # 2 sum c_ij J(A_i g_j, A_j g_i) per density row g, and the infinite flags;
+    # 2 sum c_ij J(A_i g_j, A_j g_i) >= 0 per density row g over the pair list,
+    # and the count of pairs whose J is infinite (exactly one argument
+    # vanishes), flagged and left out of the sum rather than poisoning it;
     # take(..., axis=-1) keeps gathered rows C-contiguous (rows[:, i] would not)
     A = _gain_factors(kern.grid.nodes, rows)
     i, j = kern.pair_i, kern.pair_j
@@ -337,16 +271,6 @@ def _mass_below(atoms, grid: Grid, rows: np.ndarray, eps: float) -> tuple[np.nda
     # mass on [0, eps) per row and the count k of nodes below eps; the prefix [:k] keeps rows C-contiguous
     k = int(np.searchsorted(grid.nodes, eps))
     return math.fsum(m for x, m in atoms if x < eps) + np.vecdot(rows[..., :k], grid.weights[:k]), k
-
-
-def _kernel_point(kern: RegularizedKernel, x, y) -> np.ndarray:
-    # tapered kernel off the tabulated grid (atoms sit anywhere), at the
-    # points of x and y broadcast against each other
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    k, _, vals = _screened_kernel(kern.pp, kern.tp, kern.n, kern.tol, x.ravel(), y.ravel())
-    out = np.zeros(x.size)
-    out[k] = vals
-    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -497,15 +421,14 @@ def _growth_bound(c_eta: float, t: float, x0: float) -> float:
 def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
     """Integrate the regularized equation from a hybrid initial state.
 
-    The kernel fixes the grid, the physical and truncation parameters and
-    the regularization index.  Only the density evolves; an origin atom
+    The kernel fixes the grid, the truncation parameters and the
+    regularization index.  Only the density evolves; an origin atom
     rides along as a diagnostic (the tapered kernel cannot move mass at
     zero energy) and atoms at positive energies are rejected.  The columns
     of the returned record are filled in one pass per block of
     ``_BLOCK_ROWS`` recorded states: take gathers and prefix slices keep
     every row C-contiguous, so each row's np.vecdot sums in np.dot's order
-    and the values keep the per-state bits of ``MomentReport.of``,
-    ``entropy_dissipation`` and ``origin_mass_estimate``.  Every step asks
+    and every value has the bits of the one-state dot product.  Every step asks
     for ``cfg.dt_init`` (cut to the horizon); a rejected step halves it for
     that step only.  A finished run whose mass drift exceeds
     ``cfg.mass_tolerance`` raises MassDriftExceeded, which carries the record.

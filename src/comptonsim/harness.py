@@ -118,7 +118,7 @@ class ExperimentConfig:
     physical: PhysicalParams
     truncation: TruncationParams
     grid: Grid
-    initial: dict
+    initial: HybridMeasure  # built once, and so validated, by load_config
     solver: SolverConfig
     reduced: dict
     eta: float
@@ -128,7 +128,7 @@ class ExperimentConfig:
     raw: dict
 
     def initial_measure(self) -> HybridMeasure:
-        return build_initial(self.initial, self.grid)
+        return self.initial
 
 
 def _merged(user: dict) -> dict:
@@ -220,6 +220,10 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         grid = Grid.log_spaced(float(g["min"]), float(g["max"]), int(g["n"]))
     except ValueError as e:
         raise ValidationError(f"grid: {e}")
+    try:
+        initial = build_initial(cfg["initial"], grid)
+    except ValueError as e:
+        raise ValidationError(f"initial: {e}")
 
     diag = cfg["diagnostics"]
     eta_lo = 0.5 * (1.0 - theta)
@@ -267,7 +271,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         physical=pp,
         truncation=tp,
         grid=grid,
-        initial=cfg["initial"],
+        initial=initial,
         solver=solver,
         reduced=cfg["reduced"],
         eta=eta,

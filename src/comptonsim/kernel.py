@@ -488,8 +488,6 @@ def diagonal_concentration_check(
     phi,
     beta_list: list[float],
     support: tuple[float, float],
-    n_outer: int = 200,
-    n_inner: int = 200,
 ) -> list[ConcentrationRow]:
     """Large-beta concentration of the majorant onto the diagonal.
 
@@ -497,13 +495,13 @@ def diagonal_concentration_check(
     where the Gaussian variable z1 = sqrt(beta m / 2) (x - y)/(x + y) lies
     in [-1, 1], and reports the value against concentration_limit.  The
     unit window in z1 is what produces the erf(1) factor of the limit.
-    Ratios must approach 1 from below as beta grows.
+    Ratios must approach 1 from below as beta grows.  Both integrals use
+    200-point Gauss-Legendre rules.
     """
     if sorted(beta_list) != list(beta_list):
         raise ValueError("beta_list must be increasing")
     m = params.m
-    zeta_nodes, zeta_w = np.polynomial.legendre.leggauss(n_outer)
-    xi_nodes, xi_w = np.polynomial.legendre.leggauss(n_inner)
+    zeta_nodes, zeta_w = xi_nodes, xi_w = np.polynomial.legendre.leggauss(200)
     lo, hi = 2.0 * support[0], 2.0 * support[1]
 
     rows = []

@@ -27,19 +27,16 @@ __all__ = [
     "DomainError",
     "Grid",
     "HybridMeasure",
-    "MomentReport",
     "Component",
     "ComponentPartition",
     "moment",
     "exp_moment",
-    "entropy",
     "bl_distance",
     "components",
     "planck_density",
     "measure_to_dict",
     "measure_from_dict",
     "save_measure",
-    "load_measure",
 ]
 
 # Relative threshold below which a node's mass does not count as support;
@@ -107,7 +104,8 @@ class HybridMeasure:
 
     Atoms are kept sorted with pairwise distinct locations (near-coincident
     atoms are merged mass-weighted on construction); zero-mass atoms are
-    dropped.  An atom at location 0 carries the origin mass.
+    dropped.  An atom at location 0 carries the origin mass.  Locations and
+    masses must be finite: a NaN mass would otherwise be dropped silently.
     """
 
     atoms: list[tuple[float, float]] = field(default_factory=list)
@@ -116,6 +114,8 @@ class HybridMeasure:
 
     def __post_init__(self) -> None:
         for x, m in self.atoms:
+            if not (math.isfinite(x) and math.isfinite(m)):
+                raise ValueError("atom locations and masses must be finite")
             if x < 0.0:
                 raise ValueError("atom locations must be nonnegative")
             if m < 0.0:
@@ -159,22 +159,6 @@ class HybridMeasure:
                 if m > cut:
                     pts.append((float(x), float(m)))
         return sorted(pts)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Standard diagnostics of one state."""
-
-    M0: float
-    M_alpha: dict[float, float]
-    X_eta: float
-    H: float
-    alpha0: float
-
-    @classmethod
-    def of(cls, u: "HybridMeasure", alphas: tuple[float, ...] = (1.0, 2.0, 3.0), eta: float = 0.25) -> "MomentReport":
-        return cls(M0=moment(u, 0.0), M_alpha={a: moment(u, a) for a in alphas}, X_eta=exp_moment(u, eta),
-                   H=entropy(u), alpha0=u.origin_mass)
 
 
 # The density parts below are row-wise dots against the weights, for one density
@@ -232,17 +216,13 @@ def _entropy_integrand(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (x2 + s) * np.log(x2 + s) - slogs - x2 * np.log(x2) - s * x
 
 
-def entropy(u: HybridMeasure) -> float:
+def _entropy_rows(atoms, grid, rows):
     """Physical entropy: density part through h, atoms through -x * mass.
 
     The origin atom contributes nothing.  Among all states of a given mass
     the entropy is maximal exactly at the equilibrium family (a chemical-
     potential density plus an optional origin atom).
     """
-    return float(_entropy_rows(u.atoms, u.grid, u.density))
-
-
-def _entropy_rows(atoms, grid, rows):
     total = -math.fsum(x * m for x, m in atoms)
     if rows is not None:
         total = total + np.vecdot(_entropy_integrand(grid.nodes, rows), grid.weights)
@@ -376,8 +356,8 @@ def components(
 
 def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:
     """Equilibrium density x^2 / (e^{x - mu} - 1) sampled on the grid."""
-    if mu > 0.0:
-        raise ValueError("chemical potential must be <= 0")
+    if not mu <= 0.0:
+        raise ValueError(f"chemical potential must be <= 0; got {mu}")
     x = grid.nodes
     return x * x / np.expm1(x - mu)
 
@@ -412,8 +392,3 @@ def measure_from_dict(d: dict) -> HybridMeasure:
 def save_measure(u: HybridMeasure, path) -> None:
     with open(path, "w") as f:
         json.dump(measure_to_dict(u), f, indent=1)
-
-
-def load_measure(path) -> HybridMeasure:
-    with open(path) as f:
-        return measure_from_dict(json.load(f))

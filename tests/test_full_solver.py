@@ -15,9 +15,9 @@ from comptonsim.full_solver import (
     RegularizedKernel,
     SolverConfig,
     StepCollapse,
+    _pair_dissipation,
     collision_rhs,
     entropy_balance_check,
-    entropy_dissipation,
     exp_moment_rate,
     origin_mass_estimate,
     run_full,
@@ -25,8 +25,8 @@ from comptonsim.full_solver import (
     taper,
 )
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, MomentReport, planck_density
-from comptonsim.truncation import TruncationParams, eval_cutoff
+from comptonsim.measure import Grid, HybridMeasure, moment, planck_density
+from comptonsim.truncation import TruncationParams
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -197,50 +197,24 @@ class TestCrossValidation:
 
 
 class TestDissipation:
+    """The dissipation D = _pair_dissipation / 2 that run_full records."""
+
     def test_equilibrium_vanishes(self, kern, grid):
-        u = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -0.5))
-        parts = entropy_dissipation(u, kern)
-        assert parts.total >= 0.0
-        assert parts.total <= 1e-6
-
-    def test_disjoint_atoms_no_singular_dissipation(self, kern):
-        u = HybridMeasure(atoms=[(1.0, 0.5), (9.0, 0.5)])
-        assert eval_cutoff(TP, 1.0, 9.0) == 0.0
-        parts = entropy_dissipation(u, kern)
-        assert parts.atoms_atoms == 0.0
-        assert parts.total == 0.0
-
-    def test_coupled_atoms_dissipate(self, kern):
-        u = HybridMeasure(atoms=[(1.0, 0.5), (1.2, 0.5)])
-        parts = entropy_dissipation(u, kern)
-        assert parts.atoms_atoms > 0.0
+        d = 0.5 * _pair_dissipation(kern, planck_density(grid, -0.5))[0]
+        assert d >= 0.0
+        assert d <= 1e-6
 
     def test_nonnegative_on_random_states(self, kern, grid):
         rng = np.random.default_rng(53)
         for _ in range(5):
-            u = HybridMeasure(atoms=[], grid=grid, density=rng.uniform(0.0, 1.0, grid.n))
-            assert entropy_dissipation(u, kern).total >= 0.0
-
-    def test_atom_rows_use_table_tolerance(self, kern, monkeypatch):
-        seen = []
-
-        def spy(pp, x, y, tol=1e-10):
-            seen.append(tol)
-            return real(pp, x, y, tol)
-
-        real = full_solver_module.eval_kernel_batch
-        monkeypatch.setattr(full_solver_module, "eval_kernel_batch", spy)
-        loose = dataclasses.replace(kern, tol=1e-7)
-        entropy_dissipation(HybridMeasure(atoms=[(1.0, 0.5), (1.2, 0.5)]), loose)
-        assert seen and set(seen) == {1e-7}
+            assert _pair_dissipation(kern, rng.uniform(0.0, 1.0, grid.n))[0] >= 0.0
 
     def test_flags_counted_not_poisoning(self, kern, grid):
         dens = planck_density(grid, -1.0)
         dens[grid.n // 2] = 0.0  # a hole makes one bracket argument vanish
-        u = HybridMeasure(atoms=[], grid=grid, density=dens)
-        parts = entropy_dissipation(u, kern)
-        assert parts.infinite_flags > 0
-        assert math.isfinite(parts.total)
+        d, flags = _pair_dissipation(kern, dens)
+        assert flags > 0
+        assert math.isfinite(d)
 
 
 class TestBalance:
@@ -381,7 +355,7 @@ class TestRunFull:
         cfg = SolverConfig(t_end=0.02, record_every=5)
         traj = run_full(u0, kern, cfg)
         last = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=traj.final)
-        assert traj.M0[-1] == MomentReport.of(last).M0 == 0.2 + float(np.dot(grid.weights, traj.final))
+        assert traj.M0[-1] == moment(last, 0.0) == 0.2 + float(np.dot(grid.weights, traj.final))
         assert traj.origin_mass_series[-1] >= 0.2
 
     def test_growth_bound_is_inf_past_overflow(self):

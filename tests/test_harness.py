@@ -33,6 +33,15 @@ EXAMPLE51_CONFIG = {
     },
 }
 
+# four grid nodes, each its own decoupled block, one cell (2.11) from the next;
+# the Picard state is stationary, so every block keeps its initial mass
+COARSE_PICARD_CONFIG = {
+    "grid": {"min": 1.0, "max": 30.0, "n": 4},
+    "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 1.0},
+    "reduced": {"t_end": 1.0, "stationarity_window": 0.5},
+    "diagnostics": {"eta": 0.3},
+}
+
 # retired fields, each with a value it once took: setting one is a ParseError
 RETIRED_FIELDS = {
     "solver.dt_max": 1e-2,
@@ -304,11 +313,29 @@ class TestCli:
         assert first == [float(v) for v in cfg.initial_measure().density]
         assert first != last
 
+    def test_coarse_picard_blocks_keep_their_mass(self, tmp_path, capsys):
+        # a block's mass window once reached a whole cell out, into the next block
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(COARSE_PICARD_CONFIG))
+        out = tmp_path / "picard"
+        assert cli_main(["simulate-reduced", "--config", str(cfg_path), "--mode", "picard", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.startswith("[PASS] ") for line in lines)
+        limit = json.loads((out / "limit.json").read_text())
+        assert limit["mass_sums_ok"] and limit["component_conservation_ok"]
+        assert len(limit["atoms"]) == 4 and all(a == b for a, b in limit["component_mass_table"])
+
     @pytest.mark.parametrize("command", [["simulate-full"], ["simulate-reduced", "--mode", "atoms"]])
     @pytest.mark.parametrize("data, message", [
         ({"reduced": {"window": -1.0}}, "reduced.window: "),
         ({"solver": {"scheme": "rk4"}}, "solver.scheme"),
         ({"solver": {"t_end": float("inf")}}, "solver.t_end: "),  # would step forever
+        # was dropped silently, leaving M0 = 0.9
+        ({"initial": {"preset": "atoms", "atoms": [[1.0, float("nan")], [2.0, 0.9]]}}, "initial: atom locations"),
+        # was a NonConvergence traceback from the kernel quadrature
+        ({"initial": {"preset": "atoms", "atoms": [[float("inf"), 0.5], [1.0, 0.5]]}}, "initial: atom locations"),
+        # was a ValueError traceback over an empty output directory
+        ({"initial": {"preset": "planck_mu", "mu": float("nan")}}, "initial: chemical potential"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         cfg_path = tmp_path / "cfg.json"

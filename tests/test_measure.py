@@ -15,11 +15,10 @@ from comptonsim.measure import (
     DomainError,
     Grid,
     HybridMeasure,
-    MomentReport,
+    _entropy_rows,
     _signed_point_masses,
     bl_distance,
     components,
-    entropy,
     exp_moment,
     measure_from_dict,
     measure_to_dict,
@@ -108,34 +107,28 @@ class TestMoments:
             eta = rng.uniform(0.0, 0.5)
             assert exp_moment(u, eta) >= moment(u, 0.0)
 
-    def test_report(self):
-        g = Grid.log_spaced(0.05, 20.0, 100)
-        u = HybridMeasure(atoms=[(0.0, 0.1)], grid=g, density=planck_density(g, -1.0))
-        rep = MomentReport.of(u, alphas=(1.0, 2.0), eta=0.2)
-        assert rep.alpha0 == 0.1
-        assert rep.M0 == pytest.approx(moment(u, 0.0))
-        assert set(rep.M_alpha) == {1.0, 2.0}
-
 
 class TestEntropy:
+    """The entropy of the full-equation record, ``_entropy_rows`` of one state."""
+
     def test_zero_measure(self):
-        assert entropy(HybridMeasure(atoms=[])) == 0.0
+        assert _entropy_rows([], None, None) == 0.0
 
     def test_pure_atom(self):
-        assert entropy(atom(2.0, 5.0)) == -10.0
+        assert _entropy_rows([(2.0, 5.0)], None, None) == -10.0
 
     def test_origin_atom_contributes_nothing(self):
         g = Grid.log_spaced(0.05, 30.0, 200)
         dens = planck_density(g, -1.0)
         base = HybridMeasure(atoms=[], grid=g, density=dens)
         with_origin = HybridMeasure(atoms=[(0.0, 2.0)], grid=g, density=dens)
-        assert entropy(with_origin) == entropy(base)
+        assert _entropy_rows(with_origin.atoms, g, dens) == _entropy_rows(base.atoms, g, dens)
 
     def test_equilibrium_maximizes_at_fixed_mass(self):
         g = Grid.log_spaced(1e-3, 40.0, 600)
         dens = planck_density(g, -1.0)
         u = HybridMeasure(atoms=[], grid=g, density=dens)
-        h_star = entropy(u)
+        h_star = _entropy_rows([], g, dens)
         mass = moment(u, 0.0)
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -143,8 +136,7 @@ class TestEntropy:
             bumpy = np.clip(bumpy, 0.0, None)
             v = HybridMeasure(atoms=[], grid=g, density=bumpy)
             scale = mass / moment(v, 0.0)
-            v = HybridMeasure(atoms=[], grid=g, density=bumpy * scale)
-            assert entropy(v) < h_star
+            assert _entropy_rows([], g, bumpy * scale) < h_star
 
 
 def lp_oracle_uniform_grid(pts, masses_u, masses_v, n_grid=1200):

@@ -20,12 +20,11 @@ from comptonsim.reduced_solver import (
     FlatnessViolation,
     NonContraction,
     NotConverged,
+    _dissipation,
     _quantiles,
     _table_components,
     atom_ode_rhs,
     classify_limit,
-    dissipation_alpha,
-    dissipation_alpha_points,
     flatness_certificate,
     lyapunov_check,
     picard_solve,
@@ -218,7 +217,7 @@ class TestRunAtoms:
     def test_block_masses_invariant(self, blocks):
         locs, masses = blocks
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        parts = components(state.as_measure(), TP)
+        parts = components(HybridMeasure(atoms=list(zip(locs, masses))), TP)
         assert len(parts.components) >= 2
         traj = run_atoms(state, 20.0, n_record=41)
         assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
@@ -245,18 +244,21 @@ class TestRunAtoms:
 
 
 class TestDissipation:
+    """The moment dissipation ``_dissipation`` of one atom state, as the
+    trajectories' ``dissipation_series`` computes it per record."""
+
     def test_single_atom_zero(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0], [1.0])
-        assert dissipation_alpha_points(st.locations, st.masses, st.rate_matrix, 2.0) == 0.0
+        assert _dissipation(st.rate_matrix, st.locations, st.masses, 2.0) == 0.0
 
     def test_decoupled_pair_zero_exactly(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.5, 0.5])
-        assert dissipation_alpha_points(st.locations, st.masses, st.rate_matrix, 2.0) == 0.0
+        assert _dissipation(st.rate_matrix, st.locations, st.masses, 2.0) == 0.0
 
     def test_coupled_pair_strictly_negative_with_oracle(self):
         x, y, mx, my = 1.0, 1.2, 0.5, 0.5
         st = AtomSystemState.from_physical(PP, TP, [x, y], [mx, my])
-        val = dissipation_alpha_points(st.locations, st.masses, st.rate_matrix, 2.0)
+        val = _dissipation(st.rate_matrix, st.locations, st.masses, 2.0)
         # direct two-atom double sum: 2 R(x,y) (x^a - y^a) m_x m_y
         rate = (
             eval_cutoff(TP, x, y)
@@ -268,24 +270,13 @@ class TestDissipation:
         assert val < 0.0
         assert val == pytest.approx(oracle, rel=1e-12)
 
-    def test_hybrid_measure_dissipation(self):
-        g = Grid.log_spaced(0.9, 1.4, 24)
-        u = HybridMeasure(atoms=[], grid=g, density=np.ones(24))
-        assert dissipation_alpha(u, PP, TP, 2.0) < 0.0
-        lone = HybridMeasure(atoms=[(1.0, 1.0)])
-        assert dissipation_alpha(lone, PP, TP, 2.0) == 0.0
-
-    def test_alpha_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            dissipation_alpha(HybridMeasure(atoms=[(1.0, 1.0)]), PP, TP, 1.0)
-
     def test_nonpositive_random(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
             locs = np.sort(rng.uniform(0.3, 4.0, 5))
             st = AtomSystemState.from_physical(PP, TP, locs, rng.uniform(0.1, 1.0, 5))
             for alpha in (1.5, 2.0, 3.0):
-                assert dissipation_alpha_points(st.locations, st.masses, st.rate_matrix, alpha) <= 0.0
+                assert _dissipation(st.rate_matrix, st.locations, st.masses, alpha) <= 0.0
 
 
 class TestLyapunov:
@@ -384,10 +375,9 @@ class TestPicard:
         from scipy.integrate import solve_ivp
 
         grid, u0 = flat_setup
-        R, c_star = rate_matrix(PP, TP, grid.nodes, 1e-10)
-        traj = picard_solve(
-            u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3, rate_grid=R, c_star=c_star
-        )
+        R, _ = rate_matrix(PP, TP, grid.nodes, 1e-10)
+        traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+        assert np.array_equal(traj.rate_grid, R)
         paired = R * grid.weights[None, :]
         ref = solve_ivp(
             lambda t, u: u * (paired @ u), (0.0, 1.0), u0.density, method="DOP853", rtol=1e-13, atol=1e-16
@@ -475,7 +465,7 @@ class TestClassifyLimit:
         for i, j in links:
             table[i, j], table[j, i] = 1.0, -1.0
         state = AtomSystemState.from_table([1.0, 1.2, 5.0], masses, table)
-        parts = _table_components(state.as_measure(), state)
+        parts = _table_components(HybridMeasure(atoms=list(zip(state.locations, state.masses))), state)
         assert [list(c.points) for c in parts.components] == blocks
 
     @settings(max_examples=60, deadline=None)
@@ -489,7 +479,7 @@ class TestClassifyLimit:
         rng = np.random.default_rng(seed)
         masses = rng.uniform(0.05, 1.0, locs.size) * (rng.random(locs.size) > 0.2)  # some atoms empty
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        u = state.as_measure()
+        u = HybridMeasure(atoms=list(zip(locs, masses)))
         assert _table_components(u, state) == components(u, TP)
 
     def test_not_converged_raised(self):
