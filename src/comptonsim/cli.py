@@ -4,7 +4,10 @@ Subcommands: kernel-table, region-dump, simulate-full, simulate-reduced,
 verify, preset.  The THREADS environment variable caps numerical-library
 parallelism; all runs are deterministic for a fixed config and seed.
 Exit code is 0 exactly when every assertion of the invoked command passed,
-1 when one failed, and 2 for an invalid config or an unknown preset.
+1 when one failed, and 2 for an invalid config (an initial state of the
+wrong kind for the command included: simulate-full and picard mode need a
+density, atoms mode a purely atomic state) or an unknown preset.  An exit
+2 prints one line on stderr and writes no output directory.
 """
 
 from __future__ import annotations
@@ -106,19 +109,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command in ("simulate-full", "simulate-reduced"):
+        # the runs check the initial state's kind before they write anything
         try:
             cfg = load_config(args.config, equation="full" if args.command == "simulate-full" else "reduced")
+            if args.command == "simulate-full":
+                manifest, _ = run_full_experiment(cfg, args.out)
+            else:
+                manifest, _ = run_reduced_experiment(cfg, args.out, mode=args.mode)
         except (ParseError, ValidationError) as e:
             print(f"invalid config {args.config}: {e}", file=sys.stderr)
             return 2
-
-    if args.command == "simulate-full":
-        manifest, _ = run_full_experiment(cfg, args.out)
-        _print_assertions(manifest.assertions)
-        return 0 if manifest.all_passed else 1
-
-    if args.command == "simulate-reduced":
-        manifest, _ = run_reduced_experiment(cfg, args.out, mode=args.mode)
         _print_assertions(manifest.assertions)
         return 0 if manifest.all_passed else 1
 

@@ -180,7 +180,7 @@ class RegularizedKernel:
         pair_i, pair_j = i[off], j[off]
         w = grid.weights
         pair_c = vals[off] * (w[pair_i] * w[pair_j])
-        c_star = kernel_bound_constant(pp, xs[i], xs[j], B)
+        c_star = kernel_bound_constant(xs[i], xs[j], B)
         return cls(
             n=n, grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c,
             bound_constant=c_star, tp=tp,

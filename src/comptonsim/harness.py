@@ -178,7 +178,7 @@ def build_initial(recipe: dict, grid: Grid) -> HybridMeasure:
     raise ValidationError(f"unknown initial-data preset '{kind}'")
 
 
-def load_config(path: str | None = None, data: dict | None = None, equation: str | None = None) -> ExperimentConfig:
+def load_config(path: str | None = None, data: dict | None = None, equation: str = "full") -> ExperimentConfig:
     """Parse and validate a config; raises with field-precise messages.
 
     ``equation`` ('full' or 'reduced') selects which admissible window the
@@ -186,6 +186,8 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     needs eta in ((1 - theta)/2, 1/2), the reduced one only
     eta > (1 - theta)/2.
     """
+    if equation not in ("full", "reduced"):
+        raise ValueError(f"equation must be 'full' or 'reduced'; got {equation!r}")
     if (path is None) == (data is None):
         raise ParseError("provide exactly one of path or data")
     if path is not None:
@@ -224,6 +226,8 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         initial = build_initial(cfg["initial"], grid)
     except ValueError as e:
         raise ValidationError(f"initial: {e}")
+    except KeyError as e:
+        raise ValidationError(f"initial: preset '{cfg['initial']['preset']}' needs the field {e}")
 
     diag = cfg["diagnostics"]
     eta_lo = 0.5 * (1.0 - theta)
@@ -231,7 +235,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     if eta is None:
         eta = 0.5 * (eta_lo + 0.5)
     eta = float(eta)
-    if equation in (None, "full"):
+    if equation == "full":
         if not (eta_lo < eta < 0.5):
             raise ValidationError(
                 f"diagnostics.eta: the full equation requires eta in ((1-theta)/2, 1/2) "
@@ -400,11 +404,11 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     A run whose mass drift exceeds ``solver.mass_tolerance`` still writes
     every output; its manifest records ``mass_conservation`` as FAIL.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest_for(cfg.raw)
     u0 = cfg.initial_measure()
     if u0.density is None:
         raise ValidationError("initial: the full equation needs a density initial state")
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = _manifest_for(cfg.raw)
     kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index, cfg.kernel_tol)
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
     manifest.derived_constants = {
@@ -458,6 +462,15 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
 
 def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, classify: bool = True) -> tuple[RunManifest, object]:
     """Reduced-equation run in 'atoms' or 'picard' mode."""
+    u0 = cfg.initial_measure()
+    if mode == "atoms":
+        if u0.density is not None or not u0.atoms:
+            raise ValidationError("initial: atoms mode needs a purely atomic initial state")
+    elif mode == "picard":
+        if u0.density is None:
+            raise ValidationError("initial: picard mode needs a density initial state")
+    else:
+        raise ValidationError("mode must be 'atoms' or 'picard'")
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_for(cfg.raw)
     red = cfg.reduced
@@ -468,9 +481,6 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     }
 
     if mode == "atoms":
-        u0 = cfg.initial_measure()
-        if u0.density is not None or not u0.atoms:
-            raise ValidationError("initial: atoms mode needs a purely atomic initial state")
         locs = np.array([x for x, _ in u0.atoms])
         masses = np.array([m for _, m in u0.atoms])
         if red.get("rate_table") is not None:
@@ -478,25 +488,20 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         else:
             state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses, cfg.kernel_tol)
         traj = run_atoms(state, float(red["t_end"]), rtol=float(red["rtol"]), n_record=int(red["n_record"]))
-    elif mode == "picard":
-        u0 = cfg.initial_measure()
-        if u0.density is None:
-            raise ValidationError("initial: picard mode needs a density initial state")
+    else:
         traj = picard_solve(
             u0,
             cfg.physical,
             cfg.truncation,
             t_end=float(red["t_end"]),
+            eta=cfg.eta,
             iter_tol=float(red["iter_tol"]),
             dt=float(red["dt"]),
-            eta=cfg.eta,
             flat_r=float(red["flat_r"]),
             window=float(red["window"]),
             kernel_tol=cfg.kernel_tol,
         )
         manifest.derived_constants["C_0"] = traj.growth_constant
-    else:
-        raise ValidationError("mode must be 'atoms' or 'picard'")
 
     m0 = traj.mass_series()
     m1 = traj.moment_series(1.0)
@@ -609,7 +614,7 @@ def _preset_example51(out_dir: str, seed: int) -> RunManifest:
     cfg = load_config(data={
         "initial": {"preset": "atoms", "atoms": [[x, m] for x, m in zip(EXAMPLE51["locations"], EXAMPLE51["masses"])]},
         "reduced": {"t_end": 200.0, "n_record": 20001, "rate_table": EXAMPLE51["table"]},
-    })
+    }, equation="reduced")
     manifest, traj = run_reduced_experiment(cfg, out_dir, mode="atoms")
     final = traj.final_masses()
     z_floor = 0.2 * math.exp(-1.0) - 1e-9
@@ -627,7 +632,7 @@ def _preset_flat_picard(out_dir: str, seed: int) -> RunManifest:
         "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 0.5},
         "reduced": {"t_end": 1.0, "dt": 1e-3, "limit_tol": 1e-8, "stationarity_window": 0.5},
         "diagnostics": {"eta": 0.3},
-    })
+    }, equation="reduced")
     manifest, traj = run_reduced_experiment(cfg, out_dir, mode="picard", classify=False)
     u0 = cfg.initial_measure()
     env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)

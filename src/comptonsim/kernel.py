@@ -30,7 +30,6 @@ __all__ = [
     "MonotonicityReport",
     "ConcentrationRow",
     "NonConvergence",
-    "StepTooLarge",
     "eval_kernel",
     "eval_kernel_batch",
     "diagonal_closed_form",
@@ -48,10 +47,6 @@ __all__ = [
 
 class NonConvergence(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
-
-
-class StepTooLarge(ValueError):
-    """Finite-difference step exceeds the allowed fraction of min(x, y)."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def _integrand(s: np.ndarray, d2, c, beta: float, m: float) -> np.ndarray:
     return (1.0 + t * t) * 2.0 * s / np.sqrt(r2) * np.exp(expo)
 
 
-# eval_kernel's default panel budget, and the batch's.
+# eval_kernel's panel budget, and so the batch's; both read it at call time.
 _MAX_PANELS = 4000
 
 
@@ -166,14 +161,14 @@ def eval_kernel(
     x: float,
     y: float,
     tol: float = 1e-10,
-    max_panels: int = _MAX_PANELS,
     force_quadrature: bool = False,
 ) -> KernelSample:
     """Evaluate B(x, y) by adaptive bisection with Gauss panels.
 
     ``tol`` is a relative tolerance; the returned ``abs_error_estimate``
     satisfies ``abs_error_estimate <= tol * value`` on success.  Raises
-    NonConvergence when ``max_panels`` subdivisions do not reach it.
+    NonConvergence when the budget of ``_MAX_PANELS`` (4000) panels does
+    not reach it.
     Points with |x - y| < 1e-8 (x + y) are delegated to the diagonal
     closed form unless ``force_quadrature`` is set (the quadrature path is
     regular there too; the flag lets the two paths cross-check each other).
@@ -195,7 +190,7 @@ def eval_kernel(
         val, err = _panel(a, b, x, y, beta, m)
         panels.append((a, b, val, err))
 
-    while len(panels) < max_panels:
+    while len(panels) < _MAX_PANELS:
         total = sum(p[2] for p in panels)
         total_err = sum(p[3] for p in panels)
         if total_err <= tol * abs(total) or total_err == 0.0:
@@ -208,7 +203,7 @@ def eval_kernel(
             panels.append((lo, hi, val, err))
     raise NonConvergence(
         f"kernel quadrature at (x={x}, y={y}) did not reach tol={tol} "
-        f"within {max_panels} panels"
+        f"within {_MAX_PANELS} panels"
     )
 
 
@@ -225,7 +220,7 @@ def eval_kernel_batch(
     matrix and CSV dump takes its values from here.  Each pair gets the
     bits :func:`eval_kernel` gives it, value and error, and so keeps its
     contract (``ValueError``, ``err <= tol * value``, ``NonConvergence``
-    at eval_kernel's default panel budget).
+    at eval_kernel's panel budget ``_MAX_PANELS``).
 
     B is symmetric bit for bit, so each unordered pair is integrated once.
     Near-diagonal pairs take the diagonal closed form.  The others run
@@ -398,32 +393,29 @@ def diagonal_profile(params: PhysicalParams, z: float) -> float:
     return (88.0 / 15.0) * math.exp(0.5 * z) / z
 
 
+# Central-difference step of the antidiagonal sign check, relative to min(x, y).
+_SIGN_STEP = 1e-4
+
+
 def verify_antidiagonal_monotonicity(
-    params: PhysicalParams,
-    samples: list[tuple[float, float]],
-    tol: float = 1e-10,
-    step_factor: float = 1e-4,
+    params: PhysicalParams, samples: list[tuple[float, float]]
 ) -> MonotonicityReport:
     """Check the sign of the directional derivative of B along (1, -1).
 
     The kernel increases toward the diagonal: the derivative is positive
     for y > x and negative for x > y.  Central differences with step
-    h = step_factor * min(x, y); a step above min(x, y)/10 is refused.
+    h = ``_SIGN_STEP`` * min(x, y) = 1e-4 min(x, y), on kernel values at
+    the quadrature tolerance 1e-10.
     """
-    steps = []
     for x, y in samples:
         if not (x > 0.0 and y > 0.0) or x == y:
             raise ValueError("samples must have x > 0, y > 0, x != y")
-        h = step_factor * min(x, y)
-        if h > 0.1 * min(x, y):
-            raise StepTooLarge(f"step {h} exceeds min(x, y)/10 at ({x}, {y})")
-        steps.append(h)
     xs, ys = np.array(samples, dtype=float).reshape(-1, 2).T
-    hs = np.array(steps, dtype=float)
-    B, _ = eval_kernel_batch(params, np.concatenate([xs + hs, xs - hs]), np.concatenate([ys - hs, ys + hs]), tol)
+    hs = _SIGN_STEP * np.minimum(xs, ys)
+    B, _ = eval_kernel_batch(params, np.concatenate([xs + hs, xs - hs]), np.concatenate([ys - hs, ys + hs]))
     plus, minus = np.split(B, 2)
     violations: list[tuple[float, float, float]] = []
-    for (x, y), h, p, q in zip(samples, steps, plus.tolist(), minus.tolist()):
+    for (x, y), h, p, q in zip(samples, hs.tolist(), plus.tolist(), minus.tolist()):
         derivative = (p - q) / (2.0 * h)
         expected_sign = 1.0 if y > x else -1.0
         if derivative * expected_sign <= 0.0:
@@ -465,17 +457,14 @@ def scale_measure(
     return params.beta * k_nodes, v_values / params.beta
 
 
-def concentration_limit(
-    params: PhysicalParams,
-    phi,
-    support: tuple[float, float],
-    n_points: int = 400,
-) -> float:
+def concentration_limit(params: PhysicalParams, phi, support: tuple[float, float]) -> float:
     """Target value of the diagonal-concentration integral as beta -> infinity:
 
-        (88/15) sqrt(m pi / 2) erf(1) * int phi(z/2, z/2) e^{z/2} dz.
+        (88/15) sqrt(m pi / 2) erf(1) * int phi(z/2, z/2) e^{z/2} dz,
+
+    by a 400-point Gauss-Legendre rule.
     """
-    zs, wz = np.polynomial.legendre.leggauss(n_points)
+    zs, wz = np.polynomial.legendre.leggauss(400)
     lo, hi = 2.0 * support[0], 2.0 * support[1]
     z = 0.5 * (hi + lo) + 0.5 * (hi - lo) * zs
     vals = np.array([phi(0.5 * zz, 0.5 * zz) for zz in z])

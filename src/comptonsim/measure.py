@@ -326,19 +326,16 @@ class ComponentPartition:
         return math.fsum(m for c in self.components for m in c.masses)
 
 
-def components(
-    u: HybridMeasure,
-    tp: TruncationParams,
-    mass_epsilon: float = MASS_EPSILON,
-) -> ComponentPartition:
-    """Partition the support into blocks separated by decoupling gaps.
+def components(u: HybridMeasure, tp: TruncationParams) -> ComponentPartition:
+    """Partition the support (carriers above ``MASS_EPSILON`` of the total
+    mass) into blocks separated by decoupling gaps.
 
     A gap between consecutive support carriers p < q splits the support
     exactly when gamma1(q) >= p, i.e. when no pair across the gap lies in
     the coupling region.  Consecutive blocks are then separated by at least
     the z_gap of the right block's minimum.
     """
-    pts = u.support_points(mass_epsilon)
+    pts = u.support_points()
     if not pts:
         return ComponentPartition(components=())
     blocks: list[list[tuple[float, float]]] = [[pts[0]]]

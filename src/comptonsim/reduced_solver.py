@@ -47,6 +47,18 @@ __all__ = [
 ]
 
 
+# Numerical guards, one value each: DOP853's absolute tolerance on the atom
+# masses, the Picard iterations per window before it counts as not
+# contracting, the tolerance of the moment balance, and classify_limit's
+# tolerances on a block's mass (relative to the total mass) and on a location
+# (relative to max(1, x)).
+_ATOM_ATOL = 1e-20
+_MAX_ITERATIONS = 200
+_BALANCE_TOLERANCE = 1e-4
+_LIMIT_MASS_TOL = 1e-8
+_LIMIT_LOCATION_TOL = 1e-9
+
+
 class FlatnessViolation(RuntimeError):
     """Initial data is not flat enough near the origin for the regular solver."""
 
@@ -86,7 +98,7 @@ def rate_matrix(
     R = np.zeros((x.size, x.size))
     R[i, j] = phi * B / (x[i] * x[j]) * (e[i] - e[j])
     R[j, i] = -R[i, j]
-    return R, kernel_bound_constant(pp, x[i], x[j], B)
+    return R, kernel_bound_constant(x[i], x[j], B)
 
 
 @dataclass
@@ -201,11 +213,11 @@ def run_atoms(
     state: AtomSystemState,
     t_end: float,
     rtol: float = 1e-12,
-    atol: float = 1e-20,
     n_record: int = 2001,
 ) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 and record n_record equally
-    spaced states by its dense output.
+    """Integrate the atom system with DOP853 (absolute tolerance
+    ``_ATOM_ATOL`` = 1e-20) and record n_record equally spaced states by
+    its dense output.
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
@@ -224,7 +236,7 @@ def run_atoms(
         return atom_ode_rhs(state, m)
 
     try:
-        times, masses, _ = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, atol)
+        times, masses, _ = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
     except StepSizeTooSmall as e:
         raise RuntimeError(f"atom integration failed: {e}") from None
     low = masses.min()
@@ -250,7 +262,6 @@ def _dissipation(R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float) -> n
 class LyapunovReport:
     """Monotonicity and balance checks of the moment functionals."""
 
-    alphas: tuple[float, ...]
     monotone: dict[float, bool]
     max_balance_error: dict[float, float]
     exp_moment_monotone: bool
@@ -265,12 +276,7 @@ class LyapunovReport:
         return all(self.monotone.values()) and self.exp_moment_monotone and self.balance_ok
 
 
-def lyapunov_check(
-    traj,
-    alphas: tuple[float, ...] = (1.0, 2.0, 3.0),
-    eta: float = 0.25,
-    rel_tolerance: float = 1e-4,
-) -> LyapunovReport:
+def lyapunov_check(traj, alphas: tuple[float, ...], eta: float) -> LyapunovReport:
     """Verify the Lyapunov structure along a recorded trajectory.
 
     Every moment of order >= 1 must be nonincreasing, the exponential
@@ -280,7 +286,7 @@ def lyapunov_check(
     [t_{k-1}, t_{k+1}], whose error is O(h^4) (a centred difference is
     O(h^2)).  The balance error is the mismatch relative to
     (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2| is at least
-    1 % of its peak.
+    1 % of its peak, and must not exceed ``_BALANCE_TOLERANCE`` (1e-4).
     """
     t = np.asarray(traj.times)
     h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
@@ -307,11 +313,10 @@ def lyapunov_check(
     x_series = traj.exp_moment_series(eta)
     exp_monotone = bool(np.all(np.diff(x_series) <= 1e-12 * abs(x_series[0])))
     return LyapunovReport(
-        alphas=tuple(alphas),
         monotone=monotone,
         max_balance_error=balance,
         exp_moment_monotone=exp_monotone,
-        balance_tolerance=rel_tolerance,
+        balance_tolerance=_BALANCE_TOLERANCE,
     )
 
 
@@ -386,19 +391,19 @@ def picard_solve(
     pp: PhysicalParams,
     tp: TruncationParams,
     t_end: float,
+    eta: float,
     iter_tol: float = 1e-12,
     dt: float = 1e-3,
-    eta: float | None = None,
     flat_r: float = 1.0,
     window: float = 0.25,
-    max_iterations: int = 200,
     kernel_tol: float = 1e-10,
 ) -> PicardTrajectory:
     """Solve the reduced equation for flat integrable data by fixed point.
 
     On each time window the exponential representation
     u(t) = u(t0) * exp(cumulative integral of the paired rate) is iterated
-    to ``iter_tol`` in the origin-weighted L1 norm; windows are halved on
+    to ``iter_tol`` in the origin-weighted L1 norm, for at most
+    ``_MAX_ITERATIONS`` (200) iterations; windows are halved on
     non-contraction (NonContraction below a minimal window).  The flatness
     certificate is checked up front, mass is conserved by antisymmetry,
     and the pointwise growth envelope holds with the calibrated constants.
@@ -409,8 +414,6 @@ def picard_solve(
             raise ValueError(f"{name} must be positive and finite")
     if u0.density is None or u0.atoms:
         raise ValueError("the fixed-point solver evolves a pure density")
-    if eta is None:
-        eta = 0.5 * (1.0 - tp.theta) + 0.05
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
     grid = u0.grid
@@ -439,7 +442,7 @@ def picard_solve(
         iterate = np.tile(u_start, (n_nodes, 1))
         converged = False
         prev_err = math.inf
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             rates = iterate @ paired.T  # W(s_j, x_i)
             exponents = cumulative(rates)
             # cap keeps a diverging iterate finite so divergence is detected
@@ -543,8 +546,6 @@ def classify_limit(
     tp: TruncationParams,
     limit_tol: float = 1e-8,
     stationarity_window: float = 1.0,
-    mass_tol: float = 1e-8,
-    location_tol: float = 1e-9,
 ) -> LimitClassification:
     """Extract the limit atoms of a trajectory and check their structure.
 
@@ -558,7 +559,9 @@ def classify_limit(
     recorded trajectory, not just the limit.  An atom trajectory reads its
     blocks and couplings off its rate table, and its limit atoms are its
     surviving atoms; a density trajectory reads both off the cutoff
-    geometry, with one limit atom per block of the final support.
+    geometry, with one limit atom per block of the final support.  A block's
+    mass matches to ``_LIMIT_MASS_TOL`` (1e-8) of the total mass, and a
+    location to ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).
     """
     t = np.asarray(traj.times)
     if t[-1] - t[0] < stationarity_window:
@@ -599,9 +602,9 @@ def classify_limit(
     def near_support(x: float) -> bool:
         if initial.density is not None:
             spacing = np.max(np.diff(initial.grid.nodes)) if initial.grid.n > 1 else 0.0
-            tol = max(location_tol * max(1.0, x), 1.5 * spacing)
+            tol = max(_LIMIT_LOCATION_TOL * max(1.0, x), 1.5 * spacing)
         else:
-            tol = location_tol * max(1.0, span)
+            tol = _LIMIT_LOCATION_TOL * max(1.0, span)
         return any(abs(x - s) <= tol for s in support0)
 
     in_support0 = all(near_support(x) for x, _ in limit_atoms)
@@ -619,14 +622,14 @@ def classify_limit(
     for comp, (pad_lo, pad_hi) in zip(comps, pads):
         lo = comp.min_point
         hi = comp.max_point
-        slack_lo = pad_lo + location_tol * max(1.0, lo)
-        slack_hi = pad_hi + location_tol * max(1.0, hi)
+        slack_lo = pad_lo + _LIMIT_LOCATION_TOL * max(1.0, lo)
+        slack_hi = pad_hi + _LIMIT_LOCATION_TOL * max(1.0, hi)
         in_block = [(x, m) for x, m in limit_atoms if lo - slack_lo <= x <= hi + slack_hi]
         limit_mass = math.fsum(m for _, m in in_block)
         mass_table.append((comp.mass, limit_mass))
-        if abs(limit_mass - comp.mass) > mass_tol * max(total0, 1e-300):
+        if abs(limit_mass - comp.mass) > _LIMIT_MASS_TOL * max(total0, 1e-300):
             mass_ok = False
-        if lo > 0.0 and comp.mass > mass_tol * max(total0, 1e-300):
+        if lo > 0.0 and comp.mass > _LIMIT_MASS_TOL * max(total0, 1e-300):
             if not any(abs(x - lo) <= slack_lo for x, _ in in_block):
                 leftmost_ok = False
 
@@ -639,7 +642,7 @@ def classify_limit(
             lo = comp.min_point - pad_lo
             hi = comp.max_point + pad_hi
             mass_k = math.fsum(m for x, m in state_k.support_points(0.0) if lo <= x <= hi)
-            if abs(mass_k - comp.mass) > 10.0 * mass_tol * max(total0, 1e-300):
+            if abs(mass_k - comp.mass) > 10.0 * _LIMIT_MASS_TOL * max(total0, 1e-300):
                 conservation_ok = False
 
     # tail masses nonincreasing for a ladder of thresholds

@@ -255,7 +255,7 @@ def truncated_kernel(
     return phi * eval_kernel(pp, x, y, tol).value / (x * y)
 
 
-def kernel_bound_constant(pp: PhysicalParams, table_x, table_y, table_B) -> float:
+def kernel_bound_constant(table_x, table_y, table_B) -> float:
     """Calibrate the constant bounding B(x,y) (x+y) e^{-(x+y)/2} over a table.
 
     The theory only asserts existence of such a constant; numerically it is

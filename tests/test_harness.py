@@ -42,6 +42,8 @@ COARSE_PICARD_CONFIG = {
     "diagnostics": {"eta": 0.3},
 }
 
+TWO_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [9.0, 0.6]]}}
+
 # retired fields, each with a value it once took: setting one is a ParseError
 RETIRED_FIELDS = {
     "solver.dt_max": 1e-2,
@@ -104,6 +106,10 @@ class TestLoadConfig:
         p.write_text("{not json")
         with pytest.raises(ParseError, match="valid JSON"):
             load_config(path=str(p))
+
+    def test_unknown_equation(self):
+        with pytest.raises(ValueError, match="equation"):
+            load_config(data={}, equation="atoms")
 
     def test_grid_validation_path(self):
         with pytest.raises(ValidationError, match="grid"):
@@ -232,6 +238,18 @@ class TestManifest:
         assert outs[0] == outs[1]
 
 
+def assert_invalid_config(tmp_path, capsys, command, data, message):
+    """The command exits 2 with one line (no traceback) on stderr and writes no output directory."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = cli_main([command[0], "--config", str(cfg_path), *command[1:], "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
+
+
 class TestCli:
     def test_kernel_table(self, tmp_path, capsys):
         out = tmp_path / "kt.csv"
@@ -336,16 +354,20 @@ class TestCli:
         ({"initial": {"preset": "atoms", "atoms": [[float("inf"), 0.5], [1.0, 0.5]]}}, "initial: atom locations"),
         # was a ValueError traceback over an empty output directory
         ({"initial": {"preset": "planck_mu", "mu": float("nan")}}, "initial: chemical potential"),
+        # was a KeyError traceback
+        ({"initial": {"preset": "atoms"}}, "initial: preset 'atoms' needs the field 'atoms'"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        rc = cli_main([command[0], "--config", str(cfg_path), *command[1:], "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and message in err
-        assert not out.exists()
+        assert_invalid_config(tmp_path, capsys, command, data, message)
+
+    # each was a ValidationError traceback over an empty output directory
+    @pytest.mark.parametrize("command, data, message", [
+        (["simulate-full"], TWO_ATOMS, "initial: the full equation needs a density"),
+        (["simulate-reduced", "--mode", "atoms"], {}, "initial: atoms mode needs a purely atomic"),
+        (["simulate-reduced", "--mode", "picard"], TWO_ATOMS, "initial: picard mode needs a density"),
+    ], ids=["full-atoms", "atoms-density", "picard-atoms"])
+    def test_initial_state_of_the_wrong_kind(self, tmp_path, capsys, command, data, message):
+        assert_invalid_config(tmp_path, capsys, command, data, message)
 
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])

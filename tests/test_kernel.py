@@ -17,7 +17,6 @@ from comptonsim.kernel import (
     KernelSample,
     NonConvergence,
     PhysicalParams,
-    StepTooLarge,
     concentration_limit,
     diagonal_closed_form,
     diagonal_concentration_check,
@@ -82,9 +81,10 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             eval_kernel(PP, 1.0, 2.0, tol=1e-2)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_MAX_PANELS", 3)
         with pytest.raises(NonConvergence):
-            eval_kernel(PhysicalParams(beta=1e4, m=1.0), 1.0, 2.0, tol=1e-10, max_panels=3)
+            eval_kernel(PhysicalParams(beta=1e4, m=1.0), 1.0, 2.0, tol=1e-10)
 
     def test_sample_fields(self):
         s = eval_kernel(PP, 2.0, 3.0)
@@ -142,11 +142,15 @@ class TestBatchContract:
     @pytest.mark.parametrize("x, y", [(0.3, 0.31), (5.0, 40.0), (1.0, 1.001)])
     def test_panel_budget_as_scalar(self, x, y, monkeypatch):
         # the smallest budget the scalar loop converges in is the batch's too
-        budget = next(n for n in range(2, 4000) if _converges(lambda: eval_kernel(PP, x, y, max_panels=n)))
+        def converges_within(n: int) -> bool:
+            monkeypatch.setattr(kernel_module, "_MAX_PANELS", n)
+            return _converges(lambda: eval_kernel(PP, x, y))
+
+        budget = next(n for n in range(2, 4000) if converges_within(n))
         assert budget > 3
         monkeypatch.setattr(kernel_module, "_MAX_PANELS", budget)
         values, _ = eval_kernel_batch(PP, np.array([x]), np.array([y]))
-        assert values[0] == eval_kernel(PP, x, y, max_panels=budget).value
+        assert values[0] == eval_kernel(PP, x, y).value
         monkeypatch.setattr(kernel_module, "_MAX_PANELS", budget - 1)
         with pytest.raises(NonConvergence):
             eval_kernel_batch(PP, np.array([x, 2.0]), np.array([y, 2.5]))
@@ -303,10 +307,6 @@ class TestAntidiagonalSign:
             if abs(x - y) > 1e-3:
                 samples.append((x, y))
         assert verify_antidiagonal_monotonicity(PP, samples).passed
-
-    def test_step_guard(self):
-        with pytest.raises(StepTooLarge):
-            verify_antidiagonal_monotonicity(PP, [(1.0, 2.0)], step_factor=0.5)
 
     def test_rejects_diagonal_sample(self):
         with pytest.raises(ValueError):

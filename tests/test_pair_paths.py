@@ -178,7 +178,7 @@ def loop_table_build(pp, tp, grid, n, tol=1e-10):
     pair_i, pair_j = np.nonzero(np.triu(table, 1))
     w = grid.weights
     pair_c = table[pair_i, pair_j] * (w[pair_i] * w[pair_j])
-    return table, pair_i, pair_j, pair_c, kernel_bound_constant(pp, raw_x, raw_y, raw_B)
+    return table, pair_i, pair_j, pair_c, kernel_bound_constant(raw_x, raw_y, raw_B)
 
 
 def scalar_rate(pp, tp, x, y, tol=1e-10):
@@ -208,7 +208,7 @@ def loop_rate_matrix(pp, tp, locs, tol=1e-10):
             R[j, i] = -R[i, j]
             if B is not None:
                 raw.append((x, y, B))
-    c_star = kernel_bound_constant(pp, *zip(*raw)) if raw else 0.0
+    c_star = kernel_bound_constant(*zip(*raw)) if raw else 0.0
     return R, c_star
 
 

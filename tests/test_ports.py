@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 from comptonsim._dop853 import _DENSE_CHUNK, dop853
-from comptonsim.reduced_solver import AtomSystemState, _cumulative_simpson, atom_ode_rhs, run_atoms
-
-ATOL = 1e-20  # run_atoms' default
+from comptonsim.reduced_solver import _ATOM_ATOL, AtomSystemState, _cumulative_simpson, atom_ode_rhs, run_atoms
 
 
 def antisymmetric_state(rng, n: int, scale: float = 1.0) -> AtomSystemState:
@@ -29,14 +27,14 @@ def oracle(state: AtomSystemState, t_end: float, rtol: float, t_eval=None):
     def rhs(_t, m):
         return atom_ode_rhs(state, m)
 
-    return solve_ivp(rhs, (0.0, t_end), state.masses.copy(), method="DOP853", rtol=rtol, atol=ATOL, t_eval=t_eval)
+    return solve_ivp(rhs, (0.0, t_end), state.masses.copy(), method="DOP853", rtol=rtol, atol=_ATOM_ATOL, t_eval=t_eval)
 
 
 def ported(state: AtomSystemState, t_end: float, rtol: float, n_record: int):
     def rhs(_t, m):
         return atom_ode_rhs(state, m)
 
-    return dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, ATOL)
+    return dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
 
 
 def assert_same_run(state: AtomSystemState, t_end: float, rtol: float, n_record: int) -> None:

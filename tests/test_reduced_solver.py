@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from comptonsim import reduced_solver
 from comptonsim.harness import EXAMPLE51
 from comptonsim.kernel import PhysicalParams, eval_kernel
 from comptonsim.measure import Grid, HybridMeasure, components, planck_density
@@ -297,7 +298,7 @@ class TestLyapunov:
     def test_stationary_for_decoupled(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
         traj = run_atoms(st, 5.0, n_record=101)
-        rep = lyapunov_check(traj)
+        rep = lyapunov_check(traj, alphas=(1.0, 2.0, 3.0), eta=0.25)
         assert rep.passed
         assert np.all(traj.dissipation_series(2.0) == 0.0)
         assert np.all(traj.moment_series(2.0) == traj.moment_series(2.0)[0])
@@ -314,7 +315,7 @@ class TestPicard:
     def test_zero_initial_data(self):
         grid = Grid.log_spaced(0.5, 10.0, 32)
         u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(32))
-        traj = picard_solve(u0, PP, TP, t_end=0.2, dt=1e-2)
+        traj = picard_solve(u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
         assert np.all(traj.states == 0.0)
 
     def test_mass_conservation(self, flat_setup):
@@ -346,7 +347,7 @@ class TestPicard:
         grid = Grid.log_spaced(1e-3, 10.0, 64)
         dens = planck_density(grid, 0.0)  # mass all the way to the origin
         with pytest.raises(FlatnessViolation):
-            picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=0.1)
+            picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=0.1, eta=0.3)
 
     def test_flatness_certificate_values(self):
         grid = Grid.log_spaced(0.5, 10.0, 64)
@@ -354,18 +355,19 @@ class TestPicard:
         flat, tail = flatness_certificate(grid, dens, r=1.0, eta=0.3)
         assert flat > 0.0 and tail > 0.0 and math.isfinite(flat)
 
-    def test_non_contraction_raised(self):
+    def test_non_contraction_raised(self, monkeypatch):
         grid = Grid.log_spaced(0.5, 10.0, 48)
         dens = 5e3 * planck_density(grid, 0.0)  # huge mass defeats contraction
+        monkeypatch.setattr(reduced_solver, "_MAX_ITERATIONS", 8)
         with pytest.raises(NonContraction):
             picard_solve(
                 HybridMeasure(atoms=[], grid=grid, density=dens),
                 PP,
                 TP,
                 t_end=1.0,
+                eta=0.3,
                 dt=0.05,
                 window=1.0,
-                max_iterations=8,
             )
 
     def test_fixed_point_matches_independent_integrator(self, flat_setup):
@@ -400,13 +402,13 @@ class TestPicard:
         grid, u0 = flat_setup
         name = next(iter(control))
         with time_limit(5.0), pytest.raises(ValueError, match=f"{name} must be positive"):
-            picard_solve(u0, PP, TP, **{"t_end": 0.1, **control})
+            picard_solve(u0, PP, TP, **{"t_end": 0.1, "eta": 0.3, **control})
 
     def test_atoms_rejected(self):
         grid = Grid.log_spaced(0.5, 10.0, 16)
         u0 = HybridMeasure(atoms=[(1.0, 0.5)], grid=grid, density=np.ones(16))
         with pytest.raises(ValueError):
-            picard_solve(u0, PP, TP, t_end=0.1)
+            picard_solve(u0, PP, TP, t_end=0.1, eta=0.3)
 
 
 class TestClassifyLimit:

@@ -213,7 +213,7 @@ class TestTruncatedKernel:
             if eval_cutoff(TP, float(x), float(y)) > 0.0
         ]
         table = [eval_kernel(PP, x, y).value for x, y in pairs]
-        c_star = kernel_bound_constant(PP, [p[0] for p in pairs], [p[1] for p in pairs], table)
+        c_star = kernel_bound_constant([p[0] for p in pairs], [p[1] for p in pairs], table)
         # the bound must hold on fresh points with a small calibration slack
         rng = np.random.default_rng(35)
         for _ in range(300):
