@@ -11,6 +11,7 @@ be audited from artifacts alone.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -178,6 +179,19 @@ def build_initial(recipe: dict, grid: Grid) -> HybridMeasure:
     raise ValidationError(f"unknown initial-data preset '{kind}'")
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a wrongly typed or inadmissible value of config section
+    ``name`` (a ``TypeError`` or ``ValueError``) as a ValidationError that
+    names the section; a ValidationError passes unchanged."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{name}: {e}") from None
+
+
 def load_config(path: str | None = None, data: dict | None = None, equation: str = "full") -> ExperimentConfig:
     """Parse and validate a config; raises with field-precise messages.
 
@@ -201,75 +215,67 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     cfg = _merged(data)
 
     phys = cfg["physical"]
-    try:
+    with _section("physical"):
         pp = PhysicalParams(beta=float(phys["beta"]), m=float(phys["m"]))
-    except ValueError as e:
-        raise ValidationError(f"physical: {e}")
 
     tr = cfg["truncation"]
-    theta, theta1 = float(tr["theta"]), float(tr["theta1"])
-    if not (0.0 < theta < 1.0):
-        raise ValidationError("truncation.theta: theta must lie in (0, 1)")
-    if not (theta < theta1 < 1.0):
-        raise ValidationError("truncation.theta1: theta1 must lie in (theta, 1)")
-    try:
+    with _section("truncation"):
+        theta, theta1 = float(tr["theta"]), float(tr["theta1"])
+        if not (0.0 < theta < 1.0):
+            raise ValidationError("truncation.theta: theta must lie in (0, 1)")
+        if not (theta < theta1 < 1.0):
+            raise ValidationError("truncation.theta1: theta1 must lie in (theta, 1)")
         tp = TruncationParams.solve(theta, float(tr["delta_star"]), theta1)
-    except ValueError as e:
-        raise ValidationError(f"truncation: {e}")
 
     g = cfg["grid"]
-    try:
+    with _section("grid"):
         grid = Grid.log_spaced(float(g["min"]), float(g["max"]), int(g["n"]))
-    except ValueError as e:
-        raise ValidationError(f"grid: {e}")
     try:
-        initial = build_initial(cfg["initial"], grid)
-    except ValueError as e:
-        raise ValidationError(f"initial: {e}")
+        with _section("initial"):
+            initial = build_initial(cfg["initial"], grid)
     except KeyError as e:
         raise ValidationError(f"initial: preset '{cfg['initial']['preset']}' needs the field {e}")
 
     diag = cfg["diagnostics"]
-    eta_lo = 0.5 * (1.0 - theta)
-    eta = diag["eta"]
-    if eta is None:
-        eta = 0.5 * (eta_lo + 0.5)
-    eta = float(eta)
-    if equation == "full":
-        if not (eta_lo < eta < 0.5):
-            raise ValidationError(
-                f"diagnostics.eta: the full equation requires eta in ((1-theta)/2, 1/2) "
-                f"= ({eta_lo}, 0.5); got {eta}"
-            )
-    else:
-        if not (eta > eta_lo):
-            raise ValidationError(
-                f"diagnostics.eta: the reduced equation requires eta > (1-theta)/2 = {eta_lo}; got {eta}"
-            )
+    with _section("diagnostics"):
+        eta_lo = 0.5 * (1.0 - theta)
+        eta = diag["eta"]
+        if eta is None:
+            eta = 0.5 * (eta_lo + 0.5)
+        eta = float(eta)
+        if equation == "full":
+            if not (eta_lo < eta < 0.5):
+                raise ValidationError(
+                    f"diagnostics.eta: the full equation requires eta in ((1-theta)/2, 1/2) "
+                    f"= ({eta_lo}, 0.5); got {eta}"
+                )
+        else:
+            if not (eta > eta_lo):
+                raise ValidationError(
+                    f"diagnostics.eta: the reduced equation requires eta > (1-theta)/2 = {eta_lo}; got {eta}"
+                )
+        moment_orders = tuple(float(a) for a in diag["moment_orders"])
+        n_reg = int(diag["regularization_index"])
+        if n_reg < 1:
+            raise ValidationError("diagnostics.regularization_index: must be >= 1")
+        kernel_tol = float(diag["kernel_tol"])
 
     sol = cfg["solver"]
+    with _section("solver"):
+        times = {key: float(sol[key]) for key in ("t_end", "dt_init", "dt_min", "mass_tolerance")}
+        record_every = int(sol["record_every"])
     try:
-        solver = SolverConfig(
-            t_end=float(sol["t_end"]),
-            dt_init=float(sol["dt_init"]),
-            dt_min=float(sol["dt_min"]),
-            mass_tolerance=float(sol["mass_tolerance"]),
-            record_every=int(sol["record_every"]),
-            eta=eta,
-        )
+        solver = SolverConfig(**times, record_every=record_every, eta=eta)
     except ValueError as e:
         raise ValidationError(f"solver.{e}")
 
     red = cfg["reduced"]  # the checks picard_solve and run_atoms make, by field
-    for key in ("t_end", "dt", "window"):
-        if not 0.0 < float(red[key]) < math.inf:
-            raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
-    if int(red["n_record"]) < 2:
-        raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
-
-    n_reg = int(diag["regularization_index"])
-    if n_reg < 1:
-        raise ValidationError("diagnostics.regularization_index: must be >= 1")
+    with _section("reduced"):
+        for key in ("t_end", "dt", "window"):
+            if not 0.0 < float(red[key]) < math.inf:
+                raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
+        if int(red["n_record"]) < 2:
+            raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
 
     return ExperimentConfig(
         physical=pp,
@@ -279,21 +285,22 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         solver=solver,
         reduced=cfg["reduced"],
         eta=eta,
-        moment_orders=tuple(float(a) for a in diag["moment_orders"]),
+        moment_orders=moment_orders,
         regularization_index=n_reg,
-        kernel_tol=float(diag["kernel_tol"]),
+        kernel_tol=kernel_tol,
         raw=cfg,
     )
 
 
 @dataclass
 class RunManifest:
-    """Audit record of one run."""
+    """Audit record of one run; ``telemetry`` holds what the numerics did."""
 
     config_hash: str
     version: str
     created_utc: str
     derived_constants: dict = field(default_factory=dict)
+    telemetry: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     assertions: list[dict] = field(default_factory=list)
 
@@ -484,10 +491,11 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         locs = np.array([x for x, _ in u0.atoms])
         masses = np.array([m for _, m in u0.atoms])
         if red.get("rate_table") is not None:
-            state = AtomSystemState.from_table(locs, masses, np.asarray(red["rate_table"], dtype=float))
+            state = AtomSystemState.from_table(locs, masses, red["rate_table"])
         else:
             state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses, cfg.kernel_tol)
         traj = run_atoms(state, float(red["t_end"]), rtol=float(red["rtol"]), n_record=int(red["n_record"]))
+        manifest.telemetry["dop853_nfev"] = traj.nfev
     else:
         traj = picard_solve(
             u0,

@@ -101,36 +101,50 @@ def rate_matrix(
     return R, kernel_bound_constant(x[i], x[j], B)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtomSystemState:
     """Point masses at frozen locations with their precomputed rate matrix.
 
     The matrix is physical (:meth:`from_physical`) or a synthetic table
     (:meth:`from_table`, which makes the atom dynamics testable apart from
     the kernel quadrature); the limit classifier reads the coupling of the
-    atoms off it.  It must be exactly antisymmetric: the atom RHS reads
-    only its upper triangle, the dissipation both.
+    atoms off it, and the dissipation reads all of it.  It must be exactly
+    antisymmetric.  The state keeps a read-only copy and is frozen, because
+    the atom RHS reads a slot list built from the matrix once, here: each
+    nonzero upper entry R_ij (i < j) gives a gain slot on row i holding
+    (i, j, +R_ij) and a loss slot on row j holding (i, j, -R_ij), and the
+    slots are sorted by (row, partner), partner being the other atom of the
+    pair.  ``_slots`` is (row, i, j, signed rate) in that order.
     """
 
     locations: np.ndarray
     masses: np.ndarray
     rate_matrix: np.ndarray
-    # i >= j: the entries atom_ode_rhs drops, built once per state
-    _lower: np.ndarray = field(init=False, repr=False, compare=False)
+    _slots: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.locations = np.asarray(self.locations, dtype=float)
-        self.masses = np.asarray(self.masses, dtype=float)
-        if np.any(np.diff(self.locations) <= 0.0):
+        locations = np.asarray(self.locations, dtype=float)
+        masses = np.asarray(self.masses, dtype=float)
+        rate = np.array(self.rate_matrix, dtype=float)
+        if np.any(np.diff(locations) <= 0.0):
             raise ValueError("locations must be strictly increasing")
-        if np.any(self.locations < 0.0) or np.any(self.masses < 0.0):
+        if np.any(locations < 0.0) or np.any(masses < 0.0):
             raise ValueError("locations and masses must be nonnegative")
-        n = self.locations.size
-        if self.masses.shape != (n,) or self.rate_matrix.shape != (n, n):
+        n = locations.size
+        if masses.shape != (n,) or rate.shape != (n, n):
             raise ValueError("shape mismatch between locations, masses and rate matrix")
-        if not np.array_equal(self.rate_matrix, -self.rate_matrix.T):
+        if not np.array_equal(rate, -rate.T):
             raise ValueError("rate matrix must be exactly antisymmetric")
-        self._lower = np.tri(n, dtype=bool)
+        rate.setflags(write=False)
+        i, j = np.nonzero(np.triu(rate, 1))
+        r = rate[i, j]
+        row, partner = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((partner, row))
+        slots = (row, np.concatenate([i, i]), np.concatenate([j, j]), np.concatenate([r, -r]))
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "rate_matrix", rate)
+        object.__setattr__(self, "_slots", tuple(a[order] for a in slots))
 
     @classmethod
     def from_physical(
@@ -142,44 +156,56 @@ class AtomSystemState:
         tol: float = 1e-10,
     ) -> "AtomSystemState":
         locations = np.asarray(locations, dtype=float)
-        return cls(locations=locations, masses=np.asarray(masses, dtype=float),
-                   rate_matrix=rate_matrix(pp, tp, locations, tol)[0])
+        return cls(locations=locations, masses=masses, rate_matrix=rate_matrix(pp, tp, locations, tol)[0])
 
     @classmethod
     def from_table(cls, locations, masses, table) -> "AtomSystemState":
-        return cls(locations=locations, masses=masses, rate_matrix=np.array(table, dtype=float))
+        return cls(locations=locations, masses=masses, rate_matrix=table)
 
 
 def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np.ndarray:
     """Mass rates dm_i/dt = m_i sum_j R(x_i, x_j) m_j, assembled pairwise.
 
-    Each upper-triangle pair i < j exchanges f = R_ij m_i m_j: atom i gains
-    f and atom j loses the same float, so the rates cancel in exact
-    arithmetic; what survives in floats is accumulation roundoff only.
-    Row i of F - F^T is summed left to right, which adds the exchanges in
-    the order of the pairwise loop over (i, j) and gives the same floats.
-    F keeps the upper triangle through the state's precomputed mask
-    ``_lower`` (set to +0.0, as ``np.triu`` would), so no call rebuilds
-    the triangle.  ``masses`` may be a (..., N) stack, as the deferred
-    dense output of ``_dop853`` passes it: every step is elementwise or
-    runs along the last axis, so each row of the result is the 1-D call's
-    bit for bit.
+    Each pair i < j with R_ij != 0 exchanges f = (R_ij m_i) m_j: atom i
+    gains f and atom j loses the same float (negation is exact), so the
+    rates cancel in exact arithmetic; what survives in floats is
+    accumulation roundoff only.  The state's slots give one term per slot,
+    and ``np.bincount`` adds each row's terms left to right in partner
+    order.  That is the order in which the loop over pairs (i, j) adds them
+    (``out[i] += f; out[j] -= f``), and the order of a left-to-right sum of
+    row i of the masked F - F^T, so the floats are theirs.  The zero terms
+    the slots leave out change no sum: a partial sum here starts at +0.0
+    and is never -0.0.  ``masses`` may be a (..., N) stack, as the deferred
+    dense output of ``_dop853`` passes it: the stack flattens to k rows
+    whose keys are offset by N per row, so each row of the result is the
+    1-D call's bit for bit.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
-    if m.shape[-1] == 0:
+    row, a, b, r = state._slots
+    if row.size == 0:  # bincount of no terms would be integer zeros
         return np.zeros(m.shape)
-    F = (state.rate_matrix * m[..., :, None]) * m[..., None, :]
-    np.copyto(F, 0.0, where=state._lower)
-    return np.add.accumulate(F - F.mT, axis=-1)[..., -1]
+    n = m.shape[-1]
+    if m.ndim == 1:
+        w = r * m[a]
+        w *= m[b]
+        return np.bincount(row, w, n)
+    flat = m.reshape(-1, n)
+    w = r * flat[:, a]
+    w *= flat[:, b]
+    keys = row + n * np.arange(len(flat))[:, None]
+    return np.bincount(keys.ravel(), w.ravel(), flat.size).reshape(m.shape)
 
 
 @dataclass
 class AtomTrajectory:
-    """Recorded atom masses over time, with the system they evolve in."""
+    """Recorded atom masses over time, with the system they evolve in, and
+    the number of right-hand-side evaluations the integration took (SciPy's
+    ``nfev``: a stacked call of the dense output counts one per row)."""
 
     state0: AtomSystemState
     times: np.ndarray
     masses: np.ndarray  # shape (len(times), n_atoms)
+    nfev: int
 
     @property
     def locations(self) -> np.ndarray:
@@ -236,14 +262,14 @@ def run_atoms(
         return atom_ode_rhs(state, m)
 
     try:
-        times, masses, _ = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
+        times, masses, nfev = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
     except StepSizeTooSmall as e:
         raise RuntimeError(f"atom integration failed: {e}") from None
     low = masses.min()
     if low < -1e-12 * max(total, 1.0):
         raise RuntimeError(f"mass positivity violated beyond integrator noise: {low}")
     np.clip(masses, 0.0, None, out=masses)
-    return AtomTrajectory(state0=state, times=times, masses=masses)
+    return AtomTrajectory(state0=state, times=times, masses=masses, nfev=nfev)
 
 
 def _dissipation(R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float) -> np.ndarray:

@@ -275,6 +275,13 @@ class TestCli:
         limit = json.loads((out / "limit.json").read_text())
         assert limit["mode"] == "atoms"
 
+    def test_atom_run_manifest_records_the_evaluation_count(self, tmp_path):
+        cfg = load_config(data=EXAMPLE51_CONFIG, equation="reduced")
+        manifest, traj = run_reduced_experiment(cfg, str(tmp_path / "atoms"), mode="atoms")
+        recorded = json.loads((tmp_path / "atoms" / "manifest.json").read_text())["telemetry"]
+        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
+        assert traj.nfev > 0
+
     def test_simulate_full_small(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -356,6 +363,11 @@ class TestCli:
         ({"initial": {"preset": "planck_mu", "mu": float("nan")}}, "initial: chemical potential"),
         # was a KeyError traceback
         ({"initial": {"preset": "atoms"}}, "initial: preset 'atoms' needs the field 'atoms'"),
+        # wrongly typed values: each was a TypeError or ValueError traceback
+        ({"truncation": {"theta": "x"}}, "truncation: could not convert"),
+        ({"physical": {"beta": None}}, "physical: float() argument"),
+        ({"initial": {"preset": "planck_mu", "mu": "x"}}, "initial: "),
+        ({"initial": {"preset": "atoms", "atoms": 5}}, "initial: "),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         assert_invalid_config(tmp_path, capsys, command, data, message)

@@ -2,7 +2,7 @@
 
 The collision rate, the dissipation, the origin flux and the atom RHS are
 computed from the kernel's list of in-support pairs (or, for atoms, from
-the upper triangle of the rate matrix).  The kernel table and the
+the state's slot list, built from the upper triangle of the rate matrix).  The kernel table and the
 physical rate matrix are filled by one screened batch: a vectorized cutoff
 picks the pairs, one batch call evaluates them.  The reduced equation's
 moment dissipation is one matrix product per trajectory, and the CSV
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comptonsim._dop853 import _DENSE_CHUNK
 from comptonsim import full_solver as full_solver_module
 from comptonsim import kernel as kernel_module
 from comptonsim import reduced_solver as reduced_solver_module
@@ -387,6 +388,68 @@ class TestAtomRhsAgainstTriu:
         assert np.array_equal(state.rate_matrix, R)
 
 
+@st.composite
+def slot_cases(draw):
+    """A random sparse antisymmetric table of 0 to 40 atoms (all zero in
+    some draws, with -0.0 upper entries where a normal draw was masked off)
+    and a stack of 1 to ``_DENSE_CHUNK`` mass vectors holding 0.0, -0.0 and
+    -1e-14 (integrator undershoot) entries."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    upper = np.triu(rng.normal(size=(n, n)), 1) * (rng.random((n, n)) < density)
+    R = upper - upper.T
+    state = AtomSystemState(locations=np.cumsum(rng.uniform(0.05, 0.3, n)) + 1.0,
+                            masses=rng.uniform(0.0, 1.0, n), rate_matrix=R)
+    stack = rng.uniform(0.0, 1.0, (draw(st.integers(1, _DENSE_CHUNK)), n))
+    kind = rng.random(stack.shape)
+    stack[kind < 0.15] = 0.0
+    stack[(kind >= 0.15) & (kind < 0.3)] = -0.0
+    stack[(kind >= 0.3) & (kind < 0.45)] = -1e-14
+    return state, R, stack
+
+
+class Poisoned:
+    """Stands in for a state's rate matrix that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rate_matrix.{name} read")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("rate_matrix read as an array")
+
+
+class TestAtomRhsOverSlots:
+    """The RHS over the state's slot list, against the pairwise loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=slot_cases())
+    def test_bitwise_against_the_loop_in_1d_and_stacked_calls(self, case):
+        state, R, stack = case
+        rates = atom_ode_rhs(state, stack)
+        assert rates.shape == stack.shape and rates.dtype == np.float64
+        for m, stacked in zip(stack, rates):
+            one, ref = atom_ode_rhs(state, m), loop_atom_ode_rhs(R, m)
+            for got in (one, stacked):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_never_reads_the_rate_matrix(self):
+        state, _, masses = rhs_cases(16)
+        stack = np.stack(masses)
+        before = [atom_ode_rhs(state), atom_ode_rhs(state, stack)]
+        object.__setattr__(state, "rate_matrix", Poisoned())
+        after = [atom_ode_rhs(state), atom_ode_rhs(state, stack)]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_seed7_evaluation_count(self, seed7_trajectories):
+        # the step sequence of the benchmark's atom run, as it was over the
+        # dense RHS: 17 177 calls, of which the stacked ones count one per row
+        assert seed7_trajectories[0].nfev == 21068
+
+
 def seed7_reduced_inputs():
     """The benchmark's reduced-both inputs at seed 7: sixteen atoms on two
     jittered lattices decoupled from each other, then mu of the truncated
@@ -457,6 +520,7 @@ class TestDissipationAgainstEinsum:
             state0=AtomSystemState(locations=x, masses=U[0], rate_matrix=R),
             times=np.arange(len(U), dtype=float),
             masses=U,
+            nfev=0,
         )
         picard = PicardTrajectory(
             grid=grid, times=atoms.times, states=U / grid.weights, rate_grid=R,
@@ -485,7 +549,7 @@ class TestDissipationAgainstEinsum:
         assert len(support) >= 3 and not np.any(R[np.ix_(support, support)])
         U = np.zeros((5, x.size))
         U[:, support] = np.random.default_rng(14).uniform(0.1, 1.0, (5, len(support)))
-        atoms = AtomTrajectory(AtomSystemState(locations=x, masses=U[0], rate_matrix=R), np.arange(5.0), U)
+        atoms = AtomTrajectory(AtomSystemState(locations=x, masses=U[0], rate_matrix=R), np.arange(5.0), U, 0)
         assert np.all(atoms.dissipation_series(alpha) == 0.0)
         assert np.all(einsum_dissipation(R, x, U, alpha) == 0.0)
         assert _dissipation(R, x, U[0], alpha) == 0.0

@@ -107,6 +107,11 @@ class TestDop853AgainstSolveIvp:
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.masses, np.clip(sol.y.T, 0.0, None))
 
+    def test_run_atoms_keeps_the_evaluation_count(self):
+        state = antisymmetric_state(np.random.default_rng(11), 16)
+        sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
+        assert run_atoms(state, 50.0, rtol=1e-12, n_record=2001).nfev == sol.nfev
+
     def test_tiny_rtol_is_clamped_with_scipy_warning(self):
         state = antisymmetric_state(np.random.default_rng(3), 4)
         with pytest.warns(UserWarning, match="rtol"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import signal
 
@@ -152,6 +153,18 @@ class TestRateKernel:
                 AtomSystemState(locations=[1.0, 2.0], masses=[0.5, 0.5], rate_matrix=np.array(table))
         state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], EXAMPLE51["table"])
         assert np.array_equal(state.rate_matrix, -state.rate_matrix.T)
+
+    def test_rate_matrix_is_a_read_only_copy_in_a_frozen_state(self):
+        # the atom RHS reads slots built from the matrix once, so neither an
+        # in-place write nor a new matrix may reach a constructed state
+        table = np.array(EXAMPLE51["table"], dtype=float)
+        state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], table)
+        with pytest.raises(ValueError, match="read-only"):
+            state.rate_matrix[0, 1] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.rate_matrix = np.zeros_like(table)
+        table[0, 1] = 99.0  # the caller's table stays its own
+        assert np.array_equal(state.rate_matrix, np.array(EXAMPLE51["table"], dtype=float))
 
     def test_chain_example_coupling_consistent_with_region(self):
         # the synthetic chain matches the geometry at these locations
@@ -443,7 +456,7 @@ class TestClassifyLimit:
         base = np.full(256, 1.0 / 256)
         state = AtomSystemState.from_table(locs, base, np.zeros((256, 256)))
         traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]),
-                              masses=np.stack([base, base + delta, base]))
+                              masses=np.stack([base, base + delta, base]), nfev=0)
         with pytest.raises(NotConverged, match="stationarity gap 5.23"):
             classify_limit(traj, TP)
 
@@ -451,7 +464,7 @@ class TestClassifyLimit:
     def test_coupling_read_off_the_rate_matrix(self, rate, decoupled):
         # 1.0 and 9.0 are decoupled by the cutoff; only the table can couple them
         state = AtomSystemState.from_table([1.0, 9.0], [0.4, 0.6], [[0.0, rate], [-rate, 0.0]])
-        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=np.tile(state.masses, (3, 1)))
+        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=np.tile(state.masses, (3, 1)), nfev=0)
         cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.pairwise_decoupled is decoupled
