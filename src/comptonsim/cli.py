@@ -7,8 +7,9 @@ at another thread count a Picard run's trajectory.csv can differ in the
 last digit, because a multi-threaded BLAS sums its matrix products in
 another order (full-equation and atom outputs do not depend on it).
 Exit code is 0 exactly when every assertion of the invoked command passed,
-1 when one failed, and 2 for an invalid config (a value of the wrong type
-and an initial state of the wrong kind for the command included:
+1 when one failed, and 2 for an invalid config (a value of the wrong type,
+a ``reduced.rate_table`` that does not fit the initial atoms, and an
+initial state of the wrong kind for the command included:
 simulate-full and picard mode need a density, atoms mode a purely atomic
 state) or an unknown preset.  An exit 2 prints one line on stderr and
 writes no output directory.

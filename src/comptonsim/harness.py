@@ -32,7 +32,6 @@ from .kernel import (
     verify_antidiagonal_monotonicity,
 )
 from .full_solver import (
-    MassDriftExceeded,
     RegularizedKernel,
     SolverConfig,
     TrajectoryRecord,
@@ -94,21 +93,15 @@ _DEFAULTS: dict = {
     },
     "reduced": {
         "t_end": 200.0,
-        "rtol": 1e-12,
         "n_record": 20001,
-        "iter_tol": 1e-12,
         "dt": 1e-3,
-        "window": 0.25,
-        "flat_r": 1.0,
         "limit_tol": 1e-8,
         "stationarity_window": 1.0,
         "rate_table": None,
     },
     "diagnostics": {
         "eta": None,  # default picked inside the admissible window
-        "moment_orders": [1.0, 2.0, 3.0],
         "regularization_index": 20,
-        "kernel_tol": 1e-10,
     },
     "seed": 20240801,
 }
@@ -121,11 +114,9 @@ class ExperimentConfig:
     grid: Grid
     initial: HybridMeasure  # built once, and so validated, by load_config
     solver: SolverConfig
-    reduced: dict
+    reduced: dict  # each value converted and checked by load_config
     eta: float
-    moment_orders: tuple[float, ...]
     regularization_index: int
-    kernel_tol: float
     raw: dict
 
     def initial_measure(self) -> HybridMeasure:
@@ -181,14 +172,14 @@ def build_initial(recipe: dict, grid: Grid) -> HybridMeasure:
 
 @contextlib.contextmanager
 def _section(name: str):
-    """Report a wrongly typed or inadmissible value of config section
-    ``name`` (a ``TypeError`` or ``ValueError``) as a ValidationError that
-    names the section; a ValidationError passes unchanged."""
+    """Report a wrongly typed or inadmissible value of config section or
+    field ``name`` (a ``TypeError``, ``ValueError`` or ``OverflowError``) as
+    a ValidationError that names it; a ValidationError passes unchanged."""
     try:
         yield
     except ValidationError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"{name}: {e}") from None
 
 
@@ -254,11 +245,9 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
                 raise ValidationError(
                     f"diagnostics.eta: the reduced equation requires eta > (1-theta)/2 = {eta_lo}; got {eta}"
                 )
-        moment_orders = tuple(float(a) for a in diag["moment_orders"])
         n_reg = int(diag["regularization_index"])
         if n_reg < 1:
             raise ValidationError("diagnostics.regularization_index: must be >= 1")
-        kernel_tol = float(diag["kernel_tol"])
 
     sol = cfg["solver"]
     with _section("solver"):
@@ -269,13 +258,19 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     except ValueError as e:
         raise ValidationError(f"solver.{e}")
 
-    red = cfg["reduced"]  # the checks picard_solve and run_atoms make, by field
-    with _section("reduced"):
-        for key in ("t_end", "dt", "window"):
-            if not 0.0 < float(red[key]) < math.inf:
-                raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
-        if int(red["n_record"]) < 2:
-            raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
+    # the checks picard_solve, run_atoms and classify_limit would make, by
+    # field; run_reduced_experiment checks rate_table against the atoms
+    red = cfg["reduced"]
+    reduced = {"rate_table": red["rate_table"]}
+    for key in ("t_end", "dt", "limit_tol", "stationarity_window"):
+        with _section(f"reduced.{key}"):
+            reduced[key] = float(red[key])
+        if not 0.0 < reduced[key] < math.inf:
+            raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
+    with _section("reduced.n_record"):
+        reduced["n_record"] = int(red["n_record"])
+    if reduced["n_record"] < 2:
+        raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
 
     return ExperimentConfig(
         physical=pp,
@@ -283,11 +278,9 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         grid=grid,
         initial=initial,
         solver=solver,
-        reduced=cfg["reduced"],
+        reduced=reduced,
         eta=eta,
-        moment_orders=moment_orders,
         regularization_index=n_reg,
-        kernel_tol=kernel_tol,
         raw=cfg,
     )
 
@@ -416,7 +409,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
         raise ValidationError("initial: the full equation needs a density initial state")
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_for(cfg.raw)
-    kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index, cfg.kernel_tol)
+    kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
     manifest.derived_constants = {
         "rho_star": cfg.truncation.rho_star,
@@ -425,10 +418,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
         "C_eta": c_eta,
         "eta": cfg.eta,
     }
-    try:
-        traj = run_full(u0, kern, cfg.solver)
-    except MassDriftExceeded as e:
-        traj = e.traj
+    traj = run_full(u0, kern, cfg.solver)
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
@@ -468,11 +458,23 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
 
 
 def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, classify: bool = True) -> tuple[RunManifest, object]:
-    """Reduced-equation run in 'atoms' or 'picard' mode."""
+    """Reduced-equation run in 'atoms' or 'picard' mode.
+
+    The atom state, and with it an explicit ``reduced.rate_table``, is
+    checked before the output directory is made.
+    """
     u0 = cfg.initial_measure()
+    red = cfg.reduced
     if mode == "atoms":
         if u0.density is not None or not u0.atoms:
             raise ValidationError("initial: atoms mode needs a purely atomic initial state")
+        locs = np.array([x for x, _ in u0.atoms])
+        masses = np.array([m for _, m in u0.atoms])
+        if red["rate_table"] is None:
+            state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses)
+        else:
+            with _section("reduced.rate_table"):
+                state = AtomSystemState.from_table(locs, masses, red["rate_table"])
     elif mode == "picard":
         if u0.density is None:
             raise ValidationError("initial: picard mode needs a density initial state")
@@ -480,7 +482,6 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         raise ValidationError("mode must be 'atoms' or 'picard'")
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_for(cfg.raw)
-    red = cfg.reduced
     manifest.derived_constants = {
         "rho_star": cfg.truncation.rho_star,
         "rho1": cfg.truncation.rho1,
@@ -488,27 +489,10 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     }
 
     if mode == "atoms":
-        locs = np.array([x for x, _ in u0.atoms])
-        masses = np.array([m for _, m in u0.atoms])
-        if red.get("rate_table") is not None:
-            state = AtomSystemState.from_table(locs, masses, red["rate_table"])
-        else:
-            state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses, cfg.kernel_tol)
-        traj = run_atoms(state, float(red["t_end"]), rtol=float(red["rtol"]), n_record=int(red["n_record"]))
+        traj = run_atoms(state, red["t_end"], n_record=red["n_record"])
         manifest.telemetry["dop853_nfev"] = traj.nfev
     else:
-        traj = picard_solve(
-            u0,
-            cfg.physical,
-            cfg.truncation,
-            t_end=float(red["t_end"]),
-            eta=cfg.eta,
-            iter_tol=float(red["iter_tol"]),
-            dt=float(red["dt"]),
-            flat_r=float(red["flat_r"]),
-            window=float(red["window"]),
-            kernel_tol=cfg.kernel_tol,
-        )
+        traj = picard_solve(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
         manifest.derived_constants["C_0"] = traj.growth_constant
 
     m0 = traj.mass_series()
@@ -524,7 +508,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     drift = float(np.max(np.abs(m0 - m0[0])) / mass_scale)
     tol = 1e-12 if mode == "atoms" else 1e-10
     manifest.check("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}")
-    rep = lyapunov_check(traj, alphas=cfg.moment_orders, eta=cfg.eta)
+    rep = lyapunov_check(traj, eta=cfg.eta)
     manifest.check(
         "moments_nonincreasing", all(rep.monotone.values()) and rep.exp_moment_monotone,
         f"monotone {rep.monotone}",
@@ -540,10 +524,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     else:
         try:
             cls = classify_limit(
-                traj,
-                cfg.truncation,
-                limit_tol=float(red["limit_tol"]),
-                stationarity_window=float(red["stationarity_window"]),
+                traj, cfg.truncation, limit_tol=red["limit_tol"], stationarity_window=red["stationarity_window"]
             )
         except NotConverged as e:
             limit_payload["error"] = str(e)

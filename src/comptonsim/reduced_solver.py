@@ -47,13 +47,19 @@ __all__ = [
 ]
 
 
-# Numerical guards, one value each: DOP853's absolute tolerance on the atom
-# masses, the Picard iterations per window before it counts as not
-# contracting, the tolerance of the moment balance, and classify_limit's
-# tolerances on a block's mass (relative to the total mass) and on a location
-# (relative to max(1, x)).
+# Numerical guards, one value each: DOP853's relative and absolute
+# tolerances on the atom masses, the Picard fixed-point tolerance, its
+# flatness exponent r, its first window length and the iterations per window
+# before it counts as not contracting, the moment orders and the tolerance of
+# the moment balance, and classify_limit's tolerances on a block's mass
+# (relative to the total mass) and on a location (relative to max(1, x)).
+_ATOM_RTOL = 1e-12
 _ATOM_ATOL = 1e-20
+_PICARD_TOL = 1e-12
+_FLAT_R = 1.0
+_FIRST_WINDOW = 0.25
 _MAX_ITERATIONS = 200
+_MOMENT_ORDERS = (1.0, 2.0, 3.0)
 _BALANCE_TOLERANCE = 1e-4
 _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
@@ -71,18 +77,14 @@ class NotConverged(RuntimeError):
     """The trajectory did not reach the stationarity criterion in time."""
 
 
-def rate_matrix(
-    pp: PhysicalParams,
-    tp: TruncationParams,
-    locations,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
+def rate_matrix(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, float]:
     """Physical rate matrix at sorted locations, and its bound constant.
 
     R[i, j] = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) for
     i < j and R[j, i] = -R[i, j], so R is exactly antisymmetric.  One
     vectorized cutoff call picks the pairs of distinct locations where the
-    cutoff is nonzero; only those reach the kernel, and the bound constant
+    cutoff is nonzero; only those reach the kernel, at the default
+    tolerance of ``eval_kernel_batch`` (1e-10), and the bound constant
     C_star is calibrated on them.
     """
     x = np.asarray(locations, dtype=float)
@@ -92,7 +94,7 @@ def rate_matrix(
     phi = eval_cutoff(tp, x[i], x[j])
     on = (phi != 0.0) & (x[i] != x[j])
     i, j, phi = i[on], j[on], phi[on]
-    B, _ = eval_kernel_batch(pp, x[i], x[j], tol)
+    B, _ = eval_kernel_batch(pp, x[i], x[j])
     # math.exp, not np.exp: the two differ in the last bit at some nodes
     e = np.array([math.exp(-v) for v in x.tolist()])
     R = np.zeros((x.size, x.size))
@@ -147,16 +149,9 @@ class AtomSystemState:
         object.__setattr__(self, "_slots", tuple(a[order] for a in slots))
 
     @classmethod
-    def from_physical(
-        cls,
-        pp: PhysicalParams,
-        tp: TruncationParams,
-        locations,
-        masses,
-        tol: float = 1e-10,
-    ) -> "AtomSystemState":
+    def from_physical(cls, pp: PhysicalParams, tp: TruncationParams, locations, masses) -> "AtomSystemState":
         locations = np.asarray(locations, dtype=float)
-        return cls(locations=locations, masses=masses, rate_matrix=rate_matrix(pp, tp, locations, tol)[0])
+        return cls(locations=locations, masses=masses, rate_matrix=rate_matrix(pp, tp, locations)[0])
 
     @classmethod
     def from_table(cls, locations, masses, table) -> "AtomSystemState":
@@ -238,12 +233,12 @@ class AtomTrajectory:
 def run_atoms(
     state: AtomSystemState,
     t_end: float,
-    rtol: float = 1e-12,
+    rtol: float = _ATOM_RTOL,
     n_record: int = 2001,
 ) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 (absolute tolerance
-    ``_ATOM_ATOL`` = 1e-20) and record n_record equally spaced states by
-    its dense output.
+    """Integrate the atom system with DOP853 (relative tolerance ``rtol``,
+    by default ``_ATOM_RTOL`` = 1e-12; absolute tolerance ``_ATOM_ATOL`` =
+    1e-20) and record n_record equally spaced states by its dense output.
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
@@ -302,15 +297,15 @@ class LyapunovReport:
         return all(self.monotone.values()) and self.exp_moment_monotone and self.balance_ok
 
 
-def lyapunov_check(traj, alphas: tuple[float, ...], eta: float) -> LyapunovReport:
+def lyapunov_check(traj, eta: float) -> LyapunovReport:
     """Verify the Lyapunov structure along a recorded trajectory.
 
-    Every moment of order >= 1 must be nonincreasing, the exponential
-    moment must be nonincreasing, and for alpha > 1 the moment must change
-    by the time integral of half the dissipation: M(t_{k+1}) - M(t_{k-1})
-    against the three-point Simpson rule for unequal spacing over
-    [t_{k-1}, t_{k+1}], whose error is O(h^4) (a centred difference is
-    O(h^2)).  The balance error is the mismatch relative to
+    The moments of the orders ``_MOMENT_ORDERS`` (1, 2 and 3) and the
+    exponential moment must be nonincreasing, and for alpha > 1 the moment
+    must change by the time integral of half the dissipation:
+    M(t_{k+1}) - M(t_{k-1}) against the three-point Simpson rule for unequal
+    spacing over [t_{k-1}, t_{k+1}], whose error is O(h^4) (a centred
+    difference is O(h^2)).  The balance error is the mismatch relative to
     (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2| is at least
     1 % of its peak, and must not exceed ``_BALANCE_TOLERANCE`` (1e-4).
     """
@@ -319,7 +314,7 @@ def lyapunov_check(traj, alphas: tuple[float, ...], eta: float) -> LyapunovRepor
     span = h1 + h2
     monotone: dict[float, bool] = {}
     balance: dict[float, float] = {}
-    for alpha in alphas:
+    for alpha in _MOMENT_ORDERS:
         series = traj.moment_series(alpha)
         scale = max(abs(series[0]), 1e-300)
         monotone[alpha] = bool(np.all(np.diff(series) <= 1e-12 * scale))
@@ -418,24 +413,23 @@ def picard_solve(
     tp: TruncationParams,
     t_end: float,
     eta: float,
-    iter_tol: float = 1e-12,
+    iter_tol: float = _PICARD_TOL,
     dt: float = 1e-3,
-    flat_r: float = 1.0,
-    window: float = 0.25,
-    kernel_tol: float = 1e-10,
 ) -> PicardTrajectory:
     """Solve the reduced equation for flat integrable data by fixed point.
 
-    On each time window the exponential representation
-    u(t) = u(t0) * exp(cumulative integral of the paired rate) is iterated
-    to ``iter_tol`` in the origin-weighted L1 norm, for at most
+    On each time window, the first ``_FIRST_WINDOW`` (0.25) long, the
+    exponential representation u(t) = u(t0) * exp(cumulative integral of
+    the paired rate) is iterated to ``iter_tol`` (by default
+    ``_PICARD_TOL`` = 1e-12) in the origin-weighted L1 norm, for at most
     ``_MAX_ITERATIONS`` (200) iterations; windows are halved on
     non-contraction (NonContraction below a minimal window).  The flatness
-    certificate is checked up front, mass is conserved by antisymmetry,
-    and the pointwise growth envelope holds with the calibrated constants.
-    ``t_end``, ``dt`` and ``window`` must be positive and finite.
+    certificate (exponent ``_FLAT_R`` = 1) is checked up front, mass is
+    conserved by antisymmetry, and the pointwise growth envelope holds with
+    the calibrated constants.  ``t_end`` and ``dt`` must be positive and
+    finite.
     """
-    for name, value in (("t_end", t_end), ("dt", dt), ("window", window)):
+    for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
     if u0.density is None or u0.atoms:
@@ -443,9 +437,8 @@ def picard_solve(
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
     grid = u0.grid
-    flatness_certificate(grid, u0.density, flat_r, eta)
-    rate_grid, c_star = rate_matrix(pp, tp, grid.nodes, kernel_tol)
-    x_eta0 = float(np.dot(grid.weights, u0.density * np.exp(eta * grid.nodes)))
+    _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
+    rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
     c0 = pointwise_growth_constant(tp, c_star, x_eta0)
 
     w = grid.weights
@@ -459,7 +452,7 @@ def picard_solve(
     window_count = 0
     iter_total = 0
     min_window = max(4.0 * dt, t_end * 1e-6)
-    current_window = min(window, t_end)
+    current_window = min(_FIRST_WINDOW, t_end)
     while t0 < t_end - 1e-12 * t_end:
         length = min(current_window, t_end - t0)
         n_nodes = max(2, int(math.ceil(length / dt)) + 1)

@@ -245,12 +245,12 @@ def test_criterion_08_reduced_chain_example():
 def test_criterion_09_lyapunov_suite():
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
     atom_traj = run_atoms(state, 200.0, rtol=1e-12, n_record=20001)
-    atom_rep = lyapunov_check(atom_traj, alphas=(1.0, 2.0, 3.0), eta=0.25)
+    atom_rep = lyapunov_check(atom_traj, eta=0.25)
 
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
     pic_traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
-    pic_rep = lyapunov_check(pic_traj, alphas=(1.0, 2.0, 3.0), eta=0.3)
+    pic_rep = lyapunov_check(pic_traj, eta=0.3)
 
     err_a = max(atom_rep.max_balance_error.values())
     err_p = max(pic_rep.max_balance_error.values())

@@ -10,7 +10,6 @@ import pytest
 
 from comptonsim import full_solver as full_solver_module
 from comptonsim.full_solver import (
-    MassDriftExceeded,
     NonFiniteState,
     RegularizedKernel,
     SolverConfig,
@@ -295,22 +294,12 @@ class TestRunFull:
         assert len(traj.times) == 101
         assert np.diff(traj.times) == pytest.approx(1e-3, rel=1e-9)
 
-    def test_mass_drift_raises_with_trajectory(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        cfg = SolverConfig(t_end=0.05, record_every=5, mass_tolerance=1e-18)
-        with pytest.raises(MassDriftExceeded, match="exceeds tolerance") as err:
-            run_full(u0, kern, cfg)
-        assert isinstance(err.value, StepCollapse)
-        assert len(err.value.traj.times) == 11
-        assert err.value.traj.max_mass_drift() > cfg.mass_tolerance
-
     def test_mass_drift_trajectory_fills_the_last_partial_block(self, kern, grid):
         records = 3 * full_solver_module._BLOCK_ROWS + 2
         u0 = HybridMeasure(atoms=[(0.0, 0.1)], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
-        with pytest.raises(MassDriftExceeded) as err:
-            run_full(u0, kern, cfg)
-        traj = err.value.traj
+        traj = run_full(u0, kern, cfg)  # a finished run returns its record whatever its drift
+        assert traj.max_mass_drift() > cfg.mass_tolerance
         columns = [f.name for f in dataclasses.fields(traj) if f.name != "final"]
         assert [len(getattr(traj, name)) for name in columns] == [records] * len(columns)
         passing = run_full(u0, kern, dataclasses.replace(cfg, mass_tolerance=1.0))

@@ -51,7 +51,18 @@ RETIRED_FIELDS = {
     "solver.track_dissipation": True,
     "solver.track_origin": True,
     "reduced.disable_cutoff": False,
+    "reduced.rtol": 1e-12,
+    "reduced.iter_tol": 1e-12,
+    "reduced.flat_r": 1.0,
+    "reduced.window": 0.25,
+    "diagnostics.kernel_tol": 1e-10,
+    "diagnostics.moment_orders": [1.0, 2.0, 3.0],
 }
+
+# two atoms and a bad reduced value; the atom run checks the table before it writes
+BAD_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": [[0.0, 1.0], [1.0, 0.0]]}}
+WRONG_SHAPE_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": EXAMPLE51_CONFIG["reduced"]["rate_table"]}}
+STRING_LIMIT_TOL = {"initial": TWO_ATOMS["initial"], "reduced": {"limit_tol": "x", "t_end": 1.0}}
 
 
 class TestLoadConfig:
@@ -86,7 +97,8 @@ class TestLoadConfig:
             load_config(data={section: {key: RETIRED_FIELDS[field]}})
 
     @pytest.mark.parametrize("field, value", [
-        ("t_end", -1.0), ("t_end", 0.0), ("t_end", float("inf")), ("dt", 0.0), ("window", -1.0), ("n_record", 1),
+        ("t_end", -1.0), ("t_end", 0.0), ("t_end", float("inf")), ("dt", 0.0), ("dt", -1.0), ("n_record", 1),
+        ("n_record", float("inf")), ("limit_tol", float("nan")), ("stationarity_window", 0.0),
     ])
     def test_bad_reduced_control_names_its_field(self, field, value):
         with pytest.raises(ValidationError, match=f"reduced.{field}: "):
@@ -352,7 +364,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["simulate-full"], ["simulate-reduced", "--mode", "atoms"]])
     @pytest.mark.parametrize("data, message", [
-        ({"reduced": {"window": -1.0}}, "reduced.window: "),
+        ({"reduced": {"dt": -1.0}}, "reduced.dt: "),
         ({"solver": {"scheme": "rk4"}}, "solver.scheme"),
         ({"solver": {"t_end": float("inf")}}, "solver.t_end: "),  # would step forever
         # was dropped silently, leaving M0 = 0.9
@@ -368,8 +380,21 @@ class TestCli:
         ({"physical": {"beta": None}}, "physical: float() argument"),
         ({"initial": {"preset": "planck_mu", "mu": "x"}}, "initial: "),
         ({"initial": {"preset": "atoms", "atoms": 5}}, "initial: "),
+        # each was a traceback over an empty output directory or, for limit_tol,
+        # after trajectory.csv; simulate-full rejects the atoms first
+        pytest.param(BAD_TABLE, {
+            "simulate-full": "initial: the full equation needs a density",
+            "simulate-reduced": "reduced.rate_table: rate matrix must be exactly antisymmetric",
+        }, id="rate_table-not-antisymmetric"),
+        pytest.param(WRONG_SHAPE_TABLE, {
+            "simulate-full": "initial: the full equation needs a density",
+            "simulate-reduced": "reduced.rate_table: shape mismatch",
+        }, id="rate_table-3x3-for-two-atoms"),
+        pytest.param(STRING_LIMIT_TOL, "reduced.limit_tol: could not convert", id="limit_tol-string"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
+        if isinstance(message, dict):
+            message = message[command[0]]
         assert_invalid_config(tmp_path, capsys, command, data, message)
 
     # each was a ValidationError traceback over an empty output directory

@@ -566,7 +566,7 @@ class TestMomentBalanceOnSeed7:
         for traj, eta in zip(seed7_trajectories, (0.25, 0.3)):
             with monkeypatch.context() as m:
                 m.setattr(traj, "dissipation_series", lambda alpha, d=traj.dissipation_series: scale * d(alpha))
-                rep = lyapunov_check(traj, alphas=(1.0, 2.0, 3.0), eta=eta)
+                rep = lyapunov_check(traj, eta=eta)
             assert rep.balance_ok is passes, rep.max_balance_error
             assert all(rep.monotone.values()) and rep.exp_moment_monotone
 
@@ -824,7 +824,7 @@ class TestScreenedBatchAgainstLoops:
     @given(grid=grids(), tp=truncations())
     def test_rate_matrix_on_grids(self, grid, tp):
         with kernel_calls() as seen:
-            R, c_star = rate_matrix(PP, tp, grid.nodes, 1e-10)
+            R, c_star = rate_matrix(PP, tp, grid.nodes)
         with kernel_calls() as ref:
             R_ref, c_ref = loop_rate_matrix(PP, tp, grid.nodes, 1e-10)
         assert seen == ref

@@ -30,7 +30,6 @@ PACKAGE = os.path.dirname(os.path.abspath(comptonsim.__file__))
 
 ALLOWLIST = {
     "full_solver.BalanceReport.passed": "a result property that tests read",
-    "full_solver.MassDriftExceeded.__init__": "failure path: a finished run whose mass drift exceeds its tolerance",
     "full_solver.OriginMassReport.extrapolated": "a result property of origin_mass_estimate that tests read",
     "full_solver.RegularizedKernel.coupling": "read by perfbench/ (ROADMAP item 1 retires the dense table)",
     "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 6",
