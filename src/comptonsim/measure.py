@@ -143,8 +143,8 @@ class HybridMeasure:
             return np.array([])
         return self.grid.weights * self.density
 
-    def support_points(self, mass_epsilon: float = MASS_EPSILON) -> list[tuple[float, float]]:
-        """Sorted (location, mass) carriers above the relative mass threshold.
+    def support_points(self) -> list[tuple[float, float]]:
+        """Sorted (location, mass) carriers above ``MASS_EPSILON`` of the total mass.
 
         Applies to atoms and nodes alike: a carrier below the threshold
         (e.g. an atom drained to integrator noise) must not bridge a
@@ -152,7 +152,7 @@ class HybridMeasure:
         """
         node_masses = self.node_masses()
         total = float(math.fsum(node_masses) + math.fsum(m for _, m in self.atoms))
-        cut = mass_epsilon * total
+        cut = MASS_EPSILON * total
         pts = [(x, m) for x, m in self.atoms if m > cut]
         if self.density is not None:
             for x, m in zip(self.grid.nodes, node_masses):
@@ -326,6 +326,21 @@ class ComponentPartition:
         return math.fsum(m for c in self.components for m in c.masses)
 
 
+def _partition(pts: list[tuple[float, float]], splits) -> ComponentPartition:
+    """Cut sorted (location, mass) carriers into blocks: a new block starts
+    at each carrier a >= 1 for which ``splits(a)`` holds, i.e. where the gap
+    between carriers a - 1 and a decouples.  The splitting rule is the
+    caller's; no carriers give no blocks."""
+    blocks: list[list[tuple[float, float]]] = []
+    for a, p in enumerate(pts):
+        if a == 0 or splits(a):
+            blocks.append([])
+        blocks[-1].append(p)
+    return ComponentPartition(components=tuple(
+        Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks
+    ))
+
+
 def components(u: HybridMeasure, tp: TruncationParams) -> ComponentPartition:
     """Partition the support (carriers above ``MASS_EPSILON`` of the total
     mass) into blocks separated by decoupling gaps.
@@ -336,19 +351,7 @@ def components(u: HybridMeasure, tp: TruncationParams) -> ComponentPartition:
     the z_gap of the right block's minimum.
     """
     pts = u.support_points()
-    if not pts:
-        return ComponentPartition(components=())
-    blocks: list[list[tuple[float, float]]] = [[pts[0]]]
-    for p in pts[1:]:
-        prev = blocks[-1][-1][0]
-        if gamma1(tp, p[0]) >= prev:
-            blocks.append([p])
-        else:
-            blocks[-1].append(p)
-    comps = tuple(
-        Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks
-    )
-    return ComponentPartition(components=comps)
+    return _partition(pts, lambda a: gamma1(tp, pts[a][0]) >= pts[a - 1][0])
 
 
 def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:

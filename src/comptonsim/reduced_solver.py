@@ -24,7 +24,7 @@ import numpy as np
 
 from ._dop853 import StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Component, ComponentPartition, Grid, HybridMeasure, bl_distance, components
+from .measure import ComponentPartition, Grid, HybridMeasure, _partition, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 __all__ = [
@@ -225,9 +225,10 @@ class AtomTrajectory:
         """Moment dissipation of every recorded state, see :func:`_dissipation`."""
         return _dissipation(self.state0.rate_matrix, self.locations, self.masses, alpha)
 
-    def tail_mass_series(self, r: float) -> np.ndarray:
-        sel = self.locations >= r
-        return self.masses[:, sel].sum(axis=1)
+    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
+        """Mass on lo <= x <= hi of every recorded state."""
+        x = self.locations
+        return self.masses[:, (lo <= x) & (x <= hi)].sum(axis=1)
 
 
 def run_atoms(
@@ -398,8 +399,10 @@ class PicardTrajectory:
         weighted into point masses; see :func:`_dissipation`."""
         return _dissipation(self.rate_grid, self.grid.nodes, self.states * self.grid.weights, alpha)
 
-    def tail_mass_series(self, r: float) -> np.ndarray:
-        sel = self.grid.nodes >= r
+    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
+        """Mass on lo <= x <= hi of every recorded density, by its node weights."""
+        x = self.grid.nodes
+        sel = (lo <= x) & (x <= hi)
         return self.states[:, sel] @ self.grid.weights[sel]
 
     def pointwise_envelope(self, idx: int, u0: np.ndarray) -> np.ndarray:
@@ -557,6 +560,8 @@ class LimitClassification:
             and self.pairwise_decoupled
             and self.mass_sums_ok
             and self.leftmost_ok
+            and self.component_conservation_ok
+            and self.queue_monotone
         )
 
 
@@ -574,11 +579,13 @@ def classify_limit(
     initial state: atoms sit in the initial support, are pairwise
     decoupled, reproduce each initial block's mass, and include the
     leftmost point of every block with positive minimum.  Per-block mass
-    conservation and tail-mass monotonicity are verified along the whole
-    recorded trajectory, not just the limit.  An atom trajectory reads its
-    blocks and couplings off its rate table, and its limit atoms are its
-    surviving atoms; a density trajectory reads both off the cutoff
-    geometry, with one limit atom per block of the final support.  A block's
+    conservation and tail-mass monotonicity are checked at every record,
+    by one ``window_mass_series`` per initial block and per tail threshold
+    (an empty initial support has none), and ``passed`` requires all six
+    flags.  An atom trajectory reads its blocks and couplings off its rate
+    table, and its limit atoms are its surviving atoms; a density trajectory
+    reads both off the cutoff geometry, with one limit atom per block of the
+    final support.  A block's
     mass matches to ``_LIMIT_MASS_TOL`` (1e-8) of the total mass, and a
     location to ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).
     """
@@ -587,14 +594,14 @@ def classify_limit(
         raise NotConverged("trajectory shorter than the stationarity window")
     idx_prev = int(np.searchsorted(t, t[-1] - stationarity_window))
     idx_prev = min(idx_prev, len(t) - 2)
-    gap = bl_distance(traj.state_at(idx_prev), traj.state_at(len(t) - 1))
+    final = traj.state_at(len(t) - 1)
+    gap = bl_distance(traj.state_at(idx_prev), final)
     if gap >= limit_tol:
         raise NotConverged(
             f"bounded-Lipschitz stationarity gap {gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
         )
 
     initial = traj.state_at(0)
-    final = traj.state_at(len(t) - 1)
     total0 = initial.total_mass
     state0 = getattr(traj, "state0", None)
     if state0 is not None:
@@ -620,7 +627,7 @@ def classify_limit(
 
     def near_support(x: float) -> bool:
         if initial.density is not None:
-            spacing = np.max(np.diff(initial.grid.nodes)) if initial.grid.n > 1 else 0.0
+            spacing = np.max(np.diff(initial.grid.nodes))
             tol = max(_LIMIT_LOCATION_TOL * max(1.0, x), 1.5 * spacing)
         else:
             tol = _LIMIT_LOCATION_TOL * max(1.0, span)
@@ -654,21 +661,16 @@ def classify_limit(
 
     # conservation of each initial block along the way
     conservation_ok = True
-    stride = max(1, len(t) // 64)
-    for k in range(0, len(t), stride):
-        state_k = traj.state_at(k)
-        for comp, (pad_lo, pad_hi) in zip(comps, pads):
-            lo = comp.min_point - pad_lo
-            hi = comp.max_point + pad_hi
-            mass_k = math.fsum(m for x, m in state_k.support_points(0.0) if lo <= x <= hi)
-            if abs(mass_k - comp.mass) > 10.0 * _LIMIT_MASS_TOL * max(total0, 1e-300):
-                conservation_ok = False
+    for comp, (pad_lo, pad_hi) in zip(comps, pads):
+        series = traj.window_mass_series(comp.min_point - pad_lo, comp.max_point + pad_hi)
+        if np.any(np.abs(series - comp.mass) > 10.0 * _LIMIT_MASS_TOL * max(total0, 1e-300)):
+            conservation_ok = False
 
     # tail masses nonincreasing for a ladder of thresholds
-    r_values = _quantiles([x for x, _ in initial.support_points()], np.linspace(0.05, 0.95, 10))
+    r_values = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
     queue_ok = True
     for r in r_values:
-        series = traj.tail_mass_series(float(r))
+        series = traj.window_mass_series(float(r))
         if np.any(np.diff(series) > 1e-12 * max(total0, 1.0)):
             queue_ok = False
 
@@ -688,21 +690,14 @@ def classify_limit(
 
 
 def _table_components(u: HybridMeasure, state: AtomSystemState) -> ComponentPartition:
-    """Blocks of an atom state's support under its rate table: the gap between
-    consecutive support atoms p < q splits the support when no table entry
-    links a support atom <= p to one >= q (on a physical table, the gamma1
-    rule of :func:`components`)."""
+    """Blocks of an atom state's support under its rate table, cut by the
+    splitter of :func:`components`: the gap between consecutive support atoms
+    p < q splits the support when no table entry links a support atom <= p
+    to one >= q (on a physical table, the gamma1 rule of :func:`components`)."""
     pts = u.support_points()
     idx = np.searchsorted(state.locations, [x for x, _ in pts])
     linked = state.rate_matrix[np.ix_(idx, idx)] != 0.0
-    blocks: list[list[tuple[float, float]]] = []
-    for a, p in enumerate(pts):
-        if not linked[:a, a:].any():
-            blocks.append([])
-        blocks[-1].append(p)
-    return ComponentPartition(components=tuple(
-        Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks
-    ))
+    return _partition(pts, lambda a: not linked[:a, a:].any())
 
 
 def _quantiles(points, q: np.ndarray) -> np.ndarray:

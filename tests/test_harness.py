@@ -42,6 +42,12 @@ COARSE_PICARD_CONFIG = {
     "diagnostics": {"eta": 0.3},
 }
 
+# no initial mass: the whole truncated Planck density lies above the grid
+MASSLESS_PICARD_CONFIG = {**COARSE_PICARD_CONFIG, "grid": {"min": 1.0, "max": 30.0, "n": 8},
+                          "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 100.0}}
+MASSLESS_FULL_CONFIG = {"initial": {"preset": "truncated_planck", "support_min": 100.0},
+                        "grid": {"n": 16}, "solver": {"t_end": 0.01}}
+
 TWO_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [9.0, 0.6]]}}
 
 # retired fields, each with a value it once took: setting one is a ParseError
@@ -361,6 +367,32 @@ class TestCli:
         limit = json.loads((out / "limit.json").read_text())
         assert limit["mass_sums_ok"] and limit["component_conservation_ok"]
         assert len(limit["atoms"]) == 4 and all(a == b for a, b in limit["component_mass_table"])
+
+    def test_massless_picard_run_is_its_own_limit(self, tmp_path):
+        # an empty initial support has no tail thresholds; its quantiles were an
+        # IndexError after trajectory.csv, before limit.json and the manifest
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MASSLESS_PICARD_CONFIG))
+        out = tmp_path / "picard"
+        assert cli_main(["simulate-reduced", "--config", str(cfg_path), "--mode", "picard", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["trajectory.csv", "limit.json", "snapshot_1.000000.json"]
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"] + ["manifest.json"])
+        assert all(a["passed"] for a in manifest["assertions"])
+        limit = json.loads((out / "limit.json").read_text())
+        assert limit["atoms"] == [] and limit["initial_component_masses"] == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_massless_full_run_reports_no_nan(self, tmp_path):
+        # the growth bound is 0 at every record; X_eta/bound was 0/0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MASSLESS_FULL_CONFIG))
+        out = tmp_path / "full"
+        assert cli_main(["simulate-full", "--config", str(cfg_path), "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        assert "nan" not in text.lower()
+        bound = next(a for a in json.loads(text)["assertions"] if a["name"] == "exp_moment_growth_bound")
+        assert bound["passed"] and bound["detail"] == "max X_eta/bound 0.000000"
 
     @pytest.mark.parametrize("command", [["simulate-full"], ["simulate-reduced", "--mode", "atoms"]])
     @pytest.mark.parametrize("data, message", [

@@ -22,6 +22,7 @@ from comptonsim.reduced_solver import (
     FlatnessViolation,
     NonContraction,
     NotConverged,
+    PicardTrajectory,
     _dissipation,
     _quantiles,
     _table_components,
@@ -497,8 +498,64 @@ class TestClassifyLimit:
     def test_queue_monotone_series(self):
         traj = run_atoms(chain_state(), 50.0, n_record=501)
         for r in (0.5, 1.2, 2.0, 3.0):
-            series = traj.tail_mass_series(r)
+            series = traj.window_mass_series(r)
             assert np.all(np.diff(series) <= 1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["atoms", "picard"]),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(0.0, 12.0),
+        hi=st.one_of(st.just(math.inf), st.floats(0.0, 12.0)),  # hi < lo is an empty window
+    )
+    def test_window_mass_series_is_the_per_record_sum(self, kind, seed, lo, hi):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 1.0, (7, 12)) * (rng.random((7, 12)) > 0.3)  # some carriers empty
+        if kind == "atoms":
+            x = np.sort(rng.uniform(0.3, 11.0, 12))
+            state = AtomSystemState.from_table(x, rows[0], np.zeros((12, 12)))
+            traj = AtomTrajectory(state0=state, times=np.arange(7.0), masses=rows, nfev=0)
+            carriers = rows
+        else:
+            grid = Grid.log_spaced(0.3, 11.0, 12)
+            x = grid.nodes
+            traj = PicardTrajectory(grid=grid, times=np.arange(7.0), states=rows, rate_grid=np.zeros((12, 12)),
+                                    growth_constant=0.0, window_count=0, iterations_total=0)
+            carriers = rows * grid.weights
+        got = traj.window_mass_series(lo, hi)
+        want = [math.fsum(m for xi, m in zip(x, row) if lo <= xi <= hi) for row in carriers]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # no carrier sits between two neighbours: the window between them is empty
+        mid = 0.5 * (x[4] + x[5])
+        assert np.array_equal(traj.window_mass_series(mid, mid), np.zeros(7))
+        # the default hi = inf selects the carriers a tail threshold selects, so the bits are the same
+        tail = rows[:, x >= lo].sum(axis=1) if kind == "atoms" else rows[:, x >= lo] @ grid.weights[x >= lo]
+        assert np.array_equal(traj.window_mass_series(lo), tail)
+
+    def test_classification_builds_no_measure_per_record(self, monkeypatch):
+        # the block-conservation check once rebuilt a measure at every 64th record
+        calls = []
+        state_at = AtomTrajectory.state_at
+        monkeypatch.setattr(AtomTrajectory, "state_at", lambda traj, idx: calls.append(idx) or state_at(traj, idx))
+        traj = run_atoms(chain_state(), 200.0, n_record=20001)
+        assert classify_limit(traj, TP).passed
+        assert len(calls) <= 4
+
+    def test_verdict_judges_block_conservation_and_tail_monotonicity(self):
+        # at record 5 alone, 1e-6 moves from the atom at 5.0 to the one at 6.0:
+        # a sample of every 31st record missed it, and the tail rise was not judged
+        state = AtomSystemState.from_table([1.0, 1.2, 5.0, 6.0], [0.3, 0.2, 0.25, 0.25], np.zeros((4, 4)))
+        masses = np.tile(state.masses, (2001, 1))
+        masses[5, 2:] += (-1e-6, 1e-6)
+        traj = AtomTrajectory(state0=state, times=np.linspace(0.0, 100.0, 2001), masses=masses, nfev=0)
+        cls = classify_limit(traj, TP)
+        assert cls.in_initial_support and cls.pairwise_decoupled and cls.mass_sums_ok and cls.leftmost_ok
+        assert not cls.component_conservation_ok and not cls.queue_monotone
+        assert not cls.passed
+        held = dataclasses.replace(cls, component_conservation_ok=True, queue_monotone=True)
+        assert held.passed
+        for flag in ("component_conservation_ok", "queue_monotone"):
+            assert not dataclasses.replace(held, **{flag: False}).passed
 
     @settings(max_examples=200, deadline=None)
     @given(
