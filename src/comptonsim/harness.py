@@ -39,7 +39,7 @@ from .full_solver import (
     exp_moment_rate,
     run_full,
 )
-from .measure import Grid, HybridMeasure, planck_density, save_measure
+from .measure import Grid, HybridMeasure, check_exp_rate, planck_density, save_measure
 from .reduced_solver import (
     AtomSystemState,
     NotConverged,
@@ -248,6 +248,10 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         n_reg = int(diag["regularization_index"])
         if n_reg < 1:
             raise ValidationError("diagnostics.regularization_index: must be >= 1")
+    # the exponential moments of both equations weight the top grid node of
+    # a density and the largest location of atoms
+    with _section("grid.max" if initial.density is not None else "initial"):
+        check_exp_rate(initial.atoms, grid, initial.density, eta)
 
     sol = cfg["solver"]
     with _section("solver"):
@@ -320,20 +324,28 @@ def _manifest_for(cfg_raw: dict) -> RunManifest:
     )
 
 
+_CSV_ROWS = 2048  # rows formatted and written at a time
+
+
 def _write_csv(path: str, header: list[str], columns) -> None:
     """Equal-length numeric columns as CSV, each value as repr(float(v)).
 
     Writes the bytes of ``csv.writer`` (its default dialect ends rows with
-    CRLF and quotes none of these fields).  Each column is formatted once
-    per distinct bit pattern (:func:`_column_strings`), which pays off on
-    the long runs of repeated values of a converged trajectory, and the
-    strings are joined into rows afterwards.
+    CRLF and quotes none of these fields), ``_CSV_ROWS`` rows at a time, so
+    the strings in memory are one block's.  Within a block each column is
+    formatted once per distinct bit pattern (:func:`_column_strings`),
+    which pays off on the long runs of repeated values of a converged
+    trajectory, and the strings are joined into rows afterwards.
     """
-    table = np.column_stack(columns).astype(float, copy=False)
-    strings = [_column_strings(np.ascontiguousarray(col)) for col in table.T]
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    n = len(cols[0]) if cols else 0
+    if any(len(col) != n for col in cols):
+        raise ValueError("columns must have equal lengths")
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        f.writelines(",".join(row) + "\r\n" for row in zip(*strings))
+        for lo in range(0, n, _CSV_ROWS):
+            strings = [_column_strings(col[lo:lo + _CSV_ROWS]) for col in cols]
+            f.writelines(",".join(row) + "\r\n" for row in zip(*strings))
 
 
 def _column_strings(col: np.ndarray) -> np.ndarray:
@@ -496,12 +508,16 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         traj = picard_solve(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
         manifest.derived_constants["C_0"] = traj.growth_constant
 
+    # the series of trajectory.csv after M0, in its column order; the
+    # Lyapunov check reads them instead of computing them again
     m0 = traj.mass_series()
-    m1 = traj.moment_series(1.0)
-    m2 = traj.moment_series(2.0)
-    x_eta = traj.exp_moment_series(cfg.eta)
-    d2 = traj.dissipation_series(2.0)
-    columns = (traj.times, m0, m1, m2, x_eta, d2)
+    known = {
+        ("moment_series", 1.0): traj.moment_series(1.0),
+        ("moment_series", 2.0): traj.moment_series(2.0),
+        ("exp_moment_series", cfg.eta): traj.exp_moment_series(cfg.eta),
+        ("dissipation_series", 2.0): traj.dissipation_series(2.0),
+    }
+    columns = (traj.times, m0, *known.values())
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], columns)
     manifest.outputs.append("trajectory.csv")
 
@@ -509,7 +525,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     drift = float(np.max(np.abs(m0 - m0[0])) / mass_scale)
     tol = 1e-12 if mode == "atoms" else 1e-10
     manifest.check("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}")
-    rep = lyapunov_check(traj, eta=cfg.eta)
+    rep = lyapunov_check(traj, eta=cfg.eta, known=known)
     manifest.check(
         "moments_nonincreasing", all(rep.monotone.values()) and rep.exp_moment_monotone,
         f"monotone {rep.monotone}",

@@ -31,6 +31,7 @@ __all__ = [
     "ComponentPartition",
     "moment",
     "exp_moment",
+    "check_exp_rate",
     "bl_distance",
     "components",
     "planck_density",
@@ -191,16 +192,23 @@ def exp_moment(u: HybridMeasure, eta: float) -> float:
     return float(_exp_moment_rows(u.atoms, u.grid, u.density, eta))
 
 
+def check_exp_rate(atoms, grid, rows, eta: float) -> None:
+    """Raise OverflowError when eta times the largest point the exponential
+    moment weights, the largest atom location or, with density ``rows``, the
+    top grid node, exceeds 700, where e^{eta x} comes near overflow."""
+    top = max((x for x, _ in atoms), default=0.0)
+    if rows is not None:
+        top = max(top, float(grid.nodes[-1]))
+    if eta * top > 700.0:
+        raise OverflowError(f"exp moment overflows: eta * max support = {eta:g} * {top:g} = {eta * top:.3g} > 700")
+
+
 def _exp_moment_rows(atoms, grid, rows, eta):
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
         return _moment_rows(atoms, grid, rows, 0.0)
-    top = max((x for x, _ in atoms), default=0.0)
-    if rows is not None:
-        top = max(top, float(grid.nodes[-1]))
-    if eta * top > 700.0:
-        raise OverflowError(f"exp moment overflows: eta * max support = {eta * top:.3g} > 700")
+    check_exp_rate(atoms, grid, rows, eta)
     total = math.fsum(m * math.exp(eta * x) for x, m in atoms)
     if rows is not None:
         total = total + np.vecdot(rows * np.exp(eta * grid.nodes), grid.weights)
@@ -359,7 +367,8 @@ def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:
     if not mu <= 0.0:
         raise ValueError(f"chemical potential must be <= 0; got {mu}")
     x = grid.nodes
-    return x * x / np.expm1(x - mu)
+    with np.errstate(over="ignore"):  # e^{x - mu} = inf far out gives the density's limit 0
+        return x * x / np.expm1(x - mu)
 
 
 def measure_to_dict(u: HybridMeasure) -> dict:

@@ -63,6 +63,9 @@ _MOMENT_ORDERS = (1.0, 2.0, 3.0)
 _BALANCE_TOLERANCE = 1e-4
 _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
+# recorded states per block of the moment dissipation; its temporaries are
+# a few blocks of rows, not copies of the whole trajectory
+_BLOCK_ROWS = 512
 
 
 class FlatnessViolation(RuntimeError):
@@ -222,13 +225,25 @@ class AtomTrajectory:
         return self.masses @ np.exp(eta * self.locations)
 
     def dissipation_series(self, alpha: float) -> np.ndarray:
-        """Moment dissipation of every recorded state, see :func:`_dissipation`."""
+        """Moment dissipation of every recorded state, block by block; see
+        :func:`_dissipation`."""
         return _dissipation(self.state0.rate_matrix, self.locations, self.masses, alpha)
 
     def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
-        """Mass on lo <= x <= hi of every recorded state."""
+        """Mass on lo <= x <= hi of every recorded state.
+
+        The locations are sorted, so the window is a range of columns, added
+        left to right in place: the order in which numpy sums a column-major
+        copy of them, so the bits are that copy's (for two or more records).
+        """
         x = self.locations
-        return self.masses[:, (lo <= x) & (x <= hi)].sum(axis=1)
+        a, b = int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
+        if a >= b:
+            return np.zeros(len(self.masses))
+        out = self.masses[:, a].copy()
+        for j in range(a + 1, b):
+            out += self.masses[:, j]
+        return out
 
 
 def run_atoms(
@@ -268,16 +283,30 @@ def run_atoms(
     return AtomTrajectory(state0=state, times=times, masses=masses, nfev=nfev)
 
 
-def _dissipation(R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float) -> np.ndarray:
-    """Quadratic form sum_ij R_ij (x_i^alpha - x_j^alpha) U_i U_j of each
-    row of U (point masses at the locations x; U may be one state or a
-    stack of them).
+def _dissipation(
+    R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Quadratic form sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of each
+    row V of U, or of U * weights when node weights are given (point masses
+    at the locations x; U may be one state or a stack of them).
 
-    One matrix product U @ W and a row-wise dot: the work of a matvec per
-    state, instead of a three-operand contraction.
+    A matrix product with W and a row-wise dot: the work of a matvec per
+    state, instead of a three-operand contraction.  A stack goes through in
+    blocks of ``_BLOCK_ROWS`` rows into one output array, so temporaries
+    stay at a block's size.  The last block takes the remainder: BLAS sums
+    a product of one or two rows in another order, while longer blocks
+    give each row the bits of the product over all rows.
     """
     W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
-    return np.einsum("...i,...i->...", U @ W, U)
+    if U.ndim == 1:
+        V = U if weights is None else U * weights
+        return np.einsum("...i,...i->...", V @ W, V)
+    bounds = [k * _BLOCK_ROWS for k in range(max(len(U) // _BLOCK_ROWS, 1))] + [len(U)]
+    out = np.empty(len(U))
+    for lo, hi in itertools.pairwise(bounds):
+        V = U[lo:hi] if weights is None else U[lo:hi] * weights
+        np.einsum("ti,ti->t", V @ W, V, out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,7 +327,7 @@ class LyapunovReport:
         return all(self.monotone.values()) and self.exp_moment_monotone and self.balance_ok
 
 
-def lyapunov_check(traj, eta: float) -> LyapunovReport:
+def lyapunov_check(traj, eta: float, known: dict | None = None) -> LyapunovReport:
     """Verify the Lyapunov structure along a recorded trajectory.
 
     The moments of the orders ``_MOMENT_ORDERS`` (1, 2 and 3) and the
@@ -309,21 +338,29 @@ def lyapunov_check(traj, eta: float) -> LyapunovReport:
     difference is O(h^2)).  The balance error is the mismatch relative to
     (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2| is at least
     1 % of its peak, and must not exceed ``_BALANCE_TOLERANCE`` (1e-4).
+    ``known`` maps (method name, argument) of a series of ``traj``, such as
+    ``("dissipation_series", 2.0)``, to that series already computed; it is
+    read instead of computed again.
     """
+    known = {} if known is None else known
+
+    def series(name: str, arg: float) -> np.ndarray:
+        return known[name, arg] if (name, arg) in known else getattr(traj, name)(arg)
+
     t = np.asarray(traj.times)
     h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
     span = h1 + h2
     monotone: dict[float, bool] = {}
     balance: dict[float, float] = {}
     for alpha in _MOMENT_ORDERS:
-        series = traj.moment_series(alpha)
-        scale = max(abs(series[0]), 1e-300)
-        monotone[alpha] = bool(np.all(np.diff(series) <= 1e-12 * scale))
+        moment = series("moment_series", alpha)
+        scale = max(abs(moment[0]), 1e-300)
+        monotone[alpha] = bool(np.all(np.diff(moment) <= 1e-12 * scale))
         if alpha > 1.0:
-            half_d = 0.5 * traj.dissipation_series(alpha)
+            half_d = 0.5 * series("dissipation_series", alpha)
             left, mid, right = half_d[:-2], half_d[1:-1], half_d[2:]
             simpson = span / 6.0 * ((2.0 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2.0 - h1 / h2) * right)
-            change = series[2:] - series[:-2]
+            change = moment[2:] - moment[:-2]
             size = np.abs(mid)
             peak = np.max(size) if size.size else 0.0
             if peak > 0.0:
@@ -332,7 +369,7 @@ def lyapunov_check(traj, eta: float) -> LyapunovReport:
                 balance[alpha] = float(np.max(err)) if err.size else 0.0
             else:
                 balance[alpha] = float(np.max(np.abs(change / span))) if change.size else 0.0
-    x_series = traj.exp_moment_series(eta)
+    x_series = series("exp_moment_series", eta)
     exp_monotone = bool(np.all(np.diff(x_series) <= 1e-12 * abs(x_series[0])))
     return LyapunovReport(
         monotone=monotone,
@@ -396,8 +433,9 @@ class PicardTrajectory:
 
     def dissipation_series(self, alpha: float) -> np.ndarray:
         """Moment dissipation of every recorded density, its node values
-        weighted into point masses; see :func:`_dissipation`."""
-        return _dissipation(self.rate_grid, self.grid.nodes, self.states * self.grid.weights, alpha)
+        weighted into point masses one block of rows at a time; see
+        :func:`_dissipation`."""
+        return _dissipation(self.rate_grid, self.grid.nodes, self.states, alpha, self.grid.weights)
 
     def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
         """Mass on lo <= x <= hi of every recorded density, by its node weights."""
@@ -430,7 +468,11 @@ def picard_solve(
     certificate (exponent ``_FLAT_R`` = 1) is checked up front, mass is
     conserved by antisymmetry, and the pointwise growth envelope holds with
     the calibrated constants.  ``t_end`` and ``dt`` must be positive and
-    finite.
+    finite.  A window iterates in buffers allocated once for it, and each
+    accepted window writes its rows into one preallocated array of states,
+    sized for windows of the first length (at most t_end/dt rows plus one
+    per window) and grown when halved windows need more, so no list of
+    per-window iterates is kept and no second copy of the states is made.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -445,33 +487,46 @@ def picard_solve(
     c0 = pointwise_growth_constant(tp, c_star, x_eta0)
 
     w = grid.weights
-    omega = 1.0 + grid.nodes**-1.5  # origin-sensitive norm weight
+    norm_weight = w * (1.0 + grid.nodes**-1.5)  # origin-sensitive L1 weight
     paired = rate_grid * w[None, :]  # paired[i, j] u_j = rate of log-growth at i
 
-    times = [0.0]
-    states = [u0.density.copy()]
+    def rows_left(t_left: float, window: float) -> int:
+        # a window of length L adds max(1, ceil(L/dt)) <= L/dt + 1 rows
+        return math.ceil(t_left / dt) + math.ceil(t_left / window) + 1
+
     t0 = 0.0
     u_start = u0.density.copy()
     window_count = 0
     iter_total = 0
     min_window = max(4.0 * dt, t_end * 1e-6)
     current_window = min(_FIRST_WINDOW, t_end)
+    times = np.empty(1 + rows_left(t_end, current_window))
+    states = np.empty((times.size, grid.n))
+    times[0] = 0.0
+    states[0] = u0.density
+    count = 1
     while t0 < t_end - 1e-12 * t_end:
         length = min(current_window, t_end - t0)
         n_nodes = max(2, int(math.ceil(length / dt)) + 1)
         local_t = np.linspace(0.0, length, n_nodes)
         cumulative = _cumulative_simpson(local_t)
+        # window-sized buffers, made once per window: glibc serves each
+        # same-sized temporary an iteration frees with a fresh mmap, whose
+        # pages fault again on every iteration
         iterate = np.tile(u_start, (n_nodes, 1))
+        new, rates, exponents = np.empty_like(iterate), np.empty_like(iterate), np.empty_like(iterate)
         converged = False
         prev_err = math.inf
         for _ in range(_MAX_ITERATIONS):
-            rates = iterate @ paired.T  # W(s_j, x_i)
-            exponents = cumulative(rates)
+            np.matmul(iterate, paired.T, out=rates)  # W(s_j, x_i)
+            cumulative(rates, out=exponents)
             # cap keeps a diverging iterate finite so divergence is detected
             # by the error growth instead of overflow noise
-            new = u_start[None, :] * np.exp(np.minimum(exponents, 700.0))
-            err = float(np.max(np.abs(new - iterate) @ (w * omega)))
-            iterate = new
+            np.minimum(exponents, 700.0, out=exponents)
+            np.multiply(u_start[None, :], np.exp(exponents, out=exponents), out=new)
+            diff = np.abs(np.subtract(new, iterate, out=rates), out=rates)
+            err = float(np.max(diff @ norm_weight))
+            iterate, new = new, iterate
             iter_total += 1
             if err <= iter_tol:
                 converged = True
@@ -486,15 +541,21 @@ def picard_solve(
                 )
             current_window = 0.5 * length
             continue
-        times.extend((t0 + local_t[1:]).tolist())
-        states.extend(iterate[1:])
+        end = count + n_nodes - 1
+        if end > times.size:  # halved windows outran the estimate: grow both
+            size = end + rows_left(t_end - t0 - length, current_window)
+            times = np.concatenate([times[:count], np.empty(size - count)])
+            states = np.concatenate([states[:count], np.empty((size - count, grid.n))])
+        times[count:end] = t0 + local_t[1:]
+        states[count:end] = iterate[1:]
+        count = end
         u_start = iterate[-1].copy()
         t0 += length
         window_count += 1
     return PicardTrajectory(
         grid=grid,
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=times[:count],
+        states=states[:count],
         rate_grid=rate_grid,
         growth_constant=c0,
         window_count=window_count,
@@ -511,11 +572,16 @@ def _cumulative_simpson(t: np.ndarray):
     interleaving of its h1 and h2 sub-integrals, with its unequal-interval
     coefficients in its order of operations (SciPy, BSD-3-Clause; the
     notice is in ``_dop853``).  Two nodes take SciPy's trapezoid branch.
+    ``cumulative(y, out)`` writes into ``out`` when given, and the
+    sub-integrals go through ``out`` and one scratch array kept between
+    calls, term by term in SciPy's order, so a call allocates nothing the
+    size of y.
     """
     dx = np.diff(t)
     if dx.size == 1:
-        def parts(y):
-            return dx * (y[1:] + y[:-1]) / 2.0
+        def parts(y, out):
+            np.multiply(dx, np.add(y[1:], y[:-1], out=out), out=out)
+            out /= 2.0
     else:
         i = np.arange(dx.size)
         first = (i % 2 == 0) & (i < dx.size - 1)
@@ -525,12 +591,24 @@ def _cumulative_simpson(t: np.ndarray):
         a, c1, c2, c3 = (c[:, None] for c in (x21 / 6, 3 - x21_x31, 3 + q + x21_x31, -q))
         i1, i2, i3 = np.where(first, i, i + 1), np.where(first, i + 1, i), np.where(first, i + 2, i - 1)
 
-        def parts(y):
-            return a * (c1 * y[i1] + c2 * y[i2] + c3 * y[i3])
+        scratch = {}  # one term array per shape of out
 
-    def cumulative(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape)
-        np.cumsum(parts(y), axis=0, out=out[1:])
+        def parts(y, out):
+            # a * (c1 y[i1] + c2 y[i2] + c3 y[i3]); "clip" takes skip the
+            # buffer "raise" makes, and these indices are in range
+            if out.shape not in scratch:
+                scratch[out.shape] = np.empty(out.shape)
+            term = scratch[out.shape]
+            np.multiply(c1, np.take(y, i1, axis=0, out=out, mode="clip"), out=out)
+            out += np.multiply(c2, np.take(y, i2, axis=0, out=term, mode="clip"), out=term)
+            out += np.multiply(c3, np.take(y, i3, axis=0, out=term, mode="clip"), out=term)
+            np.multiply(a, out, out=out)
+
+    def cumulative(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(y.shape) if out is None else out
+        out[0] = 0.0
+        parts(y, out[1:])
+        np.cumsum(out[1:], axis=0, out=out[1:])
         out[1:] += 0.0  # SciPy adds the initial value: -0.0 becomes +0.0
         return out
 

@@ -21,6 +21,7 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.measure import Grid
+from comptonsim.reduced_solver import AtomTrajectory, PicardTrajectory
 
 EXAMPLE51_CONFIG = {
     "initial": {"preset": "atoms", "atoms": [[1.0, 0.6], [1.5, 0.2], [2.4, 0.2]]},
@@ -69,6 +70,9 @@ RETIRED_FIELDS = {
 BAD_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": [[0.0, 1.0], [1.0, 0.0]]}}
 WRONG_SHAPE_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": EXAMPLE51_CONFIG["reduced"]["rate_table"]}}
 STRING_LIMIT_TOL = {"initial": TWO_ATOMS["initial"], "reduced": {"limit_tol": "x", "t_end": 1.0}}
+# eta * the top grid node (0.375 * 3000) or the largest atom location (0.375 * 2000) exceeds 700
+WIDE_GRID = {"grid": {"min": 0.02, "max": 3000.0, "n": 32}, "solver": {"t_end": 0.01}}
+FAR_ATOM = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [2000.0, 0.6]]}}
 
 
 class TestLoadConfig:
@@ -368,6 +372,20 @@ class TestCli:
         assert limit["mass_sums_ok"] and limit["component_conservation_ok"]
         assert len(limit["atoms"]) == 4 and all(a == b for a, b in limit["component_mass_table"])
 
+    def test_each_series_is_computed_once(self, tmp_path, monkeypatch):
+        # trajectory.csv and the Lyapunov check once computed M1, M2, X_eta and D_2 each
+        calls = []
+        for cls in (AtomTrajectory, PicardTrajectory):
+            for name in ("moment_series", "exp_moment_series", "dissipation_series"):
+                real = getattr(cls, name)
+                monkeypatch.setattr(cls, name, lambda traj, arg, real=real, name=name: calls.append((name, arg)) or real(traj, arg))
+        for data, mode in ((TWO_ATOMS, "atoms"), (COARSE_PICARD_CONFIG, "picard")):
+            calls.clear()
+            manifest, _ = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / mode), mode=mode)
+            assert calls.count(("dissipation_series", 2.0)) == 1
+            assert len(calls) == len(set(calls)) == 6  # M1, M2, M3, X_eta, D_2 and D_3
+            assert manifest.all_passed
+
     def test_massless_picard_run_is_its_own_limit(self, tmp_path):
         # an empty initial support has no tail thresholds; its quantiles were an
         # IndexError after trajectory.csv, before limit.json and the manifest
@@ -423,6 +441,10 @@ class TestCli:
             "simulate-reduced": "reduced.rate_table: shape mismatch",
         }, id="rate_table-3x3-for-two-atoms"),
         pytest.param(STRING_LIMIT_TOL, "reduced.limit_tol: could not convert", id="limit_tol-string"),
+        # the wide grid was an OverflowError traceback over an empty output
+        # directory; the far atom's X_eta column was inf, failing moments_nonincreasing
+        pytest.param(WIDE_GRID, "grid.max: exp moment overflows: eta * max support = 0.375 * 3000", id="wide-grid"),
+        pytest.param(FAR_ATOM, "initial: exp moment overflows: eta * max support = 0.375 * 2000", id="far-atom"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         if isinstance(message, dict):

@@ -5,8 +5,9 @@ computed from the kernel's list of in-support pairs (or, for atoms, from
 the state's slot list, built from the upper triangle of the rate matrix).  The kernel table and the
 physical rate matrix are filled by one screened batch: a vectorized cutoff
 picks the pairs, one batch call evaluates them.  The reduced equation's
-moment dissipation is one matrix product per trajectory, and the CSV
-writer converts whole columns.  The full solver's recorded diagnostics are
+moment dissipation, the CSV writer and the Picard states go through row
+blocks or a preallocated array, and must keep the bits of the whole-array
+forms and of the list of per-window rows.  The full solver's recorded diagnostics are
 whole-array passes over blocks of recorded states, against a per-record
 run that evaluates the per-state density formulas one record at a time.
 The reference forms below are the dense n x n, scalar per-pair,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from comptonsim.full_solver import (
     run_full,
     taper,
 )
-from comptonsim.harness import _write_csv, build_initial
+from comptonsim.harness import _CSV_ROWS, _write_csv, build_initial, load_config, run_reduced_experiment
 from comptonsim.kernel import PhysicalParams, eval_kernel, eval_kernel_batch
 from comptonsim.measure import (
     Grid,
@@ -59,6 +61,7 @@ from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
     PicardTrajectory,
+    _cumulative_simpson,
     _dissipation,
     atom_ode_rhs,
     lyapunov_check,
@@ -555,6 +558,135 @@ class TestDissipationAgainstEinsum:
         assert _dissipation(R, x, U[0], alpha) == 0.0
 
 
+def whole_dissipation(R, x, U, alpha):
+    """The moment dissipation as one matrix product over all rows."""
+    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
+    return np.einsum("...i,...i->...", U @ W, U)
+
+
+DISSIPATION_ROWS = reduced_solver_module._BLOCK_ROWS
+
+
+class TestBlockedDissipation:
+    """_dissipation goes through blocks of rows, the last one taking the
+    remainder, and keeps the bits of the product over all rows."""
+
+    @pytest.mark.parametrize("rows", [DISSIPATION_ROWS - 1, DISSIPATION_ROWS, DISSIPATION_ROWS + 1,
+                                      2 * DISSIPATION_ROWS + 3])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_bits_of_the_whole_product(self, rows, n):
+        rng = np.random.default_rng(rows * n)
+        x = np.sort(rng.uniform(0.5, 30.0, n))
+        upper = np.triu(rng.exponential(size=(n, n)), 1)
+        upper[rng.random(upper.shape) < 0.5] = 0.0
+        R = upper - upper.T
+        U = rng.uniform(0.0, 2.0, (rows, n))
+        U[rng.random(U.shape) < 0.2] = 0.0
+        w = rng.uniform(0.1, 1.0, n)
+        for alpha in (2.0, 3.0):
+            assert np.array_equal(_dissipation(R, x, U, alpha), whole_dissipation(R, x, U, alpha))
+            assert np.array_equal(_dissipation(R, x, U, alpha, w), whole_dissipation(R, x, U * w, alpha))
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_seed7_benchmark_trajectories(self, seed7_trajectories, alpha):
+        atoms, picard = seed7_trajectories
+        assert np.array_equal(atoms.dissipation_series(alpha), whole_dissipation(*atom_form(atoms), alpha))
+        assert np.array_equal(picard.dissipation_series(alpha), whole_dissipation(*picard_form(picard), alpha))
+
+
+def list_picard_solve(u0, t_end, eta, dt):
+    """picard_solve's windows as they were: each accepted window's rows
+    appended to lists, and the arrays made by np.asarray at the end."""
+    grid = u0.grid
+    w = grid.weights
+    omega = 1.0 + grid.nodes**-1.5
+    paired = rate_matrix(PP, TP, grid.nodes)[0] * w[None, :]
+    times, states = [0.0], [u0.density.copy()]
+    t0, u_start = 0.0, u0.density.copy()
+    current = min(reduced_solver_module._FIRST_WINDOW, t_end)
+    while t0 < t_end - 1e-12 * t_end:
+        length = min(current, t_end - t0)
+        local_t = np.linspace(0.0, length, max(2, int(math.ceil(length / dt)) + 1))
+        cumulative = _cumulative_simpson(local_t)
+        iterate = np.tile(u_start, (local_t.size, 1))
+        prev_err = math.inf
+        for _ in range(reduced_solver_module._MAX_ITERATIONS):
+            new = u_start[None, :] * np.exp(np.minimum(cumulative(iterate @ paired.T), 700.0))
+            err = float(np.max(np.abs(new - iterate) @ (w * omega)))
+            iterate = new
+            if err <= reduced_solver_module._PICARD_TOL:
+                break
+            if not math.isfinite(err) or (err > 4.0 * prev_err and err > 1.0):
+                iterate = None
+                break
+            prev_err = err
+        else:
+            iterate = None
+        if iterate is None:
+            current = 0.5 * length
+            continue
+        times.extend((t0 + local_t[1:]).tolist())
+        states.extend(iterate[1:])
+        u_start = iterate[-1].copy()
+        t0 += length
+    return np.asarray(times), np.asarray(states)
+
+
+class TestPicardStates:
+    """picard_solve writes each window's rows into one preallocated array,
+    grown when halved windows need more rows than windows of the first
+    length add; the states and times are those of the list of rows."""
+
+    @pytest.mark.parametrize("scale, dt, grows", [(1.0, 1e-3, False), (50.0, 0.013, False), (200.0, 0.013, True)])
+    def test_against_the_list_of_rows(self, scale, dt, grows):
+        grid = Grid.log_spaced(0.5, 10.0, 24)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=scale * planck_density(grid, 0.0))
+        traj = picard_solve(u0, PP, TP, t_end=1.0, eta=0.3, dt=dt)
+        times, states = list_picard_solve(u0, 1.0, 0.3, dt)
+        assert np.array_equal(traj.times, times) and np.array_equal(traj.states, states)
+        first = math.ceil(1.0 / reduced_solver_module._FIRST_WINDOW)
+        assert (traj.window_count > first) is (scale > 1.0)  # the heavier densities halve their windows
+        # windows of the first length add at most 1/dt rows plus one per window
+        assert (len(times) > 1 + math.ceil(1.0 / dt) + first + 1) is grows
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """A reduced run holds its records and about one block besides, not
+    whole-trajectory copies (those made the peaks 3.19 and 3.98 times)."""
+
+    def test_picard_run(self, tmp_path):
+        mu = seed7_reduced_inputs()[2]
+        cfg = load_config(data={
+            "grid": {"min": 0.5, "max": 30.0, "n": 128},
+            "initial": {"preset": "truncated_planck", "mu": mu, "support_min": 0.5},
+            "reduced": {"t_end": 4.0, "dt": 1e-3},
+            "diagnostics": {"eta": 0.3},
+        }, equation="reduced")
+        (_, traj), peak = traced_peak(run_reduced_experiment, cfg, str(tmp_path), mode="picard", classify=False)
+        assert len(traj.times) == 4001
+        assert peak <= 2.2 * traj.states.nbytes
+
+    def test_atom_run(self, tmp_path):
+        locs, masses, _ = seed7_reduced_inputs()
+        cfg = load_config(data={
+            "initial": {"preset": "atoms", "atoms": [[x, m] for x, m in zip(locs.tolist(), masses.tolist())]},
+            "reduced": {"t_end": 5e4, "stationarity_window": 50.0},
+        }, equation="reduced")
+        (_, traj), peak = traced_peak(run_reduced_experiment, cfg, str(tmp_path), mode="atoms")
+        assert traj.masses.shape == (20001, 16)
+        assert peak <= 3.0 * traj.masses.nbytes
+
+
 class TestMomentBalanceOnSeed7:
     """lyapunov_check's moment balance on the benchmark's trajectories: 20 001
     atom records to t = 5e4, where a centred difference of M misses D/2 by
@@ -613,6 +745,21 @@ class TestCsvWriterAgainstCsvModule:
         runs = np.repeat(pool[rng.integers(0, pool.size, 80)], rng.integers(1, 300, 80))
         columns = (runs, runs[::-1], rng.permutation(runs), np.full(runs.size, -0.0), np.arange(runs.size))
         self.check(tmp_path, ["a", "b", "c", "d", "i"], columns)
+
+    @pytest.mark.parametrize("rows", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3])
+    def test_row_blocks(self, tmp_path, rows):
+        # the writer formats blocks of rows; runs of repeated values, 0.0 and
+        # -0.0 cross the block boundaries
+        rng = np.random.default_rng(rows)
+        pool = np.array(REPEATED_FLOATS)
+        runs = np.repeat(pool[rng.integers(0, pool.size, rows)], rng.integers(1, 600, rows))[:rows]
+        signed_zeros = np.where(rng.random(rows) < 0.5, 0.0, -0.0)
+        columns = (np.arange(rows) * 0.25, runs, signed_zeros, rng.standard_normal(rows), np.full(rows, 1.0 / 3.0))
+        self.check(tmp_path, ["t", "a", "z", "r", "c"], columns)
+
+    def test_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(str(tmp_path / "new.csv"), ["a", "b"], ([1.0, 2.0], [1.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.sampled_from(REPEATED_FLOATS)] * 2, st.floats()), max_size=200))
