@@ -1,19 +1,18 @@
-"""Photon redistribution kernel: evaluation, bounds, scalings, concentration.
+"""Photon redistribution kernel: evaluation, bounds, antidiagonal sign.
 
 The kernel B(x, y) gives the rate density at which a photon of energy x is
 redistributed to energy y by scattering off a thermal electron bath with
 inverse temperature beta and electron mass m (both dimensionless after
 scaling).  It is defined by an angular integral over the scattering angle;
-this module evaluates it by adaptive Gauss quadrature, provides the exact
-error-function closed form on the diagonal, pointwise majorants, the
-antidiagonal sign structure, the beta-scaling maps, and the large-beta
-diagonal-concentration check.
+this module evaluates it by adaptive Gauss quadrature, and provides the
+exact error-function closed form on the diagonal, pointwise majorants and
+the antidiagonal sign structure.
 
-:func:`eval_kernel` integrates one pair by global adaptive bisection of
-Gauss panels.  :func:`eval_kernel_batch`, which every table, rate matrix
-and CSV dump uses, runs the same bisection for many pairs side by side,
-one vectorized integrand call per round, and gives every pair the bits
-eval_kernel gives it; eval_kernel stays as its reference.
+:func:`eval_kernel_batch`, which every table, rate matrix and CSV dump
+uses, integrates each pair by global adaptive bisection of Gauss panels,
+running the bisection of many pairs side by side with one vectorized
+integrand call per round.  It is the package's one quadrature; the tests
+hold a scalar loop over the same panels as its reference.
 """
 
 from __future__ import annotations
@@ -26,22 +25,13 @@ import numpy as np
 
 __all__ = [
     "PhysicalParams",
-    "KernelSample",
     "MonotonicityReport",
-    "ConcentrationRow",
     "NonConvergence",
-    "eval_kernel",
     "eval_kernel_batch",
     "diagonal_closed_form",
     "eval_majorant",
     "peak_bound",
-    "diagonal_profile",
     "verify_antidiagonal_monotonicity",
-    "scale_to_dimensionless",
-    "scale_from_dimensionless",
-    "scale_measure",
-    "concentration_limit",
-    "diagonal_concentration_check",
 ]
 
 
@@ -64,16 +54,6 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation with its quadrature error bound."""
-
-    x: float
-    y: float
-    value: float
-    abs_error_estimate: float
-
-
-@dataclass(frozen=True)
 class MonotonicityReport:
     """Result of the antidiagonal sign check over a sample set."""
 
@@ -83,17 +63,6 @@ class MonotonicityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    beta: float
-    integral: float
-    limit: float
-
-    @property
-    def ratio(self) -> float:
-        return self.integral / self.limit
 
 
 # Gauss-Legendre panel rules; the coarse rule gives the error estimate.
@@ -134,77 +103,18 @@ _DIAGONAL_SERIES = _diagonal_series_coefficients()
 def _integrand(s: np.ndarray, d2, c, beta: float, m: float) -> np.ndarray:
     # Angular integrand after the substitution s = sqrt(1 - cos(angle)),
     # which removes the integrable spike at s = 0 when x ~ y.  It takes
-    # d2 = (x - y)^2 and c = 2 x y: Python floats for one pair, or
-    # (panels, 1) columns for a batch of panels; the elementwise operations
-    # are the same either way.
+    # d2 = (x - y)^2 and c = 2 x y: Python floats for one pair (the tests'
+    # scalar reference), or (panels, 1) columns for a batch of panels; the
+    # elementwise operations are the same either way.
     r2 = d2 + c * s * s
     t = 1.0 - s * s
     expo = -beta * (m * d2 + r2 * r2 / (4.0 * m * beta * beta)) / (2.0 * r2)
     return (1.0 + t * t) * 2.0 * s / np.sqrt(r2) * np.exp(expo)
 
 
-# eval_kernel's panel budget, and so the batch's; both read it at call time.
+# Panels per pair before the quadrature gives up, read at call time (the
+# tests' scalar reference reads it too, and shrinks it to test the budget).
 _MAX_PANELS = 4000
-
-
-def _panel(a: float, b: float, x: float, y: float, beta: float, m: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    d2, c = (x - y) ** 2, 2.0 * x * y
-    hi = half * float(np.dot(_GL_HI[1], _integrand(mid + half * _GL_HI[0], d2, c, beta, m)))
-    lo = half * float(np.dot(_GL_LO[1], _integrand(mid + half * _GL_LO[0], d2, c, beta, m)))
-    return hi, abs(hi - lo)
-
-
-def eval_kernel(
-    params: PhysicalParams,
-    x: float,
-    y: float,
-    tol: float = 1e-10,
-    force_quadrature: bool = False,
-) -> KernelSample:
-    """Evaluate B(x, y) by adaptive bisection with Gauss panels.
-
-    ``tol`` is a relative tolerance; the returned ``abs_error_estimate``
-    satisfies ``abs_error_estimate <= tol * value`` on success.  Raises
-    NonConvergence when the budget of ``_MAX_PANELS`` (4000) panels does
-    not reach it.
-    Points with |x - y| < 1e-8 (x + y) are delegated to the diagonal
-    closed form unless ``force_quadrature`` is set (the quadrature path is
-    regular there too; the flag lets the two paths cross-check each other).
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError("x and y must be positive")
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
-    if not force_quadrature and abs(x - y) < 1e-8 * (x + y):
-        # Continuity off the origin: the diagonal closed form is exact and
-        # avoids the 0/0 exponent.
-        value = diagonal_closed_form(params, 0.5 * (x + y))
-        return KernelSample(x, y, value, 4.0 * np.finfo(float).eps * value)
-
-    beta, m = params.beta, params.m
-    prefactor = math.sqrt(beta) * math.exp(0.5 * (x + y))
-    panels: list[tuple[float, float, float, float]] = []
-    for a, b in ((0.0, 0.5 * _SQRT2), (0.5 * _SQRT2, _SQRT2)):
-        val, err = _panel(a, b, x, y, beta, m)
-        panels.append((a, b, val, err))
-
-    while len(panels) < _MAX_PANELS:
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
-        if total_err <= tol * abs(total) or total_err == 0.0:
-            return KernelSample(x, y, prefactor * total, prefactor * total_err)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val, err = _panel(lo, hi, x, y, beta, m)
-            panels.append((lo, hi, val, err))
-    raise NonConvergence(
-        f"kernel quadrature at (x={x}, y={y}) did not reach tol={tol} "
-        f"within {_MAX_PANELS} panels"
-    )
 
 
 def eval_kernel_batch(
@@ -217,20 +127,23 @@ def eval_kernel_batch(
 
     ``x`` and ``y`` are 1-d arrays of equal length.  This is the one place
     where the kernel is evaluated over many pairs: every table, rate
-    matrix and CSV dump takes its values from here.  Each pair gets the
-    bits :func:`eval_kernel` gives it, value and error, and so keeps its
-    contract (``ValueError``, ``err <= tol * value``, ``NonConvergence``
-    at eval_kernel's panel budget ``_MAX_PANELS``).
+    matrix and CSV dump takes its values from here.  ``tol`` is a relative
+    tolerance in (0, 1e-3]: every returned error satisfies
+    ``err <= tol * value``, and a pair that does not reach it within
+    ``_MAX_PANELS`` (4000) panels raises NonConvergence.  Points must be
+    positive (``ValueError``).
 
     B is symmetric bit for bit, so each unordered pair is integrated once.
-    Near-diagonal pairs take the diagonal closed form.  The others run
-    eval_kernel's adaptive bisection side by side: each round, every pair
-    that misses ``tol`` bisects its worst panel, and the children of all
-    those pairs go through one vectorized integrand call.  The bits match
-    the scalar path because every step repeats its arithmetic: the
-    integrand elementwise, each panel's weighted sum through the BLAS dot
-    that ``np.dot`` calls, the panel totals left to right in the order of
-    eval_kernel's panel list, the first maximum as the worst panel, and
+    Pairs with |x - y| < 1e-8 (x + y) take the diagonal closed form, with
+    error 4 eps times the value.  The others run a global adaptive
+    bisection of Gauss panels (a 20-point rule, with the 10-point rule for
+    the error estimate) side by side: each round, every pair that misses
+    ``tol`` bisects its worst panel, and the children of all those pairs
+    go through one vectorized integrand call.  Each pair gets the bits of
+    the scalar loop over one pair's panel list that the tests keep as the
+    reference: the integrand elementwise, each panel's weighted sum through
+    the BLAS dot that ``np.dot`` calls, the panel totals left to right in
+    the order of the panel list, the first maximum as the worst panel, and
     ``(x - y) ** 2`` and the prefactor in Python floats.
     """
     x = np.asarray(x, dtype=float)
@@ -267,11 +180,11 @@ _NODES = np.concatenate([_GL_HI[0], _GL_LO[0]])
 def _bisect_batch(
     params: PhysicalParams, x: np.ndarray, y: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    # eval_kernel's adaptive loop for many off-diagonal pairs at once.
-    # panels[r] is the panel list (a, b, value, error) of pair act[r], in
-    # the order of eval_kernel's list: the worst panel leaves its place and
-    # its two halves are appended.  Every active pair holds the same number
-    # of panels.
+    # The adaptive loop for many pairs at once (on the diagonal too, where
+    # the integrand is regular; kernel-verify checks the closed form there).
+    # panels[r] is the panel list (a, b, value, error) of pair act[r]: the
+    # worst panel leaves its place and its two halves are appended.  Every
+    # active pair holds the same number of panels.
     beta, m = params.beta, params.m
     xs, ys = x.tolist(), y.tolist()
     d2 = np.array([(p - q) ** 2 for p, q in zip(xs, ys)])
@@ -312,7 +225,7 @@ def _bisect_batch(
 def _panels(
     bounds: np.ndarray, act: np.ndarray, d2: np.ndarray, c: np.ndarray, beta: float, m: float
 ) -> np.ndarray:
-    # _panel on two panels per pair act[r], with bounds[4 r : 4 r + 4] =
+    # Two panels per pair act[r], with bounds[4 r : 4 r + 4] =
     # (a1, b1, a2, b2); returns the (pairs, 2, 4) rows (a, b, value, error)
     out = np.empty((2 * act.size, 4))
     out[:, :2] = bounds.reshape(-1, 2)
@@ -325,8 +238,9 @@ def _panels(
         k = slice(start, start + _CHUNK)
         s = mid[k, None] + half[k, None] * _NODES
         f = _integrand(s, d2[owner[k], None], c[owner[k], None], beta, m)
-        # np.vecdot makes the BLAS dot call of np.dot in _panel once per
-        # panel; a matrix product would sum in another order
+        # np.vecdot makes the BLAS dot call of np.dot once per panel, as
+        # the scalar reference does; a matrix product would sum in another
+        # order
         hi = half[k] * np.vecdot(_GL_HI[1], f[:, :n_hi])
         lo = half[k] * np.vecdot(_GL_LO[1], f[:, n_hi:])
         out[k, 2] = hi
@@ -382,17 +296,6 @@ def peak_bound(params: PhysicalParams, x: float, y: float) -> float:
     )
 
 
-def diagonal_profile(params: PhysicalParams, z: float) -> float:
-    """On-diagonal majorant profile: eval_majorant(z/2, z/2) / sqrt(beta).
-
-    This is the density (88/15) e^{z/2} / z that weights the
-    diagonal-concentration limit.
-    """
-    if not (z > 0.0):
-        raise ValueError("z must be positive")
-    return (88.0 / 15.0) * math.exp(0.5 * z) / z
-
-
 # Central-difference step of the antidiagonal sign check, relative to min(x, y).
 _SIGN_STEP = 1e-4
 
@@ -421,97 +324,3 @@ def verify_antidiagonal_monotonicity(
         if derivative * expected_sign <= 0.0:
             violations.append((x, y, derivative))
     return MonotonicityReport(checked=len(samples), violations=violations)
-
-
-def scale_to_dimensionless(
-    params: PhysicalParams, t_phys: float, k_phys: float, f_value: float
-) -> tuple[float, float, float]:
-    """Map physical (t, k, f) to scaled (tau, x, u) with tau = beta^3 t,
-    x = beta k, u = x^2 f."""
-    beta = params.beta
-    tau = beta**3 * t_phys
-    x = beta * k_phys
-    return tau, x, x * x * f_value
-
-
-def scale_from_dimensionless(
-    params: PhysicalParams, tau: float, x: float, u_value: float
-) -> tuple[float, float, float]:
-    """Exact inverse of scale_to_dimensionless."""
-    beta = params.beta
-    k = x / beta
-    return tau / beta**3, k, u_value / (x * x)
-
-
-def scale_measure(
-    params: PhysicalParams, k_nodes: np.ndarray, v_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push a grid density v(k) dk forward to the scaled axis x = beta k.
-
-    The Jacobian factor 1/beta makes the particle number a shared invariant
-    of the two grids: trapezoid quadrature of the result on beta*k equals
-    the quadrature of v on k identically.
-    """
-    k_nodes = np.asarray(k_nodes, dtype=float)
-    v_values = np.asarray(v_values, dtype=float)
-    return params.beta * k_nodes, v_values / params.beta
-
-
-def concentration_limit(params: PhysicalParams, phi, support: tuple[float, float]) -> float:
-    """Target value of the diagonal-concentration integral as beta -> infinity:
-
-        (88/15) sqrt(m pi / 2) erf(1) * int phi(z/2, z/2) e^{z/2} dz,
-
-    by a 400-point Gauss-Legendre rule.
-    """
-    zs, wz = np.polynomial.legendre.leggauss(400)
-    lo, hi = 2.0 * support[0], 2.0 * support[1]
-    z = 0.5 * (hi + lo) + 0.5 * (hi - lo) * zs
-    vals = np.array([phi(0.5 * zz, 0.5 * zz) for zz in z])
-    integral = 0.5 * (hi - lo) * float(np.dot(wz, vals * np.exp(0.5 * z)))
-    return (88.0 / 15.0) * math.sqrt(params.m * math.pi / 2.0) * math.erf(1.0) * integral
-
-
-def diagonal_concentration_check(
-    params: PhysicalParams,
-    phi,
-    beta_list: list[float],
-    support: tuple[float, float],
-) -> list[ConcentrationRow]:
-    """Large-beta concentration of the majorant onto the diagonal.
-
-    For each beta, integrates phi(x, y) * cutoff * majorant over the band
-    where the Gaussian variable z1 = sqrt(beta m / 2) (x - y)/(x + y) lies
-    in [-1, 1], and reports the value against concentration_limit.  The
-    unit window in z1 is what produces the erf(1) factor of the limit.
-    Ratios must approach 1 from below as beta grows.  Both integrals use
-    200-point Gauss-Legendre rules.
-    """
-    if sorted(beta_list) != list(beta_list):
-        raise ValueError("beta_list must be increasing")
-    m = params.m
-    zeta_nodes, zeta_w = xi_nodes, xi_w = np.polynomial.legendre.leggauss(200)
-    lo, hi = 2.0 * support[0], 2.0 * support[1]
-
-    rows = []
-    for beta in beta_list:
-        p = PhysicalParams(beta=beta, m=m)
-        zeta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * zeta_nodes
-        total = 0.0
-        for zz, wz in zip(zeta, zeta_w):
-            half_width = math.sqrt(2.0 / (beta * m)) * zz
-            xi = half_width * xi_nodes
-            vals = 0.0
-            for xx, wx in zip(xi, xi_w):
-                xv = 0.5 * (zz + xx)
-                yv = 0.5 * (zz - xx)
-                if xv <= 0.0 or yv <= 0.0:
-                    continue
-                f = phi(xv, yv)
-                if f != 0.0:
-                    vals += wx * f * eval_majorant(p, xv, yv)
-            # 1/2 from dx dy = (1/2) dxi dzeta
-            total += wz * 0.5 * half_width * vals
-        total *= 0.5 * (hi - lo)
-        rows.append(ConcentrationRow(beta=beta, integral=total, limit=concentration_limit(p, phi, support)))
-    return rows

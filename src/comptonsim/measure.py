@@ -356,7 +356,7 @@ def components(u: HybridMeasure, tp: TruncationParams) -> ComponentPartition:
     A gap between consecutive support carriers p < q splits the support
     exactly when gamma1(q) >= p, i.e. when no pair across the gap lies in
     the coupling region.  Consecutive blocks are then separated by at least
-    the z_gap of the right block's minimum.
+    q - gamma1(q), the decoupling gap at the right block's minimum q.
     """
     pts = u.support_points()
     return _partition(pts, lambda a: gamma1(tp, pts[a][0]) >= pts[a - 1][0])

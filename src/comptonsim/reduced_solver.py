@@ -31,6 +31,8 @@ __all__ = [
     "FlatnessViolation",
     "NonContraction",
     "NotConverged",
+    "AtomStepCollapse",
+    "NegativeAtomMass",
     "rate_matrix",
     "AtomSystemState",
     "AtomTrajectory",
@@ -78,6 +80,14 @@ class NonContraction(RuntimeError):
 
 class NotConverged(RuntimeError):
     """The trajectory did not reach the stationarity criterion in time."""
+
+
+class AtomStepCollapse(RuntimeError):
+    """DOP853 needed a step below the float spacing at the current time."""
+
+
+class NegativeAtomMass(RuntimeError):
+    """An atom mass fell below zero by more than integrator noise."""
 
 
 def rate_matrix(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, float]:
@@ -259,8 +269,10 @@ def run_atoms(
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
     bit for bit.  Masses remain in [0, M0]; negative undershoot within
-    integrator noise is clipped to zero, anything worse raises.  Total mass
-    is conserved to roundoff by the pairwise right-hand side.
+    integrator noise is clipped to zero, anything worse raises
+    NegativeAtomMass.  A step size below the float spacing raises
+    AtomStepCollapse.  Total mass is conserved to roundoff by the pairwise
+    right-hand side.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -275,10 +287,10 @@ def run_atoms(
     try:
         times, masses, nfev = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
     except StepSizeTooSmall as e:
-        raise RuntimeError(f"atom integration failed: {e}") from None
+        raise AtomStepCollapse(f"atom integration failed: {e}") from None
     low = masses.min()
     if low < -1e-12 * max(total, 1.0):
-        raise RuntimeError(f"mass positivity violated beyond integrator noise: {low}")
+        raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {low}")
     np.clip(masses, 0.0, None, out=masses)
     return AtomTrajectory(state0=state, times=times, masses=masses, nfev=nfev)
 

@@ -1,4 +1,4 @@
-"""Truncation geometry: the coupling region, its boundary curves, and the cutoff.
+"""Truncation geometry: the coupling region, its boundary curves, the cutoff.
 
 The kernel is cut to zero outside a closed region of the (x, y) quadrant
 made of a curved band |x - y| <= rho * sqrt(x y (x + y)) inside the box
@@ -11,41 +11,34 @@ is symmetric and continuous away from the origin.
 Stronger small-energy truncations (bands shrinking like the square of the
 energy rather than like energy^{3/2}) would fit the same interface; only
 the band-plus-cone geometry above is implemented.
+
+The module does not evaluate the kernel.  Its callers, the full solver's
+pair table and the reduced solver's rate matrix, screen pairs with one
+vectorized :func:`eval_cutoff` call and evaluate B only where the cutoff
+is nonzero; :func:`kernel_bound_constant` calibrates the kernel bound on
+the values they got.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import PhysicalParams, eval_kernel
-
 __all__ = [
     "NoRoot",
-    "Region",
     "TruncationParams",
     "solve_rho",
     "gamma1",
     "gamma2",
-    "z_gap",
-    "in_support",
     "eval_cutoff",
-    "truncated_kernel",
     "kernel_bound_constant",
 ]
 
 
 class NoRoot(RuntimeError):
     """The band-constant solve found no admissible root."""
-
-
-class Region(enum.Enum):
-    INSIDE_D1 = "inside_d1"
-    TRANSITION = "transition"
-    OUTSIDE = "outside"
 
 
 _BISECTION_ITERATIONS = 200
@@ -162,14 +155,6 @@ def gamma2(tp: TruncationParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-def z_gap(tp: TruncationParams, x):
-    """Minimal separation x - gamma1(x) enforced between decoupled sets.
-
-    Strictly increasing from z_gap(0) = 0.
-    """
-    return x - gamma1(tp, x)
-
-
 def _band_ratio(x, y):
     # |x - y| / sqrt(x y (x + y)); +inf on the axes, 0 at the origin corner
     # handled by callers.
@@ -190,31 +175,6 @@ def _cone_ratio(x, y):
     return np.where(hi > 0.0, r, 1.0)
 
 
-def in_support(tp: TruncationParams, x: float, y: float) -> Region:
-    """Classify a point against the cutoff's plateau and support.
-
-    INSIDE_D1 means the cutoff equals 1; OUTSIDE means the point lies
-    strictly outside the closed support; TRANSITION covers the rest,
-    including the support boundary where the cutoff is 0.
-    """
-    if x < 0.0 or y < 0.0:
-        raise ValueError("energies must be nonnegative")
-    in_box = x <= tp.delta_star and y <= tp.delta_star
-    if in_box:
-        s = float(_band_ratio(x, y))
-        if s <= tp.rho1:
-            return Region.INSIDE_D1
-        if s <= tp.rho_star:
-            return Region.TRANSITION
-        return Region.OUTSIDE
-    r = float(_cone_ratio(x, y))
-    if r >= tp.theta1:
-        return Region.INSIDE_D1
-    if r >= tp.theta:
-        return Region.TRANSITION
-    return Region.OUTSIDE
-
-
 def eval_cutoff(tp: TruncationParams, x, y):
     """Continuous symmetric cutoff: 1 on the inner region, 0 off the support.
 
@@ -233,26 +193,6 @@ def eval_cutoff(tp: TruncationParams, x, y):
     cone = np.clip((r - tp.theta) / (tp.theta1 - tp.theta), 0.0, 1.0)
     out = np.minimum(band, cone)
     return float(out) if out.ndim == 0 else out
-
-
-def truncated_kernel(
-    pp: PhysicalParams,
-    tp: TruncationParams,
-    x: float,
-    y: float,
-    tol: float = 1e-10,
-) -> float:
-    """Collision rate density cutoff * B(x, y) / (x y).
-
-    Returns 0 without evaluating the kernel when (x, y) is outside the
-    cutoff support.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError("x and y must be positive")
-    phi = eval_cutoff(tp, x, y)
-    if phi == 0.0:
-        return 0.0
-    return phi * eval_kernel(pp, x, y, tol).value / (x * y)
 
 
 def kernel_bound_constant(table_x, table_y, table_B) -> float:

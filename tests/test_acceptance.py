@@ -22,8 +22,6 @@ from comptonsim.full_solver import (
 from comptonsim.kernel import (
     PhysicalParams,
     diagonal_closed_form,
-    diagonal_concentration_check,
-    eval_kernel,
     eval_majorant,
     verify_antidiagonal_monotonicity,
 )
@@ -36,6 +34,7 @@ from comptonsim.reduced_solver import (
     run_atoms,
 )
 from comptonsim.truncation import TruncationParams, gamma1, gamma2
+from oracles import diagonal_concentration_check, eval_kernel
 
 PP = PhysicalParams(beta=1.0, m=1.0)
 TP = TruncationParams.solve(0.5, 1.0, 0.8)

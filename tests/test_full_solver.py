@@ -84,7 +84,7 @@ class TestRegularizedKernel:
         assert np.all(kern.table[outside, :] == 0.0)
 
     def test_bounded_by_untapered_rate(self, kern, grid):
-        from comptonsim.truncation import truncated_kernel
+        from oracles import truncated_kernel
 
         rng = np.random.default_rng(51)
         idx = rng.integers(0, grid.n, size=(20, 2))

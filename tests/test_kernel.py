@@ -13,22 +13,24 @@ from scipy.integrate import dblquad, quad
 from comptonsim import harness
 from comptonsim import kernel as kernel_module
 from comptonsim.kernel import (
-    ConcentrationRow,
-    KernelSample,
     NonConvergence,
     PhysicalParams,
-    concentration_limit,
     diagonal_closed_form,
-    diagonal_concentration_check,
-    diagonal_profile,
-    eval_kernel,
     eval_kernel_batch,
     eval_majorant,
     peak_bound,
+    verify_antidiagonal_monotonicity,
+)
+from oracles import (
+    ConcentrationRow,
+    KernelSample,
+    concentration_limit,
+    diagonal_concentration_check,
+    diagonal_profile,
+    eval_kernel,
     scale_from_dimensionless,
     scale_measure,
     scale_to_dimensionless,
-    verify_antidiagonal_monotonicity,
 )
 
 PP = PhysicalParams(beta=1.0, m=1.0)
@@ -130,6 +132,17 @@ class TestBatchContract:
         assert np.array_equal(bits(values), bits([s.value for s in ref]))
         assert np.array_equal(bits(errors), bits([s.abs_error_estimate for s in ref]))
         assert np.all(errors <= tol * values)
+
+    @BATCH
+    @given(pp=kernel_params(), xs=st.lists(st.floats(1e-3, 60.0), max_size=8), tol=st.floats(1e-13, 1e-3))
+    def test_diagonal_quadrature_bitwise_equal_to_scalar(self, pp, xs, tol):
+        # kernel-verify's diagonal oracle runs the bisection at x == y,
+        # which eval_kernel_batch hands to the closed form instead
+        x = np.array(xs + [0.1, 1.0, 10.0])
+        values, errors = kernel_module._bisect_batch(pp, x, x, tol)
+        ref = [eval_kernel(pp, a, a, tol, force_quadrature=True) for a in x.tolist()]
+        assert np.array_equal(bits(values), bits([s.value for s in ref]))
+        assert np.array_equal(bits(errors), bits([s.abs_error_estimate for s in ref]))
 
     @BATCH
     @given(pp=kernel_params(), xy=point_pairs(), tol=st.floats(1e-13, 1e-3))

@@ -25,7 +25,8 @@ from comptonsim.measure import (
     moment,
     planck_density,
 )
-from comptonsim.truncation import TruncationParams, eval_cutoff, z_gap
+from comptonsim.truncation import TruncationParams, eval_cutoff
+from oracles import z_gap
 
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
 

@@ -47,7 +47,7 @@ from comptonsim.full_solver import (
     taper,
 )
 from comptonsim.harness import _CSV_ROWS, _write_csv, build_initial, load_config, run_reduced_experiment
-from comptonsim.kernel import PhysicalParams, eval_kernel, eval_kernel_batch
+from comptonsim.kernel import PhysicalParams, eval_kernel_batch
 from comptonsim.measure import (
     Grid,
     HybridMeasure,
@@ -76,6 +76,8 @@ from comptonsim.truncation import (
     gamma2,
     kernel_bound_constant,
 )
+
+import oracles
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -173,7 +175,7 @@ def loop_table_build(pp, tp, grid, n, tol=1e-10):
             phi = eval_cutoff(tp, xs[i], xs[j])
             if phi == 0.0:
                 continue
-            B = kernel_module.eval_kernel(pp, xs[i], xs[j], tol).value
+            B = oracles.eval_kernel(pp, xs[i], xs[j], tol).value
             table[i, j] = phi * B * tap[i] * tap[j]
             table[j, i] = table[i, j]
             raw_x.append(xs[i])
@@ -194,7 +196,7 @@ def scalar_rate(pp, tp, x, y, tol=1e-10):
     phi = eval_cutoff(tp, lo, hi)
     if phi == 0.0:
         return 0.0, None
-    B = kernel_module.eval_kernel(pp, lo, hi, tol).value
+    B = oracles.eval_kernel(pp, lo, hi, tol).value
     value = phi * B / (lo * hi) * (math.exp(-lo) - math.exp(-hi))
     return (value if x < y else -value), B
 
@@ -223,7 +225,7 @@ def kernel_calls():
     eval_kernel_batch, and each call of the scalar eval_kernel that the
     oracles make."""
     seen = []
-    real_scalar = kernel_module.eval_kernel
+    real_scalar = oracles.eval_kernel
     real_batch = kernel_module.eval_kernel_batch
 
     def scalar(pp, x, y, tol=1e-10, *args, **kwargs):
@@ -234,7 +236,7 @@ def kernel_calls():
         seen.extend((a, b, tol) for a, b in zip(np.asarray(x).tolist(), np.asarray(y).tolist()))
         return real_batch(pp, x, y, tol, *args, **kwargs)
 
-    patched = [(kernel_module, "eval_kernel", scalar)]
+    patched = [(oracles, "eval_kernel", scalar)]
     patched += [(mod, "eval_kernel_batch", batch) for mod in (full_solver_module, reduced_solver_module)]
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in patched]
     for mod, name, fn in patched:
@@ -1011,7 +1013,7 @@ class TestScreenedBatchAgainstLoops:
         y = np.array([0.12, 1.0, 2.6, 4.0])
         values, errors = eval_kernel_batch(PP, x, y, 1e-9)
         for k in range(x.size):
-            s = eval_kernel(PP, x[k], y[k], 1e-9)
+            s = oracles.eval_kernel(PP, x[k], y[k], 1e-9)
             assert (values[k], errors[k]) == (s.value, s.abs_error_estimate)
         empty = eval_kernel_batch(PP, np.zeros(0), np.zeros(0))
         assert empty[0].shape == empty[1].shape == (0,)

@@ -10,6 +10,10 @@ runs do reach, or that no longer exists, fails the guard too, so the list
 stays short and true.  Functions a run never calls are how one job comes
 to be done in two places: a per-state twin of a batched run path, or a
 parameter that no caller sets, looks alive only while a test calls it.
+
+A second guard checks the other direction of a deletion: every name in a
+module's ``__all__`` must still be defined there, or ``from ... import *``
+and any tool that looks up the exported names would fail.
 """
 
 from __future__ import annotations
@@ -32,22 +36,12 @@ ALLOWLIST = {
     "full_solver.BalanceReport.passed": "a result property that tests read",
     "full_solver.OriginMassReport.extrapolated": "a result property of origin_mass_estimate that tests read",
     "full_solver.RegularizedKernel.coupling": "read by perfbench/ (ROADMAP item 1 retires the dense table)",
-    "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 6",
-    "kernel.ConcentrationRow.ratio": "paper fact, large-beta concentration: the ratio the tests read",
+    "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 3",
     "kernel._diagonal_series_coefficients": "runs at import to build _DIAGONAL_SERIES, before any command",
-    "kernel.concentration_limit": "paper fact, large-beta concentration: the limit of the integral",
-    "kernel.diagonal_concentration_check": "paper fact, large-beta concentration of the majorant onto the diagonal",
-    "kernel.diagonal_profile": "paper fact, large-beta concentration: the diagonal profile weighting the limit",
-    "kernel.scale_from_dimensionless": "paper fact: the kernel's scaling maps",
-    "kernel.scale_measure": "paper fact: the kernel's scaling maps",
-    "kernel.scale_to_dimensionless": "paper fact: the kernel's scaling maps",
     "measure.ComponentPartition.total_mass": "a result property that tests read",
     "measure.HybridMeasure.origin_mass": "a state property that tests read",
     "measure.measure_from_dict": "reads a snapshot file back bit for bit, the documented round trip tests check",
     "reduced_solver.LyapunovReport.passed": "a result property that tests read",
-    "truncation.in_support": "paper fact: the three-way classification of the coupling region",
-    "truncation.truncated_kernel": "paper fact: the truncated collision rate",
-    "truncation.z_gap": "paper fact: the decoupling gap between consecutive blocks",
 }
 
 FULL_CONFIG = {"grid": {"n": 48}, "solver": {"t_end": 0.01}}
@@ -123,3 +117,11 @@ def test_every_function_is_reached_or_allowlisted(tmp_path):
     unreached = {name for code, name in defined.items() if code not in reached}
     assert sorted(unreached - ALLOWLIST.keys()) == [], "never called: delete them, or allowlist them with a reason"
     assert sorted(ALLOWLIST.keys() - unreached) == [], "stale allowlist entries: called, or no longer defined"
+
+
+def test_every_exported_name_is_defined():
+    missing = []
+    for info in pkgutil.iter_modules([PACKAGE]):
+        mod = importlib.import_module(f"comptonsim.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == [], "exported by __all__ but not defined"

@@ -13,13 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from comptonsim import reduced_solver
+from comptonsim._dop853 import StepSizeTooSmall
 from comptonsim.harness import EXAMPLE51
-from comptonsim.kernel import PhysicalParams, eval_kernel
+from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, components, planck_density
 from comptonsim.reduced_solver import (
+    AtomStepCollapse,
     AtomSystemState,
     AtomTrajectory,
     FlatnessViolation,
+    NegativeAtomMass,
     NonContraction,
     NotConverged,
     PicardTrajectory,
@@ -35,6 +38,7 @@ from comptonsim.reduced_solver import (
     run_atoms,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff, gamma2
+from oracles import eval_kernel
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -256,6 +260,28 @@ class TestRunAtoms:
     def test_leftmost_mass_nondecreasing(self):
         traj = run_atoms(chain_state(), 100.0, n_record=1001)
         assert np.all(np.diff(traj.masses[:, 0]) >= -1e-15)
+
+    def test_step_collapse_is_named(self, monkeypatch):
+        def collapse(*args):
+            raise StepSizeTooSmall("Required step size is less than spacing between numbers.")
+
+        monkeypatch.setattr(reduced_solver, "dop853", collapse)
+        with pytest.raises(AtomStepCollapse) as err:
+            run_atoms(chain_state(), 1.0, n_record=3)
+        assert isinstance(err.value, RuntimeError)
+        assert str(err.value) == "atom integration failed: Required step size is less than spacing between numbers."
+
+    def test_negative_mass_is_named(self, monkeypatch):
+        def undershoot(rhs, t0, t1, m0, t_eval, rtol, atol):
+            masses = np.tile(m0, (t_eval.size, 1))
+            masses[-1, 0] = -1e-6
+            return t_eval, masses, 0
+
+        monkeypatch.setattr(reduced_solver, "dop853", undershoot)
+        with pytest.raises(NegativeAtomMass) as err:
+            run_atoms(chain_state(), 1.0, n_record=3)
+        assert isinstance(err.value, RuntimeError)
+        assert str(err.value) == "mass positivity violated beyond integrator noise: -1e-06"
 
 
 class TestDissipation:

@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_kernel
+from comptonsim.kernel import PhysicalParams, diagonal_closed_form
 from comptonsim.truncation import (
-    Region,
     TruncationParams,
     eval_cutoff,
     gamma1,
     gamma2,
-    in_support,
     kernel_bound_constant,
     solve_rho,
-    truncated_kernel,
-    z_gap,
 )
+from oracles import Region, eval_kernel, in_support, truncated_kernel, z_gap
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
