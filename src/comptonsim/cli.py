@@ -6,13 +6,15 @@ parallelism.  Runs are deterministic for a fixed config, seed and THREADS;
 at another thread count a Picard run's trajectory.csv can differ in the
 last digit, because a multi-threaded BLAS sums its matrix products in
 another order (full-equation and atom outputs do not depend on it).
-Exit code is 0 exactly when every assertion of the invoked command passed,
-1 when one failed, and 2 for an invalid config (a value of the wrong type,
-a ``reduced.rate_table`` that does not fit the initial atoms, and an
-initial state of the wrong kind for the command included:
-simulate-full and picard mode need a density, atoms mode a purely atomic
-state) or an unknown preset.  An exit 2 prints one line on stderr and
-writes no output directory.
+Exit code is 0 exactly when every assertion of the invoked command passed
+(the table commands have none), 1 when one failed, and 2 for an invalid
+config (a value of the wrong type, a ``reduced.rate_table`` that does not
+fit the initial atoms, and an initial state of the wrong kind for the
+command included: simulate-full and picard mode need a density, atoms
+mode a purely atomic state), an unknown preset, an argument of
+kernel-table or region-dump outside its domain (``--tol 0``, say, or a
+``--theta1`` not above ``--theta``), or a negative ``--seed``.  An exit 2
+prints one line on stderr and writes no output file or directory.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _cap_threads()
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print(f"invalid argument --seed: must be >= 0; got {args.seed}", file=sys.stderr)
+        return 2
 
     from .harness import (
         ParseError,
         UnknownPreset,
         ValidationError,
         load_config,
-        preset_names,
         run_full_experiment,
         run_preset,
         run_reduced_experiment,
@@ -101,15 +105,19 @@ def main(argv: list[str] | None = None) -> int:
     from .kernel import PhysicalParams
     from .truncation import TruncationParams
 
-    if args.command == "kernel-table":
-        pp = PhysicalParams(beta=args.beta, m=args.m)
-        write_kernel_table(pp, args.grid_min, args.grid_max, args.grid_points, args.tol, args.out)
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "region-dump":
-        tp = TruncationParams.solve(args.theta, args.delta_star, args.theta1)
-        write_region_dump(tp, args.grid_min, args.grid_max, args.grid_points, args.out)
+    if args.command in ("kernel-table", "region-dump"):
+        # the parameters, the grid and the tolerance raise ValueError on a bad
+        # argument, each before the table is computed and its file opened
+        try:
+            if args.command == "kernel-table":
+                pp = PhysicalParams(beta=args.beta, m=args.m)
+                write_kernel_table(pp, args.grid_min, args.grid_max, args.grid_points, args.tol, args.out)
+            else:
+                tp = TruncationParams.solve(args.theta, args.delta_star, args.theta1)
+                write_region_dump(tp, args.grid_min, args.grid_max, args.grid_points, args.out)
+        except ValueError as e:
+            print(f"invalid arguments to {args.command}: {e}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
         return 0
 
@@ -138,8 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             manifest = run_preset(args.name, args.out, args.seed)
         except UnknownPreset as e:
-            print(str(e), file=sys.stderr)
-            print(f"available presets: {', '.join(preset_names())}", file=sys.stderr)
+            print(e.args[0], file=sys.stderr)
             return 2
         _print_assertions(manifest.assertions)
         return 0 if manifest.all_passed else 1

@@ -5,14 +5,14 @@ collision operator with the kernel tapered to a compact energy window
 (index n); an optional origin atom is carried as a passive diagnostic
 since the tapered kernel vanishes at zero energy.  Mass is conserved by
 pairwise antisymmetric flux assembly, so the drift over a run is pure
-floating-point roundoff.  Diagnostics cover the exponential-moment growth
-bound, the entropy/dissipation balance, and the accumulation of mass near
-the origin.  The collision rate and the dissipation and origin-flux
-diagnostics all run over one list of in-support grid pairs, built once
-with the kernel table by one screened batch: a vectorized cutoff picks
-the supported pairs, and one batch evaluation fills them in.  A run
-computes the diagnostics of its recorded states in one whole-array pass
-per block of states.
+floating-point roundoff.  Diagnostics cover the exponential moment and
+its growth-rate constant, the entropy/dissipation balance, and the
+accumulation of mass near the origin.  The collision rate and the
+dissipation and origin-flux diagnostics all run over one list of
+in-support grid pairs, built once with the kernel table by one screened
+batch: a vectorized cutoff picks the supported pairs, and one batch
+evaluation fills them in.  A run computes the diagnostics of its
+recorded states in one whole-array pass per block of states.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows, exp_moment
+from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 _BLOCK_ROWS = 4  # states per diagnostics pass: rows x pairs temporaries near 128 KiB at 4k pairs; 8 ran slower
@@ -121,14 +121,12 @@ class RegularizedKernel:
     and is left out.
     """
 
-    n: int
     grid: Grid
     table: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_c: np.ndarray
     bound_constant: float
-    tp: TruncationParams
 
     @property
     def coupling(self) -> np.ndarray:
@@ -163,10 +161,7 @@ class RegularizedKernel:
         w = grid.weights
         pair_c = vals[off] * (w[pair_i] * w[pair_j])
         c_star = kernel_bound_constant(xs[i], xs[j], B)
-        return cls(
-            n=n, grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c,
-            bound_constant=c_star, tp=tp,
-        )
+        return cls(grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c, bound_constant=c_star)
 
 
 def _gain_factors(xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -261,10 +256,11 @@ class TrajectoryRecord:
 
     Record k is the state at ``times[k]``: ``M0`` its mass, ``X_eta`` its
     exponential moment, ``H`` its entropy, ``entropy_dissipation`` its
-    dissipation D, ``origin_mass_series`` its mass on [0, 2 x_min) (the
-    smallest origin window), and ``exp_moment_bound`` the a-priori bound
-    e^{C_eta t} X_eta(0).  ``final`` is the last recorded density; no other
-    state is kept.
+    dissipation D and ``origin_mass_series`` its mass on [0, 2 x_min) (the
+    smallest origin window).  ``final`` is the last recorded density; no
+    other state is kept.  The a-priori bound e^{C_eta t} X_eta(0) is not a
+    column: the caller, which holds C_eta, builds it from ``X_eta[0]`` with
+    :func:`_growth_bound`.
     """
 
     times: np.ndarray
@@ -273,12 +269,7 @@ class TrajectoryRecord:
     H: np.ndarray
     entropy_dissipation: np.ndarray
     origin_mass_series: np.ndarray
-    exp_moment_bound: np.ndarray
     final: np.ndarray
-
-    def max_mass_drift(self) -> float:
-        scale = abs(self.M0[0]) if self.M0[0] != 0.0 else 1.0
-        return float(np.max(np.abs(self.M0 - self.M0[0])) / scale)
 
 
 @dataclass(frozen=True)
@@ -393,7 +384,7 @@ def _recorded(g: np.ndarray, kern: RegularizedKernel, cfg: SolverConfig):
 
 
 def _growth_bound(c_eta: float, t: float, x0: float) -> float:
-    # e^{c_eta t} X_eta(0); past c_eta t ~ 709.78 math.exp overflows and the bound is infinite
+    # e^{c_eta t} X_eta(0) at one time; past c_eta t ~ 709.78 math.exp overflows and the bound is infinite
     try:
         return math.exp(c_eta * t) * x0
     except OverflowError:
@@ -403,17 +394,18 @@ def _growth_bound(c_eta: float, t: float, x0: float) -> float:
 def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
     """Integrate the regularized equation from a hybrid initial state.
 
-    The kernel fixes the grid, the truncation parameters and the
-    regularization index.  Only the density evolves; an origin atom
-    rides along as a diagnostic (the tapered kernel cannot move mass at
-    zero energy) and atoms at positive energies are rejected.  The columns
-    of the returned record are filled in one pass per block of
-    ``_BLOCK_ROWS`` recorded states: take gathers and prefix slices keep
-    every row C-contiguous, so each row's np.vecdot sums in np.dot's order
-    and every value has the bits of the one-state dot product.  Every step asks
-    for ``cfg.dt_init`` (cut to the horizon); a rejected step halves it for
-    that step only.  The run does not judge its mass drift: the caller
-    compares ``max_mass_drift()`` with ``cfg.mass_tolerance``.
+    The kernel fixes the grid, the truncation and the regularization.  Only
+    the density evolves; an origin atom rides along as a diagnostic (the
+    tapered kernel cannot move mass at zero energy) and atoms at positive
+    energies are rejected.  The columns of the returned record are filled
+    in one pass per block of ``_BLOCK_ROWS`` recorded states: take gathers
+    and prefix slices keep every row C-contiguous, so each row's np.vecdot
+    sums in np.dot's order and every value has the bits of the one-state
+    dot product.  Every step asks for ``cfg.dt_init`` (cut to the horizon);
+    a rejected step halves it for that step only.  The run judges nothing:
+    the caller compares the relative drift of ``M0`` with
+    ``cfg.mass_tolerance`` and builds the growth bound from C_eta and
+    ``X_eta[0]``.
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
@@ -422,8 +414,6 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     if not np.array_equal(u0.grid.nodes, kern.grid.nodes):
         raise ValueError("state grid must match the kernel grid")
 
-    c_eta = exp_moment_rate(kern.tp, kern.bound_constant, cfg.eta)
-    x0 = exp_moment(u0, cfg.eta)
     eps = u0.grid.nodes[0] * 2.0  # the smallest window of origin_mass_estimate's ladder
     blocks = []
     records = _recorded(u0.density.copy(), kern, cfg)
@@ -438,6 +428,5 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
             # the origin atom's parts of D are exact zeros: the taper vanishes at 0
             0.5 * _pair_dissipation(kern, rows)[0],
             _mass_below(u0.atoms, u0.grid, rows, eps)[0],
-            [_growth_bound(c_eta, t, x0) for t in times],
         ))
     return TrajectoryRecord(*(np.concatenate(col, dtype=float) for col in zip(*blocks)), final=states[-1])

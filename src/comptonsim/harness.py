@@ -35,11 +35,12 @@ from .full_solver import (
     RegularizedKernel,
     SolverConfig,
     TrajectoryRecord,
+    _growth_bound,
     entropy_balance_check,
     exp_moment_rate,
     run_full,
 )
-from .measure import Grid, HybridMeasure, check_exp_rate, planck_density, save_measure
+from .measure import Grid, HybridMeasure, check_exp_rate, planck_density, relative_drift, save_measure
 from .reduced_solver import (
     AtomSystemState,
     NotConverged,
@@ -48,7 +49,7 @@ from .reduced_solver import (
     picard_solve,
     run_atoms,
 )
-from .truncation import TruncationParams, gamma1, gamma2, solve_rho
+from .truncation import TruncationParams, gamma1, gamma2
 
 __all__ = [
     "ParseError",
@@ -315,13 +316,21 @@ class RunManifest:
         return path
 
 
-def _manifest_for(cfg_raw: dict) -> RunManifest:
+def _manifest_for(cfg_raw: dict, **derived_constants) -> RunManifest:
     canonical = json.dumps(cfg_raw, sort_keys=True).encode()
     return RunManifest(
         config_hash=hashlib.sha256(canonical).hexdigest(),
         version=__version__,
         created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        derived_constants=derived_constants,
     )
+
+
+def _run_manifest(cfg: ExperimentConfig, **constants) -> RunManifest:
+    """A run's manifest, its derived constants the band constants rho_star
+    and rho1, then ``constants`` (the run's own), then eta."""
+    tp = cfg.truncation
+    return _manifest_for(cfg.raw, rho_star=tp.rho_star, rho1=tp.rho1, **constants, eta=cfg.eta)
 
 
 _CSV_ROWS = 2048  # rows formatted and written at a time
@@ -366,6 +375,15 @@ def _column_strings(col: np.ndarray) -> np.ndarray:
     return out
 
 
+def _table_points(grid_min: float, grid_max: float, grid_points: int) -> np.ndarray:
+    """The log-spaced points of a table command; a bad argument raises ValueError."""
+    if not (0.0 < grid_min < math.inf and 0.0 < grid_max < math.inf):
+        raise ValueError(f"grid_min and grid_max must be positive and finite; got {grid_min}, {grid_max}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1; got {grid_points}")
+    return np.geomspace(grid_min, grid_max, grid_points)
+
+
 def write_kernel_table(
     pp: PhysicalParams,
     grid_min: float,
@@ -375,7 +393,7 @@ def write_kernel_table(
     path: str,
 ) -> None:
     """Log-spaced kernel table as CSV with columns x, y, B, err."""
-    xs = np.geomspace(grid_min, grid_max, grid_points)
+    xs = _table_points(grid_min, grid_max, grid_points)
     x, y = np.repeat(xs, xs.size), np.tile(xs, xs.size)
     B, err = eval_kernel_batch(pp, x, y, tol)
     _write_csv(path, ["x", "y", "B", "err"], (x, y, B, err))
@@ -389,14 +407,8 @@ def write_region_dump(
     path: str,
 ) -> None:
     """Boundary curves of the coupling region and the inner plateau."""
-    inner = TruncationParams(
-        theta=tp.theta1,
-        delta_star=tp.delta_star,
-        theta1=0.5 * (tp.theta1 + 1.0),
-        rho_star=tp.rho1,
-        rho1=solve_rho(0.5 * (tp.theta1 + 1.0), tp.delta_star),
-    )
-    xs = np.geomspace(grid_min, grid_max, grid_points)
+    inner = TruncationParams.solve(tp.theta1, tp.delta_star, 0.5 * (tp.theta1 + 1.0))
+    xs = _table_points(grid_min, grid_max, grid_points)
     x = xs.tolist()
     columns = (
         xs,
@@ -414,22 +426,19 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     indices when the two stamps coincide, on horizons below 5e-7).
 
     A run whose mass drift exceeds ``solver.mass_tolerance`` still writes
-    every output; its manifest records ``mass_conservation`` as FAIL.
+    every output; its manifest records ``mass_conservation`` as FAIL.  The
+    growth-rate constant C_eta is computed here once: the manifest records
+    it, and the ``exp_moment_growth_bound`` check holds X_eta at every
+    record under e^{C_eta t} X_eta(0), with X_eta(0) the first recorded
+    value.
     """
     u0 = cfg.initial_measure()
     if u0.density is None:
         raise ValidationError("initial: the full equation needs a density initial state")
     os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest_for(cfg.raw)
     kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
-    manifest.derived_constants = {
-        "rho_star": cfg.truncation.rho_star,
-        "rho1": cfg.truncation.rho1,
-        "C_star": kern.bound_constant,
-        "C_eta": c_eta,
-        "eta": cfg.eta,
-    }
+    manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
     traj = run_full(u0, kern, cfg.solver)
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
@@ -443,16 +452,15 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
         save_measure(HybridMeasure(atoms=u0.atoms, grid=cfg.grid, density=density), os.path.join(out_dir, name))
         manifest.outputs.append(name)
 
-    manifest.check(
-        "mass_conservation",
-        traj.max_mass_drift() <= cfg.solver.mass_tolerance,
-        f"max drift {traj.max_mass_drift():.3e}",
-    )
-    bounded = traj.exp_moment_bound > 0.0  # a massless run has bound 0: no ratio, not 0/0
+    drift = relative_drift(traj.M0)
+    manifest.check("mass_conservation", drift <= cfg.solver.mass_tolerance, f"max drift {drift:.3e}")
+    x0 = float(traj.X_eta[0])
+    bound = np.array([_growth_bound(c_eta, t, x0) for t in traj.times.tolist()])
+    bounded = bound > 0.0  # a massless run has bound 0: no ratio, not 0/0
     manifest.check(
         "exp_moment_growth_bound",
-        bool(np.all(traj.X_eta <= (1.0 + 1e-6) * traj.exp_moment_bound)),
-        f"max X_eta/bound {np.max(traj.X_eta[bounded] / traj.exp_moment_bound[bounded], initial=0.0):.6f}",
+        bool(np.all(traj.X_eta <= (1.0 + 1e-6) * bound)),
+        f"max X_eta/bound {np.max(traj.X_eta[bounded] / bound[bounded], initial=0.0):.6f}",
     )
     balance = entropy_balance_check(traj)
     manifest.check(
@@ -474,7 +482,9 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     """Reduced-equation run in 'atoms' or 'picard' mode.
 
     The atom state, and with it an explicit ``reduced.rate_table``, is
-    checked before the output directory is made.
+    checked before the output directory is made.  ``trajectory.csv`` holds
+    the mass series and the series the Lyapunov check computed, taken from
+    its report.
     """
     u0 = cfg.initial_measure()
     red = cfg.reduced
@@ -494,12 +504,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     else:
         raise ValidationError("mode must be 'atoms' or 'picard'")
     os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest_for(cfg.raw)
-    manifest.derived_constants = {
-        "rho_star": cfg.truncation.rho_star,
-        "rho1": cfg.truncation.rho1,
-        "eta": cfg.eta,
-    }
+    manifest = _run_manifest(cfg)
 
     if mode == "atoms":
         traj = run_atoms(state, red["t_end"], n_record=red["n_record"])
@@ -508,24 +513,15 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         traj = picard_solve(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
         manifest.derived_constants["C_0"] = traj.growth_constant
 
-    # the series of trajectory.csv after M0, in its column order; the
-    # Lyapunov check reads them instead of computing them again
     m0 = traj.mass_series()
-    known = {
-        ("moment_series", 1.0): traj.moment_series(1.0),
-        ("moment_series", 2.0): traj.moment_series(2.0),
-        ("exp_moment_series", cfg.eta): traj.exp_moment_series(cfg.eta),
-        ("dissipation_series", 2.0): traj.dissipation_series(2.0),
-    }
-    columns = (traj.times, m0, *known.values())
+    rep = lyapunov_check(traj, eta=cfg.eta)
+    columns = (traj.times, m0, rep.moments[1.0], rep.moments[2.0], rep.exp_moment, rep.dissipation[2.0])
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], columns)
     manifest.outputs.append("trajectory.csv")
 
-    mass_scale = abs(m0[0]) if m0[0] != 0.0 else 1.0
-    drift = float(np.max(np.abs(m0 - m0[0])) / mass_scale)
+    drift = relative_drift(m0)
     tol = 1e-12 if mode == "atoms" else 1e-10
     manifest.check("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}")
-    rep = lyapunov_check(traj, eta=cfg.eta, known=known)
     manifest.check(
         "moments_nonincreasing", all(rep.monotone.values()) and rep.exp_moment_monotone,
         f"monotone {rep.monotone}",
@@ -564,27 +560,26 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
 # presets
 
 
-def _preset_equilibrium(out_dir: str, seed: int) -> RunManifest:
+def _full_preset(out_dir: str, initial: dict) -> tuple[ExperimentConfig, RunManifest, TrajectoryRecord]:
+    # the equilibrium and over-planck runs differ only in their initial data
     cfg = load_config(data={
         "grid": {"min": 0.02, "max": 22.0, "n": 128},
-        "initial": {"preset": "planck_mu", "mu": -1.0},
+        "initial": initial,
         "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
     })
-    manifest, traj = run_full_experiment(cfg, out_dir)
-    u0 = cfg.initial_measure()
-    drift_l1 = float(np.dot(cfg.grid.weights, np.abs(traj.final - u0.density)))
+    return cfg, *run_full_experiment(cfg, out_dir)
+
+
+def _preset_equilibrium(out_dir: str, seed: int) -> RunManifest:
+    cfg, manifest, traj = _full_preset(out_dir, {"preset": "planck_mu", "mu": -1.0})
+    drift_l1 = float(np.dot(cfg.grid.weights, np.abs(traj.final - cfg.initial_measure().density)))
     manifest.check("equilibrium_stationarity", drift_l1 <= 1e-5, f"L1 drift {drift_l1:.3e}")
     manifest.write(out_dir)
     return manifest
 
 
 def _preset_over_planck(out_dir: str, seed: int) -> RunManifest:
-    cfg = load_config(data={
-        "grid": {"min": 0.02, "max": 22.0, "n": 128},
-        "initial": {"preset": "scaled_planck", "factor": 2.0, "mu": -1.0},
-        "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
-    })
-    manifest, traj = run_full_experiment(cfg, out_dir)
+    _, manifest, traj = _full_preset(out_dir, {"preset": "scaled_planck", "factor": 2.0, "mu": -1.0})
     h = traj.H
     manifest.check(
         "entropy_rises_toward_saturation",
@@ -702,7 +697,7 @@ def preset_names() -> list[str]:
 def run_preset(name: str, out_dir: str, seed: int | None = None) -> RunManifest:
     """Run a named scenario; outputs land in out_dir, manifest summarizes."""
     if name not in _PRESETS:
-        raise UnknownPreset(f"unknown preset '{name}'; known: {', '.join(preset_names())}")
+        raise UnknownPreset(f"unknown preset '{name}'; available presets: {', '.join(preset_names())}")
     return _PRESETS[name](out_dir, _DEFAULTS["seed"] if seed is None else seed)
 
 

@@ -30,7 +30,7 @@ __all__ = [
     "Component",
     "ComponentPartition",
     "moment",
-    "exp_moment",
+    "relative_drift",
     "check_exp_rate",
     "bl_distance",
     "components",
@@ -187,9 +187,12 @@ def _moment_rows(atoms, grid, rows, rho):
     return total
 
 
-def exp_moment(u: HybridMeasure, eta: float) -> float:
-    """Exponential moment with rate eta >= 0; equals the mass at eta = 0."""
-    return float(_exp_moment_rows(u.atoms, u.grid, u.density, eta))
+def relative_drift(series: np.ndarray) -> float:
+    """Largest departure of a recorded series from its first value, relative
+    to the size of that value (absolute when it is 0): the mass drift both
+    equations' ``mass_conservation`` checks bound."""
+    scale = abs(series[0]) if series[0] != 0.0 else 1.0
+    return float(np.max(np.abs(series - series[0])) / scale)
 
 
 def check_exp_rate(atoms, grid, rows, eta: float) -> None:

@@ -299,20 +299,17 @@ def _dissipation(
     R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Quadratic form sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of each
-    row V of U, or of U * weights when node weights are given (point masses
-    at the locations x; U may be one state or a stack of them).
+    row V of the stack of states U, or of U * weights when node weights are
+    given (point masses at the locations x).
 
     A matrix product with W and a row-wise dot: the work of a matvec per
-    state, instead of a three-operand contraction.  A stack goes through in
-    blocks of ``_BLOCK_ROWS`` rows into one output array, so temporaries
+    state, instead of a three-operand contraction.  The stack goes through
+    in blocks of ``_BLOCK_ROWS`` rows into one output array, so temporaries
     stay at a block's size.  The last block takes the remainder: BLAS sums
     a product of one or two rows in another order, while longer blocks
     give each row the bits of the product over all rows.
     """
     W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
-    if U.ndim == 1:
-        V = U if weights is None else U * weights
-        return np.einsum("...i,...i->...", V @ W, V)
     bounds = [k * _BLOCK_ROWS for k in range(max(len(U) // _BLOCK_ROWS, 1))] + [len(U)]
     out = np.empty(len(U))
     for lo, hi in itertools.pairwise(bounds):
@@ -323,12 +320,17 @@ def _dissipation(
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Monotonicity and balance checks of the moment functionals."""
+    """Monotonicity and balance checks of the moment functionals, and the
+    series they were made on: the moments and dissipations by order, and
+    the exponential moment, one value per recorded state each."""
 
     monotone: dict[float, bool]
     max_balance_error: dict[float, float]
     exp_moment_monotone: bool
     balance_tolerance: float
+    moments: dict[float, np.ndarray]
+    dissipation: dict[float, np.ndarray]
+    exp_moment: np.ndarray
 
     @property
     def balance_ok(self) -> bool:
@@ -339,7 +341,7 @@ class LyapunovReport:
         return all(self.monotone.values()) and self.exp_moment_monotone and self.balance_ok
 
 
-def lyapunov_check(traj, eta: float, known: dict | None = None) -> LyapunovReport:
+def lyapunov_check(traj, eta: float) -> LyapunovReport:
     """Verify the Lyapunov structure along a recorded trajectory.
 
     The moments of the orders ``_MOMENT_ORDERS`` (1, 2 and 3) and the
@@ -350,26 +352,23 @@ def lyapunov_check(traj, eta: float, known: dict | None = None) -> LyapunovRepor
     difference is O(h^2)).  The balance error is the mismatch relative to
     (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2| is at least
     1 % of its peak, and must not exceed ``_BALANCE_TOLERANCE`` (1e-4).
-    ``known`` maps (method name, argument) of a series of ``traj``, such as
-    ``("dissipation_series", 2.0)``, to that series already computed; it is
-    read instead of computed again.
+    Each series (M1, M2, M3, X_eta, D_2 and D_3) is computed once, here,
+    and the report carries them, so a caller writes them out from it.
     """
-    known = {} if known is None else known
-
-    def series(name: str, arg: float) -> np.ndarray:
-        return known[name, arg] if (name, arg) in known else getattr(traj, name)(arg)
-
     t = np.asarray(traj.times)
     h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
     span = h1 + h2
+    moments: dict[float, np.ndarray] = {}
+    dissipation: dict[float, np.ndarray] = {}
     monotone: dict[float, bool] = {}
     balance: dict[float, float] = {}
     for alpha in _MOMENT_ORDERS:
-        moment = series("moment_series", alpha)
+        moment = moments[alpha] = traj.moment_series(alpha)
         scale = max(abs(moment[0]), 1e-300)
         monotone[alpha] = bool(np.all(np.diff(moment) <= 1e-12 * scale))
         if alpha > 1.0:
-            half_d = 0.5 * series("dissipation_series", alpha)
+            dissipation[alpha] = traj.dissipation_series(alpha)
+            half_d = 0.5 * dissipation[alpha]
             left, mid, right = half_d[:-2], half_d[1:-1], half_d[2:]
             simpson = span / 6.0 * ((2.0 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2.0 - h1 / h2) * right)
             change = moment[2:] - moment[:-2]
@@ -381,13 +380,16 @@ def lyapunov_check(traj, eta: float, known: dict | None = None) -> LyapunovRepor
                 balance[alpha] = float(np.max(err)) if err.size else 0.0
             else:
                 balance[alpha] = float(np.max(np.abs(change / span))) if change.size else 0.0
-    x_series = series("exp_moment_series", eta)
+    x_series = traj.exp_moment_series(eta)
     exp_monotone = bool(np.all(np.diff(x_series) <= 1e-12 * abs(x_series[0])))
     return LyapunovReport(
         monotone=monotone,
         max_balance_error=balance,
         exp_moment_monotone=exp_monotone,
         balance_tolerance=_BALANCE_TOLERANCE,
+        moments=moments,
+        dissipation=dissipation,
+        exp_moment=x_series,
     )
 
 

@@ -5,10 +5,14 @@ The package evaluates the kernel through one batched adaptive quadrature,
 global adaptive bisection of Gauss panels one pair at a time, with the
 package's integrand, panel rules and panel budget (``kernel._MAX_PANELS``,
 read at call time so a test can shrink it); the batch must give every pair
-its bits.  The other functions state facts of the paper that no command
-reaches: the large-beta concentration of the majorant onto the diagonal,
-the beta-scaling maps, the three-way classification of the coupling
-region, the decoupling gap and the truncated collision rate.
+its bits.  :func:`exp_moment` is the one-measure form of the exponential
+moment that a full run records per block of states, and
+:func:`growth_bound` builds, for a full run made without the harness, the
+bound that the harness's ``exp_moment_growth_bound`` check builds.  The
+other functions state facts of the paper that no command reaches: the
+large-beta concentration of the majorant onto the diagonal, the
+beta-scaling maps, the three-way classification of the coupling region,
+the decoupling gap and the truncated collision rate.
 """
 
 from __future__ import annotations
@@ -19,9 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from comptonsim import kernel
+from comptonsim import full_solver, kernel, measure
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
 from comptonsim.truncation import TruncationParams, _band_ratio, _cone_ratio, eval_cutoff, gamma1
+
+
+def exp_moment(u, eta: float) -> float:
+    """Exponential moment of one measure with rate eta >= 0; equals the mass at eta = 0."""
+    return float(measure._exp_moment_rows(u.atoms, u.grid, u.density, eta))
+
+
+def growth_bound(traj, c_eta: float) -> np.ndarray:
+    """e^{C_eta t} X_eta(0) at every record of a full run, with X_eta(0) the
+    first recorded X_eta, by the harness's formula (``_growth_bound``)."""
+    x0 = float(traj.X_eta[0])
+    return np.array([full_solver._growth_bound(c_eta, t, x0) for t in traj.times.tolist()])
 
 
 @dataclass(frozen=True)

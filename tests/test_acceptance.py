@@ -17,6 +17,7 @@ from comptonsim.full_solver import (
     SolverConfig,
     collision_rhs,
     entropy_balance_check,
+    exp_moment_rate,
     run_full,
 )
 from comptonsim.kernel import (
@@ -25,7 +26,7 @@ from comptonsim.kernel import (
     eval_majorant,
     verify_antidiagonal_monotonicity,
 )
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import Grid, HybridMeasure, planck_density, relative_drift
 from comptonsim.reduced_solver import (
     AtomSystemState,
     classify_limit,
@@ -34,7 +35,7 @@ from comptonsim.reduced_solver import (
     run_atoms,
 )
 from comptonsim.truncation import TruncationParams, gamma1, gamma2
-from oracles import diagonal_concentration_check, eval_kernel
+from oracles import diagonal_concentration_check, eval_kernel, growth_bound
 
 PP = PhysicalParams(beta=1.0, m=1.0)
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -154,8 +155,8 @@ def test_criterion_05_full_conservation(full_grid, full_kernel):
     )
     traj = run_full(u0, full_kernel, cfg)
     steps = len(traj.times) - 1
-    drift = traj.max_mass_drift()
-    xs, bound = traj.X_eta, traj.exp_moment_bound
+    drift = relative_drift(traj.M0)
+    xs, bound = traj.X_eta, growth_bound(traj, exp_moment_rate(TP, full_kernel.bound_constant, cfg.eta))
     growth_ok = bool(np.all(xs <= (1.0 + 1e-6) * bound))
     elapsed = time.monotonic() - t0
     report(

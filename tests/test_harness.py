@@ -22,6 +22,7 @@ from comptonsim.harness import (
 )
 from comptonsim.measure import Grid
 from comptonsim.reduced_solver import AtomTrajectory, PicardTrajectory
+from oracles import growth_bound
 
 EXAMPLE51_CONFIG = {
     "initial": {"preset": "atoms", "atoms": [[1.0, 0.6], [1.5, 0.2], [2.4, 0.2]]},
@@ -51,6 +52,13 @@ MASSLESS_FULL_CONFIG = {"initial": {"preset": "truncated_planck", "support_min":
 
 TWO_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [9.0, 0.6]]}}
 
+# a full run whose density moves: a bump on a Planck density, 20 steps recorded every 5
+SHORT_FULL_CONFIG = {
+    "grid": {"min": 0.05, "max": 15.0, "n": 48},
+    "initial": {"preset": "bump", "mu": -1.0},
+    "solver": {"t_end": 0.02, "record_every": 5},
+}
+
 # retired fields, each with a value it once took: setting one is a ParseError
 RETIRED_FIELDS = {
     "solver.dt_max": 1e-2,
@@ -64,6 +72,21 @@ RETIRED_FIELDS = {
     "reduced.window": 0.25,
     "diagnostics.kernel_tol": 1e-10,
     "diagnostics.moment_orders": [1.0, 2.0, 3.0],
+}
+
+# command arguments outside their domain, each with its stderr message; each
+# was a ValueError traceback (exit 1), and the negative seeds left a partly
+# written or an empty output directory
+BAD_ARGUMENTS = {
+    "kernel-table --tol 0": "tol must lie in (0, 1e-3]",
+    "kernel-table --grid-min -1": "grid_min and grid_max must be positive and finite",
+    "kernel-table --grid-points -3": "grid_points must be >= 1; got -3",
+    "kernel-table --beta 0": "beta must be positive",
+    "region-dump --theta 1.5": "need 0 < theta < theta1 < 1",
+    "region-dump --theta1 0.4": "need 0 < theta < theta1 < 1",
+    "region-dump --delta-star 0": "delta_star must be positive",
+    "verify --seed -1": "--seed: must be >= 0; got -1",
+    "preset kernel-verify --seed -1": "--seed: must be >= 0; got -1",
 }
 
 # two atoms and a bad reduced value; the atom run checks the table before it writes
@@ -241,23 +264,30 @@ class TestManifest:
         assert checks["exp_moment_growth_bound"] is True
         assert all(checks.values())
         c_eta = manifest.derived_constants["C_eta"]
+        bound = growth_bound(traj, c_eta)
         finite = c_eta * traj.times < 709.0
         assert finite[0] and not finite[-1]
-        assert np.all(np.isfinite(traj.exp_moment_bound[finite]))
-        assert np.all(traj.exp_moment_bound[c_eta * traj.times > 710.0] == np.inf)
+        assert np.all(np.isfinite(bound[finite]))
+        assert np.all(bound[c_eta * traj.times > 710.0] == np.inf)
+        detail = next(a["detail"] for a in manifest.assertions if a["name"] == "exp_moment_growth_bound")
+        assert detail == f"max X_eta/bound {np.max(traj.X_eta / bound):.6f}"
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = load_config(data=EXAMPLE51_CONFIG)
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            run_reduced_experiment(cfg, str(out), mode="atoms")
-            outs.append({
-                name: (out / name).read_bytes()
-                for name in os.listdir(out)
-                if name != "manifest.json"  # manifest carries a timestamp by design
-            })
-        assert outs[0] == outs[1]
+        # an atom run, a Picard run and a full run, each twice
+        for data, mode in ((EXAMPLE51_CONFIG, "atoms"), (COARSE_PICARD_CONFIG, "picard"), (SHORT_FULL_CONFIG, "full")):
+            outs = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"{mode}-{tag}"
+                if mode == "full":
+                    run_full_experiment(load_config(data=data, equation="full"), str(out))
+                else:
+                    run_reduced_experiment(load_config(data=data, equation="reduced"), str(out), mode=mode)
+                outs.append({
+                    name: (out / name).read_bytes()
+                    for name in os.listdir(out)
+                    if name != "manifest.json"  # manifest carries a timestamp by design
+                })
+            assert len(outs[0]) >= 2 and outs[0] == outs[1], mode
 
 
 def assert_invalid_config(tmp_path, capsys, command, data, message):
@@ -463,6 +493,14 @@ class TestCli:
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("args", BAD_ARGUMENTS)
+    def test_bad_argument_exit_code(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert cli_main([*args.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and BAD_ARGUMENTS[args] in err
+        assert not out.exists()
 
     def test_preset_runs(self, tmp_path):
         rc = cli_main(["preset", "example51", "--out", str(tmp_path / "p")])

@@ -19,14 +19,13 @@ from comptonsim.measure import (
     _signed_point_masses,
     bl_distance,
     components,
-    exp_moment,
     measure_from_dict,
     measure_to_dict,
     moment,
     planck_density,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff
-from oracles import z_gap
+from oracles import exp_moment, z_gap
 
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
 

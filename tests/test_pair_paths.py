@@ -53,7 +53,6 @@ from comptonsim.measure import (
     HybridMeasure,
     _entropy_integrand,
     _entropy_rows,
-    exp_moment,
     moment,
     planck_density,
 )
@@ -536,9 +535,9 @@ class TestDissipationAgainstEinsum:
             assert_dissipation_matches(d, *form(traj), alpha)
             assert np.all(d <= 0.0)
         for m in U[:3]:
-            d = _dissipation(R, x, m, alpha)
+            d = _dissipation(R, x, m[None, :], alpha)  # one state, as a one-row stack
             assert_dissipation_matches(d, R, x, m, alpha)
-            assert d <= 0.0
+            assert d.shape == (1,) and d[0] <= 0.0
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_exactly_zero_when_decoupled(self, alpha):
@@ -557,7 +556,7 @@ class TestDissipationAgainstEinsum:
         atoms = AtomTrajectory(AtomSystemState(locations=x, masses=U[0], rate_matrix=R), np.arange(5.0), U, 0)
         assert np.all(atoms.dissipation_series(alpha) == 0.0)
         assert np.all(einsum_dissipation(R, x, U, alpha) == 0.0)
-        assert _dissipation(R, x, U[0], alpha) == 0.0
+        assert _dissipation(R, x, U[:1], alpha).tolist() == [0.0]
 
 
 def whole_dissipation(R, x, U, alpha):
@@ -797,7 +796,7 @@ class TestProperties:
         assert _pair_dissipation(kern, g)[1] == 0
 
 
-COLUMNS = ("times", "M0", "X_eta", "H", "entropy_dissipation", "origin_mass_series", "exp_moment_bound")
+COLUMNS = ("times", "M0", "X_eta", "H", "entropy_dissipation", "origin_mass_series")
 
 
 def per_record_run(u0, kern, cfg):
@@ -806,12 +805,13 @@ def per_record_run(u0, kern, cfg):
     the origin atom's terms added in front as the run adds them (its mass to
     M0, X_eta and the origin mass; -0 * mass to H; nothing to D, since the
     taper vanishes at 0).  Returns each column as a list of per-record
-    values, and every state."""
-    c_eta = exp_moment_rate(kern.tp, kern.bound_constant, cfg.eta)
+    values, every state, and the growth bound e^{C_eta t} X_eta(0) per record
+    as the full run once recorded it, X_eta(0) from the initial measure."""
+    c_eta = exp_moment_rate(TP, kern.bound_constant, cfg.eta)
     origin = [m for _, m in u0.atoms]  # run_full admits no atom but the origin's
     eps = float(u0.grid.nodes[0] * 2.0)
-    x0 = exp_moment(u0, cfg.eta)
-    ref = {name: [] for name in (*COLUMNS, "states")}
+    x0 = oracles.exp_moment(u0, cfg.eta)
+    ref = {name: [] for name in (*COLUMNS, "states", "growth_bound")}
 
     def snapshot(t, g):
         (m0, *_), x_eta, h, d_pairs, below = parent_density_parts(g, kern, eps, cfg.eta)
@@ -821,7 +821,7 @@ def per_record_run(u0, kern, cfg):
         ref["H"].append(-math.fsum(0.0 * m for m in origin) + h)
         ref["entropy_dissipation"].append(0.5 * d_pairs)
         ref["origin_mass_series"].append(math.fsum(origin) + below)
-        ref["exp_moment_bound"].append(math.exp(c_eta * t) * x0)
+        ref["growth_bound"].append(math.exp(c_eta * t) * x0)
         ref["states"].append(g.copy())
 
     g = u0.density.copy()
@@ -837,12 +837,15 @@ def per_record_run(u0, kern, cfg):
     return ref
 
 
-def assert_same_records(traj, ref):
+def assert_same_records(traj, kern, cfg, ref):
     """Every column equal to the per-record values with ==, no tolerance,
-    at every record; the final state bit for bit."""
+    at every record, and so is the growth bound built from the record's
+    X_eta(0); the final state bit for bit."""
     for name in COLUMNS:
         column = getattr(traj, name)
         assert column.dtype == np.float64 and column.tolist() == ref[name], name
+    bound = oracles.growth_bound(traj, exp_moment_rate(TP, kern.bound_constant, cfg.eta))
+    assert bound.dtype == np.float64 and bound.tolist() == ref["growth_bound"]
     assert np.array_equal(bits(traj.final), bits(ref["states"][-1]))
 
 
@@ -900,7 +903,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         ref = per_record_run(u0, kern, cfg)
         traj = run_full(u0, kern, cfg)
         assert len(traj.times) == records
-        assert_same_records(traj, ref)
+        assert_same_records(traj, kern, cfg, ref)
 
     @pytest.mark.parametrize("atoms", [[], [(0.0, 0.3)]])
     def test_with_rejected_steps(self, kern, atoms, monkeypatch):
@@ -918,7 +921,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         traj = run_full(u0, kern, cfg)
         assert any(used < dt for dt, used in asked_used)
         assert len(traj.times) > _BLOCK_ROWS
-        assert_same_records(traj, per_record_run(u0, kern, cfg))
+        assert_same_records(traj, kern, cfg, per_record_run(u0, kern, cfg))
 
     @PROPERTY
     @given(kern=kernels(), seed=st.integers(0, 2**32 - 1), planck=st.booleans())
@@ -928,7 +931,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         eps = float(kern.grid.nodes[0] * 2.0)
         moments, x_eta, h, d_pairs, below = parent_density_parts(g, kern, eps)
         assert [moment(u, rho) for rho in (0.0, 1.0, 2.0, 3.0)] == moments
-        assert exp_moment(u, 0.3) == x_eta and _entropy_rows([], kern.grid, g) == h
+        assert oracles.exp_moment(u, 0.3) == x_eta and _entropy_rows([], kern.grid, g) == h
         assert _pair_dissipation(kern, g)[0] == d_pairs
         assert origin_mass_estimate(u, kern, [4.0 * eps, eps]).mass_estimates[-1] == below
 

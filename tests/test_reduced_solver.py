@@ -284,22 +284,28 @@ class TestRunAtoms:
         assert str(err.value) == "mass positivity violated beyond integrator noise: -1e-06"
 
 
+def one_state_dissipation(st: AtomSystemState, alpha: float) -> float:
+    """``_dissipation`` of the state's masses, passed as a one-row stack."""
+    (d,) = _dissipation(st.rate_matrix, st.locations, st.masses[None, :], alpha)
+    return d
+
+
 class TestDissipation:
     """The moment dissipation ``_dissipation`` of one atom state, as the
     trajectories' ``dissipation_series`` computes it per record."""
 
     def test_single_atom_zero(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0], [1.0])
-        assert _dissipation(st.rate_matrix, st.locations, st.masses, 2.0) == 0.0
+        assert one_state_dissipation(st, 2.0) == 0.0
 
     def test_decoupled_pair_zero_exactly(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.5, 0.5])
-        assert _dissipation(st.rate_matrix, st.locations, st.masses, 2.0) == 0.0
+        assert one_state_dissipation(st, 2.0) == 0.0
 
     def test_coupled_pair_strictly_negative_with_oracle(self):
         x, y, mx, my = 1.0, 1.2, 0.5, 0.5
         st = AtomSystemState.from_physical(PP, TP, [x, y], [mx, my])
-        val = _dissipation(st.rate_matrix, st.locations, st.masses, 2.0)
+        val = one_state_dissipation(st, 2.0)
         # direct two-atom double sum: 2 R(x,y) (x^a - y^a) m_x m_y
         rate = (
             eval_cutoff(TP, x, y)
@@ -317,7 +323,7 @@ class TestDissipation:
             locs = np.sort(rng.uniform(0.3, 4.0, 5))
             st = AtomSystemState.from_physical(PP, TP, locs, rng.uniform(0.1, 1.0, 5))
             for alpha in (1.5, 2.0, 3.0):
-                assert _dissipation(st.rate_matrix, st.locations, st.masses, alpha) <= 0.0
+                assert one_state_dissipation(st, alpha) <= 0.0
 
 
 class TestLyapunov:
