@@ -7,14 +7,16 @@ at another thread count a Picard run's trajectory.csv can differ in the
 last digit, because a multi-threaded BLAS sums its matrix products in
 another order (full-equation and atom outputs do not depend on it).
 Exit code is 0 exactly when every assertion of the invoked command passed
-(the table commands have none), 1 when one failed, and 2 for an invalid
-config (a value of the wrong type, a ``reduced.rate_table`` that does not
-fit the initial atoms, and an initial state of the wrong kind for the
-command included: simulate-full and picard mode need a density, atoms
-mode a purely atomic state), an unknown preset, an argument of
-kernel-table or region-dump outside its domain (``--tol 0``, say, or a
-``--theta1`` not above ``--theta``), or a negative ``--seed``.  An exit 2
-prints one line on stderr and writes no output file or directory.
+(the table commands have none), 1 when one failed, and 2 for a command line
+argparse rejects (``--seed x``, say, or an unknown option), an invalid
+config (a value of the wrong type, truncation values with no band constant,
+a ``reduced.rate_table`` that does not fit the initial atoms, and an initial
+state of the wrong kind for the command included: simulate-full and picard
+mode need a density, atoms mode a purely atomic state), an unknown preset,
+an argument of kernel-table or region-dump outside its domain (``--tol 0``,
+say, or a ``--theta1`` not above ``--theta``), or a negative ``--seed``.  An
+exit 2 prints one line on stderr and writes no output file or directory.
+``main`` returns the exit code, 0 after ``--help``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,15 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, threads)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line on stderr, in place of argparse's usage line and error line
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comptonsim",
         description="Simulators and diagnostics for photon kinetics under Compton scattering",
     )
@@ -85,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _cap_threads()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # 0 after --help, 2 after a usage error
+        return e.code
     if getattr(args, "seed", None) is not None and args.seed < 0:
         print(f"invalid argument --seed: must be >= 0; got {args.seed}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ __all__ = [
     "Grid",
     "HybridMeasure",
     "Component",
-    "ComponentPartition",
     "moment",
     "relative_drift",
     "check_exp_rate",
@@ -315,46 +314,22 @@ class Component:
         return math.fsum(self.masses)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Support split into blocks no pair of which the kernel couples."""
-
-    components: tuple[Component, ...]
-
-    @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(c.mass for c in self.components)
-
-    @property
-    def min_points(self) -> tuple[float, ...]:
-        return tuple(c.min_point for c in self.components)
-
-    @property
-    def total_mass(self) -> float:
-        # one flat correctly-rounded sum over every carrier: identical to the
-        # measure's own mass path (fsum is permutation-invariant), so purely
-        # atomic partitions reproduce the total mass bit for bit
-        return math.fsum(m for c in self.components for m in c.masses)
-
-
-def _partition(pts: list[tuple[float, float]], splits) -> ComponentPartition:
-    """Cut sorted (location, mass) carriers into blocks: a new block starts
-    at each carrier a >= 1 for which ``splits(a)`` holds, i.e. where the gap
-    between carriers a - 1 and a decouples.  The splitting rule is the
-    caller's; no carriers give no blocks."""
+def _partition(pts: list[tuple[float, float]], splits) -> tuple[Component, ...]:
+    """Cut sorted (location, mass) carriers into a tuple of blocks: a new
+    block starts at each carrier a >= 1 for which ``splits(a)`` holds, i.e.
+    where the gap between carriers a - 1 and a decouples.  The splitting
+    rule is the caller's; no carriers give the empty tuple."""
     blocks: list[list[tuple[float, float]]] = []
     for a, p in enumerate(pts):
         if a == 0 or splits(a):
             blocks.append([])
         blocks[-1].append(p)
-    return ComponentPartition(components=tuple(
-        Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks
-    ))
+    return tuple(Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks)
 
 
-def components(u: HybridMeasure, tp: TruncationParams) -> ComponentPartition:
+def components(u: HybridMeasure, tp: TruncationParams) -> tuple[Component, ...]:
     """Partition the support (carriers above ``MASS_EPSILON`` of the total
-    mass) into blocks separated by decoupling gaps.
+    mass) into a left-to-right tuple of blocks separated by decoupling gaps.
 
     A gap between consecutive support carriers p < q splits the support
     exactly when gamma1(q) >= p, i.e. when no pair across the gap lies in

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._dop853 import StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import ComponentPartition, Grid, HybridMeasure, _partition, bl_distance, components
+from .measure import Component, Grid, HybridMeasure, _partition, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 __all__ = [
@@ -256,15 +256,10 @@ class AtomTrajectory:
         return out
 
 
-def run_atoms(
-    state: AtomSystemState,
-    t_end: float,
-    rtol: float = _ATOM_RTOL,
-    n_record: int = 2001,
-) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 (relative tolerance ``rtol``,
-    by default ``_ATOM_RTOL`` = 1e-12; absolute tolerance ``_ATOM_ATOL`` =
-    1e-20) and record n_record equally spaced states by its dense output.
+def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> AtomTrajectory:
+    """Integrate the atom system with DOP853 (relative tolerance
+    ``_ATOM_RTOL`` = 1e-12, absolute tolerance ``_ATOM_ATOL`` = 1e-20) and
+    record n_record equally spaced states by its dense output.
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
@@ -285,7 +280,7 @@ def run_atoms(
         return atom_ode_rhs(state, m)
 
     try:
-        times, masses, nfev = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
+        times, masses, nfev = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), _ATOM_RTOL, _ATOM_ATOL)
     except StepSizeTooSmall as e:
         raise AtomStepCollapse(f"atom integration failed: {e}") from None
     low = masses.min()
@@ -670,106 +665,91 @@ def classify_limit(
     surviving mass clusters are read as atoms and checked against the
     initial state: atoms sit in the initial support, are pairwise
     decoupled, reproduce each initial block's mass, and include the
-    leftmost point of every block with positive minimum.  Per-block mass
-    conservation and tail-mass monotonicity are checked at every record,
-    by one ``window_mass_series`` per initial block and per tail threshold
-    (an empty initial support has none), and ``passed`` requires all six
-    flags.  An atom trajectory reads its blocks and couplings off its rate
-    table, and its limit atoms are its surviving atoms; a density trajectory
-    reads both off the cutoff geometry, with one limit atom per block of the
-    final support.  A block's
-    mass matches to ``_LIMIT_MASS_TOL`` (1e-8) of the total mass, and a
-    location to ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).
+    leftmost point of every block with positive minimum.  The kind is
+    tested once: an atom trajectory reads its blocks and couplings off its
+    rate table and its surviving atoms are the limit atoms; a density
+    trajectory reads both off the cutoff geometry, takes one mass-weighted
+    limit atom per final block, and widens the support by 1.5 grid cells
+    and each block by :func:`_block_pad`.  One pass over the initial blocks
+    checks a block's mass to ``_LIMIT_MASS_TOL`` (1e-8) of the total mass,
+    at every record to ten times that (one ``window_mass_series`` each),
+    and a location to ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).
+    Tail masses must not rise at any record, one series per tail threshold
+    (an empty initial support has none).  ``passed`` needs all six flags.
     """
     t = np.asarray(traj.times)
     if t[-1] - t[0] < stationarity_window:
         raise NotConverged("trajectory shorter than the stationarity window")
-    idx_prev = int(np.searchsorted(t, t[-1] - stationarity_window))
-    idx_prev = min(idx_prev, len(t) - 2)
+    idx_prev = min(int(np.searchsorted(t, t[-1] - stationarity_window)), len(t) - 2)
     final = traj.state_at(len(t) - 1)
-    gap = bl_distance(traj.state_at(idx_prev), final)
-    if gap >= limit_tol:
+    stationarity_gap = bl_distance(traj.state_at(idx_prev), final)
+    if stationarity_gap >= limit_tol:
         raise NotConverged(
-            f"bounded-Lipschitz stationarity gap {gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
+            f"bounded-Lipschitz stationarity gap {stationarity_gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
         )
 
     initial = traj.state_at(0)
     total0 = initial.total_mass
-    state0 = getattr(traj, "state0", None)
-    if state0 is not None:
+    support0 = [x for x, _ in initial.support_points()]
+    if isinstance(traj, AtomTrajectory):
         # atoms never leave their locations: the initial blocks are the table's,
         # each surviving atom is a limit atom, and the table says which couple
-        parts0 = _table_components(initial, state0)
+        blocks = _table_components(initial, traj.state0)
         limit_atoms = final.support_points()
-        at = np.searchsorted(state0.locations, [x for x, _ in limit_atoms])
-        pairwise = not np.any(state0.rate_matrix[np.ix_(at, at)])
+        at = np.searchsorted(traj.locations, [x for x, _ in limit_atoms])
+        pairwise = not np.any(traj.state0.rate_matrix[np.ix_(at, at)])
+        tols = [_LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
+        pad = lambda x, gap: 0.0
     else:
-        parts0 = components(initial, tp)
-        limit_atoms = []
-        for comp in components(final, tp).components:
-            pts, ms = np.asarray(comp.points), np.asarray(comp.masses)
-            if pts.size == 1:
-                limit_atoms.append((comp.points[0], comp.mass))
-            else:
-                limit_atoms.append((float(np.dot(pts, ms) / ms.sum()), float(ms.sum())))
-        pairwise = all(eval_cutoff(tp, a[0], c[0]) == 0.0 for a, c in itertools.combinations(limit_atoms, 2))
+        blocks = components(initial, tp)
+        limit_atoms = [
+            (c.points[0], c.mass) if len(c.points) == 1
+            else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
+            for c in components(final, tp)
+        ]
+        locs = np.array([x for x, _ in limit_atoms])
+        i, j = np.triu_indices(locs.size, 1)
+        pairwise = not np.any(eval_cutoff(tp, locs[i], locs[j]))
+        nodes = initial.grid.nodes
+        cell = 1.5 * np.max(np.diff(nodes))
+        tols = [max(_LIMIT_LOCATION_TOL * max(1.0, x), cell) for x, _ in limit_atoms]
+        pad = lambda x, gap: _block_pad(nodes, x, gap)
 
-    support0 = [x for x, _ in initial.support_points()]
-    span = max(support0) if support0 else 1.0
+    in_support0 = all(any(abs(x - s) <= tol for s in support0) for (x, _), tol in zip(limit_atoms, tols))
 
-    def near_support(x: float) -> bool:
-        if initial.density is not None:
-            spacing = np.max(np.diff(initial.grid.nodes))
-            tol = max(_LIMIT_LOCATION_TOL * max(1.0, x), 1.5 * spacing)
-        else:
-            tol = _LIMIT_LOCATION_TOL * max(1.0, span)
-        return any(abs(x - s) <= tol for s in support0)
-
-    in_support0 = all(near_support(x) for x, _ in limit_atoms)
-
-    # per-initial-block bookkeeping, each block padded on both sides
-    comps = parts0.components
-    gaps = [math.inf, *(b.min_point - a.max_point for a, b in itertools.pairwise(comps)), math.inf]
-    pads = [
-        (_block_pad(initial, c.min_point, gaps[k]), _block_pad(initial, c.max_point, gaps[k + 1]))
-        for k, c in enumerate(comps)
-    ]
+    # one pass over the initial blocks, each padded on both sides
+    mass_scale = max(total0, 1e-300)
+    mass_tol = _LIMIT_MASS_TOL * mass_scale
+    drift_tol = 10.0 * _LIMIT_MASS_TOL * mass_scale
     mass_table = []
-    mass_ok = True
-    leftmost_ok = True
-    for comp, (pad_lo, pad_hi) in zip(comps, pads):
-        lo = comp.min_point
-        hi = comp.max_point
+    minima = []
+    mass_ok = leftmost_ok = conservation_ok = True
+    for k, comp in enumerate(blocks):
+        lo, hi, mass = comp.min_point, comp.max_point, comp.mass
+        pad_lo = pad(lo, lo - blocks[k - 1].max_point if k > 0 else math.inf)
+        pad_hi = pad(hi, blocks[k + 1].min_point - hi if k + 1 < len(blocks) else math.inf)
         slack_lo = pad_lo + _LIMIT_LOCATION_TOL * max(1.0, lo)
         slack_hi = pad_hi + _LIMIT_LOCATION_TOL * max(1.0, hi)
         in_block = [(x, m) for x, m in limit_atoms if lo - slack_lo <= x <= hi + slack_hi]
         limit_mass = math.fsum(m for _, m in in_block)
-        mass_table.append((comp.mass, limit_mass))
-        if abs(limit_mass - comp.mass) > _LIMIT_MASS_TOL * max(total0, 1e-300):
+        mass_table.append((mass, limit_mass))
+        minima.append(lo)
+        if abs(limit_mass - mass) > mass_tol:
             mass_ok = False
-        if lo > 0.0 and comp.mass > _LIMIT_MASS_TOL * max(total0, 1e-300):
-            if not any(abs(x - lo) <= slack_lo for x, _ in in_block):
-                leftmost_ok = False
-
-    # conservation of each initial block along the way
-    conservation_ok = True
-    for comp, (pad_lo, pad_hi) in zip(comps, pads):
-        series = traj.window_mass_series(comp.min_point - pad_lo, comp.max_point + pad_hi)
-        if np.any(np.abs(series - comp.mass) > 10.0 * _LIMIT_MASS_TOL * max(total0, 1e-300)):
+        if lo > 0.0 and mass > mass_tol and not any(abs(x - lo) <= slack_lo for x, _ in in_block):
+            leftmost_ok = False
+        series = traj.window_mass_series(lo - pad_lo, hi + pad_hi)
+        if np.any(np.abs(series - mass) > drift_tol):
             conservation_ok = False
 
     # tail masses nonincreasing for a ladder of thresholds
     r_values = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
-    queue_ok = True
-    for r in r_values:
-        series = traj.window_mass_series(float(r))
-        if np.any(np.diff(series) > 1e-12 * max(total0, 1.0)):
-            queue_ok = False
+    queue_ok = not any(np.any(np.diff(traj.window_mass_series(float(r))) > 1e-12 * max(total0, 1.0)) for r in r_values)
 
     return LimitClassification(
         atoms=tuple(limit_atoms),
-        initial_component_masses=parts0.masses,
-        initial_component_minima=parts0.min_points,
+        initial_component_masses=tuple(m for m, _ in mass_table),
+        initial_component_minima=tuple(minima),
         component_mass_table=tuple(mass_table),
         in_initial_support=in_support0,
         pairwise_decoupled=pairwise,
@@ -777,11 +757,11 @@ def classify_limit(
         leftmost_ok=leftmost_ok,
         component_conservation_ok=conservation_ok,
         queue_monotone=queue_ok,
-        stationarity_gap=gap,
+        stationarity_gap=stationarity_gap,
     )
 
 
-def _table_components(u: HybridMeasure, state: AtomSystemState) -> ComponentPartition:
+def _table_components(u: HybridMeasure, state: AtomSystemState) -> tuple[Component, ...]:
     """Blocks of an atom state's support under its rate table, cut by the
     splitter of :func:`components`: the gap between consecutive support atoms
     p < q splits the support when no table entry links a support atom <= p
@@ -812,14 +792,9 @@ def _quantiles(points, q: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _block_pad(initial: HybridMeasure, x: float, gap: float) -> float:
-    # density supports are resolved to a grid cell, atoms are exact; the pad
-    # stays below half the gap to the neighbouring block, so a block's windows
-    # never take in that block's carriers or limit atoms
-    if initial.density is None:
-        return 0.0
-    nodes = initial.grid.nodes
+def _block_pad(nodes: np.ndarray, x: float, gap: float) -> float:
+    # a density support is resolved to a grid cell: a block edge at x is padded
+    # by the wider cell next to its nearest node, but by less than half the gap
+    # to the neighbouring block, so a block's windows never take in its carriers
     i = int(np.argmin(np.abs(nodes - x)))
-    left = nodes[i] - nodes[i - 1] if i > 0 else nodes[1] - nodes[0]
-    right = nodes[i + 1] - nodes[i] if i < nodes.size - 1 else left
-    return min(max(left, right), 0.49 * gap)
+    return min(np.max(np.diff(nodes[max(i - 1, 0):i + 2])), 0.49 * gap)

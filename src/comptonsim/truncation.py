@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 
-class NoRoot(RuntimeError):
-    """The band-constant solve found no admissible root."""
+class NoRoot(ValueError):
+    """The band-constant solve found no admissible root: the truncation
+    parameters are invalid input, refused like any other bad value."""
 
 
 _BISECTION_ITERATIONS = 200
@@ -60,7 +61,8 @@ def solve_rho(theta: float, delta_star: float) -> float:
     Bisection on the residual gamma1(delta_star; rho) - theta*delta_star,
     which is strictly decreasing in rho; the bracket is expanded upward
     until the residual changes sign.  Raises NoRoot if the bracket cannot
-    be established or the residual is not monotone across it.
+    be established, the residual is not monotone across it, or it is not
+    finite (a delta_star from about 1e154 on, or a subnormal one).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
@@ -68,26 +70,30 @@ def solve_rho(theta: float, delta_star: float) -> float:
         raise ValueError("delta_star must be positive")
 
     def residual(rho: float) -> float:
-        return float(_gamma1_curved(delta_star, rho)) - theta * delta_star
+        r = float(_gamma1_curved(delta_star, rho)) - theta * delta_star
+        if not math.isfinite(r):
+            raise NoRoot(f"the band-constant residual overflows at delta_star={delta_star:g}")
+        return r
 
     lo = 0.0
     hi = 1.0 / math.sqrt(delta_star)
     grow = 0
-    while residual(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise NoRoot(f"no band constant for theta={theta}, delta_star={delta_star}")
-    if residual(lo) <= 0.0:
-        raise NoRoot("residual not positive at rho=0; configuration inconsistent")
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that overflows is refused above
+        while residual(hi) > 0.0:
+            hi *= 2.0
+            grow += 1
+            if grow > 60:
+                raise NoRoot(f"no band constant for theta={theta}, delta_star={delta_star}")
+        if residual(lo) <= 0.0:
+            raise NoRoot("residual not positive at rho=0; configuration inconsistent")
+        for _ in range(_BISECTION_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if residual(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
     return hi
 
 
@@ -110,6 +116,8 @@ class TruncationParams:
             raise ValueError("need 0 < theta < theta1 < 1")
         if not (self.delta_star > 0.0):
             raise ValueError("delta_star must be positive")
+        if not (self.rho1 < self.rho_star):  # eval_cutoff's band ramp divides by rho_star - rho1
+            raise ValueError(f"need rho1 < rho_star; got rho1={self.rho1:g}, rho_star={self.rho_star:g}")
         # The upper curved branch is used on [0, theta*delta_star]; its
         # denominator must stay positive there.
         if not (self.rho_star**2 * self.theta * self.delta_star < 1.0):

@@ -218,7 +218,7 @@ CHAIN_TABLE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 def test_criterion_08_reduced_chain_example():
     t0 = time.monotonic()
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
-    traj = run_atoms(state, 200.0, rtol=1e-12, n_record=2001)
+    traj = run_atoms(state, 200.0, n_record=2001)
     final = traj.final_masses()
     ms = traj.mass_series()
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
@@ -244,7 +244,7 @@ def test_criterion_08_reduced_chain_example():
 
 def test_criterion_09_lyapunov_suite():
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
-    atom_traj = run_atoms(state, 200.0, rtol=1e-12, n_record=20001)
+    atom_traj = run_atoms(state, 200.0, n_record=20001)
     atom_rep = lyapunov_check(atom_traj, eta=0.25)
 
     grid = Grid.log_spaced(0.5, 30.0, 128)
@@ -300,7 +300,7 @@ def test_criterion_11_random_limit_classification():
         masses = rng.uniform(0.1, 1.0, 4)
         t_run = time.monotonic()
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        traj = run_atoms(state, 5e4, rtol=1e-12, n_record=2001)
+        traj = run_atoms(state, 5e4, n_record=2001)
         cls = classify_limit(traj, TP, stationarity_window=50.0)
         worst_time = max(worst_time, time.monotonic() - t_run)
         trial_ok = (

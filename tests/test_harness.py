@@ -85,8 +85,18 @@ BAD_ARGUMENTS = {
     "region-dump --theta 1.5": "need 0 < theta < theta1 < 1",
     "region-dump --theta1 0.4": "need 0 < theta < theta1 < 1",
     "region-dump --delta-star 0": "delta_star must be positive",
+    # overflowed the band-constant residual: exit 0, and a cutoff that divided by rho_star - rho1 = 0
+    "region-dump --delta-star 1e300": "the band-constant residual overflows at delta_star=1e+300",
+    # a NoRoot traceback (exit 1)
+    "region-dump --theta 1e-300": "no band constant for theta=1e-300",
     "verify --seed -1": "--seed: must be >= 0; got -1",
     "preset kernel-verify --seed -1": "--seed: must be >= 0; got -1",
+    # argparse's own errors printed the usage too, two to four lines
+    "verify --seed x": "comptonsim verify: error: argument --seed: invalid int value: 'x'",
+    "simulate-reduced --mode foo": "comptonsim simulate-reduced: error: argument --mode: invalid choice: 'foo'",
+    "verify --bogus": "comptonsim: error: unrecognized arguments: --bogus",
+    "simulate-full": "comptonsim simulate-full: error: the following arguments are required: --config",
+    "nope": "comptonsim: error: argument command: invalid choice: 'nope'",
 }
 
 # two atoms and a bad reduced value; the atom run checks the table before it writes
@@ -475,6 +485,12 @@ class TestCli:
         # directory; the far atom's X_eta column was inf, failing moments_nonincreasing
         pytest.param(WIDE_GRID, "grid.max: exp moment overflows: eta * max support = 0.375 * 3000", id="wide-grid"),
         pytest.param(FAR_ATOM, "initial: exp moment overflows: eta * max support = 0.375 * 2000", id="far-atom"),
+        # passed load_config with rho_star == rho1, and simulate-full exited 0 with D = 0
+        pytest.param({"truncation": {"delta_star": 1e300}},
+                     "truncation: the band-constant residual overflows at delta_star=1e+300", id="delta_star-1e300"),
+        # a NoRoot traceback (exit 1)
+        pytest.param({"truncation": {"delta_star": 1e-300}}, "truncation: residual not positive at rho=0",
+                     id="delta_star-1e-300"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         if isinstance(message, dict):
@@ -501,6 +517,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and BAD_ARGUMENTS[args] in err
         assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert cli_main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: comptonsim verify")
 
     def test_preset_runs(self, tmp_path):
         rc = cli_main(["preset", "example51", "--out", str(tmp_path / "p")])

@@ -470,7 +470,7 @@ def seed7_reduced_inputs():
 @pytest.fixture(scope="module")
 def seed7_trajectories():
     locs, masses, mu = seed7_reduced_inputs()
-    atoms = run_atoms(AtomSystemState.from_physical(PP, TP, locs, masses), 5e4, rtol=1e-12, n_record=20001)
+    atoms = run_atoms(AtomSystemState.from_physical(PP, TP, locs, masses), 5e4, n_record=20001)
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": 0.5}, grid)
     picard = picard_solve(u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)

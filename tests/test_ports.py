@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
+from comptonsim import reduced_solver
 from comptonsim._dop853 import _DENSE_CHUNK, dop853
 from comptonsim.reduced_solver import _ATOM_ATOL, AtomSystemState, _cumulative_simpson, atom_ode_rhs, run_atoms
 
@@ -92,17 +93,18 @@ class TestDop853AgainstSolveIvp:
         assert holding > 2 * _DENSE_CHUNK and holding % _DENSE_CHUNK  # full chunks and a partial one
         assert_same_run(state, t_end, 1e-12, n_record)
 
-    def test_failure_keeps_error_type_and_message(self):
+    def test_failure_keeps_error_type_and_message(self, monkeypatch):
         state = self.stiff_state(5)
         sol = oracle(state, 10.0, 1e-10, np.linspace(0.0, 10.0, 2001))
         assert sol.status == -1
+        monkeypatch.setattr(reduced_solver, "_ATOM_RTOL", 1e-10)  # run_atoms reads it at call time
         with pytest.raises(RuntimeError, match=r"^atom integration failed: ") as err:
-            run_atoms(state, 10.0, rtol=1e-10, n_record=2001)
+            run_atoms(state, 10.0, n_record=2001)
         assert str(err.value) == f"atom integration failed: {sol.message}"
 
     def test_run_atoms_records_are_the_oracle_records(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
-        traj = run_atoms(state, 50.0, rtol=1e-12, n_record=2001)
+        traj = run_atoms(state, 50.0, n_record=2001)
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.masses, np.clip(sol.y.T, 0.0, None))
@@ -110,7 +112,7 @@ class TestDop853AgainstSolveIvp:
     def test_run_atoms_keeps_the_evaluation_count(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
-        assert run_atoms(state, 50.0, rtol=1e-12, n_record=2001).nfev == sol.nfev
+        assert run_atoms(state, 50.0, n_record=2001).nfev == sol.nfev
 
     def test_tiny_rtol_is_clamped_with_scipy_warning(self):
         state = antisymmetric_state(np.random.default_rng(3), 4)

@@ -2,7 +2,8 @@
 
 The guard runs the command-line tool in-process under ``sys.setprofile``
 at short sizes: ``verify --seed 7``, ``kernel-table``, ``region-dump``, a
-short ``simulate-full`` and ``simulate-reduced`` in both modes.  Every
+short ``simulate-full`` and ``simulate-reduced`` in both modes, and one
+command line that argparse rejects (``verify --seed x``, exit 2).  Every
 module-level function and every method (plain, class, static or property
 getter) defined in ``src/comptonsim`` must be called during those runs, or
 be on ``ALLOWLIST`` with a one-line reason.  An allowlisted name that the
@@ -38,7 +39,6 @@ ALLOWLIST = {
     "full_solver.RegularizedKernel.coupling": "read by perfbench/ (ROADMAP item 1 retires the dense table)",
     "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 3",
     "kernel._diagonal_series_coefficients": "runs at import to build _DIAGONAL_SERIES, before any command",
-    "measure.ComponentPartition.total_mass": "a result property that tests read",
     "measure.HybridMeasure.origin_mass": "a state property that tests read",
     "measure.measure_from_dict": "reads a snapshot file back bit for bit, the documented round trip tests check",
     "reduced_solver.LyapunovReport.passed": "a result property that tests read",
@@ -109,11 +109,12 @@ def test_every_function_is_reached_or_allowlisted(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli_main(args) for args in commands(tmp_path)]
+            usage_error = cli_main(["verify", "--seed", "x"])
     finally:
         sys.setprofile(previous)
-    assert codes == [0] * len(codes)
+    assert codes == [0] * len(codes) and usage_error == 2
     unreached = {name for code, name in defined.items() if code not in reached}
     assert sorted(unreached - ALLOWLIST.keys()) == [], "never called: delete them, or allowlist them with a reason"
     assert sorted(ALLOWLIST.keys() - unreached) == [], "stale allowlist entries: called, or no longer defined"

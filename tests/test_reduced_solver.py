@@ -86,6 +86,26 @@ def decoupled_blocks(draw):
     return np.array(locs), np.array(masses)
 
 
+FLAGS = ("in_initial_support", "pairwise_decoupled", "mass_sums_ok", "leftmost_ok",
+         "component_conservation_ok", "queue_monotone")
+
+
+def jump_trajectory(locations, before, after, links=()) -> AtomTrajectory:
+    """Atoms whose masses jump from ``before`` to ``after`` between t = 0 and
+    t = 1 and hold to t = 2, so the last window is stationary; the table
+    links each pair of ``links`` and no other."""
+    table = np.zeros((len(locations), len(locations)))
+    for i, j in links:
+        table[i, j], table[j, i] = 1.0, -1.0
+    state = AtomSystemState.from_table(locations, before, table)
+    masses = np.array([before, after, after])
+    return AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=masses, nfev=0)
+
+
+# forty atoms from 3.0 up: with 42 support points every tail threshold lies above 3.0
+RIGHT = list(np.arange(3.0, 43.0))
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
     """Fail a call that does not return within ``seconds`` instead of hanging."""
@@ -208,7 +228,7 @@ class TestAtomRhs:
 
 class TestRunAtoms:
     def test_chain_long_time(self):
-        traj = run_atoms(chain_state(), 200.0, rtol=1e-12, n_record=2001)
+        traj = run_atoms(chain_state(), 200.0, n_record=2001)
         final = traj.final_masses()
         assert final[1] <= 1e-16
         assert final[2] >= 0.2 * math.exp(-1.0) - 1e-9
@@ -237,11 +257,11 @@ class TestRunAtoms:
         locs, masses = blocks
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
         parts = components(HybridMeasure(atoms=list(zip(locs, masses))), TP)
-        assert len(parts.components) >= 2
+        assert len(parts) >= 2
         traj = run_atoms(state, 20.0, n_record=41)
         assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
         total = float(masses.sum())
-        for comp in parts.components:
+        for comp in parts:
             inside = np.isin(locs, comp.points)
             series = [math.fsum(row) for row in traj.masses[:, inside]]
             assert np.max(np.abs(np.array(series) - comp.mass)) <= 1e-12 * total
@@ -328,7 +348,7 @@ class TestDissipation:
 
 class TestLyapunov:
     def test_chain_trajectory(self):
-        traj = run_atoms(chain_state(), 200.0, rtol=1e-12, n_record=20001)
+        traj = run_atoms(chain_state(), 200.0, n_record=20001)
         rep = lyapunov_check(traj, eta=0.25)
         assert rep.passed
         assert all(err <= 1e-4 for err in rep.max_balance_error.values())
@@ -451,7 +471,7 @@ class TestPicard:
 
 class TestClassifyLimit:
     def test_chain_limit(self):
-        traj = run_atoms(chain_state(), 200.0, rtol=1e-12, n_record=2001)
+        traj = run_atoms(chain_state(), 200.0, n_record=2001)
         cls = classify_limit(traj, TP)
         assert len(cls.atoms) == 2
         (xa, ma), (xc, mc) = cls.atoms
@@ -506,7 +526,43 @@ class TestClassifyLimit:
             table[i, j], table[j, i] = 1.0, -1.0
         state = AtomSystemState.from_table([1.0, 1.2, 5.0], masses, table)
         parts = _table_components(HybridMeasure(atoms=list(zip(state.locations, state.masses))), state)
-        assert [list(c.points) for c in parts.components] == blocks
+        assert [list(c.points) for c in parts] == blocks
+
+    # each hand-built run breaks one flag of the verdict and keeps the other five
+    @pytest.mark.parametrize("flag, traj", [
+        # mass appears at 2.0, an empty atom between the linked support atoms 1.0 and 3.0
+        ("in_initial_support", jump_trajectory([1.0, 2.0, 3.0], [0.5, 0.0, 0.5], [0.8, 0.2, 0.0], links=[(0, 2)])),
+        # 5e-8 of the mass moves from the block {9.0} down to {1.0}: above the
+        # block tolerance 1e-8, below the per-record bound 1e-7
+        ("mass_sums_ok", jump_trajectory([1.0, 9.0], [0.4, 0.6], [0.4 + 5e-8, 0.6 - 5e-8])),
+        # the block {1.0, 1.5} drains its leftmost atom; no tail threshold lies between the two
+        ("leftmost_ok", jump_trajectory([1.0, 1.5, *RIGHT], [0.3, 0.2, *[0.01] * 40], [0.0, 0.5, *[0.01] * 40],
+                                        links=[(0, 1)])),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_each_block_flag_fails_alone(self, flag, traj):
+        cls = classify_limit(traj, TP)
+        assert {f: getattr(cls, f) for f in FLAGS} == {f: f != flag for f in FLAGS}
+        assert not cls.passed
+
+    def test_density_block_mass_fails_alone(self):
+        # four nodes a cell (x3.1) apart, each a decoupled block.  The block at
+        # the second node moves its mass one cell down, inside its pad: only the
+        # padded window and slack keep its mass, conservation and leftmost flags.
+        # 5e-8 of the mass also moves from the top node to the third one.
+        grid = Grid.log_spaced(1.0, 30.0, 4)
+        w = grid.weights
+        before = np.array([0.0, 1.0, 1.0, 1.0])
+        moved = 5e-8 * float(before @ w)
+        after = np.array([w[1] / w[0], 0.0, 1.0 + moved / w[2], 1.0 - moved / w[3]])
+        traj = PicardTrajectory(grid=grid, times=np.array([0.0, 1.0, 2.0]), states=np.array([before, after, after]),
+                                rate_grid=np.zeros((4, 4)), growth_constant=0.0, window_count=0, iterations_total=0)
+        cls = classify_limit(traj, TP)
+        assert {f: getattr(cls, f) for f in FLAGS} == {f: f != "mass_sums_ok" for f in FLAGS}
+        assert not cls.passed
+        assert cls.initial_component_minima == tuple(grid.nodes[1:])
+        assert [x for x, _ in cls.atoms] == [grid.nodes[0], grid.nodes[2], grid.nodes[3]]
+        gained = [limit - initial for initial, limit in cls.component_mass_table]
+        assert gained == pytest.approx([0.0, moved, -moved], rel=1e-6, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -606,7 +662,7 @@ class TestClassifyLimit:
         rng = np.random.default_rng(64)
         for _ in range(3):
             st = random_resolvable_state(rng, n_atoms=4)
-            traj = run_atoms(st, 5e4, rtol=1e-12, n_record=2001)
+            traj = run_atoms(st, 5e4, n_record=2001)
             cls = classify_limit(traj, TP, stationarity_window=50.0)
             assert cls.passed
             assert cls.mass_sums_ok and cls.component_conservation_ok

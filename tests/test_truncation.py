@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form
 from comptonsim.truncation import (
+    NoRoot,
     TruncationParams,
     eval_cutoff,
     gamma1,
@@ -66,6 +67,33 @@ class TestSolveRho:
             solve_rho(1.5, 1.0)
         with pytest.raises(ValueError):
             solve_rho(0.5, -1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta_star", [1e154, 1e200, 1e300, math.inf, 5e-324])
+    def test_overflowing_residual_is_refused(self, delta_star):
+        # 1e300 returned rho_star == rho1 == 6.2e-211 after overflow warnings
+        with pytest.raises(NoRoot, match="the band-constant residual overflows at delta_star="):
+            TruncationParams.solve(0.5, delta_star, 0.8)
+
+    @pytest.mark.parametrize("theta, delta_star, message", [
+        (1e-300, 1.0, "no band constant for theta=1e-300"),
+        (0.5, 1e-300, "residual not positive at rho=0"),
+    ])
+    def test_no_root_is_a_value_error(self, theta, delta_star, message):
+        # NoRoot was a RuntimeError, so a config or an argument that met it ended in a traceback
+        with pytest.raises(ValueError, match=message) as err:
+            TruncationParams.solve(theta, delta_star, 0.8)
+        assert isinstance(err.value, NoRoot)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta_star, rho_star, rho1", [
+        (1e10, "0x1.8374055ef62dap-18", "0x1.bf647612f3691p-20"),
+        (1e100, "0x1.147eefe21eb15p-167", "0x1.3f45187387ab9p-169"),
+        (1e150, "0x1.0b690e5f7dc8fp-250", "0x1.34c7664b44c36p-252"),
+    ])
+    def test_large_finite_residual_keeps_its_bits(self, delta_star, rho_star, rho1):
+        tp = TruncationParams.solve(0.5, delta_star, 0.8)
+        assert (tp.rho_star, tp.rho1) == (float.fromhex(rho_star), float.fromhex(rho1))
 
 
 class TestBoundaryCurves:
@@ -236,6 +264,12 @@ class TestParams:
     def test_inconsistent_rho_rejected(self):
         with pytest.raises(ValueError):
             TruncationParams(theta=0.5, delta_star=1.0, theta1=0.8, rho_star=0.3, rho1=0.1)
+
+    def test_inner_band_constant_must_be_smaller(self):
+        # the cutoff's band ramp divides by rho_star - rho1
+        rho = solve_rho(0.5, 1.0)
+        with pytest.raises(ValueError, match="need rho1 < rho_star"):
+            TruncationParams(theta=0.5, delta_star=1.0, theta1=0.8, rho_star=rho, rho1=rho)
 
     def test_upper_branch_denominator_guard(self):
         tp = TruncationParams.solve(0.3, 1.0, 0.6)
