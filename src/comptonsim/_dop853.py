@@ -260,6 +260,7 @@ MAX_FACTOR = 10  # largest allowed increase of the step size
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 EPS = np.finfo(float).eps
 _DENSE_CHUNK = 64  # record-holding steps per dense-output pass; its buffers hold 18 rows of n per step
+_DENSE_ROWS = 512  # requested times per interpolation block of a pass
 
 
 class StepSizeTooSmall(RuntimeError):
@@ -323,7 +324,9 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
     (k, n) states at the (k,) stage times.  The dot products stay per-step
     calls on SciPy's array layouts, because BLAS summation order decides
     the bits; everything else is elementwise over the chunk, so each row
-    is the float SciPy computes for it.
+    is the float SciPy computes for it.  The interpolation goes through the
+    requested times ``_DENSE_ROWS`` at a time, so its gathers of F and
+    y_old hold that many rows, not one per requested time of the chunk.
     """
     hk = h[:, None]
     dy = np.empty_like(y)
@@ -341,15 +344,17 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
         F[j, 3:] = np.dot(D, K)
     F[:, 3:] *= h[:, None, None]
 
-    x = ((t - t_old[step]) / h[step])[:, None]
-    out[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
-    for i in range(INTERPOLATOR_POWER):
-        out += F[step, INTERPOLATOR_POWER - 1 - i]
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
-    out += y_old[step]
+    for lo in range(0, t.size, _DENSE_ROWS):
+        sel, o = step[lo:lo + _DENSE_ROWS], out[lo:lo + _DENSE_ROWS]
+        x = ((t[lo:lo + _DENSE_ROWS] - t_old[sel]) / h[sel])[:, None]
+        o[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
+        for i in range(INTERPOLATOR_POWER):
+            o += F[sel, INTERPOLATOR_POWER - 1 - i]
+            if i % 2 == 0:
+                o *= x
+            else:
+                o *= 1 - x
+        o += y_old[sel]
 
 
 class _DeferredDense:

@@ -2,10 +2,8 @@
 
 Subcommands: kernel-table, region-dump, simulate-full, simulate-reduced,
 verify, preset.  The THREADS environment variable caps numerical-library
-parallelism.  Runs are deterministic for a fixed config, seed and THREADS;
-at another thread count a Picard run's trajectory.csv can differ in the
-last digit, because a multi-threaded BLAS sums its matrix products in
-another order (full-equation and atom outputs do not depend on it).
+parallelism.  Runs are deterministic for a fixed config and seed, at any
+thread count.
 Exit code is 0 exactly when every assertion of the invoked command passed
 (the table commands have none), 1 when one failed, and 2 for a command line
 argparse rejects (``--seed x``, say, or an unknown option), an invalid

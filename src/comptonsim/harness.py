@@ -46,8 +46,8 @@ from .reduced_solver import (
     NotConverged,
     classify_limit,
     lyapunov_check,
-    picard_solve,
     run_atoms,
+    run_density,
 )
 from .truncation import TruncationParams, gamma1, gamma2
 
@@ -263,7 +263,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     except ValueError as e:
         raise ValidationError(f"solver.{e}")
 
-    # the checks picard_solve, run_atoms and classify_limit would make, by
+    # the checks run_density, run_atoms and classify_limit would make, by
     # field; run_reduced_experiment checks rate_table against the atoms
     red = cfg["reduced"]
     reduced = {"rate_table": red["rate_table"]}
@@ -508,10 +508,10 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
 
     if mode == "atoms":
         traj = run_atoms(state, red["t_end"], n_record=red["n_record"])
-        manifest.telemetry["dop853_nfev"] = traj.nfev
     else:
-        traj = picard_solve(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
+        traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
         manifest.derived_constants["C_0"] = traj.growth_constant
+    manifest.telemetry["dop853_nfev"] = traj.nfev
 
     m0 = traj.mass_series()
     rep = lyapunov_check(traj, eta=cfg.eta)

@@ -1,17 +1,17 @@
 """The reduced quadratic equation: du/dt = u * (rate kernel paired with u).
 
-Two solvers share one location-based rate matrix, ``rate_matrix``, which
-evaluates the physical kernel only at the cutoff-supported pairs.  The
-atom solver evolves finitely many point masses at frozen locations by
-DOP853 (the in-repo port of SciPy's stepper in ``_dop853``); the Picard
-solver evolves an integrable density, whose grid nodes are the locations,
-through the exponential fixed-point representation on contraction
-windows, with cumulative Simpson weights computed once per window by
-``_cumulative_simpson``.  Both conserve mass by antisymmetry, decrease
-every power moment of order >= 1, and converge to a sum of decoupled
-point masses whose structure is checked by the limit classifier through
-the exact bounded-Lipschitz distance.  Nothing here imports SciPy; the tests hold both ports to it bit
-for bit.
+One location-based rate matrix, ``rate_matrix``, evaluates the physical
+kernel only at the cutoff-supported pairs, and one integrator evolves it:
+DOP853, the in-repo port of SciPy's stepper in ``_dop853``.  An atom run
+evolves finitely many point masses at frozen locations; a density run is
+the same system at the grid nodes, with masses m_j = w_j u_j (node weights
+w), after the flatness certificate has admitted the data.  Both conserve
+mass by antisymmetry, decrease every power moment of order >= 1, and
+converge to a sum of decoupled point masses whose structure is checked by
+the limit classifier through the exact bounded-Lipschitz distance.  The
+paper's fixed-point construction of the flat solutions is a test oracle
+(``tests/oracles.py``), not a second solver.  Nothing here imports SciPy;
+the tests hold the port to it bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "LimitClassification",
     "atom_ode_rhs",
     "run_atoms",
-    "picard_solve",
+    "run_density",
     "lyapunov_check",
     "LyapunovReport",
     "classify_limit",
@@ -50,23 +50,19 @@ __all__ = [
 
 
 # Numerical guards, one value each: DOP853's relative and absolute
-# tolerances on the atom masses, the Picard fixed-point tolerance, its
-# flatness exponent r, its first window length and the iterations per window
-# before it counts as not contracting, the moment orders and the tolerance of
-# the moment balance, and classify_limit's tolerances on a block's mass
-# (relative to the total mass) and on a location (relative to max(1, x)).
+# tolerances on the atom masses, the flatness exponent r of a density run,
+# the moment orders and the tolerance of the moment balance, and
+# classify_limit's tolerances on a block's mass (relative to the total mass)
+# and on a location (relative to max(1, x)).
 _ATOM_RTOL = 1e-12
 _ATOM_ATOL = 1e-20
-_PICARD_TOL = 1e-12
 _FLAT_R = 1.0
-_FIRST_WINDOW = 0.25
-_MAX_ITERATIONS = 200
 _MOMENT_ORDERS = (1.0, 2.0, 3.0)
 _BALANCE_TOLERANCE = 1e-4
 _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
-# recorded states per block of the moment dissipation; its temporaries are
-# a few blocks of rows, not copies of the whole trajectory
+# recorded states per block of the series of a trajectory; their temporaries
+# are a few blocks of rows, not copies of the whole trajectory
 _BLOCK_ROWS = 512
 
 
@@ -75,7 +71,9 @@ class FlatnessViolation(RuntimeError):
 
 
 class NonContraction(RuntimeError):
-    """The fixed-point iteration failed to contract even on minimal windows."""
+    """The fixed-point iteration failed to contract even on minimal windows
+    (raised by the test oracle's fixed point; kept here by name for callers
+    that catch it)."""
 
 
 class NotConverged(RuntimeError):
@@ -204,8 +202,54 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
     return np.bincount(keys.ravel(), w.ravel(), flat.size).reshape(m.shape)
 
 
+class _RecordedSeries:
+    """The series that both trajectory kinds compute alike, from their
+    ``_carriers``: the sorted points x, the recorded rows U (one per
+    record), the weights w that make a row point masses (None for atoms,
+    whose rows are masses) and the rate matrix at x."""
+
+    def _row_sums(self, f: np.ndarray | None = None, a: int = 0, b: int | None = None) -> np.ndarray:
+        """sum_j U[k, j] w_j f_j over the columns a:b of every record k, a
+        factor that is absent counting as 1.
+
+        An elementwise product and numpy's pairwise sum along each row, one
+        block of ``_BLOCK_ROWS`` records at a time: the order of the sum is
+        fixed by the row length, so the bits are the same at every BLAS
+        thread count, as those of a matrix-vector product are not.
+        """
+        _, U, w, _ = self._carriers
+        c = w if f is None else (f if w is None else w * f)
+        out = np.empty(len(U))
+        for lo in range(0, len(U), _BLOCK_ROWS):
+            rows = U[lo:lo + _BLOCK_ROWS, a:b]
+            np.sum(rows if c is None else rows * c[a:b], axis=1, out=out[lo:lo + _BLOCK_ROWS])
+        return out
+
+    def mass_series(self) -> np.ndarray:
+        return self._row_sums()
+
+    def moment_series(self, alpha: float) -> np.ndarray:
+        return self._row_sums(self._carriers[0] ** alpha)
+
+    def exp_moment_series(self, eta: float) -> np.ndarray:
+        return self._row_sums(np.exp(eta * self._carriers[0]))
+
+    def dissipation_series(self, alpha: float) -> np.ndarray:
+        """Moment dissipation of every recorded state, block by block (a
+        density weighted into point masses on the way); see
+        :func:`_dissipation`."""
+        x, U, w, R = self._carriers
+        return _dissipation(R, x, U, alpha, w)
+
+    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
+        """Mass on lo <= x <= hi of every recorded state; the points are
+        sorted, so the window is a range of columns (empty when hi < lo)."""
+        x = self._carriers[0]
+        return self._row_sums(a=int(np.searchsorted(x, lo, side="left")), b=int(np.searchsorted(x, hi, side="right")))
+
+
 @dataclass
-class AtomTrajectory:
+class AtomTrajectory(_RecordedSeries):
     """Recorded atom masses over time, with the system they evolve in, and
     the number of right-hand-side evaluations the integration took (SciPy's
     ``nfev``: a stacked call of the dense output counts one per row)."""
@@ -219,41 +263,15 @@ class AtomTrajectory:
     def locations(self) -> np.ndarray:
         return self.state0.locations
 
+    @property
+    def _carriers(self) -> tuple:
+        return self.state0.locations, self.masses, None, self.state0.rate_matrix
+
     def final_masses(self) -> np.ndarray:
         return self.masses[-1]
 
     def state_at(self, idx: int) -> HybridMeasure:
         return HybridMeasure(atoms=list(zip(self.locations, self.masses[idx])))
-
-    def mass_series(self) -> np.ndarray:
-        return self.masses.sum(axis=1)
-
-    def moment_series(self, alpha: float) -> np.ndarray:
-        return self.masses @ self.locations**alpha
-
-    def exp_moment_series(self, eta: float) -> np.ndarray:
-        return self.masses @ np.exp(eta * self.locations)
-
-    def dissipation_series(self, alpha: float) -> np.ndarray:
-        """Moment dissipation of every recorded state, block by block; see
-        :func:`_dissipation`."""
-        return _dissipation(self.state0.rate_matrix, self.locations, self.masses, alpha)
-
-    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
-        """Mass on lo <= x <= hi of every recorded state.
-
-        The locations are sorted, so the window is a range of columns, added
-        left to right in place: the order in which numpy sums a column-major
-        copy of them, so the bits are that copy's (for two or more records).
-        """
-        x = self.locations
-        a, b = int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
-        if a >= b:
-            return np.zeros(len(self.masses))
-        out = self.masses[:, a].copy()
-        for j in range(a + 1, b):
-            out += self.masses[:, j]
-        return out
 
 
 def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> AtomTrajectory:
@@ -417,71 +435,44 @@ def pointwise_growth_constant(
 
 
 @dataclass
-class PicardTrajectory:
-    """Density snapshots of the exponential-representation solution."""
+class PicardTrajectory(_RecordedSeries):
+    """Recorded densities of a flat density run on its grid, the rate matrix
+    at the nodes, the constant C0 of the pointwise envelope, and the number
+    of right-hand-side evaluations of the node system (as an atom run's)."""
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n_nodes)
     rate_grid: np.ndarray
     growth_constant: float
-    window_count: int
-    iterations_total: int
+    nfev: int
+
+    @property
+    def _carriers(self) -> tuple:
+        return self.grid.nodes, self.states, self.grid.weights, self.rate_grid
 
     def state_at(self, idx: int) -> HybridMeasure:
         return HybridMeasure(atoms=[], grid=self.grid, density=self.states[idx])
-
-    def mass_series(self) -> np.ndarray:
-        return self.states @ self.grid.weights
-
-    def moment_series(self, alpha: float) -> np.ndarray:
-        return self.states @ (self.grid.weights * self.grid.nodes**alpha)
-
-    def exp_moment_series(self, eta: float) -> np.ndarray:
-        return self.states @ (self.grid.weights * np.exp(eta * self.grid.nodes))
-
-    def dissipation_series(self, alpha: float) -> np.ndarray:
-        """Moment dissipation of every recorded density, its node values
-        weighted into point masses one block of rows at a time; see
-        :func:`_dissipation`."""
-        return _dissipation(self.rate_grid, self.grid.nodes, self.states, alpha, self.grid.weights)
-
-    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
-        """Mass on lo <= x <= hi of every recorded density, by its node weights."""
-        x = self.grid.nodes
-        sel = (lo <= x) & (x <= hi)
-        return self.states[:, sel] @ self.grid.weights[sel]
 
     def pointwise_envelope(self, idx: int, u0: np.ndarray) -> np.ndarray:
         t = self.times[idx]
         return u0 * np.exp(np.minimum(self.growth_constant * t / self.grid.nodes**1.5, 700.0))
 
 
-def picard_solve(
-    u0: HybridMeasure,
-    pp: PhysicalParams,
-    tp: TruncationParams,
-    t_end: float,
-    eta: float,
-    iter_tol: float = _PICARD_TOL,
-    dt: float = 1e-3,
+def run_density(
+    u0: HybridMeasure, pp: PhysicalParams, tp: TruncationParams, t_end: float, eta: float, dt: float = 1e-3
 ) -> PicardTrajectory:
-    """Solve the reduced equation for flat integrable data by fixed point.
+    """Solve the reduced equation for flat integrable data on its grid.
 
-    On each time window, the first ``_FIRST_WINDOW`` (0.25) long, the
-    exponential representation u(t) = u(t0) * exp(cumulative integral of
-    the paired rate) is iterated to ``iter_tol`` (by default
-    ``_PICARD_TOL`` = 1e-12) in the origin-weighted L1 norm, for at most
-    ``_MAX_ITERATIONS`` (200) iterations; windows are halved on
-    non-contraction (NonContraction below a minimal window).  The flatness
-    certificate (exponent ``_FLAT_R`` = 1) is checked up front, mass is
-    conserved by antisymmetry, and the pointwise growth envelope holds with
-    the calibrated constants.  ``t_end`` and ``dt`` must be positive and
-    finite.  A window iterates in buffers allocated once for it, and each
-    accepted window writes its rows into one preallocated array of states,
-    sized for windows of the first length (at most t_end/dt rows plus one
-    per window) and grown when halved windows need more, so no list of
-    per-window iterates is kept and no second copy of the states is made.
+    On the grid the equation du_i/dt = u_i sum_j R_ij w_j u_j is the atom
+    system with masses m_j = w_j u_j at the nodes, so :func:`run_atoms`
+    integrates it, and the recorded masses are divided by w in place.  The
+    records are equally spaced at about ``dt`` (``ceil(t_end/dt) + 1`` of
+    them, at least 2).  ``t_end`` and ``dt`` must be positive and finite, the
+    data a pure density and eta above (1 - theta)/2; the flatness
+    certificate (exponent ``_FLAT_R`` = 1) is checked before anything runs.
+    Mass is conserved by antisymmetry, a zero node stays zero, and the
+    pointwise growth envelope holds with the calibrated constants.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -493,135 +484,17 @@ def picard_solve(
     grid = u0.grid
     _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
     rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
-    c0 = pointwise_growth_constant(tp, c_star, x_eta0)
-
-    w = grid.weights
-    norm_weight = w * (1.0 + grid.nodes**-1.5)  # origin-sensitive L1 weight
-    paired = rate_grid * w[None, :]  # paired[i, j] u_j = rate of log-growth at i
-
-    def rows_left(t_left: float, window: float) -> int:
-        # a window of length L adds max(1, ceil(L/dt)) <= L/dt + 1 rows
-        return math.ceil(t_left / dt) + math.ceil(t_left / window) + 1
-
-    t0 = 0.0
-    u_start = u0.density.copy()
-    window_count = 0
-    iter_total = 0
-    min_window = max(4.0 * dt, t_end * 1e-6)
-    current_window = min(_FIRST_WINDOW, t_end)
-    times = np.empty(1 + rows_left(t_end, current_window))
-    states = np.empty((times.size, grid.n))
-    times[0] = 0.0
-    states[0] = u0.density
-    count = 1
-    while t0 < t_end - 1e-12 * t_end:
-        length = min(current_window, t_end - t0)
-        n_nodes = max(2, int(math.ceil(length / dt)) + 1)
-        local_t = np.linspace(0.0, length, n_nodes)
-        cumulative = _cumulative_simpson(local_t)
-        # window-sized buffers, made once per window: glibc serves each
-        # same-sized temporary an iteration frees with a fresh mmap, whose
-        # pages fault again on every iteration
-        iterate = np.tile(u_start, (n_nodes, 1))
-        new, rates, exponents = np.empty_like(iterate), np.empty_like(iterate), np.empty_like(iterate)
-        converged = False
-        prev_err = math.inf
-        for _ in range(_MAX_ITERATIONS):
-            np.matmul(iterate, paired.T, out=rates)  # W(s_j, x_i)
-            cumulative(rates, out=exponents)
-            # cap keeps a diverging iterate finite so divergence is detected
-            # by the error growth instead of overflow noise
-            np.minimum(exponents, 700.0, out=exponents)
-            np.multiply(u_start[None, :], np.exp(exponents, out=exponents), out=new)
-            diff = np.abs(np.subtract(new, iterate, out=rates), out=rates)
-            err = float(np.max(diff @ norm_weight))
-            iterate, new = new, iterate
-            iter_total += 1
-            if err <= iter_tol:
-                converged = True
-                break
-            if not math.isfinite(err) or (err > 4.0 * prev_err and err > 1.0):
-                break  # diverging; shrink the window
-            prev_err = err
-        if not converged:
-            if length <= min_window:
-                raise NonContraction(
-                    f"fixed point failed to contract on window {length:.3e} at t={t0:.6f}"
-                )
-            current_window = 0.5 * length
-            continue
-        end = count + n_nodes - 1
-        if end > times.size:  # halved windows outran the estimate: grow both
-            size = end + rows_left(t_end - t0 - length, current_window)
-            times = np.concatenate([times[:count], np.empty(size - count)])
-            states = np.concatenate([states[:count], np.empty((size - count, grid.n))])
-        times[count:end] = t0 + local_t[1:]
-        states[count:end] = iterate[1:]
-        count = end
-        u_start = iterate[-1].copy()
-        t0 += length
-        window_count += 1
+    state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_grid)
+    atoms = run_atoms(state, t_end, n_record=max(2, math.ceil(t_end / dt) + 1))
+    atoms.masses /= grid.weights
     return PicardTrajectory(
         grid=grid,
-        times=times[:count],
-        states=states[:count],
-        rate_grid=rate_grid,
-        growth_constant=c0,
-        window_count=window_count,
-        iterations_total=iter_total,
+        times=atoms.times,
+        states=atoms.masses,
+        rate_grid=state.rate_matrix,
+        growth_constant=pointwise_growth_constant(tp, c_star, x_eta0),
+        nfev=atoms.nfev,
     )
-
-
-def _cumulative_simpson(t: np.ndarray):
-    """``y -> cumulative_simpson(y, x=t, axis=0, initial=0.0)`` for a fixed
-    increasing t, bit for bit, with its weights computed once.
-
-    Interval i is integrated over (t_i, t_{i+1}, t_{i+2}) when i is even and
-    not the last interval, else over (t_{i+1}, t_i, t_{i-1}): SciPy's
-    interleaving of its h1 and h2 sub-integrals, with its unequal-interval
-    coefficients in its order of operations (SciPy, BSD-3-Clause; the
-    notice is in ``_dop853``).  Two nodes take SciPy's trapezoid branch.
-    ``cumulative(y, out)`` writes into ``out`` when given, and the
-    sub-integrals go through ``out`` and one scratch array kept between
-    calls, term by term in SciPy's order, so a call allocates nothing the
-    size of y.
-    """
-    dx = np.diff(t)
-    if dx.size == 1:
-        def parts(y, out):
-            np.multiply(dx, np.add(y[1:], y[:-1], out=out), out=out)
-            out /= 2.0
-    else:
-        i = np.arange(dx.size)
-        first = (i % 2 == 0) & (i < dx.size - 1)
-        x21, x32 = dx, dx[np.where(first, i + 1, i - 1)]
-        x21_x31 = x21 / (x21 + x32)
-        q = x21_x31 * (x21 / x32)
-        a, c1, c2, c3 = (c[:, None] for c in (x21 / 6, 3 - x21_x31, 3 + q + x21_x31, -q))
-        i1, i2, i3 = np.where(first, i, i + 1), np.where(first, i + 1, i), np.where(first, i + 2, i - 1)
-
-        scratch = {}  # one term array per shape of out
-
-        def parts(y, out):
-            # a * (c1 y[i1] + c2 y[i2] + c3 y[i3]); "clip" takes skip the
-            # buffer "raise" makes, and these indices are in range
-            if out.shape not in scratch:
-                scratch[out.shape] = np.empty(out.shape)
-            term = scratch[out.shape]
-            np.multiply(c1, np.take(y, i1, axis=0, out=out, mode="clip"), out=out)
-            out += np.multiply(c2, np.take(y, i2, axis=0, out=term, mode="clip"), out=term)
-            out += np.multiply(c3, np.take(y, i3, axis=0, out=term, mode="clip"), out=term)
-            np.multiply(a, out, out=out)
-
-    def cumulative(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty(y.shape) if out is None else out
-        out[0] = 0.0
-        parts(y, out[1:])
-        np.cumsum(out[1:], axis=0, out=out[1:])
-        out[1:] += 0.0  # SciPy adds the initial value: -0.0 becomes +0.0
-        return out
-
-    return cumulative
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ other functions state facts of the paper that no command reaches: the
 large-beta concentration of the majorant onto the diagonal, the
 beta-scaling maps, the three-way classification of the coupling region,
 the decoupling gap and the truncated collision rate.
+
+:func:`picard_solve` is the paper's fixed-point construction of the
+regular solutions of the reduced equation for data flat near the origin,
+on contraction windows with cumulative Simpson weights
+(:func:`_cumulative_simpson`, SciPy's ``cumulative_simpson`` bit for bit).
+The package integrates the same node system with DOP853
+(``reduced_solver.run_density``), and the tests hold the two together.
 """
 
 from __future__ import annotations
@@ -25,6 +32,15 @@ import numpy as np
 
 from comptonsim import full_solver, kernel, measure
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
+from comptonsim.measure import HybridMeasure
+from comptonsim.reduced_solver import (
+    _FLAT_R,
+    NonContraction,
+    PicardTrajectory,
+    flatness_certificate,
+    pointwise_growth_constant,
+    rate_matrix,
+)
 from comptonsim.truncation import TruncationParams, _band_ratio, _cone_ratio, eval_cutoff, gamma1
 
 
@@ -284,3 +300,176 @@ def truncated_kernel(
     if phi == 0.0:
         return 0.0
     return phi * eval_kernel(pp, x, y, tol).value / (x * y)
+
+
+# The fixed point's tolerance, its first window length and the iterations
+# per window before it counts as not contracting; read at call time, so a
+# test can change them.
+_PICARD_TOL = 1e-12
+_FIRST_WINDOW = 0.25
+_MAX_ITERATIONS = 200
+
+
+@dataclass
+class FixedPointTrajectory(PicardTrajectory):
+    """A fixed-point run's records and its number of accepted windows (it
+    evaluates no ODE right-hand side, so ``nfev`` is 0)."""
+
+    window_count: int = 0
+
+
+def picard_solve(
+    u0: HybridMeasure,
+    pp: PhysicalParams,
+    tp: TruncationParams,
+    t_end: float,
+    eta: float,
+    dt: float = 1e-3,
+) -> FixedPointTrajectory:
+    """Solve the reduced equation for flat integrable data by fixed point.
+
+    On each time window, the first ``_FIRST_WINDOW`` (0.25) long, the
+    exponential representation u(t) = u(t0) * exp(cumulative integral of
+    the paired rate) is iterated to ``_PICARD_TOL`` (1e-12) in the
+    origin-weighted L1 norm, for at most ``_MAX_ITERATIONS`` (200)
+    iterations; windows are halved on non-contraction (NonContraction
+    below a minimal window).  The flatness
+    certificate is checked up front, as ``run_density`` checks it.  A
+    window iterates in buffers allocated once for it, and each accepted
+    window writes its rows into one preallocated array of states, grown
+    when halved windows need more rows.
+    """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if u0.density is None or u0.atoms:
+        raise ValueError("the fixed-point solver evolves a pure density")
+    if eta <= 0.5 * (1.0 - tp.theta):
+        raise ValueError("eta must exceed (1 - theta)/2")
+    grid = u0.grid
+    _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
+    rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
+    c0 = pointwise_growth_constant(tp, c_star, x_eta0)
+
+    w = grid.weights
+    norm_weight = w * (1.0 + grid.nodes**-1.5)  # origin-sensitive L1 weight
+    paired = rate_grid * w[None, :]  # paired[i, j] u_j = rate of log-growth at i
+
+    def rows_left(t_left: float, window: float) -> int:
+        # a window of length L adds max(1, ceil(L/dt)) <= L/dt + 1 rows
+        return math.ceil(t_left / dt) + math.ceil(t_left / window) + 1
+
+    t0 = 0.0
+    u_start = u0.density.copy()
+    window_count = 0
+    min_window = max(4.0 * dt, t_end * 1e-6)
+    current_window = min(_FIRST_WINDOW, t_end)
+    times = np.empty(1 + rows_left(t_end, current_window))
+    states = np.empty((times.size, grid.n))
+    times[0] = 0.0
+    states[0] = u0.density
+    count = 1
+    while t0 < t_end - 1e-12 * t_end:
+        length = min(current_window, t_end - t0)
+        n_nodes = max(2, int(math.ceil(length / dt)) + 1)
+        local_t = np.linspace(0.0, length, n_nodes)
+        cumulative = _cumulative_simpson(local_t)
+        iterate = np.tile(u_start, (n_nodes, 1))
+        new, rates, exponents = np.empty_like(iterate), np.empty_like(iterate), np.empty_like(iterate)
+        converged = False
+        prev_err = math.inf
+        for _ in range(_MAX_ITERATIONS):
+            np.matmul(iterate, paired.T, out=rates)  # W(s_j, x_i)
+            cumulative(rates, out=exponents)
+            # cap keeps a diverging iterate finite so divergence is detected
+            # by the error growth instead of overflow noise
+            np.minimum(exponents, 700.0, out=exponents)
+            np.multiply(u_start[None, :], np.exp(exponents, out=exponents), out=new)
+            diff = np.abs(np.subtract(new, iterate, out=rates), out=rates)
+            err = float(np.max(diff @ norm_weight))
+            iterate, new = new, iterate
+            if err <= _PICARD_TOL:
+                converged = True
+                break
+            if not math.isfinite(err) or (err > 4.0 * prev_err and err > 1.0):
+                break  # diverging; shrink the window
+            prev_err = err
+        if not converged:
+            if length <= min_window:
+                raise NonContraction(
+                    f"fixed point failed to contract on window {length:.3e} at t={t0:.6f}"
+                )
+            current_window = 0.5 * length
+            continue
+        end = count + n_nodes - 1
+        if end > times.size:  # halved windows outran the estimate: grow both
+            size = end + rows_left(t_end - t0 - length, current_window)
+            times = np.concatenate([times[:count], np.empty(size - count)])
+            states = np.concatenate([states[:count], np.empty((size - count, grid.n))])
+        times[count:end] = t0 + local_t[1:]
+        states[count:end] = iterate[1:]
+        count = end
+        u_start = iterate[-1].copy()
+        t0 += length
+        window_count += 1
+    return FixedPointTrajectory(
+        grid=grid,
+        times=times[:count],
+        states=states[:count],
+        rate_grid=rate_grid,
+        growth_constant=c0,
+        nfev=0,
+        window_count=window_count,
+    )
+
+
+def _cumulative_simpson(t: np.ndarray):
+    """``y -> cumulative_simpson(y, x=t, axis=0, initial=0.0)`` for a fixed
+    increasing t, bit for bit, with its weights computed once.
+
+    Interval i is integrated over (t_i, t_{i+1}, t_{i+2}) when i is even and
+    not the last interval, else over (t_{i+1}, t_i, t_{i-1}): SciPy's
+    interleaving of its h1 and h2 sub-integrals, with its unequal-interval
+    coefficients in its order of operations (SciPy, BSD-3-Clause; the
+    notice is in ``comptonsim._dop853``).  Two nodes take SciPy's trapezoid
+    branch.  ``cumulative(y, out)`` writes into ``out`` when given, and the
+    sub-integrals go through ``out`` and one scratch array kept between
+    calls, term by term in SciPy's order, so a call allocates nothing the
+    size of y.
+    """
+    dx = np.diff(t)
+    if dx.size == 1:
+        def parts(y, out):
+            np.multiply(dx, np.add(y[1:], y[:-1], out=out), out=out)
+            out /= 2.0
+    else:
+        i = np.arange(dx.size)
+        first = (i % 2 == 0) & (i < dx.size - 1)
+        x21, x32 = dx, dx[np.where(first, i + 1, i - 1)]
+        x21_x31 = x21 / (x21 + x32)
+        q = x21_x31 * (x21 / x32)
+        a, c1, c2, c3 = (c[:, None] for c in (x21 / 6, 3 - x21_x31, 3 + q + x21_x31, -q))
+        i1, i2, i3 = np.where(first, i, i + 1), np.where(first, i + 1, i), np.where(first, i + 2, i - 1)
+
+        scratch = {}  # one term array per shape of out
+
+        def parts(y, out):
+            # a * (c1 y[i1] + c2 y[i2] + c3 y[i3]); "clip" takes skip the
+            # buffer "raise" makes, and these indices are in range
+            if out.shape not in scratch:
+                scratch[out.shape] = np.empty(out.shape)
+            term = scratch[out.shape]
+            np.multiply(c1, np.take(y, i1, axis=0, out=out, mode="clip"), out=out)
+            out += np.multiply(c2, np.take(y, i2, axis=0, out=term, mode="clip"), out=term)
+            out += np.multiply(c3, np.take(y, i3, axis=0, out=term, mode="clip"), out=term)
+            np.multiply(a, out, out=out)
+
+    def cumulative(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(y.shape) if out is None else out
+        out[0] = 0.0
+        parts(y, out[1:])
+        np.cumsum(out[1:], axis=0, out=out[1:])
+        out[1:] += 0.0  # SciPy adds the initial value: -0.0 becomes +0.0
+        return out
+
+    return cumulative

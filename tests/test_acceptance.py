@@ -31,8 +31,8 @@ from comptonsim.reduced_solver import (
     AtomSystemState,
     classify_limit,
     lyapunov_check,
-    picard_solve,
     run_atoms,
+    run_density,
 )
 from comptonsim.truncation import TruncationParams, gamma1, gamma2
 from oracles import diagonal_concentration_check, eval_kernel, growth_bound
@@ -249,7 +249,7 @@ def test_criterion_09_lyapunov_suite():
 
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-    pic_traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+    pic_traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
     pic_rep = lyapunov_check(pic_traj, eta=0.3)
 
     err_a = max(atom_rep.max_balance_error.values())
@@ -259,21 +259,21 @@ def test_criterion_09_lyapunov_suite():
         "moment Lyapunov suite",
         atom_rep.passed and pic_rep.passed,
         f"M_alpha nonincreasing (alpha = 1, 2, 3) on both runs; dM/dt vs D/2 rel err: "
-        f"atoms {err_a:.2e}, fixed-point {err_p:.2e}, both <= 1e-4",
+        f"atoms {err_a:.2e}, density {err_p:.2e}, both <= 1e-4",
     )
 
 
 def test_criterion_10_flatness_envelope():
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-    traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+    traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
     env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
     envelope_ok = bool(np.all(traj.states[-1] <= env * (1.0 + 1e-9)))
     ms = traj.mass_series()
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
     report(
         10,
-        "fixed-point flatness envelope",
+        "density-run flatness envelope",
         envelope_ok and drift <= 1e-10,
         f"u(1, x) <= u0(x) exp(C0 / x^1.5) (1 + 1e-9) at all {grid.n} nodes, "
         f"mass drift {drift:.2e} <= 1e-10",

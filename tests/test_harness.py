@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from comptonsim.harness import (
 from comptonsim.measure import Grid
 from comptonsim.reduced_solver import AtomTrajectory, PicardTrajectory
 from oracles import growth_bound
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 EXAMPLE51_CONFIG = {
     "initial": {"preset": "atoms", "atoms": [[1.0, 0.6], [1.5, 0.2], [2.4, 0.2]]},
@@ -299,6 +303,27 @@ class TestManifest:
                 })
             assert len(outs[0]) >= 2 and outs[0] == outs[1], mode
 
+    def test_picard_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the benchmark's Picard config at seed 7: its series were matrix-vector
+        # products, whose last digits changed with the OpenBLAS thread count
+        cfg_path = tmp_path / "picard.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"min": 0.5, "max": 30.0, "n": 128},
+            "initial": {"preset": "truncated_planck", "mu": -0.49410298722874707, "support_min": 0.5},
+            "reduced": {"t_end": 4.0, "dt": 1e-3, "stationarity_window": 0.5},
+            "diagnostics": {"eta": 0.3},
+        }))
+        outs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("NUM_THREADS") and k != "THREADS"}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p))
+            out = tmp_path / f"threads-{threads}"
+            args = ["simulate-reduced", "--mode", "picard", "--config", str(cfg_path), "--out", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "comptonsim.cli", *args], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 1, proc.stderr  # the run is not stationary at t = 4: limit_structure fails
+            outs.append({name: (out / name).read_bytes() for name in os.listdir(out) if name != "manifest.json"})
+        assert len(outs[0]) == 3 and outs[0] == outs[1]
+
 
 def assert_invalid_config(tmp_path, capsys, command, data, message):
     """The command exits 2 with one line (no traceback) on stderr and writes no output directory."""
@@ -343,6 +368,16 @@ class TestCli:
         recorded = json.loads((tmp_path / "atoms" / "manifest.json").read_text())["telemetry"]
         assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
         assert traj.nfev > 0
+
+    def test_density_run_manifest_records_the_evaluation_count(self, tmp_path):
+        # the node system's DOP853 evaluations, as an atom run records its own
+        data = {**COARSE_PICARD_CONFIG, "grid": {"min": 0.5, "max": 30.0, "n": 16},
+                "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 0.5}}
+        manifest, traj = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / "picard"),
+                                                mode="picard", classify=False)
+        recorded = json.loads((tmp_path / "picard" / "manifest.json").read_text())["telemetry"]
+        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
+        assert traj.nfev > 0 and manifest.all_passed
 
     def test_simulate_full_small(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

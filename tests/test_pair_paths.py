@@ -5,9 +5,10 @@ computed from the kernel's list of in-support pairs (or, for atoms, from
 the state's slot list, built from the upper triangle of the rate matrix).  The kernel table and the
 physical rate matrix are filled by one screened batch: a vectorized cutoff
 picks the pairs, one batch call evaluates them.  The reduced equation's
-moment dissipation, the CSV writer and the Picard states go through row
-blocks or a preallocated array, and must keep the bits of the whole-array
-forms and of the list of per-window rows.  The full solver's recorded diagnostics are
+moment dissipation, the CSV writer, the dense output and the oracle
+fixed point's states go through row blocks or a preallocated array, and
+must keep the bits of the whole-array forms and of the list of per-window
+rows.  The full solver's recorded diagnostics are
 whole-array passes over blocks of recorded states, against a per-record
 run that evaluates the per-state density formulas one record at a time.
 The reference forms below are the dense n x n, scalar per-pair,
@@ -60,13 +61,12 @@ from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
     PicardTrajectory,
-    _cumulative_simpson,
     _dissipation,
     atom_ode_rhs,
     lyapunov_check,
-    picard_solve,
     rate_matrix,
     run_atoms,
+    run_density,
 )
 from comptonsim.truncation import (
     TruncationParams,
@@ -473,7 +473,7 @@ def seed7_trajectories():
     atoms = run_atoms(AtomSystemState.from_physical(PP, TP, locs, masses), 5e4, n_record=20001)
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": 0.5}, grid)
-    picard = picard_solve(u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)
+    picard = run_density(u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)
     return atoms, picard
 
 
@@ -528,7 +528,7 @@ class TestDissipationAgainstEinsum:
         )
         picard = PicardTrajectory(
             grid=grid, times=atoms.times, states=U / grid.weights, rate_grid=R,
-            growth_constant=0.0, window_count=0, iterations_total=0,
+            growth_constant=0.0, nfev=0,
         )
         for traj, form in ((atoms, atom_form), (picard, picard_form)):
             d = traj.dissipation_series(alpha)
@@ -595,27 +595,51 @@ class TestBlockedDissipation:
         assert np.array_equal(picard.dissipation_series(alpha), whole_dissipation(*picard_form(picard), alpha))
 
 
+class TestBlockedSeries:
+    """The mass, moment, exponential-moment and window series of both
+    trajectory kinds go through blocks of records, as an elementwise product
+    and numpy's row sums (whose order the BLAS thread count cannot change),
+    and keep the bits of those row sums over all records."""
+
+    @pytest.mark.parametrize("rows", [1, DISSIPATION_ROWS + 1, 2 * DISSIPATION_ROWS + 3])
+    def test_bits_of_the_whole_row_sums(self, rows):
+        rng = np.random.default_rng(rows)
+        grid = Grid.log_spaced(0.5, 30.0, 40)
+        x, w = grid.nodes, grid.weights
+        U = rng.uniform(0.0, 2.0, (rows, x.size))
+        U[rng.random(U.shape) < 0.2] = 0.0
+        R = np.zeros((x.size, x.size))
+        atoms = AtomTrajectory(AtomSystemState(locations=x, masses=U[0], rate_matrix=R), np.arange(float(rows)), U, 0)
+        density = PicardTrajectory(grid=grid, times=atoms.times, states=U, rate_grid=R, growth_constant=0.0, nfev=0)
+        window = (x >= 2.0) & (x <= 10.0)
+        for traj, c in ((atoms, np.ones(x.size)), (density, w)):
+            assert np.array_equal(traj.mass_series(), (U * c).sum(axis=1))
+            assert np.array_equal(traj.moment_series(2.0), (U * (c * x**2.0)).sum(axis=1))
+            assert np.array_equal(traj.exp_moment_series(0.3), (U * (c * np.exp(0.3 * x))).sum(axis=1))
+            assert np.array_equal(traj.window_mass_series(2.0, 10.0), np.ascontiguousarray((U * c)[:, window]).sum(axis=1))
+
+
 def list_picard_solve(u0, t_end, eta, dt):
-    """picard_solve's windows as they were: each accepted window's rows
-    appended to lists, and the arrays made by np.asarray at the end."""
+    """The oracle fixed point's windows as they were: each accepted window's
+    rows appended to lists, and the arrays made by np.asarray at the end."""
     grid = u0.grid
     w = grid.weights
     omega = 1.0 + grid.nodes**-1.5
     paired = rate_matrix(PP, TP, grid.nodes)[0] * w[None, :]
     times, states = [0.0], [u0.density.copy()]
     t0, u_start = 0.0, u0.density.copy()
-    current = min(reduced_solver_module._FIRST_WINDOW, t_end)
+    current = min(oracles._FIRST_WINDOW, t_end)
     while t0 < t_end - 1e-12 * t_end:
         length = min(current, t_end - t0)
         local_t = np.linspace(0.0, length, max(2, int(math.ceil(length / dt)) + 1))
-        cumulative = _cumulative_simpson(local_t)
+        cumulative = oracles._cumulative_simpson(local_t)
         iterate = np.tile(u_start, (local_t.size, 1))
         prev_err = math.inf
-        for _ in range(reduced_solver_module._MAX_ITERATIONS):
+        for _ in range(oracles._MAX_ITERATIONS):
             new = u_start[None, :] * np.exp(np.minimum(cumulative(iterate @ paired.T), 700.0))
             err = float(np.max(np.abs(new - iterate) @ (w * omega)))
             iterate = new
-            if err <= reduced_solver_module._PICARD_TOL:
+            if err <= oracles._PICARD_TOL:
                 break
             if not math.isfinite(err) or (err > 4.0 * prev_err and err > 1.0):
                 iterate = None
@@ -634,7 +658,7 @@ def list_picard_solve(u0, t_end, eta, dt):
 
 
 class TestPicardStates:
-    """picard_solve writes each window's rows into one preallocated array,
+    """The oracle fixed point writes each window's rows into one preallocated array,
     grown when halved windows need more rows than windows of the first
     length add; the states and times are those of the list of rows."""
 
@@ -642,10 +666,10 @@ class TestPicardStates:
     def test_against_the_list_of_rows(self, scale, dt, grows):
         grid = Grid.log_spaced(0.5, 10.0, 24)
         u0 = HybridMeasure(atoms=[], grid=grid, density=scale * planck_density(grid, 0.0))
-        traj = picard_solve(u0, PP, TP, t_end=1.0, eta=0.3, dt=dt)
+        traj = oracles.picard_solve(u0, PP, TP, t_end=1.0, eta=0.3, dt=dt)
         times, states = list_picard_solve(u0, 1.0, 0.3, dt)
         assert np.array_equal(traj.times, times) and np.array_equal(traj.states, states)
-        first = math.ceil(1.0 / reduced_solver_module._FIRST_WINDOW)
+        first = math.ceil(1.0 / oracles._FIRST_WINDOW)
         assert (traj.window_count > first) is (scale > 1.0)  # the heavier densities halve their windows
         # windows of the first length add at most 1/dt rows plus one per window
         assert (len(times) > 1 + math.ceil(1.0 / dt) + first + 1) is grows

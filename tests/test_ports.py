@@ -1,4 +1,5 @@
-"""The in-repo DOP853 stepper and cumulative Simpson rule, held to SciPy.
+"""The in-repo DOP853 stepper and the oracle's cumulative Simpson rule,
+held to SciPy.
 
 The package never imports SciPy; these tests use it only as the oracle and
 require equality bit for bit (``np.array_equal``), not closeness.
@@ -14,7 +15,11 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 
 from comptonsim import reduced_solver
 from comptonsim._dop853 import _DENSE_CHUNK, dop853
-from comptonsim.reduced_solver import _ATOM_ATOL, AtomSystemState, _cumulative_simpson, atom_ode_rhs, run_atoms
+from comptonsim.kernel import PhysicalParams
+from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.reduced_solver import _ATOM_ATOL, AtomSystemState, atom_ode_rhs, run_atoms, run_density
+from comptonsim.truncation import TruncationParams
+from oracles import _cumulative_simpson
 
 
 def antisymmetric_state(rng, n: int, scale: float = 1.0) -> AtomSystemState:
@@ -108,6 +113,19 @@ class TestDop853AgainstSolveIvp:
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.masses, np.clip(sol.y.T, 0.0, None))
+
+    def test_run_density_records_are_the_oracle_records(self):
+        # a density run is the atom run of the node masses w u0, its records
+        # divided by w: 1001 records in a few steps, so the interpolation of
+        # one dense-output pass goes through several blocks of requested times
+        grid = Grid.log_spaced(0.5, 30.0, 32)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
+        traj = run_density(u0, PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8), t_end=1.0, eta=0.3)
+        state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, traj.rate_grid)
+        sol = oracle(state, 1.0, 1e-12, np.linspace(0.0, 1.0, 1001))
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, np.clip(sol.y.T, 0.0, None) / grid.weights)
+        assert traj.nfev == sol.nfev
 
     def test_run_atoms_keeps_the_evaluation_count(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)

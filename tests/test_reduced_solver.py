@@ -1,4 +1,4 @@
-"""Reduced quadratic dynamics: atoms, Picard solver, Lyapunov structure."""
+"""Reduced quadratic dynamics: atoms, flat densities, Lyapunov structure."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from comptonsim import reduced_solver
 from comptonsim._dop853 import StepSizeTooSmall
-from comptonsim.harness import EXAMPLE51
+from comptonsim.harness import EXAMPLE51, build_initial
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, components, planck_density
+from comptonsim.measure import Grid, HybridMeasure, components, planck_density, relative_drift
 from comptonsim.reduced_solver import (
     AtomStepCollapse,
     AtomSystemState,
@@ -33,11 +33,12 @@ from comptonsim.reduced_solver import (
     classify_limit,
     flatness_certificate,
     lyapunov_check,
-    picard_solve,
     rate_matrix,
     run_atoms,
+    run_density,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff, gamma2
+import oracles
 from oracles import eval_kernel
 
 PP = PhysicalParams()
@@ -381,31 +382,31 @@ class TestPicard:
     def test_zero_initial_data(self):
         grid = Grid.log_spaced(0.5, 10.0, 32)
         u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(32))
-        traj = picard_solve(u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
+        traj = run_density(u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
         assert np.all(traj.states == 0.0)
 
     def test_mass_conservation(self, flat_setup):
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=5.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=5.0, dt=1e-3, eta=0.3)
         ms = traj.mass_series()
         assert np.max(np.abs(ms - ms[0])) <= 1e-10 * ms[0]
 
     def test_pointwise_envelope(self, flat_setup):
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
         assert np.all(traj.states[-1] <= env * (1.0 + 1e-9))
 
     def test_support_constant_in_time(self, flat_setup):
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
         mask0 = u0.density > 0.0
         for k in range(0, len(traj.times), 50):
             assert np.array_equal(traj.states[k] > 0.0, mask0)
 
     def test_moments_nonincreasing(self, flat_setup):
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         rep = lyapunov_check(traj, eta=0.3)
         assert rep.passed
 
@@ -413,7 +414,7 @@ class TestPicard:
         grid = Grid.log_spaced(1e-3, 10.0, 64)
         dens = planck_density(grid, 0.0)  # mass all the way to the origin
         with pytest.raises(FlatnessViolation):
-            picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=0.1, eta=0.3)
+            run_density(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=0.1, eta=0.3)
 
     def test_flatness_certificate_values(self):
         grid = Grid.log_spaced(0.5, 10.0, 64)
@@ -424,20 +425,19 @@ class TestPicard:
     def test_non_contraction_raised(self, monkeypatch):
         grid = Grid.log_spaced(0.5, 10.0, 48)
         dens = 5e3 * planck_density(grid, 0.0)  # huge mass defeats contraction
-        monkeypatch.setattr(reduced_solver, "_MAX_ITERATIONS", 8)
-        monkeypatch.setattr(reduced_solver, "_FIRST_WINDOW", 1.0)
+        monkeypatch.setattr(oracles, "_MAX_ITERATIONS", 8)
+        monkeypatch.setattr(oracles, "_FIRST_WINDOW", 1.0)
         with pytest.raises(NonContraction):
-            picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=1.0, eta=0.3, dt=0.05)
+            oracles.picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=1.0, eta=0.3, dt=0.05)
 
     def test_fixed_point_matches_independent_integrator(self, flat_setup):
-        # the discrete-time fixed point of the exponential representation
-        # must agree with direct adaptive integration of the same
-        # semi-discrete system
+        # the node system integrated as atoms must agree with direct adaptive
+        # integration of the same semi-discrete system in density form
         from scipy.integrate import solve_ivp
 
         grid, u0 = flat_setup
         R, _ = rate_matrix(PP, TP, grid.nodes)
-        traj = picard_solve(u0, PP, TP, t_end=1.0, iter_tol=1e-13, dt=1e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         assert np.array_equal(traj.rate_grid, R)
         paired = R * grid.weights[None, :]
         ref = solve_ivp(
@@ -448,7 +448,7 @@ class TestPicard:
 
     def test_flatness_propagates(self, flat_setup):
         grid, u0 = flat_setup
-        traj = picard_solve(u0, PP, TP, t_end=1.0, dt=2e-3, eta=0.3)
+        traj = run_density(u0, PP, TP, t_end=1.0, dt=2e-3, eta=0.3)
         flat, tail = flatness_certificate(grid, traj.states[-1], r=1.0, eta=0.3)
         assert math.isfinite(flat) and math.isfinite(tail)
 
@@ -460,13 +460,63 @@ class TestPicard:
         grid, u0 = flat_setup
         name = next(iter(control))
         with time_limit(5.0), pytest.raises(ValueError, match=f"{name} must be positive"):
-            picard_solve(u0, PP, TP, **{"t_end": 0.1, "eta": 0.3, **control})
+            run_density(u0, PP, TP, **{"t_end": 0.1, "eta": 0.3, **control})
 
     def test_atoms_rejected(self):
         grid = Grid.log_spaced(0.5, 10.0, 16)
         u0 = HybridMeasure(atoms=[(1.0, 0.5)], grid=grid, density=np.ones(16))
         with pytest.raises(ValueError):
-            picard_solve(u0, PP, TP, t_end=0.1, eta=0.3)
+            run_density(u0, PP, TP, t_end=0.1, eta=0.3)
+
+
+class TestDensityRunAgainstFixedPoint:
+    """run_density integrates the node system with DOP853; the paper's fixed
+    point (the oracle) iterates the exponential representation on windows.
+    On the benchmark's Picard config (128 nodes to t = 4, with the mu that
+    perfbench/workloads.py draws for seeds 7 and 311) and on the 4-node
+    config of the command-line tests, both record at the same times, and
+    every recorded density agrees to 1e-10 relative (7.1e-12 and 6.9e-12
+    were observed; the four decoupled nodes agree exactly)."""
+
+    @pytest.mark.parametrize("grid_args, initial, t_end", [
+        ((0.5, 30.0, 128), {"preset": "truncated_planck", "mu": -0.49410298722874707, "support_min": 0.5}, 4.0),
+        ((0.5, 30.0, 128), {"preset": "truncated_planck", "mu": -0.3200186242738902, "support_min": 0.5}, 4.0),
+        ((1.0, 30.0, 4), {"preset": "truncated_planck", "mu": 0.0, "support_min": 1.0}, 1.0),
+    ], ids=["benchmark-seed7", "benchmark-seed311", "cli-4-nodes"])
+    def test_records_agree(self, grid_args, initial, t_end):
+        u0 = build_initial(initial, Grid.log_spaced(*grid_args))
+        traj = run_density(u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
+        ref = oracles.picard_solve(u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
+        assert traj.states.shape == ref.states.shape
+        np.testing.assert_allclose(traj.times, ref.times, rtol=0.0, atol=1e-15 * t_end)
+        carried = ref.states > 0.0
+        assert np.array_equal(traj.states > 0.0, carried)
+        assert np.max(np.abs(traj.states[carried] - ref.states[carried]) / ref.states[carried]) <= 1e-10
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 64),
+        grid_min=st.floats(0.3, 2.0),
+        grid_max=st.floats(8.0, 40.0),
+        support=st.floats(1.0, 3.0),
+        mu=st.floats(-1.0, 0.0),
+        log_scale=st.floats(-1.0, 1.5),
+        t_end=st.floats(0.1, 2.0),
+    )
+    def test_flat_data_on_random_grids(self, n, grid_min, grid_max, support, mu, log_scale, t_end):
+        # the support starts within three times the grid's lowest node, where
+        # the run moves the moments by more than the balance can resolve
+        # (data whose moments change by ~1e-10 over the run fail the balance
+        # on both the oracle and this path: the check's own roundoff floor)
+        grid = Grid.log_spaced(grid_min, grid_max, n)
+        u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": support * grid_min}, grid)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=10.0**log_scale * u0.density)
+        traj = run_density(u0, PP, TP, t_end=t_end, eta=0.3)
+        assert relative_drift(traj.mass_series()) <= 1e-10
+        assert np.array_equal(traj.states > 0.0, np.broadcast_to(u0.density > 0.0, traj.states.shape))
+        for k in range(len(traj.times)):
+            assert np.all(traj.states[k] <= traj.pointwise_envelope(k, u0.density) * (1.0 + 1e-9))
+        assert lyapunov_check(traj, eta=0.3).passed
 
 
 class TestClassifyLimit:
@@ -555,7 +605,7 @@ class TestClassifyLimit:
         moved = 5e-8 * float(before @ w)
         after = np.array([w[1] / w[0], 0.0, 1.0 + moved / w[2], 1.0 - moved / w[3]])
         traj = PicardTrajectory(grid=grid, times=np.array([0.0, 1.0, 2.0]), states=np.array([before, after, after]),
-                                rate_grid=np.zeros((4, 4)), growth_constant=0.0, window_count=0, iterations_total=0)
+                                rate_grid=np.zeros((4, 4)), growth_constant=0.0, nfev=0)
         cls = classify_limit(traj, TP)
         assert {f: getattr(cls, f) for f in FLAGS} == {f: f != "mass_sums_ok" for f in FLAGS}
         assert not cls.passed
@@ -608,7 +658,7 @@ class TestClassifyLimit:
             grid = Grid.log_spaced(0.3, 11.0, 12)
             x = grid.nodes
             traj = PicardTrajectory(grid=grid, times=np.arange(7.0), states=rows, rate_grid=np.zeros((12, 12)),
-                                    growth_constant=0.0, window_count=0, iterations_total=0)
+                                    growth_constant=0.0, nfev=0)
             carriers = rows * grid.weights
         got = traj.window_mass_series(lo, hi)
         want = [math.fsum(m for xi, m in zip(x, row) if lo <= xi <= hi) for row in carriers]
@@ -616,8 +666,9 @@ class TestClassifyLimit:
         # no carrier sits between two neighbours: the window between them is empty
         mid = 0.5 * (x[4] + x[5])
         assert np.array_equal(traj.window_mass_series(mid, mid), np.zeros(7))
-        # the default hi = inf selects the carriers a tail threshold selects, so the bits are the same
-        tail = rows[:, x >= lo].sum(axis=1) if kind == "atoms" else rows[:, x >= lo] @ grid.weights[x >= lo]
+        # the default hi = inf selects the carriers a tail threshold selects, so the bits are
+        # the row sums of their C-ordered copy (a boolean column index copies in column order)
+        tail = np.ascontiguousarray((carriers if kind == "atoms" else rows * grid.weights)[:, x >= lo]).sum(axis=1)
         assert np.array_equal(traj.window_mass_series(lo), tail)
 
     def test_classification_builds_no_measure_per_record(self, monkeypatch):
