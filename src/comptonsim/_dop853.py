@@ -16,6 +16,11 @@ So ``fun`` must also take a (k, n) stack of states with a (k,) vector of
 times and return the (k, n) stack of rates, each row as the 1-D call
 returns it.  Only the grouping of the evaluations changes: a stacked call
 counts k evaluations, and ``nfev`` is SciPy's.
+
+The records are streamed, not returned: a pass interpolates its requested
+times in blocks of about ``_DENSE_FLOATS`` floats (512 rows of 16, 42 rows
+of 192) and hands each block to the caller's ``emit``, so no array of every
+record is made here.
 """
 
 # Ported from scipy/integrate/_ivp/{rk.py,common.py,ivp.py,dop853_coefficients.py}:
@@ -260,7 +265,10 @@ MAX_FACTOR = 10  # largest allowed increase of the step size
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 EPS = np.finfo(float).eps
 _DENSE_CHUNK = 64  # record-holding steps per dense-output pass; its buffers hold 18 rows of n per step
-_DENSE_ROWS = 512  # requested times per interpolation block of a pass
+_DENSE_FLOATS = 8192  # floats per interpolation block of a pass: max(1, 8192 // n) requested times
+
+RTOL = 1e-12  # the package's relative tolerance, shared by the full equation and the atom system
+ATOL = 1e-20  # and its absolute tolerance
 
 
 class StepSizeTooSmall(RuntimeError):
@@ -315,8 +323,8 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
-    """Dense output of k buffered steps, written to the rows of out.
+def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
+    """Dense output of k buffered steps, handed to ``emit`` block by block.
 
     Step j spans [t_old[j], t_old[j] + h[j]] from y_old[j] to y[j], with
     its 13 stages in K_ext[j, :13]; the requested time t[r] lies in step
@@ -325,8 +333,9 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
     calls on SciPy's array layouts, because BLAS summation order decides
     the bits; everything else is elementwise over the chunk, so each row
     is the float SciPy computes for it.  The interpolation goes through the
-    requested times ``_DENSE_ROWS`` at a time, so its gathers of F and
-    y_old hold that many rows, not one per requested time of the chunk.
+    requested times ``len(buf)`` at a time into ``buf``, so its gathers of
+    F and y_old hold that many rows, and each block goes to
+    ``emit(times, states)`` before the next one overwrites it.
     """
     hk = h[:, None]
     dy = np.empty_like(y)
@@ -344,9 +353,11 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
         F[j, 3:] = np.dot(D, K)
     F[:, 3:] *= h[:, None, None]
 
-    for lo in range(0, t.size, _DENSE_ROWS):
-        sel, o = step[lo:lo + _DENSE_ROWS], out[lo:lo + _DENSE_ROWS]
-        x = ((t[lo:lo + _DENSE_ROWS] - t_old[sel]) / h[sel])[:, None]
+    rows = len(buf)
+    for lo in range(0, t.size, rows):
+        sel = step[lo:lo + rows]
+        o = buf[:sel.size]
+        x = ((t[lo:lo + rows] - t_old[sel]) / h[sel])[:, None]
         o[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
         for i in range(INTERPOLATOR_POWER):
             o += F[sel, INTERPOLATOR_POWER - 1 - i]
@@ -355,23 +366,24 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, out):
             else:
                 o *= 1 - x
         o += y_old[sel]
+        emit(t[lo:lo + rows], o)
 
 
 class _DeferredDense:
     """Accepted steps that hold requested times, buffered until the dense
     output of ``_DENSE_CHUNK`` of them (or of the last ones) is evaluated
-    by one :func:`_dense` pass."""
+    by one :func:`_dense` pass, which streams its records to ``emit``."""
 
-    def __init__(self, fun, t_eval: np.ndarray, n: int):
-        self.fun, self.t_eval = fun, t_eval
-        self.out = np.empty((t_eval.size, n))
+    def __init__(self, fun, t_eval: np.ndarray, n: int, emit):
+        self.fun, self.t_eval, self.emit = fun, t_eval, emit
+        self.buf = np.empty((max(1, _DENSE_FLOATS // n), n))
         self.K_ext = np.empty((_DENSE_CHUNK, N_STAGES_EXTENDED, n))
         self.t_old, self.h = np.empty(_DENSE_CHUNK), np.empty(_DENSE_CHUNK)
         self.y_old, self.y = np.empty((_DENSE_CHUNK, n)), np.empty((_DENSE_CHUNK, n))
         self.held = np.empty(_DENSE_CHUNK, dtype=np.intp)  # requested times in each step
         self.k = 0  # steps buffered
-        self.done = 0  # requested times written
-        self.upto = 0  # requested times written or held by a buffered step
+        self.done = 0  # requested times emitted
+        self.upto = 0  # requested times emitted or held by a buffered step
 
     def add(self, t_old, h, y_old, y, K, upto: int) -> None:
         k = self.k
@@ -387,22 +399,26 @@ class _DeferredDense:
         if k:
             step = np.repeat(np.arange(k), self.held[:k])
             _dense(self.fun, self.K_ext[:k], self.t_old[:k], self.h[:k], self.y_old[:k], self.y[:k],
-                   self.t_eval[self.done:self.upto], step, self.out[self.done:self.upto])
+                   self.t_eval[self.done:self.upto], step, self.emit, self.buf)
             self.done, self.k = self.upto, 0
 
 
-def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float):
+def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float, emit) -> int:
     """Integrate dy/dt = fun(t, y) forward from t0 to t_bound > t0.
 
     ``fun(t, y)`` takes a state of shape (n,) at a time t, or a (k, n)
     stack of states at a (k,) vector of times (the deferred dense output,
-    see the module docstring), and returns rates of the same shape.
-    Returns ``(t, y, nfev)``: the requested times (sorted, inside
-    [t0, t_bound]), the states there as rows of a (len(t), n) array, and
-    the number of evaluations of ``fun``, a stacked call counting one per
-    row, which is SciPy's ``nfev``.  Raises :class:`StepSizeTooSmall` with
-    SciPy's message when the controller stalls, and clamps an ``rtol``
-    below 100 eps to it with SciPy's warning.
+    see the module docstring), and returns rates of the same shape.  The
+    states at the requested times ``t_eval`` (sorted, inside [t0, t_bound])
+    go to ``emit(t, y)`` in order, in blocks: ``t`` a slice of ``t_eval``
+    and ``y`` the (len(t), n) states.  ``y`` is a buffer that the next
+    block overwrites, so a caller that keeps records copies them; it may
+    change ``y`` in place.  Returns the number of evaluations of ``fun``,
+    a stacked call counting one per row, which is SciPy's ``nfev``.
+    Raises :class:`StepSizeTooSmall` with SciPy's message when the
+    controller stalls, and clamps an ``rtol`` below 100 eps to it with
+    SciPy's warning.  An exception raised by ``fun`` or ``emit`` ends the
+    run.
     """
     t0, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0).astype(float, copy=False)
@@ -424,10 +440,11 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
     n = y.size
     f = counted(t0, y)
     if n == 0:
-        return t_eval, np.empty((t_eval.size, 0)), nfev
+        emit(t_eval, np.empty((t_eval.size, 0)))
+        return nfev
     h_abs = _initial_step(counted, t0, y, t_bound, f, rtol, atol)
     K = np.empty((N_STAGES + 1, n))
-    dense = _DeferredDense(counted, t_eval, n)
+    dense = _DeferredDense(counted, t_eval, n, emit)
     t = t0
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -460,4 +477,4 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
             dense.add(t, h, y, y_new, K, upto)
         t, y, f = t_new, y_new, f_new
     dense.flush()
-    return t_eval, dense.out, nfev
+    return nfev

@@ -11,18 +11,22 @@ accumulation of mass near the origin.  The collision rate and the
 dissipation and origin-flux diagnostics all run over one list of
 in-support grid pairs, built once with the kernel table by one screened
 batch: a vectorized cutoff picks the supported pairs, and one batch
-evaluation fills them in.  A run computes the diagnostics of its
-recorded states in one whole-array pass per block of states.
+evaluation fills them in.  The semi-discrete system is integrated by
+DOP853, the in-repo port of SciPy's stepper in ``_dop853`` that also runs
+the reduced equation, with the package's tolerances.  Its dense output
+streams the recorded states in blocks, and a run computes their
+diagnostics in one whole-array pass per block of states, keeping only the
+last state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._dop853 import ATOL, RTOL, StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
@@ -31,7 +35,6 @@ _BLOCK_ROWS = 4  # states per diagnostics pass: rows x pairs temporaries near 12
 
 __all__ = [
     "StepCollapse",
-    "NonFiniteState",
     "SolverConfig",
     "RegularizedKernel",
     "TrajectoryRecord",
@@ -39,7 +42,6 @@ __all__ = [
     "OriginMassReport",
     "taper",
     "collision_rhs",
-    "step",
     "entropy_balance_check",
     "origin_mass_estimate",
     "exp_moment_rate",
@@ -48,28 +50,28 @@ __all__ = [
 
 
 class StepCollapse(RuntimeError):
-    """Positivity could not be restored above the minimal time step."""
-
-
-class NonFiniteState(StepCollapse):
-    """A time step produced NaN or infinite densities."""
+    """The integration of the full equation failed: DOP853 needed a step
+    below the float spacing, a rate was not finite, or a recorded density
+    fell below zero by more than integrator noise."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Controls of the positivity-guarded RK4 stepping; ``mass_tolerance``
-    is the bound the caller checks the finished run's mass drift against."""
+    """Controls of a full run: the horizon ``t_end``, the record spacing
+    ``record_every`` * ``dt_init`` (the run records at these multiples of
+    ``dt_init`` and at ``t_end``; DOP853 chooses its own steps), the rate
+    ``eta`` of the recorded exponential moment, and ``mass_tolerance``, the
+    bound the caller checks the finished run's mass drift against."""
 
     t_end: float
     dt_init: float = 1e-3
-    dt_min: float = 1e-8
     mass_tolerance: float = 1e-10
     record_every: int = 1
     eta: float = 0.3
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt_min <= self.dt_init):
-            raise ValueError("dt_min: need 0 < dt_min <= dt_init")
+        if not (0.0 < self.dt_init < math.inf):
+            raise ValueError("dt_init: must be positive and finite")
         if not (0.0 < self.t_end < math.inf):
             raise ValueError("t_end: must be positive and finite")
         if self.record_every < 1:
@@ -183,35 +185,6 @@ def collision_rhs(u: np.ndarray, kern: RegularizedKernel) -> np.ndarray:
     return (np.bincount(i, f, u.size) - np.bincount(j, f, u.size)) / kern.grid.weights
 
 
-def step(
-    u: np.ndarray,
-    kern: RegularizedKernel,
-    cfg: SolverConfig,
-    dt: float,
-) -> tuple[np.ndarray, float]:
-    """One positivity-guarded RK4 step; returns (state, dt actually used).
-
-    A step producing any negative density is rejected and retried with dt
-    halved, down to cfg.dt_min; persistent negativity raises StepCollapse.
-    A NaN or infinity in any stage reaches the stepped state, which then
-    raises NonFiniteState at once instead of being retried.
-    """
-    u = np.asarray(u, dtype=float)
-    while True:
-        k1 = collision_rhs(u, kern)
-        k2 = collision_rhs(u + 0.5 * dt * k1, kern)
-        k3 = collision_rhs(u + 0.5 * dt * k2, kern)
-        k4 = collision_rhs(u + dt * k3, kern)
-        u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u_next)):
-            raise NonFiniteState(f"non-finite density after a step of dt={dt}")
-        if np.all(u_next >= 0.0):
-            return u_next, dt
-        if dt <= cfg.dt_min:
-            raise StepCollapse(f"negative density persists at dt_min={cfg.dt_min}")
-        dt = max(0.5 * dt, cfg.dt_min)
-
-
 def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     # (a - b)(log a - log b), zero when both arguments vanish; a single
     # vanishing argument would give +inf, which is flagged and excluded.
@@ -258,9 +231,10 @@ class TrajectoryRecord:
     exponential moment, ``H`` its entropy, ``entropy_dissipation`` its
     dissipation D and ``origin_mass_series`` its mass on [0, 2 x_min) (the
     smallest origin window).  ``final`` is the last recorded density; no
-    other state is kept.  The a-priori bound e^{C_eta t} X_eta(0) is not a
-    column: the caller, which holds C_eta, builds it from ``X_eta[0]`` with
-    :func:`_growth_bound`.
+    other state is kept.  ``nfev`` counts the right-hand-side evaluations
+    of the integration (SciPy's ``nfev``).  The a-priori bound
+    e^{C_eta t} X_eta(0) is not a column: the caller, which holds C_eta,
+    builds it from ``X_eta[0]`` with :func:`_growth_bound`.
     """
 
     times: np.ndarray
@@ -270,6 +244,7 @@ class TrajectoryRecord:
     entropy_dissipation: np.ndarray
     origin_mass_series: np.ndarray
     final: np.ndarray
+    nfev: int
 
 
 @dataclass(frozen=True)
@@ -370,17 +345,12 @@ def exp_moment_rate(tp: TruncationParams, c_star: float, eta: float) -> float:
     return c_star / (2.0 * th * th) * (1.0 - th) / (1.0 + th) * eta / (0.5 - eta)
 
 
-def _recorded(g: np.ndarray, kern: RegularizedKernel, cfg: SolverConfig):
-    # (t, state) at t = 0, after every record_every-th step and after the last
-    t, steps = 0.0, 0
-    horizon = cfg.t_end * (1.0 - 1e-12)  # slop absorbs step-sum roundoff
-    yield t, g
-    while t < horizon:
-        g, used = step(g, kern, cfg, min(cfg.dt_init, cfg.t_end - t))
-        t += used
-        steps += 1
-        if steps % cfg.record_every == 0 or t >= horizon:
-            yield t, g
+def _record_times(cfg: SolverConfig) -> np.ndarray:
+    # k dt_init for every record_every-th k below the step count of a
+    # dt_init grid that reaches t_end, then t_end; the slop keeps a t_end
+    # that is a multiple of dt_init up to roundoff from adding a step
+    steps = math.ceil(cfg.t_end * (1.0 - 1e-12) / cfg.dt_init)
+    return np.append(np.arange(0, steps, cfg.record_every) * cfg.dt_init, cfg.t_end)
 
 
 def _growth_bound(c_eta: float, t: float, x0: float) -> float:
@@ -397,15 +367,22 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     The kernel fixes the grid, the truncation and the regularization.  Only
     the density evolves; an origin atom rides along as a diagnostic (the
     tapered kernel cannot move mass at zero energy) and atoms at positive
-    energies are rejected.  The columns of the returned record are filled
-    in one pass per block of ``_BLOCK_ROWS`` recorded states: take gathers
-    and prefix slices keep every row C-contiguous, so each row's np.vecdot
-    sums in np.dot's order and every value has the bits of the one-state
-    dot product.  Every step asks for ``cfg.dt_init`` (cut to the horizon);
-    a rejected step halves it for that step only.  The run judges nothing:
-    the caller compares the relative drift of ``M0`` with
-    ``cfg.mass_tolerance`` and builds the growth bound from C_eta and
-    ``X_eta[0]``.
+    energies are rejected.  DOP853 (``_dop853``, tolerances ``RTOL`` and
+    ``ATOL``) integrates the grid system and records it at every
+    ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``.
+    Its dense output streams the records in blocks; each block is checked
+    and clipped, and its columns are filled in passes of ``_BLOCK_ROWS``
+    states: take gathers and prefix slices keep every row C-contiguous, so
+    each row's np.vecdot sums in np.dot's order and every value has the
+    bits of the one-state dot product.  Only the last state is kept.
+
+    A node mass w_i u_i below zero by at most 1e-12 times max(1, the initial
+    density mass) is integrator noise and clipped to 0; a larger undershoot,
+    a rate that is not finite (reported with its time, before any record
+    made from it reaches the diagnostics) and a stalled step size raise
+    :class:`StepCollapse`.  The run judges nothing: the caller compares the
+    relative drift of ``M0`` with ``cfg.mass_tolerance`` and builds the
+    growth bound from C_eta and ``X_eta[0]``.
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
@@ -414,19 +391,43 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     if not np.array_equal(u0.grid.nodes, kern.grid.nodes):
         raise ValueError("state grid must match the kernel grid")
 
+    w = u0.grid.weights
+    floor = -1e-12 * max(float(np.dot(w, u0.density)), 1.0)
     eps = u0.grid.nodes[0] * 2.0  # the smallest window of origin_mass_estimate's ladder
     blocks = []
-    records = _recorded(u0.density.copy(), kern, cfg)
-    while block := list(itertools.islice(records, _BLOCK_ROWS)):
-        times, states = zip(*block)
-        rows = np.array(states)
-        blocks.append((
-            times,
-            _moment_rows(u0.atoms, u0.grid, rows, 0.0),
-            _exp_moment_rows(u0.atoms, u0.grid, rows, cfg.eta),
-            _entropy_rows(u0.atoms, u0.grid, rows),
-            # the origin atom's parts of D are exact zeros: the taper vanishes at 0
-            0.5 * _pair_dissipation(kern, rows)[0],
-            _mass_below(u0.atoms, u0.grid, rows, eps)[0],
-        ))
-    return TrajectoryRecord(*(np.concatenate(col, dtype=float) for col in zip(*blocks)), final=states[-1])
+    final = None
+
+    def rate(t, u: np.ndarray) -> np.ndarray:
+        out = collision_rhs(u, kern) if u.ndim == 1 else np.array([collision_rhs(row, kern) for row in u])
+        bad = ~np.isfinite(out)
+        if bad.any():
+            at = t if out.ndim == 1 else t[bad.any(axis=1)][0]
+            raise StepCollapse(f"non-finite density rate at t={at}")
+        return out
+
+    def record(times: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal final
+        if rows.min() < 0.0:
+            low = (rows * w).min(axis=1)
+            k = int(np.argmin(low))
+            if low[k] < floor:
+                raise StepCollapse(f"negative density beyond integrator noise at t={times[k]}: node mass {low[k]}")
+        np.clip(rows, 0.0, None, out=rows)
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            part = rows[lo:lo + _BLOCK_ROWS]
+            blocks.append((
+                times[lo:lo + _BLOCK_ROWS],
+                _moment_rows(u0.atoms, u0.grid, part, 0.0),
+                _exp_moment_rows(u0.atoms, u0.grid, part, cfg.eta),
+                _entropy_rows(u0.atoms, u0.grid, part),
+                # the origin atom's parts of D are exact zeros: the taper vanishes at 0
+                0.5 * _pair_dissipation(kern, part)[0],
+                _mass_below(u0.atoms, u0.grid, part, eps)[0],
+            ))
+        final = rows[-1].copy()
+
+    try:
+        nfev = dop853(rate, 0.0, cfg.t_end, u0.density, _record_times(cfg), RTOL, ATOL, record)
+    except StepSizeTooSmall as e:
+        raise StepCollapse(f"full integration failed: {e}") from None
+    return TrajectoryRecord(*(np.concatenate(col, dtype=float) for col in zip(*blocks)), final=final, nfev=nfev)

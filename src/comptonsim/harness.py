@@ -88,7 +88,6 @@ _DEFAULTS: dict = {
     "solver": {
         "t_end": 1.0,
         "dt_init": 1e-3,
-        "dt_min": 1e-8,
         "mass_tolerance": 1e-10,
         "record_every": 1,
     },
@@ -256,7 +255,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
 
     sol = cfg["solver"]
     with _section("solver"):
-        times = {key: float(sol[key]) for key in ("t_end", "dt_init", "dt_min", "mass_tolerance")}
+        times = {key: float(sol[key]) for key in ("t_end", "dt_init", "mass_tolerance")}
         record_every = int(sol["record_every"])
     try:
         solver = SolverConfig(**times, record_every=record_every, eta=eta)
@@ -440,6 +439,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
     manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
     traj = run_full(u0, kern, cfg.solver)
+    manifest.telemetry["dop853_nfev"] = traj.nfev
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)

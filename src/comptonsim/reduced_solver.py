@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dop853 import StepSizeTooSmall, dop853
+from ._dop853 import ATOL, RTOL, StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Component, Grid, HybridMeasure, _partition, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
@@ -49,13 +49,11 @@ __all__ = [
 ]
 
 
-# Numerical guards, one value each: DOP853's relative and absolute
-# tolerances on the atom masses, the flatness exponent r of a density run,
-# the moment orders and the tolerance of the moment balance, and
+# Numerical guards, one value each: the flatness exponent r of a density
+# run, the moment orders and the tolerance of the moment balance, and
 # classify_limit's tolerances on a block's mass (relative to the total mass)
-# and on a location (relative to max(1, x)).
-_ATOM_RTOL = 1e-12
-_ATOM_ATOL = 1e-20
+# and on a location (relative to max(1, x)).  DOP853's tolerances are the
+# package's pair, ``_dop853.RTOL`` and ``ATOL``.
 _FLAT_R = 1.0
 _MOMENT_ORDERS = (1.0, 2.0, 3.0)
 _BALANCE_TOLERANCE = 1e-4
@@ -275,15 +273,16 @@ class AtomTrajectory(_RecordedSeries):
 
 
 def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 (relative tolerance
-    ``_ATOM_RTOL`` = 1e-12, absolute tolerance ``_ATOM_ATOL`` = 1e-20) and
-    record n_record equally spaced states by its dense output.
+    """Integrate the atom system with DOP853 (the package's tolerances,
+    relative ``RTOL`` = 1e-12 and absolute ``ATOL`` = 1e-20) and record
+    n_record equally spaced states by its dense output.
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
-    bit for bit.  Masses remain in [0, M0]; negative undershoot within
-    integrator noise is clipped to zero, anything worse raises
-    NegativeAtomMass.  A step size below the float spacing raises
+    bit for bit; each block of them it streams is copied into the one
+    (n_record, N) array of masses.  Masses remain in [0, M0]; negative
+    undershoot within integrator noise is clipped to zero, anything worse
+    raises NegativeAtomMass.  A step size below the float spacing raises
     AtomStepCollapse.  Total mass is conserved to roundoff by the pairwise
     right-hand side.
     """
@@ -293,12 +292,20 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
         raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
     m0 = state.masses.copy()
     total = float(m0.sum())
+    times = np.linspace(0.0, t_end, n_record)
+    masses = np.empty((n_record, m0.size))
+    done = 0
 
     def rhs(_t: float, m: np.ndarray) -> np.ndarray:
         return atom_ode_rhs(state, m)
 
+    def keep(t: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal done
+        masses[done:done + len(rows)] = rows
+        done += len(rows)
+
     try:
-        times, masses, nfev = dop853(rhs, 0.0, t_end, m0, np.linspace(0.0, t_end, n_record), _ATOM_RTOL, _ATOM_ATOL)
+        nfev = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, keep)
     except StepSizeTooSmall as e:
         raise AtomStepCollapse(f"atom integration failed: {e}") from None
     low = masses.min()

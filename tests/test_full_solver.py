@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from comptonsim import _dop853
 from comptonsim import full_solver as full_solver_module
 from comptonsim.full_solver import (
-    NonFiniteState,
     RegularizedKernel,
     SolverConfig,
     StepCollapse,
@@ -20,13 +20,13 @@ from comptonsim.full_solver import (
     exp_moment_rate,
     origin_mass_estimate,
     run_full,
-    step,
     taper,
 )
+from comptonsim.harness import load_config
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, moment, planck_density, relative_drift
 from comptonsim.truncation import TruncationParams
-from oracles import growth_bound
+from oracles import growth_bound, rk4_run, step
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -123,45 +123,41 @@ class TestCollisionRhs:
 
 
 class TestStep:
+    """The fixed-step RK4 oracle (``oracles.step``) that the full run is held to."""
+
     def test_zero_fixed_point(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0)
-        u, _ = step(np.zeros(grid.n), kern, cfg, dt=1e-3)
+        u, _ = step(np.zeros(grid.n), kern, dt=1e-3)
         assert np.all(u == 0.0)
 
     def test_mass_per_step(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0)
         u = bump_state(grid)
         m0 = float(np.dot(grid.weights, u))
-        u1, _ = step(u, kern, cfg, dt=1e-3)
+        u1, _ = step(u, kern, dt=1e-3)
         assert abs(float(np.dot(grid.weights, u1)) - m0) <= 1e-13 * m0
 
     def test_positivity_rejection_halves(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, dt_min=1e-6, dt_init=1e-3)
         u = bump_state(grid)
-        _, used = step(u, kern, cfg, dt=50.0)
+        _, used = step(u, kern, dt=50.0, dt_min=1e-6)
         assert used < 50.0
 
     def test_step_collapse(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, dt_min=40.0, dt_init=40.0)
         u = bump_state(grid)
-        with pytest.raises(StepCollapse):
-            step(u, kern, cfg, dt=50.0)
+        with pytest.raises(StepCollapse, match="negative density persists"):
+            step(u, kern, dt=50.0, dt_min=40.0)
 
     def test_nan_state_reported_non_finite(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0, dt_min=1e-8)
         u = bump_state(grid)
         u[grid.n // 3] = math.nan
-        with pytest.raises(NonFiniteState, match="dt=0.001"):
-            step(u, kern, cfg, dt=1e-3)
+        with pytest.raises(StepCollapse, match="non-finite density after a step of dt=0.001"):
+            step(u, kern, dt=1e-3)
 
     def test_rk4_convergence_order(self, kern, grid):
         u0 = bump_state(grid)
-        cfg = SolverConfig(t_end=1.0)
 
         def advance(dt, t_final=0.1):
             u = u0.copy()
             for _ in range(round(t_final / dt)):
-                u, _ = step(u, kern, cfg, dt)
+                u, _ = step(u, kern, dt)
             return u
 
         ref = advance(2.5e-3)
@@ -173,27 +169,58 @@ class TestStep:
         assert e_coarse / e_mid >= 8.0
 
     def test_single_step_stays_near_equilibrium(self, kern, grid):
-        cfg = SolverConfig(t_end=1.0)
         g = planck_density(grid, -0.5)
-        g1, _ = step(g, kern, cfg, dt=1e-3)
+        g1, _ = step(g, kern, dt=1e-3)
         assert float(np.dot(grid.weights, np.abs(g1 - g))) <= 1e-6
 
 
 class TestCrossValidation:
     def test_rk4_trajectory_matches_independent_integrator(self, grid, kern):
-        # same semi-discrete system integrated by an unrelated adaptive
-        # scheme; agreement is limited only by the two time discretizations
+        # the RK4 oracle's run and SciPy's DOP853 on the same semi-discrete
+        # system; agreement is limited only by the two time discretizations
         from scipy.integrate import solve_ivp
 
         u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=100)
-        traj = run_full(HybridMeasure(atoms=[], grid=grid, density=u0), kern, cfg)
+        traj = rk4_run(HybridMeasure(atoms=[], grid=grid, density=u0), kern, cfg)
         ref = solve_ivp(
             lambda t, u: collision_rhs(u, kern), (0.0, 0.5), u0, method="DOP853", rtol=1e-12, atol=1e-14
         )
         err = float(np.dot(grid.weights, np.abs(traj.final - ref.y[:, -1])))
         mass = float(np.dot(grid.weights, u0))
         assert err <= 1e-10 * mass
+
+
+@pytest.fixture(scope="module")
+def default_kernel():
+    cfg = load_config(data={})
+    return RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
+
+
+class TestAgainstRk4Oracle:
+    """run_full (DOP853, dense output at the records) against the fixed-step
+    RK4 run it replaced, at the records of the default config: the default
+    Planck state, a bump relaxing to t = 10 and a scaled Planck state."""
+
+    @pytest.mark.parametrize("data", [
+        {},
+        {"initial": {"preset": "bump"}, "solver": {"t_end": 10.0}},
+        {"initial": {"preset": "scaled_planck"}},
+    ], ids=["planck_mu", "bump", "scaled_planck"])
+    def test_every_column_agrees(self, default_kernel, data):
+        cfg = load_config(data=data, equation="full")
+        u0 = cfg.initial_measure()
+        traj = run_full(u0, default_kernel, cfg.solver)
+        ref = rk4_run(u0, default_kernel, cfg.solver)
+        mass = float(ref.M0[0])
+        for name in ("times", "M0", "X_eta", "H", "entropy_dissipation", "origin_mass_series"):
+            got, want = getattr(traj, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            # relative to the column's scale, at least the mass: the
+            # dissipation of a Planck state is roundoff (about 1e-32)
+            scale = max(float(np.max(np.abs(want))), mass)
+            assert float(np.max(np.abs(got - want))) <= 1e-9 * scale, name
+        assert 0 < traj.nfev < 1000
 
 
 class TestDissipation:
@@ -291,11 +318,14 @@ class TestRunFull:
         assert np.all(traj.X_eta <= (1.0 + 1e-6) * bound)
 
     def test_every_step_asks_for_dt_init(self, kern, grid):
+        # the records lie on the dt_init grid: k dt_init, and t_end last
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=0.1, dt_init=1e-3)
         traj = run_full(u0, kern, cfg)
         assert len(traj.times) == 101
-        assert np.diff(traj.times) == pytest.approx(1e-3, rel=1e-9)
+        assert traj.times.tolist() == [k * 1e-3 for k in range(100)] + [0.1]
+        cfg = SolverConfig(t_end=0.0105, dt_init=1e-3, record_every=4)
+        assert run_full(u0, kern, cfg).times.tolist() == [0.0, 4e-3, 8e-3, 0.0105]
 
     def test_mass_drift_trajectory_fills_the_last_partial_block(self, kern, grid):
         records = 3 * full_solver_module._BLOCK_ROWS + 2
@@ -303,7 +333,7 @@ class TestRunFull:
         cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
         traj = run_full(u0, kern, cfg)  # a finished run returns its record whatever its drift
         assert relative_drift(traj.M0) > cfg.mass_tolerance
-        columns = [f.name for f in dataclasses.fields(traj) if f.name != "final"]
+        columns = [f.name for f in dataclasses.fields(traj) if f.name not in ("final", "nfev")]
         assert [len(getattr(traj, name)) for name in columns] == [records] * len(columns)
         passing = run_full(u0, kern, dataclasses.replace(cfg, mass_tolerance=1.0))
         for name in columns:
@@ -312,13 +342,18 @@ class TestRunFull:
 
     @pytest.mark.parametrize("nan_step", [3, full_solver_module._BLOCK_ROWS, 21])
     def test_nan_state_raises_before_its_diagnostics(self, kern, grid, monkeypatch, nan_step):
+        # dense-output passes of 2 record-holding steps (2 + 12 calls for the
+        # first step, 12 for each further one, 6 per pass): the NaN comes in
+        # the second step at nan_step 3, after the first pass at 4 and 21.
+        # The records of the passes before it reach the diagnostics, none after
+        monkeypatch.setattr(_dop853, "_DENSE_CHUNK", 2)
         calls = []
         real_rhs = full_solver_module.collision_rhs
 
         def rhs(u, kern):
             calls.append(1)
             rate = real_rhs(u, kern)
-            return rate * math.nan if len(calls) > 4 * (nan_step - 1) else rate
+            return rate * math.nan if len(calls) > 12 * (nan_step - 1) else rate
 
         seen = []
         real_moments = full_solver_module._moment_rows
@@ -336,11 +371,50 @@ class TestRunFull:
             full_solver_module, "_mass_below", lambda a, g, rows, e: seen.append(rows.copy()) or real_below(a, g, rows, e)
         )
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        with pytest.raises(NonFiniteState):
-            run_full(u0, kern, SolverConfig(t_end=1.0, dt_init=1e-3))
-        blocks = nan_step // full_solver_module._BLOCK_ROWS  # full blocks before the NaN step's block
-        assert len(seen) == 3 * blocks
+        with pytest.raises(StepCollapse, match=r"^non-finite density rate at t=\d"):
+            run_full(u0, kern, SolverConfig(t_end=10.0, dt_init=1e-2))  # 392 evaluations unpatched
         assert all(np.all(np.isfinite(rows)) for rows in seen)
+        assert (len(seen) > 0) == (nan_step > 3)
+
+    def test_undershoot_is_clipped_within_noise_and_raises_beyond(self, kern, grid, monkeypatch):
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        floor = 1e-12 * max(float(np.dot(grid.weights, u0.density)), 1.0)
+        node = grid.n // 2
+        real = full_solver_module.dop853
+
+        def undershoot(by):
+            def fake(fun, t0, t1, y0, t_eval, rtol, atol, emit):
+                def dip(t, rows):
+                    rows[-1, node] = -by / grid.weights[node]  # node mass -by
+                    emit(t, rows)
+
+                return real(fun, t0, t1, y0, t_eval, rtol, atol, dip)
+
+            return fake
+
+        monkeypatch.setattr(full_solver_module, "dop853", undershoot(0.5 * floor))
+        traj = run_full(u0, kern, SolverConfig(t_end=0.01))
+        assert traj.final[node] == 0.0 and np.all(traj.final >= 0.0)
+        monkeypatch.setattr(full_solver_module, "dop853", undershoot(2.0 * floor))
+        with pytest.raises(StepCollapse, match=r"^negative density beyond integrator noise at t=0.01: node mass -"):
+            run_full(u0, kern, SolverConfig(t_end=0.01))
+
+    def test_step_size_collapse_is_named(self, kern, grid, monkeypatch):
+        def collapse(*args):
+            raise _dop853.StepSizeTooSmall("Required step size is less than spacing between numbers.")
+
+        monkeypatch.setattr(full_solver_module, "dop853", collapse)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        with pytest.raises(StepCollapse) as err:
+            run_full(u0, kern, SolverConfig(t_end=0.01))
+        assert str(err.value) == "full integration failed: Required step size is less than spacing between numbers."
+
+    def test_truncated_planck_undershoot_is_clipped(self, kern, grid):
+        # DOP853 undershoots zero by about 1e-25 next to the support's edge
+        u0 = HybridMeasure(atoms=[], grid=grid, density=np.where(grid.nodes >= 1.0, planck_density(grid, 0.0), 0.0))
+        traj = run_full(u0, kern, SolverConfig(t_end=1.0, record_every=100))
+        assert np.all(traj.final >= 0.0)
+        assert relative_drift(traj.M0) <= 1e-12
 
     def test_origin_atom_rides_along(self, kern, grid):
         u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))

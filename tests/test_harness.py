@@ -66,6 +66,7 @@ SHORT_FULL_CONFIG = {
 # retired fields, each with a value it once took: setting one is a ParseError
 RETIRED_FIELDS = {
     "solver.dt_max": 1e-2,
+    "solver.dt_min": 1e-8,
     "solver.scheme": "rk4",
     "solver.track_dissipation": True,
     "solver.track_origin": True,
@@ -376,6 +377,13 @@ class TestCli:
         manifest, traj = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / "picard"),
                                                 mode="picard", classify=False)
         recorded = json.loads((tmp_path / "picard" / "manifest.json").read_text())["telemetry"]
+        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
+        assert traj.nfev > 0 and manifest.all_passed
+
+    def test_full_run_manifest_records_the_evaluation_count(self, tmp_path):
+        cfg = load_config(data=SHORT_FULL_CONFIG, equation="full")
+        manifest, traj = run_full_experiment(cfg, str(tmp_path / "full"))
+        recorded = json.loads((tmp_path / "full" / "manifest.json").read_text())["telemetry"]
         assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
         assert traj.nfev > 0 and manifest.all_passed
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from comptonsim import reduced_solver
-from comptonsim._dop853 import _DENSE_CHUNK, dop853
+from comptonsim import _dop853, reduced_solver
+from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, planck_density
-from comptonsim.reduced_solver import _ATOM_ATOL, AtomSystemState, atom_ode_rhs, run_atoms, run_density
+from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, run_atoms, run_density
 from comptonsim.truncation import TruncationParams
 from oracles import _cumulative_simpson
 
@@ -33,19 +33,27 @@ def oracle(state: AtomSystemState, t_end: float, rtol: float, t_eval=None):
     def rhs(_t, m):
         return atom_ode_rhs(state, m)
 
-    return solve_ivp(rhs, (0.0, t_end), state.masses.copy(), method="DOP853", rtol=rtol, atol=_ATOM_ATOL, t_eval=t_eval)
+    return solve_ivp(rhs, (0.0, t_end), state.masses.copy(), method="DOP853", rtol=rtol, atol=ATOL, t_eval=t_eval)
 
 
 def ported(state: AtomSystemState, t_end: float, rtol: float, n_record: int):
+    """The port's streamed records joined: (times, states, nfev, block sizes)."""
     def rhs(_t, m):
         return atom_ode_rhs(state, m)
 
-    return dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, _ATOM_ATOL)
+    times, rows = [], []
+
+    def keep(t, y):
+        times.append(t.copy())
+        rows.append(y.copy())
+
+    nfev = dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, ATOL, keep)
+    return np.concatenate(times), np.concatenate(rows), nfev, [len(t) for t in times]
 
 
 def assert_same_run(state: AtomSystemState, t_end: float, rtol: float, n_record: int) -> None:
     sol = oracle(state, t_end, rtol, np.linspace(0.0, t_end, n_record))
-    t, y, nfev = ported(state, t_end, rtol, n_record)
+    t, y, nfev, _ = ported(state, t_end, rtol, n_record)
     assert sol.success
     assert np.array_equal(t, sol.t)
     assert np.array_equal(y, sol.y.T)
@@ -102,7 +110,7 @@ class TestDop853AgainstSolveIvp:
         state = self.stiff_state(5)
         sol = oracle(state, 10.0, 1e-10, np.linspace(0.0, 10.0, 2001))
         assert sol.status == -1
-        monkeypatch.setattr(reduced_solver, "_ATOM_RTOL", 1e-10)  # run_atoms reads it at call time
+        monkeypatch.setattr(reduced_solver, "RTOL", 1e-10)  # run_atoms reads it at call time
         with pytest.raises(RuntimeError, match=r"^atom integration failed: ") as err:
             run_atoms(state, 10.0, n_record=2001)
         assert str(err.value) == f"atom integration failed: {sol.message}"
@@ -137,8 +145,18 @@ class TestDop853AgainstSolveIvp:
         with pytest.warns(UserWarning, match="rtol"):
             sol = oracle(state, 1.0, 1e-16, np.linspace(0.0, 1.0, 5))
         with pytest.warns(UserWarning, match="rtol"):
-            t, y, nfev = ported(state, 1.0, 1e-16, 5)
+            t, y, nfev, _ = ported(state, 1.0, 1e-16, 5)
         assert np.array_equal(y, sol.y.T) and nfev == sol.nfev
+
+    @pytest.mark.parametrize("n, floats, rows", [(16, _DENSE_FLOATS, 512), (192, _DENSE_FLOATS, 42), (16, 10, 1)])
+    def test_records_stream_in_blocks_of_about_8k_floats(self, n, floats, rows, monkeypatch):
+        # many records per step: every block but a pass's last holds
+        # max(1, floats // n) records, and the records keep SciPy's bits
+        monkeypatch.setattr(_dop853, "_DENSE_FLOATS", floats)
+        state = antisymmetric_state(np.random.default_rng(n), n, scale=1e-3)
+        t, y, _, sizes = ported(state, 1.0, 1e-6, 1501)
+        assert max(sizes) == rows and sum(sizes) == t.size == 1501
+        assert np.array_equal(y, oracle(state, 1.0, 1e-6, t).y.T)
 
 
 class TestCumulativeSimpsonAgainstScipy:

@@ -293,10 +293,11 @@ class TestRunAtoms:
         assert str(err.value) == "atom integration failed: Required step size is less than spacing between numbers."
 
     def test_negative_mass_is_named(self, monkeypatch):
-        def undershoot(rhs, t0, t1, m0, t_eval, rtol, atol):
+        def undershoot(rhs, t0, t1, m0, t_eval, rtol, atol, emit):
             masses = np.tile(m0, (t_eval.size, 1))
             masses[-1, 0] = -1e-6
-            return t_eval, masses, 0
+            emit(t_eval, masses)
+            return 0
 
         monkeypatch.setattr(reduced_solver, "dop853", undershoot)
         with pytest.raises(NegativeAtomMass) as err:
