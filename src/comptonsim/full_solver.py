@@ -14,9 +14,11 @@ batch: a vectorized cutoff picks the supported pairs, and one batch
 evaluation fills them in.  The semi-discrete system is integrated by
 DOP853, the in-repo port of SciPy's stepper in ``_dop853`` that also runs
 the reduced equation, with the package's tolerances.  Its dense output
-streams the recorded states in blocks, and a run computes their
-diagnostics in one whole-array pass per block of states, keeping only the
-last state.
+streams the recorded states in blocks.  A run computes the node columns of
+a block (mass, exponential moment, entropy, origin mass) in one
+whole-array pass each, and its dissipation in passes of a few states over
+the pair list; it keeps only the last state and the count of pairs left
+out of the dissipation.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
-_BLOCK_ROWS = 4  # states per diagnostics pass: rows x pairs temporaries near 128 KiB at 4k pairs; 8 ran slower
+# states per dissipation pass (the node columns take a whole streamed block):
+# its rows x pairs temporaries stay below 128 KiB up to 4k pairs.  At 6 or 8
+# rows a fresh process's first solve of the default config (2293 pairs) could
+# take 9k to 12k minor page faults instead of 14, and half again as long.
+_BLOCK_ROWS = 4
 
 __all__ = [
     "StepCollapse",
@@ -186,21 +192,21 @@ def collision_rhs(u: np.ndarray, kern: RegularizedKernel) -> np.ndarray:
 
 
 def _j(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    # (a - b)(log a - log b), zero when both arguments vanish; a single
-    # vanishing argument would give +inf, which is flagged and excluded.
-    # Two full-size buffers worked in place, not six temporaries: each
-    # diagnostics block then hands fewer heap pages back to be faulted in again.
-    both = (a > 0.0) & (b > 0.0)
-    one = (a > 0.0) ^ (b > 0.0)
-    la, lb = np.where(both, a, 1.0), np.where(both, b, 1.0)
+    # (a - b)(log a - log b) straight on the arguments, and the count of the
+    # entries where exactly one argument is positive.  Only a zero, negative
+    # or non-finite argument (or an overflowing product) makes an entry
+    # non-finite, so the masks are built only then: an entry where not both
+    # arguments are positive becomes 0 (a single vanishing argument gives
+    # +inf, which is flagged and excluded); one where both are keeps its float.
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(la, out=la)
-        np.log(lb, out=lb)
-        la -= lb
-        np.subtract(a, b, out=lb)
-        lb *= la
-    lb[~both] = 0.0
-    return lb, int(np.count_nonzero(one))
+        vals = np.log(a)
+        vals -= np.log(b)
+        vals *= a - b
+    if np.isfinite(vals).all():
+        return vals, 0
+    both = (a > 0.0) & (b > 0.0)
+    vals[~both] = 0.0
+    return vals, int(np.count_nonzero((a > 0.0) ^ (b > 0.0)))
 
 
 def _pair_dissipation(kern: RegularizedKernel, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -232,7 +238,9 @@ class TrajectoryRecord:
     dissipation D and ``origin_mass_series`` its mass on [0, 2 x_min) (the
     smallest origin window).  ``final`` is the last recorded density; no
     other state is kept.  ``nfev`` counts the right-hand-side evaluations
-    of the integration (SciPy's ``nfev``).  The a-priori bound
+    of the integration (SciPy's ``nfev``), and ``one_sided_pairs`` the pairs
+    left out of D, summed over the records: those where exactly one of the
+    two densities vanishes, whose J is infinite.  The a-priori bound
     e^{C_eta t} X_eta(0) is not a column: the caller, which holds C_eta,
     builds it from ``X_eta[0]`` with :func:`_growth_bound`.
     """
@@ -245,6 +253,7 @@ class TrajectoryRecord:
     origin_mass_series: np.ndarray
     final: np.ndarray
     nfev: int
+    one_sided_pairs: int
 
 
 @dataclass(frozen=True)
@@ -371,10 +380,13 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     ``ATOL``) integrates the grid system and records it at every
     ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``.
     Its dense output streams the records in blocks; each block is checked
-    and clipped, and its columns are filled in passes of ``_BLOCK_ROWS``
-    states: take gathers and prefix slices keep every row C-contiguous, so
-    each row's np.vecdot sums in np.dot's order and every value has the
-    bits of the one-state dot product.  Only the last state is kept.
+    and clipped.  Its mass, exponential moment, entropy and origin mass are
+    one whole-block pass each, and its dissipation is filled in passes of
+    ``_BLOCK_ROWS`` states, whose one-sided pair counts are summed into
+    ``one_sided_pairs``.  Take gathers and prefix slices keep every row
+    C-contiguous, so each row's np.vecdot sums in np.dot's order and every
+    value has the bits of the one-state dot product.  Only the last state
+    is kept.
 
     A node mass w_i u_i below zero by at most 1e-12 times max(1, the initial
     density mass) is integrator noise and clipped to 0; a larger undershoot,
@@ -396,6 +408,7 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     eps = u0.grid.nodes[0] * 2.0  # the smallest window of origin_mass_estimate's ladder
     blocks = []
     final = None
+    one_sided = 0
 
     def rate(t, u: np.ndarray) -> np.ndarray:
         out = collision_rhs(u, kern) if u.ndim == 1 else np.array([collision_rhs(row, kern) for row in u])
@@ -406,28 +419,32 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
         return out
 
     def record(times: np.ndarray, rows: np.ndarray) -> None:
-        nonlocal final
+        nonlocal final, one_sided
         if rows.min() < 0.0:
             low = (rows * w).min(axis=1)
             k = int(np.argmin(low))
             if low[k] < floor:
                 raise StepCollapse(f"negative density beyond integrator noise at t={times[k]}: node mass {low[k]}")
         np.clip(rows, 0.0, None, out=rows)
+        d = []
         for lo in range(0, len(rows), _BLOCK_ROWS):
-            part = rows[lo:lo + _BLOCK_ROWS]
-            blocks.append((
-                times[lo:lo + _BLOCK_ROWS],
-                _moment_rows(u0.atoms, u0.grid, part, 0.0),
-                _exp_moment_rows(u0.atoms, u0.grid, part, cfg.eta),
-                _entropy_rows(u0.atoms, u0.grid, part),
-                # the origin atom's parts of D are exact zeros: the taper vanishes at 0
-                0.5 * _pair_dissipation(kern, part)[0],
-                _mass_below(u0.atoms, u0.grid, part, eps)[0],
-            ))
+            part, flags = _pair_dissipation(kern, rows[lo:lo + _BLOCK_ROWS])
+            d.append(part)
+            one_sided += flags
+        blocks.append((
+            times,
+            _moment_rows(u0.atoms, u0.grid, rows, 0.0),
+            _exp_moment_rows(u0.atoms, u0.grid, rows, cfg.eta),
+            _entropy_rows(u0.atoms, u0.grid, rows),
+            # the origin atom's parts of D are exact zeros: the taper vanishes at 0
+            0.5 * np.concatenate(d),
+            _mass_below(u0.atoms, u0.grid, rows, eps)[0],
+        ))
         final = rows[-1].copy()
 
     try:
         nfev = dop853(rate, 0.0, cfg.t_end, u0.density, _record_times(cfg), RTOL, ATOL, record)
     except StepSizeTooSmall as e:
         raise StepCollapse(f"full integration failed: {e}") from None
-    return TrajectoryRecord(*(np.concatenate(col, dtype=float) for col in zip(*blocks)), final=final, nfev=nfev)
+    columns = (np.concatenate(col, dtype=float) for col in zip(*blocks))
+    return TrajectoryRecord(*columns, final=final, nfev=nfev, one_sided_pairs=one_sided)

@@ -429,7 +429,8 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     growth-rate constant C_eta is computed here once: the manifest records
     it, and the ``exp_moment_growth_bound`` check holds X_eta at every
     record under e^{C_eta t} X_eta(0), with X_eta(0) the first recorded
-    value.
+    value.  The telemetry records the run's evaluation count and its
+    one-sided pair count, the pairs the recorded dissipation leaves out.
     """
     u0 = cfg.initial_measure()
     if u0.density is None:
@@ -440,6 +441,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
     traj = run_full(u0, kern, cfg.solver)
     manifest.telemetry["dop853_nfev"] = traj.nfev
+    manifest.telemetry["one_sided_pairs"] = traj.one_sided_pairs
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)

@@ -80,7 +80,8 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
     ``record_every``-th step of ``dt_init`` (cut to the horizon) and after
     the last, the step times summed as they go.  The columns are computed
     from the recorded states by the run's own row helpers, 64 states at a
-    time; ``nfev`` is 0 (the oracle does not count its evaluations)."""
+    time, and so is the one-sided pair count; ``nfev`` is 0 (the oracle does
+    not count its evaluations)."""
     g, t, steps = u0.density.copy(), 0.0, 0
     horizon = cfg.t_end * (1.0 - 1e-12)
     times, states = [0.0], [g]
@@ -91,19 +92,20 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
         if steps % cfg.record_every == 0 or t >= horizon:
             times.append(t)
             states.append(g)
-    grid, atoms, columns = u0.grid, u0.atoms, []
+    grid, atoms, columns, one_sided = u0.grid, u0.atoms, [], 0
     for lo in range(0, len(states), 64):
         rows = np.array(states[lo:lo + 64])
+        d, flags = full_solver._pair_dissipation(kern, rows)
+        one_sided += flags
         columns.append((
             measure._moment_rows(atoms, grid, rows, 0.0),
             measure._exp_moment_rows(atoms, grid, rows, cfg.eta),
             measure._entropy_rows(atoms, grid, rows),
-            0.5 * full_solver._pair_dissipation(kern, rows)[0],
+            0.5 * d,
             full_solver._mass_below(atoms, grid, rows, 2.0 * grid.nodes[0])[0],
         ))
-    return full_solver.TrajectoryRecord(
-        np.array(times), *(np.concatenate(col, dtype=float) for col in zip(*columns)), final=g, nfev=0
-    )
+    columns = (np.concatenate(col, dtype=float) for col in zip(*columns))
+    return full_solver.TrajectoryRecord(np.array(times), *columns, final=g, nfev=0, one_sided_pairs=one_sided)
 
 
 def exp_moment(u, eta: float) -> float:

@@ -384,7 +384,7 @@ class TestCli:
         cfg = load_config(data=SHORT_FULL_CONFIG, equation="full")
         manifest, traj = run_full_experiment(cfg, str(tmp_path / "full"))
         recorded = json.loads((tmp_path / "full" / "manifest.json").read_text())["telemetry"]
-        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
+        assert recorded == {"dop853_nfev": traj.nfev, "one_sided_pairs": 0} == manifest.telemetry
         assert traj.nfev > 0 and manifest.all_passed
 
     def test_simulate_full_small(self, tmp_path):

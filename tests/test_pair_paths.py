@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import math
 import tracemalloc
 
@@ -48,7 +49,14 @@ from comptonsim.full_solver import (
     run_full,
     taper,
 )
-from comptonsim.harness import _CSV_ROWS, _write_csv, build_initial, load_config, run_reduced_experiment
+from comptonsim.harness import (
+    _CSV_ROWS,
+    _write_csv,
+    build_initial,
+    load_config,
+    run_full_experiment,
+    run_reduced_experiment,
+)
 from comptonsim.kernel import PhysicalParams, eval_kernel_batch
 from comptonsim.measure import (
     Grid,
@@ -982,6 +990,83 @@ class TestBlockDiagnosticsAgainstPerRecord:
             (got, got_flags), (want, want_flags) = _j(x, y), parent_j(x, y)
             assert np.array_equal(bits(got), bits(want)) and got_flags == want_flags
             assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(7,), (9, 9), (40, 40)]))
+    def test_j_keeps_the_bits_on_positive_arguments(self, seed, shape):
+        # every entry finite, so _j returns without building its masks
+        rng = np.random.default_rng(seed)
+        a, b = (rng.lognormal(0.0, 3.0, shape) for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a.T)):
+            (got, got_flags), (want, want_flags) = _j(x, y), parent_j(x, y)
+            assert np.array_equal(bits(got), bits(want)) and got_flags == want_flags == 0
+
+    def test_j_keeps_an_overflow_to_inf(self):
+        # both arguments positive and J past the float range: +inf on both
+        # paths, alone and next to a one-sided and a two-sided zero
+        a = np.array([1e308, 1e-300, 2.0, 0.0, 0.0])
+        b = np.array([1e-300, 1e308, 3.0, 1.0, 0.0])
+        for x, y, one_sided in ((a[:3], b[:3], 0), (a, b, 1), (b, a, 1)):
+            with np.errstate(over="ignore"):
+                (got, got_flags), (want, want_flags) = _j(x, y), parent_j(x, y)
+            assert np.array_equal(bits(got), bits(want)) and got_flags == want_flags == one_sided
+            assert np.isposinf(got[:2]).all() and np.isfinite(got[2:]).all()
+
+    def test_j_and_dissipation_keep_the_bits_when_products_underflow(self, kern):
+        # positive densities of 1e-320 next to 1: a product A_i g_j of positive
+        # factors underflows to 0 on one side of some pairs and on both sides of others
+        rng = np.random.default_rng(23)
+        rows = np.where(rng.random((3, kern.grid.n)) < 0.4, 1e-320, 1.0)
+        xs, i, j = kern.grid.nodes, kern.pair_i, kern.pair_j
+        got_d, got_flags = _pair_dissipation(kern, rows)
+        want_flags = 0
+        for g, d in zip(rows, got_d):
+            A = _gain_factors(xs, g)
+            a, b = A[i] * g[j], A[j] * g[i]
+            (vals, flags), (ref, ref_flags) = _j(a, b), parent_j(a, b)
+            assert np.array_equal(bits(vals), bits(ref)) and flags == ref_flags
+            assert d == 2.0 * float(np.dot(kern.pair_c, ref))
+            want_flags += ref_flags
+        assert got_flags == want_flags > 0
+        products = np.array([_gain_factors(xs, g)[i] * g[j] for g in rows])
+        assert np.any((products == 0.0) & (rows[:, i] > 0.0) & (rows[:, j] > 0.0))
+
+    def test_records_across_streamed_blocks(self, monkeypatch):
+        # 400 records of 48 nodes: the dense output streams blocks of
+        # 8192 // 48 = 170 states, so the node columns span three blocks
+        grid = Grid.log_spaced(0.05, 20.0, 48)
+        kern = RegularizedKernel.build(PP, TP, grid, 8)
+        u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=holey_state(np.random.default_rng(7), grid.n))
+        cfg = SolverConfig(t_end=399 * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-6)
+        sizes = []
+        real_entropy = full_solver_module._entropy_rows
+        monkeypatch.setattr(
+            full_solver_module, "_entropy_rows", lambda a, g, rows: sizes.append(len(rows)) or real_entropy(a, g, rows)
+        )
+        traj = run_full(u0, kern, cfg)
+        assert len(traj.times) == 400 and sum(sizes) == 400
+        assert len(sizes) >= 3 and max(sizes) == _dop853._DENSE_FLOATS // grid.n
+        assert_same_records(traj, kern, cfg, per_record_run(u0, kern, cfg))
+        assert traj.one_sided_pairs > 0
+
+
+class TestOneSidedPairs:
+    """The pairs the recorded dissipation leaves out reach the manifest."""
+
+    @pytest.mark.parametrize("data", [{}, {"initial": {"preset": "truncated_planck", "support_min": 1.0}}],
+                             ids=["default", "holey"])
+    def test_manifest_counts_every_record(self, tmp_path, data):
+        cfg = load_config(data=data, equation="full")
+        manifest, traj = run_full_experiment(cfg, str(tmp_path))
+        kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
+        xs, i, j = kern.grid.nodes, kern.pair_i, kern.pair_j
+        want = 0
+        for g in per_record_run(cfg.initial_measure(), kern, cfg.solver)["states"]:
+            A = _gain_factors(xs, g)
+            want += parent_j(A[i] * g[j], A[j] * g[i])[1]
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["one_sided_pairs"]
+        assert recorded == manifest.telemetry["one_sided_pairs"] == traj.one_sided_pairs == want
+        assert (want > 0) == bool(data)
 
 
 class TestScreenedBatchAgainstLoops:
