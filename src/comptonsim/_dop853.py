@@ -9,6 +9,10 @@ point operation is SciPy's, in SciPy's order and on arrays of SciPy's
 layout, so the recorded states and the evaluation count agree with it bit
 for bit (the tests hold it to that).
 
+A small system's step is numpy dispatch and Python frames, not
+arithmetic, so the loop builds its stage views and buffers once per run,
+keeps the controller on Python floats and calls ``fun`` directly.
+
 The dense output is deferred: stepping buffers each record-holding step
 and evaluates the dense output of ``_DENSE_CHUNK`` such steps in one pass,
 whose 3 extra stages are one call of ``fun`` each on a stack of states.
@@ -58,6 +62,7 @@ record is made here.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -275,6 +280,19 @@ class StepSizeTooSmall(RuntimeError):
     """The controller asked for a step below ten ulps of the current time."""
 
 
+class Counts(int):
+    """SciPy's ``nfev``, carrying a run's accepted and rejected steps."""
+
+    def __new__(cls, nfev: int, steps: int, rejected: int) -> "Counts":
+        counts = super().__new__(cls, nfev)
+        counts.steps, counts.rejected = steps, rejected
+        return counts
+
+    @property
+    def nfev(self) -> int:
+        return int(self)
+
+
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -300,27 +318,41 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One 12-stage step; the stages go to the rows of K (13 rows)."""
+def _rk_step(fun, t, y, f, h, K, stages, dy, ys):
+    """One 12-stage step; the stages go to the rows of K (13 rows).  Stage s
+    of ``stages`` is (K[:s].T, A[s, :s], C[s]); its increment and state go
+    to the buffers dy and ys, by SciPy's operations in SciPy's order."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A_STEP[1:], C_STEP[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    for s, (KT, a, c) in enumerate(stages, start=1):
+        np.dot(KT, a, out=dy)
+        dy *= h
+        np.add(y, dy, out=ys)
+        K[s] = fun(t + c * h, ys)
+    np.dot(K[:-1].T, B, out=dy)
+    dy *= h
+    y_new = y + dy
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
-def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _norm_2(x: np.ndarray):
+    # np.linalg.norm(x) ** 2: numpy's scalar power is C pow (not x*x) and overflows to inf
+    return np.float64(math.sqrt(x.dot(x))) ** 2
+
+
+def _error_norm(KT, h, scale, err) -> float:
+    # SciPy's, through the buffer err; numpy scalars until the end (0/0 is nan, not an exception)
+    np.dot(KT, E5, out=err)
+    err /= scale
+    err5_norm_2 = _norm_2(err)
+    np.dot(KT, E3, out=err)
+    err /= scale
+    err3_norm_2 = _norm_2(err)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(abs(h) * err5_norm_2 / math.sqrt(denom * err.size))
 
 
 def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
@@ -329,19 +361,18 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
     Step j spans [t_old[j], t_old[j] + h[j]] from y_old[j] to y[j], with
     its 13 stages in K_ext[j, :13]; the requested time t[r] lies in step
     step[r].  The 3 extra stages take one stacked fun call each, on the
-    (k, n) states at the (k,) stage times.  The dot products stay per-step
-    calls on SciPy's array layouts, because BLAS summation order decides
-    the bits; everything else is elementwise over the chunk, so each row
-    is the float SciPy computes for it.  The interpolation goes through the
-    requested times ``len(buf)`` at a time into ``buf``, so its gathers of
-    F and y_old hold that many rows, and each block goes to
+    (k, n) states at the (k,) stage times.  Each stacked np.matmul makes
+    the BLAS call of SciPy's per-step np.dot, so the bits are SciPy's;
+    everything else is elementwise over the chunk.  The interpolation goes
+    through the requested times ``len(buf)`` at a time into ``buf``, so its
+    gathers of F and y_old hold that many rows, and each block goes to
     ``emit(times, states)`` before the next one overwrites it.
     """
     hk = h[:, None]
     dy = np.empty_like(y)
+    KT = K_ext.transpose(0, 2, 1)
     for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-        for j, K in enumerate(K_ext):
-            dy[j] = np.dot(K[:s].T, a[:s])
+        np.matmul(KT[:, :, :s], a[:s], out=dy)
         K_ext[:, s] = fun(t_old + c * h, y_old + dy * hk)
     F = np.empty((t_old.size, INTERPOLATOR_POWER, y.shape[1]))
     f_old = K_ext[:, 0]
@@ -349,8 +380,7 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
     F[:, 0] = delta_y
     F[:, 1] = hk * f_old - delta_y
     F[:, 2] = 2 * delta_y - hk * (K_ext[:, N_STAGES] + f_old)
-    for j, K in enumerate(K_ext):
-        F[j, 3:] = np.dot(D, K)
+    np.matmul(D, K_ext, out=F[:, 3:])
     F[:, 3:] *= h[:, None, None]
 
     rows = len(buf)
@@ -403,20 +433,26 @@ class _DeferredDense:
             self.done, self.k = self.upto, 0
 
 
-def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float, emit) -> int:
+def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float, emit) -> Counts:
     """Integrate dy/dt = fun(t, y) forward from t0 to t_bound > t0.
 
     ``fun(t, y)`` takes a state of shape (n,) at a time t, or a (k, n)
     stack of states at a (k,) vector of times (the deferred dense output,
-    see the module docstring), and returns rates of the same shape.  The
-    states at the requested times ``t_eval`` (sorted, inside [t0, t_bound])
-    go to ``emit(t, y)`` in order, in blocks: ``t`` a slice of ``t_eval``
-    and ``y`` the (len(t), n) states.  ``y`` is a buffer that the next
-    block overwrites, so a caller that keeps records copies them; it may
-    change ``y`` in place.  Returns the number of evaluations of ``fun``,
-    a stacked call counting one per row, which is SciPy's ``nfev``.
-    Raises :class:`StepSizeTooSmall` with SciPy's message when the
-    controller stalls, and clamps an ``rtol`` below 100 eps to it with
+    see the module docstring), and returns rates of the same shape as a
+    float ndarray, which is not coerced.  A stage's 1-D ``y`` is a buffer
+    that the next stage overwrites: ``fun`` must neither write nor keep
+    it.  The states at the requested times
+    ``t_eval`` (sorted, inside [t0, t_bound]) go to ``emit(t, y)`` in
+    order, in blocks: ``t`` a slice of ``t_eval`` and ``y`` the (len(t), n)
+    states.  ``y`` is a buffer that the next block overwrites, so a caller
+    that keeps records copies them; it may change ``y`` in place.
+
+    Returns SciPy's ``nfev`` as :class:`Counts`, counted by arithmetic: 2
+    (the first rate and the initial step guess), 12 per step attempt and 3
+    per accepted step that holds requested times (a stacked call counts
+    one per row).  Raises :class:`StepSizeTooSmall` with SciPy's message
+    when the controller stalls, and names the time if an error estimate
+    there was not finite.  An ``rtol`` below 100 eps is clamped to it with
     SciPy's warning.  An exception raised by ``fun`` or ``emit`` ends the
     run.
     """
@@ -430,37 +466,40 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
         rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
     t_eval = np.asarray(t_eval, dtype=float)
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1 if y.ndim == 1 else len(y)
-        return np.asarray(fun(t, y), dtype=float)
 
     n = y.size
-    f = counted(t0, y)
+    f = fun(t0, y)
     if n == 0:
         emit(t_eval, np.empty((t_eval.size, 0)))
-        return nfev
-    h_abs = _initial_step(counted, t0, y, t_bound, f, rtol, atol)
+        return Counts(1, 0, 0)
+    h_abs = float(_initial_step(fun, t0, y, t_bound, f, rtol, atol))
     K = np.empty((N_STAGES + 1, n))
-    dense = _DeferredDense(counted, t_eval, n, emit)
+    KT = K.T
+    stages = [(K[:s].T, A_STEP[s, :s], c) for s, c in enumerate(C_STEP[1:].tolist(), start=1)]
+    dy, ys = np.empty(n), np.empty(n)
+    dense = _DeferredDense(fun, t_eval, n, emit)
+    steps = attempts = held = 0
     t = t0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
+        not_finite_at = None  # t of a non-finite error estimate of this step
         while True:
             if h_abs < min_step:
-                raise StepSizeTooSmall("Required step size is less than spacing between numbers.")
+                message = "Required step size is less than spacing between numbers."
+                if not_finite_at is not None:
+                    message += f" (error estimate not finite since t={not_finite_at!r})"
+                raise StepSizeTooSmall(message)
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(counted, t, y, f, h, K)
+            h_abs = abs(h)
+            attempts += 1
+            y_new, f_new = _rk_step(fun, t, y, f, h, K, stages, dy, ys)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            error_norm = _error_norm(KT, h, scale, dy)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -470,11 +509,15 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
                     factor = min(1, factor)
                 h_abs *= factor
                 break
+            if not math.isfinite(error_norm):
+                not_finite_at = t
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
+        steps += 1
         upto = int(np.searchsorted(t_eval, t_new, side="right"))
         if upto > dense.upto:
+            held += 1
             dense.add(t, h, y, y_new, K, upto)
         t, y, f = t_new, y_new, f_new
     dense.flush()
-    return nfev
+    return Counts(2 + 12 * attempts + 3 * held, steps, attempts - steps)

@@ -238,7 +238,8 @@ class TrajectoryRecord:
     dissipation D and ``origin_mass_series`` its mass on [0, 2 x_min) (the
     smallest origin window).  ``final`` is the last recorded density; no
     other state is kept.  ``nfev`` counts the right-hand-side evaluations
-    of the integration (SciPy's ``nfev``), and ``one_sided_pairs`` the pairs
+    of the integration (SciPy's ``nfev``), ``steps`` and ``rejected`` its
+    accepted and rejected DOP853 steps, and ``one_sided_pairs`` the pairs
     left out of D, summed over the records: those where exactly one of the
     two densities vanishes, whose J is infinite.  The a-priori bound
     e^{C_eta t} X_eta(0) is not a column: the caller, which holds C_eta,
@@ -254,6 +255,8 @@ class TrajectoryRecord:
     final: np.ndarray
     nfev: int
     one_sided_pairs: int
+    steps: int = 0
+    rejected: int = 0
 
 
 @dataclass(frozen=True)
@@ -443,8 +446,9 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
         final = rows[-1].copy()
 
     try:
-        nfev = dop853(rate, 0.0, cfg.t_end, u0.density, _record_times(cfg), RTOL, ATOL, record)
+        counts = dop853(rate, 0.0, cfg.t_end, u0.density, _record_times(cfg), RTOL, ATOL, record)
     except StepSizeTooSmall as e:
         raise StepCollapse(f"full integration failed: {e}") from None
     columns = (np.concatenate(col, dtype=float) for col in zip(*blocks))
-    return TrajectoryRecord(*columns, final=final, nfev=nfev, one_sided_pairs=one_sided)
+    return TrajectoryRecord(*columns, final=final, nfev=counts.nfev, one_sided_pairs=one_sided,
+                            steps=counts.steps, rejected=counts.rejected)

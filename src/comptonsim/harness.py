@@ -325,6 +325,11 @@ def _manifest_for(cfg_raw: dict, **derived_constants) -> RunManifest:
     )
 
 
+def _integrator_telemetry(traj) -> dict:
+    """The DOP853 counts of a run: evaluations, accepted and rejected steps."""
+    return {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
+
+
 def _run_manifest(cfg: ExperimentConfig, **constants) -> RunManifest:
     """A run's manifest, its derived constants the band constants rho_star
     and rho1, then ``constants`` (the run's own), then eta."""
@@ -429,8 +434,9 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     growth-rate constant C_eta is computed here once: the manifest records
     it, and the ``exp_moment_growth_bound`` check holds X_eta at every
     record under e^{C_eta t} X_eta(0), with X_eta(0) the first recorded
-    value.  The telemetry records the run's evaluation count and its
-    one-sided pair count, the pairs the recorded dissipation leaves out.
+    value.  The telemetry records the run's evaluation count, its accepted
+    and rejected steps, and its one-sided pair count, the pairs the recorded
+    dissipation leaves out.
     """
     u0 = cfg.initial_measure()
     if u0.density is None:
@@ -440,8 +446,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
     manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
     traj = run_full(u0, kern, cfg.solver)
-    manifest.telemetry["dop853_nfev"] = traj.nfev
-    manifest.telemetry["one_sided_pairs"] = traj.one_sided_pairs
+    manifest.telemetry.update(_integrator_telemetry(traj), one_sided_pairs=traj.one_sided_pairs)
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
@@ -513,7 +518,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     else:
         traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
         manifest.derived_constants["C_0"] = traj.growth_constant
-    manifest.telemetry["dop853_nfev"] = traj.nfev
+    manifest.telemetry.update(_integrator_telemetry(traj))
 
     m0 = traj.mass_series()
     rep = lyapunov_check(traj, eta=cfg.eta)

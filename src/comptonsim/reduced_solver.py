@@ -248,14 +248,17 @@ class _RecordedSeries:
 
 @dataclass
 class AtomTrajectory(_RecordedSeries):
-    """Recorded atom masses over time, with the system they evolve in, and
-    the number of right-hand-side evaluations the integration took (SciPy's
-    ``nfev``: a stacked call of the dense output counts one per row)."""
+    """Recorded atom masses over time, with the system they evolve in, the
+    number of right-hand-side evaluations the integration took (SciPy's
+    ``nfev``: a stacked call of the dense output counts one per row) and its
+    accepted and rejected DOP853 steps."""
 
     state0: AtomSystemState
     times: np.ndarray
     masses: np.ndarray  # shape (len(times), n_atoms)
     nfev: int
+    steps: int = 0
+    rejected: int = 0
 
     @property
     def locations(self) -> np.ndarray:
@@ -283,8 +286,9 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
     (n_record, N) array of masses.  Masses remain in [0, M0]; negative
     undershoot within integrator noise is clipped to zero, anything worse
     raises NegativeAtomMass.  A step size below the float spacing raises
-    AtomStepCollapse.  Total mass is conserved to roundoff by the pairwise
-    right-hand side.
+    AtomStepCollapse with the integrator's message.  Total mass is conserved
+    to roundoff by the pairwise right-hand side, whose 1-D call (a stage)
+    is :func:`atom_ode_rhs` inlined: one Python frame each.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -295,9 +299,15 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
     times = np.linspace(0.0, t_end, n_record)
     masses = np.empty((n_record, m0.size))
     done = 0
+    row, a, b, r = state._slots
+    slotless = row.size == 0
 
     def rhs(_t: float, m: np.ndarray) -> np.ndarray:
-        return atom_ode_rhs(state, m)
+        if slotless or m.ndim != 1:
+            return atom_ode_rhs(state, m)
+        w = r * m.take(a)
+        w *= m.take(b)
+        return np.bincount(row, w, m.size)
 
     def keep(t: np.ndarray, rows: np.ndarray) -> None:
         nonlocal done
@@ -305,14 +315,15 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
         done += len(rows)
 
     try:
-        nfev = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, keep)
+        counts = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, keep)
     except StepSizeTooSmall as e:
         raise AtomStepCollapse(f"atom integration failed: {e}") from None
     low = masses.min()
     if low < -1e-12 * max(total, 1.0):
         raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {low}")
     np.clip(masses, 0.0, None, out=masses)
-    return AtomTrajectory(state0=state, times=times, masses=masses, nfev=nfev)
+    return AtomTrajectory(state0=state, times=times, masses=masses, nfev=counts.nfev,
+                          steps=counts.steps, rejected=counts.rejected)
 
 
 def _dissipation(
@@ -445,7 +456,8 @@ def pointwise_growth_constant(
 class PicardTrajectory(_RecordedSeries):
     """Recorded densities of a flat density run on its grid, the rate matrix
     at the nodes, the constant C0 of the pointwise envelope, and the number
-    of right-hand-side evaluations of the node system (as an atom run's)."""
+    of right-hand-side evaluations and the DOP853 steps of the node system
+    (as an atom run's)."""
 
     grid: Grid
     times: np.ndarray
@@ -453,6 +465,8 @@ class PicardTrajectory(_RecordedSeries):
     rate_grid: np.ndarray
     growth_constant: float
     nfev: int
+    steps: int = 0
+    rejected: int = 0
 
     @property
     def _carriers(self) -> tuple:
@@ -501,6 +515,8 @@ def run_density(
         rate_grid=state.rate_matrix,
         growth_constant=pointwise_growth_constant(tp, c_star, x_eta0),
         nfev=atoms.nfev,
+        steps=atoms.steps,
+        rejected=atoms.rejected,
     )
 
 

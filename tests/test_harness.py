@@ -23,7 +23,7 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.measure import Grid
-from comptonsim.reduced_solver import AtomTrajectory, PicardTrajectory
+from comptonsim.reduced_solver import AtomStepCollapse, AtomTrajectory, PicardTrajectory
 from oracles import growth_bound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -367,8 +367,9 @@ class TestCli:
         cfg = load_config(data=EXAMPLE51_CONFIG, equation="reduced")
         manifest, traj = run_reduced_experiment(cfg, str(tmp_path / "atoms"), mode="atoms")
         recorded = json.loads((tmp_path / "atoms" / "manifest.json").read_text())["telemetry"]
-        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
-        assert traj.nfev > 0
+        counts = {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
+        assert recorded == counts == manifest.telemetry
+        assert traj.nfev > 0 and traj.steps > 0
 
     def test_density_run_manifest_records_the_evaluation_count(self, tmp_path):
         # the node system's DOP853 evaluations, as an atom run records its own
@@ -377,15 +378,33 @@ class TestCli:
         manifest, traj = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / "picard"),
                                                 mode="picard", classify=False)
         recorded = json.loads((tmp_path / "picard" / "manifest.json").read_text())["telemetry"]
-        assert recorded == {"dop853_nfev": traj.nfev} == manifest.telemetry
-        assert traj.nfev > 0 and manifest.all_passed
+        counts = {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
+        assert recorded == counts == manifest.telemetry
+        assert traj.nfev > 0 and traj.steps > 0 and manifest.all_passed
 
     def test_full_run_manifest_records_the_evaluation_count(self, tmp_path):
         cfg = load_config(data=SHORT_FULL_CONFIG, equation="full")
         manifest, traj = run_full_experiment(cfg, str(tmp_path / "full"))
         recorded = json.loads((tmp_path / "full" / "manifest.json").read_text())["telemetry"]
-        assert recorded == {"dop853_nfev": traj.nfev, "one_sided_pairs": 0} == manifest.telemetry
-        assert traj.nfev > 0 and manifest.all_passed
+        counts = {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
+        assert recorded == {**counts, "one_sided_pairs": 0} == manifest.telemetry
+        assert traj.nfev > 0 and traj.steps > 0 and manifest.all_passed
+
+    def test_overflowing_atom_rates_are_named_in_the_collapse(self, tmp_path):
+        # 1e308 * 10 * 10 overflows: the rates are infinite at t = 0, so every
+        # error estimate there is not finite and the controller stalls at once
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "initial": {"preset": "atoms", "atoms": [[1.0, 10.0], [2.0, 10.0]]},
+            "reduced": {"t_end": 1.0, "rate_table": [[0.0, 1e308], [-1e308, 0.0]]},
+        }))
+        args = ["simulate-reduced", "--mode", "atoms", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AtomStepCollapse) as err:
+            cli_main(args)
+        assert str(err.value) == (
+            "atom integration failed: Required step size is less than spacing between numbers."
+            " (error estimate not finite since t=0.0)"
+        )
 
     def test_simulate_full_small(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -463,6 +463,74 @@ class TestAtomRhsOverSlots:
         assert seed7_trajectories[0].nfev == 21068
 
 
+class Captured(Exception):
+    pass
+
+
+def stage_rate(state: AtomSystemState):
+    """The rate function that run_atoms hands to dop853 for ``state``."""
+    def capture(fun, *args):
+        raise Captured(fun)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(Captured) as got:
+        mp.setattr(reduced_solver_module, "dop853", capture)
+        run_atoms(state, 1.0, n_record=2)
+    return got.value.args[0]
+
+
+class TestStageBufferContract:
+    """dop853 passes every stage's state in one buffer that the next stage
+    overwrites, so a rate function must leave its argument as it was."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=slot_cases())
+    def test_atom_rates_leave_their_argument_bitwise(self, case):
+        state, _, stack = case
+        inlined = stage_rate(state)
+        for rate in (inlined, lambda _t, m: atom_ode_rhs(state, m)):
+            for arg in [*stack, stack]:  # each 1-D stage state, and a dense-output stack
+                before = arg.copy()
+                out = rate(0.0, arg)
+                assert np.array_equal(bits(arg), bits(before))
+                assert out.dtype == np.float64 and not np.shares_memory(out, arg)
+        for m in stack:  # run_atoms's inlined 1-D rate is atom_ode_rhs's
+            got, want = inlined(0.0, m), atom_ode_rhs(state, m)
+            assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=15, deadline=None)
+    @given(kern=kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_collision_rate_leaves_its_argument_bitwise(self, kern, seed):
+        rng = np.random.default_rng(seed)
+        for u in (holey_state(rng, kern.grid.n), planck_density(kern.grid, -0.7)):
+            before = u.copy()
+            out = collision_rhs(u, kern)
+            assert np.array_equal(bits(u), bits(before))
+            assert out.dtype == np.float64 and not np.shares_memory(out, u)
+
+
+class TestSeed7AtomRunAgainstSolveIvp:
+    """The benchmark's atom run, the regime the lean step loop is for:
+    1426 attempts of one 16-float state each, to t = 5e4, where some masses
+    are subnormal."""
+
+    @pytest.mark.parametrize("n_record", [2001, 20001])
+    def test_records_and_evaluation_count(self, seed7_trajectories, n_record):
+        from scipy.integrate import solve_ivp
+
+        traj = seed7_trajectories[0]  # the benchmark's 20001 records
+        state = traj.state0
+        if n_record != traj.times.size:
+            traj = run_atoms(state, 5e4, n_record=n_record)
+        sol = solve_ivp(lambda _t, m: atom_ode_rhs(state, m), (0.0, 5e4), state.masses.copy(), method="DOP853",
+                        rtol=RTOL, atol=ATOL, t_eval=np.linspace(0.0, 5e4, n_record))
+        assert sol.success
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.masses, np.clip(sol.y.T, 0.0, None))
+        assert traj.nfev == sol.nfev
+        tail = traj.masses[-1]
+        assert np.any((tail > 0.0) & (tail < np.finfo(float).tiny))
+
+
 def seed7_reduced_inputs():
     """The benchmark's reduced-both inputs at seed 7: sixteen atoms on two
     jittered lattices decoupled from each other, then mu of the truncated
@@ -955,9 +1023,9 @@ class TestBlockDiagnosticsAgainstPerRecord:
         started = []
         real_step = _dop853._rk_step
 
-        def spy(fun, t, y, f, h, K):
+        def spy(fun, t, y, f, h, K, stages, dy, ys):
             started.append(t)
-            return real_step(fun, t, y, f, h, K)
+            return real_step(fun, t, y, f, h, K, stages, dy, ys)
 
         monkeypatch.setattr(_dop853, "_rk_step", spy)
         u0 = HybridMeasure(atoms=atoms, grid=kern.grid, density=holey_state(np.random.default_rng(44), kern.grid.n))
