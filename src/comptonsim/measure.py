@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .truncation import TruncationParams, gamma1
+from .truncation import TruncationParams, eval_cutoff
 
 __all__ = [
     "DomainError",
@@ -332,12 +332,17 @@ def components(u: HybridMeasure, tp: TruncationParams) -> tuple[Component, ...]:
     mass) into a left-to-right tuple of blocks separated by decoupling gaps.
 
     A gap between consecutive support carriers p < q splits the support
-    exactly when gamma1(q) >= p, i.e. when no pair across the gap lies in
-    the coupling region.  Consecutive blocks are then separated by at least
-    q - gamma1(q), the decoupling gap at the right block's minimum q.
+    exactly when the cutoff vanishes at (p, q).  The cutoff's support shrinks
+    as a pair widens, so then no pair across the gap couples.  This is the
+    rule gamma1(q) >= p read off the cutoff itself: the two can disagree for
+    a p within rounding of gamma1(q), and the cutoff is what the rate tables
+    see.  Consecutive blocks are then separated by q - gamma1(q), the
+    decoupling gap at the right block's minimum q, up to that rounding.
     """
     pts = u.support_points()
-    return _partition(pts, lambda a: gamma1(tp, pts[a][0]) >= pts[a - 1][0])
+    x = np.array([p for p, _ in pts], dtype=float)
+    cut = eval_cutoff(tp, x[:-1], x[1:]) == 0.0
+    return _partition(pts, lambda a: cut[a - 1])
 
 
 def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:

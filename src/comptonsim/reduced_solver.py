@@ -661,7 +661,7 @@ def _table_components(u: HybridMeasure, state: AtomSystemState) -> tuple[Compone
     """Blocks of an atom state's support under its rate table, cut by the
     splitter of :func:`components`: the gap between consecutive support atoms
     p < q splits the support when no table entry links a support atom <= p
-    to one >= q (on a physical table, the gamma1 rule of :func:`components`)."""
+    to one >= q (on a physical table, the cutoff rule of :func:`components`)."""
     pts = u.support_points()
     idx = np.searchsorted(state.locations, [x for x, _ in pts])
     linked = state.rate_matrix[np.ix_(idx, idx)] != 0.0
