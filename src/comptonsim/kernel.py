@@ -13,13 +13,18 @@ uses, integrates each pair by global adaptive bisection of Gauss panels,
 running the bisection of many pairs side by side with one vectorized
 integrand call per round.  It is the package's one quadrature; the tests
 hold a scalar loop over the same panels as its reference.
+
+The Gauss-Legendre rules and the diagonal series coefficients are literal
+floats, so importing the module computes neither: it loads no
+``numpy.polynomial`` or ``fractions`` and makes no LAPACK call.  The tests
+hold the rules to ``leggauss`` and derive the coefficients from exact
+rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,9 +70,38 @@ class MonotonicityReport:
         return not self.violations
 
 
-# Gauss-Legendre panel rules; the coarse rule gives the error estimate.
-_GL_LO = np.polynomial.legendre.leggauss(10)
-_GL_HI = np.polynomial.legendre.leggauss(20)
+# Gauss-Legendre panel rules, (nodes, weights): the values that
+# np.polynomial.legendre.leggauss(10) and (20) return, written out so that
+# no import loads numpy.polynomial or makes its eigenvalue call.  The
+# coarse rule gives the error estimate.
+_GL_LO = (
+    np.array([
+        -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+        -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+        0.8650633666889845, 0.9739065285171717,
+    ]),
+    np.array([
+        0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+        0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+        0.1494513491505804, 0.06667134430868814,
+    ]),
+)
+_GL_HI = (
+    np.array([
+        -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+        -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+        -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+        0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+        0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+    ]),
+    np.array([
+        0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+        0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+        0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+        0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+        0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+    ]),
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -76,28 +110,22 @@ _SQRT2 = math.sqrt(2.0)
 # power series.  Both branches agree to ~1e-15 at the seam.
 _DIAGONAL_SERIES_CUTOFF = 0.25
 
-
-def _diagonal_series_coefficients(n_terms: int = 28) -> np.ndarray:
-    # Power series in a of the bracket in diagonal_closed_form, divided by
-    # sqrt(2); leading terms 44/15 - (184/105) a + ...  Exact rationals keep
-    # the heavy cancellation out of the coefficients themselves.
-    def erf_part(k: int) -> Fraction:
-        if k < 0:
-            return Fraction(0)
-        return Fraction((-2) ** k, math.factorial(k) * (2 * k + 1))
-
-    def exp_part(k: int) -> Fraction:
-        return Fraction((-2) ** k, math.factorial(k))
-
-    out = []
-    for n in range(n_terms):
-        k = n + 2
-        p = 8 * erf_part(k - 2) - 4 * erf_part(k - 1) + 3 * erf_part(k) - 3 * exp_part(k)
-        out.append(float(p / 2))
-    return np.array(out)
-
-
-_DIAGONAL_SERIES = _diagonal_series_coefficients()
+# Power series in a of the bracket in diagonal_closed_form, divided by
+# sqrt(2): 28 coefficients, highest power first (Horner order), ending
+# 44/15 - (184/105) a.  Each is the float nearest an exact rational, so the
+# heavy cancellation between the erf and exp parts stays out of the
+# coefficients themselves; tests/oracles.py derives them from fractions.
+_DIAGONAL_SERIES = (
+    -8.378029929629641e-22, 1.1709443418588703e-20, -1.577920020451412e-19, 2.0473232825068595e-18,
+    -2.5538259438130274e-17, 3.0577138889046406e-16, -3.5078415016380783e-15, 3.848478129438273e-14,
+    -4.029343061725647e-13, 4.016762164983196e-12, -3.802869678564686e-11, 3.409701295589658e-10,
+    -2.8861925570212446e-09, 2.298292151643184e-08, -1.7148362131585375e-07, 1.1934436228462055e-06,
+    -7.706748232781513e-06, 4.5897736442940035e-05, -0.00025029985438252485, 0.0012393261398126502,
+    -0.005514439694006257, 0.021773085302497067, -0.07508935508935509, 0.22170422170422172,
+    -0.5464165464165465, 1.092063492063492, -1.7523809523809524, 2.933333333333333,
+)
+# The diagonal closed form's error bound, relative to its value.
+_DIAGONAL_REL_ERR = 4.0 * float(np.finfo(float).eps)
 
 
 def _integrand(s: np.ndarray, d2, c, beta: float, m: float) -> np.ndarray:
@@ -164,8 +192,9 @@ def eval_kernel_batch(
     errors = np.empty(lo.size)
     diag = np.abs(lo - hi) < 1e-8 * (lo + hi)
     for k in np.flatnonzero(diag).tolist():
-        values[k] = diagonal_closed_form(params, 0.5 * (float(lo[k]) + float(hi[k])))
-        errors[k] = 4.0 * np.finfo(float).eps * values[k]
+        value = diagonal_closed_form(params, 0.5 * (float(lo[k]) + float(hi[k])))
+        values[k] = value
+        errors[k] = _DIAGONAL_REL_ERR * value
     off = np.flatnonzero(~diag)
     values[off], errors[off] = _bisect_batch(params, lo[off], hi[off], tol)
     return values[inverse], errors[inverse]
@@ -261,7 +290,7 @@ def diagonal_closed_form(params: PhysicalParams, x: float) -> float:
     a = x * x / (4.0 * m * beta)
     if a < _DIAGONAL_SERIES_CUTOFF:
         acc = 0.0
-        for c in _DIAGONAL_SERIES[::-1]:
+        for c in _DIAGONAL_SERIES:
             acc = acc * a + c
         return math.sqrt(beta) * (math.exp(x) / x) * acc
     bracket = (

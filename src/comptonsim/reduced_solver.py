@@ -288,12 +288,16 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
     raises NegativeAtomMass.  A step size below the float spacing raises
     AtomStepCollapse with the integrator's message.  Total mass is conserved
     to roundoff by the pairwise right-hand side, whose 1-D call (a stage)
-    is :func:`atom_ode_rhs` inlined: one Python frame each.
+    is :func:`atom_ode_rhs` inlined: one Python frame each.  A state with
+    no atoms is refused (``ValueError``), as a bad ``t_end`` or
+    ``n_record`` is.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     if n_record < 2:
         raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
+    if state.masses.size == 0:
+        raise ValueError("the atom system has no atoms to integrate")
     m0 = state.masses.copy()
     total = float(m0.sum())
     times = np.linspace(0.0, t_end, n_record)

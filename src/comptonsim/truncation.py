@@ -63,37 +63,46 @@ def solve_rho(theta: float, delta_star: float) -> float:
     until the residual changes sign.  Raises NoRoot if the bracket cannot
     be established, the residual is not monotone across it, or it is not
     finite (a delta_star from about 1e154 on, or a subnormal one).
+
+    The residual is ``_gamma1_curved``'s formula on Python floats, with the
+    same operations in the same order, so rho gets the bits of the numpy
+    version.  Its one power, delta_star ** 1.5, is numpy's and taken once:
+    numpy's power and libm's ``pow`` round differently on some arguments.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
     if not (delta_star > 0.0):
         raise ValueError("delta_star must be positive")
+    x = float(delta_star)
+    with np.errstate(over="ignore"):  # a residual that overflows is refused below
+        x15 = float(np.asarray(x) ** 1.5)
+    target = theta * x
 
     def residual(rho: float) -> float:
-        r = float(_gamma1_curved(delta_star, rho)) - theta * delta_star
+        root = rho * x15 * math.sqrt(rho * rho * x + 8.0)
+        r = 2.0 * x * x / (2.0 * x + rho * rho * x * x + root) - target
         if not math.isfinite(r):
             raise NoRoot(f"the band-constant residual overflows at delta_star={delta_star:g}")
         return r
 
     lo = 0.0
-    hi = 1.0 / math.sqrt(delta_star)
+    hi = 1.0 / math.sqrt(x)
     grow = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a residual that overflows is refused above
-        while residual(hi) > 0.0:
-            hi *= 2.0
-            grow += 1
-            if grow > 60:
-                raise NoRoot(f"no band constant for theta={theta}, delta_star={delta_star}")
-        if residual(lo) <= 0.0:
-            raise NoRoot("residual not positive at rho=0; configuration inconsistent")
-        for _ in range(_BISECTION_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if residual(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+    while residual(hi) > 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 60:
+            raise NoRoot(f"no band constant for theta={theta}, delta_star={delta_star}")
+    if residual(lo) <= 0.0:
+        raise NoRoot("residual not positive at rho=0; configuration inconsistent")
+    for _ in range(_BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return hi
 
 

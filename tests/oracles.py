@@ -14,6 +14,12 @@ large-beta concentration of the majorant onto the diagonal, the
 beta-scaling maps, the three-way classification of the coupling region,
 the decoupling gap and the truncated collision rate.
 
+:func:`diagonal_series_coefficients` derives the package's literal
+diagonal series from exact rationals, and :func:`diagonal_series_value`
+and :func:`solve_rho` are the numpy-scalar forms of the diagonal series
+and of the band-constant bisection that the package computes on Python
+floats, bit for bit.
+
 :func:`picard_solve` is the paper's fixed-point construction of the
 regular solutions of the reduced equation for data flat near the origin,
 on contraction windows with cumulative Simpson weights
@@ -32,10 +38,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from comptonsim import full_solver, kernel, measure
+from comptonsim import full_solver, kernel, measure, truncation
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
 from comptonsim.measure import HybridMeasure
 from comptonsim.reduced_solver import (
@@ -46,7 +53,15 @@ from comptonsim.reduced_solver import (
     pointwise_growth_constant,
     rate_matrix,
 )
-from comptonsim.truncation import TruncationParams, _band_ratio, _cone_ratio, eval_cutoff, gamma1
+from comptonsim.truncation import (
+    NoRoot,
+    TruncationParams,
+    _band_ratio,
+    _cone_ratio,
+    _gamma1_curved,
+    eval_cutoff,
+    gamma1,
+)
 
 
 def step(u: np.ndarray, kern, dt: float, dt_min: float = 1e-8) -> tuple[np.ndarray, float]:
@@ -189,6 +204,75 @@ def eval_kernel(
         f"kernel quadrature at (x={x}, y={y}) did not reach tol={tol} "
         f"within {kernel._MAX_PANELS} panels"
     )
+
+
+def diagonal_series_coefficients(n_terms: int = 28) -> list[float]:
+    """Power series in a = x^2/(4 m beta) of the bracket of
+    ``kernel.diagonal_closed_form``, divided by sqrt(2), lowest power
+    first: 44/15 - (184/105) a + ...  Each coefficient is an exact rational
+    rounded once, so the cancellation between the erf and exp parts stays
+    out of it; ``kernel._DIAGONAL_SERIES`` holds these floats in Horner
+    order."""
+    def erf_part(k: int) -> Fraction:
+        if k < 0:
+            return Fraction(0)
+        return Fraction((-2) ** k, math.factorial(k) * (2 * k + 1))
+
+    def exp_part(k: int) -> Fraction:
+        return Fraction((-2) ** k, math.factorial(k))
+
+    out = []
+    for n in range(n_terms):
+        k = n + 2
+        p = 8 * erf_part(k - 2) - 4 * erf_part(k - 1) + 3 * erf_part(k) - 3 * exp_part(k)
+        out.append(float(p / 2))
+    return out
+
+
+def diagonal_series_value(params: PhysicalParams, x: float) -> float:
+    """The series branch of ``kernel.diagonal_closed_form`` as numpy-scalar
+    Horner over :func:`diagonal_series_coefficients`: the package's Python
+    float loop must give its bits."""
+    a = x * x / (4.0 * params.m * params.beta)
+    acc = 0.0
+    for c in np.array(diagonal_series_coefficients())[::-1]:
+        acc = acc * a + c
+    return float(math.sqrt(params.beta) * (math.exp(x) / x) * acc)
+
+
+def solve_rho(theta: float, delta_star: float) -> float:
+    """``truncation.solve_rho`` with its residual on numpy 0-d arrays
+    (``truncation._gamma1_curved``) under one ``np.errstate``: the
+    package's Python float bisection must give its bits and refuse the
+    same inputs with the same messages, for 0 < theta < 1 and
+    delta_star > 0."""
+
+    def residual(rho: float) -> float:
+        r = float(_gamma1_curved(delta_star, rho)) - theta * delta_star
+        if not math.isfinite(r):
+            raise NoRoot(f"the band-constant residual overflows at delta_star={delta_star:g}")
+        return r
+
+    lo = 0.0
+    hi = 1.0 / math.sqrt(delta_star)
+    grow = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while residual(hi) > 0.0:
+            hi *= 2.0
+            grow += 1
+            if grow > 60:
+                raise NoRoot(f"no band constant for theta={theta}, delta_star={delta_star}")
+        if residual(lo) <= 0.0:
+            raise NoRoot("residual not positive at rho=0; configuration inconsistent")
+        for _ in range(truncation._BISECTION_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if residual(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
@@ -21,6 +21,7 @@ from comptonsim.kernel import (
     peak_bound,
     verify_antidiagonal_monotonicity,
 )
+import oracles
 from oracles import (
     ConcentrationRow,
     KernelSample,
@@ -260,6 +261,42 @@ class TestDiagonalClosedForm:
         pp = PhysicalParams(beta=4.0, m=2.0)
         q = eval_kernel(pp, 0.7, 0.7, tol=1e-10, force_quadrature=True).value
         assert diagonal_closed_form(pp, 0.7) == pytest.approx(q, rel=1e-10)
+
+
+class TestLiteralConstants:
+    """The Gauss-Legendre rules and the diagonal series are literal floats."""
+
+    @pytest.mark.parametrize("name, n", [("_GL_LO", 10), ("_GL_HI", 20)])
+    def test_gauss_legendre_rules_are_leggauss(self, name, n):
+        # within 2 ulp, not bitwise: leggauss's eigenvalue call may round
+        # differently under another LAPACK
+        nodes, weights = getattr(kernel_module, name)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp=2)
+        np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=2)
+
+    @pytest.mark.parametrize("name, n", [("_GL_LO", 10), ("_GL_HI", 20)])
+    def test_gauss_legendre_rules_are_exact_to_degree_2n_minus_1(self, name, n):
+        # 4e-15, not 1e-15: leggauss(20)'s floats themselves, summed in
+        # exact rationals, miss the even moments by up to 3.4e-15
+        nodes, weights = getattr(kernel_module, name)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.dot(weights, nodes**k)) - exact) <= 4e-15, k
+
+    def test_series_is_the_exact_rationals_rounded(self):
+        series = kernel_module._DIAGONAL_SERIES
+        assert all(type(c) is float for c in series)
+        assert bits(series).tolist() == bits(oracles.diagonal_series_coefficients()[::-1]).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pp=kernel_params(), a=st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))
+    def test_series_branch_bitwise_equal_to_numpy_scalar_horner(self, pp, a):
+        x = math.sqrt(4.0 * pp.m * pp.beta * a)
+        assume(x > 0.0 and x * x / (4.0 * pp.m * pp.beta) < kernel_module._DIAGONAL_SERIES_CUTOFF)
+        value = diagonal_closed_form(pp, x)
+        assert type(value) is float
+        assert value.hex() == oracles.diagonal_series_value(pp, x).hex()
 
 
 class TestBounds:

@@ -4,7 +4,9 @@ A fresh interpreter has ``sys.modules["scipy"] = None``, so any SciPy
 import, at module top or inside a function, raises ImportError; it then
 imports the command line and the harness and runs a short full-equation
 experiment and short reduced runs in both modes.  None of them may load
-``numpy.ma`` either (about 10 ms of import, reached through np.unique).
+``numpy.ma`` either (about 10 ms of import, reached through np.unique),
+nor ``numpy.polynomial``, ``fractions`` or ``decimal``: the kernel's
+Gauss-Legendre rules and diagonal series are literal floats.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ loaded = sorted(name for name, mod in sys.modules.items() if name.startswith("sc
 print("scipy modules:", loaded)
 masked = sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma."))
 print("numpy.ma modules:", masked)
-sys.exit(1 if loaded or masked else 0)
+unneeded = sorted(
+    name for name in sys.modules
+    if name in ("fractions", "decimal") or name == "numpy.polynomial" or name.startswith("numpy.polynomial.")
+)
+print("numpy.polynomial, fractions or decimal modules:", unneeded)
+sys.exit(1 if loaded or masked or unneeded else 0)
 """
 
 

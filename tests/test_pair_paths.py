@@ -486,15 +486,17 @@ class TestStageBufferContract:
     @given(case=slot_cases())
     def test_atom_rates_leave_their_argument_bitwise(self, case):
         state, _, stack = case
-        inlined = stage_rate(state)
-        for rate in (inlined, lambda _t, m: atom_ode_rhs(state, m)):
+        rates = [lambda _t, m: atom_ode_rhs(state, m)]
+        if state.masses.size:  # run_atoms refuses a state with no atoms before it builds its rate
+            rates.append(stage_rate(state))
+        for rate in rates:
             for arg in [*stack, stack]:  # each 1-D stage state, and a dense-output stack
                 before = arg.copy()
                 out = rate(0.0, arg)
                 assert np.array_equal(bits(arg), bits(before))
                 assert out.dtype == np.float64 and not np.shares_memory(out, arg)
         for m in stack:  # run_atoms's inlined 1-D rate is atom_ode_rhs's
-            got, want = inlined(0.0, m), atom_ode_rhs(state, m)
+            got, want = rates[-1](0.0, m), atom_ode_rhs(state, m)
             assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=15, deadline=None)

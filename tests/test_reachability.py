@@ -38,7 +38,6 @@ ALLOWLIST = {
     "full_solver.OriginMassReport.extrapolated": "a result property of origin_mass_estimate that tests read",
     "full_solver.RegularizedKernel.coupling": "read by perfbench/ (ROADMAP item 1 retires the dense table)",
     "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 3",
-    "kernel._diagonal_series_coefficients": "runs at import to build _DIAGONAL_SERIES, before any command",
     "measure.HybridMeasure.origin_mass": "a state property that tests read",
     "measure.measure_from_dict": "reads a snapshot file back bit for bit, the documented round trip tests check",
     "reduced_solver.LyapunovReport.passed": "a result property that tests read",

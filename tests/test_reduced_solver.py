@@ -278,6 +278,13 @@ class TestRunAtoms:
         with time_limit(5.0), pytest.raises(ValueError, match=message):
             run_atoms(chain_state(), t_end, n_record=n_record)
 
+    def test_state_without_atoms_is_refused(self):
+        # numpy's own "zero-size array to reduction operation minimum"
+        # error came after the integration
+        empty = AtomSystemState(locations=np.zeros(0), masses=np.zeros(0), rate_matrix=np.zeros((0, 0)))
+        with time_limit(5.0), pytest.raises(ValueError, match="^the atom system has no atoms to integrate$"):
+            run_atoms(empty, 1.0, n_record=3)
+
     def test_leftmost_mass_nondecreasing(self):
         traj = run_atoms(chain_state(), 100.0, n_record=1001)
         assert np.all(np.diff(traj.masses[:, 0]) >= -1e-15)

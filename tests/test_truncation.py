@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form
@@ -18,6 +20,7 @@ from comptonsim.truncation import (
     kernel_bound_constant,
     solve_rho,
 )
+import oracles
 from oracles import Region, eval_kernel, in_support, truncated_kernel, z_gap
 
 PP = PhysicalParams()
@@ -94,6 +97,25 @@ class TestSolveRho:
     def test_large_finite_residual_keeps_its_bits(self, delta_star, rho_star, rho1):
         tp = TruncationParams.solve(0.5, delta_star, 0.8)
         assert (tp.rho_star, tp.rho1) == (float.fromhex(rho_star), float.fromhex(rho1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        theta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.sampled_from([1e-300, 0.5, 0.8])),
+        delta_star=st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+            st.sampled_from([1e154, 1e300, math.inf, 5e-324, 1e-300, 1.0, 0.1, 5.0]),
+        ),
+    )
+    def test_bitwise_equal_to_the_numpy_bisection(self, theta, delta_star):
+        # the Python float residual rounds as the 0-d array one, or refuses
+        # the same input with the same message
+        def outcome(solve):
+            try:
+                return solve(theta, delta_star).hex()
+            except NoRoot as e:
+                return str(e)
+
+        assert outcome(solve_rho) == outcome(oracles.solve_rho)
 
 
 class TestBoundaryCurves:
