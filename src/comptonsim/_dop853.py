@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,17 +281,13 @@ class StepSizeTooSmall(RuntimeError):
     """The controller asked for a step below ten ulps of the current time."""
 
 
-class Counts(int):
-    """SciPy's ``nfev``, carrying a run's accepted and rejected steps."""
+class Counts(NamedTuple):
+    """A run's right-hand-side evaluations (SciPy's ``nfev``) and its
+    accepted and rejected steps."""
 
-    def __new__(cls, nfev: int, steps: int, rejected: int) -> "Counts":
-        counts = super().__new__(cls, nfev)
-        counts.steps, counts.rejected = steps, rejected
-        return counts
-
-    @property
-    def nfev(self) -> int:
-        return int(self)
+    nfev: int
+    steps: int
+    rejected: int
 
 
 def _rms(x: np.ndarray):
@@ -447,7 +444,7 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
     states.  ``y`` is a buffer that the next block overwrites, so a caller
     that keeps records copies them; it may change ``y`` in place.
 
-    Returns SciPy's ``nfev`` as :class:`Counts`, counted by arithmetic: 2
+    Returns :class:`Counts`.  SciPy's ``nfev`` is counted by arithmetic: 2
     (the first rate and the initial step guess), 12 per step attempt and 3
     per accepted step that holds requested times (a stacked call counts
     one per row).  Raises :class:`StepSizeTooSmall` with SciPy's message

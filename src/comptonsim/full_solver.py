@@ -1,24 +1,22 @@
 """Time integration of the regularized full collision equation.
 
-The density part of the state evolves under the quadratic-plus-linear
+The state is a density on a grid.  It evolves under the quadratic-plus-linear
 collision operator with the kernel tapered to a compact energy window
-(index n); an optional origin atom is carried as a passive diagnostic
-since the tapered kernel vanishes at zero energy.  Mass is conserved by
-pairwise antisymmetric flux assembly, so the drift over a run is pure
-floating-point roundoff.  Diagnostics cover the exponential moment and
-its growth-rate constant, the entropy/dissipation balance, and the
-accumulation of mass near the origin.  The collision rate and the
-dissipation and origin-flux diagnostics all run over one list of
-in-support grid pairs, built once with the kernel table by one screened
-batch: a vectorized cutoff picks the supported pairs, and one batch
-evaluation fills them in.  The semi-discrete system is integrated by
-DOP853, the in-repo port of SciPy's stepper in ``_dop853`` that also runs
-the reduced equation, with the package's tolerances.  Its dense output
-streams the recorded states in blocks.  A run computes the node columns of
-a block (mass, exponential moment, entropy, origin mass) in one
-whole-array pass each, and its dissipation in passes of a few states over
-the pair list; it keeps only the last state and the count of pairs left
-out of the dissipation.
+(index n); the taper vanishes at zero energy, so the run carries no atom.
+Mass is conserved by pairwise antisymmetric flux assembly, so the drift
+over a run is pure floating-point roundoff.  Diagnostics cover the
+exponential moment and its growth-rate constant, the entropy/dissipation
+balance, and the mass in the smallest window [0, 2 x_min) at the origin.
+The collision rate and the dissipation run over one list of in-support
+grid pairs, built once with the kernel table by one screened batch: a
+vectorized cutoff picks the supported pairs, and one batch evaluation fills
+them in.  The semi-discrete system is integrated by DOP853, the in-repo
+port of SciPy's stepper in ``_dop853`` that also runs the reduced equation,
+with the package's tolerances.  Its dense output streams the recorded
+states in blocks.  A run computes the node columns of a block (mass,
+exponential moment, entropy, origin-window mass) as one row-wise dot each,
+and its dissipation in passes of a few states over the pair list; it keeps
+only the last state and the count of pairs left out of the dissipation.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from ._dop853 import ATOL, RTOL, StepSizeTooSmall, dop853
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Grid, HybridMeasure, _entropy_rows, _exp_moment_rows, _moment_rows
+from .measure import Grid, HybridMeasure, check_exp_rate
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 # states per dissipation pass (the node columns take a whole streamed block):
@@ -45,11 +43,9 @@ __all__ = [
     "RegularizedKernel",
     "TrajectoryRecord",
     "BalanceReport",
-    "OriginMassReport",
     "taper",
     "collision_rhs",
     "entropy_balance_check",
-    "origin_mass_estimate",
     "exp_moment_rate",
     "run_full",
 ]
@@ -223,10 +219,15 @@ def _pair_dissipation(kern: RegularizedKernel, rows: np.ndarray) -> tuple[np.nda
     return 2.0 * np.vecdot(vals, kern.pair_c), flags
 
 
-def _mass_below(atoms, grid: Grid, rows: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
-    # mass on [0, eps) per row and the count k of nodes below eps; the prefix [:k] keeps rows C-contiguous
-    k = int(np.searchsorted(grid.nodes, eps))
-    return math.fsum(m for x, m in atoms if x < eps) + np.vecdot(rows[..., :k], grid.weights[:k]), k
+def _entropy_integrand(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # h(x, s) = (x^2+s) log(x^2+s) - s log s - x^2 log x^2 - s x,
+    # with the s log s -> 0 limit at s = 0; the entropy of a density g is
+    # the sum of w_i h(x_i, g_i), maximal at a given mass exactly on the
+    # equilibrium (chemical-potential) family
+    x2 = x * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slogs = np.where(s > 0.0, s * np.log(s), 0.0)
+    return (x2 + s) * np.log(x2 + s) - slogs - x2 * np.log(x2) - s * x
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,8 @@ class TrajectoryRecord:
 
     Record k is the state at ``times[k]``: ``M0`` its mass, ``X_eta`` its
     exponential moment, ``H`` its entropy, ``entropy_dissipation`` its
-    dissipation D and ``origin_mass_series`` its mass on [0, 2 x_min) (the
-    smallest origin window).  ``final`` is the last recorded density; no
+    dissipation D and ``origin_mass_series`` its mass on the origin window
+    [0, 2 x_min).  ``final`` is the last recorded density; no
     other state is kept.  ``nfev`` counts the right-hand-side evaluations
     of the integration (SciPy's ``nfev``), ``steps`` and ``rejected`` its
     accepted and rejected DOP853 steps, and ``one_sided_pairs`` the pairs
@@ -270,10 +271,6 @@ class BalanceReport:
     entropy_monotone: bool
     dissipation_nonnegative: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance and self.entropy_monotone and self.dissipation_nonnegative
-
 
 def entropy_balance_check(traj: TrajectoryRecord, rel_tolerance: float = 1e-4) -> BalanceReport:
     """Check H(t2) - H(t1) = integral of the dissipation (trapezoid in time).
@@ -293,59 +290,6 @@ def entropy_balance_check(traj: TrajectoryRecord, rel_tolerance: float = 1e-4) -
         tolerance=rel_tolerance * abs(h[0]),
         entropy_monotone=bool(np.all(np.diff(h) >= -1e-12 * max(1.0, abs(h[0])))),
         dissipation_nonnegative=bool(np.all(d >= 0.0)),
-    )
-
-
-@dataclass(frozen=True)
-class OriginMassReport:
-    """Mass-below-epsilon estimates and origin-directed flux per epsilon."""
-
-    eps: tuple[float, ...]
-    mass_estimates: tuple[float, ...]
-    flux_values: tuple[float, ...]
-    resolution_flags: tuple[bool, ...]
-
-    @property
-    def extrapolated(self) -> float:
-        return self.mass_estimates[-1]
-
-
-def origin_mass_estimate(
-    u: HybridMeasure,
-    kern: RegularizedKernel,
-    eps_list: list[float],
-) -> OriginMassReport:
-    """Estimate the origin mass by shrinking windows and their inflow.
-
-    For each epsilon the estimate is the measure of [0, epsilon) and the
-    flux is the pairing of the collision exchange against a smooth
-    decreasing window phi of width epsilon: the sum over the kernel's pair
-    list of c_ij g_i g_j (e^{-x_i} - e^{-x_j}) (phi_i - phi_j).  The factor
-    before the window difference is computed once per call; every term is
-    nonnegative because both differences share a sign.  A window holding
-    fewer than three grid nodes is flagged as under-resolved.
-    """
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    xs = kern.grid.nodes
-    masses, fluxes, flags = [], [], []
-    g = u.density if u.density is not None else np.zeros_like(xs)
-    i, j = kern.pair_i, kern.pair_j
-    e = np.exp(-xs)
-    pre = kern.pair_c * g[i] * g[j] * (e[i] - e[j])
-    for eps in eps_list:
-        below, k = _mass_below(u.atoms, kern.grid, g, eps)
-        masses.append(float(below))
-        # window phi(x) = (1 - (x/eps)^2)^2 on [0, eps): decreasing, flat at 0
-        s = np.clip(xs / eps, 0.0, 1.0)
-        phi = (1.0 - s * s) ** 2
-        fluxes.append(float(np.dot(pre, phi[i] - phi[j])))
-        flags.append(k < 3)
-    return OriginMassReport(
-        eps=tuple(eps_list),
-        mass_estimates=tuple(masses),
-        flux_values=tuple(fluxes),
-        resolution_flags=tuple(flags),
     )
 
 
@@ -374,17 +318,20 @@ def _growth_bound(c_eta: float, t: float, x0: float) -> float:
 
 
 def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
-    """Integrate the regularized equation from a hybrid initial state.
+    """Integrate the regularized equation from a density on the kernel's grid.
 
-    The kernel fixes the grid, the truncation and the regularization.  Only
-    the density evolves; an origin atom rides along as a diagnostic (the
-    tapered kernel cannot move mass at zero energy) and atoms at positive
-    energies are rejected.  DOP853 (``_dop853``, tolerances ``RTOL`` and
-    ``ATOL``) integrates the grid system and records it at every
-    ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``.
-    Its dense output streams the records in blocks; each block is checked
-    and clipped.  Its mass, exponential moment, entropy and origin mass are
-    one whole-block pass each, and its dissipation is filled in passes of
+    The kernel fixes the grid, the truncation and the regularization.  The
+    state is the density alone: a state with atoms is refused, since the
+    tapered kernel cannot move mass at zero energy and no atom elsewhere
+    lies on the grid.  A ``cfg.eta`` at which e^{eta x} nears overflow on
+    the grid raises OverflowError (``check_exp_rate``) before anything runs.
+    DOP853 (``_dop853``, tolerances ``RTOL`` and ``ATOL``) integrates the
+    grid system and records it at every ``record_every``-th multiple of
+    ``cfg.dt_init`` and at ``cfg.t_end``.  Its dense output streams the
+    records in blocks; each block is checked and clipped.  Its mass,
+    exponential moment, entropy and origin-window mass are one row-wise
+    ``np.vecdot`` against the weights each, e^{eta x} and the window's node
+    count computed once per run, and its dissipation is filled in passes of
     ``_BLOCK_ROWS`` states, whose one-sided pair counts are summed into
     ``one_sided_pairs``.  Take gathers and prefix slices keep every row
     C-contiguous, so each row's np.vecdot sums in np.dot's order and every
@@ -401,14 +348,16 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
-    if any(x > 0.0 for x, _ in u0.atoms):
-        raise ValueError("initial atoms away from the origin are not supported")
+    if u0.atoms:
+        raise ValueError("the full solver evolves a density alone: initial atoms are not supported")
     if not np.array_equal(u0.grid.nodes, kern.grid.nodes):
         raise ValueError("state grid must match the kernel grid")
+    xs, w = u0.grid.nodes, u0.grid.weights
+    check_exp_rate((), u0.grid, u0.density, cfg.eta)
 
-    w = u0.grid.weights
     floor = -1e-12 * max(float(np.dot(w, u0.density)), 1.0)
-    eps = u0.grid.nodes[0] * 2.0  # the smallest window of origin_mass_estimate's ladder
+    exp_eta = np.exp(cfg.eta * xs)
+    k = int(np.searchsorted(xs, xs[0] * 2.0))  # nodes in the origin window [0, 2 x_min)
     blocks = []
     final = None
     one_sided = 0
@@ -425,9 +374,9 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
         nonlocal final, one_sided
         if rows.min() < 0.0:
             low = (rows * w).min(axis=1)
-            k = int(np.argmin(low))
-            if low[k] < floor:
-                raise StepCollapse(f"negative density beyond integrator noise at t={times[k]}: node mass {low[k]}")
+            i = int(np.argmin(low))
+            if low[i] < floor:
+                raise StepCollapse(f"negative density beyond integrator noise at t={times[i]}: node mass {low[i]}")
         np.clip(rows, 0.0, None, out=rows)
         d = []
         for lo in range(0, len(rows), _BLOCK_ROWS):
@@ -436,12 +385,11 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
             one_sided += flags
         blocks.append((
             times,
-            _moment_rows(u0.atoms, u0.grid, rows, 0.0),
-            _exp_moment_rows(u0.atoms, u0.grid, rows, cfg.eta),
-            _entropy_rows(u0.atoms, u0.grid, rows),
-            # the origin atom's parts of D are exact zeros: the taper vanishes at 0
+            np.vecdot(rows, w),
+            np.vecdot(rows * exp_eta, w),
+            np.vecdot(_entropy_integrand(xs, rows), w),
             0.5 * np.concatenate(d),
-            _mass_below(u0.atoms, u0.grid, rows, eps)[0],
+            np.vecdot(rows[:, :k], w[:k]),
         ))
         final = rows[-1].copy()
 

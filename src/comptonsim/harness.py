@@ -183,6 +183,15 @@ def _section(name: str):
         raise ValidationError(f"{name}: {e}") from None
 
 
+def _integer(name: str, value) -> int:
+    """Integer config field ``name``: int() would read 48.9 as 48 and true as
+    1, so a boolean or a finite number with a fractional part is refused by
+    the field's name; an integral float such as 192.0 is its int."""
+    if isinstance(value, bool) or (isinstance(value, float) and math.isfinite(value) and not value.is_integer()):
+        raise ValidationError(f"{name}: must be an integer; got {json.dumps(value)}")
+    return int(value)
+
+
 def load_config(path: str | None = None, data: dict | None = None, equation: str = "full") -> ExperimentConfig:
     """Parse and validate a config; raises with field-precise messages.
 
@@ -220,7 +229,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
 
     g = cfg["grid"]
     with _section("grid"):
-        grid = Grid.log_spaced(float(g["min"]), float(g["max"]), int(g["n"]))
+        grid = Grid.log_spaced(float(g["min"]), float(g["max"]), _integer("grid.n", g["n"]))
     try:
         with _section("initial"):
             initial = build_initial(cfg["initial"], grid)
@@ -245,7 +254,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
                 raise ValidationError(
                     f"diagnostics.eta: the reduced equation requires eta > (1-theta)/2 = {eta_lo}; got {eta}"
                 )
-        n_reg = int(diag["regularization_index"])
+        n_reg = _integer("diagnostics.regularization_index", diag["regularization_index"])
         if n_reg < 1:
             raise ValidationError("diagnostics.regularization_index: must be >= 1")
     # the exponential moments of both equations weight the top grid node of
@@ -256,7 +265,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     sol = cfg["solver"]
     with _section("solver"):
         times = {key: float(sol[key]) for key in ("t_end", "dt_init", "mass_tolerance")}
-        record_every = int(sol["record_every"])
+        record_every = _integer("solver.record_every", sol["record_every"])
     try:
         solver = SolverConfig(**times, record_every=record_every, eta=eta)
     except ValueError as e:
@@ -272,7 +281,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
         if not 0.0 < reduced[key] < math.inf:
             raise ValidationError(f"reduced.{key}: must be positive and finite; got {red[key]}")
     with _section("reduced.n_record"):
-        reduced["n_record"] = int(red["n_record"])
+        reduced["n_record"] = _integer("reduced.n_record", red["n_record"])
     if reduced["n_record"] < 2:
         raise ValidationError(f"reduced.n_record: must be >= 2; got {red['n_record']}")
 
@@ -456,7 +465,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     stamps = [f"{traj.times[0]:.6f}", f"{traj.times[last]:.6f}"]
     for i, stamp, density in zip((0, last), stamps, (u0.density, traj.final)):
         name = f"snapshot_{stamp}.json" if stamps[0] != stamps[1] else f"snapshot_{stamp}_{i}.json"
-        save_measure(HybridMeasure(atoms=u0.atoms, grid=cfg.grid, density=density), os.path.join(out_dir, name))
+        save_measure(HybridMeasure(grid=cfg.grid, density=density), os.path.join(out_dir, name))
         manifest.outputs.append(name)
 
     drift = relative_drift(traj.M0)

@@ -1,11 +1,12 @@
 """Nonnegative measures as atoms plus a grid density, with their functionals.
 
 The universal state of both solvers is a hybrid measure: finitely many
-atoms (point masses, possibly one at the origin) together with a density
-sampled on a fixed log-spaced grid with trapezoid quadrature weights.
-This module provides moments, exponential moments, the physical entropy,
-the bounded-Lipschitz distance, the partition of the support into
-decoupled blocks, and a lossless JSON serialization.
+atoms (point masses) together with a density sampled on a fixed log-spaced
+grid with trapezoid quadrature weights.  The full equation evolves the
+density alone, the reduced one atoms or a density.  This module provides
+power moments, the overflow guard of the exponential moment, the
+bounded-Lipschitz distance, the partition of the support into decoupled
+blocks, and the JSON snapshot writer, whose floats read back bit for bit.
 
 Known representational limit: a family of ever-smaller atoms accumulating
 at zero energy is indistinguishable from mass placed exactly at the
@@ -35,7 +36,6 @@ __all__ = [
     "components",
     "planck_density",
     "measure_to_dict",
-    "measure_from_dict",
     "save_measure",
 ]
 
@@ -104,8 +104,8 @@ class HybridMeasure:
 
     Atoms are kept sorted with pairwise distinct locations (near-coincident
     atoms are merged mass-weighted on construction); zero-mass atoms are
-    dropped.  An atom at location 0 carries the origin mass.  Locations and
-    masses must be finite: a NaN mass would otherwise be dropped silently.
+    dropped.  Locations and masses must be finite: a NaN mass would
+    otherwise be dropped silently.
     """
 
     atoms: list[tuple[float, float]] = field(default_factory=list)
@@ -129,10 +129,6 @@ class HybridMeasure:
                 raise ValueError("density shape must match the grid")
             if np.any(self.density < 0.0) or not np.all(np.isfinite(self.density)):
                 raise ValueError("density must be finite and nonnegative")
-
-    @property
-    def origin_mass(self) -> float:
-        return next((m for x, m in self.atoms if x == 0.0), 0.0)
 
     @property
     def total_mass(self) -> float:
@@ -161,18 +157,10 @@ class HybridMeasure:
         return sorted(pts)
 
 
-# The density parts below are row-wise dots against the weights, for one density
-# or each row of a (B, n) block; for C-contiguous rows np.vecdot gives np.dot's bits.
-
-
 def moment(u: HybridMeasure, rho: float) -> float:
     """Power moment of order rho: sum of x^rho against the measure."""
-    return float(_moment_rows(u.atoms, u.grid, u.density, rho))
-
-
-def _moment_rows(atoms, grid, rows, rho):
     terms = []
-    for x, m in atoms:
+    for x, m in u.atoms:
         if x == 0.0:
             if rho < 0.0:
                 raise DomainError("negative-order moment of an atom at the origin")
@@ -181,9 +169,9 @@ def _moment_rows(atoms, grid, rows, rho):
         else:
             terms.append(x**rho * m)
     total = math.fsum(terms)
-    if rows is not None:
-        total = total + np.vecdot(rows * grid.nodes**rho, grid.weights)
-    return total
+    if u.density is not None:
+        total = total + np.vecdot(u.density * u.grid.nodes**rho, u.grid.weights)
+    return float(total)
 
 
 def relative_drift(series: np.ndarray) -> float:
@@ -203,40 +191,6 @@ def check_exp_rate(atoms, grid, rows, eta: float) -> None:
         top = max(top, float(grid.nodes[-1]))
     if eta * top > 700.0:
         raise OverflowError(f"exp moment overflows: eta * max support = {eta:g} * {top:g} = {eta * top:.3g} > 700")
-
-
-def _exp_moment_rows(atoms, grid, rows, eta):
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    if eta == 0.0:
-        return _moment_rows(atoms, grid, rows, 0.0)
-    check_exp_rate(atoms, grid, rows, eta)
-    total = math.fsum(m * math.exp(eta * x) for x, m in atoms)
-    if rows is not None:
-        total = total + np.vecdot(rows * np.exp(eta * grid.nodes), grid.weights)
-    return total
-
-
-def _entropy_integrand(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # h(x, s) = (x^2+s) log(x^2+s) - s log s - x^2 log x^2 - s x,
-    # with the s log s -> 0 limit at s = 0.
-    x2 = x * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slogs = np.where(s > 0.0, s * np.log(s), 0.0)
-    return (x2 + s) * np.log(x2 + s) - slogs - x2 * np.log(x2) - s * x
-
-
-def _entropy_rows(atoms, grid, rows):
-    """Physical entropy: density part through h, atoms through -x * mass.
-
-    The origin atom contributes nothing.  Among all states of a given mass
-    the entropy is maximal exactly at the equilibrium family (a chemical-
-    potential density plus an optional origin atom).
-    """
-    total = -math.fsum(x * m for x, m in atoms)
-    if rows is not None:
-        total = total + np.vecdot(_entropy_integrand(grid.nodes, rows), grid.weights)
-    return total
 
 
 def _signed_point_masses(u: HybridMeasure, v: HybridMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +309,8 @@ def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:
 
 
 def measure_to_dict(u: HybridMeasure) -> dict:
-    """JSON-ready form; floats round-trip bit-exactly via repr."""
+    """JSON-ready form; floats round-trip bit-exactly via repr, and
+    ``Grid.log_spaced(min, max, n)`` rebuilds the grid's nodes."""
     out: dict = {"atoms": [[x, m] for x, m in u.atoms]}
     if u.grid is not None:
         out["grid"] = {
@@ -366,19 +321,6 @@ def measure_to_dict(u: HybridMeasure) -> dict:
         }
         out["density"] = [float(g) for g in u.density]
     return out
-
-
-def measure_from_dict(d: dict) -> HybridMeasure:
-    atoms = [(float(x), float(m)) for x, m in d.get("atoms", [])]
-    grid = None
-    density = None
-    if "grid" in d:
-        g = d["grid"]
-        if g.get("spacing", "log") != "log":
-            raise ValueError("only log-spaced grids are supported")
-        grid = Grid.log_spaced(g["min"], g["max"], g["n"])
-        density = np.asarray(d["density"], dtype=float)
-    return HybridMeasure(atoms=atoms, grid=grid, density=density)
 
 
 def save_measure(u: HybridMeasure, path) -> None:

@@ -181,18 +181,14 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
     the slots leave out change no sum: a partial sum here starts at +0.0
     and is never -0.0.  ``masses`` may be a (..., N) stack, as the deferred
     dense output of ``_dop853`` passes it: the stack flattens to k rows
-    whose keys are offset by N per row, so each row of the result is the
-    1-D call's bit for bit.
+    (a 1-D call is one row) whose keys are offset by N per row, so each row
+    of the result gets the terms of its own masses, in the same order.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
     row, a, b, r = state._slots
     if row.size == 0:  # bincount of no terms would be integer zeros
         return np.zeros(m.shape)
     n = m.shape[-1]
-    if m.ndim == 1:
-        w = r * m[a]
-        w *= m[b]
-        return np.bincount(row, w, n)
     flat = m.reshape(-1, n)
     w = r * flat[:, a]
     w *= flat[:, b]
@@ -287,8 +283,9 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
     undershoot within integrator noise is clipped to zero, anything worse
     raises NegativeAtomMass.  A step size below the float spacing raises
     AtomStepCollapse with the integrator's message.  Total mass is conserved
-    to roundoff by the pairwise right-hand side, whose 1-D call (a stage)
-    is :func:`atom_ode_rhs` inlined: one Python frame each.  A state with
+    to roundoff by the pairwise right-hand side: a 1-D call (a stage) is
+    :func:`atom_ode_rhs`'s one row inlined, one Python frame each, and a
+    stacked call of the dense output is :func:`atom_ode_rhs`.  A state with
     no atoms is refused (``ValueError``), as a bad ``t_end`` or
     ``n_record`` is.
     """
@@ -370,10 +367,6 @@ class LyapunovReport:
     @property
     def balance_ok(self) -> bool:
         return all(err <= self.balance_tolerance for err in self.max_balance_error.values())
-
-    @property
-    def passed(self) -> bool:
-        return all(self.monotone.values()) and self.exp_moment_monotone and self.balance_ok
 
 
 def lyapunov_check(traj, eta: float) -> LyapunovReport:

@@ -5,8 +5,8 @@ The package evaluates the kernel through one batched adaptive quadrature,
 global adaptive bisection of Gauss panels one pair at a time, with the
 package's integrand, panel rules and panel budget (``kernel._MAX_PANELS``,
 read at call time so a test can shrink it); the batch must give every pair
-its bits.  :func:`exp_moment` is the one-measure form of the exponential
-moment that a full run records per block of states, and
+its bits.  :func:`exp_moment` is the exponential moment of one measure,
+atoms included, as a full run records it for a density, and
 :func:`growth_bound` builds, for a full run made without the harness, the
 bound that the harness's ``exp_moment_growth_bound`` check builds.  The
 other functions state facts of the paper that no command reaches: the
@@ -94,9 +94,10 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
     """The full run on :func:`step`: the state at t = 0, after every
     ``record_every``-th step of ``dt_init`` (cut to the horizon) and after
     the last, the step times summed as they go.  The columns are computed
-    from the recorded states by the run's own row helpers, 64 states at a
-    time, and so is the one-sided pair count; ``nfev`` is 0 (the oracle does
-    not count its evaluations)."""
+    from the recorded densities, 64 states at a time: the mass, X_eta, H
+    and the mass on [0, 2 x_min) as dots against the weights, D and the
+    one-sided pair count by the run's pair pass; ``nfev`` is 0 (the oracle
+    does not count its evaluations)."""
     g, t, steps = u0.density.copy(), 0.0, 0
     horizon = cfg.t_end * (1.0 - 1e-12)
     times, states = [0.0], [g]
@@ -107,25 +108,36 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
         if steps % cfg.record_every == 0 or t >= horizon:
             times.append(t)
             states.append(g)
-    grid, atoms, columns, one_sided = u0.grid, u0.atoms, [], 0
+    xs, w = u0.grid.nodes, u0.grid.weights
+    window = xs < 2.0 * xs[0]
+    columns, one_sided = [], 0
     for lo in range(0, len(states), 64):
         rows = np.array(states[lo:lo + 64])
         d, flags = full_solver._pair_dissipation(kern, rows)
         one_sided += flags
         columns.append((
-            measure._moment_rows(atoms, grid, rows, 0.0),
-            measure._exp_moment_rows(atoms, grid, rows, cfg.eta),
-            measure._entropy_rows(atoms, grid, rows),
+            rows @ w,
+            (rows * np.exp(cfg.eta * xs)) @ w,
+            full_solver._entropy_integrand(xs, rows) @ w,
             0.5 * d,
-            full_solver._mass_below(atoms, grid, rows, 2.0 * grid.nodes[0])[0],
+            rows[:, window] @ w[window],
         ))
     columns = (np.concatenate(col, dtype=float) for col in zip(*columns))
     return full_solver.TrajectoryRecord(np.array(times), *columns, final=g, nfev=0, one_sided_pairs=one_sided)
 
 
 def exp_moment(u, eta: float) -> float:
-    """Exponential moment of one measure with rate eta >= 0; equals the mass at eta = 0."""
-    return float(measure._exp_moment_rows(u.atoms, u.grid, u.density, eta))
+    """Exponential moment of one measure with rate eta >= 0; equals the mass
+    at eta = 0, and raises OverflowError where ``measure.check_exp_rate`` does."""
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    if eta == 0.0:
+        return measure.moment(u, 0.0)
+    measure.check_exp_rate(u.atoms, u.grid, u.density, eta)
+    total = math.fsum(m * math.exp(eta * x) for x, m in u.atoms)
+    if u.density is not None:
+        total = total + np.vecdot(u.density * np.exp(eta * u.grid.nodes), u.grid.weights)
+    return float(total)
 
 
 def growth_bound(traj, c_eta: float) -> np.ndarray:

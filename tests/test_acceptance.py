@@ -257,7 +257,10 @@ def test_criterion_09_lyapunov_suite():
     report(
         9,
         "moment Lyapunov suite",
-        atom_rep.passed and pic_rep.passed,
+        all(
+            all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
+            for rep in (atom_rep, pic_rep)
+        ),
         f"M_alpha nonincreasing (alpha = 1, 2, 3) on both runs; dM/dt vs D/2 rel err: "
         f"atoms {err_a:.2e}, density {err_p:.2e}, both <= 1e-4",
     )

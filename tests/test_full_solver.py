@@ -18,7 +18,6 @@ from comptonsim.full_solver import (
     collision_rhs,
     entropy_balance_check,
     exp_moment_rate,
-    origin_mass_estimate,
     run_full,
     taper,
 )
@@ -252,7 +251,7 @@ class TestBalance:
         rep = entropy_balance_check(traj)
         assert abs(rep.entropy_change) <= 1e-10
         assert abs(rep.integrated_dissipation) <= 1e-10
-        assert rep.passed
+        assert rep.residual <= rep.tolerance and rep.entropy_monotone and rep.dissipation_nonnegative
 
     def test_bump_balance(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
@@ -266,33 +265,14 @@ class TestBalance:
 
 
 class TestOriginMass:
+    """The mass on the origin window [0, 2 x_min) that a run records."""
+
     def test_no_mass_below_window(self, kern, grid):
+        # the taper (support from 1/21) vanishes on the window's nodes, so they exchange nothing
         dens = np.where(grid.nodes > 1.0, planck_density(grid, 0.0), 0.0)
         u = HybridMeasure(atoms=[], grid=grid, density=dens)
-        rep = origin_mass_estimate(u, kern, [0.5, 0.25])
-        assert rep.mass_estimates == (0.0, 0.0)
-
-    def test_origin_atom_dominates(self, kern, grid):
-        u = HybridMeasure(atoms=[(0.0, 0.3)], grid=grid, density=planck_density(grid, -1.0))
-        rep = origin_mass_estimate(u, kern, [0.5, 0.1, 0.05])
-        assert rep.mass_estimates[-1] == pytest.approx(0.3, rel=1e-3)
-        assert rep.extrapolated == rep.mass_estimates[-1]
-
-    def test_flux_nonnegative(self, kern, grid):
-        u = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        rep = origin_mass_estimate(u, kern, [1.0, 0.5, 0.1])
-        assert all(f >= 0.0 for f in rep.flux_values)
-
-    def test_resolution_flagged(self, kern, grid):
-        u = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
-        under_resolved = 0.5 * (grid.nodes[1] + grid.nodes[2])  # two nodes below
-        rep = origin_mass_estimate(u, kern, [0.5, under_resolved])
-        assert rep.resolution_flags == (False, True)
-
-    def test_eps_must_decrease(self, kern, grid):
-        u = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
-        with pytest.raises(ValueError):
-            origin_mass_estimate(u, kern, [0.1, 0.5])
+        traj = run_full(u, kern, SolverConfig(t_end=0.1, record_every=10))
+        assert len(traj.times) == 11 and np.all(traj.origin_mass_series == 0.0)
 
 
 class TestRunFull:
@@ -308,6 +288,21 @@ class TestRunFull:
         u0 = HybridMeasure(atoms=[(1.0, 0.1)], grid=grid, density=planck_density(grid, -1.0))
         with pytest.raises(ValueError):
             run_full(u0, kern, SolverConfig(t_end=0.01))
+
+    def test_origin_atom_rejected(self, kern, grid):
+        # the taper vanishes at zero energy: an origin atom never moves, so the run takes none
+        u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
+        with pytest.raises(ValueError, match="^the full solver evolves a density alone: initial atoms are not supported$"):
+            run_full(u0, kern, SolverConfig(t_end=0.01))
+
+    def test_overflowing_exp_rate_rejected_before_integrating(self, kern, grid, monkeypatch):
+        def never(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(full_solver_module, "dop853", never)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
+        with pytest.raises(OverflowError, match="^exp moment overflows: eta \\* max support = 40 \\* 22 = 880 > 700$"):
+            run_full(u0, kern, SolverConfig(t_end=0.01, eta=40.0))
 
     def test_growth_bound_and_mass(self, kern, grid):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
@@ -329,7 +324,7 @@ class TestRunFull:
 
     def test_mass_drift_trajectory_fills_the_last_partial_block(self, kern, grid):
         records = 3 * full_solver_module._BLOCK_ROWS + 2
-        u0 = HybridMeasure(atoms=[(0.0, 0.1)], grid=grid, density=bump_state(grid))
+        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
         traj = run_full(u0, kern, cfg)  # a finished run returns its record whatever its drift
         assert relative_drift(traj.M0) > cfg.mass_tolerance
@@ -357,19 +352,14 @@ class TestRunFull:
             return rate * math.nan if len(calls) > 12 * (nan_step - 1) else rate
 
         seen = []
-        real_moments = full_solver_module._moment_rows
+        real_entropy = full_solver_module._entropy_integrand
         real_pairs = full_solver_module._pair_dissipation
-        real_below = full_solver_module._mass_below
         monkeypatch.setattr(full_solver_module, "collision_rhs", rhs)
         monkeypatch.setattr(
-            full_solver_module, "_moment_rows",
-            lambda a, g, rows, rho: seen.append(rows.copy()) or real_moments(a, g, rows, rho),
+            full_solver_module, "_entropy_integrand", lambda x, rows: seen.append(rows.copy()) or real_entropy(x, rows)
         )
         monkeypatch.setattr(
             full_solver_module, "_pair_dissipation", lambda k, rows: seen.append(rows.copy()) or real_pairs(k, rows)
-        )
-        monkeypatch.setattr(
-            full_solver_module, "_mass_below", lambda a, g, rows, e: seen.append(rows.copy()) or real_below(a, g, rows, e)
         )
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         with pytest.raises(StepCollapse, match=r"^non-finite density rate at t=\d"):
@@ -417,13 +407,14 @@ class TestRunFull:
         assert np.all(traj.final >= 0.0)
         assert relative_drift(traj.M0) <= 1e-12
 
-    def test_origin_atom_rides_along(self, kern, grid):
-        u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
+    def test_mass_columns_are_the_final_density_masses(self, kern, grid):
+        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
         cfg = SolverConfig(t_end=0.02, record_every=5)
         traj = run_full(u0, kern, cfg)
-        last = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=traj.final)
-        assert traj.M0[-1] == moment(last, 0.0) == 0.2 + float(np.dot(grid.weights, traj.final))
-        assert traj.origin_mass_series[-1] >= 0.2
+        last = HybridMeasure(atoms=[], grid=grid, density=traj.final)
+        assert traj.M0[-1] == moment(last, 0.0) == float(np.dot(grid.weights, traj.final))
+        window = grid.nodes < 2.0 * grid.nodes[0]
+        assert traj.origin_mass_series[-1] == float(np.dot(grid.weights[window], traj.final[window])) > 0.0
 
     def test_growth_bound_is_inf_past_overflow(self):
         c_eta = 11.73

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,28 @@ class TestLoadConfig:
     def test_bad_solver_t_end_names_its_field(self, value):
         with pytest.raises(ValidationError, match="solver.t_end: "):
             load_config(data={"solver": {"t_end": value}}, equation="full")
+
+    # int() read each as its integer part (48.9 as a 48-node grid, true as 1)
+    # while the manifest hashed the value as given
+    @pytest.mark.parametrize("field, value", [
+        ("grid.n", 48.9), ("solver.record_every", 2.5), ("reduced.n_record", 100.5),
+        ("diagnostics.regularization_index", True),
+    ])
+    def test_non_integral_integer_field_names_its_field(self, field, value):
+        section, key = field.split(".")
+        message = f"{field}: must be an integer; got {json.dumps(value)}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_config(data={section: {key: value}})
+
+    def test_integral_floats_are_integer_fields(self):
+        cfg = load_config(data={
+            "grid": {"n": 192.0},
+            "solver": {"record_every": 1e2},
+            "reduced": {"n_record": 1e2},
+            "diagnostics": {"regularization_index": 20.0},
+        })
+        values = (cfg.grid.n, cfg.solver.record_every, cfg.reduced["n_record"], cfg.regularization_index)
+        assert values == (192, 100, 100, 20) and all(type(v) is int for v in values)
 
     def test_missing_file(self):
         with pytest.raises(ParseError, match="not found"):
@@ -543,6 +566,10 @@ class TestCli:
             "simulate-reduced": "reduced.rate_table: shape mismatch",
         }, id="rate_table-3x3-for-two-atoms"),
         pytest.param(STRING_LIMIT_TOL, "reduced.limit_tol: could not convert", id="limit_tol-string"),
+        # read as a 48-node grid and 100 records
+        pytest.param({"grid": {"n": 48.9}}, "grid.n: must be an integer; got 48.9", id="grid-n-fraction"),
+        pytest.param({**TWO_ATOMS, "reduced": {"n_record": 100.5}}, "reduced.n_record: must be an integer; got 100.5",
+                     id="n_record-fraction"),
         # the wide grid was an OverflowError traceback over an empty output
         # directory; the far atom's X_eta column was inf, failing moments_nonincreasing
         pytest.param(WIDE_GRID, "grid.max: exp moment overflows: eta * max support = 0.375 * 3000", id="wide-grid"),

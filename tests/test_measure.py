@@ -11,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from comptonsim.full_solver import _entropy_integrand
 from comptonsim.measure import (
     DomainError,
     Grid,
     HybridMeasure,
-    _entropy_rows,
     _signed_point_masses,
     bl_distance,
     components,
-    measure_from_dict,
     measure_to_dict,
     moment,
     planck_density,
+    save_measure,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff
 from oracles import exp_moment, z_gap
@@ -59,10 +59,6 @@ class TestHybridMeasure:
         u = HybridMeasure(atoms=[(1.0, 1.0), (1.0 + 1e-14, 2.0)])
         assert len(u.atoms) == 1
         assert u.atoms[0][1] == 3.0
-
-    def test_origin_mass(self):
-        u = HybridMeasure(atoms=[(0.0, 0.25), (1.0, 1.0)])
-        assert u.origin_mass == 0.25
 
     def test_density_needs_grid(self):
         with pytest.raises(ValueError):
@@ -108,27 +104,23 @@ class TestMoments:
             assert exp_moment(u, eta) >= moment(u, 0.0)
 
 
+def entropy(g: Grid, density: np.ndarray) -> float:
+    """The entropy H that a full run records for a density."""
+    return float(np.vecdot(_entropy_integrand(g.nodes, density), g.weights))
+
+
 class TestEntropy:
-    """The entropy of the full-equation record, ``_entropy_rows`` of one state."""
+    """The entropy of the full-equation record, from its integrand."""
 
     def test_zero_measure(self):
-        assert _entropy_rows([], None, None) == 0.0
-
-    def test_pure_atom(self):
-        assert _entropy_rows([(2.0, 5.0)], None, None) == -10.0
-
-    def test_origin_atom_contributes_nothing(self):
         g = Grid.log_spaced(0.05, 30.0, 200)
-        dens = planck_density(g, -1.0)
-        base = HybridMeasure(atoms=[], grid=g, density=dens)
-        with_origin = HybridMeasure(atoms=[(0.0, 2.0)], grid=g, density=dens)
-        assert _entropy_rows(with_origin.atoms, g, dens) == _entropy_rows(base.atoms, g, dens)
+        assert entropy(g, np.zeros(g.n)) == 0.0
 
     def test_equilibrium_maximizes_at_fixed_mass(self):
         g = Grid.log_spaced(1e-3, 40.0, 600)
         dens = planck_density(g, -1.0)
         u = HybridMeasure(atoms=[], grid=g, density=dens)
-        h_star = _entropy_rows([], g, dens)
+        h_star = entropy(g, dens)
         mass = moment(u, 0.0)
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -136,7 +128,7 @@ class TestEntropy:
             bumpy = np.clip(bumpy, 0.0, None)
             v = HybridMeasure(atoms=[], grid=g, density=bumpy)
             scale = mass / moment(v, 0.0)
-            assert _entropy_rows([], g, bumpy * scale) < h_star
+            assert entropy(g, bumpy * scale) < h_star
 
 
 def lp_oracle_uniform_grid(pts, masses_u, masses_v, n_grid=1200):
@@ -369,8 +361,25 @@ def hybrid_measures(draw):
     return HybridMeasure(atoms=atoms, grid=grid, density=np.array(density))
 
 
+def read_snapshot(u: HybridMeasure, path):
+    """Parse what ``save_measure`` writes for u: the atoms as (x, m) tuples,
+    and the grid rebuilt by ``Grid.log_spaced(min, max, n)`` with the density
+    (both None for an atomic measure)."""
+    save_measure(u, path)
+    with open(path) as f:
+        d = json.load(f)
+    atoms = [tuple(a) for a in d["atoms"]]
+    if "grid" not in d:
+        return atoms, None, None
+    g = d["grid"]
+    assert g["spacing"] == "log"
+    return atoms, Grid.log_spaced(g["min"], g["max"], g["n"]), np.array(d["density"])
+
+
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
+    """A snapshot file holds its floats bit for bit."""
+
+    def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(47)
         g = Grid.log_spaced(0.02, 22.0, 40)
         u = HybridMeasure(
@@ -378,27 +387,26 @@ class TestSerialization:
             grid=g,
             density=rng.uniform(0.0, 1.0, 40),
         )
-        payload = json.dumps(measure_to_dict(u))
-        v = measure_from_dict(json.loads(payload))
-        assert v.atoms == u.atoms
-        assert np.array_equal(v.grid.nodes, u.grid.nodes)
-        assert np.array_equal(v.density, u.density)
+        atoms, grid, density = read_snapshot(u, tmp_path / "snapshot.json")
+        assert atoms == u.atoms
+        assert np.array_equal(grid.nodes, u.grid.nodes)
+        assert np.array_equal(density, u.density)
 
     @settings(max_examples=50, deadline=None)
     @given(u=hybrid_measures())
-    def test_round_trip_bit_exact_on_random_measures(self, u):
-        v = measure_from_dict(json.loads(json.dumps(measure_to_dict(u))))
-        assert np.array_equal(bits(v.atoms), bits(u.atoms))
-        assert (v.grid is None) == (u.grid is None)
+    def test_round_trip_bit_exact_on_random_measures(self, tmp_path_factory, u):
+        atoms, grid, density = read_snapshot(u, tmp_path_factory.getbasetemp() / "snapshot.json")
+        assert np.array_equal(bits(atoms), bits(u.atoms))
+        assert (grid is None) == (u.grid is None)
         if u.grid is not None:
-            assert np.array_equal(bits(v.grid.nodes), bits(u.grid.nodes))
-            assert np.array_equal(bits(v.grid.weights), bits(u.grid.weights))
-            assert np.array_equal(bits(v.density), bits(u.density))
+            assert np.array_equal(bits(grid.nodes), bits(u.grid.nodes))
+            assert np.array_equal(bits(grid.weights), bits(u.grid.weights))
+            assert np.array_equal(bits(density), bits(u.density))
 
-    def test_atoms_only_round_trip(self):
+    def test_atoms_only_round_trip(self, tmp_path):
         u = HybridMeasure(atoms=[(1.0, 0.1)])
-        v = measure_from_dict(json.loads(json.dumps(measure_to_dict(u))))
-        assert v.atoms == u.atoms and v.grid is None
+        atoms, grid, _ = read_snapshot(u, tmp_path / "snapshot.json")
+        assert atoms == u.atoms and grid is None
 
     def test_schema_fields(self):
         g = Grid.log_spaced(0.1, 1.0, 8)

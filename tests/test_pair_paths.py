@@ -1,6 +1,6 @@
 """Pair-list fast paths against their dense and looped reference forms.
 
-The collision rate, the dissipation, the origin flux and the atom RHS are
+The collision rate, the dissipation and the atom RHS are
 computed from the kernel's list of in-support pairs (or, for atoms, from
 the state's slot list, built from the upper triangle of the rate matrix).  The kernel table and the
 physical rate matrix are filled by one screened batch: a vectorized cutoff
@@ -40,12 +40,12 @@ from comptonsim.full_solver import (
     _BLOCK_ROWS,
     RegularizedKernel,
     SolverConfig,
+    _entropy_integrand,
     _gain_factors,
     _j,
     _pair_dissipation,
     collision_rhs,
     exp_moment_rate,
-    origin_mass_estimate,
     run_full,
     taper,
 )
@@ -58,14 +58,7 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.kernel import PhysicalParams, eval_kernel_batch
-from comptonsim.measure import (
-    Grid,
-    HybridMeasure,
-    _entropy_integrand,
-    _entropy_rows,
-    moment,
-    planck_density,
-)
+from comptonsim.measure import Grid, HybridMeasure, moment, planck_density
 from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
@@ -89,7 +82,6 @@ import oracles
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
-EPS_LADDER = [1.0, 0.3, 0.08]
 
 
 def dense_collision_rhs(u, kern):
@@ -107,20 +99,6 @@ def dense_density_dissipation(g, kern):
     vals, _ = _j(a, a.T)
     one = ((a > 0.0) ^ (a.T > 0.0)) & (kern.table != 0.0)
     return float(np.sum(kern.coupling * vals)), int(np.count_nonzero(one))
-
-
-def dense_origin_fluxes(g, kern, eps_list):
-    xs = kern.grid.nodes
-    w = kern.grid.weights
-    out = []
-    for eps in eps_list:
-        s = np.clip(xs / eps, 0.0, 1.0)
-        phi = (1.0 - s * s) ** 2
-        diff = phi[:, None] - phi[None, :]
-        rate = np.exp(-xs)[:, None] - np.exp(-xs)[None, :]
-        coupling = kern.table * np.outer(w * g, w * g)
-        out.append(0.5 * float(np.sum(coupling * rate * diff)))
-    return out
 
 
 def loop_atom_ode_rhs(R, m):
@@ -304,15 +282,6 @@ class TestAgainstDense:
             assert d == pytest.approx(d_ref, rel=1e-12, abs=0.0)
             assert 2 * flags == flags_ref  # the pair list holds each unordered pair once
             assert flags_ref > 0
-
-    def test_origin_fluxes(self, kern):
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            g = holey_state(rng, kern.grid.n)
-            rep = origin_mass_estimate(HybridMeasure(atoms=[], grid=kern.grid, density=g), kern, EPS_LADDER)
-            ref = dense_origin_fluxes(g, kern, EPS_LADDER)
-            assert rep.flux_values == pytest.approx(ref, rel=1e-12, abs=0.0)
-
 
 class TestAtomRhsAgainstLoop:
     @pytest.mark.parametrize("n_atoms", [0, 1, 2, 5, 16, 40])
@@ -883,12 +852,9 @@ class TestProperties:
 
     @PROPERTY
     @given(kern=kernels(), seed=st.integers(0, 2**32 - 1))
-    def test_dissipation_and_fluxes_nonnegative(self, kern, seed):
+    def test_dissipation_nonnegative(self, kern, seed):
         g = holey_state(np.random.default_rng(seed), kern.grid.n)
-        u = HybridMeasure(atoms=[], grid=kern.grid, density=g)
         assert _pair_dissipation(kern, g)[0] >= 0.0
-        eps = kern.grid.nodes[0] * np.array([32.0, 8.0, 2.0])
-        assert all(f >= 0.0 for f in origin_mass_estimate(u, kern, list(eps)).flux_values)
 
     @PROPERTY
     @given(kern=kernels(), mu=st.floats(-3.0, 0.0))
@@ -908,16 +874,12 @@ def per_record_run(u0, kern, cfg):
     (the port gives them bit for bit), clipped at 0 as the run clips them,
     at the record times of the old step loop (t = 0, every record_every-th
     step of dt_init, and the last step, summed as they go), and per record
-    the per-state density formulas of ``parent_density_parts``, with the
-    origin atom's terms added in front as the run adds them (its mass to
-    M0, X_eta and the origin mass; -0 * mass to H; nothing to D, since the
-    taper vanishes at 0).  Returns each column as a list of per-record
+    the per-state density formulas of ``parent_density_parts``.  Returns each column as a list of per-record
     values, every state, and the growth bound e^{C_eta t} X_eta(0) per record
     as the full run once recorded it, X_eta(0) from the initial measure."""
     from scipy.integrate import solve_ivp
 
     c_eta = exp_moment_rate(TP, kern.bound_constant, cfg.eta)
-    origin = [m for _, m in u0.atoms]  # run_full admits no atom but the origin's
     eps = float(u0.grid.nodes[0] * 2.0)
     x0 = oracles.exp_moment(u0, cfg.eta)
     ref = {name: [] for name in (*COLUMNS, "states", "growth_bound")}
@@ -925,11 +887,11 @@ def per_record_run(u0, kern, cfg):
     def snapshot(t, g):
         (m0, *_), x_eta, h, d_pairs, below = parent_density_parts(g, kern, eps, cfg.eta)
         ref["times"].append(t)
-        ref["M0"].append(math.fsum(origin) + m0)
-        ref["X_eta"].append(math.fsum(origin) + x_eta)
-        ref["H"].append(-math.fsum(0.0 * m for m in origin) + h)
+        ref["M0"].append(m0)
+        ref["X_eta"].append(x_eta)
+        ref["H"].append(h)
         ref["entropy_dissipation"].append(0.5 * d_pairs)
-        ref["origin_mass_series"].append(math.fsum(origin) + below)
+        ref["origin_mass_series"].append(below)
         ref["growth_bound"].append(math.exp(c_eta * t) * x0)
         ref["states"].append(g.copy())
 
@@ -990,20 +952,19 @@ def parent_density_parts(g, kern, eps, eta=0.3):
 @st.composite
 def full_runs(draw):
     """A kernel on a random log grid, a density (Planck or random with holes)
-    with or without an origin atom, and a config recording a given number of
+    and a config recording a given number of
     states: 1 at t = 0, then one per record_every steps of dt_init, and the
     last step."""
     grid = Grid.log_spaced(draw(st.floats(0.01, 0.2)), draw(st.floats(8.0, 30.0)), draw(st.integers(8, 96)))
     kern = RegularizedKernel.build(PP, TP, grid, draw(st.sampled_from([3, 8, 20])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = planck_density(grid, draw(st.floats(-2.0, -0.1))) if draw(st.booleans()) else holey_state(rng, grid.n)
-    atoms = [(0.0, draw(st.floats(0.01, 1.0)))] if draw(st.booleans()) else []
     every = draw(st.sampled_from([1, 3]))
     records = draw(st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 2]))
     steps = (records - 2) * every + draw(st.integers(1, every))  # the last group may be partial
     dt = 2.0**-10  # dyadic, so the step times sum exactly
     cfg = SolverConfig(t_end=steps * dt, dt_init=dt, record_every=every, mass_tolerance=1e-6)
-    return HybridMeasure(atoms=atoms, grid=grid, density=g), kern, cfg, records
+    return HybridMeasure(atoms=[], grid=grid, density=g), kern, cfg, records
 
 
 class TestBlockDiagnosticsAgainstPerRecord:
@@ -1018,8 +979,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         assert len(traj.times) == records
         assert_same_records(traj, kern, cfg, ref)
 
-    @pytest.mark.parametrize("atoms", [[], [(0.0, 0.3)]])
-    def test_with_rejected_steps(self, kern, atoms, monkeypatch):
+    def test_with_rejected_steps(self, kern, monkeypatch):
         # DOP853 retries a rejected step from the same time; seed 44's state
         # makes it reject steps on both fixture grids
         started = []
@@ -1030,7 +990,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
             return real_step(fun, t, y, f, h, K, stages, dy, ys)
 
         monkeypatch.setattr(_dop853, "_rk_step", spy)
-        u0 = HybridMeasure(atoms=atoms, grid=kern.grid, density=holey_state(np.random.default_rng(44), kern.grid.n))
+        u0 = HybridMeasure(atoms=[], grid=kern.grid, density=holey_state(np.random.default_rng(44), kern.grid.n))
         cfg = SolverConfig(t_end=24.0, dt_init=2.0, record_every=1, mass_tolerance=1e-6)
         traj = run_full(u0, kern, cfg)
         assert any(a == b for a, b in zip(started, started[1:]))
@@ -1043,11 +1003,10 @@ class TestBlockDiagnosticsAgainstPerRecord:
         g = planck_density(kern.grid, -0.7) if planck else holey_state(np.random.default_rng(seed), kern.grid.n)
         u = HybridMeasure(atoms=[], grid=kern.grid, density=g)
         eps = float(kern.grid.nodes[0] * 2.0)
-        moments, x_eta, h, d_pairs, below = parent_density_parts(g, kern, eps)
+        moments, x_eta, _, d_pairs, _ = parent_density_parts(g, kern, eps)
         assert [moment(u, rho) for rho in (0.0, 1.0, 2.0, 3.0)] == moments
-        assert oracles.exp_moment(u, 0.3) == x_eta and _entropy_rows([], kern.grid, g) == h
+        assert oracles.exp_moment(u, 0.3) == x_eta
         assert _pair_dissipation(kern, g)[0] == d_pairs
-        assert origin_mass_estimate(u, kern, [4.0 * eps, eps]).mass_estimates[-1] == below
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(7,), (9, 9), (40, 40)]))
@@ -1106,12 +1065,12 @@ class TestBlockDiagnosticsAgainstPerRecord:
         # 8192 // 48 = 170 states, so the node columns span three blocks
         grid = Grid.log_spaced(0.05, 20.0, 48)
         kern = RegularizedKernel.build(PP, TP, grid, 8)
-        u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=holey_state(np.random.default_rng(7), grid.n))
+        u0 = HybridMeasure(atoms=[], grid=grid, density=holey_state(np.random.default_rng(7), grid.n))
         cfg = SolverConfig(t_end=399 * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-6)
         sizes = []
-        real_entropy = full_solver_module._entropy_rows
+        real_entropy = full_solver_module._entropy_integrand
         monkeypatch.setattr(
-            full_solver_module, "_entropy_rows", lambda a, g, rows: sizes.append(len(rows)) or real_entropy(a, g, rows)
+            full_solver_module, "_entropy_integrand", lambda x, rows: sizes.append(len(rows)) or real_entropy(x, rows)
         )
         traj = run_full(u0, kern, cfg)
         assert len(traj.times) == 400 and sum(sizes) == 400

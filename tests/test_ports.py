@@ -47,7 +47,7 @@ def ported(state: AtomSystemState, t_end: float, rtol: float, n_record: int):
         times.append(t.copy())
         rows.append(y.copy())
 
-    nfev = dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, ATOL, keep)
+    nfev = dop853(rhs, 0.0, t_end, state.masses.copy(), np.linspace(0.0, t_end, n_record), rtol, ATOL, keep).nfev
     return np.concatenate(times), np.concatenate(rows), nfev, [len(t) for t in times]
 
 

@@ -34,13 +34,7 @@ from comptonsim.cli import main as cli_main
 PACKAGE = os.path.dirname(os.path.abspath(comptonsim.__file__))
 
 ALLOWLIST = {
-    "full_solver.BalanceReport.passed": "a result property that tests read",
-    "full_solver.OriginMassReport.extrapolated": "a result property of origin_mass_estimate that tests read",
     "full_solver.RegularizedKernel.coupling": "read by perfbench/ (ROADMAP item 1 retires the dense table)",
-    "full_solver.origin_mass_estimate": "kept for the origin epsilon-ladder of ROADMAP item 3",
-    "measure.HybridMeasure.origin_mass": "a state property that tests read",
-    "measure.measure_from_dict": "reads a snapshot file back bit for bit, the documented round trip tests check",
-    "reduced_solver.LyapunovReport.passed": "a result property that tests read",
 }
 
 FULL_CONFIG = {"grid": {"n": 48}, "solver": {"t_end": 0.01}}

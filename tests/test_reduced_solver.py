@@ -359,7 +359,7 @@ class TestLyapunov:
     def test_chain_trajectory(self):
         traj = run_atoms(chain_state(), 200.0, n_record=20001)
         rep = lyapunov_check(traj, eta=0.25)
-        assert rep.passed
+        assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
         assert all(err <= 1e-4 for err in rep.max_balance_error.values())
 
     def test_m2_strictly_decreasing_then_flat(self):
@@ -374,7 +374,7 @@ class TestLyapunov:
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
         traj = run_atoms(st, 5.0, n_record=101)
         rep = lyapunov_check(traj, eta=0.25)
-        assert rep.passed
+        assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
         assert np.all(traj.dissipation_series(2.0) == 0.0)
         assert np.all(traj.moment_series(2.0) == traj.moment_series(2.0)[0])
 
@@ -416,7 +416,7 @@ class TestPicard:
         grid, u0 = flat_setup
         traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         rep = lyapunov_check(traj, eta=0.3)
-        assert rep.passed
+        assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
     def test_flatness_violation_raised(self):
         grid = Grid.log_spaced(1e-3, 10.0, 64)
@@ -524,7 +524,8 @@ class TestDensityRunAgainstFixedPoint:
         assert np.array_equal(traj.states > 0.0, np.broadcast_to(u0.density > 0.0, traj.states.shape))
         for k in range(len(traj.times)):
             assert np.all(traj.states[k] <= traj.pointwise_envelope(k, u0.density) * (1.0 + 1e-9))
-        assert lyapunov_check(traj, eta=0.3).passed
+        rep = lyapunov_check(traj, eta=0.3)
+        assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
 
 class TestClassifyLimit:
