@@ -346,7 +346,7 @@ def _run_manifest(cfg: ExperimentConfig, **constants) -> RunManifest:
     return _manifest_for(cfg.raw, rho_star=tp.rho_star, rho1=tp.rho1, **constants, eta=cfg.eta)
 
 
-_CSV_ROWS = 2048  # rows formatted and written at a time
+_CSV_ROWS = 512  # rows formatted and written at a time
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
@@ -498,9 +498,11 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     """Reduced-equation run in 'atoms' or 'picard' mode.
 
     The atom state, and with it an explicit ``reduced.rate_table``, is
-    checked before the output directory is made.  ``trajectory.csv`` holds
-    the mass series and the series the Lyapunov check computed, taken from
-    its report.
+    checked before the output directory is made.  The run reduces its
+    records as it goes; ``trajectory.csv`` holds its columns t, M0, M1, M2,
+    X_eta and D_2, and the Lyapunov check reads them with M3 and D_3.  With
+    ``classify`` the run also reduces the classifier's windows (over
+    ``reduced.stationarity_window``), and ``limit.json`` holds the verdict.
     """
     u0 = cfg.initial_measure()
     red = cfg.reduced
@@ -522,20 +524,21 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     os.makedirs(out_dir, exist_ok=True)
     manifest = _run_manifest(cfg)
 
+    window = red["stationarity_window"] if classify else None
     if mode == "atoms":
-        traj = run_atoms(state, red["t_end"], n_record=red["n_record"])
+        traj = run_atoms(state, red["t_end"], n_record=red["n_record"], eta=cfg.eta, stationarity_window=window)
     else:
-        traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"])
+        traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"],
+                           stationarity_window=window)
         manifest.derived_constants["C_0"] = traj.growth_constant
     manifest.telemetry.update(_integrator_telemetry(traj))
 
-    m0 = traj.mass_series()
-    rep = lyapunov_check(traj, eta=cfg.eta)
-    columns = (traj.times, m0, rep.moments[1.0], rep.moments[2.0], rep.exp_moment, rep.dissipation[2.0])
+    rep = lyapunov_check(traj)
+    columns = (traj.times, traj.M0, traj.M1, traj.M2, traj.X_eta, traj.D_2)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], columns)
     manifest.outputs.append("trajectory.csv")
 
-    drift = relative_drift(m0)
+    drift = relative_drift(traj.M0)
     tol = 1e-12 if mode == "atoms" else 1e-10
     manifest.check("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}")
     manifest.check(
@@ -552,9 +555,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         limit_payload.update(skipped="classification disabled for this run", error="classification disabled")
     else:
         try:
-            cls = classify_limit(
-                traj, cfg.truncation, limit_tol=red["limit_tol"], stationarity_window=red["stationarity_window"]
-            )
+            cls = classify_limit(traj, cfg.truncation, limit_tol=red["limit_tol"])
         except NotConverged as e:
             limit_payload["error"] = str(e)
             manifest.check("limit_structure", False, str(e))

@@ -8,7 +8,11 @@ the same system at the grid nodes, with masses m_j = w_j u_j (node weights
 w), after the flatness certificate has admitted the data.  Both conserve
 mass by antisymmetry, decrease every power moment of order >= 1, and
 converge to a sum of decoupled point masses whose structure is checked by
-the limit classifier through the exact bounded-Lipschitz distance.  The
+the limit classifier through the exact bounded-Lipschitz distance.  A run
+keeps no array of its records: one reducer takes each block of them as
+the integrator streams it and leaves what the outputs read, the columns
+of the mass, the moments and the dissipations, the extremes of the
+classifier's window masses, and three states.  The
 paper's fixed-point construction of the flat solutions is a test oracle
 (``tests/oracles.py``), not a second solver.  Nothing here imports SciPy;
 the tests hold the port to it bit for bit.
@@ -16,7 +20,6 @@ the tests hold the port to it bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,17 +53,18 @@ __all__ = [
 
 
 # Numerical guards, one value each: the flatness exponent r of a density
-# run, the moment orders and the tolerance of the moment balance, and
-# classify_limit's tolerances on a block's mass (relative to the total mass)
-# and on a location (relative to max(1, x)).  DOP853's tolerances are the
-# package's pair, ``_dop853.RTOL`` and ``ATOL``.
+# run, the tolerance of the moment balance, and classify_limit's tolerances
+# on a block's mass (relative to the total mass) and on a location
+# (relative to max(1, x)).  DOP853's tolerances are the package's pair,
+# ``_dop853.RTOL`` and ``ATOL``.
 _FLAT_R = 1.0
-_MOMENT_ORDERS = (1.0, 2.0, 3.0)
 _BALANCE_TOLERANCE = 1e-4
 _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
-# recorded states per block of the series of a trajectory; their temporaries
-# are a few blocks of rows, not copies of the whole trajectory
+# a run reduces its records in blocks of about this many floats (at least 3
+# records), and the Lyapunov check walks its series this many values at a
+# time: their temporaries are a block's, not copies of the whole run
+_REDUCE_FLOATS = 8192
 _BLOCK_ROWS = 512
 
 
@@ -196,110 +200,204 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
     return np.bincount(keys.ravel(), w.ravel(), flat.size).reshape(m.shape)
 
 
-class _RecordedSeries:
-    """The series that both trajectory kinds compute alike, from their
-    ``_carriers``: the sorted points x, the recorded rows U (one per
-    record), the weights w that make a row point masses (None for atoms,
-    whose rows are masses) and the rate matrix at x."""
+class _Reducer:
+    """The reduction of a run's records, as DOP853 streams them to :meth:`emit`.
 
-    def _row_sums(self, f: np.ndarray | None = None, a: int = 0, b: int | None = None) -> np.ndarray:
-        """sum_j U[k, j] w_j f_j over the columns a:b of every record k, a
-        factor that is absent counting as 1.
+    A record is a row of masses at the points x (a density's node masses,
+    for node weights w).  The rows are copied into fixed blocks of
+    max(3, ``_REDUCE_FLOATS`` // N) records, the last block taking the
+    remainder, and each block is reduced when it is full: BLAS sums a
+    product of one or two rows in another order, while longer blocks give
+    each row the bits of the product over all rows, so no block shorter
+    than 3 rows reaches it unless the run has fewer records.  A block's
+    minimum joins the running minimum (``NegativeAtomMass`` reads it
+    after the run), its rows are clipped at zero and divided by w, and each
+    column is written for its records:
 
-        An elementwise product and numpy's pairwise sum along each row, one
-        block of ``_BLOCK_ROWS`` records at a time: the order of the sum is
-        fixed by the row length, so the bits are the same at every BLAS
-        thread count, as those of a matrix-vector product are not.
-        """
-        _, U, w, _ = self._carriers
-        c = w if f is None else (f if w is None else w * f)
-        out = np.empty(len(U))
-        for lo in range(0, len(U), _BLOCK_ROWS):
-            rows = U[lo:lo + _BLOCK_ROWS, a:b]
-            np.sum(rows if c is None else rows * c[a:b], axis=1, out=out[lo:lo + _BLOCK_ROWS])
-        return out
+    - ``M0``, ``M1``, ``M2``, ``M3`` and ``X_eta`` are the row sums
+      ``np.sum(rows * c, axis=1)`` against c = w x^alpha (w e^{eta x}),
+      a factor that is absent counting as 1;
+    - ``D_2`` and ``D_3`` are the quadratic forms
+      sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of the rows V = rows * w:
+      ``V @ W`` and a row-wise dot, with W built once per run.
 
-    def mass_series(self) -> np.ndarray:
-        return self._row_sums()
+    The rows at the indices ``keep`` are copied out.  ``windows``, when
+    given, maps record 0 to the classifier's windows (:class:`_LimitWindows`)
+    and the window masses reduce into their extremes block by block.
+    """
 
-    def moment_series(self, alpha: float) -> np.ndarray:
-        return self._row_sums(self._carriers[0] ** alpha)
+    def __init__(self, x: np.ndarray, R: np.ndarray, n_record: int, weights: np.ndarray | None,
+                 eta: float | None, keep: tuple[int, ...], windows=None) -> None:
+        self.w, self.keep, self.windows = weights, keep, windows
+        rows = max(3, _REDUCE_FLOATS // x.size)
+        self.bounds = [k * rows for k in range(max(n_record // rows, 1))] + [n_record]
+        self.buf = np.empty((self.bounds[-1] - self.bounds[-2], x.size))
+        self.block = self.filled = 0
+        self.low = np.inf
+        self.kept: list[np.ndarray] = []
+        self.limit: _LimitWindows | None = None
+        c = (lambda f: f) if weights is None else (lambda f: weights * f)
+        # M0's factor is w itself: the product rows * w is V, made once per block
+        self.factors = {"M1": c(x ** 1.0), "M2": c(x ** 2.0), "M3": c(x ** 3.0)}
+        if eta is not None:
+            self.factors["X_eta"] = c(np.exp(eta * x))
+        self.forms = {f"D_{a:g}": R * (x[:, None] ** a - x[None, :] ** a) for a in (2.0, 3.0)}
+        self.columns = {name: np.empty(n_record) for name in ("M0", *self.factors, *self.forms)}
 
-    def exp_moment_series(self, eta: float) -> np.ndarray:
-        return self._row_sums(np.exp(eta * self._carriers[0]))
+    def emit(self, _t: np.ndarray, rows: np.ndarray) -> None:
+        done = 0
+        while done < len(rows):
+            lo, hi = self.bounds[self.block], self.bounds[self.block + 1]
+            take = min(len(rows) - done, hi - lo - self.filled)
+            self.buf[self.filled:self.filled + take] = rows[done:done + take]
+            self.filled += take
+            done += take
+            if self.filled == hi - lo:
+                self._reduce(self.buf[:hi - lo], lo, hi)
+                self.block += 1
+                self.filled = 0
 
-    def dissipation_series(self, alpha: float) -> np.ndarray:
-        """Moment dissipation of every recorded state, block by block (a
-        density weighted into point masses on the way); see
-        :func:`_dissipation`."""
-        x, U, w, R = self._carriers
-        return _dissipation(R, x, U, alpha, w)
-
-    def window_mass_series(self, lo: float, hi: float = math.inf) -> np.ndarray:
-        """Mass on lo <= x <= hi of every recorded state; the points are
-        sorted, so the window is a range of columns (empty when hi < lo)."""
-        x = self._carriers[0]
-        return self._row_sums(a=int(np.searchsorted(x, lo, side="left")), b=int(np.searchsorted(x, hi, side="right")))
+    def _reduce(self, U: np.ndarray, lo: int, hi: int) -> None:
+        self.low = np.minimum(self.low, U.min())
+        np.clip(U, 0.0, None, out=U)
+        if self.w is not None:
+            U /= self.w
+        self.kept += [U[k - lo].copy() for k in self.keep if lo <= k < hi]
+        V = U if self.w is None else U * self.w
+        cols = self.columns
+        np.sum(V, axis=1, out=cols["M0"][lo:hi])
+        for name, c in self.factors.items():
+            np.sum(U * c, axis=1, out=cols[name][lo:hi])
+        for name, W in self.forms.items():
+            np.einsum("ti,ti->t", V @ W, V, out=cols[name][lo:hi])
+        if self.windows is not None:
+            if lo == 0:
+                self.limit = self.windows(U[0])
+            self.limit.reduce(V)
 
 
 @dataclass
-class AtomTrajectory(_RecordedSeries):
-    """Recorded atom masses over time, with the system they evolve in, the
-    number of right-hand-side evaluations the integration took (SciPy's
-    ``nfev``: a stacked call of the dense output counts one per row) and its
-    accepted and rejected DOP853 steps."""
+class _LimitWindows:
+    """The classifier's view of a run, taken as its records stream.
+
+    ``blocks`` are the blocks of record 0, each with its ``masses`` and the
+    ``pads`` of its window [min - pad_lo, max + pad_hi]; each tail threshold
+    r has the window [r, inf).  Every record's mass on each window is
+    reduced at once into ``drift``, the largest |block window mass - the
+    block's mass at record 0|, and ``rise``, the largest rise of a tail
+    mass between consecutive records (-inf where there is none).  NaN is
+    passed over, as a comparison with it is false.  ``previous`` is the
+    record one ``stationarity_window`` before the last.
+    """
+
+    stationarity_window: float
+    previous: int
+    blocks: tuple[Component, ...]
+    pads: tuple[tuple[float, float], ...]
+    columns: list[tuple[int, int]]  # the column range of each block's window, then each tail's
+    masses: list[float]
+    last: np.ndarray | None = None  # each tail's mass at the last record reduced, as a column
+    drift: float = -math.inf
+    rise: float = -math.inf
+
+    @classmethod
+    def of(cls, initial: HybridMeasure, blocks, pad, x: np.ndarray, stationarity_window: float,
+           previous: int) -> "_LimitWindows":
+        """Windows of the initial blocks, each padded on both sides by
+        ``pad(edge, gap to the neighbouring block)``, and of the ten tail
+        thresholds at the 5 % to 95 % quantiles of the initial support (none
+        when it is empty); sorted points make a window a range of columns."""
+        def window(lo: float, hi: float) -> tuple[int, int]:
+            return int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
+
+        pads = []
+        for k, comp in enumerate(blocks):
+            lo, hi = comp.min_point, comp.max_point
+            pads.append((pad(lo, lo - blocks[k - 1].max_point if k > 0 else math.inf),
+                         pad(hi, blocks[k + 1].min_point - hi if k + 1 < len(blocks) else math.inf)))
+        support0 = [p for p, _ in initial.support_points()]
+        tails = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
+        columns = [window(c.min_point - a, c.max_point + b) for c, (a, b) in zip(blocks, pads)]
+        columns += [window(float(r), math.inf) for r in tails]
+        return cls(stationarity_window, previous, tuple(blocks), tuple(pads), columns, [c.mass for c in blocks])
+
+    def reduce(self, V: np.ndarray) -> None:
+        """Fold a block of records, as point masses V, into the extremes."""
+        sums = np.empty((len(self.columns), len(V)))
+        for k, (a, b) in enumerate(self.columns):
+            np.sum(V[:, a:b], axis=1, out=sums[k])
+        blocks, tails = sums[:len(self.masses)], sums[len(self.masses):]
+        drift = np.abs(blocks - np.array(self.masses)[:, None])
+        rises = np.diff(tails if self.last is None else np.concatenate([self.last, tails], axis=1), axis=1)
+        self.drift = np.fmax.reduce(drift, axis=None, initial=self.drift)
+        self.rise = np.fmax.reduce(rises, axis=None, initial=self.rise)
+        self.last = tails[:, -1:].copy()
+
+
+@dataclass
+class _ReducedRun:
+    """The columns of a reduced run, one float per record each: the mass
+    ``M0``, the power moments ``M1``, ``M2`` and ``M3``, the exponential
+    moment ``X_eta`` (None when the run had no eta) and the dissipations
+    ``D_2`` and ``D_3``.  ``states`` holds the rows of the records
+    ``records`` (0, the classifier's ``limit.previous`` when there is a
+    ``limit``, and the last), and no other state is kept.  ``nfev``,
+    ``steps`` and ``rejected`` are the DOP853 counts (SciPy's ``nfev``: a
+    stacked call of the dense output counts one per row)."""
+
+    times: np.ndarray
+    M0: np.ndarray
+    M1: np.ndarray
+    M2: np.ndarray
+    M3: np.ndarray
+    X_eta: np.ndarray | None
+    D_2: np.ndarray
+    D_3: np.ndarray
+    records: tuple[int, ...]
+    states: np.ndarray
+    limit: _LimitWindows | None
+    nfev: int
+    steps: int
+    rejected: int
+
+    def _row(self, idx: int) -> np.ndarray:
+        return self.states[self.records.index(idx)]
+
+
+@dataclass
+class AtomTrajectory(_ReducedRun):
+    """An atom run as a column record (:class:`_ReducedRun`): its columns,
+    the masses it kept at the atoms' ``locations``, and the system they
+    evolve in, whose rate table the limit classifier reads."""
 
     state0: AtomSystemState
-    times: np.ndarray
-    masses: np.ndarray  # shape (len(times), n_atoms)
-    nfev: int
-    steps: int = 0
-    rejected: int = 0
 
     @property
     def locations(self) -> np.ndarray:
         return self.state0.locations
 
-    @property
-    def _carriers(self) -> tuple:
-        return self.state0.locations, self.masses, None, self.state0.rate_matrix
-
     def final_masses(self) -> np.ndarray:
-        return self.masses[-1]
+        return self.states[-1]
 
     def state_at(self, idx: int) -> HybridMeasure:
-        return HybridMeasure(atoms=list(zip(self.locations, self.masses[idx])))
+        return HybridMeasure(atoms=list(zip(self.locations, self._row(idx))))
 
 
-def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 (the package's tolerances,
-    relative ``RTOL`` = 1e-12 and absolute ``ATOL`` = 1e-20) and record
-    n_record equally spaced states by its dense output.
-
-    The stepper is the in-repo port of SciPy's (``_dop853``), so the
-    records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
-    bit for bit; each block of them it streams is copied into the one
-    (n_record, N) array of masses.  Masses remain in [0, M0]; negative
-    undershoot within integrator noise is clipped to zero, anything worse
-    raises NegativeAtomMass.  A step size below the float spacing raises
-    AtomStepCollapse with the integrator's message.  Total mass is conserved
-    to roundoff by the pairwise right-hand side: a 1-D call (a stage) is
-    :func:`atom_ode_rhs`'s one row inlined, one Python frame each, and a
-    stacked call of the dense output is :func:`atom_ode_rhs`.  A state with
-    no atoms is refused (``ValueError``), as a bad ``t_end`` or
-    ``n_record`` is.
-    """
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    if n_record < 2:
-        raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
-    if state.masses.size == 0:
-        raise ValueError("the atom system has no atoms to integrate")
+def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, weights: np.ndarray | None,
+                 eta: float | None, window: float | None, partition) -> dict:
+    """Integrate ``state`` to t_end and reduce its n_record records (see
+    :class:`_Reducer`).  With a stationarity ``window``, ``partition`` maps
+    record 0 to its measure, its blocks and the pad rule of their windows.
+    Returns the fields of :class:`_ReducedRun`."""
     m0 = state.masses.copy()
-    total = float(m0.sum())
     times = np.linspace(0.0, t_end, n_record)
-    masses = np.empty((n_record, m0.size))
-    done = 0
+    keep = (0, n_record - 1)
+    windows = None
+    if window is not None:
+        previous = min(int(np.searchsorted(times, times[-1] - window)), n_record - 2)
+        keep = tuple(sorted({0, previous, n_record - 1}))
+        windows = lambda row0: _LimitWindows.of(*partition(row0), state.locations, window, previous)
+    reducer = _Reducer(state.locations, state.rate_matrix, n_record, weights, eta, keep, windows)
     row, a, b, r = state._slots
     slotless = row.size == 0
 
@@ -310,115 +408,159 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001) -> Ato
         w *= m.take(b)
         return np.bincount(row, w, m.size)
 
-    def keep(t: np.ndarray, rows: np.ndarray) -> None:
-        nonlocal done
-        masses[done:done + len(rows)] = rows
-        done += len(rows)
-
     try:
-        counts = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, keep)
+        counts = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, reducer.emit)
     except StepSizeTooSmall as e:
         raise AtomStepCollapse(f"atom integration failed: {e}") from None
-    low = masses.min()
-    if low < -1e-12 * max(total, 1.0):
-        raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {low}")
-    np.clip(masses, 0.0, None, out=masses)
-    return AtomTrajectory(state0=state, times=times, masses=masses, nfev=counts.nfev,
-                          steps=counts.steps, rejected=counts.rejected)
+    if reducer.low < -1e-12 * max(float(m0.sum()), 1.0):
+        raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {reducer.low}")
+    return dict({"X_eta": None, **reducer.columns}, times=times, records=keep, states=np.array(reducer.kept),
+                limit=reducer.limit, nfev=counts.nfev, steps=counts.steps, rejected=counts.rejected)
 
 
-def _dissipation(
-    R: np.ndarray, x: np.ndarray, U: np.ndarray, alpha: float, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Quadratic form sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of each
-    row V of the stack of states U, or of U * weights when node weights are
-    given (point masses at the locations x).
+def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001, eta: float | None = None,
+              stationarity_window: float | None = None) -> AtomTrajectory:
+    """Integrate the atom system with DOP853 (the package's tolerances,
+    relative ``RTOL`` = 1e-12 and absolute ``ATOL`` = 1e-20) and reduce
+    n_record equally spaced records of its dense output into columns.
 
-    A matrix product with W and a row-wise dot: the work of a matvec per
-    state, instead of a three-operand contraction.  The stack goes through
-    in blocks of ``_BLOCK_ROWS`` rows into one output array, so temporaries
-    stay at a block's size.  The last block takes the remainder: BLAS sums
-    a product of one or two rows in another order, while longer blocks
-    give each row the bits of the product over all rows.
+    The stepper is the in-repo port of SciPy's (``_dop853``), so the
+    records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
+    bit for bit.  No (n_record, N) array is made: each block of records
+    it streams is reduced as it comes (:class:`_Reducer`) into the mass,
+    the moments of orders 1, 2 and 3, the exponential moment (when
+    ``eta`` is given) and the dissipations of orders 2 and 3, and the
+    masses at t = 0 and t_end are kept.  A ``stationarity_window`` makes
+    the run ready for :func:`classify_limit`: it also keeps the masses one
+    window before the end and reduces the windows of the table's blocks
+    and of the tail thresholds.  Masses remain in [0, M0]; negative
+    undershoot within integrator noise is clipped to zero, anything worse
+    raises NegativeAtomMass after the run.  A step size below the float
+    spacing raises AtomStepCollapse with the integrator's message.  Total
+    mass is conserved to roundoff by the pairwise right-hand side: a 1-D
+    call (a stage) is :func:`atom_ode_rhs`'s one row inlined, one Python
+    frame each, and a stacked call of the dense output is
+    :func:`atom_ode_rhs`.  A state with no atoms is refused
+    (``ValueError``), as a bad ``t_end`` or ``n_record`` is.
     """
-    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
-    bounds = [k * _BLOCK_ROWS for k in range(max(len(U) // _BLOCK_ROWS, 1))] + [len(U)]
-    out = np.empty(len(U))
-    for lo, hi in itertools.pairwise(bounds):
-        V = U[lo:hi] if weights is None else U[lo:hi] * weights
-        np.einsum("ti,ti->t", V @ W, V, out=out[lo:hi])
-    return out
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if n_record < 2:
+        raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
+    if state.masses.size == 0:
+        raise ValueError("the atom system has no atoms to integrate")
+
+    def partition(row0):
+        initial = HybridMeasure(atoms=list(zip(state.locations, row0)))
+        return initial, _table_components(initial, state), lambda x, gap: 0.0
+
+    fields = _reduced_run(state, t_end, n_record, None, eta, stationarity_window, partition)
+    return AtomTrajectory(**fields, state0=state)
 
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Monotonicity and balance checks of the moment functionals, and the
-    series they were made on: the moments and dissipations by order, and
-    the exponential moment, one value per recorded state each."""
+    """Monotonicity and balance checks of the moment functionals of a run."""
 
     monotone: dict[float, bool]
     max_balance_error: dict[float, float]
     exp_moment_monotone: bool
     balance_tolerance: float
-    moments: dict[float, np.ndarray]
-    dissipation: dict[float, np.ndarray]
-    exp_moment: np.ndarray
 
     @property
     def balance_ok(self) -> bool:
         return all(err <= self.balance_tolerance for err in self.max_balance_error.values())
 
 
-def lyapunov_check(traj, eta: float) -> LyapunovReport:
-    """Verify the Lyapunov structure along a recorded trajectory.
+def lyapunov_check(traj) -> LyapunovReport:
+    """Verify the Lyapunov structure along a reduced run's columns.
 
-    The moments of the orders ``_MOMENT_ORDERS`` (1, 2 and 3) and the
-    exponential moment must be nonincreasing, and for alpha > 1 the moment
-    must change by the time integral of half the dissipation:
-    M(t_{k+1}) - M(t_{k-1}) against the three-point Simpson rule for unequal
-    spacing over [t_{k-1}, t_{k+1}], whose error is O(h^4) (a centred
-    difference is O(h^2)).  The balance error is the mismatch relative to
-    (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2| is at least
-    1 % of its peak, and must not exceed ``_BALANCE_TOLERANCE`` (1e-4).
-    Each series (M1, M2, M3, X_eta, D_2 and D_3) is computed once, here,
-    and the report carries them, so a caller writes them out from it.
+    The moments ``M1``, ``M2``, ``M3`` and the exponential moment
+    ``X_eta`` must be nonincreasing, and for alpha = 2 and 3 the moment
+    must change by the time integral of half the dissipation ``D_alpha``:
+    M(t_{k+1}) - M(t_{k-1}) against the three-point Simpson rule for
+    unequal spacing over [t_{k-1}, t_{k+1}], whose error is O(h^4) (a
+    centred difference is O(h^2)).  The balance error is the mismatch
+    relative to (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2|
+    is at least 1 % of its peak, and must not exceed
+    ``_BALANCE_TOLERANCE`` (1e-4).  Both go through ``_BLOCK_ROWS``
+    records at a time (:func:`_nonincreasing`, :func:`_balance_error`).
     """
-    t = np.asarray(traj.times)
-    h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
-    span = h1 + h2
-    moments: dict[float, np.ndarray] = {}
-    dissipation: dict[float, np.ndarray] = {}
+    if traj.X_eta is None:
+        raise ValueError("the run has no exponential moment: give run_atoms an eta")
+    t = traj.times
     monotone: dict[float, bool] = {}
     balance: dict[float, float] = {}
-    for alpha in _MOMENT_ORDERS:
-        moment = moments[alpha] = traj.moment_series(alpha)
-        scale = max(abs(moment[0]), 1e-300)
-        monotone[alpha] = bool(np.all(np.diff(moment) <= 1e-12 * scale))
-        if alpha > 1.0:
-            dissipation[alpha] = traj.dissipation_series(alpha)
-            half_d = 0.5 * dissipation[alpha]
-            left, mid, right = half_d[:-2], half_d[1:-1], half_d[2:]
-            simpson = span / 6.0 * ((2.0 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2.0 - h1 / h2) * right)
-            change = moment[2:] - moment[:-2]
-            size = np.abs(mid)
-            peak = np.max(size) if size.size else 0.0
-            if peak > 0.0:
-                active = size >= 0.01 * peak
-                err = np.abs(change[active] - simpson[active]) / (span[active] * size[active])
-                balance[alpha] = float(np.max(err)) if err.size else 0.0
-            else:
-                balance[alpha] = float(np.max(np.abs(change / span))) if change.size else 0.0
-    x_series = traj.exp_moment_series(eta)
-    exp_monotone = bool(np.all(np.diff(x_series) <= 1e-12 * abs(x_series[0])))
+    for alpha, moment, dissipation in ((1.0, traj.M1, None), (2.0, traj.M2, traj.D_2), (3.0, traj.M3, traj.D_3)):
+        monotone[alpha] = _nonincreasing(moment, 1e-12 * max(abs(moment[0]), 1e-300))
+        if dissipation is not None:
+            balance[alpha] = _balance_error(t, moment, dissipation)
     return LyapunovReport(
         monotone=monotone,
         max_balance_error=balance,
-        exp_moment_monotone=exp_monotone,
+        exp_moment_monotone=_nonincreasing(traj.X_eta, 1e-12 * abs(traj.X_eta[0])),
         balance_tolerance=_BALANCE_TOLERANCE,
-        moments=moments,
-        dissipation=dissipation,
-        exp_moment=x_series,
     )
+
+
+def _nonincreasing(series: np.ndarray, tol: float) -> bool:
+    """No step of the series rises by more than tol: ``np.all(np.diff(series) <= tol)``."""
+    return all(np.all(np.diff(series[lo:lo + _BLOCK_ROWS + 1]) <= tol)
+               for lo in range(0, len(series) - 1, _BLOCK_ROWS))
+
+
+def _balance_error(t: np.ndarray, moment: np.ndarray, dissipation: np.ndarray) -> float:
+    """The largest relative mismatch of :func:`lyapunov_check`'s Simpson
+    balance, ``_BLOCK_ROWS`` interior records at a time in buffers of that
+    size, with the operations of the whole-series formula in its order.
+
+    A first pass finds the peak of |D_k / 2| over the interior records k;
+    with no positive peak the error is the largest |M(t_{k+1}) -
+    M(t_{k-1})| / (t_{k+1} - t_{k-1}).  Two records have no interior: 0.
+    """
+    n = len(t) - 2
+    blocks = range(0, max(n, 0), _BLOCK_ROWS)
+    half_d = lambda lo, hi: np.multiply(0.5, dissipation[lo:hi])
+    peak = np.max([np.max(np.abs(half_d(lo + 1, min(lo + _BLOCK_ROWS, n) + 1))) for lo in blocks]) if n > 0 else 0.0
+    h1, h2, span, term, acc, change = (np.empty(min(_BLOCK_ROWS, max(n, 0))) for _ in range(6))
+    worst = []
+    for lo in blocks:
+        k = min(lo + _BLOCK_ROWS, n) - lo
+        b1, b2, sp, tm, ac, ch = h1[:k], h2[:k], span[:k], term[:k], acc[:k], change[:k]
+        np.subtract(t[lo + 1:lo + k + 1], t[lo:lo + k], out=b1)
+        np.subtract(t[lo + 2:lo + k + 2], t[lo + 1:lo + k + 1], out=b2)
+        np.add(b1, b2, out=sp)
+        if not peak > 0.0:
+            np.subtract(moment[lo + 2:lo + k + 2], moment[lo:lo + k], out=ch)
+            np.divide(ch, sp, out=ch)
+            worst.append(np.max(np.abs(ch, out=ch)))
+            continue
+        d = half_d(lo, lo + k + 2)
+        left, mid, right = d[:-2], d[1:-1], d[2:]
+        # span / 6 * ((2 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2 - h1 / h2) * right)
+        np.divide(b2, b1, out=ac)
+        np.subtract(2.0, ac, out=ac)
+        ac *= left
+        np.multiply(sp, sp, out=tm)
+        tm /= np.multiply(b1, b2, out=ch)
+        tm *= mid
+        ac += tm
+        np.divide(b1, b2, out=tm)
+        np.subtract(2.0, tm, out=tm)
+        tm *= right
+        ac += tm
+        np.multiply(np.divide(sp, 6.0, out=tm), ac, out=ac)
+        # |change - simpson| / (span * |D / 2|) where |D / 2| >= 1 % of the peak
+        np.subtract(moment[lo + 2:lo + k + 2], moment[lo:lo + k], out=ch)
+        ch -= ac
+        np.abs(ch, out=ch)
+        size = np.abs(mid, out=mid)
+        active = size >= 0.01 * peak
+        np.multiply(sp, size, out=tm)
+        np.divide(ch, tm, out=ch, where=active)
+        if active.any():
+            worst.append(np.max(ch, where=active, initial=-math.inf))
+    return float(np.max(worst)) if worst else 0.0
 
 
 def flatness_certificate(
@@ -450,27 +592,17 @@ def pointwise_growth_constant(
 
 
 @dataclass
-class PicardTrajectory(_RecordedSeries):
-    """Recorded densities of a flat density run on its grid, the rate matrix
-    at the nodes, the constant C0 of the pointwise envelope, and the number
-    of right-hand-side evaluations and the DOP853 steps of the node system
-    (as an atom run's)."""
+class PicardTrajectory(_ReducedRun):
+    """A flat density run as a column record (:class:`_ReducedRun`): its
+    columns (of the densities), the densities it kept on its ``grid``, and
+    the constant C0 of the pointwise envelope u(t, x) <= u0(x) e^{t C0 /
+    x^{3/2}}; ``states[-1]`` is the density at t_end."""
 
     grid: Grid
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), n_nodes)
-    rate_grid: np.ndarray
     growth_constant: float
-    nfev: int
-    steps: int = 0
-    rejected: int = 0
-
-    @property
-    def _carriers(self) -> tuple:
-        return self.grid.nodes, self.states, self.grid.weights, self.rate_grid
 
     def state_at(self, idx: int) -> HybridMeasure:
-        return HybridMeasure(atoms=[], grid=self.grid, density=self.states[idx])
+        return HybridMeasure(atoms=[], grid=self.grid, density=self._row(idx))
 
     def pointwise_envelope(self, idx: int, u0: np.ndarray) -> np.ndarray:
         t = self.times[idx]
@@ -478,19 +610,26 @@ class PicardTrajectory(_RecordedSeries):
 
 
 def run_density(
-    u0: HybridMeasure, pp: PhysicalParams, tp: TruncationParams, t_end: float, eta: float, dt: float = 1e-3
+    u0: HybridMeasure, pp: PhysicalParams, tp: TruncationParams, t_end: float, eta: float, dt: float = 1e-3,
+    stationarity_window: float | None = None,
 ) -> PicardTrajectory:
     """Solve the reduced equation for flat integrable data on its grid.
 
     On the grid the equation du_i/dt = u_i sum_j R_ij w_j u_j is the atom
-    system with masses m_j = w_j u_j at the nodes, so :func:`run_atoms`
-    integrates it, and the recorded masses are divided by w in place.  The
-    records are equally spaced at about ``dt`` (``ceil(t_end/dt) + 1`` of
-    them, at least 2).  ``t_end`` and ``dt`` must be positive and finite, the
-    data a pure density and eta above (1 - theta)/2; the flatness
-    certificate (exponent ``_FLAT_R`` = 1) is checked before anything runs.
-    Mass is conserved by antisymmetry, a zero node stays zero, and the
-    pointwise growth envelope holds with the calibrated constants.
+    system with masses m_j = w_j u_j at the nodes, so it is integrated and
+    reduced as :func:`run_atoms` does, with the node weights w: each record
+    is divided by w into a density, and the columns are those of the
+    densities (X_eta at this ``eta``).  The records are equally spaced at
+    about ``dt`` (``ceil(t_end/dt) + 1`` of them, at least 2).  A
+    ``stationarity_window`` keeps the density one window before the end
+    and reduces the windows of the cutoff blocks of the initial density,
+    each padded by :func:`_block_pad`, and of the tail thresholds, for
+    :func:`classify_limit`.  ``t_end`` and ``dt`` must be positive and
+    finite, the data a pure density and eta above (1 - theta)/2; the
+    flatness certificate (exponent ``_FLAT_R`` = 1) is checked before
+    anything runs.  Mass is conserved by antisymmetry, a zero node stays
+    zero, and the pointwise growth envelope holds with the calibrated
+    constants.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -503,18 +642,14 @@ def run_density(
     _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
     rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
     state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_grid)
-    atoms = run_atoms(state, t_end, n_record=max(2, math.ceil(t_end / dt) + 1))
-    atoms.masses /= grid.weights
-    return PicardTrajectory(
-        grid=grid,
-        times=atoms.times,
-        states=atoms.masses,
-        rate_grid=state.rate_matrix,
-        growth_constant=pointwise_growth_constant(tp, c_star, x_eta0),
-        nfev=atoms.nfev,
-        steps=atoms.steps,
-        rejected=atoms.rejected,
-    )
+
+    def partition(row0):
+        initial = HybridMeasure(atoms=[], grid=grid, density=row0)
+        return initial, components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
+
+    n_record = max(2, math.ceil(t_end / dt) + 1)
+    fields = _reduced_run(state, t_end, n_record, grid.weights, eta, stationarity_window, partition)
+    return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, x_eta0))
 
 
 @dataclass(frozen=True)
@@ -545,37 +680,38 @@ class LimitClassification:
         )
 
 
-def classify_limit(
-    traj,
-    tp: TruncationParams,
-    limit_tol: float = 1e-8,
-    stationarity_window: float = 1.0,
-) -> LimitClassification:
+def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> LimitClassification:
     """Extract the limit atoms of a trajectory and check their structure.
 
-    Stationarity requires the bounded-Lipschitz distance between states one
-    window apart to fall below ``limit_tol`` at the end of the run; then the
-    surviving mass clusters are read as atoms and checked against the
-    initial state: atoms sit in the initial support, are pairwise
-    decoupled, reproduce each initial block's mass, and include the
-    leftmost point of every block with positive minimum.  The kind is
-    tested once: an atom trajectory reads its blocks and couplings off its
+    The trajectory must come from a run given a ``stationarity_window``
+    (its ``limit``).  Stationarity requires the bounded-Lipschitz distance
+    between the kept states one window apart to fall below ``limit_tol``
+    at the end of the run; then the surviving mass clusters are read as
+    atoms and checked against the initial state: atoms sit in the initial
+    support, are pairwise decoupled, reproduce each initial block's mass,
+    and include the leftmost point of every block with positive minimum.
+    The kind is tested once: an atom trajectory reads its couplings off its
     rate table and its surviving atoms are the limit atoms; a density
-    trajectory reads both off the cutoff geometry, takes one mass-weighted
-    limit atom per final block, and widens the support by 1.5 grid cells
-    and each block by :func:`_block_pad`.  One pass over the initial blocks
-    checks a block's mass to ``_LIMIT_MASS_TOL`` (1e-8) of the total mass,
-    at every record to ten times that (one ``window_mass_series`` each),
-    and a location to ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).
-    Tail masses must not rise at any record, one series per tail threshold
-    (an empty initial support has none).  ``passed`` needs all six flags.
+    trajectory reads them off the cutoff geometry, takes one mass-weighted
+    limit atom per final block, and widens the support by 1.5 grid cells.
+    One pass over the run's initial blocks (the table's, or the cutoff's
+    padded by :func:`_block_pad`) checks a block's mass to
+    ``_LIMIT_MASS_TOL`` (1e-8) of the total mass and a location to
+    ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).  The records are
+    judged by what the run reduced them to: every block window's mass must
+    stay within ten times the block tolerance of the block's mass, and no
+    tail mass may rise by more than 1e-12 of the total mass between
+    consecutive records (an empty initial support has no tail thresholds).
+    ``passed`` needs all six flags.
     """
-    t = np.asarray(traj.times)
-    if t[-1] - t[0] < stationarity_window:
+    windows = traj.limit
+    if windows is None:
+        raise ValueError("the run kept no classifier windows: give it a stationarity_window")
+    t = traj.times
+    if t[-1] - t[0] < windows.stationarity_window:
         raise NotConverged("trajectory shorter than the stationarity window")
-    idx_prev = min(int(np.searchsorted(t, t[-1] - stationarity_window)), len(t) - 2)
     final = traj.state_at(len(t) - 1)
-    stationarity_gap = bl_distance(traj.state_at(idx_prev), final)
+    stationarity_gap = bl_distance(traj.state_at(windows.previous), final)
     if stationarity_gap >= limit_tol:
         raise NotConverged(
             f"bounded-Lipschitz stationarity gap {stationarity_gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
@@ -585,16 +721,13 @@ def classify_limit(
     total0 = initial.total_mass
     support0 = [x for x, _ in initial.support_points()]
     if isinstance(traj, AtomTrajectory):
-        # atoms never leave their locations: the initial blocks are the table's,
-        # each surviving atom is a limit atom, and the table says which couple
-        blocks = _table_components(initial, traj.state0)
+        # atoms never leave their locations: each surviving atom is a limit
+        # atom, and the table says which couple
         limit_atoms = final.support_points()
         at = np.searchsorted(traj.locations, [x for x, _ in limit_atoms])
         pairwise = not np.any(traj.state0.rate_matrix[np.ix_(at, at)])
         tols = [_LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
-        pad = lambda x, gap: 0.0
     else:
-        blocks = components(initial, tp)
         limit_atoms = [
             (c.points[0], c.mass) if len(c.points) == 1
             else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
@@ -603,24 +736,19 @@ def classify_limit(
         locs = np.array([x for x, _ in limit_atoms])
         i, j = np.triu_indices(locs.size, 1)
         pairwise = not np.any(eval_cutoff(tp, locs[i], locs[j]))
-        nodes = initial.grid.nodes
-        cell = 1.5 * np.max(np.diff(nodes))
+        cell = 1.5 * np.max(np.diff(initial.grid.nodes))
         tols = [max(_LIMIT_LOCATION_TOL * max(1.0, x), cell) for x, _ in limit_atoms]
-        pad = lambda x, gap: _block_pad(nodes, x, gap)
 
     in_support0 = all(any(abs(x - s) <= tol for s in support0) for (x, _), tol in zip(limit_atoms, tols))
 
     # one pass over the initial blocks, each padded on both sides
     mass_scale = max(total0, 1e-300)
     mass_tol = _LIMIT_MASS_TOL * mass_scale
-    drift_tol = 10.0 * _LIMIT_MASS_TOL * mass_scale
     mass_table = []
     minima = []
-    mass_ok = leftmost_ok = conservation_ok = True
-    for k, comp in enumerate(blocks):
-        lo, hi, mass = comp.min_point, comp.max_point, comp.mass
-        pad_lo = pad(lo, lo - blocks[k - 1].max_point if k > 0 else math.inf)
-        pad_hi = pad(hi, blocks[k + 1].min_point - hi if k + 1 < len(blocks) else math.inf)
+    mass_ok = leftmost_ok = True
+    for comp, (pad_lo, pad_hi), mass in zip(windows.blocks, windows.pads, windows.masses):
+        lo, hi = comp.min_point, comp.max_point
         slack_lo = pad_lo + _LIMIT_LOCATION_TOL * max(1.0, lo)
         slack_hi = pad_hi + _LIMIT_LOCATION_TOL * max(1.0, hi)
         in_block = [(x, m) for x, m in limit_atoms if lo - slack_lo <= x <= hi + slack_hi]
@@ -631,13 +759,6 @@ def classify_limit(
             mass_ok = False
         if lo > 0.0 and mass > mass_tol and not any(abs(x - lo) <= slack_lo for x, _ in in_block):
             leftmost_ok = False
-        series = traj.window_mass_series(lo - pad_lo, hi + pad_hi)
-        if np.any(np.abs(series - mass) > drift_tol):
-            conservation_ok = False
-
-    # tail masses nonincreasing for a ladder of thresholds
-    r_values = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
-    queue_ok = not any(np.any(np.diff(traj.window_mass_series(float(r))) > 1e-12 * max(total0, 1.0)) for r in r_values)
 
     return LimitClassification(
         atoms=tuple(limit_atoms),
@@ -648,8 +769,8 @@ def classify_limit(
         pairwise_decoupled=pairwise,
         mass_sums_ok=mass_ok,
         leftmost_ok=leftmost_ok,
-        component_conservation_ok=conservation_ok,
-        queue_monotone=queue_ok,
+        component_conservation_ok=not windows.drift > 10.0 * _LIMIT_MASS_TOL * mass_scale,
+        queue_monotone=not windows.rise > 1e-12 * max(total0, 1.0),
         stationarity_gap=stationarity_gap,
     )
 

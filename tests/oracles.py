@@ -31,24 +31,36 @@ The package integrates the same node system with DOP853
 scheme that integrated the full equation before DOP853 did: every step asks
 for ``dt_init``, and a step with a negative density is retried at half the
 step, down to ``dt_min``.  The tests hold ``full_solver.run_full`` to it.
+
+:class:`Recorded` keeps every record of a reduced run as one array and
+reduces it as the package did before its runs reduced their records as
+they streamed: the row sums and :func:`dissipation` in blocks of 512
+records, :func:`lyapunov_verdicts` on whole series and
+:func:`classify_recorded` with one window mass series per block and per
+tail threshold.  :func:`replaying` makes a run reduce given records
+instead of integrating, :func:`spying` hands a test the records a run's
+reducer was given, and :func:`reduced_columns` feeds records to the
+reducer directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from comptonsim import full_solver, kernel, measure, truncation
+from comptonsim import full_solver, kernel, measure, reduced_solver, truncation
+from comptonsim._dop853 import Counts
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
 from comptonsim.measure import HybridMeasure
 from comptonsim.reduced_solver import (
     _FLAT_R,
     NonContraction,
-    PicardTrajectory,
     flatness_certificate,
     pointwise_growth_constant,
     rate_matrix,
@@ -471,11 +483,17 @@ _MAX_ITERATIONS = 200
 
 
 @dataclass
-class FixedPointTrajectory(PicardTrajectory):
-    """A fixed-point run's records and its number of accepted windows (it
-    evaluates no ODE right-hand side, so ``nfev`` is 0)."""
+class FixedPointTrajectory:
+    """A fixed-point run's recorded densities on its grid, the rate matrix
+    at the nodes, the constant C0 of the pointwise envelope, and its number
+    of accepted windows."""
 
-    window_count: int = 0
+    grid: object
+    times: np.ndarray
+    states: np.ndarray  # shape (len(times), n_nodes)
+    rate_grid: np.ndarray
+    growth_constant: float
+    window_count: int
 
 
 def picard_solve(
@@ -578,7 +596,6 @@ def picard_solve(
         states=states[:count],
         rate_grid=rate_grid,
         growth_constant=c0,
-        nfev=0,
         window_count=window_count,
     )
 
@@ -633,3 +650,251 @@ def _cumulative_simpson(t: np.ndarray):
         return out
 
     return cumulative
+
+
+# ---------------------------------------------------------------------------
+# a reduced run's record array, and its reductions as they were made on it
+
+
+class Recorded:
+    """Every record of a reduced run as one (n_record, N) array, and the
+    series and verdicts as the package computed them from it before its
+    runs reduced their records as they streamed.
+
+    ``U`` holds the clipped records: masses at the locations ``x`` for
+    atoms (``w`` None), densities at the grid nodes for a density run
+    (``w`` the node weights).  ``R`` is the rate matrix at x; an atom run
+    also has its ``state0``, a density run its ``grid``.
+    """
+
+    _ROWS = 512
+
+    def __init__(self, times, U, x, R, w=None, state0=None, grid=None):
+        self.times, self.U, self.x, self.R, self.w = times, U, x, R, w
+        self.state0, self.grid = state0, grid
+
+    @classmethod
+    def of_records(cls, times, records, state0, grid=None):
+        """From raw records of masses, as DOP853 emits them: clipped at
+        zero, and divided by the node weights for a density run."""
+        U = np.clip(records, 0.0, None)
+        if grid is None:
+            return cls(times, U, state0.locations, state0.rate_matrix, state0=state0)
+        return cls(times, U / grid.weights, grid.nodes, state0.rate_matrix, w=grid.weights, grid=grid)
+
+    def _row_sums(self, f=None, a=0, b=None):
+        U, w = self.U, self.w
+        c = w if f is None else (f if w is None else w * f)
+        out = np.empty(len(U))
+        for lo in range(0, len(U), self._ROWS):
+            rows = U[lo:lo + self._ROWS, a:b]
+            np.sum(rows if c is None else rows * c[a:b], axis=1, out=out[lo:lo + self._ROWS])
+        return out
+
+    def mass_series(self):
+        return self._row_sums()
+
+    def moment_series(self, alpha):
+        return self._row_sums(self.x ** alpha)
+
+    def exp_moment_series(self, eta):
+        return self._row_sums(np.exp(eta * self.x))
+
+    def dissipation_series(self, alpha):
+        return dissipation(self.R, self.x, self.U, alpha, self.w)
+
+    def window_mass_series(self, lo, hi=math.inf):
+        x = self.x
+        return self._row_sums(a=int(np.searchsorted(x, lo, side="left")), b=int(np.searchsorted(x, hi, side="right")))
+
+    def state_at(self, idx):
+        if self.grid is None:
+            return HybridMeasure(atoms=list(zip(self.x, self.U[idx])))
+        return HybridMeasure(atoms=[], grid=self.grid, density=self.U[idx])
+
+
+def dissipation(R, x, U, alpha, weights=None):
+    """sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of each row V of U (or of
+    U * weights) in blocks of 512 rows, the last one taking the remainder."""
+    rows = Recorded._ROWS
+    W = R * (x[:, None] ** alpha - x[None, :] ** alpha)
+    bounds = [k * rows for k in range(max(len(U) // rows, 1))] + [len(U)]
+    out = np.empty(len(U))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        V = U[lo:hi] if weights is None else U[lo:hi] * weights
+        np.einsum("ti,ti->t", V @ W, V, out=out[lo:hi])
+    return out
+
+
+def lyapunov_verdicts(t, moments, dissipations, x_series):
+    """The Lyapunov check on whole series, with every temporary the size
+    of a series: (monotone by order, max balance error by order, whether
+    the exponential moment is nonincreasing)."""
+    h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
+    span = h1 + h2
+    monotone, balance = {}, {}
+    for alpha, moment in moments.items():
+        scale = max(abs(moment[0]), 1e-300)
+        monotone[alpha] = bool(np.all(np.diff(moment) <= 1e-12 * scale))
+        if alpha in dissipations:
+            half_d = 0.5 * dissipations[alpha]
+            left, mid, right = half_d[:-2], half_d[1:-1], half_d[2:]
+            simpson = span / 6.0 * ((2.0 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2.0 - h1 / h2) * right)
+            change = moment[2:] - moment[:-2]
+            size = np.abs(mid)
+            peak = np.max(size) if size.size else 0.0
+            if peak > 0.0:
+                active = size >= 0.01 * peak
+                err = np.abs(change[active] - simpson[active]) / (span[active] * size[active])
+                balance[alpha] = float(np.max(err)) if err.size else 0.0
+            else:
+                balance[alpha] = float(np.max(np.abs(change / span))) if change.size else 0.0
+    exp_monotone = bool(np.all(np.diff(x_series) <= 1e-12 * abs(x_series[0])))
+    return monotone, balance, exp_monotone
+
+
+def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0):
+    """``classify_limit`` as it was on the record array: the stationarity
+    gap, the limit atoms and one window mass series per initial block and
+    per tail threshold."""
+    rs = reduced_solver
+    t = np.asarray(rec.times)
+    if t[-1] - t[0] < stationarity_window:
+        raise rs.NotConverged("trajectory shorter than the stationarity window")
+    idx_prev = min(int(np.searchsorted(t, t[-1] - stationarity_window)), len(t) - 2)
+    final = rec.state_at(len(t) - 1)
+    stationarity_gap = measure.bl_distance(rec.state_at(idx_prev), final)
+    if stationarity_gap >= limit_tol:
+        raise rs.NotConverged(
+            f"bounded-Lipschitz stationarity gap {stationarity_gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
+        )
+    initial = rec.state_at(0)
+    total0 = initial.total_mass
+    support0 = [x for x, _ in initial.support_points()]
+    if rec.grid is None:
+        blocks = rs._table_components(initial, rec.state0)
+        limit_atoms = final.support_points()
+        at = np.searchsorted(rec.x, [x for x, _ in limit_atoms])
+        pairwise = not np.any(rec.state0.rate_matrix[np.ix_(at, at)])
+        tols = [rs._LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
+        pad = lambda x, gap: 0.0
+    else:
+        blocks = measure.components(initial, tp)
+        limit_atoms = [
+            (c.points[0], c.mass) if len(c.points) == 1
+            else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
+            for c in measure.components(final, tp)
+        ]
+        locs = np.array([x for x, _ in limit_atoms])
+        i, j = np.triu_indices(locs.size, 1)
+        pairwise = not np.any(eval_cutoff(tp, locs[i], locs[j]))
+        nodes = initial.grid.nodes
+        cell = 1.5 * np.max(np.diff(nodes))
+        tols = [max(rs._LIMIT_LOCATION_TOL * max(1.0, x), cell) for x, _ in limit_atoms]
+        pad = lambda x, gap: rs._block_pad(nodes, x, gap)
+    in_support0 = all(any(abs(x - s) <= tol for s in support0) for (x, _), tol in zip(limit_atoms, tols))
+    mass_scale = max(total0, 1e-300)
+    mass_tol = rs._LIMIT_MASS_TOL * mass_scale
+    drift_tol = 10.0 * rs._LIMIT_MASS_TOL * mass_scale
+    mass_table, minima = [], []
+    mass_ok = leftmost_ok = conservation_ok = True
+    for k, comp in enumerate(blocks):
+        lo, hi, mass = comp.min_point, comp.max_point, comp.mass
+        pad_lo = pad(lo, lo - blocks[k - 1].max_point if k > 0 else math.inf)
+        pad_hi = pad(hi, blocks[k + 1].min_point - hi if k + 1 < len(blocks) else math.inf)
+        slack_lo = pad_lo + rs._LIMIT_LOCATION_TOL * max(1.0, lo)
+        slack_hi = pad_hi + rs._LIMIT_LOCATION_TOL * max(1.0, hi)
+        in_block = [(x, m) for x, m in limit_atoms if lo - slack_lo <= x <= hi + slack_hi]
+        limit_mass = math.fsum(m for _, m in in_block)
+        mass_table.append((mass, limit_mass))
+        minima.append(lo)
+        if abs(limit_mass - mass) > mass_tol:
+            mass_ok = False
+        if lo > 0.0 and mass > mass_tol and not any(abs(x - lo) <= slack_lo for x, _ in in_block):
+            leftmost_ok = False
+        series = rec.window_mass_series(lo - pad_lo, hi + pad_hi)
+        if np.any(np.abs(series - mass) > drift_tol):
+            conservation_ok = False
+    r_values = rs._quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
+    queue_ok = not any(np.any(np.diff(rec.window_mass_series(float(r))) > 1e-12 * max(total0, 1.0)) for r in r_values)
+    return rs.LimitClassification(
+        atoms=tuple(limit_atoms),
+        initial_component_masses=tuple(m for m, _ in mass_table),
+        initial_component_minima=tuple(minima),
+        component_mass_table=tuple(mass_table),
+        in_initial_support=in_support0,
+        pairwise_decoupled=pairwise,
+        mass_sums_ok=mass_ok,
+        leftmost_ok=leftmost_ok,
+        component_conservation_ok=conservation_ok,
+        queue_monotone=queue_ok,
+        stationarity_gap=stationarity_gap,
+    )
+
+
+def emitting(records, block: int = 7):
+    """A stand-in for ``dop853`` that integrates nothing: it hands
+    ``records`` (one row of masses per requested time) to ``emit`` in
+    blocks of ``block`` rows, each through a buffer that the next block
+    overwrites, and returns no step counts."""
+    def fake(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
+        assert len(records) == t_eval.size
+        buf = np.empty((block, np.shape(records)[1]))
+        for lo in range(0, len(records), block):
+            rows = buf[:len(records[lo:lo + block])]
+            rows[...] = records[lo:lo + block]
+            emit(t_eval[lo:lo + block], rows)
+        return Counts(0, 0, 0)
+    return fake
+
+
+@contextlib.contextmanager
+def replaying(records, block: int = 7):
+    """Runs inside the block reduce ``records`` instead of integrating
+    (:func:`emitting`)."""
+    with mock.patch.object(reduced_solver, "dop853", emitting(records, block)):
+        yield
+
+
+def replayed_atoms(state0, records, t_end=None, block: int = 7, **kwargs):
+    """``run_atoms`` of ``records`` at equally spaced times to t_end (by
+    default len(records) - 1)."""
+    t_end = float(len(records) - 1) if t_end is None else t_end
+    with replaying(records, block):
+        return reduced_solver.run_atoms(state0, t_end, n_record=len(records), **kwargs)
+
+
+def replayed_density(u0, pp, tp, densities, block: int = 7, **kwargs):
+    """``run_density`` of records whose densities are ``densities``, one a
+    unit of time apart (the records are their node masses)."""
+    records = np.asarray(densities) * u0.grid.weights
+    with replaying(records, block):
+        return reduced_solver.run_density(u0, pp, tp, t_end=float(len(records) - 1), dt=1.0, **kwargs)
+
+
+@contextlib.contextmanager
+def spying():
+    """The records a run's reducer is handed, joined after the run: the
+    list holds one (n_record, N) array of masses, as DOP853 emitted them."""
+    blocks, joined = [], []
+    real = reduced_solver.dop853
+
+    def spy(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
+        def keep(t, y):
+            blocks.append(y.copy())
+            emit(t, y)
+        counts = real(fun, t0, t_bound, y0, t_eval, rtol, atol, keep)
+        joined.append(np.concatenate(blocks))
+        return counts
+
+    with mock.patch.object(reduced_solver, "dop853", spy):
+        yield joined
+
+
+def reduced_columns(x, R, records, weights=None, eta=None, block: int = 7) -> dict:
+    """The columns a run's reducer makes of ``records`` (rows of masses at
+    the points x, with the rate matrix R), handed to it ``block`` rows at a
+    time; the columns of densities when node ``weights`` are given."""
+    reducer = reduced_solver._Reducer(np.asarray(x, dtype=float), R, len(records), weights, eta, ())
+    emitting(records, block)(None, 0.0, 1.0, None, np.arange(float(len(records))), None, None, reducer.emit)
+    return reducer.columns

@@ -218,9 +218,9 @@ CHAIN_TABLE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 def test_criterion_08_reduced_chain_example():
     t0 = time.monotonic()
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
-    traj = run_atoms(state, 200.0, n_record=2001)
+    traj = run_atoms(state, 200.0, n_record=2001, stationarity_window=1.0)
     final = traj.final_masses()
-    ms = traj.mass_series()
+    ms = traj.M0
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
     cls = classify_limit(traj, TP)
     locations = [x for x, _ in cls.atoms]
@@ -244,13 +244,13 @@ def test_criterion_08_reduced_chain_example():
 
 def test_criterion_09_lyapunov_suite():
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
-    atom_traj = run_atoms(state, 200.0, n_record=20001)
-    atom_rep = lyapunov_check(atom_traj, eta=0.25)
+    atom_traj = run_atoms(state, 200.0, n_record=20001, eta=0.25)
+    atom_rep = lyapunov_check(atom_traj)
 
     grid = Grid.log_spaced(0.5, 30.0, 128)
     u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
     pic_traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
-    pic_rep = lyapunov_check(pic_traj, eta=0.3)
+    pic_rep = lyapunov_check(pic_traj)
 
     err_a = max(atom_rep.max_balance_error.values())
     err_p = max(pic_rep.max_balance_error.values())
@@ -272,7 +272,7 @@ def test_criterion_10_flatness_envelope():
     traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
     env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
     envelope_ok = bool(np.all(traj.states[-1] <= env * (1.0 + 1e-9)))
-    ms = traj.mass_series()
+    ms = traj.M0
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
     report(
         10,
@@ -303,8 +303,8 @@ def test_criterion_11_random_limit_classification():
         masses = rng.uniform(0.1, 1.0, 4)
         t_run = time.monotonic()
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        traj = run_atoms(state, 5e4, n_record=2001)
-        cls = classify_limit(traj, TP, stationarity_window=50.0)
+        traj = run_atoms(state, 5e4, n_record=2001, stationarity_window=50.0)
+        cls = classify_limit(traj, TP)
         worst_time = max(worst_time, time.monotonic() - t_run)
         trial_ok = (
             cls.in_initial_support

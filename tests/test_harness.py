@@ -24,7 +24,8 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.measure import Grid
-from comptonsim.reduced_solver import AtomStepCollapse, AtomTrajectory, PicardTrajectory
+from comptonsim import reduced_solver
+from comptonsim.reduced_solver import AtomStepCollapse
 from oracles import growth_bound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -498,17 +499,20 @@ class TestCli:
         assert len(limit["atoms"]) == 4 and all(a == b for a, b in limit["component_mass_table"])
 
     def test_each_series_is_computed_once(self, tmp_path, monkeypatch):
-        # trajectory.csv and the Lyapunov check once computed M1, M2, X_eta and D_2 each
-        calls = []
-        for cls in (AtomTrajectory, PicardTrajectory):
-            for name in ("moment_series", "exp_moment_series", "dissipation_series"):
-                real = getattr(cls, name)
-                monkeypatch.setattr(cls, name, lambda traj, arg, real=real, name=name: calls.append((name, arg)) or real(traj, arg))
+        # trajectory.csv and the Lyapunov check once computed M1, M2, X_eta and D_2 each;
+        # now the run's reducer sees each record once, in one block, and makes every column there
+        blocks = []
+        real = reduced_solver._Reducer._reduce
+        monkeypatch.setattr(reduced_solver._Reducer, "_reduce",
+                            lambda self, U, lo, hi: blocks.append((lo, hi)) or real(self, U, lo, hi))
         for data, mode in ((TWO_ATOMS, "atoms"), (COARSE_PICARD_CONFIG, "picard")):
-            calls.clear()
-            manifest, _ = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / mode), mode=mode)
-            assert calls.count(("dissipation_series", 2.0)) == 1
-            assert len(calls) == len(set(calls)) == 6  # M1, M2, M3, X_eta, D_2 and D_3
+            blocks.clear()
+            manifest, traj = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / mode), mode=mode)
+            n_record = len(traj.times)
+            assert [lo for lo, _ in blocks] + [n_record] == [0] + [hi for _, hi in blocks]
+            assert all(hi - lo >= min(3, n_record) for lo, hi in blocks)
+            for name in ("M0", "M1", "M2", "M3", "X_eta", "D_2", "D_3"):
+                assert getattr(traj, name).shape == (n_record,)
             assert manifest.all_passed
 
     def test_massless_picard_run_is_its_own_limit(self, tmp_path):

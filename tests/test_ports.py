@@ -17,9 +17,9 @@ from comptonsim import _dop853, reduced_solver
 from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, planck_density
-from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, run_atoms, run_density
+from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, rate_matrix, run_atoms, run_density
 from comptonsim.truncation import TruncationParams
-from oracles import _cumulative_simpson
+from oracles import _cumulative_simpson, spying
 
 
 def antisymmetric_state(rng, n: int, scale: float = 1.0) -> AtomSystemState:
@@ -117,10 +117,12 @@ class TestDop853AgainstSolveIvp:
 
     def test_run_atoms_records_are_the_oracle_records(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
-        traj = run_atoms(state, 50.0, n_record=2001)
+        with spying() as seen:
+            traj = run_atoms(state, 50.0, n_record=2001)
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
         assert np.array_equal(traj.times, sol.t)
-        assert np.array_equal(traj.masses, np.clip(sol.y.T, 0.0, None))
+        assert np.array_equal(seen[0], sol.y.T)  # what the run's reducer was handed
+        assert np.array_equal(traj.states, np.clip(sol.y.T, 0.0, None)[list(traj.records)])
 
     def test_run_density_records_are_the_oracle_records(self):
         # a density run is the atom run of the node masses w u0, its records
@@ -128,11 +130,14 @@ class TestDop853AgainstSolveIvp:
         # one dense-output pass goes through several blocks of requested times
         grid = Grid.log_spaced(0.5, 30.0, 32)
         u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-        traj = run_density(u0, PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8), t_end=1.0, eta=0.3)
-        state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, traj.rate_grid)
+        pp, tp = PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8)
+        with spying() as seen:
+            traj = run_density(u0, pp, tp, t_end=1.0, eta=0.3)
+        state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(pp, tp, grid.nodes)[0])
         sol = oracle(state, 1.0, 1e-12, np.linspace(0.0, 1.0, 1001))
         assert np.array_equal(traj.times, sol.t)
-        assert np.array_equal(traj.states, np.clip(sol.y.T, 0.0, None) / grid.weights)
+        assert np.array_equal(seen[0], sol.y.T)
+        assert np.array_equal(traj.states, (np.clip(sol.y.T, 0.0, None) / grid.weights)[list(traj.records)])
         assert traj.nfev == sol.nfev
 
     def test_run_atoms_keeps_the_evaluation_count(self):

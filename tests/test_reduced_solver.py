@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import math
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from comptonsim.reduced_solver import (
     NonContraction,
     NotConverged,
     PicardTrajectory,
-    _dissipation,
+    _LimitWindows,
     _quantiles,
     _table_components,
     atom_ode_rhs,
@@ -99,8 +100,20 @@ def jump_trajectory(locations, before, after, links=()) -> AtomTrajectory:
     for i, j in links:
         table[i, j], table[j, i] = 1.0, -1.0
     state = AtomSystemState.from_table(locations, before, table)
-    masses = np.array([before, after, after])
-    return AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=masses, nfev=0)
+    return oracles.replayed_atoms(state, np.array([before, after, after]), stationarity_window=1.0)
+
+
+def spied(run, *args, **kwargs):
+    """A run and its clipped records (a density run's divided by the node
+    weights), taken from what its reducer was handed; the run's kept
+    states must be those records."""
+    with oracles.spying() as seen:
+        traj = run(*args, **kwargs)
+    records = np.clip(seen[0], 0.0, None)
+    if isinstance(traj, PicardTrajectory):
+        records /= traj.grid.weights
+    assert np.array_equal(traj.states, records[list(traj.records)])
+    return traj, records
 
 
 # forty atoms from 3.0 up: with 42 support points every tail threshold lies above 3.0
@@ -233,24 +246,24 @@ class TestRunAtoms:
         final = traj.final_masses()
         assert final[1] <= 1e-16
         assert final[2] >= 0.2 * math.exp(-1.0) - 1e-9
-        ms = traj.mass_series()
+        ms = traj.M0
         assert np.max(np.abs(ms - ms[0])) <= 1e-12 * ms[0]
 
     def test_decay_bound_along_the_way(self):
         # the middle mass obeys y(t) <= y0 e^{C t} with C = -0.2
-        traj = run_atoms(chain_state(), 50.0, n_record=501)
+        traj, masses = spied(run_atoms, chain_state(), 50.0, n_record=501)
         bound = 0.2 * np.exp(-0.2 * traj.times)
-        assert np.all(traj.masses[:, 1] <= bound * (1.0 + 1e-9))
+        assert np.all(masses[:, 1] <= bound * (1.0 + 1e-9))
 
     def test_masses_stay_in_range(self):
-        traj = run_atoms(chain_state(), 100.0, n_record=301)
-        assert np.all(traj.masses >= 0.0)
-        assert np.all(traj.masses <= 1.0 + 1e-12)
+        _, masses = spied(run_atoms, chain_state(), 100.0, n_record=301)
+        assert np.all(masses >= 0.0)
+        assert np.all(masses <= 1.0 + 1e-12)
 
     def test_stationary_when_decoupled(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
-        traj = run_atoms(st, 10.0, n_record=51)
-        assert np.allclose(traj.masses, traj.masses[0], atol=0.0)
+        _, masses = spied(run_atoms, st, 10.0, n_record=51)
+        assert np.allclose(masses, masses[0], atol=0.0)
 
     @settings(max_examples=10, deadline=None)
     @given(blocks=decoupled_blocks())
@@ -259,12 +272,12 @@ class TestRunAtoms:
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
         parts = components(HybridMeasure(atoms=list(zip(locs, masses))), TP)
         assert len(parts) >= 2
-        traj = run_atoms(state, 20.0, n_record=41)
+        traj, records = spied(run_atoms, state, 20.0, n_record=41)
         assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
         total = float(masses.sum())
         for comp in parts:
             inside = np.isin(locs, comp.points)
-            series = [math.fsum(row) for row in traj.masses[:, inside]]
+            series = [math.fsum(row) for row in records[:, inside]]
             assert np.max(np.abs(np.array(series) - comp.mass)) <= 1e-12 * total
 
     @pytest.mark.parametrize("t_end, n_record, message", [
@@ -286,8 +299,8 @@ class TestRunAtoms:
             run_atoms(empty, 1.0, n_record=3)
 
     def test_leftmost_mass_nondecreasing(self):
-        traj = run_atoms(chain_state(), 100.0, n_record=1001)
-        assert np.all(np.diff(traj.masses[:, 0]) >= -1e-15)
+        _, masses = spied(run_atoms, chain_state(), 100.0, n_record=1001)
+        assert np.all(np.diff(masses[:, 0]) >= -1e-15)
 
     def test_step_collapse_is_named(self, monkeypatch):
         def collapse(*args):
@@ -314,14 +327,23 @@ class TestRunAtoms:
 
 
 def one_state_dissipation(st: AtomSystemState, alpha: float) -> float:
-    """``_dissipation`` of the state's masses, passed as a one-row stack."""
-    (d,) = _dissipation(st.rate_matrix, st.locations, st.masses[None, :], alpha)
+    """The moment dissipation of the state's masses as one record: the
+    reducer's column for the orders 2 and 3 it computes, which must be the
+    formula's bits (``oracles.dissipation``); the formula for any other."""
+    (d,) = oracles.dissipation(st.rate_matrix, st.locations, st.masses[None, :], alpha)
+    if alpha in (2.0, 3.0):
+        columns = oracles.reduced_columns(st.locations, st.rate_matrix, st.masses[None, :])
+        assert np.array_equal(as_bits(columns[f"D_{alpha:g}"]), as_bits([d]))
     return d
 
 
+def as_bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
 class TestDissipation:
-    """The moment dissipation ``_dissipation`` of one atom state, as the
-    trajectories' ``dissipation_series`` computes it per record."""
+    """The moment dissipation of one atom state, as a run's reducer
+    computes it per record."""
 
     def test_single_atom_zero(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0], [1.0])
@@ -357,14 +379,14 @@ class TestDissipation:
 
 class TestLyapunov:
     def test_chain_trajectory(self):
-        traj = run_atoms(chain_state(), 200.0, n_record=20001)
-        rep = lyapunov_check(traj, eta=0.25)
+        traj = run_atoms(chain_state(), 200.0, n_record=20001, eta=0.25)
+        rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
         assert all(err <= 1e-4 for err in rep.max_balance_error.values())
 
     def test_m2_strictly_decreasing_then_flat(self):
         traj = run_atoms(chain_state(), 200.0, n_record=2001)
-        m2 = traj.moment_series(2.0)
+        m2 = traj.M2
         early = traj.times < 20.0
         assert np.all(np.diff(m2[early]) < 0.0)
         late = traj.times > 150.0
@@ -372,11 +394,11 @@ class TestLyapunov:
 
     def test_stationary_for_decoupled(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
-        traj = run_atoms(st, 5.0, n_record=101)
-        rep = lyapunov_check(traj, eta=0.25)
+        traj = run_atoms(st, 5.0, n_record=101, eta=0.25)
+        rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
-        assert np.all(traj.dissipation_series(2.0) == 0.0)
-        assert np.all(traj.moment_series(2.0) == traj.moment_series(2.0)[0])
+        assert np.all(traj.D_2 == 0.0)
+        assert np.all(traj.M2 == traj.M2[0])
 
 
 @pytest.fixture(scope="module")
@@ -390,13 +412,13 @@ class TestPicard:
     def test_zero_initial_data(self):
         grid = Grid.log_spaced(0.5, 10.0, 32)
         u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(32))
-        traj = run_density(u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
-        assert np.all(traj.states == 0.0)
+        _, densities = spied(run_density, u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
+        assert np.all(densities == 0.0)
 
     def test_mass_conservation(self, flat_setup):
         grid, u0 = flat_setup
         traj = run_density(u0, PP, TP, t_end=5.0, dt=1e-3, eta=0.3)
-        ms = traj.mass_series()
+        ms = traj.M0
         assert np.max(np.abs(ms - ms[0])) <= 1e-10 * ms[0]
 
     def test_pointwise_envelope(self, flat_setup):
@@ -407,15 +429,15 @@ class TestPicard:
 
     def test_support_constant_in_time(self, flat_setup):
         grid, u0 = flat_setup
-        traj = run_density(u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
+        traj, densities = spied(run_density, u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
         mask0 = u0.density > 0.0
         for k in range(0, len(traj.times), 50):
-            assert np.array_equal(traj.states[k] > 0.0, mask0)
+            assert np.array_equal(densities[k] > 0.0, mask0)
 
     def test_moments_nonincreasing(self, flat_setup):
         grid, u0 = flat_setup
         traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
-        rep = lyapunov_check(traj, eta=0.3)
+        rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
     def test_flatness_violation_raised(self):
@@ -445,8 +467,9 @@ class TestPicard:
 
         grid, u0 = flat_setup
         R, _ = rate_matrix(PP, TP, grid.nodes)
-        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
-        assert np.array_equal(traj.rate_grid, R)
+        traj, densities = spied(run_density, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+        # the run's dissipation is that of this matrix
+        assert np.array_equal(traj.D_2, oracles.dissipation(R, grid.nodes, densities, 2.0, grid.weights))
         paired = R * grid.weights[None, :]
         ref = solve_ivp(
             lambda t, u: u * (paired @ u), (0.0, 1.0), u0.density, method="DOP853", rtol=1e-13, atol=1e-16
@@ -493,13 +516,13 @@ class TestDensityRunAgainstFixedPoint:
     ], ids=["benchmark-seed7", "benchmark-seed311", "cli-4-nodes"])
     def test_records_agree(self, grid_args, initial, t_end):
         u0 = build_initial(initial, Grid.log_spaced(*grid_args))
-        traj = run_density(u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
+        traj, states = spied(run_density, u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
         ref = oracles.picard_solve(u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
-        assert traj.states.shape == ref.states.shape
+        assert states.shape == ref.states.shape
         np.testing.assert_allclose(traj.times, ref.times, rtol=0.0, atol=1e-15 * t_end)
         carried = ref.states > 0.0
-        assert np.array_equal(traj.states > 0.0, carried)
-        assert np.max(np.abs(traj.states[carried] - ref.states[carried]) / ref.states[carried]) <= 1e-10
+        assert np.array_equal(states > 0.0, carried)
+        assert np.max(np.abs(states[carried] - ref.states[carried]) / ref.states[carried]) <= 1e-10
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -519,18 +542,18 @@ class TestDensityRunAgainstFixedPoint:
         grid = Grid.log_spaced(grid_min, grid_max, n)
         u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": support * grid_min}, grid)
         u0 = HybridMeasure(atoms=[], grid=grid, density=10.0**log_scale * u0.density)
-        traj = run_density(u0, PP, TP, t_end=t_end, eta=0.3)
-        assert relative_drift(traj.mass_series()) <= 1e-10
-        assert np.array_equal(traj.states > 0.0, np.broadcast_to(u0.density > 0.0, traj.states.shape))
+        traj, states = spied(run_density, u0, PP, TP, t_end=t_end, eta=0.3)
+        assert relative_drift(traj.M0) <= 1e-10
+        assert np.array_equal(states > 0.0, np.broadcast_to(u0.density > 0.0, states.shape))
         for k in range(len(traj.times)):
-            assert np.all(traj.states[k] <= traj.pointwise_envelope(k, u0.density) * (1.0 + 1e-9))
-        rep = lyapunov_check(traj, eta=0.3)
+            assert np.all(states[k] <= traj.pointwise_envelope(k, u0.density) * (1.0 + 1e-9))
+        rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
 
 class TestClassifyLimit:
     def test_chain_limit(self):
-        traj = run_atoms(chain_state(), 200.0, n_record=2001)
+        traj = run_atoms(chain_state(), 200.0, n_record=2001, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert len(cls.atoms) == 2
         (xa, ma), (xc, mc) = cls.atoms
@@ -543,8 +566,8 @@ class TestClassifyLimit:
 
     def test_decoupled_pair_limit_is_initial(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
-        traj = run_atoms(st, 5.0, n_record=101)
-        cls = classify_limit(traj, TP, stationarity_window=1.0)
+        traj = run_atoms(st, 5.0, n_record=101, stationarity_window=1.0)
+        cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.passed
 
@@ -559,8 +582,7 @@ class TestClassifyLimit:
         delta -= delta.mean()
         base = np.full(256, 1.0 / 256)
         state = AtomSystemState.from_table(locs, base, np.zeros((256, 256)))
-        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]),
-                              masses=np.stack([base, base + delta, base]), nfev=0)
+        traj = oracles.replayed_atoms(state, np.stack([base, base + delta, base]), stationarity_window=1.0)
         with pytest.raises(NotConverged, match="stationarity gap 5.23"):
             classify_limit(traj, TP)
 
@@ -568,7 +590,7 @@ class TestClassifyLimit:
     def test_coupling_read_off_the_rate_matrix(self, rate, decoupled):
         # 1.0 and 9.0 are decoupled by the cutoff; only the table can couple them
         state = AtomSystemState.from_table([1.0, 9.0], [0.4, 0.6], [[0.0, rate], [-rate, 0.0]])
-        traj = AtomTrajectory(state0=state, times=np.array([0.0, 1.0, 2.0]), masses=np.tile(state.masses, (3, 1)), nfev=0)
+        traj = oracles.replayed_atoms(state, np.tile(state.masses, (3, 1)), stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.pairwise_decoupled is decoupled
@@ -613,8 +635,8 @@ class TestClassifyLimit:
         before = np.array([0.0, 1.0, 1.0, 1.0])
         moved = 5e-8 * float(before @ w)
         after = np.array([w[1] / w[0], 0.0, 1.0 + moved / w[2], 1.0 - moved / w[3]])
-        traj = PicardTrajectory(grid=grid, times=np.array([0.0, 1.0, 2.0]), states=np.array([before, after, after]),
-                                rate_grid=np.zeros((4, 4)), growth_constant=0.0, nfev=0)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=before)
+        traj = oracles.replayed_density(u0, PP, TP, [before, after, after], eta=0.3, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert {f: getattr(cls, f) for f in FLAGS} == {f: f != "mass_sums_ok" for f in FLAGS}
         assert not cls.passed
@@ -638,54 +660,58 @@ class TestClassifyLimit:
         assert _table_components(u, state) == components(u, TP)
 
     def test_not_converged_raised(self):
-        traj = run_atoms(chain_state(), 3.0, n_record=301)
+        traj = run_atoms(chain_state(), 3.0, n_record=301, stationarity_window=1.0)
         with pytest.raises(NotConverged):
-            classify_limit(traj, TP, stationarity_window=1.0, limit_tol=1e-10)
+            classify_limit(traj, TP, limit_tol=1e-10)
+
+    def test_classification_needs_the_run_windows(self):
+        traj = run_atoms(chain_state(), 3.0, n_record=301)
+        assert traj.limit is None and traj.records == (0, 300)
+        with pytest.raises(ValueError, match="stationarity_window"):
+            classify_limit(traj, TP)
 
     def test_queue_monotone_series(self):
-        traj = run_atoms(chain_state(), 50.0, n_record=501)
+        traj, masses = spied(run_atoms, chain_state(), 50.0, n_record=501)
+        rec = oracles.Recorded(traj.times, masses, traj.locations, traj.state0.rate_matrix)
         for r in (0.5, 1.2, 2.0, 3.0):
-            series = traj.window_mass_series(r)
+            series = rec.window_mass_series(r)
             assert np.all(np.diff(series) <= 1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["atoms", "picard"]),
         seed=st.integers(0, 2**32 - 1),
         lo=st.floats(0.0, 12.0),
         hi=st.one_of(st.just(math.inf), st.floats(0.0, 12.0)),  # hi < lo is an empty window
+        split=st.integers(1, 6),
     )
-    def test_window_mass_series_is_the_per_record_sum(self, kind, seed, lo, hi):
+    def test_window_extremes_are_those_of_the_per_record_sums(self, seed, lo, hi, split):
+        # one window as a block of zero mass and as a tail threshold, its records in two blocks
         rng = np.random.default_rng(seed)
         rows = rng.uniform(0.0, 1.0, (7, 12)) * (rng.random((7, 12)) > 0.3)  # some carriers empty
-        if kind == "atoms":
-            x = np.sort(rng.uniform(0.3, 11.0, 12))
-            state = AtomSystemState.from_table(x, rows[0], np.zeros((12, 12)))
-            traj = AtomTrajectory(state0=state, times=np.arange(7.0), masses=rows, nfev=0)
-            carriers = rows
-        else:
-            grid = Grid.log_spaced(0.3, 11.0, 12)
-            x = grid.nodes
-            traj = PicardTrajectory(grid=grid, times=np.arange(7.0), states=rows, rate_grid=np.zeros((12, 12)),
-                                    growth_constant=0.0, nfev=0)
-            carriers = rows * grid.weights
-        got = traj.window_mass_series(lo, hi)
-        want = [math.fsum(m for xi, m in zip(x, row) if lo <= xi <= hi) for row in carriers]
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        x = np.sort(rng.uniform(0.3, 11.0, 12))
+        a, b = int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
+        windows = _LimitWindows(1.0, 5, (), (), [(a, b), (a, b)], [0.0])
+        windows.reduce(rows[:split])
+        windows.reduce(rows[split:])
+        sums = [math.fsum(m for xi, m in zip(x, row) if lo <= xi <= hi) for row in rows]
+        assert windows.drift == pytest.approx(max(sums), rel=1e-14, abs=0.0)
+        assert windows.rise == pytest.approx(max(np.diff(sums)), rel=1e-12, abs=1e-14)  # sums are at most 12
+        # the bits are those of the row sums of the window's columns
+        want = np.ascontiguousarray(rows[:, a:b]).sum(axis=1)
+        assert windows.drift == np.max(want) and windows.rise == np.max(np.diff(want))
         # no carrier sits between two neighbours: the window between them is empty
         mid = 0.5 * (x[4] + x[5])
-        assert np.array_equal(traj.window_mass_series(mid, mid), np.zeros(7))
-        # the default hi = inf selects the carriers a tail threshold selects, so the bits are
-        # the row sums of their C-ordered copy (a boolean column index copies in column order)
-        tail = np.ascontiguousarray((carriers if kind == "atoms" else rows * grid.weights)[:, x >= lo]).sum(axis=1)
-        assert np.array_equal(traj.window_mass_series(lo), tail)
+        a, b = int(np.searchsorted(x, mid, side="left")), int(np.searchsorted(x, mid, side="right"))
+        empty = _LimitWindows(1.0, 5, (), (), [(a, b)], [0.0])
+        empty.reduce(rows)
+        assert empty.drift == 0.0
 
     def test_classification_builds_no_measure_per_record(self, monkeypatch):
         # the block-conservation check once rebuilt a measure at every 64th record
         calls = []
         state_at = AtomTrajectory.state_at
         monkeypatch.setattr(AtomTrajectory, "state_at", lambda traj, idx: calls.append(idx) or state_at(traj, idx))
-        traj = run_atoms(chain_state(), 200.0, n_record=20001)
+        traj = run_atoms(chain_state(), 200.0, n_record=20001, stationarity_window=1.0)
         assert classify_limit(traj, TP).passed
         assert len(calls) <= 4
 
@@ -695,7 +721,7 @@ class TestClassifyLimit:
         state = AtomSystemState.from_table([1.0, 1.2, 5.0, 6.0], [0.3, 0.2, 0.25, 0.25], np.zeros((4, 4)))
         masses = np.tile(state.masses, (2001, 1))
         masses[5, 2:] += (-1e-6, 1e-6)
-        traj = AtomTrajectory(state0=state, times=np.linspace(0.0, 100.0, 2001), masses=masses, nfev=0)
+        traj = oracles.replayed_atoms(state, masses, t_end=100.0, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert cls.in_initial_support and cls.pairwise_decoupled and cls.mass_sums_ok and cls.leftmost_ok
         assert not cls.component_conservation_ok and not cls.queue_monotone
@@ -722,7 +748,132 @@ class TestClassifyLimit:
         rng = np.random.default_rng(64)
         for _ in range(3):
             st = random_resolvable_state(rng, n_atoms=4)
-            traj = run_atoms(st, 5e4, n_record=2001)
-            cls = classify_limit(traj, TP, stationarity_window=50.0)
+            traj = run_atoms(st, 5e4, n_record=2001, stationarity_window=50.0)
+            cls = classify_limit(traj, TP)
             assert cls.passed
             assert cls.mass_sums_ok and cls.component_conservation_ok
+
+
+@st.composite
+def streamed_runs(draw):
+    """Records of masses for a run of N atoms (or N grid nodes), N in {1, 2,
+    16, 128}: 2 or 3 records, or one block of the reducer less, as many,
+    one more, or two blocks and one.  Their first part moves, the rest holds
+    the last state (so some runs are stationary), with 0.0, -0.0 and
+    -1e-14 (integrator undershoot) entries, and in some draws an
+    undershoot beyond the noise."""
+    n = draw(st.sampled_from([1, 2, 16, 128]))
+    kind = "atoms" if n == 1 else draw(st.sampled_from(["atoms", "density"]))
+    rows = max(3, reduced_solver._REDUCE_FLOATS // n)
+    n_record = draw(st.sampled_from([2, 3, rows - 1, rows, rows + 1, 2 * rows + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m0 = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.2) / n
+    # most runs hold still over their last half, which a window of at most half the run sees
+    moving = draw(st.one_of(st.integers(1, n_record // 2 + 1), st.integers(1, n_record)))
+    records = np.tile(m0, (n_record, 1))
+    records[1:moving] += rng.normal(0.0, 1e-3 / n, (moving - 1, n)) * (rng.random((moving - 1, n)) > 0.5)
+    kinds = rng.random(records.shape)
+    records[kinds < 0.05] = 0.0
+    records[(kinds >= 0.05) & (kinds < 0.1)] = -0.0
+    records[(kinds >= 0.1) & (kinds < 0.15)] = -1e-14
+    if draw(st.booleans()):
+        records = np.abs(records)
+    records[moving:] = records[moving - 1]
+    if draw(st.integers(0, 9)) == 0:
+        records[rng.integers(n_record), rng.integers(n)] = -1e-6
+    window = draw(st.sampled_from([None, 0.5, (n_record - 1) / 4, (n_record - 1) / 2]))
+    return kind, records, draw(st.sampled_from([1, 5, 64, 1000])), window
+
+
+class TestStreamedAgainstRecorded:
+    """A run reduces its records as they stream, block by block.  Given the
+    same records, its columns, kept states, Lyapunov verdicts and limit
+    classification must be, bit for bit, what the reductions of the whole
+    record array (``oracles.Recorded``) make of them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=streamed_runs())
+    def test_columns_states_and_verdicts(self, run):
+        kind, records, block, window = run
+        n_record, n = records.shape
+        t_end = float(n_record - 1)
+        if kind == "atoms":
+            rng = np.random.default_rng(n_record * n)
+            x = np.sort(rng.uniform(0.3, 6.0, n)) + np.arange(n) * 1e-6
+            upper = np.triu(rng.exponential(size=(n, n)), 1) * (rng.random((n, n)) < 0.3)
+            state = AtomSystemState.from_table(x, np.abs(records[0]), upper - upper.T)
+            start = lambda: run_atoms(state, t_end, n_record=n_record, eta=0.3, stationarity_window=window)
+            rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state)
+        else:
+            grid = Grid.log_spaced(0.5, 30.0, n)
+            u0 = HybridMeasure(atoms=[], grid=grid, density=np.abs(records[0]) / grid.weights)
+            start = lambda: run_density(u0, PP, TP, t_end=t_end, eta=0.3, dt=1.0, stationarity_window=window)
+            state0 = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(PP, TP, grid.nodes)[0])
+            rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state0, grid)
+        low = records.min()
+        with oracles.replaying(records, block):
+            if low < -1e-12 * max(float(np.abs(records[0]).sum()), 1.0):
+                with pytest.raises(NegativeAtomMass, match=f"^mass positivity violated beyond integrator noise: {low}$"):
+                    start()
+                return
+            traj = start()
+        assert np.array_equal(as_bits(traj.times), as_bits(rec.times))
+        want = {"M0": rec.mass_series(), "X_eta": rec.exp_moment_series(0.3)}
+        want.update({f"M{a:g}": rec.moment_series(a) for a in (1.0, 2.0, 3.0)})
+        want.update({f"D_{a:g}": rec.dissipation_series(a) for a in (2.0, 3.0)})
+        for name, column in want.items():
+            assert np.array_equal(as_bits(getattr(traj, name)), as_bits(column)), name
+        kept = [0, n_record - 1]
+        if window is not None:
+            kept.append(min(int(np.searchsorted(rec.times, rec.times[-1] - window)), n_record - 2))
+        assert traj.records == tuple(sorted(set(kept)))
+        assert np.array_equal(as_bits(traj.states), as_bits(rec.U[list(traj.records)]))
+
+        rep = lyapunov_check(traj)
+        monotone, balance, exp_monotone = oracles.lyapunov_verdicts(
+            rec.times, {a: rec.moment_series(a) for a in (1.0, 2.0, 3.0)},
+            {a: rec.dissipation_series(a) for a in (2.0, 3.0)}, rec.exp_moment_series(0.3))
+        assert rep.monotone == monotone and rep.exp_moment_monotone == exp_monotone
+        assert {a: as_bits(e).item() for a, e in rep.max_balance_error.items()} == \
+            {a: as_bits(e).item() for a, e in balance.items()}
+
+        if window is None:
+            assert traj.limit is None
+            return
+        outcomes = []
+        for classify in (lambda: classify_limit(traj, TP), lambda: oracles.classify_recorded(rec, TP, 1e-8, window)):
+            try:
+                outcomes.append(classify())
+            except NotConverged as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4, 511, 512, 513, 1025, 1538]),
+        seed=st.integers(0, 2**32 - 1),
+        flat=st.sampled_from(["none", "dissipation", "both"]),
+    )
+    def test_lyapunov_blocks_keep_the_whole_series_bits(self, n, seed, flat):
+        # the Simpson balance and the monotone flags in blocks of _BLOCK_ROWS values,
+        # against the formula on whole series; some steps unequal, some D zero
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.5, 1.5, n)) * rng.choice([1e-3, 1.0, 50.0])
+        t[0] = 0.0
+        cols = {name: np.cumsum(-rng.exponential(size=n)) + n for name in ("M1", "M2", "M3", "X_eta")}
+        for name in ("M1", "M2"):
+            cols[name][rng.random(n) < 0.05] += 1e-3  # a rise now and then
+        for name in ("D_2", "D_3"):
+            cols[name] = -rng.exponential(size=n) * (rng.random(n) > 0.1)
+            if flat != "none":
+                cols[name][:] = 0.0
+        if flat == "both":
+            cols["M2"][:] = cols["M2"][0]
+        traj = types.SimpleNamespace(times=t, **cols)
+        rep = lyapunov_check(traj)
+        monotone, balance, exp_monotone = oracles.lyapunov_verdicts(
+            t, {1.0: cols["M1"], 2.0: cols["M2"], 3.0: cols["M3"]}, {2.0: cols["D_2"], 3.0: cols["D_3"]},
+            cols["X_eta"])
+        assert rep.monotone == monotone and rep.exp_moment_monotone == exp_monotone
+        assert {a: as_bits(e).item() for a, e in rep.max_balance_error.items()} == \
+            {a: as_bits(e).item() for a, e in balance.items()}
