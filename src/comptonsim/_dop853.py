@@ -21,10 +21,12 @@ times and return the (k, n) stack of rates, each row as the 1-D call
 returns it.  Only the grouping of the evaluations changes: a stacked call
 counts k evaluations, and ``nfev`` is SciPy's.
 
-The records are streamed, not returned: a pass interpolates its requested
-times in blocks of about ``_DENSE_FLOATS`` floats (512 rows of 16, 42 rows
-of 192) and hands each block to the caller's ``emit``, so no array of every
-record is made here.
+The records are streamed, not returned, in fixed blocks of
+max(3, ``_DENSE_FLOATS`` // n) records (512 of 16 floats, 42 of 192), the
+last block taking the remainder: the interpolation writes each record into
+its block, a block can fill over several passes, and a full block goes to
+the caller's ``emit``.  So no array of every record is made here, and no
+block shorter than 3 records reaches ``emit`` unless the run has fewer.
 """
 
 # Ported from scipy/integrate/_ivp/{rk.py,common.py,ivp.py,dop853_coefficients.py}:
@@ -271,7 +273,7 @@ MAX_FACTOR = 10  # largest allowed increase of the step size
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 EPS = np.finfo(float).eps
 _DENSE_CHUNK = 64  # record-holding steps per dense-output pass; its buffers hold 18 rows of n per step
-_DENSE_FLOATS = 8192  # floats per interpolation block of a pass: max(1, 8192 // n) requested times
+_DENSE_FLOATS = 8192  # floats per record block: max(3, 8192 // n) requested times
 
 RTOL = 1e-12  # the package's relative tolerance, shared by the full equation and the atom system
 ATOL = 1e-20  # and its absolute tolerance
@@ -352,18 +354,14 @@ def _error_norm(KT, h, scale, err) -> float:
     return float(abs(h) * err5_norm_2 / math.sqrt(denom * err.size))
 
 
-def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
-    """Dense output of k buffered steps, handed to ``emit`` block by block.
+def _dense(fun, K_ext, t_old, h, y_old, y) -> np.ndarray:
+    """The (k, 7, n) interpolation coefficients F of k buffered steps.
 
     Step j spans [t_old[j], t_old[j] + h[j]] from y_old[j] to y[j], with
-    its 13 stages in K_ext[j, :13]; the requested time t[r] lies in step
-    step[r].  The 3 extra stages take one stacked fun call each, on the
-    (k, n) states at the (k,) stage times.  Each stacked np.matmul makes
-    the BLAS call of SciPy's per-step np.dot, so the bits are SciPy's;
-    everything else is elementwise over the chunk.  The interpolation goes
-    through the requested times ``len(buf)`` at a time into ``buf``, so its
-    gathers of F and y_old hold that many rows, and each block goes to
-    ``emit(times, states)`` before the next one overwrites it.
+    its 13 stages in K_ext[j, :13].  The 3 extra stages take one stacked
+    fun call each, on the (k, n) states at the (k,) stage times.  Each
+    stacked np.matmul makes the BLAS call of SciPy's per-step np.dot, so
+    the bits are SciPy's; everything else is elementwise over the chunk.
     """
     hk = h[:, None]
     dy = np.empty_like(y)
@@ -379,38 +377,26 @@ def _dense(fun, K_ext, t_old, h, y_old, y, t, step, emit, buf):
     F[:, 2] = 2 * delta_y - hk * (K_ext[:, N_STAGES] + f_old)
     np.matmul(D, K_ext, out=F[:, 3:])
     F[:, 3:] *= h[:, None, None]
-
-    rows = len(buf)
-    for lo in range(0, t.size, rows):
-        sel = step[lo:lo + rows]
-        o = buf[:sel.size]
-        x = ((t[lo:lo + rows] - t_old[sel]) / h[sel])[:, None]
-        o[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
-        for i in range(INTERPOLATOR_POWER):
-            o += F[sel, INTERPOLATOR_POWER - 1 - i]
-            if i % 2 == 0:
-                o *= x
-            else:
-                o *= 1 - x
-        o += y_old[sel]
-        emit(t[lo:lo + rows], o)
+    return F
 
 
 class _DeferredDense:
     """Accepted steps that hold requested times, buffered until the dense
     output of ``_DENSE_CHUNK`` of them (or of the last ones) is evaluated
-    by one :func:`_dense` pass, which streams its records to ``emit``."""
+    in one pass, and the record blocks that the passes fill for ``emit``."""
 
     def __init__(self, fun, t_eval: np.ndarray, n: int, emit):
         self.fun, self.t_eval, self.emit = fun, t_eval, emit
-        self.buf = np.empty((max(1, _DENSE_FLOATS // n), n))
+        self.rows = max(3, _DENSE_FLOATS // n)  # records per block; the last block takes the remainder
+        self.out = np.empty((t_eval.size - self.rows * max(t_eval.size // self.rows - 1, 0), n))  # the last block
         self.K_ext = np.empty((_DENSE_CHUNK, N_STAGES_EXTENDED, n))
         self.t_old, self.h = np.empty(_DENSE_CHUNK), np.empty(_DENSE_CHUNK)
         self.y_old, self.y = np.empty((_DENSE_CHUNK, n)), np.empty((_DENSE_CHUNK, n))
         self.held = np.empty(_DENSE_CHUNK, dtype=np.intp)  # requested times in each step
         self.k = 0  # steps buffered
-        self.done = 0  # requested times emitted
-        self.upto = 0  # requested times emitted or held by a buffered step
+        self.start = 0  # first requested time of the block being filled
+        self.done = 0  # requested times interpolated
+        self.upto = 0  # requested times interpolated or held by a buffered step
 
     def add(self, t_old, h, y_old, y, K, upto: int) -> None:
         k = self.k
@@ -422,12 +408,36 @@ class _DeferredDense:
             self.flush()
 
     def flush(self) -> None:
+        """Interpolate the buffered steps' requested times into their
+        blocks (the pass's r-th time lies in step step[r]), handing each
+        block to ``emit(times, states)`` when it is full.  The gathers of F
+        and y_old hold at most a block's rows."""
         k = self.k
-        if k:
-            step = np.repeat(np.arange(k), self.held[:k])
-            _dense(self.fun, self.K_ext[:k], self.t_old[:k], self.h[:k], self.y_old[:k], self.y[:k],
-                   self.t_eval[self.done:self.upto], step, self.emit, self.buf)
-            self.done, self.k = self.upto, 0
+        if not k:
+            return
+        F = _dense(self.fun, self.K_ext[:k], self.t_old[:k], self.h[:k], self.y_old[:k], self.y[:k])
+        step = np.repeat(np.arange(k), self.held[:k])
+        t, first = self.t_eval, self.done
+        while self.done < self.upto:
+            lo = self.done
+            end = t.size if t.size - self.start < 2 * self.rows else self.start + self.rows
+            hi = min(self.upto, end)
+            sel = step[lo - first:hi - first]
+            o = self.out[lo - self.start:hi - self.start]
+            x = ((t[lo:hi] - self.t_old[sel]) / self.h[sel])[:, None]
+            o[...] = 0.0  # SciPy starts from np.zeros: adding a -0.0 term to it gives +0.0
+            for i in range(INTERPOLATOR_POWER):
+                o += F[sel, INTERPOLATOR_POWER - 1 - i]
+                if i % 2 == 0:
+                    o *= x
+                else:
+                    o *= 1 - x
+            o += self.y_old[sel]
+            self.done = hi
+            if hi == end:
+                self.emit(t[self.start:end], self.out[:end - self.start])
+                self.start = end
+        self.k = 0
 
 
 def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, atol: float, emit) -> Counts:
@@ -440,9 +450,12 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
     that the next stage overwrites: ``fun`` must neither write nor keep
     it.  The states at the requested times
     ``t_eval`` (sorted, inside [t0, t_bound]) go to ``emit(t, y)`` in
-    order, in blocks: ``t`` a slice of ``t_eval`` and ``y`` the (len(t), n)
-    states.  ``y`` is a buffer that the next block overwrites, so a caller
-    that keeps records copies them; it may change ``y`` in place.
+    order, in fixed blocks of max(3, ``_DENSE_FLOATS`` // n) records, the
+    last block taking the remainder: ``t`` a slice of ``t_eval`` and ``y``
+    the (len(t), n) states.  ``y`` is a buffer that the next block
+    overwrites, so a caller that keeps records copies them; it may change
+    ``y`` in place.  A record at t0 is y0 plus a signed zero: its last
+    interpolation term is multiplied by x = 0.
 
     Returns :class:`Counts`.  SciPy's ``nfev`` is counted by arithmetic: 2
     (the first rate and the initial step guess), 12 per step attempt and 3

@@ -503,6 +503,8 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     X_eta and D_2, and the Lyapunov check reads them with M3 and D_3.  With
     ``classify`` the run also reduces the classifier's windows (over
     ``reduced.stationarity_window``), and ``limit.json`` holds the verdict.
+    A density run's telemetry also holds the flatness integrals of its
+    initial density.
     """
     u0 = cfg.initial_measure()
     red = cfg.reduced
@@ -531,6 +533,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"],
                            stationarity_window=window)
         manifest.derived_constants["C_0"] = traj.growth_constant
+        manifest.telemetry.update(flatness_integral=traj.flatness[0], tail_integral=traj.flatness[1])
     manifest.telemetry.update(_integrator_telemetry(traj))
 
     rep = lyapunov_check(traj)

@@ -61,11 +61,6 @@ _FLAT_R = 1.0
 _BALANCE_TOLERANCE = 1e-4
 _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
-# a run reduces its records in blocks of about this many floats (at least 3
-# records), and the Lyapunov check walks its series this many values at a
-# time: their temporaries are a block's, not copies of the whole run
-_REDUCE_FLOATS = 8192
-_BLOCK_ROWS = 512
 
 
 class FlatnessViolation(RuntimeError):
@@ -204,14 +199,12 @@ class _Reducer:
     """The reduction of a run's records, as DOP853 streams them to :meth:`emit`.
 
     A record is a row of masses at the points x (a density's node masses,
-    for node weights w).  The rows are copied into fixed blocks of
-    max(3, ``_REDUCE_FLOATS`` // N) records, the last block taking the
-    remainder, and each block is reduced when it is full: BLAS sums a
-    product of one or two rows in another order, while longer blocks give
-    each row the bits of the product over all rows, so no block shorter
-    than 3 rows reaches it unless the run has fewer records.  A block's
-    minimum joins the running minimum (``NegativeAtomMass`` reads it
-    after the run), its rows are clipped at zero and divided by w, and each
+    for node weights w).  Each block is reduced in place as it comes, in
+    DOP853's fixed blocks of at least 3 records (unless the run has fewer):
+    BLAS sums a product of one or two rows in another order, while longer
+    blocks give each row the bits of the product over all rows.  A block's
+    minimum joins the running minimum (``NegativeAtomMass`` reads it after
+    the run), its rows are clipped at zero and divided by w, and each
     column is written for its records:
 
     - ``M0``, ``M1``, ``M2``, ``M3`` and ``X_eta`` are the row sums
@@ -221,41 +214,27 @@ class _Reducer:
       sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of the rows V = rows * w:
       ``V @ W`` and a row-wise dot, with W built once per run.
 
-    The rows at the indices ``keep`` are copied out.  ``windows``, when
-    given, maps record 0 to the classifier's windows (:class:`_LimitWindows`)
-    and the window masses reduce into their extremes block by block.
+    The rows at the indices ``keep`` are copied out, and the window masses
+    of the classifier's ``limit`` (:class:`_LimitWindows`), when given,
+    reduce into their extremes block by block.
     """
 
     def __init__(self, x: np.ndarray, R: np.ndarray, n_record: int, weights: np.ndarray | None,
-                 eta: float | None, keep: tuple[int, ...], windows=None) -> None:
-        self.w, self.keep, self.windows = weights, keep, windows
-        rows = max(3, _REDUCE_FLOATS // x.size)
-        self.bounds = [k * rows for k in range(max(n_record // rows, 1))] + [n_record]
-        self.buf = np.empty((self.bounds[-1] - self.bounds[-2], x.size))
-        self.block = self.filled = 0
+                 eta: float, keep: tuple[int, ...], limit: _LimitWindows | None = None) -> None:
+        self.w, self.keep, self.limit = weights, keep, limit
+        self.done = 0
         self.low = np.inf
         self.kept: list[np.ndarray] = []
-        self.limit: _LimitWindows | None = None
         c = (lambda f: f) if weights is None else (lambda f: weights * f)
         # M0's factor is w itself: the product rows * w is V, made once per block
-        self.factors = {"M1": c(x ** 1.0), "M2": c(x ** 2.0), "M3": c(x ** 3.0)}
-        if eta is not None:
-            self.factors["X_eta"] = c(np.exp(eta * x))
+        self.factors = {"M1": c(x ** 1.0), "M2": c(x ** 2.0), "M3": c(x ** 3.0), "X_eta": c(np.exp(eta * x))}
         self.forms = {f"D_{a:g}": R * (x[:, None] ** a - x[None, :] ** a) for a in (2.0, 3.0)}
         self.columns = {name: np.empty(n_record) for name in ("M0", *self.factors, *self.forms)}
 
     def emit(self, _t: np.ndarray, rows: np.ndarray) -> None:
-        done = 0
-        while done < len(rows):
-            lo, hi = self.bounds[self.block], self.bounds[self.block + 1]
-            take = min(len(rows) - done, hi - lo - self.filled)
-            self.buf[self.filled:self.filled + take] = rows[done:done + take]
-            self.filled += take
-            done += take
-            if self.filled == hi - lo:
-                self._reduce(self.buf[:hi - lo], lo, hi)
-                self.block += 1
-                self.filled = 0
+        lo = self.done
+        self.done += len(rows)
+        self._reduce(rows, lo, self.done)
 
     def _reduce(self, U: np.ndarray, lo: int, hi: int) -> None:
         self.low = np.minimum(self.low, U.min())
@@ -270,9 +249,7 @@ class _Reducer:
             np.sum(U * c, axis=1, out=cols[name][lo:hi])
         for name, W in self.forms.items():
             np.einsum("ti,ti->t", V @ W, V, out=cols[name][lo:hi])
-        if self.windows is not None:
-            if lo == 0:
-                self.limit = self.windows(U[0])
+        if self.limit is not None:
             self.limit.reduce(V)
 
 
@@ -280,12 +257,13 @@ class _Reducer:
 class _LimitWindows:
     """The classifier's view of a run, taken as its records stream.
 
-    ``blocks`` are the blocks of record 0, each with its ``masses`` and the
-    ``pads`` of its window [min - pad_lo, max + pad_hi]; each tail threshold
-    r has the window [r, inf).  Every record's mass on each window is
-    reduced at once into ``drift``, the largest |block window mass - the
-    block's mass at record 0|, and ``rise``, the largest rise of a tail
-    mass between consecutive records (-inf where there is none).  NaN is
+    ``blocks`` are the blocks of the initial state (record 0), each with
+    its ``masses`` and the ``pads`` of its window [min - pad_lo, max +
+    pad_hi]; each tail threshold r has the window [r, inf).  Every record's
+    mass on each window is reduced at once into ``drift``, the largest
+    |block window mass - the block's mass at record 0|, and ``rise``, the
+    largest rise of a tail mass between consecutive records (-inf where
+    there is none).  NaN is
     passed over, as a comparison with it is false.  ``previous`` is the
     record one ``stationarity_window`` before the last.
     """
@@ -338,19 +316,19 @@ class _LimitWindows:
 class _ReducedRun:
     """The columns of a reduced run, one float per record each: the mass
     ``M0``, the power moments ``M1``, ``M2`` and ``M3``, the exponential
-    moment ``X_eta`` (None when the run had no eta) and the dissipations
-    ``D_2`` and ``D_3``.  ``states`` holds the rows of the records
-    ``records`` (0, the classifier's ``limit.previous`` when there is a
-    ``limit``, and the last), and no other state is kept.  ``nfev``,
-    ``steps`` and ``rejected`` are the DOP853 counts (SciPy's ``nfev``: a
-    stacked call of the dense output counts one per row)."""
+    moment ``X_eta`` and the dissipations ``D_2`` and ``D_3``.  ``states``
+    holds the rows of the records ``records`` (0, the classifier's
+    ``limit.previous`` when there is a ``limit``, and the last), and no
+    other state is kept.  ``nfev``, ``steps`` and ``rejected`` are the
+    DOP853 counts (SciPy's ``nfev``: a stacked call of the dense output
+    counts one per row)."""
 
     times: np.ndarray
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
     M3: np.ndarray
-    X_eta: np.ndarray | None
+    X_eta: np.ndarray
     D_2: np.ndarray
     D_3: np.ndarray
     records: tuple[int, ...]
@@ -383,21 +361,31 @@ class AtomTrajectory(_ReducedRun):
         return HybridMeasure(atoms=list(zip(self.locations, self._row(idx))))
 
 
-def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, weights: np.ndarray | None,
-                 eta: float | None, window: float | None, partition) -> dict:
+def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float, window: float | None,
+                 grid: Grid | None = None, tp: TruncationParams | None = None) -> dict:
     """Integrate ``state`` to t_end and reduce its n_record records (see
-    :class:`_Reducer`).  With a stationarity ``window``, ``partition`` maps
-    record 0 to its measure, its blocks and the pad rule of their windows.
-    Returns the fields of :class:`_ReducedRun`."""
+    :class:`_Reducer`); the records are densities on ``grid`` when one is
+    given.  With a stationarity ``window`` the classifier's windows are
+    those of the initial state, which is record 0 as DOP853 emits it once
+    clipped: the blocks of the state's table for atoms, the cutoff blocks
+    of ``tp`` padded by :func:`_block_pad` for a density.  Returns the
+    fields of :class:`_ReducedRun`."""
     m0 = state.masses.copy()
     times = np.linspace(0.0, t_end, n_record)
-    keep = (0, n_record - 1)
-    windows = None
+    keep, limit = (0, n_record - 1), None
+    weights = None if grid is None else grid.weights
     if window is not None:
         previous = min(int(np.searchsorted(times, times[-1] - window)), n_record - 2)
         keep = tuple(sorted({0, previous, n_record - 1}))
-        windows = lambda row0: _LimitWindows.of(*partition(row0), state.locations, window, previous)
-    reducer = _Reducer(state.locations, state.rate_matrix, n_record, weights, eta, keep, windows)
+        row0 = np.clip(m0, 0.0, None)
+        if grid is None:
+            initial = HybridMeasure(atoms=list(zip(state.locations, row0)))
+            blocks, pad = _table_components(initial, state), lambda x, gap: 0.0
+        else:
+            initial = HybridMeasure(atoms=[], grid=grid, density=row0 / weights)
+            blocks, pad = components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
+        limit = _LimitWindows.of(initial, blocks, pad, state.locations, window, previous)
+    reducer = _Reducer(state.locations, state.rate_matrix, n_record, weights, eta, keep, limit)
     row, a, b, r = state._slots
     slotless = row.size == 0
 
@@ -414,11 +402,11 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, weights: n
         raise AtomStepCollapse(f"atom integration failed: {e}") from None
     if reducer.low < -1e-12 * max(float(m0.sum()), 1.0):
         raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {reducer.low}")
-    return dict({"X_eta": None, **reducer.columns}, times=times, records=keep, states=np.array(reducer.kept),
-                limit=reducer.limit, nfev=counts.nfev, steps=counts.steps, rejected=counts.rejected)
+    return dict(reducer.columns, times=times, records=keep, states=np.array(reducer.kept), limit=limit,
+                nfev=counts.nfev, steps=counts.steps, rejected=counts.rejected)
 
 
-def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001, eta: float | None = None,
+def run_atoms(state: AtomSystemState, t_end: float, eta: float, n_record: int = 2001,
               stationarity_window: float | None = None) -> AtomTrajectory:
     """Integrate the atom system with DOP853 (the package's tolerances,
     relative ``RTOL`` = 1e-12 and absolute ``ATOL`` = 1e-20) and reduce
@@ -428,9 +416,9 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001, eta: f
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
     bit for bit.  No (n_record, N) array is made: each block of records
     it streams is reduced as it comes (:class:`_Reducer`) into the mass,
-    the moments of orders 1, 2 and 3, the exponential moment (when
-    ``eta`` is given) and the dissipations of orders 2 and 3, and the
-    masses at t = 0 and t_end are kept.  A ``stationarity_window`` makes
+    the moments of orders 1, 2 and 3, the exponential moment at ``eta``
+    and the dissipations of orders 2 and 3, and the masses at t = 0 and
+    t_end are kept.  A ``stationarity_window`` makes
     the run ready for :func:`classify_limit`: it also keeps the masses one
     window before the end and reduces the windows of the table's blocks
     and of the tail thresholds.  Masses remain in [0, M0]; negative
@@ -449,13 +437,7 @@ def run_atoms(state: AtomSystemState, t_end: float, n_record: int = 2001, eta: f
         raise ValueError("n_record must be >= 2: the records run from t = 0 to t_end")
     if state.masses.size == 0:
         raise ValueError("the atom system has no atoms to integrate")
-
-    def partition(row0):
-        initial = HybridMeasure(atoms=list(zip(state.locations, row0)))
-        return initial, _table_components(initial, state), lambda x, gap: 0.0
-
-    fields = _reduced_run(state, t_end, n_record, None, eta, stationarity_window, partition)
-    return AtomTrajectory(**fields, state0=state)
+    return AtomTrajectory(**_reduced_run(state, t_end, n_record, eta, stationarity_window), state0=state)
 
 
 @dataclass(frozen=True)
@@ -483,11 +465,8 @@ def lyapunov_check(traj) -> LyapunovReport:
     centred difference is O(h^2)).  The balance error is the mismatch
     relative to (t_{k+1} - t_{k-1}) |D_k / 2|, taken only where |D_k / 2|
     is at least 1 % of its peak, and must not exceed
-    ``_BALANCE_TOLERANCE`` (1e-4).  Both go through ``_BLOCK_ROWS``
-    records at a time (:func:`_nonincreasing`, :func:`_balance_error`).
+    ``_BALANCE_TOLERANCE`` (1e-4).
     """
-    if traj.X_eta is None:
-        raise ValueError("the run has no exponential moment: give run_atoms an eta")
     t = traj.times
     monotone: dict[float, bool] = {}
     balance: dict[float, float] = {}
@@ -504,63 +483,28 @@ def lyapunov_check(traj) -> LyapunovReport:
 
 
 def _nonincreasing(series: np.ndarray, tol: float) -> bool:
-    """No step of the series rises by more than tol: ``np.all(np.diff(series) <= tol)``."""
-    return all(np.all(np.diff(series[lo:lo + _BLOCK_ROWS + 1]) <= tol)
-               for lo in range(0, len(series) - 1, _BLOCK_ROWS))
+    """No step of the series rises by more than tol."""
+    return bool(np.all(np.diff(series) <= tol))
 
 
 def _balance_error(t: np.ndarray, moment: np.ndarray, dissipation: np.ndarray) -> float:
     """The largest relative mismatch of :func:`lyapunov_check`'s Simpson
-    balance, ``_BLOCK_ROWS`` interior records at a time in buffers of that
-    size, with the operations of the whole-series formula in its order.
-
-    A first pass finds the peak of |D_k / 2| over the interior records k;
-    with no positive peak the error is the largest |M(t_{k+1}) -
-    M(t_{k-1})| / (t_{k+1} - t_{k-1}).  Two records have no interior: 0.
-    """
-    n = len(t) - 2
-    blocks = range(0, max(n, 0), _BLOCK_ROWS)
-    half_d = lambda lo, hi: np.multiply(0.5, dissipation[lo:hi])
-    peak = np.max([np.max(np.abs(half_d(lo + 1, min(lo + _BLOCK_ROWS, n) + 1))) for lo in blocks]) if n > 0 else 0.0
-    h1, h2, span, term, acc, change = (np.empty(min(_BLOCK_ROWS, max(n, 0))) for _ in range(6))
-    worst = []
-    for lo in blocks:
-        k = min(lo + _BLOCK_ROWS, n) - lo
-        b1, b2, sp, tm, ac, ch = h1[:k], h2[:k], span[:k], term[:k], acc[:k], change[:k]
-        np.subtract(t[lo + 1:lo + k + 1], t[lo:lo + k], out=b1)
-        np.subtract(t[lo + 2:lo + k + 2], t[lo + 1:lo + k + 1], out=b2)
-        np.add(b1, b2, out=sp)
-        if not peak > 0.0:
-            np.subtract(moment[lo + 2:lo + k + 2], moment[lo:lo + k], out=ch)
-            np.divide(ch, sp, out=ch)
-            worst.append(np.max(np.abs(ch, out=ch)))
-            continue
-        d = half_d(lo, lo + k + 2)
-        left, mid, right = d[:-2], d[1:-1], d[2:]
-        # span / 6 * ((2 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2 - h1 / h2) * right)
-        np.divide(b2, b1, out=ac)
-        np.subtract(2.0, ac, out=ac)
-        ac *= left
-        np.multiply(sp, sp, out=tm)
-        tm /= np.multiply(b1, b2, out=ch)
-        tm *= mid
-        ac += tm
-        np.divide(b1, b2, out=tm)
-        np.subtract(2.0, tm, out=tm)
-        tm *= right
-        ac += tm
-        np.multiply(np.divide(sp, 6.0, out=tm), ac, out=ac)
-        # |change - simpson| / (span * |D / 2|) where |D / 2| >= 1 % of the peak
-        np.subtract(moment[lo + 2:lo + k + 2], moment[lo:lo + k], out=ch)
-        ch -= ac
-        np.abs(ch, out=ch)
-        size = np.abs(mid, out=mid)
-        active = size >= 0.01 * peak
-        np.multiply(sp, size, out=tm)
-        np.divide(ch, tm, out=ch, where=active)
-        if active.any():
-            worst.append(np.max(ch, where=active, initial=-math.inf))
-    return float(np.max(worst)) if worst else 0.0
+    balance over the interior records k.  With no positive peak of
+    |D_k / 2| the error is the largest |M(t_{k+1}) - M(t_{k-1})| /
+    (t_{k+1} - t_{k-1}).  Two records have no interior: 0."""
+    h = np.diff(t)
+    h1, h2 = h[:-1], h[1:]
+    span = h1 + h2
+    half_d = 0.5 * dissipation
+    left, mid, right = half_d[:-2], half_d[1:-1], half_d[2:]
+    change = moment[2:] - moment[:-2]
+    size = np.abs(mid)
+    peak = np.max(size) if size.size else 0.0
+    if not peak > 0.0:
+        return float(np.max(np.abs(change / span))) if change.size else 0.0
+    simpson = span / 6.0 * ((2.0 - h2 / h1) * left + span * span / (h1 * h2) * mid + (2.0 - h1 / h2) * right)
+    active = size >= 0.01 * peak
+    return float(np.max(np.abs(change[active] - simpson[active]) / (span[active] * size[active])))
 
 
 def flatness_certificate(
@@ -594,12 +538,14 @@ def pointwise_growth_constant(
 @dataclass
 class PicardTrajectory(_ReducedRun):
     """A flat density run as a column record (:class:`_ReducedRun`): its
-    columns (of the densities), the densities it kept on its ``grid``, and
-    the constant C0 of the pointwise envelope u(t, x) <= u0(x) e^{t C0 /
-    x^{3/2}}; ``states[-1]`` is the density at t_end."""
+    columns (of the densities), the densities it kept on its ``grid``, the
+    constant C0 of the pointwise envelope u(t, x) <= u0(x) e^{t C0 /
+    x^{3/2}}, and the initial density's ``flatness`` integrals (those of
+    :func:`flatness_certificate`); ``states[-1]`` is the density at t_end."""
 
     grid: Grid
     growth_constant: float
+    flatness: tuple[float, float]
 
     def state_at(self, idx: int) -> HybridMeasure:
         return HybridMeasure(atoms=[], grid=self.grid, density=self._row(idx))
@@ -639,17 +585,13 @@ def run_density(
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
     grid = u0.grid
-    _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
+    flatness = flatness_certificate(grid, u0.density, _FLAT_R, eta)
     rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
     state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_grid)
-
-    def partition(row0):
-        initial = HybridMeasure(atoms=[], grid=grid, density=row0)
-        return initial, components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
-
     n_record = max(2, math.ceil(t_end / dt) + 1)
-    fields = _reduced_run(state, t_end, n_record, grid.weights, eta, stationarity_window, partition)
-    return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, x_eta0))
+    fields = _reduced_run(state, t_end, n_record, eta, stationarity_window, grid, tp)
+    return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, flatness[1]),
+                            flatness=flatness)
 
 
 @dataclass(frozen=True)

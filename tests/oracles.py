@@ -54,7 +54,7 @@ from unittest import mock
 
 import numpy as np
 
-from comptonsim import full_solver, kernel, measure, reduced_solver, truncation
+from comptonsim import _dop853, full_solver, kernel, measure, reduced_solver, truncation
 from comptonsim._dop853 import Counts
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
 from comptonsim.measure import HybridMeasure
@@ -832,43 +832,56 @@ def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0
     )
 
 
-def emitting(records, block: int = 7):
+def dense_blocks(n_record: int, n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) record ranges of the blocks in which ``dop853`` emits
+    n_record records of n floats: max(3, ``_DENSE_FLOATS`` // n) records
+    each, the last block taking the remainder."""
+    rows = max(3, _dop853._DENSE_FLOATS // n)
+    bounds = [k * rows for k in range(max(n_record // rows, 1))] + [n_record]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def emitting(records):
     """A stand-in for ``dop853`` that integrates nothing: it hands
     ``records`` (one row of masses per requested time) to ``emit`` in
-    blocks of ``block`` rows, each through a buffer that the next block
-    overwrites, and returns no step counts."""
+    dop853's blocks (:func:`dense_blocks`), each through a buffer that the
+    next block overwrites, and returns no step counts.  Record 0 is the
+    initial state y0, as DOP853 emits it."""
     def fake(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
         assert len(records) == t_eval.size
-        buf = np.empty((block, np.shape(records)[1]))
-        for lo in range(0, len(records), block):
-            rows = buf[:len(records[lo:lo + block])]
-            rows[...] = records[lo:lo + block]
-            emit(t_eval[lo:lo + block], rows)
+        blocks = dense_blocks(*np.shape(records))
+        buf = np.empty((blocks[-1][1] - blocks[-1][0], np.shape(records)[1]))
+        for lo, hi in blocks:
+            rows = buf[:hi - lo]
+            rows[...] = records[lo:hi]
+            if lo == 0:
+                rows[0] = y0
+            emit(t_eval[lo:hi], rows)
         return Counts(0, 0, 0)
     return fake
 
 
 @contextlib.contextmanager
-def replaying(records, block: int = 7):
+def replaying(records):
     """Runs inside the block reduce ``records`` instead of integrating
     (:func:`emitting`)."""
-    with mock.patch.object(reduced_solver, "dop853", emitting(records, block)):
+    with mock.patch.object(reduced_solver, "dop853", emitting(records)):
         yield
 
 
-def replayed_atoms(state0, records, t_end=None, block: int = 7, **kwargs):
+def replayed_atoms(state0, records, t_end=None, **kwargs):
     """``run_atoms`` of ``records`` at equally spaced times to t_end (by
     default len(records) - 1)."""
     t_end = float(len(records) - 1) if t_end is None else t_end
-    with replaying(records, block):
+    with replaying(records):
         return reduced_solver.run_atoms(state0, t_end, n_record=len(records), **kwargs)
 
 
-def replayed_density(u0, pp, tp, densities, block: int = 7, **kwargs):
+def replayed_density(u0, pp, tp, densities, **kwargs):
     """``run_density`` of records whose densities are ``densities``, one a
     unit of time apart (the records are their node masses)."""
     records = np.asarray(densities) * u0.grid.weights
-    with replaying(records, block):
+    with replaying(records):
         return reduced_solver.run_density(u0, pp, tp, t_end=float(len(records) - 1), dt=1.0, **kwargs)
 
 
@@ -891,10 +904,10 @@ def spying():
         yield joined
 
 
-def reduced_columns(x, R, records, weights=None, eta=None, block: int = 7) -> dict:
+def reduced_columns(x, R, records, eta, weights=None) -> dict:
     """The columns a run's reducer makes of ``records`` (rows of masses at
-    the points x, with the rate matrix R), handed to it ``block`` rows at a
-    time; the columns of densities when node ``weights`` are given."""
+    the points x, with the rate matrix R), handed to it in ``dop853``'s
+    blocks; the columns of densities when node ``weights`` are given."""
     reducer = reduced_solver._Reducer(np.asarray(x, dtype=float), R, len(records), weights, eta, ())
-    emitting(records, block)(None, 0.0, 1.0, None, np.arange(float(len(records))), None, None, reducer.emit)
+    emitting(records)(None, 0.0, 1.0, records[0], np.arange(float(len(records))), None, None, reducer.emit)
     return reducer.columns

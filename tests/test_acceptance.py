@@ -218,7 +218,7 @@ CHAIN_TABLE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 def test_criterion_08_reduced_chain_example():
     t0 = time.monotonic()
     state = AtomSystemState.from_table(CHAIN_LOCATIONS, [0.6, 0.2, 0.2], CHAIN_TABLE)
-    traj = run_atoms(state, 200.0, n_record=2001, stationarity_window=1.0)
+    traj = run_atoms(state, 200.0, eta=0.3, n_record=2001, stationarity_window=1.0)
     final = traj.final_masses()
     ms = traj.M0
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
@@ -303,7 +303,7 @@ def test_criterion_11_random_limit_classification():
         masses = rng.uniform(0.1, 1.0, 4)
         t_run = time.monotonic()
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        traj = run_atoms(state, 5e4, n_record=2001, stationarity_window=50.0)
+        traj = run_atoms(state, 5e4, eta=0.3, n_record=2001, stationarity_window=50.0)
         cls = classify_limit(traj, TP)
         worst_time = max(worst_time, time.monotonic() - t_run)
         trial_ok = (

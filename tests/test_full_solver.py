@@ -340,8 +340,10 @@ class TestRunFull:
     def test_nan_state_raises_before_its_diagnostics(self, kern, grid, monkeypatch, nan_step):
         # dense-output passes of 2 record-holding steps (2 + 12 calls for the
         # first step, 12 for each further one, 6 per pass): the NaN comes in
-        # the second step at nan_step 3, after the first pass at 4 and 21.
-        # The records of the passes before it reach the diagnostics, none after
+        # the second step at nan_step 3, after the first pass at 4 and after
+        # eight passes at 21.  Only full record blocks of 8192 // 96 = 85
+        # states reach the diagnostics, none after the NaN: the first pass
+        # leaves 25 records in the first block, and eight passes fill four
         monkeypatch.setattr(_dop853, "_DENSE_CHUNK", 2)
         calls = []
         real_rhs = full_solver_module.collision_rhs
@@ -365,7 +367,8 @@ class TestRunFull:
         with pytest.raises(StepCollapse, match=r"^non-finite density rate at t=\d"):
             run_full(u0, kern, SolverConfig(t_end=10.0, dt_init=1e-2))  # 392 evaluations unpatched
         assert all(np.all(np.isfinite(rows)) for rows in seen)
-        assert (len(seen) > 0) == (nan_step > 3)
+        # each record once to the entropy and once to a dissipation pass
+        assert sum(len(rows) for rows in seen) == 2 * {3: 0, 4: 0, 21: 4 * 85}[nan_step]
 
     def test_undershoot_is_clipped_within_noise_and_raises_beyond(self, kern, grid, monkeypatch):
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))

@@ -396,13 +396,17 @@ class TestCli:
         assert traj.nfev > 0 and traj.steps > 0
 
     def test_density_run_manifest_records_the_evaluation_count(self, tmp_path):
-        # the node system's DOP853 evaluations, as an atom run records its own
+        # the node system's DOP853 evaluations, as an atom run records its own,
+        # and the two flatness integrals that admitted the initial density
         data = {**COARSE_PICARD_CONFIG, "grid": {"min": 0.5, "max": 30.0, "n": 16},
                 "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 0.5}}
-        manifest, traj = run_reduced_experiment(load_config(data=data, equation="reduced"), str(tmp_path / "picard"),
-                                                mode="picard", classify=False)
+        cfg = load_config(data=data, equation="reduced")
+        manifest, traj = run_reduced_experiment(cfg, str(tmp_path / "picard"), mode="picard", classify=False)
         recorded = json.loads((tmp_path / "picard" / "manifest.json").read_text())["telemetry"]
         counts = {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
+        u0 = cfg.initial_measure()
+        flat, tail = reduced_solver.flatness_certificate(cfg.grid, u0.density, reduced_solver._FLAT_R, cfg.eta)
+        counts.update(flatness_integral=flat, tail_integral=tail)
         assert recorded == counts == manifest.telemetry
         assert traj.nfev > 0 and traj.steps > 0 and manifest.all_passed
 

@@ -441,7 +441,7 @@ def stage_rate(state: AtomSystemState):
 
     with pytest.MonkeyPatch.context() as mp, pytest.raises(Captured) as got:
         mp.setattr(reduced_solver_module, "dop853", capture)
-        run_atoms(state, 1.0, n_record=2)
+        run_atoms(state, 1.0, eta=0.3, n_record=2)
     return got.value.args[0]
 
 
@@ -490,7 +490,7 @@ class TestSeed7AtomRunAgainstSolveIvp:
         state = traj.state0
         if n_record != traj.times.size:
             with oracles.spying() as seen:
-                traj = run_atoms(state, 5e4, n_record=n_record)
+                traj = run_atoms(state, 5e4, eta=0.3, n_record=n_record)
             records = seen[0]
         sol = solve_ivp(lambda _t, m: atom_ode_rhs(state, m), (0.0, 5e4), state.masses.copy(), method="DOP853",
                         rtol=RTOL, atol=ATOL, t_eval=np.linspace(0.0, 5e4, n_record))
@@ -582,11 +582,11 @@ class TestDissipationAgainstEinsum:
         grid, R, U = data
         x, w = grid.nodes, grid.weights
         for weights, V in ((None, U), (w, U / w * w)):
-            d = oracles.reduced_columns(x, R, U, weights)[f"D_{alpha:g}"]
+            d = oracles.reduced_columns(x, R, U, 0.3, weights)[f"D_{alpha:g}"]
             assert_dissipation_matches(d, R, x, V, alpha)
             assert np.all(d <= 0.0)
         for m in U[:3]:
-            d = oracles.reduced_columns(x, R, m[None, :])[f"D_{alpha:g}"]  # one state, as one record
+            d = oracles.reduced_columns(x, R, m[None, :], 0.3)[f"D_{alpha:g}"]  # one state, as one record
             assert_dissipation_matches(d, R, x, m, alpha)
             assert d.shape == (1,) and d[0] <= 0.0
 
@@ -605,9 +605,9 @@ class TestDissipationAgainstEinsum:
         U = np.zeros((5, x.size))
         U[:, support] = np.random.default_rng(14).uniform(0.1, 1.0, (5, len(support)))
         name = f"D_{alpha:g}"
-        assert np.all(oracles.reduced_columns(x, R, U)[name] == 0.0)
+        assert np.all(oracles.reduced_columns(x, R, U, 0.3)[name] == 0.0)
         assert np.all(einsum_dissipation(R, x, U, alpha) == 0.0)
-        assert oracles.reduced_columns(x, R, U[:1])[name].tolist() == [0.0]
+        assert oracles.reduced_columns(x, R, U[:1], 0.3)[name].tolist() == [0.0]
 
 
 def whole_dissipation(R, x, U, alpha):
@@ -617,10 +617,11 @@ def whole_dissipation(R, x, U, alpha):
 
 
 class TestBlockedDissipation:
-    """A run's reducer goes through blocks of max(3, 8192 // N) records, the
-    last one taking the remainder, and keeps the bits of the product over
-    all rows, however the integrator hands it the records.  At N = 16 a
-    block is 512 records; 511 to 1027 records give one or two blocks."""
+    """A run's reducer reduces the blocks the integrator hands it, max(3,
+    8192 // N) records each with the last one taking the remainder, and
+    keeps the bits of the product over all rows.  At N = 16 a block is 512
+    records, so 511 to 1027 records give one or two blocks; at N = 128 it
+    is 64 records, so they give 7 to 16 blocks."""
 
     @pytest.mark.parametrize("rows", [511, 512, 513, 1027])
     @pytest.mark.parametrize("n", [16, 128])
@@ -633,13 +634,12 @@ class TestBlockedDissipation:
         U = rng.uniform(0.0, 2.0, (rows, n))
         U[rng.random(U.shape) < 0.2] = 0.0
         w = rng.uniform(0.1, 1.0, n)
-        for block in (1, 97, rows):
-            atoms = oracles.reduced_columns(x, R, U, block=block)
-            density = oracles.reduced_columns(x, R, U, w, block=block)
-            for alpha in (2.0, 3.0):
-                name = f"D_{alpha:g}"
-                assert np.array_equal(atoms[name], whole_dissipation(R, x, U, alpha))
-                assert np.array_equal(density[name], whole_dissipation(R, x, U / w * w, alpha))
+        atoms = oracles.reduced_columns(x, R, U, 0.3)
+        density = oracles.reduced_columns(x, R, U, 0.3, w)
+        for alpha in (2.0, 3.0):
+            name = f"D_{alpha:g}"
+            assert np.array_equal(atoms[name], whole_dissipation(R, x, U, alpha))
+            assert np.array_equal(density[name], whole_dissipation(R, x, U / w * w, alpha))
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     def test_seed7_benchmark_trajectories(self, seed7_runs, alpha):
@@ -663,7 +663,7 @@ class TestBlockedSeries:
         R = np.zeros((x.size, x.size))
         window = (x >= 2.0) & (x <= 10.0)
         for weights, dens, c in ((None, U, np.ones(x.size)), (w, U / w, w)):
-            cols = oracles.reduced_columns(x, R, U, weights, eta=0.3, block=100)
+            cols = oracles.reduced_columns(x, R, U, 0.3, weights)
             assert np.array_equal(cols["M0"], (dens * c).sum(axis=1))
             assert np.array_equal(cols["M2"], (dens * (c * x**2.0)).sum(axis=1))
             assert np.array_equal(cols["X_eta"], (dens * (c * np.exp(0.3 * x))).sum(axis=1))
@@ -1067,7 +1067,8 @@ class TestBlockDiagnosticsAgainstPerRecord:
 
     def test_records_across_streamed_blocks(self, monkeypatch):
         # 400 records of 48 nodes: the dense output streams blocks of
-        # 8192 // 48 = 170 states, so the node columns span three blocks
+        # 8192 // 48 = 170 states, the last taking the remainder, so the
+        # node columns span a block of 170 states and one of 230
         grid = Grid.log_spaced(0.05, 20.0, 48)
         kern = RegularizedKernel.build(PP, TP, grid, 8)
         u0 = HybridMeasure(atoms=[], grid=grid, density=holey_state(np.random.default_rng(7), grid.n))
@@ -1079,7 +1080,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         )
         traj = run_full(u0, kern, cfg)
         assert len(traj.times) == 400 and sum(sizes) == 400
-        assert len(sizes) >= 3 and max(sizes) == _dop853._DENSE_FLOATS // grid.n
+        assert sizes == [hi - lo for lo, hi in oracles.dense_blocks(400, grid.n)] == [170, 230]
         assert_same_records(traj, kern, cfg, per_record_run(u0, kern, cfg))
         assert traj.one_sided_pairs > 0
 

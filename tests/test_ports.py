@@ -7,6 +7,8 @@ require equality bit for bit (``np.array_equal``), not closeness.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,17 @@ from comptonsim import _dop853, reduced_solver
 from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, planck_density
-from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, rate_matrix, run_atoms, run_density
+from comptonsim.measure import components
+from comptonsim.reduced_solver import (
+    AtomSystemState,
+    _table_components,
+    atom_ode_rhs,
+    rate_matrix,
+    run_atoms,
+    run_density,
+)
 from comptonsim.truncation import TruncationParams
+import oracles
 from oracles import _cumulative_simpson, spying
 
 
@@ -112,13 +123,13 @@ class TestDop853AgainstSolveIvp:
         assert sol.status == -1
         monkeypatch.setattr(reduced_solver, "RTOL", 1e-10)  # run_atoms reads it at call time
         with pytest.raises(RuntimeError, match=r"^atom integration failed: ") as err:
-            run_atoms(state, 10.0, n_record=2001)
+            run_atoms(state, 10.0, eta=0.3, n_record=2001)
         assert str(err.value) == f"atom integration failed: {sol.message}"
 
     def test_run_atoms_records_are_the_oracle_records(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
         with spying() as seen:
-            traj = run_atoms(state, 50.0, n_record=2001)
+            traj = run_atoms(state, 50.0, eta=0.3, n_record=2001)
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(seen[0], sol.y.T)  # what the run's reducer was handed
@@ -143,7 +154,7 @@ class TestDop853AgainstSolveIvp:
     def test_run_atoms_keeps_the_evaluation_count(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
         sol = oracle(state, 50.0, 1e-12, np.linspace(0.0, 50.0, 2001))
-        assert run_atoms(state, 50.0, n_record=2001).nfev == sol.nfev
+        assert run_atoms(state, 50.0, eta=0.3, n_record=2001).nfev == sol.nfev
 
     def test_tiny_rtol_is_clamped_with_scipy_warning(self):
         state = antisymmetric_state(np.random.default_rng(3), 4)
@@ -153,15 +164,78 @@ class TestDop853AgainstSolveIvp:
             t, y, nfev, _ = ported(state, 1.0, 1e-16, 5)
         assert np.array_equal(y, sol.y.T) and nfev == sol.nfev
 
-    @pytest.mark.parametrize("n, floats, rows", [(16, _DENSE_FLOATS, 512), (192, _DENSE_FLOATS, 42), (16, 10, 1)])
+    @pytest.mark.parametrize("n, floats, rows", [(16, _DENSE_FLOATS, 512), (192, _DENSE_FLOATS, 42), (16, 10, 3)])
     def test_records_stream_in_blocks_of_about_8k_floats(self, n, floats, rows, monkeypatch):
-        # many records per step: every block but a pass's last holds
-        # max(1, floats // n) records, and the records keep SciPy's bits
+        # many records per step, in blocks of max(3, floats // n) records
+        # that span dense-output passes, the last block taking the
+        # remainder; the records keep SciPy's bits
         monkeypatch.setattr(_dop853, "_DENSE_FLOATS", floats)
         state = antisymmetric_state(np.random.default_rng(n), n, scale=1e-3)
         t, y, _, sizes = ported(state, 1.0, 1e-6, 1501)
-        assert max(sizes) == rows and sum(sizes) == t.size == 1501
+        full = 1501 // rows - 1
+        assert sizes == [rows] * full + [1501 - full * rows] and t.size == 1501
         assert np.array_equal(y, oracle(state, 1.0, 1e-6, t).y.T)
+
+
+def handed_blocks(run, *args, **kwargs):
+    """A reduced run and copies of the blocks of raw records that DOP853
+    handed its reducer."""
+    blocks = []
+    real = reduced_solver.dop853
+
+    def spy(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
+        return real(fun, t0, t_bound, y0, t_eval, rtol, atol, lambda t, y: blocks.append(y.copy()) or emit(t, y))
+
+    with mock.patch.object(reduced_solver, "dop853", spy):
+        traj = run(*args, **kwargs)
+    return traj, blocks
+
+
+def as_bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestRecordBlocksThroughTheIntegrator:
+    """DOP853 decides a reduced run's record blocks: max(3, _DENSE_FLOATS
+    // N) records, the last block taking the remainder.  The reducer
+    reduces each block as it is handed, and record 0 is the initial state,
+    from which the run takes its classifier windows before it steps."""
+
+    @pytest.mark.parametrize("extra", [1, 2])  # the last block's remainder
+    @pytest.mark.parametrize("kind, n", [("atoms", 16), ("density", 128)])
+    def test_blocks_columns_and_record_0(self, kind, n, extra):
+        rows = max(3, _DENSE_FLOATS // n)
+        n_record = rows + extra
+        rng = np.random.default_rng(n + extra)
+        pp, tp = PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8)
+        if kind == "atoms":
+            state = antisymmetric_state(rng, n, scale=0.1)
+            state = AtomSystemState.from_table(state.locations, state.masses * (rng.random(n) > 0.3), state.rate_matrix)
+            traj, blocks = handed_blocks(run_atoms, state, 5.0, eta=0.3, n_record=n_record, stationarity_window=1.0)
+            rec = oracles.Recorded.of_records(traj.times, np.concatenate(blocks), state)
+            row0 = np.clip(state.masses, 0.0, None)
+            assert traj.limit.blocks == _table_components(traj.state_at(0), state)
+        else:
+            grid = Grid.log_spaced(0.5, 30.0, n)
+            density = planck_density(grid, -0.3) * (grid.nodes >= 3.0)  # nodes below 3 hold zero
+            u0 = HybridMeasure(atoms=[], grid=grid, density=density)
+            traj, blocks = handed_blocks(run_density, u0, pp, tp, t_end=(n_record - 1) / 64, eta=0.3, dt=1 / 64,
+                                         stationarity_window=0.25)
+            state = AtomSystemState.from_table(grid.nodes, density * grid.weights, rate_matrix(pp, tp, grid.nodes)[0])
+            rec = oracles.Recorded.of_records(traj.times, np.concatenate(blocks), state, grid)
+            row0 = np.clip(density * grid.weights, 0.0, None) / grid.weights
+            assert traj.limit.blocks == components(traj.state_at(0), tp)
+        sizes = [len(b) for b in blocks]
+        assert sizes == [hi - lo for lo, hi in oracles.dense_blocks(n_record, n)] == [n_record]
+        assert min(sizes) >= 3
+        assert np.any(row0 == 0.0) and np.any(row0 > 0.0)
+        assert np.array_equal(as_bits(rec.U[0]), as_bits(row0))
+        assert np.array_equal(as_bits(traj.states[0]), as_bits(row0))
+        want = {"M0": rec.mass_series(), "X_eta": rec.exp_moment_series(0.3)}
+        want.update({f"M{a:g}": rec.moment_series(a) for a in (1.0, 2.0, 3.0)})
+        want.update({f"D_{a:g}": rec.dissipation_series(a) for a in (2.0, 3.0)})
+        for name, column in want.items():
+            assert np.array_equal(as_bits(getattr(traj, name)), as_bits(column)), name
 
 
 class TestCumulativeSimpsonAgainstScipy:

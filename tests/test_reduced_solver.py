@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from comptonsim import reduced_solver
+from comptonsim import _dop853, reduced_solver
 from comptonsim._dop853 import StepSizeTooSmall
 from comptonsim.harness import EXAMPLE51, build_initial
 from comptonsim.kernel import PhysicalParams
@@ -100,7 +100,7 @@ def jump_trajectory(locations, before, after, links=()) -> AtomTrajectory:
     for i, j in links:
         table[i, j], table[j, i] = 1.0, -1.0
     state = AtomSystemState.from_table(locations, before, table)
-    return oracles.replayed_atoms(state, np.array([before, after, after]), stationarity_window=1.0)
+    return oracles.replayed_atoms(state, np.array([before, after, after]), eta=0.3, stationarity_window=1.0)
 
 
 def spied(run, *args, **kwargs):
@@ -242,7 +242,7 @@ class TestAtomRhs:
 
 class TestRunAtoms:
     def test_chain_long_time(self):
-        traj = run_atoms(chain_state(), 200.0, n_record=2001)
+        traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=2001)
         final = traj.final_masses()
         assert final[1] <= 1e-16
         assert final[2] >= 0.2 * math.exp(-1.0) - 1e-9
@@ -251,18 +251,18 @@ class TestRunAtoms:
 
     def test_decay_bound_along_the_way(self):
         # the middle mass obeys y(t) <= y0 e^{C t} with C = -0.2
-        traj, masses = spied(run_atoms, chain_state(), 50.0, n_record=501)
+        traj, masses = spied(run_atoms, chain_state(), 50.0, eta=0.3, n_record=501)
         bound = 0.2 * np.exp(-0.2 * traj.times)
         assert np.all(masses[:, 1] <= bound * (1.0 + 1e-9))
 
     def test_masses_stay_in_range(self):
-        _, masses = spied(run_atoms, chain_state(), 100.0, n_record=301)
+        _, masses = spied(run_atoms, chain_state(), 100.0, eta=0.3, n_record=301)
         assert np.all(masses >= 0.0)
         assert np.all(masses <= 1.0 + 1e-12)
 
     def test_stationary_when_decoupled(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
-        _, masses = spied(run_atoms, st, 10.0, n_record=51)
+        _, masses = spied(run_atoms, st, 10.0, eta=0.3, n_record=51)
         assert np.allclose(masses, masses[0], atol=0.0)
 
     @settings(max_examples=10, deadline=None)
@@ -272,7 +272,7 @@ class TestRunAtoms:
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
         parts = components(HybridMeasure(atoms=list(zip(locs, masses))), TP)
         assert len(parts) >= 2
-        traj, records = spied(run_atoms, state, 20.0, n_record=41)
+        traj, records = spied(run_atoms, state, 20.0, eta=0.3, n_record=41)
         assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
         total = float(masses.sum())
         for comp in parts:
@@ -289,17 +289,17 @@ class TestRunAtoms:
         # one record would hold t = 0 only, though the run goes on to t_end;
         # an infinite t_end used to step forever
         with time_limit(5.0), pytest.raises(ValueError, match=message):
-            run_atoms(chain_state(), t_end, n_record=n_record)
+            run_atoms(chain_state(), t_end, eta=0.3, n_record=n_record)
 
     def test_state_without_atoms_is_refused(self):
         # numpy's own "zero-size array to reduction operation minimum"
         # error came after the integration
         empty = AtomSystemState(locations=np.zeros(0), masses=np.zeros(0), rate_matrix=np.zeros((0, 0)))
         with time_limit(5.0), pytest.raises(ValueError, match="^the atom system has no atoms to integrate$"):
-            run_atoms(empty, 1.0, n_record=3)
+            run_atoms(empty, 1.0, eta=0.3, n_record=3)
 
     def test_leftmost_mass_nondecreasing(self):
-        _, masses = spied(run_atoms, chain_state(), 100.0, n_record=1001)
+        _, masses = spied(run_atoms, chain_state(), 100.0, eta=0.3, n_record=1001)
         assert np.all(np.diff(masses[:, 0]) >= -1e-15)
 
     def test_step_collapse_is_named(self, monkeypatch):
@@ -308,7 +308,7 @@ class TestRunAtoms:
 
         monkeypatch.setattr(reduced_solver, "dop853", collapse)
         with pytest.raises(AtomStepCollapse) as err:
-            run_atoms(chain_state(), 1.0, n_record=3)
+            run_atoms(chain_state(), 1.0, eta=0.3, n_record=3)
         assert isinstance(err.value, RuntimeError)
         assert str(err.value) == "atom integration failed: Required step size is less than spacing between numbers."
 
@@ -321,7 +321,7 @@ class TestRunAtoms:
 
         monkeypatch.setattr(reduced_solver, "dop853", undershoot)
         with pytest.raises(NegativeAtomMass) as err:
-            run_atoms(chain_state(), 1.0, n_record=3)
+            run_atoms(chain_state(), 1.0, eta=0.3, n_record=3)
         assert isinstance(err.value, RuntimeError)
         assert str(err.value) == "mass positivity violated beyond integrator noise: -1e-06"
 
@@ -332,7 +332,7 @@ def one_state_dissipation(st: AtomSystemState, alpha: float) -> float:
     formula's bits (``oracles.dissipation``); the formula for any other."""
     (d,) = oracles.dissipation(st.rate_matrix, st.locations, st.masses[None, :], alpha)
     if alpha in (2.0, 3.0):
-        columns = oracles.reduced_columns(st.locations, st.rate_matrix, st.masses[None, :])
+        columns = oracles.reduced_columns(st.locations, st.rate_matrix, st.masses[None, :], 0.3)
         assert np.array_equal(as_bits(columns[f"D_{alpha:g}"]), as_bits([d]))
     return d
 
@@ -385,7 +385,7 @@ class TestLyapunov:
         assert all(err <= 1e-4 for err in rep.max_balance_error.values())
 
     def test_m2_strictly_decreasing_then_flat(self):
-        traj = run_atoms(chain_state(), 200.0, n_record=2001)
+        traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=2001)
         m2 = traj.M2
         early = traj.times < 20.0
         assert np.all(np.diff(m2[early]) < 0.0)
@@ -553,7 +553,7 @@ class TestDensityRunAgainstFixedPoint:
 
 class TestClassifyLimit:
     def test_chain_limit(self):
-        traj = run_atoms(chain_state(), 200.0, n_record=2001, stationarity_window=1.0)
+        traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=2001, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert len(cls.atoms) == 2
         (xa, ma), (xc, mc) = cls.atoms
@@ -566,7 +566,7 @@ class TestClassifyLimit:
 
     def test_decoupled_pair_limit_is_initial(self):
         st = AtomSystemState.from_physical(PP, TP, [1.0, 9.0], [0.4, 0.6])
-        traj = run_atoms(st, 5.0, n_record=101, stationarity_window=1.0)
+        traj = run_atoms(st, 5.0, eta=0.3, n_record=101, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.passed
@@ -582,7 +582,7 @@ class TestClassifyLimit:
         delta -= delta.mean()
         base = np.full(256, 1.0 / 256)
         state = AtomSystemState.from_table(locs, base, np.zeros((256, 256)))
-        traj = oracles.replayed_atoms(state, np.stack([base, base + delta, base]), stationarity_window=1.0)
+        traj = oracles.replayed_atoms(state, np.stack([base, base + delta, base]), eta=0.3, stationarity_window=1.0)
         with pytest.raises(NotConverged, match="stationarity gap 5.23"):
             classify_limit(traj, TP)
 
@@ -590,7 +590,7 @@ class TestClassifyLimit:
     def test_coupling_read_off_the_rate_matrix(self, rate, decoupled):
         # 1.0 and 9.0 are decoupled by the cutoff; only the table can couple them
         state = AtomSystemState.from_table([1.0, 9.0], [0.4, 0.6], [[0.0, rate], [-rate, 0.0]])
-        traj = oracles.replayed_atoms(state, np.tile(state.masses, (3, 1)), stationarity_window=1.0)
+        traj = oracles.replayed_atoms(state, np.tile(state.masses, (3, 1)), eta=0.3, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert cls.atoms == ((1.0, 0.4), (9.0, 0.6))
         assert cls.pairwise_decoupled is decoupled
@@ -660,18 +660,18 @@ class TestClassifyLimit:
         assert _table_components(u, state) == components(u, TP)
 
     def test_not_converged_raised(self):
-        traj = run_atoms(chain_state(), 3.0, n_record=301, stationarity_window=1.0)
+        traj = run_atoms(chain_state(), 3.0, eta=0.3, n_record=301, stationarity_window=1.0)
         with pytest.raises(NotConverged):
             classify_limit(traj, TP, limit_tol=1e-10)
 
     def test_classification_needs_the_run_windows(self):
-        traj = run_atoms(chain_state(), 3.0, n_record=301)
+        traj = run_atoms(chain_state(), 3.0, eta=0.3, n_record=301)
         assert traj.limit is None and traj.records == (0, 300)
         with pytest.raises(ValueError, match="stationarity_window"):
             classify_limit(traj, TP)
 
     def test_queue_monotone_series(self):
-        traj, masses = spied(run_atoms, chain_state(), 50.0, n_record=501)
+        traj, masses = spied(run_atoms, chain_state(), 50.0, eta=0.3, n_record=501)
         rec = oracles.Recorded(traj.times, masses, traj.locations, traj.state0.rate_matrix)
         for r in (0.5, 1.2, 2.0, 3.0):
             series = rec.window_mass_series(r)
@@ -711,7 +711,7 @@ class TestClassifyLimit:
         calls = []
         state_at = AtomTrajectory.state_at
         monkeypatch.setattr(AtomTrajectory, "state_at", lambda traj, idx: calls.append(idx) or state_at(traj, idx))
-        traj = run_atoms(chain_state(), 200.0, n_record=20001, stationarity_window=1.0)
+        traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=20001, stationarity_window=1.0)
         assert classify_limit(traj, TP).passed
         assert len(calls) <= 4
 
@@ -721,7 +721,7 @@ class TestClassifyLimit:
         state = AtomSystemState.from_table([1.0, 1.2, 5.0, 6.0], [0.3, 0.2, 0.25, 0.25], np.zeros((4, 4)))
         masses = np.tile(state.masses, (2001, 1))
         masses[5, 2:] += (-1e-6, 1e-6)
-        traj = oracles.replayed_atoms(state, masses, t_end=100.0, stationarity_window=1.0)
+        traj = oracles.replayed_atoms(state, masses, t_end=100.0, eta=0.3, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert cls.in_initial_support and cls.pairwise_decoupled and cls.mass_sums_ok and cls.leftmost_ok
         assert not cls.component_conservation_ok and not cls.queue_monotone
@@ -748,7 +748,7 @@ class TestClassifyLimit:
         rng = np.random.default_rng(64)
         for _ in range(3):
             st = random_resolvable_state(rng, n_atoms=4)
-            traj = run_atoms(st, 5e4, n_record=2001, stationarity_window=50.0)
+            traj = run_atoms(st, 5e4, eta=0.3, n_record=2001, stationarity_window=50.0)
             cls = classify_limit(traj, TP)
             assert cls.passed
             assert cls.mass_sums_ok and cls.component_conservation_ok
@@ -757,14 +757,15 @@ class TestClassifyLimit:
 @st.composite
 def streamed_runs(draw):
     """Records of masses for a run of N atoms (or N grid nodes), N in {1, 2,
-    16, 128}: 2 or 3 records, or one block of the reducer less, as many,
-    one more, or two blocks and one.  Their first part moves, the rest holds
-    the last state (so some runs are stationary), with 0.0, -0.0 and
-    -1e-14 (integrator undershoot) entries, and in some draws an
-    undershoot beyond the noise."""
+    16, 128}: 2 or 3 records, or one record block of the integrator less,
+    as many, one more, or two blocks and one.  Record 0 is the initial
+    state.  Their first part moves, the rest holds the last state (so some
+    runs are stationary), with 0.0, -0.0 and -1e-14 (integrator
+    undershoot) entries after record 0, and in some draws an undershoot
+    beyond the noise there."""
     n = draw(st.sampled_from([1, 2, 16, 128]))
     kind = "atoms" if n == 1 else draw(st.sampled_from(["atoms", "density"]))
-    rows = max(3, reduced_solver._REDUCE_FLOATS // n)
+    rows = max(3, _dop853._DENSE_FLOATS // n)
     n_record = draw(st.sampled_from([2, 3, rows - 1, rows, rows + 1, 2 * rows + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m0 = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.2) / n
@@ -772,47 +773,50 @@ def streamed_runs(draw):
     moving = draw(st.one_of(st.integers(1, n_record // 2 + 1), st.integers(1, n_record)))
     records = np.tile(m0, (n_record, 1))
     records[1:moving] += rng.normal(0.0, 1e-3 / n, (moving - 1, n)) * (rng.random((moving - 1, n)) > 0.5)
-    kinds = rng.random(records.shape)
-    records[kinds < 0.05] = 0.0
-    records[(kinds >= 0.05) & (kinds < 0.1)] = -0.0
-    records[(kinds >= 0.1) & (kinds < 0.15)] = -1e-14
+    later = records[1:]
+    kinds = rng.random(later.shape)
+    later[kinds < 0.05] = 0.0
+    later[(kinds >= 0.05) & (kinds < 0.1)] = -0.0
+    later[(kinds >= 0.1) & (kinds < 0.15)] = -1e-14
     if draw(st.booleans()):
-        records = np.abs(records)
+        np.abs(later, out=later)
     records[moving:] = records[moving - 1]
     if draw(st.integers(0, 9)) == 0:
-        records[rng.integers(n_record), rng.integers(n)] = -1e-6
+        records[rng.integers(1, n_record), rng.integers(n)] = -1e-6
     window = draw(st.sampled_from([None, 0.5, (n_record - 1) / 4, (n_record - 1) / 2]))
-    return kind, records, draw(st.sampled_from([1, 5, 64, 1000])), window
+    return kind, records, window
 
 
 class TestStreamedAgainstRecorded:
-    """A run reduces its records as they stream, block by block.  Given the
-    same records, its columns, kept states, Lyapunov verdicts and limit
-    classification must be, bit for bit, what the reductions of the whole
-    record array (``oracles.Recorded``) make of them."""
+    """A run reduces its records as they stream, in the integrator's
+    blocks.  Given the same records, its columns, kept states, Lyapunov
+    verdicts and limit classification must be, bit for bit, what the
+    reductions of the whole record array (``oracles.Recorded``) make of
+    them."""
 
     @settings(max_examples=80, deadline=None)
     @given(run=streamed_runs())
     def test_columns_states_and_verdicts(self, run):
-        kind, records, block, window = run
+        kind, records, window = run
         n_record, n = records.shape
         t_end = float(n_record - 1)
         if kind == "atoms":
             rng = np.random.default_rng(n_record * n)
             x = np.sort(rng.uniform(0.3, 6.0, n)) + np.arange(n) * 1e-6
             upper = np.triu(rng.exponential(size=(n, n)), 1) * (rng.random((n, n)) < 0.3)
-            state = AtomSystemState.from_table(x, np.abs(records[0]), upper - upper.T)
+            state = AtomSystemState.from_table(x, records[0], upper - upper.T)
             start = lambda: run_atoms(state, t_end, n_record=n_record, eta=0.3, stationarity_window=window)
             rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state)
         else:
             grid = Grid.log_spaced(0.5, 30.0, n)
-            u0 = HybridMeasure(atoms=[], grid=grid, density=np.abs(records[0]) / grid.weights)
+            u0 = HybridMeasure(atoms=[], grid=grid, density=records[0] / grid.weights)
             start = lambda: run_density(u0, PP, TP, t_end=t_end, eta=0.3, dt=1.0, stationarity_window=window)
             state0 = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(PP, TP, grid.nodes)[0])
+            records[0] = state0.masses  # the node masses w (m / w), as the run starts from them
             rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state0, grid)
         low = records.min()
-        with oracles.replaying(records, block):
-            if low < -1e-12 * max(float(np.abs(records[0]).sum()), 1.0):
+        with oracles.replaying(records):
+            if low < -1e-12 * max(float(records[0].sum()), 1.0):
                 with pytest.raises(NegativeAtomMass, match=f"^mass positivity violated beyond integrator noise: {low}$"):
                     start()
                 return
@@ -855,8 +859,8 @@ class TestStreamedAgainstRecorded:
         flat=st.sampled_from(["none", "dissipation", "both"]),
     )
     def test_lyapunov_blocks_keep_the_whole_series_bits(self, n, seed, flat):
-        # the Simpson balance and the monotone flags in blocks of _BLOCK_ROWS values,
-        # against the formula on whole series; some steps unequal, some D zero
+        # the Simpson balance and the monotone flags against the oracle's formula
+        # on whole series; some steps unequal, some D zero
         rng = np.random.default_rng(seed)
         t = np.cumsum(rng.uniform(0.5, 1.5, n)) * rng.choice([1e-3, 1.0, 50.0])
         t[0] = 0.0
