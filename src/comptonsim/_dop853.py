@@ -27,6 +27,10 @@ last block taking the remainder: the interpolation writes each record into
 its block, a block can fill over several passes, and a full block goes to
 the caller's ``emit``.  So no array of every record is made here, and no
 block shorter than 3 records reaches ``emit`` unless the run has fewer.
+
+``integrate`` is the run driver of both equations and the one caller of
+``dop853``: it holds every block to one positivity floor before the run's
+reducer sees it, and raises ``StepCollapse``, the runs' one failure type.
 """
 
 # Ported from scipy/integrate/_ivp/{rk.py,common.py,ivp.py,dop853_coefficients.py}:
@@ -283,6 +287,10 @@ class StepSizeTooSmall(RuntimeError):
     """The controller asked for a step below ten ulps of the current time."""
 
 
+class StepCollapse(RuntimeError):
+    """A run failed (:func:`integrate`): a stalled step, a non-finite rate or a node mass below the floor."""
+
+
 class Counts(NamedTuple):
     """A run's right-hand-side evaluations (SciPy's ``nfev``) and its
     accepted and rejected steps."""
@@ -531,3 +539,35 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
         t, y, f = t_new, y_new, f_new
     dense.flush()
     return Counts(2 + 12 * attempts + 3 * held, steps, attempts - steps)
+
+
+def integrate(fun, y0: np.ndarray, t_eval: np.ndarray, weights: np.ndarray | None, reduce) -> Counts:
+    """The run driver of both equations: :func:`dop853` from y0 at t = 0 to
+    ``t_eval[-1]`` at ``RTOL`` and ``ATOL``, each block of the records at
+    ``t_eval`` going to ``reduce(rows, lo, hi)`` (records lo to hi - 1).
+
+    One positivity rule: a node mass is a record times the node ``weights``
+    (the record itself without them), and the floor is -1e-12 * max(the
+    initial total node mass, 1).  A block with a node mass below the floor
+    raises :class:`StepCollapse` naming the time of its first such record;
+    otherwise it is clipped at zero.  A stalled step raises it with the
+    integrator's message (a rate that is not finite stalls the steps, unless
+    ``fun`` raises it first, as the full run's does).
+    """
+    floor = -1e-12 * max(float(np.sum(y0 if weights is None else y0 * weights)), 1.0)
+    done = 0
+
+    def emit(t: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal done
+        low = (rows if weights is None else rows * weights).min(axis=1)
+        bad = np.flatnonzero(low < floor)
+        if bad.size:
+            raise StepCollapse(f"negative node mass beyond integrator noise at t={t[bad[0]]}: {low[bad[0]]}")
+        np.clip(rows, 0.0, None, out=rows)
+        done += len(rows)
+        reduce(rows, done - len(rows), done)
+
+    try:
+        return dop853(fun, 0.0, t_eval[-1], y0, t_eval, RTOL, ATOL, emit)
+    except StepSizeTooSmall as e:
+        raise StepCollapse(f"integration failed: {e}") from None

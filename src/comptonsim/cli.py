@@ -8,12 +8,12 @@ Exit code is 0 exactly when every assertion of the invoked command passed
 (the table commands have none), 1 when one failed, and 2 for a command line
 argparse rejects (``--seed x``, say, or an unknown option), an invalid
 config (a value of the wrong type, truncation values with no band constant,
-a ``reduced.rate_table`` that does not fit the initial atoms, and an initial
-state of the wrong kind for the command included: simulate-full and picard
-mode need a density, atoms mode a purely atomic state), an unknown preset,
-an argument of kernel-table or region-dump outside its domain (``--tol 0``,
-say, or a ``--theta1`` not above ``--theta``), or a negative ``--seed``.  An
-exit 2 prints one line on stderr and writes no output file or directory.
+a ``reduced.rate_table`` that is not finite or does not fit the atoms, and
+an initial state of the wrong kind for the command included: simulate-full
+needs a density, picard mode a flat one, atoms mode a purely atomic state),
+an unknown preset, an argument of kernel-table or region-dump outside its
+domain (``--tol 0``, say, or a ``--theta1`` not above ``--theta``), or a
+negative ``--seed``.  An exit 2 prints one line on stderr and writes nothing.
 ``main`` returns the exit code, 0 after ``--help``.
 """
 

@@ -10,13 +10,13 @@ balance, and the mass in the smallest window [0, 2 x_min) at the origin.
 The collision rate and the dissipation run over one list of in-support
 grid pairs, built once with the kernel table by one screened batch: a
 vectorized cutoff picks the supported pairs, and one batch evaluation fills
-them in.  The semi-discrete system is integrated by DOP853, the in-repo
-port of SciPy's stepper in ``_dop853`` that also runs the reduced equation,
-with the package's tolerances.  Its dense output streams the recorded
-states in blocks.  A run computes the node columns of a block (mass,
-exponential moment, entropy, origin-window mass) as one row-wise dot each,
-and its dissipation in passes of a few states over the pair list; it keeps
-only the last state and the count of pairs left out of the dissipation.
+them in.  The semi-discrete system is integrated by ``_dop853.integrate``,
+the run driver of both equations, which streams the recorded states in
+blocks and raises ``StepCollapse`` (exported here).  A run writes the node
+columns of a block (mass, exponential moment, entropy, origin-window mass)
+as one row-wise dot each, and its dissipation in passes of a few states
+over the pair list; it keeps only the last state and the count of pairs
+left out of the dissipation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import ATOL, RTOL, StepSizeTooSmall, dop853
+from ._dop853 import StepCollapse, integrate
 from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Grid, HybridMeasure, check_exp_rate
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
@@ -49,12 +49,6 @@ __all__ = [
     "exp_moment_rate",
     "run_full",
 ]
-
-
-class StepCollapse(RuntimeError):
-    """The integration of the full equation failed: DOP853 needed a step
-    below the float spacing, a rate was not finite, or a recorded density
-    fell below zero by more than integrator noise."""
 
 
 @dataclass(frozen=True)
@@ -325,26 +319,25 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     tapered kernel cannot move mass at zero energy and no atom elsewhere
     lies on the grid.  A ``cfg.eta`` at which e^{eta x} nears overflow on
     the grid raises OverflowError (``check_exp_rate``) before anything runs.
-    DOP853 (``_dop853``, tolerances ``RTOL`` and ``ATOL``) integrates the
-    grid system and records it at every ``record_every``-th multiple of
-    ``cfg.dt_init`` and at ``cfg.t_end``.  Its dense output streams the
-    records in blocks; each block is checked and clipped.  Its mass,
+    The run driver ``_dop853.integrate`` records the grid system at every
+    ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``,
+    in blocks, each held to the floor on the node masses w_i u_i and
+    clipped.  A block's mass,
     exponential moment, entropy and origin-window mass are one row-wise
-    ``np.vecdot`` against the weights each, e^{eta x} and the window's node
-    count computed once per run, and its dissipation is filled in passes of
-    ``_BLOCK_ROWS`` states, whose one-sided pair counts are summed into
-    ``one_sided_pairs``.  Take gathers and prefix slices keep every row
-    C-contiguous, so each row's np.vecdot sums in np.dot's order and every
-    value has the bits of the one-state dot product.  Only the last state
-    is kept.
+    ``np.vecdot`` against the weights each, written into preallocated
+    columns (e^{eta x} and the window's node count computed once per run),
+    and its dissipation is filled in passes of ``_BLOCK_ROWS`` states,
+    whose one-sided pair counts are summed into ``one_sided_pairs``.  Take
+    gathers and prefix slices keep every row C-contiguous, so each row's
+    np.vecdot sums in np.dot's order and every value has the bits of the
+    one-state dot product.  Only the last state is kept.
 
-    A node mass w_i u_i below zero by at most 1e-12 times max(1, the initial
-    density mass) is integrator noise and clipped to 0; a larger undershoot,
-    a rate that is not finite (reported with its time, before any record
-    made from it reaches the diagnostics) and a stalled step size raise
-    :class:`StepCollapse`.  The run judges nothing: the caller compares the
-    relative drift of ``M0`` with ``cfg.mass_tolerance`` and builds the
-    growth bound from C_eta and ``X_eta[0]``.
+    A stalled step, a node mass below the floor and a rate that is not
+    finite (reported with its time, before any record made from it reaches
+    the diagnostics) raise :class:`StepCollapse`.  The run judges nothing:
+    the caller compares the relative drift of ``M0`` with
+    ``cfg.mass_tolerance`` and builds the growth bound from C_eta and
+    ``X_eta[0]``.
     """
     if u0.density is None:
         raise ValueError("the full solver needs a density part")
@@ -355,10 +348,10 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     xs, w = u0.grid.nodes, u0.grid.weights
     check_exp_rate((), u0.grid, u0.density, cfg.eta)
 
-    floor = -1e-12 * max(float(np.dot(w, u0.density)), 1.0)
+    times = _record_times(cfg)
+    M0, X_eta, H, D, origin = columns = np.empty((5, times.size))
     exp_eta = np.exp(cfg.eta * xs)
     k = int(np.searchsorted(xs, xs[0] * 2.0))  # nodes in the origin window [0, 2 x_min)
-    blocks = []
     final = None
     one_sided = 0
 
@@ -370,33 +363,18 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
             raise StepCollapse(f"non-finite density rate at t={at}")
         return out
 
-    def record(times: np.ndarray, rows: np.ndarray) -> None:
+    def reduce(rows: np.ndarray, lo: int, hi: int) -> None:
         nonlocal final, one_sided
-        if rows.min() < 0.0:
-            low = (rows * w).min(axis=1)
-            i = int(np.argmin(low))
-            if low[i] < floor:
-                raise StepCollapse(f"negative density beyond integrator noise at t={times[i]}: node mass {low[i]}")
-        np.clip(rows, 0.0, None, out=rows)
-        d = []
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            part, flags = _pair_dissipation(kern, rows[lo:lo + _BLOCK_ROWS])
-            d.append(part)
+        for a in range(0, hi - lo, _BLOCK_ROWS):
+            d, flags = _pair_dissipation(kern, rows[a:a + _BLOCK_ROWS])
+            np.multiply(0.5, d, out=D[lo:hi][a:a + _BLOCK_ROWS])
             one_sided += flags
-        blocks.append((
-            times,
-            np.vecdot(rows, w),
-            np.vecdot(rows * exp_eta, w),
-            np.vecdot(_entropy_integrand(xs, rows), w),
-            0.5 * np.concatenate(d),
-            np.vecdot(rows[:, :k], w[:k]),
-        ))
+        np.vecdot(rows, w, out=M0[lo:hi])
+        np.vecdot(rows * exp_eta, w, out=X_eta[lo:hi])
+        np.vecdot(_entropy_integrand(xs, rows), w, out=H[lo:hi])
+        np.vecdot(rows[:, :k], w[:k], out=origin[lo:hi])
         final = rows[-1].copy()
 
-    try:
-        counts = dop853(rate, 0.0, cfg.t_end, u0.density, _record_times(cfg), RTOL, ATOL, record)
-    except StepSizeTooSmall as e:
-        raise StepCollapse(f"full integration failed: {e}") from None
-    columns = (np.concatenate(col, dtype=float) for col in zip(*blocks))
-    return TrajectoryRecord(*columns, final=final, nfev=counts.nfev, one_sided_pairs=one_sided,
+    counts = integrate(rate, u0.density, times, w, reduce)
+    return TrajectoryRecord(times, *columns, final=final, nfev=counts.nfev, one_sided_pairs=one_sided,
                             steps=counts.steps, rejected=counts.rejected)

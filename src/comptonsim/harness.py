@@ -42,9 +42,11 @@ from .full_solver import (
 )
 from .measure import Grid, HybridMeasure, check_exp_rate, planck_density, relative_drift, save_measure
 from .reduced_solver import (
+    _FLAT_R,
     AtomSystemState,
     NotConverged,
     classify_limit,
+    flatness_certificate,
     lyapunov_check,
     run_atoms,
     run_density,
@@ -497,14 +499,14 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
 def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, classify: bool = True) -> tuple[RunManifest, object]:
     """Reduced-equation run in 'atoms' or 'picard' mode.
 
-    The atom state, and with it an explicit ``reduced.rate_table``, is
-    checked before the output directory is made.  The run reduces its
-    records as it goes; ``trajectory.csv`` holds its columns t, M0, M1, M2,
-    X_eta and D_2, and the Lyapunov check reads them with M3 and D_3.  With
-    ``classify`` the run also reduces the classifier's windows (over
-    ``reduced.stationarity_window``), and ``limit.json`` holds the verdict.
-    A density run's telemetry also holds the flatness integrals of its
-    initial density.
+    The atom state (and with it an explicit ``reduced.rate_table``) or the
+    density's flatness certificate is checked before the output directory
+    is made.  The run reduces its records as it goes; ``trajectory.csv``
+    holds its columns t, M0, M1, M2, X_eta and D_2, and the Lyapunov check
+    reads them with M3 and D_3.  With ``classify`` the run also reduces the
+    classifier's windows (over ``reduced.stationarity_window``), and
+    ``limit.json`` holds the verdict.  A density run's telemetry also holds
+    the flatness integrals of its initial density.
     """
     u0 = cfg.initial_measure()
     red = cfg.reduced
@@ -521,6 +523,8 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     elif mode == "picard":
         if u0.density is None:
             raise ValidationError("initial: picard mode needs a density initial state")
+        with _section("initial"):
+            flatness_certificate(u0.grid, u0.density, _FLAT_R, cfg.eta)
     else:
         raise ValidationError("mode must be 'atoms' or 'picard'")
     os.makedirs(out_dir, exist_ok=True)

@@ -2,7 +2,7 @@
 
 One location-based rate matrix, ``rate_matrix``, evaluates the physical
 kernel only at the cutoff-supported pairs, and one integrator evolves it:
-DOP853, the in-repo port of SciPy's stepper in ``_dop853``.  An atom run
+``_dop853.integrate``, the run driver of both equations.  An atom run
 evolves finitely many point masses at frozen locations; a density run is
 the same system at the grid nodes, with masses m_j = w_j u_j (node weights
 w), after the flatness certificate has admitted the data.  Both conserve
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dop853 import ATOL, RTOL, StepSizeTooSmall, dop853
+from ._dop853 import integrate
 from .kernel import PhysicalParams, eval_kernel_batch
 from .measure import Component, Grid, HybridMeasure, _partition, bl_distance, components
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
@@ -34,8 +34,6 @@ __all__ = [
     "FlatnessViolation",
     "NonContraction",
     "NotConverged",
-    "AtomStepCollapse",
-    "NegativeAtomMass",
     "rate_matrix",
     "AtomSystemState",
     "AtomTrajectory",
@@ -63,7 +61,7 @@ _LIMIT_MASS_TOL = 1e-8
 _LIMIT_LOCATION_TOL = 1e-9
 
 
-class FlatnessViolation(RuntimeError):
+class FlatnessViolation(ValueError):
     """Initial data is not flat enough near the origin for the regular solver."""
 
 
@@ -75,14 +73,6 @@ class NonContraction(RuntimeError):
 
 class NotConverged(RuntimeError):
     """The trajectory did not reach the stationarity criterion in time."""
-
-
-class AtomStepCollapse(RuntimeError):
-    """DOP853 needed a step below the float spacing at the current time."""
-
-
-class NegativeAtomMass(RuntimeError):
-    """An atom mass fell below zero by more than integrator noise."""
 
 
 def rate_matrix(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, float]:
@@ -145,6 +135,8 @@ class AtomSystemState:
             raise ValueError("shape mismatch between locations, masses and rate matrix")
         if not np.array_equal(rate, -rate.T):
             raise ValueError("rate matrix must be exactly antisymmetric")
+        if not np.isfinite(rate).all():
+            raise ValueError("rate matrix must be finite")
         rate.setflags(write=False)
         i, j = np.nonzero(np.triu(rate, 1))
         r = rate[i, j]
@@ -196,16 +188,15 @@ def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np
 
 
 class _Reducer:
-    """The reduction of a run's records, as DOP853 streams them to :meth:`emit`.
+    """The reduction of a run's records as ``_dop853.integrate`` streams them.
 
     A record is a row of masses at the points x (a density's node masses,
-    for node weights w).  Each block is reduced in place as it comes, in
-    DOP853's fixed blocks of at least 3 records (unless the run has fewer):
-    BLAS sums a product of one or two rows in another order, while longer
-    blocks give each row the bits of the product over all rows.  A block's
-    minimum joins the running minimum (``NegativeAtomMass`` reads it after
-    the run), its rows are clipped at zero and divided by w, and each
-    column is written for its records:
+    for node weights w), checked and clipped at zero by the driver.  Each
+    block is reduced in place as it comes, in DOP853's fixed blocks of at
+    least 3 records (unless the run has fewer): BLAS sums a product of one
+    or two rows in another order, while longer blocks give each row the
+    bits of the product over all rows.  A block's rows are divided by w,
+    and each column is written for its records:
 
     - ``M0``, ``M1``, ``M2``, ``M3`` and ``X_eta`` are the row sums
       ``np.sum(rows * c, axis=1)`` against c = w x^alpha (w e^{eta x}),
@@ -222,8 +213,6 @@ class _Reducer:
     def __init__(self, x: np.ndarray, R: np.ndarray, n_record: int, weights: np.ndarray | None,
                  eta: float, keep: tuple[int, ...], limit: _LimitWindows | None = None) -> None:
         self.w, self.keep, self.limit = weights, keep, limit
-        self.done = 0
-        self.low = np.inf
         self.kept: list[np.ndarray] = []
         c = (lambda f: f) if weights is None else (lambda f: weights * f)
         # M0's factor is w itself: the product rows * w is V, made once per block
@@ -231,14 +220,7 @@ class _Reducer:
         self.forms = {f"D_{a:g}": R * (x[:, None] ** a - x[None, :] ** a) for a in (2.0, 3.0)}
         self.columns = {name: np.empty(n_record) for name in ("M0", *self.factors, *self.forms)}
 
-    def emit(self, _t: np.ndarray, rows: np.ndarray) -> None:
-        lo = self.done
-        self.done += len(rows)
-        self._reduce(rows, lo, self.done)
-
-    def _reduce(self, U: np.ndarray, lo: int, hi: int) -> None:
-        self.low = np.minimum(self.low, U.min())
-        np.clip(U, 0.0, None, out=U)
+    def reduce(self, U: np.ndarray, lo: int, hi: int) -> None:
         if self.w is not None:
             U /= self.w
         self.kept += [U[k - lo].copy() for k in self.keep if lo <= k < hi]
@@ -363,10 +345,10 @@ class AtomTrajectory(_ReducedRun):
 
 def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float, window: float | None,
                  grid: Grid | None = None, tp: TruncationParams | None = None) -> dict:
-    """Integrate ``state`` to t_end and reduce its n_record records (see
-    :class:`_Reducer`); the records are densities on ``grid`` when one is
-    given.  With a stationarity ``window`` the classifier's windows are
-    those of the initial state, which is record 0 as DOP853 emits it once
+    """Integrate ``state`` to t_end (``_dop853.integrate``, its floor on the
+    masses) and reduce its n_record records (see :class:`_Reducer`), which
+    are densities on ``grid`` when one is given.  With a stationarity
+    ``window`` the classifier's windows are those of the initial state, which is record 0 as DOP853 emits it once
     clipped: the blocks of the state's table for atoms, the cutoff blocks
     of ``tp`` padded by :func:`_block_pad` for a density.  Returns the
     fields of :class:`_ReducedRun`."""
@@ -396,21 +378,16 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float
         w *= m.take(b)
         return np.bincount(row, w, m.size)
 
-    try:
-        counts = dop853(rhs, 0.0, t_end, m0, times, RTOL, ATOL, reducer.emit)
-    except StepSizeTooSmall as e:
-        raise AtomStepCollapse(f"atom integration failed: {e}") from None
-    if reducer.low < -1e-12 * max(float(m0.sum()), 1.0):
-        raise NegativeAtomMass(f"mass positivity violated beyond integrator noise: {reducer.low}")
+    counts = integrate(rhs, m0, times, None, reducer.reduce)
     return dict(reducer.columns, times=times, records=keep, states=np.array(reducer.kept), limit=limit,
                 nfev=counts.nfev, steps=counts.steps, rejected=counts.rejected)
 
 
 def run_atoms(state: AtomSystemState, t_end: float, eta: float, n_record: int = 2001,
               stationarity_window: float | None = None) -> AtomTrajectory:
-    """Integrate the atom system with DOP853 (the package's tolerances,
-    relative ``RTOL`` = 1e-12 and absolute ``ATOL`` = 1e-20) and reduce
-    n_record equally spaced records of its dense output into columns.
+    """Integrate the atom system with ``_dop853.integrate`` (DOP853 at the
+    package's ``RTOL`` = 1e-12 and ``ATOL`` = 1e-20) and reduce n_record
+    equally spaced records of its dense output into columns.
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
@@ -422,9 +399,8 @@ def run_atoms(state: AtomSystemState, t_end: float, eta: float, n_record: int = 
     the run ready for :func:`classify_limit`: it also keeps the masses one
     window before the end and reduces the windows of the table's blocks
     and of the tail thresholds.  Masses remain in [0, M0]; negative
-    undershoot within integrator noise is clipped to zero, anything worse
-    raises NegativeAtomMass after the run.  A step size below the float
-    spacing raises AtomStepCollapse with the integrator's message.  Total
+    undershoot within integrator noise is clipped to zero, and a worse one
+    or a step size below the float spacing raises ``StepCollapse``.  Total
     mass is conserved to roundoff by the pairwise right-hand side: a 1-D
     call (a stage) is :func:`atom_ode_rhs`'s one row inlined, one Python
     frame each, and a stacked call of the dense output is

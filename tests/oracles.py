@@ -40,7 +40,7 @@ records, :func:`lyapunov_verdicts` on whole series and
 tail threshold.  :func:`replaying` makes a run reduce given records
 instead of integrating, :func:`spying` hands a test the records a run's
 reducer was given, and :func:`reduced_columns` feeds records to the
-reducer directly.
+reducer through the run driver alone.
 """
 
 from __future__ import annotations
@@ -865,7 +865,7 @@ def emitting(records):
 def replaying(records):
     """Runs inside the block reduce ``records`` instead of integrating
     (:func:`emitting`)."""
-    with mock.patch.object(reduced_solver, "dop853", emitting(records)):
+    with mock.patch.object(_dop853, "dop853", emitting(records)):
         yield
 
 
@@ -890,7 +890,7 @@ def spying():
     """The records a run's reducer is handed, joined after the run: the
     list holds one (n_record, N) array of masses, as DOP853 emitted them."""
     blocks, joined = [], []
-    real = reduced_solver.dop853
+    real = _dop853.dop853
 
     def spy(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
         def keep(t, y):
@@ -900,14 +900,16 @@ def spying():
         joined.append(np.concatenate(blocks))
         return counts
 
-    with mock.patch.object(reduced_solver, "dop853", spy):
+    with mock.patch.object(_dop853, "dop853", spy):
         yield joined
 
 
 def reduced_columns(x, R, records, eta, weights=None) -> dict:
     """The columns a run's reducer makes of ``records`` (rows of masses at
-    the points x, with the rate matrix R), handed to it in ``dop853``'s
-    blocks; the columns of densities when node ``weights`` are given."""
+    the points x, with the rate matrix R), handed to it by the run driver
+    in ``dop853``'s blocks; the columns of densities when node ``weights``
+    are given."""
     reducer = reduced_solver._Reducer(np.asarray(x, dtype=float), R, len(records), weights, eta, ())
-    emitting(records)(None, 0.0, 1.0, records[0], np.arange(float(len(records))), None, None, reducer.emit)
+    with replaying(records):
+        _dop853.integrate(None, records[0], np.arange(float(len(records))), None, reducer.reduce)
     return reducer.columns

@@ -6,6 +6,10 @@ rate function: 2 evaluations before the first step, 12 per step attempt and
 3 per accepted step that holds requested times.  SciPy's step list is the
 oracle for the step counts and for which steps hold records.  A stall on
 finite error estimates keeps SciPy's message (``tests/test_ports.py``).
+
+``integrate``, the run driver of the full and both reduced runs, turns a
+stall and a record below its positivity floor into ``StepCollapse``, and
+clips a dip within the floor.
 """
 
 from __future__ import annotations
@@ -14,8 +18,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from comptonsim import _dop853
 from comptonsim._dop853 import ATOL, StepSizeTooSmall, dop853
-from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs
+from comptonsim.full_solver import RegularizedKernel, SolverConfig, StepCollapse, run_full
+from comptonsim.kernel import PhysicalParams
+from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, run_atoms, run_density
+from comptonsim.truncation import TruncationParams
+
+PP = PhysicalParams()
+TP = TruncationParams.solve(0.5, 1.0, 0.8)
+NODE = 1  # the node the tests dip below zero
 
 
 def stiff_state(trial: int) -> AtomSystemState:
@@ -66,3 +79,73 @@ def test_stall_on_a_non_finite_rate_names_its_time(bad):
     assert message.startswith(prefix) and message.endswith(")")
     since = float(message[len(prefix):-1])
     assert 0.0 < since <= 0.5
+
+
+def run_of(kind: str):
+    """A run of ``kind`` with 11 records to t = 0.01 or 1 as a callable, the
+    weight that makes node NODE's record value its node mass, the run's
+    positivity floor, and the last state of its result."""
+    if kind == "atoms":
+        table = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.3], [0.0, -0.3, 0.0]])
+        state = AtomSystemState.from_table([1.0, 2.0, 3.0], [0.6, 0.3, 0.2], table)
+        return lambda: run_atoms(state, 1.0, eta=0.3, n_record=11), 1.0, 1.1e-12, lambda traj: traj.states[-1]
+    if kind == "density":
+        grid = Grid.log_spaced(1.0, 30.0, 16)
+        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
+        floor = 1e-12 * max(float(np.sum(u0.density * grid.weights)), 1.0)
+        # the records are the node masses; the kept states are densities
+        return (lambda: run_density(u0, PP, TP, t_end=0.01, eta=0.3, dt=1e-3), 1.0, floor,
+                lambda traj: traj.states[-1])
+    grid = Grid.log_spaced(0.05, 15.0, 32)
+    kern = RegularizedKernel.build(PP, TP, grid, n=20)
+    u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0) + np.exp(-3.0 * (grid.nodes - 3.0) ** 2))
+    floor = 1e-12 * max(float(np.sum(u0.density * grid.weights)), 1.0)
+    return lambda: run_full(u0, kern, SolverConfig(t_end=0.01)), grid.weights[NODE], floor, lambda traj: traj.final
+
+
+def dipping(dips: dict[int, float], weight: float):
+    """A ``dop853`` that integrates as the real one, but sets node NODE of
+    the records ``dips`` (record index -> node mass) before they are
+    emitted, and the times of those records, filled as they are emitted."""
+    times = {}
+
+    def fake(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
+        def dip(t, rows):
+            lo = int(np.searchsorted(t_eval, t[0]))
+            for k, mass in dips.items():
+                if lo <= k < lo + len(rows):
+                    rows[k - lo, NODE] = mass / weight
+                    times[k] = t[k - lo]
+            emit(t, rows)
+        return dop853(fun, t0, t_bound, y0, t_eval, rtol, atol, dip)
+
+    return fake, times
+
+
+@pytest.mark.parametrize("kind", ["full", "atoms", "density"])
+def test_one_failure_type_and_one_floor(kind, monkeypatch):
+    # every run reaches DOP853 through the run driver: a stall, a record
+    # below the floor (at its block, naming the first such record's time)
+    # and a dip within the floor are handled alike
+    run, weight, floor, last = run_of(kind)
+
+    def stall(*args):
+        raise StepSizeTooSmall("Required step size is less than spacing between numbers.")
+
+    monkeypatch.setattr(_dop853, "dop853", stall)
+    with pytest.raises(StepCollapse) as err:
+        run()
+    assert str(err.value) == "integration failed: Required step size is less than spacing between numbers."
+
+    fake, times = dipping({3: -2.0 * floor, 7: -4.0 * floor}, weight)
+    monkeypatch.setattr(_dop853, "dop853", fake)
+    with pytest.raises(StepCollapse) as err:
+        run()
+    prefix = f"negative node mass beyond integrator noise at t={times[3]}: "
+    assert str(err.value).startswith(prefix)
+    assert float(str(err.value)[len(prefix):]) < -floor
+
+    fake, _ = dipping({10: -0.5 * floor}, weight)
+    monkeypatch.setattr(_dop853, "dop853", fake)
+    state = last(run())
+    assert state[NODE] == 0.0 and np.all(state >= 0.0)

@@ -299,7 +299,7 @@ class TestRunFull:
         def never(*args):
             raise AssertionError("integrated")
 
-        monkeypatch.setattr(full_solver_module, "dop853", never)
+        monkeypatch.setattr(_dop853, "dop853", never)
         u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
         with pytest.raises(OverflowError, match="^exp moment overflows: eta \\* max support = 40 \\* 22 = 880 > 700$"):
             run_full(u0, kern, SolverConfig(t_end=0.01, eta=40.0))
@@ -374,7 +374,7 @@ class TestRunFull:
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         floor = 1e-12 * max(float(np.dot(grid.weights, u0.density)), 1.0)
         node = grid.n // 2
-        real = full_solver_module.dop853
+        real = _dop853.dop853
 
         def undershoot(by):
             def fake(fun, t0, t1, y0, t_eval, rtol, atol, emit):
@@ -386,22 +386,22 @@ class TestRunFull:
 
             return fake
 
-        monkeypatch.setattr(full_solver_module, "dop853", undershoot(0.5 * floor))
+        monkeypatch.setattr(_dop853, "dop853", undershoot(0.5 * floor))
         traj = run_full(u0, kern, SolverConfig(t_end=0.01))
         assert traj.final[node] == 0.0 and np.all(traj.final >= 0.0)
-        monkeypatch.setattr(full_solver_module, "dop853", undershoot(2.0 * floor))
-        with pytest.raises(StepCollapse, match=r"^negative density beyond integrator noise at t=0.01: node mass -"):
+        monkeypatch.setattr(_dop853, "dop853", undershoot(2.0 * floor))
+        with pytest.raises(StepCollapse, match=r"^negative node mass beyond integrator noise at t=0.01: -"):
             run_full(u0, kern, SolverConfig(t_end=0.01))
 
     def test_step_size_collapse_is_named(self, kern, grid, monkeypatch):
         def collapse(*args):
             raise _dop853.StepSizeTooSmall("Required step size is less than spacing between numbers.")
 
-        monkeypatch.setattr(full_solver_module, "dop853", collapse)
+        monkeypatch.setattr(_dop853, "dop853", collapse)
         u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
         with pytest.raises(StepCollapse) as err:
             run_full(u0, kern, SolverConfig(t_end=0.01))
-        assert str(err.value) == "full integration failed: Required step size is less than spacing between numbers."
+        assert str(err.value) == "integration failed: Required step size is less than spacing between numbers."
 
     def test_truncated_planck_undershoot_is_clipped(self, kern, grid):
         # DOP853 undershoots zero by about 1e-25 next to the support's edge

@@ -25,7 +25,7 @@ from comptonsim.harness import (
 )
 from comptonsim.measure import Grid
 from comptonsim import reduced_solver
-from comptonsim.reduced_solver import AtomStepCollapse
+from comptonsim.full_solver import StepCollapse
 from oracles import growth_bound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -110,6 +110,11 @@ BAD_ARGUMENTS = {
 BAD_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": [[0.0, 1.0], [1.0, 0.0]]}}
 WRONG_SHAPE_TABLE = {"initial": TWO_ATOMS["initial"], "reduced": {"rate_table": EXAMPLE51_CONFIG["reduced"]["rate_table"]}}
 STRING_LIMIT_TOL = {"initial": TWO_ATOMS["initial"], "reduced": {"limit_tol": "x", "t_end": 1.0}}
+INFINITE_TABLE = {"initial": TWO_ATOMS["initial"],
+                  "reduced": {"t_end": 1.0, "rate_table": [[0.0, float("inf")], [-float("inf"), 0.0]]}}
+# mass down to x = 0.005, where the flatness weight e^{1/x^{3/2}} overflows
+NOT_FLAT = {"grid": {"min": 0.005, "max": 30.0, "n": 32}, "reduced": {"t_end": 0.1}, "diagnostics": {"eta": 0.3},
+            "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 0.005}}
 # eta * the top grid node (0.375 * 3000) or the largest atom location (0.375 * 2000) exceeds 700
 WIDE_GRID = {"grid": {"min": 0.02, "max": 3000.0, "n": 32}, "solver": {"t_end": 0.01}}
 FAR_ATOM = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [2000.0, 0.6]]}}
@@ -427,10 +432,10 @@ class TestCli:
             "reduced": {"t_end": 1.0, "rate_table": [[0.0, 1e308], [-1e308, 0.0]]},
         }))
         args = ["simulate-reduced", "--mode", "atoms", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AtomStepCollapse) as err:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepCollapse) as err:
             cli_main(args)
         assert str(err.value) == (
-            "atom integration failed: Required step size is less than spacing between numbers."
+            "integration failed: Required step size is less than spacing between numbers."
             " (error estimate not finite since t=0.0)"
         )
 
@@ -506,8 +511,8 @@ class TestCli:
         # trajectory.csv and the Lyapunov check once computed M1, M2, X_eta and D_2 each;
         # now the run's reducer sees each record once, in one block, and makes every column there
         blocks = []
-        real = reduced_solver._Reducer._reduce
-        monkeypatch.setattr(reduced_solver._Reducer, "_reduce",
+        real = reduced_solver._Reducer.reduce
+        monkeypatch.setattr(reduced_solver._Reducer, "reduce",
                             lambda self, U, lo, hi: blocks.append((lo, hi)) or real(self, U, lo, hi))
         for data, mode in ((TWO_ATOMS, "atoms"), (COARSE_PICARD_CONFIG, "picard")):
             blocks.clear()
@@ -569,6 +574,11 @@ class TestCli:
             "simulate-full": "initial: the full equation needs a density",
             "simulate-reduced": "reduced.rate_table: rate matrix must be exactly antisymmetric",
         }, id="rate_table-not-antisymmetric"),
+        # an AtomStepCollapse traceback (error estimates not finite at t = 0)
+        pytest.param(INFINITE_TABLE, {
+            "simulate-full": "initial: the full equation needs a density",
+            "simulate-reduced": "reduced.rate_table: rate matrix must be finite",
+        }, id="rate_table-infinite"),
         pytest.param(WRONG_SHAPE_TABLE, {
             "simulate-full": "initial: the full equation needs a density",
             "simulate-reduced": "reduced.rate_table: shape mismatch",
@@ -594,12 +604,14 @@ class TestCli:
             message = message[command[0]]
         assert_invalid_config(tmp_path, capsys, command, data, message)
 
-    # each was a ValidationError traceback over an empty output directory
+    # each was a ValidationError traceback over an empty output directory (a
+    # FlatnessViolation traceback for the density that is not flat)
     @pytest.mark.parametrize("command, data, message", [
         (["simulate-full"], TWO_ATOMS, "initial: the full equation needs a density"),
         (["simulate-reduced", "--mode", "atoms"], {}, "initial: atoms mode needs a purely atomic"),
         (["simulate-reduced", "--mode", "picard"], TWO_ATOMS, "initial: picard mode needs a density"),
-    ], ids=["full-atoms", "atoms-density", "picard-atoms"])
+        (["simulate-reduced", "--mode", "picard"], NOT_FLAT, "initial: density has mass where e^{r/x^{3/2}} overflows"),
+    ], ids=["full-atoms", "atoms-density", "picard-atoms", "picard-not-flat"])
     def test_initial_state_of_the_wrong_kind(self, tmp_path, capsys, command, data, message):
         assert_invalid_config(tmp_path, capsys, command, data, message)
 

@@ -440,7 +440,7 @@ def stage_rate(state: AtomSystemState):
         raise Captured(fun)
 
     with pytest.MonkeyPatch.context() as mp, pytest.raises(Captured) as got:
-        mp.setattr(reduced_solver_module, "dop853", capture)
+        mp.setattr(_dop853, "dop853", capture)
         run_atoms(state, 1.0, eta=0.3, n_record=2)
     return got.value.args[0]
 

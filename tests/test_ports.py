@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from comptonsim import _dop853, reduced_solver
+from comptonsim import _dop853
 from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, planck_density
@@ -121,10 +121,10 @@ class TestDop853AgainstSolveIvp:
         state = self.stiff_state(5)
         sol = oracle(state, 10.0, 1e-10, np.linspace(0.0, 10.0, 2001))
         assert sol.status == -1
-        monkeypatch.setattr(reduced_solver, "RTOL", 1e-10)  # run_atoms reads it at call time
-        with pytest.raises(RuntimeError, match=r"^atom integration failed: ") as err:
+        monkeypatch.setattr(_dop853, "RTOL", 1e-10)  # the run driver reads it at call time
+        with pytest.raises(RuntimeError, match=r"^integration failed: ") as err:
             run_atoms(state, 10.0, eta=0.3, n_record=2001)
-        assert str(err.value) == f"atom integration failed: {sol.message}"
+        assert str(err.value) == f"integration failed: {sol.message}"
 
     def test_run_atoms_records_are_the_oracle_records(self):
         state = antisymmetric_state(np.random.default_rng(11), 16)
@@ -181,12 +181,12 @@ def handed_blocks(run, *args, **kwargs):
     """A reduced run and copies of the blocks of raw records that DOP853
     handed its reducer."""
     blocks = []
-    real = reduced_solver.dop853
+    real = _dop853.dop853
 
     def spy(fun, t0, t_bound, y0, t_eval, rtol, atol, emit):
         return real(fun, t0, t_bound, y0, t_eval, rtol, atol, lambda t, y: blocks.append(y.copy()) or emit(t, y))
 
-    with mock.patch.object(reduced_solver, "dop853", spy):
+    with mock.patch.object(_dop853, "dop853", spy):
         traj = run(*args, **kwargs)
     return traj, blocks
 

@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 
 from comptonsim import _dop853, reduced_solver
 from comptonsim._dop853 import StepSizeTooSmall
+from comptonsim.full_solver import StepCollapse
 from comptonsim.harness import EXAMPLE51, build_initial
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, HybridMeasure, components, planck_density, relative_drift
 from comptonsim.reduced_solver import (
-    AtomStepCollapse,
     AtomSystemState,
     AtomTrajectory,
     FlatnessViolation,
-    NegativeAtomMass,
     NonContraction,
     NotConverged,
     PicardTrajectory,
@@ -306,11 +305,11 @@ class TestRunAtoms:
         def collapse(*args):
             raise StepSizeTooSmall("Required step size is less than spacing between numbers.")
 
-        monkeypatch.setattr(reduced_solver, "dop853", collapse)
-        with pytest.raises(AtomStepCollapse) as err:
+        monkeypatch.setattr(_dop853, "dop853", collapse)
+        with pytest.raises(StepCollapse) as err:
             run_atoms(chain_state(), 1.0, eta=0.3, n_record=3)
         assert isinstance(err.value, RuntimeError)
-        assert str(err.value) == "atom integration failed: Required step size is less than spacing between numbers."
+        assert str(err.value) == "integration failed: Required step size is less than spacing between numbers."
 
     def test_negative_mass_is_named(self, monkeypatch):
         def undershoot(rhs, t0, t1, m0, t_eval, rtol, atol, emit):
@@ -319,11 +318,11 @@ class TestRunAtoms:
             emit(t_eval, masses)
             return 0
 
-        monkeypatch.setattr(reduced_solver, "dop853", undershoot)
-        with pytest.raises(NegativeAtomMass) as err:
+        monkeypatch.setattr(_dop853, "dop853", undershoot)
+        with pytest.raises(StepCollapse) as err:
             run_atoms(chain_state(), 1.0, eta=0.3, n_record=3)
         assert isinstance(err.value, RuntimeError)
-        assert str(err.value) == "mass positivity violated beyond integrator noise: -1e-06"
+        assert str(err.value) == "negative node mass beyond integrator noise at t=1.0: -1e-06"
 
 
 def one_state_dissipation(st: AtomSystemState, alpha: float) -> float:
@@ -814,10 +813,12 @@ class TestStreamedAgainstRecorded:
             state0 = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(PP, TP, grid.nodes)[0])
             records[0] = state0.masses  # the node masses w (m / w), as the run starts from them
             rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state0, grid)
-        low = records.min()
+        low = records.min(axis=1)
+        below = np.flatnonzero(low < -1e-12 * max(float(records[0].sum()), 1.0))
         with oracles.replaying(records):
-            if low < -1e-12 * max(float(records[0].sum()), 1.0):
-                with pytest.raises(NegativeAtomMass, match=f"^mass positivity violated beyond integrator noise: {low}$"):
+            if below.size:  # the first record below the floor, a unit of time per record
+                k = below[0]
+                with pytest.raises(StepCollapse, match=f"^negative node mass beyond integrator noise at t={float(k)}: {low[k]}$"):
                     start()
                 return
             traj = start()
