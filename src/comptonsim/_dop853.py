@@ -31,6 +31,11 @@ block shorter than 3 records reaches ``emit`` unless the run has fewer.
 ``integrate`` is the run driver of both equations and the one caller of
 ``dop853``: it holds every block to one positivity floor before the run's
 reducer sees it, and raises ``StepCollapse``, the runs' one failure type.
+
+One deviation from SciPy: a non-finite initial step guess (a first rate
+that overflows to NaN, say) raises ``StepSizeTooSmall`` at t0.  SciPy's
+loop keeps the NaN step, which is never below the minimum step, and so
+attempts steps at t0 without end.  A finite run is untouched by the check.
 """
 
 # Ported from scipy/integrate/_ivp/{rk.py,common.py,ivp.py,dop853_coefficients.py}:
@@ -470,9 +475,9 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
     per accepted step that holds requested times (a stacked call counts
     one per row).  Raises :class:`StepSizeTooSmall` with SciPy's message
     when the controller stalls, and names the time if an error estimate
-    there was not finite.  An ``rtol`` below 100 eps is clamped to it with
-    SciPy's warning.  An exception raised by ``fun`` or ``emit`` ends the
-    run.
+    there was not finite; a non-finite initial step guess raises it at t0.
+    An ``rtol`` below 100 eps is clamped to it with SciPy's warning.  An
+    exception raised by ``fun`` or ``emit`` ends the run.
     """
     t0, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0).astype(float, copy=False)
@@ -491,6 +496,8 @@ def dop853(fun, t0: float, t_bound: float, y0, t_eval: np.ndarray, rtol: float, 
         emit(t_eval, np.empty((t_eval.size, 0)))
         return Counts(1, 0, 0)
     h_abs = float(_initial_step(fun, t0, y, t_bound, f, rtol, atol))
+    if not math.isfinite(h_abs):
+        raise StepSizeTooSmall(f"initial step estimate is not finite at t={t0!r}: {h_abs!r}")
     K = np.empty((N_STAGES + 1, n))
     KT = K.T
     stages = [(K[:s].T, A_STEP[s, :s], c) for s, c in enumerate(C_STEP[1:].tolist(), start=1)]

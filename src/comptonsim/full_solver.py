@@ -28,7 +28,7 @@ import numpy as np
 
 from ._dop853 import StepCollapse, integrate
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Grid, HybridMeasure, check_exp_rate
+from .measure import Grid, check_exp_rate
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 # states per dissipation pass (the node columns take a whole streamed block):
@@ -311,14 +311,14 @@ def _growth_bound(c_eta: float, t: float, x0: float) -> float:
         return math.inf if x0 > 0.0 else 0.0
 
 
-def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
-    """Integrate the regularized equation from a density on the kernel's grid.
+def run_full(u0: np.ndarray, kern: RegularizedKernel, cfg: SolverConfig) -> TrajectoryRecord:
+    """Integrate the regularized equation from a density u0 on the kernel's grid.
 
     The kernel fixes the grid, the truncation and the regularization.  The
-    state is the density alone: a state with atoms is refused, since the
-    tapered kernel cannot move mass at zero energy and no atom elsewhere
-    lies on the grid.  A ``cfg.eta`` at which e^{eta x} nears overflow on
-    the grid raises OverflowError (``check_exp_rate``) before anything runs.
+    state is the density alone: the tapered kernel cannot move mass at zero
+    energy, and no atom elsewhere lies on the grid.  A ``cfg.eta`` at which
+    e^{eta x} nears overflow on the grid raises OverflowError
+    (``check_exp_rate``) before anything runs.
     The run driver ``_dop853.integrate`` records the grid system at every
     ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``,
     in blocks, each held to the floor on the node masses w_i u_i and
@@ -339,14 +339,10 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
     ``cfg.mass_tolerance`` and builds the growth bound from C_eta and
     ``X_eta[0]``.
     """
-    if u0.density is None:
-        raise ValueError("the full solver needs a density part")
-    if u0.atoms:
-        raise ValueError("the full solver evolves a density alone: initial atoms are not supported")
-    if not np.array_equal(u0.grid.nodes, kern.grid.nodes):
-        raise ValueError("state grid must match the kernel grid")
-    xs, w = u0.grid.nodes, u0.grid.weights
-    check_exp_rate((), u0.grid, u0.density, cfg.eta)
+    if np.shape(u0) != kern.grid.nodes.shape:
+        raise ValueError("the density must be on the kernel grid")
+    xs, w = kern.grid.nodes, kern.grid.weights
+    check_exp_rate(xs, cfg.eta)
 
     times = _record_times(cfg)
     M0, X_eta, H, D, origin = columns = np.empty((5, times.size))
@@ -375,6 +371,6 @@ def run_full(u0: HybridMeasure, kern: RegularizedKernel, cfg: SolverConfig) -> T
         np.vecdot(rows[:, :k], w[:k], out=origin[lo:hi])
         final = rows[-1].copy()
 
-    counts = integrate(rate, u0.density, times, w, reduce)
+    counts = integrate(rate, u0, times, w, reduce)
     return TrajectoryRecord(times, *columns, final=final, nfev=counts.nfev, one_sided_pairs=one_sided,
                             steps=counts.steps, rejected=counts.rejected)

@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .full_solver import (
     exp_moment_rate,
     run_full,
 )
-from .measure import Grid, HybridMeasure, check_exp_rate, planck_density, relative_drift, save_measure
+from .measure import Grid, atom_arrays, check_exp_rate, grid_density, planck_density, relative_drift, save_snapshot
 from .reduced_solver import (
     _FLAT_R,
     AtomSystemState,
@@ -109,19 +110,28 @@ _DEFAULTS: dict = {
 }
 
 
+class InitialState(NamedTuple):
+    """The initial data of a config as plain arrays: ``atoms``, sorted
+    locations and their masses, or ``density``, its values on the config's
+    grid; the other is None."""
+
+    atoms: tuple[np.ndarray, np.ndarray] | None
+    density: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     physical: PhysicalParams
     truncation: TruncationParams
     grid: Grid
-    initial: HybridMeasure  # built once, and so validated, by load_config
+    initial: InitialState  # built once, and so validated, by load_config
     solver: SolverConfig
     reduced: dict  # each value converted and checked by load_config
     eta: float
     regularization_index: int
     raw: dict
 
-    def initial_measure(self) -> HybridMeasure:
+    def initial_measure(self) -> InitialState:
         return self.initial
 
 
@@ -147,29 +157,28 @@ def _merged(user: dict) -> dict:
     return out
 
 
-def build_initial(recipe: dict, grid: Grid) -> HybridMeasure:
+def build_initial(recipe: dict, grid: Grid) -> InitialState:
     """Initial data presets shared by the solvers and the CLI."""
     kind = recipe.get("preset")
+    if kind == "atoms":
+        return InitialState(atoms=atom_arrays([tuple(a) for a in recipe["atoms"]]), density=None)
     if kind == "planck_mu":
-        return HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, recipe.get("mu", -1.0)))
-    if kind == "scaled_planck":
+        dens = planck_density(grid, recipe.get("mu", -1.0))
+    elif kind == "scaled_planck":
         dens = recipe.get("factor", 2.0) * planck_density(grid, recipe.get("mu", -1.0))
-        return HybridMeasure(atoms=[], grid=grid, density=dens)
-    if kind == "bump":
+    elif kind == "bump":
         dens = planck_density(grid, recipe.get("mu", 0.0))
         amp = recipe.get("amplitude", 1.2)
         center = recipe.get("center", 3.0)
         width = recipe.get("width", 0.6)
         dens = dens + amp * np.exp(-((grid.nodes - center) / width) ** 2)
-        return HybridMeasure(atoms=[], grid=grid, density=dens)
-    if kind == "atoms":
-        return HybridMeasure(atoms=[tuple(a) for a in recipe["atoms"]])
-    if kind == "truncated_planck":
+    elif kind == "truncated_planck":
         dens = planck_density(grid, recipe.get("mu", 0.0))
         lo = recipe.get("support_min", grid.nodes[0])
         dens = np.where(grid.nodes >= lo, dens, 0.0)
-        return HybridMeasure(atoms=[], grid=grid, density=dens)
-    raise ValidationError(f"unknown initial-data preset '{kind}'")
+    else:
+        raise ValidationError(f"unknown initial-data preset '{kind}'")
+    return InitialState(atoms=None, density=grid_density(grid, dens))
 
 
 @contextlib.contextmanager
@@ -262,7 +271,7 @@ def load_config(path: str | None = None, data: dict | None = None, equation: str
     # the exponential moments of both equations weight the top grid node of
     # a density and the largest location of atoms
     with _section("grid.max" if initial.density is not None else "initial"):
-        check_exp_rate(initial.atoms, grid, initial.density, eta)
+        check_exp_rate(grid.nodes if initial.density is not None else initial.atoms[0], eta)
 
     sol = cfg["solver"]
     with _section("solver"):
@@ -456,7 +465,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
     c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
     manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
-    traj = run_full(u0, kern, cfg.solver)
+    traj = run_full(u0.density, kern, cfg.solver)
     manifest.telemetry.update(_integrator_telemetry(traj), one_sided_pairs=traj.one_sided_pairs)
 
     columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
@@ -467,7 +476,7 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
     stamps = [f"{traj.times[0]:.6f}", f"{traj.times[last]:.6f}"]
     for i, stamp, density in zip((0, last), stamps, (u0.density, traj.final)):
         name = f"snapshot_{stamp}.json" if stamps[0] != stamps[1] else f"snapshot_{stamp}_{i}.json"
-        save_measure(HybridMeasure(grid=cfg.grid, density=density), os.path.join(out_dir, name))
+        save_snapshot(cfg.grid, density, os.path.join(out_dir, name))
         manifest.outputs.append(name)
 
     drift = relative_drift(traj.M0)
@@ -511,10 +520,9 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     u0 = cfg.initial_measure()
     red = cfg.reduced
     if mode == "atoms":
-        if u0.density is not None or not u0.atoms:
+        if u0.atoms is None or u0.atoms[0].size == 0:
             raise ValidationError("initial: atoms mode needs a purely atomic initial state")
-        locs = np.array([x for x, _ in u0.atoms])
-        masses = np.array([m for _, m in u0.atoms])
+        locs, masses = u0.atoms
         if red["rate_table"] is None:
             state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses)
         else:
@@ -524,7 +532,7 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
         if u0.density is None:
             raise ValidationError("initial: picard mode needs a density initial state")
         with _section("initial"):
-            flatness_certificate(u0.grid, u0.density, _FLAT_R, cfg.eta)
+            flatness_certificate(cfg.grid, u0.density, _FLAT_R, cfg.eta)
     else:
         raise ValidationError("mode must be 'atoms' or 'picard'")
     os.makedirs(out_dir, exist_ok=True)
@@ -534,8 +542,8 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     if mode == "atoms":
         traj = run_atoms(state, red["t_end"], n_record=red["n_record"], eta=cfg.eta, stationarity_window=window)
     else:
-        traj = run_density(u0, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta, dt=red["dt"],
-                           stationarity_window=window)
+        traj = run_density(cfg.grid, u0.density, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta,
+                           dt=red["dt"], stationarity_window=window)
         manifest.derived_constants["C_0"] = traj.growth_constant
         manifest.telemetry.update(flatness_integral=traj.flatness[0], tail_integral=traj.flatness[1])
     manifest.telemetry.update(_integrator_telemetry(traj))
@@ -572,9 +580,9 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     with open(os.path.join(out_dir, "limit.json"), "w") as f:
         json.dump(limit_payload, f, indent=1)
     manifest.outputs.append("limit.json")
-    if u0.density is not None:
+    if mode == "picard":
         name = f"snapshot_{traj.times[-1]:.6f}.json"
-        save_measure(HybridMeasure(atoms=[], grid=cfg.grid, density=traj.states[-1]), os.path.join(out_dir, name))
+        save_snapshot(cfg.grid, traj.states[-1], os.path.join(out_dir, name))
         manifest.outputs.append(name)
     manifest.write(out_dir)
     return manifest, traj

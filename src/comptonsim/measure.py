@@ -1,42 +1,40 @@
-"""Nonnegative measures as atoms plus a grid density, with their functionals.
+"""Nonnegative measures as points and masses, with their functionals.
 
-The universal state of both solvers is a hybrid measure: finitely many
-atoms (point masses) together with a density sampled on a fixed log-spaced
-grid with trapezoid quadrature weights.  The full equation evolves the
-density alone, the reduced one atoms or a density.  This module provides
-power moments, the overflow guard of the exponential moment, the
+A state of either solver is plain arrays: atoms (point masses) are sorted
+locations with their masses, and a density is its values on a fixed
+log-spaced ``Grid`` with trapezoid weights w.  The functionals read a state
+as its carriers, points with their masses: the atoms of positive mass
+(:func:`atom_carriers`), or every node of a density with its mass w u
+(:func:`node_carriers`).  This module checks config input into these
+arrays, and provides the overflow guard of the exponential moment, the
 bounded-Lipschitz distance, the partition of the support into decoupled
 blocks, and the JSON snapshot writer, whose floats read back bit for bit.
-
-Known representational limit: a family of ever-smaller atoms accumulating
-at zero energy is indistinguishable from mass placed exactly at the
-origin once locations fall below the grid and merging resolution; no
-attempt is made to resolve such supports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .truncation import TruncationParams, eval_cutoff
 
 __all__ = [
-    "DomainError",
     "Grid",
-    "HybridMeasure",
     "Component",
-    "moment",
+    "atom_arrays",
+    "grid_density",
+    "atom_carriers",
+    "node_carriers",
+    "support",
     "relative_drift",
     "check_exp_rate",
     "bl_distance",
     "components",
     "planck_density",
-    "measure_to_dict",
-    "save_measure",
+    "save_snapshot",
 ]
 
 # Relative threshold below which a node's mass does not count as support;
@@ -46,10 +44,6 @@ MASS_EPSILON = 1e-14
 # Atoms closer than this (relative to max(1, x)) are merged; time
 # integration can collapse distinct atoms numerically.
 LOCATION_EPSILON = 1e-12
-
-
-class DomainError(ValueError):
-    """A functional was applied outside its domain of definition."""
 
 
 @dataclass(frozen=True)
@@ -98,80 +92,53 @@ def _merge_atoms(atoms: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return merged
 
 
-@dataclass
-class HybridMeasure:
-    """Atoms plus an optional grid density; all masses nonnegative.
+def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(location, mass) pairs as sorted locations and their masses.
 
-    Atoms are kept sorted with pairwise distinct locations (near-coincident
-    atoms are merged mass-weighted on construction); zero-mass atoms are
-    dropped.  Locations and masses must be finite: a NaN mass would
-    otherwise be dropped silently.
-    """
-
-    atoms: list[tuple[float, float]] = field(default_factory=list)
-    grid: Grid | None = None
-    density: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        for x, m in self.atoms:
-            if not (math.isfinite(x) and math.isfinite(m)):
-                raise ValueError("atom locations and masses must be finite")
-            if x < 0.0:
-                raise ValueError("atom locations must be nonnegative")
-            if m < 0.0:
-                raise ValueError("atom masses must be nonnegative")
-        self.atoms = _merge_atoms([(float(x), float(m)) for x, m in self.atoms if m > 0.0])
-        if (self.grid is None) != (self.density is None):
-            raise ValueError("grid and density must be supplied together")
-        if self.density is not None:
-            self.density = np.asarray(self.density, dtype=float)
-            if self.density.shape != self.grid.nodes.shape:
-                raise ValueError("density shape must match the grid")
-            if np.any(self.density < 0.0) or not np.all(np.isfinite(self.density)):
-                raise ValueError("density must be finite and nonnegative")
-
-    @property
-    def total_mass(self) -> float:
-        return moment(self, 0.0)
-
-    def node_masses(self) -> np.ndarray:
-        if self.density is None:
-            return np.array([])
-        return self.grid.weights * self.density
-
-    def support_points(self) -> list[tuple[float, float]]:
-        """Sorted (location, mass) carriers above ``MASS_EPSILON`` of the total mass.
-
-        Applies to atoms and nodes alike: a carrier below the threshold
-        (e.g. an atom drained to integrator noise) must not bridge a
-        decoupling gap.
-        """
-        node_masses = self.node_masses()
-        total = float(math.fsum(node_masses) + math.fsum(m for _, m in self.atoms))
-        cut = MASS_EPSILON * total
-        pts = [(x, m) for x, m in self.atoms if m > cut]
-        if self.density is not None:
-            for x, m in zip(self.grid.nodes, node_masses):
-                if m > cut:
-                    pts.append((float(x), float(m)))
-        return sorted(pts)
+    Locations and masses must be finite (a NaN mass would otherwise be
+    dropped silently) and nonnegative; zero masses are dropped and
+    near-coincident atoms merged mass-weighted."""
+    for x, m in atoms:
+        if not (math.isfinite(x) and math.isfinite(m)):
+            raise ValueError("atom locations and masses must be finite")
+        if x < 0.0:
+            raise ValueError("atom locations must be nonnegative")
+        if m < 0.0:
+            raise ValueError("atom masses must be nonnegative")
+    merged = _merge_atoms([(float(x), float(m)) for x, m in atoms if m > 0.0])
+    return np.array([x for x, _ in merged], dtype=float), np.array([m for _, m in merged], dtype=float)
 
 
-def moment(u: HybridMeasure, rho: float) -> float:
-    """Power moment of order rho: sum of x^rho against the measure."""
-    terms = []
-    for x, m in u.atoms:
-        if x == 0.0:
-            if rho < 0.0:
-                raise DomainError("negative-order moment of an atom at the origin")
-            if rho == 0.0:
-                terms.append(m)
-        else:
-            terms.append(x**rho * m)
-    total = math.fsum(terms)
-    if u.density is not None:
-        total = total + np.vecdot(u.density * u.grid.nodes**rho, u.grid.weights)
-    return float(total)
+def grid_density(grid: Grid, density) -> np.ndarray:
+    """A density on ``grid`` as a float array, which must match the grid's
+    shape and be finite and nonnegative."""
+    density = np.asarray(density, dtype=float)
+    if density.shape != grid.nodes.shape:
+        raise ValueError("density shape must match the grid")
+    if np.any(density < 0.0) or not np.all(np.isfinite(density)):
+        raise ValueError("density must be finite and nonnegative")
+    return density
+
+
+def atom_carriers(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The carriers of atoms at sorted locations x with masses m: those of
+    positive mass (a zero-mass point would split a gap of :func:`bl_distance`)."""
+    on = m > 0.0
+    return x[on], m[on]
+
+
+def node_carriers(grid: Grid, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The carriers of a density on ``grid``: every node, a zero node
+    included, with its mass w u."""
+    return grid.nodes, grid.weights * density
+
+
+def support(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The carriers (sorted points x, masses m) above ``MASS_EPSILON`` of their
+    ``math.fsum`` total: a carrier below it (e.g. an atom drained to
+    integrator noise) must not bridge a decoupling gap."""
+    on = m > MASS_EPSILON * math.fsum(m)
+    return x[on], m[on]
 
 
 def relative_drift(series: np.ndarray) -> float:
@@ -182,45 +149,32 @@ def relative_drift(series: np.ndarray) -> float:
     return float(np.max(np.abs(series - series[0])) / scale)
 
 
-def check_exp_rate(atoms, grid, rows, eta: float) -> None:
-    """Raise OverflowError when eta times the largest point the exponential
-    moment weights, the largest atom location or, with density ``rows``, the
-    top grid node, exceeds 700, where e^{eta x} comes near overflow."""
-    top = max((x for x, _ in atoms), default=0.0)
-    if rows is not None:
-        top = max(top, float(grid.nodes[-1]))
+def check_exp_rate(points, eta: float) -> None:
+    """Raise OverflowError when eta times the largest of the ``points`` the
+    exponential moment weights (atom locations, or grid nodes) exceeds 700,
+    where e^{eta x} comes near overflow."""
+    top = float(np.max(points, initial=0.0))
     if eta * top > 700.0:
         raise OverflowError(f"exp moment overflows: eta * max support = {eta:g} * {top:g} = {eta * top:.3g} > 700")
 
 
-def _signed_point_masses(u: HybridMeasure, v: HybridMeasure) -> tuple[np.ndarray, np.ndarray]:
-    locs: list[float] = []
-    masses: list[float] = []
-    for w, sign in ((u, 1.0), (v, -1.0)):
-        for x, m in w.atoms:
-            locs.append(x)
-            masses.append(sign * m)
-        if w.density is not None:
-            for x, m in zip(w.grid.nodes, w.node_masses()):
-                locs.append(float(x))
-                masses.append(sign * float(m))
-    order = np.argsort(locs)
-    locs_arr = np.asarray(locs)[order]
-    mass_arr = np.asarray(masses)[order]
-    # merge coincident points so the support has distinct nodes
-    keep_locs: list[float] = []
-    keep_mass: list[float] = []
-    for x, m in zip(locs_arr, mass_arr):
-        if keep_locs and abs(x - keep_locs[-1]) < LOCATION_EPSILON * max(1.0, x):
-            keep_mass[-1] += m
-        else:
-            keep_locs.append(float(x))
-            keep_mass.append(float(m))
-    return np.asarray(keep_locs), np.asarray(keep_mass)
+def _signed_point_masses(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The carriers of u and of v, v's masses negated, sorted, with each
+    point within ``LOCATION_EPSILON`` of the one before merged into it, so
+    the support has distinct points."""
+    x = np.concatenate((u[0], v[0]))
+    m = np.concatenate((u[1], -v[1]))
+    order = np.argsort(x)
+    x, m = x[order], m[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] - x[:-1] >= LOCATION_EPSILON * np.maximum(1.0, x[1:])
+    starts = np.flatnonzero(first)
+    return x[starts], np.add.reduceat(m, starts)
 
 
-def bl_distance(u: HybridMeasure, v: HybridMeasure) -> float:
-    """Bounded-Lipschitz distance between two hybrid measures.
+def bl_distance(u, v) -> float:
+    """Bounded-Lipschitz distance between two measures given as carriers
+    (points, masses).
 
     Exact dual by concave value functions: on the merged support x_1 < ... < x_n
     with signed masses mu = u - v, maximize sum mu_i phi_i subject to
@@ -268,22 +222,18 @@ class Component:
         return math.fsum(self.masses)
 
 
-def _partition(pts: list[tuple[float, float]], splits) -> tuple[Component, ...]:
-    """Cut sorted (location, mass) carriers into a tuple of blocks: a new
-    block starts at each carrier a >= 1 for which ``splits(a)`` holds, i.e.
-    where the gap between carriers a - 1 and a decouples.  The splitting
-    rule is the caller's; no carriers give the empty tuple."""
-    blocks: list[list[tuple[float, float]]] = []
-    for a, p in enumerate(pts):
-        if a == 0 or splits(a):
-            blocks.append([])
-        blocks[-1].append(p)
-    return tuple(Component(points=tuple(x for x, _ in b), masses=tuple(m for _, m in b)) for b in blocks)
+def _partition(x: np.ndarray, m: np.ndarray, splits: np.ndarray) -> tuple[Component, ...]:
+    """Cut sorted carriers (points x, masses m) into a tuple of blocks: a new
+    block starts at each carrier a >= 1 with ``splits[a - 1]`` true (the gap
+    before it decouples, by the caller's rule); no carriers, no blocks."""
+    bounds = [0, *(np.flatnonzero(splits) + 1).tolist(), x.size] if x.size else []
+    x, m = x.tolist(), m.tolist()
+    return tuple(Component(points=tuple(x[a:b]), masses=tuple(m[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
-def components(u: HybridMeasure, tp: TruncationParams) -> tuple[Component, ...]:
-    """Partition the support (carriers above ``MASS_EPSILON`` of the total
-    mass) into a left-to-right tuple of blocks separated by decoupling gaps.
+def components(u, tp: TruncationParams) -> tuple[Component, ...]:
+    """Partition the :func:`support` of carriers u (points, masses) into a
+    left-to-right tuple of blocks separated by decoupling gaps.
 
     A gap between consecutive support carriers p < q splits the support
     exactly when the cutoff vanishes at (p, q).  The cutoff's support shrinks
@@ -293,10 +243,8 @@ def components(u: HybridMeasure, tp: TruncationParams) -> tuple[Component, ...]:
     see.  Consecutive blocks are then separated by q - gamma1(q), the
     decoupling gap at the right block's minimum q, up to that rounding.
     """
-    pts = u.support_points()
-    x = np.array([p for p, _ in pts], dtype=float)
-    cut = eval_cutoff(tp, x[:-1], x[1:]) == 0.0
-    return _partition(pts, lambda a: cut[a - 1])
+    x, m = support(*u)
+    return _partition(x, m, eval_cutoff(tp, x[:-1], x[1:]) == 0.0)
 
 
 def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:
@@ -308,21 +256,13 @@ def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:
         return x * x / np.expm1(x - mu)
 
 
-def measure_to_dict(u: HybridMeasure) -> dict:
-    """JSON-ready form; floats round-trip bit-exactly via repr, and
-    ``Grid.log_spaced(min, max, n)`` rebuilds the grid's nodes."""
-    out: dict = {"atoms": [[x, m] for x, m in u.atoms]}
-    if u.grid is not None:
-        out["grid"] = {
-            "min": float(u.grid.nodes[0]),
-            "max": float(u.grid.nodes[-1]),
-            "n": u.grid.n,
-            "spacing": "log",
-        }
-        out["density"] = [float(g) for g in u.density]
-    return out
-
-
-def save_measure(u: HybridMeasure, path) -> None:
+def save_snapshot(grid: Grid, density: np.ndarray, path) -> None:
+    """A density on ``grid`` as JSON with no atoms; ``Grid.log_spaced(min, max,
+    n)`` rebuilds the nodes, and the floats round-trip bit-exactly via repr."""
+    snapshot = {
+        "atoms": [],
+        "grid": {"min": float(grid.nodes[0]), "max": float(grid.nodes[-1]), "n": grid.n, "spacing": "log"},
+        "density": np.asarray(density, dtype=float).tolist(),
+    }
     with open(path, "w") as f:
-        json.dump(measure_to_dict(u), f, indent=1)
+        json.dump(snapshot, f, indent=1)

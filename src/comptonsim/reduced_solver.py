@@ -27,7 +27,7 @@ import numpy as np
 
 from ._dop853 import integrate
 from .kernel import PhysicalParams, eval_kernel_batch
-from .measure import Component, Grid, HybridMeasure, _partition, bl_distance, components
+from .measure import Component, Grid, _partition, atom_carriers, bl_distance, components, node_carriers, support
 from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
 
 __all__ = [
@@ -261,12 +261,13 @@ class _LimitWindows:
     rise: float = -math.inf
 
     @classmethod
-    def of(cls, initial: HybridMeasure, blocks, pad, x: np.ndarray, stationarity_window: float,
+    def of(cls, support0: np.ndarray, blocks, pad, x: np.ndarray, stationarity_window: float,
            previous: int) -> "_LimitWindows":
         """Windows of the initial blocks, each padded on both sides by
         ``pad(edge, gap to the neighbouring block)``, and of the ten tail
-        thresholds at the 5 % to 95 % quantiles of the initial support (none
-        when it is empty); sorted points make a window a range of columns."""
+        thresholds at the 5 % to 95 % quantiles of the points ``support0`` of
+        the initial support (none when it is empty); sorted points make a
+        window a range of columns."""
         def window(lo: float, hi: float) -> tuple[int, int]:
             return int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
 
@@ -275,8 +276,7 @@ class _LimitWindows:
             lo, hi = comp.min_point, comp.max_point
             pads.append((pad(lo, lo - blocks[k - 1].max_point if k > 0 else math.inf),
                          pad(hi, blocks[k + 1].min_point - hi if k + 1 < len(blocks) else math.inf)))
-        support0 = [p for p, _ in initial.support_points()]
-        tails = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0 else ()
+        tails = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0.size else ()
         columns = [window(c.min_point - a, c.max_point + b) for c, (a, b) in zip(blocks, pads)]
         columns += [window(float(r), math.inf) for r in tails]
         return cls(stationarity_window, previous, tuple(blocks), tuple(pads), columns, [c.mass for c in blocks])
@@ -339,8 +339,9 @@ class AtomTrajectory(_ReducedRun):
     def final_masses(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at(self, idx: int) -> HybridMeasure:
-        return HybridMeasure(atoms=list(zip(self.locations, self._row(idx))))
+    def state_at(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """The carriers of kept record ``idx``: its atoms of positive mass."""
+        return atom_carriers(self.locations, self._row(idx))
 
 
 def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float, window: float | None,
@@ -361,12 +362,12 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float
         keep = tuple(sorted({0, previous, n_record - 1}))
         row0 = np.clip(m0, 0.0, None)
         if grid is None:
-            initial = HybridMeasure(atoms=list(zip(state.locations, row0)))
+            initial = atom_carriers(state.locations, row0)
             blocks, pad = _table_components(initial, state), lambda x, gap: 0.0
         else:
-            initial = HybridMeasure(atoms=[], grid=grid, density=row0 / weights)
+            initial = node_carriers(grid, row0 / weights)
             blocks, pad = components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
-        limit = _LimitWindows.of(initial, blocks, pad, state.locations, window, previous)
+        limit = _LimitWindows.of(support(*initial)[0], blocks, pad, state.locations, window, previous)
     reducer = _Reducer(state.locations, state.rate_matrix, n_record, weights, eta, keep, limit)
     row, a, b, r = state._slots
     slotless = row.size == 0
@@ -523,8 +524,9 @@ class PicardTrajectory(_ReducedRun):
     growth_constant: float
     flatness: tuple[float, float]
 
-    def state_at(self, idx: int) -> HybridMeasure:
-        return HybridMeasure(atoms=[], grid=self.grid, density=self._row(idx))
+    def state_at(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """The carriers of kept record ``idx``: every node with its mass w u."""
+        return node_carriers(self.grid, self._row(idx))
 
     def pointwise_envelope(self, idx: int, u0: np.ndarray) -> np.ndarray:
         t = self.times[idx]
@@ -532,10 +534,10 @@ class PicardTrajectory(_ReducedRun):
 
 
 def run_density(
-    u0: HybridMeasure, pp: PhysicalParams, tp: TruncationParams, t_end: float, eta: float, dt: float = 1e-3,
-    stationarity_window: float | None = None,
+    grid: Grid, u0: np.ndarray, pp: PhysicalParams, tp: TruncationParams, t_end: float, eta: float,
+    dt: float = 1e-3, stationarity_window: float | None = None,
 ) -> PicardTrajectory:
-    """Solve the reduced equation for flat integrable data on its grid.
+    """Solve the reduced equation for flat integrable data u0 on ``grid``.
 
     On the grid the equation du_i/dt = u_i sum_j R_ij w_j u_j is the atom
     system with masses m_j = w_j u_j at the nodes, so it is integrated and
@@ -547,23 +549,21 @@ def run_density(
     and reduces the windows of the cutoff blocks of the initial density,
     each padded by :func:`_block_pad`, and of the tail thresholds, for
     :func:`classify_limit`.  ``t_end`` and ``dt`` must be positive and
-    finite, the data a pure density and eta above (1 - theta)/2; the
-    flatness certificate (exponent ``_FLAT_R`` = 1) is checked before
-    anything runs.  Mass is conserved by antisymmetry, a zero node stays
-    zero, and the pointwise growth envelope holds with the calibrated
-    constants.
+    finite, u0 on the grid and eta above (1 - theta)/2; the flatness
+    certificate (exponent ``_FLAT_R`` = 1) is checked before anything runs.
+    Mass is conserved by antisymmetry, a zero node stays zero, and the
+    pointwise growth envelope holds with the calibrated constants.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-    if u0.density is None or u0.atoms:
-        raise ValueError("the fixed-point solver evolves a pure density")
+    if np.shape(u0) != grid.nodes.shape:
+        raise ValueError("the density must be on the grid")
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
-    grid = u0.grid
-    flatness = flatness_certificate(grid, u0.density, _FLAT_R, eta)
+    flatness = flatness_certificate(grid, u0, _FLAT_R, eta)
     rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
-    state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_grid)
+    state = AtomSystemState.from_table(grid.nodes, u0 * grid.weights, rate_grid)
     n_record = max(2, math.ceil(t_end / dt) + 1)
     fields = _reduced_run(state, t_end, n_record, eta, stationarity_window, grid, tp)
     return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, flatness[1]),
@@ -608,9 +608,11 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
     atoms and checked against the initial state: atoms sit in the initial
     support, are pairwise decoupled, reproduce each initial block's mass,
     and include the leftmost point of every block with positive minimum.
-    The kind is tested once: an atom trajectory reads its couplings off its
-    rate table and its surviving atoms are the limit atoms; a density
-    trajectory reads them off the cutoff geometry, takes one mass-weighted
+    The kind is tested once: an atom trajectory's total mass is the
+    ``math.fsum`` of its masses, it reads its couplings off its rate table,
+    and its surviving atoms are the limit atoms; a density trajectory's
+    total mass is the ``np.vecdot`` of its density with the node weights, it
+    reads the couplings off the cutoff geometry, takes one mass-weighted
     limit atom per final block, and widens the support by 1.5 grid cells.
     One pass over the run's initial blocks (the table's, or the cutoff's
     padded by :func:`_block_pad`) checks a block's mass to
@@ -636,16 +638,17 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
         )
 
     initial = traj.state_at(0)
-    total0 = initial.total_mass
-    support0 = [x for x, _ in initial.support_points()]
+    support0 = support(*initial)[0].tolist()
     if isinstance(traj, AtomTrajectory):
         # atoms never leave their locations: each surviving atom is a limit
         # atom, and the table says which couple
-        limit_atoms = final.support_points()
+        total0 = math.fsum(initial[1])
+        limit_atoms = list(zip(*(a.tolist() for a in support(*final))))
         at = np.searchsorted(traj.locations, [x for x, _ in limit_atoms])
         pairwise = not np.any(traj.state0.rate_matrix[np.ix_(at, at)])
         tols = [_LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
     else:
+        total0 = float(np.vecdot(traj._row(0), traj.grid.weights))
         limit_atoms = [
             (c.points[0], c.mass) if len(c.points) == 1
             else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
@@ -654,7 +657,7 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
         locs = np.array([x for x, _ in limit_atoms])
         i, j = np.triu_indices(locs.size, 1)
         pairwise = not np.any(eval_cutoff(tp, locs[i], locs[j]))
-        cell = 1.5 * np.max(np.diff(initial.grid.nodes))
+        cell = 1.5 * np.max(np.diff(traj.grid.nodes))
         tols = [max(_LIMIT_LOCATION_TOL * max(1.0, x), cell) for x, _ in limit_atoms]
 
     in_support0 = all(any(abs(x - s) <= tol for s in support0) for (x, _), tol in zip(limit_atoms, tols))
@@ -693,15 +696,16 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
     )
 
 
-def _table_components(u: HybridMeasure, state: AtomSystemState) -> tuple[Component, ...]:
-    """Blocks of an atom state's support under its rate table, cut by the
-    splitter of :func:`components`: the gap between consecutive support atoms
-    p < q splits the support when no table entry links a support atom <= p
-    to one >= q (on a physical table, the cutoff rule of :func:`components`)."""
-    pts = u.support_points()
-    idx = np.searchsorted(state.locations, [x for x, _ in pts])
+def _table_components(u, state: AtomSystemState) -> tuple[Component, ...]:
+    """Blocks of the support of atom carriers u (locations, masses) under the
+    state's rate table, cut by the splitter of :func:`components`: the gap
+    between consecutive support atoms p < q splits the support when no table
+    entry links a support atom <= p to one >= q (on a physical table, the
+    cutoff rule of :func:`components`)."""
+    x, m = support(*u)
+    idx = np.searchsorted(state.locations, x)
     linked = state.rate_matrix[np.ix_(idx, idx)] != 0.0
-    return _partition(pts, lambda a: not linked[:a, a:].any())
+    return _partition(x, m, np.array([not linked[:a, a:].any() for a in range(1, x.size)], dtype=bool))
 
 
 def _quantiles(points, q: np.ndarray) -> np.ndarray:

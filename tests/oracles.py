@@ -5,10 +5,12 @@ The package evaluates the kernel through one batched adaptive quadrature,
 global adaptive bisection of Gauss panels one pair at a time, with the
 package's integrand, panel rules and panel budget (``kernel._MAX_PANELS``,
 read at call time so a test can shrink it); the batch must give every pair
-its bits.  :func:`exp_moment` is the exponential moment of one measure,
-atoms included, as a full run records it for a density, and
-:func:`growth_bound` builds, for a full run made without the harness, the
-bound that the harness's ``exp_moment_growth_bound`` check builds.  The
+its bits.  :func:`moment` and :func:`exp_moment` are the power and
+exponential moments of atoms or of a density, as a full run records them
+for a density, :func:`signed_point_masses` merges the carriers of two
+measures as the package did by a loop, and :func:`growth_bound` builds, for a full run made
+without the harness, the bound that the harness's
+``exp_moment_growth_bound`` check builds.  The
 other functions state facts of the paper that no command reaches: the
 large-beta concentration of the majorant onto the diagonal, the
 beta-scaling maps, the three-way classification of the coupling region,
@@ -57,7 +59,6 @@ import numpy as np
 from comptonsim import _dop853, full_solver, kernel, measure, reduced_solver, truncation
 from comptonsim._dop853 import Counts
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
-from comptonsim.measure import HybridMeasure
 from comptonsim.reduced_solver import (
     _FLAT_R,
     NonContraction,
@@ -102,7 +103,7 @@ def step(u: np.ndarray, kern, dt: float, dt_min: float = 1e-8) -> tuple[np.ndarr
         dt = max(0.5 * dt, dt_min)
 
 
-def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
+def rk4_run(u0: np.ndarray, kern, cfg) -> full_solver.TrajectoryRecord:
     """The full run on :func:`step`: the state at t = 0, after every
     ``record_every``-th step of ``dt_init`` (cut to the horizon) and after
     the last, the step times summed as they go.  The columns are computed
@@ -110,7 +111,7 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
     and the mass on [0, 2 x_min) as dots against the weights, D and the
     one-sided pair count by the run's pair pass; ``nfev`` is 0 (the oracle
     does not count its evaluations)."""
-    g, t, steps = u0.density.copy(), 0.0, 0
+    g, t, steps = u0.copy(), 0.0, 0
     horizon = cfg.t_end * (1.0 - 1e-12)
     times, states = [0.0], [g]
     while t < horizon:
@@ -120,7 +121,7 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
         if steps % cfg.record_every == 0 or t >= horizon:
             times.append(t)
             states.append(g)
-    xs, w = u0.grid.nodes, u0.grid.weights
+    xs, w = kern.grid.nodes, kern.grid.weights
     window = xs < 2.0 * xs[0]
     columns, one_sided = [], 0
     for lo in range(0, len(states), 64):
@@ -138,18 +139,50 @@ def rk4_run(u0: HybridMeasure, kern, cfg) -> full_solver.TrajectoryRecord:
     return full_solver.TrajectoryRecord(np.array(times), *columns, final=g, nfev=0, one_sided_pairs=one_sided)
 
 
+def moment(u, rho: float) -> float:
+    """Power moment of order rho of atoms u = (locations, masses), the
+    ``math.fsum`` of x^rho m on Python floats (so an atom at the origin has
+    mass at order 0, and raises ZeroDivisionError at a negative order), or
+    of a density u = (grid, values), the ``np.vecdot`` of u x^rho with the
+    node weights: at order 0 the mass of either kind as the package sums it."""
+    if isinstance(u[0], measure.Grid):
+        grid, density = u
+        return float(np.vecdot(density * grid.nodes**rho, grid.weights))
+    return math.fsum(x**rho * m for x, m in zip(np.asarray(u[0]).tolist(), np.asarray(u[1]).tolist()))
+
+
 def exp_moment(u, eta: float) -> float:
-    """Exponential moment of one measure with rate eta >= 0; equals the mass
-    at eta = 0, and raises OverflowError where ``measure.check_exp_rate`` does."""
+    """Exponential moment of atoms or a density (as :func:`moment` takes
+    them) with rate eta >= 0; equals the mass at eta = 0, and raises
+    OverflowError where ``measure.check_exp_rate`` does."""
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
-        return measure.moment(u, 0.0)
-    measure.check_exp_rate(u.atoms, u.grid, u.density, eta)
-    total = math.fsum(m * math.exp(eta * x) for x, m in u.atoms)
-    if u.density is not None:
-        total = total + np.vecdot(u.density * np.exp(eta * u.grid.nodes), u.grid.weights)
-    return float(total)
+        return moment(u, 0.0)
+    if isinstance(u[0], measure.Grid):
+        grid, density = u
+        measure.check_exp_rate(grid.nodes, eta)
+        return float(np.vecdot(density * np.exp(eta * grid.nodes), grid.weights))
+    measure.check_exp_rate(u[0], eta)
+    return math.fsum(m * math.exp(eta * x) for x, m in zip(np.asarray(u[0]).tolist(), np.asarray(u[1]).tolist()))
+
+
+def signed_point_masses(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """``measure._signed_point_masses`` as a loop over the sorted carriers of
+    u and of v (v's masses negated), each point within
+    ``measure.LOCATION_EPSILON`` of its group's first point added into it."""
+    locs = [*np.asarray(u[0]).tolist(), *np.asarray(v[0]).tolist()]
+    masses = [*np.asarray(u[1]).tolist(), *(-np.asarray(v[1])).tolist()]
+    order = np.argsort(locs)
+    keep_locs: list[float] = []
+    keep_mass: list[float] = []
+    for x, m in zip(np.asarray(locs)[order].tolist(), np.asarray(masses)[order].tolist()):
+        if keep_locs and abs(x - keep_locs[-1]) < measure.LOCATION_EPSILON * max(1.0, x):
+            keep_mass[-1] += m
+        else:
+            keep_locs.append(x)
+            keep_mass.append(m)
+    return np.asarray(keep_locs), np.asarray(keep_mass)
 
 
 def growth_bound(traj, c_eta: float) -> np.ndarray:
@@ -497,7 +530,8 @@ class FixedPointTrajectory:
 
 
 def picard_solve(
-    u0: HybridMeasure,
+    grid: measure.Grid,
+    u0: np.ndarray,
     pp: PhysicalParams,
     tp: TruncationParams,
     t_end: float,
@@ -520,12 +554,11 @@ def picard_solve(
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-    if u0.density is None or u0.atoms:
-        raise ValueError("the fixed-point solver evolves a pure density")
+    if np.shape(u0) != grid.nodes.shape:
+        raise ValueError("the density must be on the grid")
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
-    grid = u0.grid
-    _, x_eta0 = flatness_certificate(grid, u0.density, _FLAT_R, eta)
+    _, x_eta0 = flatness_certificate(grid, u0, _FLAT_R, eta)
     rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
     c0 = pointwise_growth_constant(tp, c_star, x_eta0)
 
@@ -538,14 +571,14 @@ def picard_solve(
         return math.ceil(t_left / dt) + math.ceil(t_left / window) + 1
 
     t0 = 0.0
-    u_start = u0.density.copy()
+    u_start = u0.copy()
     window_count = 0
     min_window = max(4.0 * dt, t_end * 1e-6)
     current_window = min(_FIRST_WINDOW, t_end)
     times = np.empty(1 + rows_left(t_end, current_window))
     states = np.empty((times.size, grid.n))
     times[0] = 0.0
-    states[0] = u0.density
+    states[0] = u0
     count = 1
     while t0 < t_end - 1e-12 * t_end:
         length = min(current_window, t_end - t0)
@@ -709,8 +742,8 @@ class Recorded:
 
     def state_at(self, idx):
         if self.grid is None:
-            return HybridMeasure(atoms=list(zip(self.x, self.U[idx])))
-        return HybridMeasure(atoms=[], grid=self.grid, density=self.U[idx])
+            return measure.atom_carriers(self.x, self.U[idx])
+        return measure.node_carriers(self.grid, self.U[idx])
 
 
 def dissipation(R, x, U, alpha, weights=None):
@@ -769,11 +802,11 @@ def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0
             f"bounded-Lipschitz stationarity gap {stationarity_gap:.3e} >= {limit_tol:.1e} at t={t[-1]}"
         )
     initial = rec.state_at(0)
-    total0 = initial.total_mass
-    support0 = [x for x, _ in initial.support_points()]
+    total0 = math.fsum(initial[1]) if rec.grid is None else float(np.vecdot(rec.U[0], rec.w))
+    support0 = measure.support(*initial)[0].tolist()
     if rec.grid is None:
         blocks = rs._table_components(initial, rec.state0)
-        limit_atoms = final.support_points()
+        limit_atoms = list(zip(*(a.tolist() for a in measure.support(*final))))
         at = np.searchsorted(rec.x, [x for x, _ in limit_atoms])
         pairwise = not np.any(rec.state0.rate_matrix[np.ix_(at, at)])
         tols = [rs._LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
@@ -788,7 +821,7 @@ def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0
         locs = np.array([x for x, _ in limit_atoms])
         i, j = np.triu_indices(locs.size, 1)
         pairwise = not np.any(eval_cutoff(tp, locs[i], locs[j]))
-        nodes = initial.grid.nodes
+        nodes = rec.grid.nodes
         cell = 1.5 * np.max(np.diff(nodes))
         tols = [max(rs._LIMIT_LOCATION_TOL * max(1.0, x), cell) for x, _ in limit_atoms]
         pad = lambda x, gap: rs._block_pad(nodes, x, gap)
@@ -877,12 +910,12 @@ def replayed_atoms(state0, records, t_end=None, **kwargs):
         return reduced_solver.run_atoms(state0, t_end, n_record=len(records), **kwargs)
 
 
-def replayed_density(u0, pp, tp, densities, **kwargs):
-    """``run_density`` of records whose densities are ``densities``, one a
-    unit of time apart (the records are their node masses)."""
-    records = np.asarray(densities) * u0.grid.weights
+def replayed_density(grid, u0, pp, tp, densities, **kwargs):
+    """``run_density`` from u0 on ``grid`` of records whose densities are
+    ``densities``, one a unit of time apart (the records are their node masses)."""
+    records = np.asarray(densities) * grid.weights
     with replaying(records):
-        return reduced_solver.run_density(u0, pp, tp, t_end=float(len(records) - 1), dt=1.0, **kwargs)
+        return reduced_solver.run_density(grid, u0, pp, tp, t_end=float(len(records) - 1), dt=1.0, **kwargs)
 
 
 @contextlib.contextmanager

@@ -26,7 +26,7 @@ from comptonsim.kernel import (
     eval_majorant,
     verify_antidiagonal_monotonicity,
 )
-from comptonsim.measure import Grid, HybridMeasure, planck_density, relative_drift
+from comptonsim.measure import Grid, planck_density, relative_drift
 from comptonsim.reduced_solver import (
     AtomSystemState,
     classify_limit,
@@ -139,9 +139,8 @@ def full_kernel(full_grid):
     return RegularizedKernel.build(PP, TP, full_grid, n=20)
 
 
-def _planck_bump(grid: Grid) -> HybridMeasure:
-    dens = planck_density(grid, 0.0) + 1.2 * np.exp(-((grid.nodes - 3.0) / 0.6) ** 2)
-    return HybridMeasure(atoms=[], grid=grid, density=dens)
+def _planck_bump(grid: Grid) -> np.ndarray:
+    return planck_density(grid, 0.0) + 1.2 * np.exp(-((grid.nodes - 3.0) / 0.6) ** 2)
 
 
 def test_criterion_05_full_conservation(full_grid, full_kernel):
@@ -248,8 +247,8 @@ def test_criterion_09_lyapunov_suite():
     atom_rep = lyapunov_check(atom_traj)
 
     grid = Grid.log_spaced(0.5, 30.0, 128)
-    u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-    pic_traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+    u0 = planck_density(grid, 0.0)
+    pic_traj = run_density(grid, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
     pic_rep = lyapunov_check(pic_traj)
 
     err_a = max(atom_rep.max_balance_error.values())
@@ -268,9 +267,9 @@ def test_criterion_09_lyapunov_suite():
 
 def test_criterion_10_flatness_envelope():
     grid = Grid.log_spaced(0.5, 30.0, 128)
-    u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-    traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
-    env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
+    u0 = planck_density(grid, 0.0)
+    traj = run_density(grid, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+    env = traj.pointwise_envelope(len(traj.times) - 1, u0)
     envelope_ok = bool(np.all(traj.states[-1] <= env * (1.0 + 1e-9)))
     ms = traj.M0
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])

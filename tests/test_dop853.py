@@ -9,7 +9,8 @@ finite error estimates keeps SciPy's message (``tests/test_ports.py``).
 
 ``integrate``, the run driver of the full and both reduced runs, turns a
 stall and a record below its positivity floor into ``StepCollapse``, and
-clips a dip within the floor.
+clips a dip within the floor.  A first rate that overflows stops every run
+at t = 0 with ``StepCollapse``, where SciPy's loop would never end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from comptonsim import _dop853
 from comptonsim._dop853 import ATOL, StepSizeTooSmall, dop853
 from comptonsim.full_solver import RegularizedKernel, SolverConfig, StepCollapse, run_full
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import Grid, planck_density
 from comptonsim.reduced_solver import AtomSystemState, atom_ode_rhs, run_atoms, run_density
 from comptonsim.truncation import TruncationParams
 
@@ -91,15 +92,15 @@ def run_of(kind: str):
         return lambda: run_atoms(state, 1.0, eta=0.3, n_record=11), 1.0, 1.1e-12, lambda traj: traj.states[-1]
     if kind == "density":
         grid = Grid.log_spaced(1.0, 30.0, 16)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
-        floor = 1e-12 * max(float(np.sum(u0.density * grid.weights)), 1.0)
+        u0 = planck_density(grid, 0.0)
+        floor = 1e-12 * max(float(np.sum(u0 * grid.weights)), 1.0)
         # the records are the node masses; the kept states are densities
-        return (lambda: run_density(u0, PP, TP, t_end=0.01, eta=0.3, dt=1e-3), 1.0, floor,
+        return (lambda: run_density(grid, u0, PP, TP, t_end=0.01, eta=0.3, dt=1e-3), 1.0, floor,
                 lambda traj: traj.states[-1])
     grid = Grid.log_spaced(0.05, 15.0, 32)
     kern = RegularizedKernel.build(PP, TP, grid, n=20)
-    u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0) + np.exp(-3.0 * (grid.nodes - 3.0) ** 2))
-    floor = 1e-12 * max(float(np.sum(u0.density * grid.weights)), 1.0)
+    u0 = planck_density(grid, 0.0) + np.exp(-3.0 * (grid.nodes - 3.0) ** 2)
+    floor = 1e-12 * max(float(np.sum(u0 * grid.weights)), 1.0)
     return lambda: run_full(u0, kern, SolverConfig(t_end=0.01)), grid.weights[NODE], floor, lambda traj: traj.final
 
 
@@ -149,3 +150,45 @@ def test_one_failure_type_and_one_floor(kind, monkeypatch):
     monkeypatch.setattr(_dop853, "dop853", fake)
     state = last(run())
     assert state[NODE] == 0.0 and np.all(state >= 0.0)
+
+
+def overflowing_run(kind: str):
+    """A run of ``kind`` from a state of masses near 1e300, whose first rate
+    overflows: the full run's rate is not finite, and the atom system's
+    pairwise sums of +inf and -inf are NaN."""
+    if kind == "atoms":
+        table = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+        state = AtomSystemState.from_table([1.0, 1.1, 1.2], [1e300, 1e300, 1e300], table)
+        return lambda: run_atoms(state, 5.0, eta=0.3, n_record=11)
+    if kind == "density":
+        grid = Grid.log_spaced(1.0, 30.0, 8)
+        return lambda: run_density(grid, 1e300 * planck_density(grid, 0.0), PP, TP, t_end=1.0, eta=0.3)
+    grid = Grid.log_spaced(0.02, 22.0, 16)
+    kern = RegularizedKernel.build(PP, TP, grid, n=20)
+    return lambda: run_full(1e300 * planck_density(grid, -1.0), kern, SolverConfig(t_end=0.01))
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("full", "non-finite density rate at t=0.0"),
+    ("atoms", "integration failed: initial step estimate is not finite at t=0.0: nan"),
+    ("density", "integration failed: initial step estimate is not finite at t=0.0: nan"),
+], ids=["full", "atoms", "density"])
+def test_a_nan_first_rate_stops_at_t0(kind, message, monkeypatch):
+    # SciPy's loop keeps a NaN initial step and attempts steps at t0 without
+    # end; the rate here raises after 10 000 calls, so such a loop fails
+    real, calls = _dop853.dop853, []
+
+    def bounded(fun, *args):
+        def rate(t, y):
+            calls.append(t)
+            if len(calls) > 10_000:
+                raise RuntimeError("still integrating after 10 000 rate calls")
+            return fun(t, y)
+        return real(rate, *args)
+
+    monkeypatch.setattr(_dop853, "dop853", bounded)
+    run = overflowing_run(kind)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepCollapse) as err:
+        run()
+    assert str(err.value) == message
+    assert len(calls) <= 2  # the first rate and the initial step guess

@@ -23,9 +23,9 @@ from comptonsim.full_solver import (
 )
 from comptonsim.harness import load_config
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, moment, planck_density, relative_drift
+from comptonsim.measure import Grid, planck_density, relative_drift
 from comptonsim.truncation import TruncationParams
-from oracles import growth_bound, rk4_run, step
+from oracles import growth_bound, moment, rk4_run, step
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -181,7 +181,7 @@ class TestCrossValidation:
 
         u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=100)
-        traj = rk4_run(HybridMeasure(atoms=[], grid=grid, density=u0), kern, cfg)
+        traj = rk4_run(u0, kern, cfg)
         ref = solve_ivp(
             lambda t, u: collision_rhs(u, kern), (0.0, 0.5), u0, method="DOP853", rtol=1e-12, atol=1e-14
         )
@@ -208,7 +208,7 @@ class TestAgainstRk4Oracle:
     ], ids=["planck_mu", "bump", "scaled_planck"])
     def test_every_column_agrees(self, default_kernel, data):
         cfg = load_config(data=data, equation="full")
-        u0 = cfg.initial_measure()
+        u0 = cfg.initial_measure().density
         traj = run_full(u0, default_kernel, cfg.solver)
         ref = rk4_run(u0, default_kernel, cfg.solver)
         mass = float(ref.M0[0])
@@ -245,7 +245,7 @@ class TestDissipation:
 
 class TestBalance:
     def test_stationary_balance_trivial(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
+        u0 = planck_density(grid, -1.0)
         cfg = SolverConfig(t_end=0.05, dt_init=1e-3)
         traj = run_full(u0, kern, cfg)
         rep = entropy_balance_check(traj)
@@ -254,7 +254,7 @@ class TestBalance:
         assert rep.residual <= rep.tolerance and rep.entropy_monotone and rep.dissipation_nonnegative
 
     def test_bump_balance(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.3, dt_init=1e-3)
         traj = run_full(u0, kern, cfg)
         rep = entropy_balance_check(traj)
@@ -270,14 +270,13 @@ class TestOriginMass:
     def test_no_mass_below_window(self, kern, grid):
         # the taper (support from 1/21) vanishes on the window's nodes, so they exchange nothing
         dens = np.where(grid.nodes > 1.0, planck_density(grid, 0.0), 0.0)
-        u = HybridMeasure(atoms=[], grid=grid, density=dens)
-        traj = run_full(u, kern, SolverConfig(t_end=0.1, record_every=10))
+        traj = run_full(dens, kern, SolverConfig(t_end=0.1, record_every=10))
         assert len(traj.times) == 11 and np.all(traj.origin_mass_series == 0.0)
 
 
 class TestRunFull:
     def test_zero_initial_state(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(grid.n))
+        u0 = np.zeros(grid.n)
         cfg = SolverConfig(t_end=0.01, record_every=5)
         traj = run_full(u0, kern, cfg)
         assert np.all(traj.final == 0.0)
@@ -285,27 +284,26 @@ class TestRunFull:
         assert np.all(traj.M0 == 0.0) and np.all(traj.X_eta == 0.0) and np.all(bound == 0.0)
 
     def test_positive_atoms_rejected(self, kern, grid):
-        u0 = HybridMeasure(atoms=[(1.0, 0.1)], grid=grid, density=planck_density(grid, -1.0))
+        # the run takes a density on the kernel grid: atoms (locations, masses) are refused
         with pytest.raises(ValueError):
-            run_full(u0, kern, SolverConfig(t_end=0.01))
+            run_full((np.array([1.0]), np.array([0.1])), kern, SolverConfig(t_end=0.01))
 
     def test_origin_atom_rejected(self, kern, grid):
         # the taper vanishes at zero energy: an origin atom never moves, so the run takes none
-        u0 = HybridMeasure(atoms=[(0.0, 0.2)], grid=grid, density=planck_density(grid, -1.0))
-        with pytest.raises(ValueError, match="^the full solver evolves a density alone: initial atoms are not supported$"):
-            run_full(u0, kern, SolverConfig(t_end=0.01))
+        with pytest.raises(ValueError, match="^the density must be on the kernel grid$"):
+            run_full((np.array([0.0]), np.array([0.2])), kern, SolverConfig(t_end=0.01))
 
     def test_overflowing_exp_rate_rejected_before_integrating(self, kern, grid, monkeypatch):
         def never(*args):
             raise AssertionError("integrated")
 
         monkeypatch.setattr(_dop853, "dop853", never)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
+        u0 = planck_density(grid, -1.0)
         with pytest.raises(OverflowError, match="^exp moment overflows: eta \\* max support = 40 \\* 22 = 880 > 700$"):
             run_full(u0, kern, SolverConfig(t_end=0.01, eta=40.0))
 
     def test_growth_bound_and_mass(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.5, dt_init=1e-3, record_every=10, eta=0.3)
         traj = run_full(u0, kern, cfg)
         assert relative_drift(traj.M0) <= 1e-12
@@ -314,7 +312,7 @@ class TestRunFull:
 
     def test_every_step_asks_for_dt_init(self, kern, grid):
         # the records lie on the dt_init grid: k dt_init, and t_end last
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         cfg = SolverConfig(t_end=0.1, dt_init=1e-3)
         traj = run_full(u0, kern, cfg)
         assert len(traj.times) == 101
@@ -324,7 +322,7 @@ class TestRunFull:
 
     def test_mass_drift_trajectory_fills_the_last_partial_block(self, kern, grid):
         records = 3 * full_solver_module._BLOCK_ROWS + 2
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         cfg = SolverConfig(t_end=(records - 1) * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-18)
         traj = run_full(u0, kern, cfg)  # a finished run returns its record whatever its drift
         assert relative_drift(traj.M0) > cfg.mass_tolerance
@@ -363,7 +361,7 @@ class TestRunFull:
         monkeypatch.setattr(
             full_solver_module, "_pair_dissipation", lambda k, rows: seen.append(rows.copy()) or real_pairs(k, rows)
         )
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         with pytest.raises(StepCollapse, match=r"^non-finite density rate at t=\d"):
             run_full(u0, kern, SolverConfig(t_end=10.0, dt_init=1e-2))  # 392 evaluations unpatched
         assert all(np.all(np.isfinite(rows)) for rows in seen)
@@ -371,8 +369,8 @@ class TestRunFull:
         assert sum(len(rows) for rows in seen) == 2 * {3: 0, 4: 0, 21: 4 * 85}[nan_step]
 
     def test_undershoot_is_clipped_within_noise_and_raises_beyond(self, kern, grid, monkeypatch):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
-        floor = 1e-12 * max(float(np.dot(grid.weights, u0.density)), 1.0)
+        u0 = bump_state(grid)
+        floor = 1e-12 * max(float(np.dot(grid.weights, u0)), 1.0)
         node = grid.n // 2
         real = _dop853.dop853
 
@@ -398,24 +396,23 @@ class TestRunFull:
             raise _dop853.StepSizeTooSmall("Required step size is less than spacing between numbers.")
 
         monkeypatch.setattr(_dop853, "dop853", collapse)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=bump_state(grid))
+        u0 = bump_state(grid)
         with pytest.raises(StepCollapse) as err:
             run_full(u0, kern, SolverConfig(t_end=0.01))
         assert str(err.value) == "integration failed: Required step size is less than spacing between numbers."
 
     def test_truncated_planck_undershoot_is_clipped(self, kern, grid):
         # DOP853 undershoots zero by about 1e-25 next to the support's edge
-        u0 = HybridMeasure(atoms=[], grid=grid, density=np.where(grid.nodes >= 1.0, planck_density(grid, 0.0), 0.0))
+        u0 = np.where(grid.nodes >= 1.0, planck_density(grid, 0.0), 0.0)
         traj = run_full(u0, kern, SolverConfig(t_end=1.0, record_every=100))
         assert np.all(traj.final >= 0.0)
         assert relative_drift(traj.M0) <= 1e-12
 
     def test_mass_columns_are_the_final_density_masses(self, kern, grid):
-        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, -1.0))
+        u0 = planck_density(grid, -1.0)
         cfg = SolverConfig(t_end=0.02, record_every=5)
         traj = run_full(u0, kern, cfg)
-        last = HybridMeasure(atoms=[], grid=grid, density=traj.final)
-        assert traj.M0[-1] == moment(last, 0.0) == float(np.dot(grid.weights, traj.final))
+        assert traj.M0[-1] == moment((grid, traj.final), 0.0) == float(np.dot(grid.weights, traj.final))
         window = grid.nodes < 2.0 * grid.nodes[0]
         assert traj.origin_mass_series[-1] == float(np.dot(grid.weights[window], traj.final[window])) > 0.0
 

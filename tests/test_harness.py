@@ -118,6 +118,12 @@ NOT_FLAT = {"grid": {"min": 0.005, "max": 30.0, "n": 32}, "reduced": {"t_end": 0
 # eta * the top grid node (0.375 * 3000) or the largest atom location (0.375 * 2000) exceeds 700
 WIDE_GRID = {"grid": {"min": 0.02, "max": 3000.0, "n": 32}, "solver": {"t_end": 0.01}}
 FAR_ATOM = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [2000.0, 0.6]]}}
+# states whose first rate overflows (the CI step "Overflowing states stop")
+OVERFLOWING_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 1e300], [1.1, 1e300], [1.2, 1e300]]},
+                     "reduced": {"t_end": 5.0, "n_record": 11}}
+OVERFLOWING_PICARD = {"grid": {"min": 1.0, "max": 30.0, "n": 8},
+                      "initial": {"preset": "scaled_planck", "factor": 1e300, "mu": 0.0},
+                      "reduced": {"t_end": 1.0, "stationarity_window": 0.5}, "diagnostics": {"eta": 0.3}}
 
 
 class TestLoadConfig:
@@ -215,7 +221,7 @@ class TestInitialData:
         bump = build_initial({"preset": "bump", "mu": 0.0, "amplitude": 1.0, "center": 3.0, "width": 0.5}, g)
         assert bump.density is not None
         atoms = build_initial({"preset": "atoms", "atoms": [[1.0, 0.5]]}, g)
-        assert atoms.atoms == [(1.0, 0.5)]
+        assert [a.tolist() for a in atoms.atoms] == [[1.0], [0.5]] and atoms.density is None
         cut = build_initial({"preset": "truncated_planck", "mu": 0.0, "support_min": 1.0}, g)
         assert np.all(cut.density[g.nodes < 1.0] == 0.0)
 
@@ -614,6 +620,20 @@ class TestCli:
     ], ids=["full-atoms", "atoms-density", "picard-atoms", "picard-not-flat"])
     def test_initial_state_of_the_wrong_kind(self, tmp_path, capsys, command, data, message):
         assert_invalid_config(tmp_path, capsys, command, data, message)
+
+    @pytest.mark.parametrize("mode, data", [("atoms", OVERFLOWING_ATOMS), ("picard", OVERFLOWING_PICARD)])
+    def test_overflowing_state_exits_1_at_t0(self, tmp_path, mode, data):
+        # each looped without end at t = 0 on a NaN initial step; the timeout bounds a loop
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+        args = ["simulate-reduced", "--mode", mode, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "comptonsim.cli", *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "comptonsim._dop853.StepCollapse: integration failed: initial step estimate is not finite at t=0.0: nan"
+        )
 
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])

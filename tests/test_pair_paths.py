@@ -59,7 +59,7 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.kernel import PhysicalParams, eval_kernel_batch
-from comptonsim.measure import Grid, HybridMeasure, moment, planck_density
+from comptonsim.measure import Grid, planck_density
 from comptonsim.reduced_solver import (
     AtomSystemState,
     atom_ode_rhs,
@@ -524,9 +524,9 @@ def seed7_runs():
     with oracles.spying() as seen:
         atoms = run_atoms(AtomSystemState.from_physical(PP, TP, locs, masses), 5e4, n_record=20001, eta=0.25)
     grid = Grid.log_spaced(0.5, 30.0, 128)
-    u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": 0.5}, grid)
+    u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": 0.5}, grid).density
     with oracles.spying() as seen_too:
-        picard = run_density(u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)
+        picard = run_density(grid, u0, PP, TP, t_end=4.0, dt=1e-3, eta=0.3)
     return (atoms, seen[0]), (picard, seen_too[0])
 
 
@@ -672,15 +672,14 @@ class TestBlockedSeries:
             assert np.array_equal(np.sum(V[:, a:b + 1], axis=1), np.ascontiguousarray(V[:, window]).sum(axis=1))
 
 
-def list_picard_solve(u0, t_end, eta, dt):
+def list_picard_solve(grid, u0, t_end, eta, dt):
     """The oracle fixed point's windows as they were: each accepted window's
     rows appended to lists, and the arrays made by np.asarray at the end."""
-    grid = u0.grid
     w = grid.weights
     omega = 1.0 + grid.nodes**-1.5
     paired = rate_matrix(PP, TP, grid.nodes)[0] * w[None, :]
-    times, states = [0.0], [u0.density.copy()]
-    t0, u_start = 0.0, u0.density.copy()
+    times, states = [0.0], [u0.copy()]
+    t0, u_start = 0.0, u0.copy()
     current = min(oracles._FIRST_WINDOW, t_end)
     while t0 < t_end - 1e-12 * t_end:
         length = min(current, t_end - t0)
@@ -718,9 +717,9 @@ class TestPicardStates:
     @pytest.mark.parametrize("scale, dt, grows", [(1.0, 1e-3, False), (50.0, 0.013, False), (200.0, 0.013, True)])
     def test_against_the_list_of_rows(self, scale, dt, grows):
         grid = Grid.log_spaced(0.5, 10.0, 24)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=scale * planck_density(grid, 0.0))
-        traj = oracles.picard_solve(u0, PP, TP, t_end=1.0, eta=0.3, dt=dt)
-        times, states = list_picard_solve(u0, 1.0, 0.3, dt)
+        u0 = scale * planck_density(grid, 0.0)
+        traj = oracles.picard_solve(grid, u0, PP, TP, t_end=1.0, eta=0.3, dt=dt)
+        times, states = list_picard_solve(grid, u0, 1.0, 0.3, dt)
         assert np.array_equal(traj.times, times) and np.array_equal(traj.states, states)
         first = math.ceil(1.0 / oracles._FIRST_WINDOW)
         assert (traj.window_count > first) is (scale > 1.0)  # the heavier densities halve their windows
@@ -885,8 +884,8 @@ def per_record_run(u0, kern, cfg):
     from scipy.integrate import solve_ivp
 
     c_eta = exp_moment_rate(TP, kern.bound_constant, cfg.eta)
-    eps = float(u0.grid.nodes[0] * 2.0)
-    x0 = oracles.exp_moment(u0, cfg.eta)
+    eps = float(kern.grid.nodes[0] * 2.0)
+    x0 = oracles.exp_moment((kern.grid, u0), cfg.eta)
     ref = {name: [] for name in (*COLUMNS, "states", "growth_bound")}
 
     def snapshot(t, g):
@@ -908,7 +907,7 @@ def per_record_run(u0, kern, cfg):
         if steps % cfg.record_every == 0 or t >= horizon:
             times.append(t)
     sol = solve_ivp(
-        lambda _t, u: collision_rhs(u, kern), (0.0, cfg.t_end), u0.density.copy(), method="DOP853",
+        lambda _t, u: collision_rhs(u, kern), (0.0, cfg.t_end), u0.copy(), method="DOP853",
         t_eval=times, rtol=RTOL, atol=ATOL,
     )
     for t, g in zip(times, np.clip(sol.y.T, 0.0, None)):
@@ -969,7 +968,7 @@ def full_runs(draw):
     steps = (records - 2) * every + draw(st.integers(1, every))  # the last group may be partial
     dt = 2.0**-10  # dyadic, so the step times sum exactly
     cfg = SolverConfig(t_end=steps * dt, dt_init=dt, record_every=every, mass_tolerance=1e-6)
-    return HybridMeasure(atoms=[], grid=grid, density=g), kern, cfg, records
+    return g, kern, cfg, records
 
 
 class TestBlockDiagnosticsAgainstPerRecord:
@@ -995,7 +994,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
             return real_step(fun, t, y, f, h, K, stages, dy, ys)
 
         monkeypatch.setattr(_dop853, "_rk_step", spy)
-        u0 = HybridMeasure(atoms=[], grid=kern.grid, density=holey_state(np.random.default_rng(44), kern.grid.n))
+        u0 = holey_state(np.random.default_rng(44), kern.grid.n)
         cfg = SolverConfig(t_end=24.0, dt_init=2.0, record_every=1, mass_tolerance=1e-6)
         traj = run_full(u0, kern, cfg)
         assert any(a == b for a, b in zip(started, started[1:]))
@@ -1006,10 +1005,10 @@ class TestBlockDiagnosticsAgainstPerRecord:
     @given(kern=kernels(), seed=st.integers(0, 2**32 - 1), planck=st.booleans())
     def test_per_state_functions_keep_their_bits(self, kern, seed, planck):
         g = planck_density(kern.grid, -0.7) if planck else holey_state(np.random.default_rng(seed), kern.grid.n)
-        u = HybridMeasure(atoms=[], grid=kern.grid, density=g)
+        u = (kern.grid, g)
         eps = float(kern.grid.nodes[0] * 2.0)
         moments, x_eta, _, d_pairs, _ = parent_density_parts(g, kern, eps)
-        assert [moment(u, rho) for rho in (0.0, 1.0, 2.0, 3.0)] == moments
+        assert [oracles.moment(u, rho) for rho in (0.0, 1.0, 2.0, 3.0)] == moments
         assert oracles.exp_moment(u, 0.3) == x_eta
         assert _pair_dissipation(kern, g)[0] == d_pairs
 
@@ -1071,7 +1070,7 @@ class TestBlockDiagnosticsAgainstPerRecord:
         # node columns span a block of 170 states and one of 230
         grid = Grid.log_spaced(0.05, 20.0, 48)
         kern = RegularizedKernel.build(PP, TP, grid, 8)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=holey_state(np.random.default_rng(7), grid.n))
+        u0 = holey_state(np.random.default_rng(7), grid.n)
         cfg = SolverConfig(t_end=399 * 2.0**-10, dt_init=2.0**-10, mass_tolerance=1e-6)
         sizes = []
         real_entropy = full_solver_module._entropy_integrand
@@ -1096,7 +1095,7 @@ class TestOneSidedPairs:
         kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
         xs, i, j = kern.grid.nodes, kern.pair_i, kern.pair_j
         want = 0
-        for g in per_record_run(cfg.initial_measure(), kern, cfg.solver)["states"]:
+        for g in per_record_run(cfg.initial_measure().density, kern, cfg.solver)["states"]:
             A = _gain_factors(xs, g)
             want += parent_j(A[i] * g[j], A[j] * g[i])[1]
         recorded = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["one_sided_pairs"]

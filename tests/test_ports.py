@@ -18,7 +18,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from comptonsim import _dop853
 from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, planck_density
+from comptonsim.measure import Grid, planck_density
 from comptonsim.measure import components
 from comptonsim.reduced_solver import (
     AtomSystemState,
@@ -140,11 +140,11 @@ class TestDop853AgainstSolveIvp:
         # divided by w: 1001 records in a few steps, so the interpolation of
         # one dense-output pass goes through several blocks of requested times
         grid = Grid.log_spaced(0.5, 30.0, 32)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
+        u0 = planck_density(grid, 0.0)
         pp, tp = PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8)
         with spying() as seen:
-            traj = run_density(u0, pp, tp, t_end=1.0, eta=0.3)
-        state = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(pp, tp, grid.nodes)[0])
+            traj = run_density(grid, u0, pp, tp, t_end=1.0, eta=0.3)
+        state = AtomSystemState.from_table(grid.nodes, u0 * grid.weights, rate_matrix(pp, tp, grid.nodes)[0])
         sol = oracle(state, 1.0, 1e-12, np.linspace(0.0, 1.0, 1001))
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(seen[0], sol.y.T)
@@ -218,9 +218,8 @@ class TestRecordBlocksThroughTheIntegrator:
         else:
             grid = Grid.log_spaced(0.5, 30.0, n)
             density = planck_density(grid, -0.3) * (grid.nodes >= 3.0)  # nodes below 3 hold zero
-            u0 = HybridMeasure(atoms=[], grid=grid, density=density)
-            traj, blocks = handed_blocks(run_density, u0, pp, tp, t_end=(n_record - 1) / 64, eta=0.3, dt=1 / 64,
-                                         stationarity_window=0.25)
+            traj, blocks = handed_blocks(run_density, grid, density, pp, tp, t_end=(n_record - 1) / 64, eta=0.3,
+                                         dt=1 / 64, stationarity_window=0.25)
             state = AtomSystemState.from_table(grid.nodes, density * grid.weights, rate_matrix(pp, tp, grid.nodes)[0])
             rec = oracles.Recorded.of_records(traj.times, np.concatenate(blocks), state, grid)
             row0 = np.clip(density * grid.weights, 0.0, None) / grid.weights

@@ -18,7 +18,7 @@ from comptonsim._dop853 import StepSizeTooSmall
 from comptonsim.full_solver import StepCollapse
 from comptonsim.harness import EXAMPLE51, build_initial
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, HybridMeasure, components, planck_density, relative_drift
+from comptonsim.measure import Grid, components, planck_density, relative_drift
 from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
@@ -269,7 +269,7 @@ class TestRunAtoms:
     def test_block_masses_invariant(self, blocks):
         locs, masses = blocks
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        parts = components(HybridMeasure(atoms=list(zip(locs, masses))), TP)
+        parts = components((locs, masses), TP)
         assert len(parts) >= 2
         traj, records = spied(run_atoms, state, 20.0, eta=0.3, n_record=41)
         assert np.max(np.abs(traj.final_masses() - masses)) > 1e-6  # mass moves inside blocks
@@ -403,39 +403,39 @@ class TestLyapunov:
 @pytest.fixture(scope="module")
 def flat_setup():
     grid = Grid.log_spaced(0.5, 30.0, 96)
-    u0 = HybridMeasure(atoms=[], grid=grid, density=planck_density(grid, 0.0))
+    u0 = planck_density(grid, 0.0)
     return grid, u0
 
 
 class TestPicard:
     def test_zero_initial_data(self):
         grid = Grid.log_spaced(0.5, 10.0, 32)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=np.zeros(32))
-        _, densities = spied(run_density, u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
+        u0 = np.zeros(32)
+        _, densities = spied(run_density, grid, u0, PP, TP, t_end=0.2, eta=0.3, dt=1e-2)
         assert np.all(densities == 0.0)
 
     def test_mass_conservation(self, flat_setup):
         grid, u0 = flat_setup
-        traj = run_density(u0, PP, TP, t_end=5.0, dt=1e-3, eta=0.3)
+        traj = run_density(grid, u0, PP, TP, t_end=5.0, dt=1e-3, eta=0.3)
         ms = traj.M0
         assert np.max(np.abs(ms - ms[0])) <= 1e-10 * ms[0]
 
     def test_pointwise_envelope(self, flat_setup):
         grid, u0 = flat_setup
-        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
-        env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
+        traj = run_density(grid, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+        env = traj.pointwise_envelope(len(traj.times) - 1, u0)
         assert np.all(traj.states[-1] <= env * (1.0 + 1e-9))
 
     def test_support_constant_in_time(self, flat_setup):
         grid, u0 = flat_setup
-        traj, densities = spied(run_density, u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
-        mask0 = u0.density > 0.0
+        traj, densities = spied(run_density, grid, u0, PP, TP, t_end=0.5, dt=2e-3, eta=0.3)
+        mask0 = u0 > 0.0
         for k in range(0, len(traj.times), 50):
             assert np.array_equal(densities[k] > 0.0, mask0)
 
     def test_moments_nonincreasing(self, flat_setup):
         grid, u0 = flat_setup
-        traj = run_density(u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+        traj = run_density(grid, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
@@ -443,7 +443,7 @@ class TestPicard:
         grid = Grid.log_spaced(1e-3, 10.0, 64)
         dens = planck_density(grid, 0.0)  # mass all the way to the origin
         with pytest.raises(FlatnessViolation):
-            run_density(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=0.1, eta=0.3)
+            run_density(grid, dens, PP, TP, t_end=0.1, eta=0.3)
 
     def test_flatness_certificate_values(self):
         grid = Grid.log_spaced(0.5, 10.0, 64)
@@ -457,7 +457,7 @@ class TestPicard:
         monkeypatch.setattr(oracles, "_MAX_ITERATIONS", 8)
         monkeypatch.setattr(oracles, "_FIRST_WINDOW", 1.0)
         with pytest.raises(NonContraction):
-            oracles.picard_solve(HybridMeasure(atoms=[], grid=grid, density=dens), PP, TP, t_end=1.0, eta=0.3, dt=0.05)
+            oracles.picard_solve(grid, dens, PP, TP, t_end=1.0, eta=0.3, dt=0.05)
 
     def test_fixed_point_matches_independent_integrator(self, flat_setup):
         # the node system integrated as atoms must agree with direct adaptive
@@ -466,19 +466,19 @@ class TestPicard:
 
         grid, u0 = flat_setup
         R, _ = rate_matrix(PP, TP, grid.nodes)
-        traj, densities = spied(run_density, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
+        traj, densities = spied(run_density, grid, u0, PP, TP, t_end=1.0, dt=1e-3, eta=0.3)
         # the run's dissipation is that of this matrix
         assert np.array_equal(traj.D_2, oracles.dissipation(R, grid.nodes, densities, 2.0, grid.weights))
         paired = R * grid.weights[None, :]
         ref = solve_ivp(
-            lambda t, u: u * (paired @ u), (0.0, 1.0), u0.density, method="DOP853", rtol=1e-13, atol=1e-16
+            lambda t, u: u * (paired @ u), (0.0, 1.0), u0, method="DOP853", rtol=1e-13, atol=1e-16
         )
         err = float(np.dot(grid.weights, np.abs(traj.states[-1] - ref.y[:, -1])))
-        assert err <= 1e-11 * float(np.dot(grid.weights, u0.density))
+        assert err <= 1e-11 * float(np.dot(grid.weights, u0))
 
     def test_flatness_propagates(self, flat_setup):
         grid, u0 = flat_setup
-        traj = run_density(u0, PP, TP, t_end=1.0, dt=2e-3, eta=0.3)
+        traj = run_density(grid, u0, PP, TP, t_end=1.0, dt=2e-3, eta=0.3)
         flat, tail = flatness_certificate(grid, traj.states[-1], r=1.0, eta=0.3)
         assert math.isfinite(flat) and math.isfinite(tail)
 
@@ -490,13 +490,14 @@ class TestPicard:
         grid, u0 = flat_setup
         name = next(iter(control))
         with time_limit(5.0), pytest.raises(ValueError, match=f"{name} must be positive"):
-            run_density(u0, PP, TP, **{"t_end": 0.1, "eta": 0.3, **control})
+            run_density(grid, u0, PP, TP, **{"t_end": 0.1, "eta": 0.3, **control})
 
     def test_atoms_rejected(self):
         grid = Grid.log_spaced(0.5, 10.0, 16)
-        u0 = HybridMeasure(atoms=[(1.0, 0.5)], grid=grid, density=np.ones(16))
-        with pytest.raises(ValueError):
-            run_density(u0, PP, TP, t_end=0.1, eta=0.3)
+        # the run takes a density on the grid: atoms (locations, masses) are refused
+        u0 = (np.array([1.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="^the density must be on the grid$"):
+            run_density(grid, u0, PP, TP, t_end=0.1, eta=0.3)
 
 
 class TestDensityRunAgainstFixedPoint:
@@ -514,9 +515,10 @@ class TestDensityRunAgainstFixedPoint:
         ((1.0, 30.0, 4), {"preset": "truncated_planck", "mu": 0.0, "support_min": 1.0}, 1.0),
     ], ids=["benchmark-seed7", "benchmark-seed311", "cli-4-nodes"])
     def test_records_agree(self, grid_args, initial, t_end):
-        u0 = build_initial(initial, Grid.log_spaced(*grid_args))
-        traj, states = spied(run_density, u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
-        ref = oracles.picard_solve(u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
+        grid = Grid.log_spaced(*grid_args)
+        u0 = build_initial(initial, grid).density
+        traj, states = spied(run_density, grid, u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
+        ref = oracles.picard_solve(grid, u0, PP, TP, t_end=t_end, eta=0.3, dt=1e-3)
         assert states.shape == ref.states.shape
         np.testing.assert_allclose(traj.times, ref.times, rtol=0.0, atol=1e-15 * t_end)
         carried = ref.states > 0.0
@@ -540,12 +542,12 @@ class TestDensityRunAgainstFixedPoint:
         # on both the oracle and this path: the check's own roundoff floor)
         grid = Grid.log_spaced(grid_min, grid_max, n)
         u0 = build_initial({"preset": "truncated_planck", "mu": mu, "support_min": support * grid_min}, grid)
-        u0 = HybridMeasure(atoms=[], grid=grid, density=10.0**log_scale * u0.density)
-        traj, states = spied(run_density, u0, PP, TP, t_end=t_end, eta=0.3)
+        u0 = 10.0**log_scale * u0.density
+        traj, states = spied(run_density, grid, u0, PP, TP, t_end=t_end, eta=0.3)
         assert relative_drift(traj.M0) <= 1e-10
-        assert np.array_equal(states > 0.0, np.broadcast_to(u0.density > 0.0, states.shape))
+        assert np.array_equal(states > 0.0, np.broadcast_to(u0 > 0.0, states.shape))
         for k in range(len(traj.times)):
-            assert np.all(states[k] <= traj.pointwise_envelope(k, u0.density) * (1.0 + 1e-9))
+            assert np.all(states[k] <= traj.pointwise_envelope(k, u0) * (1.0 + 1e-9))
         rep = lyapunov_check(traj)
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
@@ -605,7 +607,7 @@ class TestClassifyLimit:
         for i, j in links:
             table[i, j], table[j, i] = 1.0, -1.0
         state = AtomSystemState.from_table([1.0, 1.2, 5.0], masses, table)
-        parts = _table_components(HybridMeasure(atoms=list(zip(state.locations, state.masses))), state)
+        parts = _table_components((state.locations, state.masses), state)
         assert [list(c.points) for c in parts] == blocks
 
     # each hand-built run breaks one flag of the verdict and keeps the other five
@@ -634,8 +636,7 @@ class TestClassifyLimit:
         before = np.array([0.0, 1.0, 1.0, 1.0])
         moved = 5e-8 * float(before @ w)
         after = np.array([w[1] / w[0], 0.0, 1.0 + moved / w[2], 1.0 - moved / w[3]])
-        u0 = HybridMeasure(atoms=[], grid=grid, density=before)
-        traj = oracles.replayed_density(u0, PP, TP, [before, after, after], eta=0.3, stationarity_window=1.0)
+        traj = oracles.replayed_density(grid, before, PP, TP, [before, after, after], eta=0.3, stationarity_window=1.0)
         cls = classify_limit(traj, TP)
         assert {f: getattr(cls, f) for f in FLAGS} == {f: f != "mass_sums_ok" for f in FLAGS}
         assert not cls.passed
@@ -655,8 +656,7 @@ class TestClassifyLimit:
         rng = np.random.default_rng(seed)
         masses = rng.uniform(0.05, 1.0, locs.size) * (rng.random(locs.size) > 0.2)  # some atoms empty
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        u = HybridMeasure(atoms=list(zip(locs, masses)))
-        assert _table_components(u, state) == components(u, TP)
+        assert _table_components((locs, masses), state) == components((locs, masses), TP)
 
     def test_not_converged_raised(self):
         traj = run_atoms(chain_state(), 3.0, eta=0.3, n_record=301, stationarity_window=1.0)
@@ -808,9 +808,9 @@ class TestStreamedAgainstRecorded:
             rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state)
         else:
             grid = Grid.log_spaced(0.5, 30.0, n)
-            u0 = HybridMeasure(atoms=[], grid=grid, density=records[0] / grid.weights)
-            start = lambda: run_density(u0, PP, TP, t_end=t_end, eta=0.3, dt=1.0, stationarity_window=window)
-            state0 = AtomSystemState.from_table(grid.nodes, u0.density * grid.weights, rate_matrix(PP, TP, grid.nodes)[0])
+            u0 = records[0] / grid.weights
+            start = lambda: run_density(grid, u0, PP, TP, t_end=t_end, eta=0.3, dt=1.0, stationarity_window=window)
+            state0 = AtomSystemState.from_table(grid.nodes, u0 * grid.weights, rate_matrix(PP, TP, grid.nodes)[0])
             records[0] = state0.masses  # the node masses w (m / w), as the run starts from them
             rec = oracles.Recorded.of_records(np.linspace(0.0, t_end, n_record), records, state0, grid)
         low = records.min(axis=1)
