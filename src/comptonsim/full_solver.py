@@ -8,15 +8,16 @@ over a run is pure floating-point roundoff.  Diagnostics cover the
 exponential moment and its growth-rate constant, the entropy/dissipation
 balance, and the mass in the smallest window [0, 2 x_min) at the origin.
 The collision rate and the dissipation run over one list of in-support
-grid pairs, built once with the kernel table by one screened batch: a
-vectorized cutoff picks the supported pairs, and one batch evaluation fills
-them in.  The semi-discrete system is integrated by ``_dop853.integrate``,
-the run driver of both equations, which streams the recorded states in
-blocks and raises ``StepCollapse`` (exported here).  A run writes the node
-columns of a block (mass, exponential moment, entropy, origin-window mass)
-as one row-wise dot each, and its dissipation in passes of a few states
-over the pair list; it keeps only the last state and the count of pairs
-left out of the dissipation.
+grid pairs, built once with the kernel table by one screened batch
+(``kernel.screened_pairs``, shared with the reduced rates): a vectorized
+cutoff picks the supported pairs, and one batch evaluation fills them in.
+The semi-discrete system is integrated by ``_dop853.integrate``, the run
+driver of both equations, which streams the recorded states in blocks and
+raises ``StepCollapse`` (exported here).  A run writes the node columns
+of a block (mass, exponential moment, entropy, origin-window mass) as one
+row-wise dot each, and its dissipation in passes of a few states over the
+pair list; it keeps only the last state and the count of pairs left out of
+the dissipation.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dop853 import StepCollapse, integrate
-from .kernel import PhysicalParams, eval_kernel_batch
+from .kernel import PhysicalParams, screened_pairs
 from .measure import Grid, check_exp_rate
-from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
+from .truncation import TruncationParams
 
 # states per dissipation pass (the node columns take a whole streamed block):
 # its rows x pairs temporaries stay below 128 KiB up to 4k pairs.  At 6 or 8
@@ -106,17 +107,14 @@ def taper(n: int, x) -> np.ndarray | float:
 class RegularizedKernel:
     """Tapered kernel table on a grid, with its in-support pair list.
 
-    ``table[i, j]`` holds cutoff * B * taper(x_i) * taper(x_j); it is
-    symmetric, vanishes off the energy window [1/(n+1), n+1], and is
-    bounded by cutoff * B/(x y).  It is filled from the upper triangle
-    i <= j in one screened batch: the pairs where the taper and the cutoff
-    are nonzero, and no others, get a kernel evaluation; ``bound_constant``
-    is calibrated on exactly those pairs.  ``pair_i`` < ``pair_j`` list
-    the nonzero entries of the strict upper triangle in row-major order,
-    and ``pair_c`` holds their quadrature-weighted coupling
-    table[i, j] * w_i * w_j.  The collision rate and the snapshot
-    diagnostics run over these pairs only; the diagonal exchanges nothing
-    and is left out.
+    ``table[i, j]`` holds cutoff * B * taper(x_i) * taper(x_j), symmetric
+    and zero off the energy window [1/(n+1), n+1].  ``kernel.screened_pairs``
+    evaluates it on the pairs i <= j where the tapers and the cutoff are
+    nonzero, and ``bound_constant`` is calibrated on exactly those pairs.
+    ``pair_i`` < ``pair_j`` list the nonzero entries of the strict upper
+    triangle in row-major order, and ``pair_c`` their quadrature-weighted
+    coupling table[i, j] w_i w_j: the collision rate and the diagnostics
+    run over these pairs only (the diagonal exchanges nothing).
     """
 
     grid: Grid
@@ -138,27 +136,17 @@ class RegularizedKernel:
 
     @classmethod
     def build(cls, pp: PhysicalParams, tp: TruncationParams, grid: Grid, n: int) -> "RegularizedKernel":
-        # cutoff * B * taper(x) * taper(y) at the pairs where the taper and
-        # the cutoff are nonzero; no other pair reaches B, at the default
-        # tolerance of eval_kernel_batch (1e-10)
+        # the candidates are the pairs i <= j inside both tapers' supports
         xs = grid.nodes
         tx = np.asarray(taper(n, xs))
-        i, j = np.triu_indices(xs.size)
-        on = (tx[i] != 0.0) & (tx[j] != 0.0)
-        i, j = i[on], j[on]
-        phi = eval_cutoff(tp, xs[i], xs[j])
-        on = phi != 0.0
-        i, j, phi = i[on], j[on], phi[on]
-        B, _ = eval_kernel_batch(pp, xs[i], xs[j])
-        vals = phi * B * tx[i] * tx[j]
+        i, j, phi_b, c_star = screened_pairs(pp, tp, xs, True, tx != 0.0)
+        vals = phi_b * tx[i] * tx[j]
         table = np.zeros((xs.size, xs.size))
         table[i, j] = vals
         table[j, i] = vals
         off = (i != j) & (vals != 0.0)
         pair_i, pair_j = i[off], j[off]
-        w = grid.weights
-        pair_c = vals[off] * (w[pair_i] * w[pair_j])
-        c_star = kernel_bound_constant(xs[i], xs[j], B)
+        pair_c = vals[off] * (grid.weights[pair_i] * grid.weights[pair_j])
         return cls(grid=grid, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c, bound_constant=c_star)
 
 
@@ -321,16 +309,13 @@ def run_full(u0: np.ndarray, kern: RegularizedKernel, cfg: SolverConfig) -> Traj
     (``check_exp_rate``) before anything runs.
     The run driver ``_dop853.integrate`` records the grid system at every
     ``record_every``-th multiple of ``cfg.dt_init`` and at ``cfg.t_end``,
-    in blocks, each held to the floor on the node masses w_i u_i and
-    clipped.  A block's mass,
-    exponential moment, entropy and origin-window mass are one row-wise
-    ``np.vecdot`` against the weights each, written into preallocated
-    columns (e^{eta x} and the window's node count computed once per run),
-    and its dissipation is filled in passes of ``_BLOCK_ROWS`` states,
-    whose one-sided pair counts are summed into ``one_sided_pairs``.  Take
-    gathers and prefix slices keep every row C-contiguous, so each row's
-    np.vecdot sums in np.dot's order and every value has the bits of the
-    one-state dot product.  Only the last state is kept.
+    in blocks held to the floor on the node masses w_i u_i and clipped.  A
+    block's mass, exponential moment, entropy and origin-window mass are
+    one row-wise ``np.vecdot`` against the weights each, into preallocated
+    columns, and its dissipation is filled in passes of ``_BLOCK_ROWS``
+    states, whose one-sided pair counts are summed.  Take gathers and
+    prefix slices keep every row C-contiguous, so each value has the bits
+    of the one-state dot product.  Only the last state is kept.
 
     A stalled step, a node mass below the floor and a rate that is not
     finite (reported with its time, before any record made from it reaches

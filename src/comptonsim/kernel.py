@@ -8,11 +8,12 @@ this module evaluates it by adaptive Gauss quadrature, and provides the
 exact error-function closed form on the diagonal, pointwise majorants and
 the antidiagonal sign structure.
 
-:func:`eval_kernel_batch`, which every table, rate matrix and CSV dump
-uses, integrates each pair by global adaptive bisection of Gauss panels,
-running the bisection of many pairs side by side with one vectorized
-integrand call per round.  It is the package's one quadrature; the tests
-hold a scalar loop over the same panels as its reference.
+:func:`eval_kernel_batch`, which every pair list and CSV dump uses,
+integrates each pair by global adaptive bisection of Gauss panels, running
+the bisection of many pairs side by side with one vectorized integrand
+call per round.  It is the package's one quadrature; the tests hold a
+scalar loop over the same panels as its reference.  :func:`screened_pairs`
+is the pair builder of both equations' kernel table and rate pairs.
 
 The Gauss-Legendre rules and the diagonal series coefficients are literal
 floats, so importing the module computes neither: it loads no
@@ -28,11 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
+
 __all__ = [
     "PhysicalParams",
     "MonotonicityReport",
     "NonConvergence",
     "eval_kernel_batch",
+    "screened_pairs",
     "diagonal_closed_form",
     "eval_majorant",
     "peak_bound",
@@ -154,10 +158,10 @@ def eval_kernel_batch(
     """B and its quadrature error bound at the point pairs (x[k], y[k]).
 
     ``x`` and ``y`` are 1-d arrays of equal length.  This is the one place
-    where the kernel is evaluated over many pairs: every table, rate
-    matrix and CSV dump takes its values from here.  ``tol`` is a relative
-    tolerance in (0, 1e-3]: every returned error satisfies
-    ``err <= tol * value``, and a pair that does not reach it within
+    where the kernel is evaluated over many pairs: every pair list
+    (:func:`screened_pairs`) and CSV dump takes its values from here.
+    ``tol`` is a relative tolerance in (0, 1e-3]: every returned error
+    satisfies ``err <= tol * value``, and a pair that does not reach it within
     ``_MAX_PANELS`` (4000) panels raises NonConvergence.  Points must be
     positive (``ValueError``).
 
@@ -198,6 +202,28 @@ def eval_kernel_batch(
     off = np.flatnonzero(~diag)
     values[off], errors[off] = _bisect_batch(params, lo[off], hi[off], tol)
     return values[inverse], errors[inverse]
+
+
+def screened_pairs(
+    params: PhysicalParams, tp: TruncationParams, x: np.ndarray, diagonal: bool, inside: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The pairs (i, j) of sorted points x where the cutoff is nonzero, in
+    row-major order, cutoff * B at each, and C_star on exactly them.  The
+    candidates, made here so no caller holds them while the kernel runs, are
+    the pairs i < j of distinct points (and i = j with ``diagonal``) with
+    both points ``inside`` (a mask; all when None).  One ``eval_cutoff`` call
+    screens; one :func:`eval_kernel_batch` call (tolerance 1e-10) evaluates."""
+    i, j = np.triu_indices(x.size, 0 if diagonal else 1)
+    if inside is not None:
+        on = inside[i] & inside[j]
+        i, j = i[on], j[on]
+    on = (i == j) | (x[i] != x[j])
+    i, j = i[on], j[on]
+    phi = eval_cutoff(tp, x[i], x[j])
+    on = phi != 0.0
+    i, j, phi = i[on], j[on], phi[on]
+    B, _ = eval_kernel_batch(params, x[i], x[j])
+    return i, j, phi * B, kernel_bound_constant(x[i], x[j], B)
 
 
 # Panels per vectorized integrand call: bounds the batch's temporaries.

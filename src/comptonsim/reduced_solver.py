@@ -1,19 +1,19 @@
 """The reduced quadratic equation: du/dt = u * (rate kernel paired with u).
 
-One location-based rate matrix, ``rate_matrix``, evaluates the physical
-kernel only at the cutoff-supported pairs, and one integrator evolves it:
-``_dop853.integrate``, the run driver of both equations.  An atom run
-evolves finitely many point masses at frozen locations; a density run is
-the same system at the grid nodes, with masses m_j = w_j u_j (node weights
-w), after the flatness certificate has admitted the data.  Both conserve
-mass by antisymmetry, decrease every power moment of order >= 1, and
-converge to a sum of decoupled point masses whose structure is checked by
-the limit classifier through the exact bounded-Lipschitz distance.  A run
-keeps no array of its records: one reducer takes each block of them as
-the integrator streams it and leaves what the outputs read, the columns
-of the mass, the moments and the dissipations, the extremes of the
-classifier's window masses, and three states.  The
-paper's fixed-point construction of the flat solutions is a test oracle
+One location-based list of rate pairs, ``rate_pairs``, made by the pair
+builder of both equations (``kernel.screened_pairs``), and one integrator,
+``_dop853.integrate`` (the run driver of both equations), evolve it.  An
+atom run evolves finitely many point masses at frozen locations; a density
+run is the same system at the grid nodes, with masses m_j = w_j u_j (node
+weights w), after the flatness certificate has admitted the data.  Both
+conserve mass by antisymmetry, decrease every power moment of order >= 1,
+and converge to a sum of decoupled point masses whose structure is checked
+by the limit classifier through the exact bounded-Lipschitz distance.  A
+run keeps no array of its records: one reducer takes each block of them as
+the integrator streams it and leaves what the outputs read, the columns of
+the mass, the moments and the dissipations, the extremes of the
+classifier's window masses, and three states.  The paper's fixed-point
+construction of the flat solutions is a test oracle
 (``tests/oracles.py``), not a second solver.  Nothing here imports SciPy;
 the tests hold the port to it bit for bit.
 """
@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dop853 import integrate
-from .kernel import PhysicalParams, eval_kernel_batch
+from .kernel import PhysicalParams, screened_pairs
 from .measure import Component, Grid, _partition, atom_carriers, bl_distance, components, node_carriers, support
-from .truncation import TruncationParams, eval_cutoff, kernel_bound_constant
+from .truncation import TruncationParams, eval_cutoff
 
 __all__ = [
     "FlatnessViolation",
     "NonContraction",
     "NotConverged",
-    "rate_matrix",
+    "rate_pairs",
     "AtomSystemState",
     "AtomTrajectory",
     "PicardTrajectory",
@@ -75,105 +75,99 @@ class NotConverged(RuntimeError):
     """The trajectory did not reach the stationarity criterion in time."""
 
 
-def rate_matrix(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, float]:
-    """Physical rate matrix at sorted locations, and its bound constant.
+def rate_pairs(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The physical rates at sorted locations as pairs (i, j, R_ij), and C_star.
 
-    R[i, j] = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) for
-    i < j and R[j, i] = -R[i, j], so R is exactly antisymmetric.  One
-    vectorized cutoff call picks the pairs of distinct locations where the
-    cutoff is nonzero; only those reach the kernel, at the default
-    tolerance of ``eval_kernel_batch`` (1e-10), and the bound constant
-    C_star is calibrated on them.
+    R_ij = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) and
+    R_ji = -R_ij on the pairs i < j of distinct locations that
+    ``kernel.screened_pairs`` keeps (C_star is calibrated on all of them);
+    those with R_ij != 0 are returned, in row-major order.
     """
     x = np.asarray(locations, dtype=float)
-    if np.any(np.diff(x) < 0.0):
-        raise ValueError("locations must be sorted")
-    i, j = np.triu_indices(x.size, 1)
-    phi = eval_cutoff(tp, x[i], x[j])
-    on = (phi != 0.0) & (x[i] != x[j])
-    i, j, phi = i[on], j[on], phi[on]
-    B, _ = eval_kernel_batch(pp, x[i], x[j])
+    i, j, phi_b, c_star = screened_pairs(pp, tp, x, False)
     # math.exp, not np.exp: the two differ in the last bit at some nodes
     e = np.array([math.exp(-v) for v in x.tolist()])
-    R = np.zeros((x.size, x.size))
-    R[i, j] = phi * B / (x[i] * x[j]) * (e[i] - e[j])
-    R[j, i] = -R[i, j]
-    return R, kernel_bound_constant(x[i], x[j], B)
+    r = phi_b / (x[i] * x[j]) * (e[i] - e[j])
+    return i[r != 0.0], j[r != 0.0], r[r != 0.0], c_star
 
 
 @dataclass(frozen=True)
 class AtomSystemState:
-    """Point masses at frozen locations with their precomputed rate matrix.
+    """Point masses at frozen locations with their precomputed rate pairs.
 
-    The matrix is physical (:meth:`from_physical`) or a synthetic table
-    (:meth:`from_table`, which makes the atom dynamics testable apart from
-    the kernel quadrature); the limit classifier reads the coupling of the
-    atoms off it, and the dissipation reads all of it.  It must be exactly
-    antisymmetric.  The state keeps a read-only copy and is frozen, because
-    the atom RHS reads a slot list built from the matrix once, here: each
-    nonzero upper entry R_ij (i < j) gives a gain slot on row i holding
-    (i, j, +R_ij) and a loss slot on row j holding (i, j, -R_ij), and the
-    slots are sorted by (row, partner), partner being the other atom of the
-    pair.  ``_slots`` is (row, i, j, signed rate) in that order.
+    The rates are physical (:meth:`from_physical`) or a synthetic table
+    (:meth:`from_table`).  The state holds the antisymmetric R as read-only
+    pairs (``pair_i``, ``pair_j``, ``pair_r``) = (i, j, R_ij), i < j and
+    R_ij != 0, in row-major order.  Locations and masses must be finite and
+    nonnegative, the locations strictly increasing.  The state is frozen,
+    because the atom RHS reads a slot list built from the pairs once: each
+    pair gives a gain slot on row i holding (i, j, +R_ij) and a loss slot
+    on row j holding (i, j, -R_ij), sorted by (row, partner), partner being
+    the other atom of the pair; ``_slots`` is (row, i, j, signed rate).
     """
 
     locations: np.ndarray
     masses: np.ndarray
-    rate_matrix: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_r: np.ndarray
     _slots: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         locations = np.asarray(self.locations, dtype=float)
         masses = np.asarray(self.masses, dtype=float)
-        rate = np.array(self.rate_matrix, dtype=float)
+        for name, values in (("locations", locations), ("masses", masses)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"atom {name} must be finite")
         if np.any(np.diff(locations) <= 0.0):
             raise ValueError("locations must be strictly increasing")
         if np.any(locations < 0.0) or np.any(masses < 0.0):
             raise ValueError("locations and masses must be nonnegative")
-        n = locations.size
-        if masses.shape != (n,) or rate.shape != (n, n):
-            raise ValueError("shape mismatch between locations, masses and rate matrix")
-        if not np.array_equal(rate, -rate.T):
-            raise ValueError("rate matrix must be exactly antisymmetric")
-        if not np.isfinite(rate).all():
-            raise ValueError("rate matrix must be finite")
-        rate.setflags(write=False)
-        i, j = np.nonzero(np.triu(rate, 1))
-        r = rate[i, j]
+        if masses.shape != (locations.size,):
+            raise ValueError("shape mismatch between locations and masses")
+        i, j = (np.array(a, dtype=np.intp) for a in (self.pair_i, self.pair_j))
+        r = np.array(self.pair_r, dtype=float)
+        for a in (i, j, r):
+            a.setflags(write=False)
         row, partner = np.concatenate([i, j]), np.concatenate([j, i])
         order = np.lexsort((partner, row))
         slots = (row, np.concatenate([i, i]), np.concatenate([j, j]), np.concatenate([r, -r]))
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "rate_matrix", rate)
-        object.__setattr__(self, "_slots", tuple(a[order] for a in slots))
+        values = (locations, masses, i, j, r, tuple(a[order] for a in slots))
+        for name, value in zip(("locations", "masses", "pair_i", "pair_j", "pair_r", "_slots"), values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_physical(cls, pp: PhysicalParams, tp: TruncationParams, locations, masses) -> "AtomSystemState":
-        locations = np.asarray(locations, dtype=float)
-        return cls(locations=locations, masses=masses, rate_matrix=rate_matrix(pp, tp, locations)[0])
+        points = cls(locations, masses, (), (), ())  # checked before the kernel sees them
+        return cls(points.locations, points.masses, *rate_pairs(pp, tp, points.locations)[:3])
 
     @classmethod
     def from_table(cls, locations, masses, table) -> "AtomSystemState":
-        return cls(locations=locations, masses=masses, rate_matrix=table)
+        """The state of a finite, exactly antisymmetric (N, N) rate table."""
+        rate = np.asarray(table, dtype=float)
+        n = np.size(locations)
+        if np.shape(masses) != (n,) or rate.shape != (n, n):
+            raise ValueError("shape mismatch between locations, masses and rate matrix")
+        i, j = np.triu_indices(n, 1)
+        r = rate[i, j]
+        if np.any(np.diagonal(rate)) or not np.array_equal(r, -rate[j, i]):
+            raise ValueError("rate matrix must be exactly antisymmetric")
+        if not np.isfinite(r).all():
+            raise ValueError("rate matrix must be finite")
+        return cls(locations, masses, i[r != 0.0], j[r != 0.0], r[r != 0.0])
 
 
 def atom_ode_rhs(state: AtomSystemState, masses: np.ndarray | None = None) -> np.ndarray:
     """Mass rates dm_i/dt = m_i sum_j R(x_i, x_j) m_j, assembled pairwise.
 
-    Each pair i < j with R_ij != 0 exchanges f = (R_ij m_i) m_j: atom i
-    gains f and atom j loses the same float (negation is exact), so the
-    rates cancel in exact arithmetic; what survives in floats is
-    accumulation roundoff only.  The state's slots give one term per slot,
-    and ``np.bincount`` adds each row's terms left to right in partner
-    order.  That is the order in which the loop over pairs (i, j) adds them
-    (``out[i] += f; out[j] -= f``), and the order of a left-to-right sum of
-    row i of the masked F - F^T, so the floats are theirs.  The zero terms
-    the slots leave out change no sum: a partial sum here starts at +0.0
-    and is never -0.0.  ``masses`` may be a (..., N) stack, as the deferred
-    dense output of ``_dop853`` passes it: the stack flattens to k rows
-    (a 1-D call is one row) whose keys are offset by N per row, so each row
-    of the result gets the terms of its own masses, in the same order.
+    Each pair exchanges f = (R_ij m_i) m_j: atom i gains f and atom j
+    loses the same float, so only accumulation roundoff survives.  The
+    state's slots give one term each, and ``np.bincount`` adds each row's
+    terms in partner order, the order of the loop over pairs (i, j) that
+    does ``out[i] += f; out[j] -= f``, so the floats are that loop's; the
+    zero terms left out change no sum (a partial sum starts at +0.0 and is
+    never -0.0).  ``masses`` may be a (..., N) stack, as ``_dop853``'s
+    dense output passes it: its k rows get keys offset by N per row.
     """
     m = state.masses if masses is None else np.asarray(masses, dtype=float)
     row, a, b, r = state._slots
@@ -192,27 +186,30 @@ class _Reducer:
 
     A record is a row of masses at the points x (a density's node masses,
     for node weights w), checked and clipped at zero by the driver.  Each
-    block is reduced in place as it comes, in DOP853's fixed blocks of at
-    least 3 records (unless the run has fewer): BLAS sums a product of one
-    or two rows in another order, while longer blocks give each row the
-    bits of the product over all rows.  A block's rows are divided by w,
-    and each column is written for its records:
+    block is reduced in place, in DOP853's fixed blocks of at least 3
+    records (BLAS sums a product of one or two rows in another order), its
+    rows divided by w, and each column is written for its records:
 
     - ``M0``, ``M1``, ``M2``, ``M3`` and ``X_eta`` are the row sums
       ``np.sum(rows * c, axis=1)`` against c = w x^alpha (w e^{eta x}),
       a factor that is absent counting as 1;
     - ``D_2`` and ``D_3`` are the quadratic forms
       sum_ij R_ij (x_i^alpha - x_j^alpha) V_i V_j of the rows V = rows * w:
-      ``V @ W`` and a row-wise dot, with W built once per run.
+      ``V @ W`` and a row-wise dot, with W built once per run from the
+      package's one dense R, filled from the state's pairs.
 
     The rows at the indices ``keep`` are copied out, and the window masses
     of the classifier's ``limit`` (:class:`_LimitWindows`), when given,
     reduce into their extremes block by block.
     """
 
-    def __init__(self, x: np.ndarray, R: np.ndarray, n_record: int, weights: np.ndarray | None,
+    def __init__(self, state: AtomSystemState, n_record: int, weights: np.ndarray | None,
                  eta: float, keep: tuple[int, ...], limit: _LimitWindows | None = None) -> None:
         self.w, self.keep, self.limit = weights, keep, limit
+        x, i, j = state.locations, state.pair_i, state.pair_j
+        R = np.zeros((x.size, x.size))
+        R[i, j] = state.pair_r
+        R[j, i] = -R[i, j]
         self.kept: list[np.ndarray] = []
         c = (lambda f: f) if weights is None else (lambda f: weights * f)
         # M0's factor is w itself: the product rows * w is V, made once per block
@@ -328,7 +325,7 @@ class _ReducedRun:
 class AtomTrajectory(_ReducedRun):
     """An atom run as a column record (:class:`_ReducedRun`): its columns,
     the masses it kept at the atoms' ``locations``, and the system they
-    evolve in, whose rate table the limit classifier reads."""
+    evolve in, whose rate pairs the limit classifier reads."""
 
     state0: AtomSystemState
 
@@ -349,10 +346,10 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float
     """Integrate ``state`` to t_end (``_dop853.integrate``, its floor on the
     masses) and reduce its n_record records (see :class:`_Reducer`), which
     are densities on ``grid`` when one is given.  With a stationarity
-    ``window`` the classifier's windows are those of the initial state, which is record 0 as DOP853 emits it once
-    clipped: the blocks of the state's table for atoms, the cutoff blocks
-    of ``tp`` padded by :func:`_block_pad` for a density.  Returns the
-    fields of :class:`_ReducedRun`."""
+    ``window`` the classifier's windows are those of the initial state
+    (record 0 as DOP853 emits it, clipped): the blocks of the rate pairs for
+    atoms, the cutoff blocks of ``tp`` padded by :func:`_block_pad` for a
+    density.  Returns the fields of :class:`_ReducedRun`."""
     m0 = state.masses.copy()
     times = np.linspace(0.0, t_end, n_record)
     keep, limit = (0, n_record - 1), None
@@ -368,7 +365,7 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float
             initial = node_carriers(grid, row0 / weights)
             blocks, pad = components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
         limit = _LimitWindows.of(support(*initial)[0], blocks, pad, state.locations, window, previous)
-    reducer = _Reducer(state.locations, state.rate_matrix, n_record, weights, eta, keep, limit)
+    reducer = _Reducer(state, n_record, weights, eta, keep, limit)
     row, a, b, r = state._slots
     slotless = row.size == 0
 
@@ -392,19 +389,16 @@ def run_atoms(state: AtomSystemState, t_end: float, eta: float, n_record: int = 
 
     The stepper is the in-repo port of SciPy's (``_dop853``), so the
     records are those of ``solve_ivp(..., method="DOP853", t_eval=...)``
-    bit for bit.  No (n_record, N) array is made: each block of records
-    it streams is reduced as it comes (:class:`_Reducer`) into the mass,
-    the moments of orders 1, 2 and 3, the exponential moment at ``eta``
-    and the dissipations of orders 2 and 3, and the masses at t = 0 and
-    t_end are kept.  A ``stationarity_window`` makes
-    the run ready for :func:`classify_limit`: it also keeps the masses one
-    window before the end and reduces the windows of the table's blocks
-    and of the tail thresholds.  Masses remain in [0, M0]; negative
-    undershoot within integrator noise is clipped to zero, and a worse one
-    or a step size below the float spacing raises ``StepCollapse``.  Total
-    mass is conserved to roundoff by the pairwise right-hand side: a 1-D
-    call (a stage) is :func:`atom_ode_rhs`'s one row inlined, one Python
-    frame each, and a stacked call of the dense output is
+    bit for bit.  No (n_record, N) array is made: the records are reduced
+    as they stream (:class:`_Reducer`), and the masses at t = 0 and t_end
+    are kept.  A ``stationarity_window`` makes the run ready for
+    :func:`classify_limit` (it also keeps the masses one window before the
+    end and reduces the windows of the blocks of the rate pairs and of the
+    tail thresholds).  Negative undershoot within integrator noise is
+    clipped to zero; a worse one or a step size below the float spacing
+    raises ``StepCollapse``.  Mass is conserved to roundoff by the pairwise
+    right-hand side: a stage's 1-D call is :func:`atom_ode_rhs`'s one row
+    inlined, and a stacked call of the dense output is
     :func:`atom_ode_rhs`.  A state with no atoms is refused
     (``ValueError``), as a bad ``t_end`` or ``n_record`` is.
     """
@@ -540,19 +534,16 @@ def run_density(
     """Solve the reduced equation for flat integrable data u0 on ``grid``.
 
     On the grid the equation du_i/dt = u_i sum_j R_ij w_j u_j is the atom
-    system with masses m_j = w_j u_j at the nodes, so it is integrated and
-    reduced as :func:`run_atoms` does, with the node weights w: each record
-    is divided by w into a density, and the columns are those of the
-    densities (X_eta at this ``eta``).  The records are equally spaced at
-    about ``dt`` (``ceil(t_end/dt) + 1`` of them, at least 2).  A
+    system with masses m_j = w_j u_j at the nodes, on the rate pairs at the
+    nodes, integrated and reduced as :func:`run_atoms` does; each record is
+    divided by w into a density.  The records are equally spaced at about
+    ``dt`` (``ceil(t_end/dt) + 1`` of them, at least 2).  A
     ``stationarity_window`` keeps the density one window before the end
-    and reduces the windows of the cutoff blocks of the initial density,
-    each padded by :func:`_block_pad`, and of the tail thresholds, for
-    :func:`classify_limit`.  ``t_end`` and ``dt`` must be positive and
-    finite, u0 on the grid and eta above (1 - theta)/2; the flatness
-    certificate (exponent ``_FLAT_R`` = 1) is checked before anything runs.
-    Mass is conserved by antisymmetry, a zero node stays zero, and the
-    pointwise growth envelope holds with the calibrated constants.
+    and reduces the windows of the initial density's cutoff blocks, each
+    padded by :func:`_block_pad`, and of the tail thresholds.  ``t_end``
+    and ``dt`` must be positive and finite, u0 on the grid and eta above
+    (1 - theta)/2; the flatness certificate (exponent ``_FLAT_R`` = 1) is
+    checked before anything runs.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -562,8 +553,8 @@ def run_density(
     if eta <= 0.5 * (1.0 - tp.theta):
         raise ValueError("eta must exceed (1 - theta)/2")
     flatness = flatness_certificate(grid, u0, _FLAT_R, eta)
-    rate_grid, c_star = rate_matrix(pp, tp, grid.nodes)
-    state = AtomSystemState.from_table(grid.nodes, u0 * grid.weights, rate_grid)
+    i, j, r, c_star = rate_pairs(pp, tp, grid.nodes)
+    state = AtomSystemState(grid.nodes, u0 * grid.weights, i, j, r)
     n_record = max(2, math.ceil(t_end / dt) + 1)
     fields = _reduced_run(state, t_end, n_record, eta, stationarity_window, grid, tp)
     return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, flatness[1]),
@@ -602,27 +593,22 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
     """Extract the limit atoms of a trajectory and check their structure.
 
     The trajectory must come from a run given a ``stationarity_window``
-    (its ``limit``).  Stationarity requires the bounded-Lipschitz distance
-    between the kept states one window apart to fall below ``limit_tol``
-    at the end of the run; then the surviving mass clusters are read as
-    atoms and checked against the initial state: atoms sit in the initial
-    support, are pairwise decoupled, reproduce each initial block's mass,
-    and include the leftmost point of every block with positive minimum.
-    The kind is tested once: an atom trajectory's total mass is the
-    ``math.fsum`` of its masses, it reads its couplings off its rate table,
-    and its surviving atoms are the limit atoms; a density trajectory's
-    total mass is the ``np.vecdot`` of its density with the node weights, it
-    reads the couplings off the cutoff geometry, takes one mass-weighted
-    limit atom per final block, and widens the support by 1.5 grid cells.
-    One pass over the run's initial blocks (the table's, or the cutoff's
-    padded by :func:`_block_pad`) checks a block's mass to
-    ``_LIMIT_MASS_TOL`` (1e-8) of the total mass and a location to
-    ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).  The records are
-    judged by what the run reduced them to: every block window's mass must
-    stay within ten times the block tolerance of the block's mass, and no
-    tail mass may rise by more than 1e-12 of the total mass between
-    consecutive records (an empty initial support has no tail thresholds).
-    ``passed`` needs all six flags.
+    (its ``limit``).  The bounded-Lipschitz distance between the kept
+    states one window apart must fall below ``limit_tol``; then the
+    surviving mass clusters are read as atoms that must sit in the initial
+    support, be pairwise decoupled, reproduce each initial block's mass and
+    include the leftmost point of every block with positive minimum.  An
+    atom trajectory's total mass is the ``math.fsum`` of its masses, its
+    surviving atoms are the limit atoms, and its rate pairs couple them; a
+    density trajectory's is the ``np.vecdot`` with the node weights, it
+    takes one mass-weighted limit atom per final cutoff block, couples by
+    the cutoff and widens the support by 1.5 grid cells.  The run's initial
+    blocks (padded by :func:`_block_pad` for a density) are checked to
+    ``_LIMIT_MASS_TOL`` (1e-8) of the total mass, a location to
+    ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).  Every block
+    window's mass must stay within ten times the block tolerance of the
+    block's mass, and no tail mass may rise by more than 1e-12 of the total
+    mass between consecutive records.  ``passed`` needs all six flags.
     """
     windows = traj.limit
     if windows is None:
@@ -641,11 +627,10 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
     support0 = support(*initial)[0].tolist()
     if isinstance(traj, AtomTrajectory):
         # atoms never leave their locations: each surviving atom is a limit
-        # atom, and the table says which couple
+        # atom, and they are pairwise decoupled when each is a block alone
         total0 = math.fsum(initial[1])
         limit_atoms = list(zip(*(a.tolist() for a in support(*final))))
-        at = np.searchsorted(traj.locations, [x for x, _ in limit_atoms])
-        pairwise = not np.any(traj.state0.rate_matrix[np.ix_(at, at)])
+        pairwise = len(_table_components(final, traj.state0)) == len(limit_atoms)
         tols = [_LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
     else:
         total0 = float(np.vecdot(traj._row(0), traj.grid.weights))
@@ -698,14 +683,19 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
 
 def _table_components(u, state: AtomSystemState) -> tuple[Component, ...]:
     """Blocks of the support of atom carriers u (locations, masses) under the
-    state's rate table, cut by the splitter of :func:`components`: the gap
-    between consecutive support atoms p < q splits the support when no table
-    entry links a support atom <= p to one >= q (on a physical table, the
-    cutoff rule of :func:`components`)."""
+    state's rate pairs, cut by the splitter of :func:`components`: the gap
+    between consecutive support atoms p < q splits the support when no pair
+    of support atoms spans it, i.e. when the prefix maximum of j over those
+    pairs (i, j) with i <= p is below q (on a physical table, the cutoff
+    rule of :func:`components`)."""
     x, m = support(*u)
     idx = np.searchsorted(state.locations, x)
-    linked = state.rate_matrix[np.ix_(idx, idx)] != 0.0
-    return _partition(x, m, np.array([not linked[:a, a:].any() for a in range(1, x.size)], dtype=bool))
+    inside = np.zeros(state.locations.size, dtype=bool)
+    inside[idx] = True
+    linked = inside[state.pair_i] & inside[state.pair_j]
+    reach = np.full(state.locations.size, -1)
+    np.maximum.at(reach, state.pair_i[linked], state.pair_j[linked])
+    return _partition(x, m, np.maximum.accumulate(reach)[idx[:-1]] < idx[1:])
 
 
 def _quantiles(points, q: np.ndarray) -> np.ndarray:

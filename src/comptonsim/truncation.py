@@ -12,11 +12,11 @@ Stronger small-energy truncations (bands shrinking like the square of the
 energy rather than like energy^{3/2}) would fit the same interface; only
 the band-plus-cone geometry above is implemented.
 
-The module does not evaluate the kernel.  Its callers, the full solver's
-pair table and the reduced solver's rate matrix, screen pairs with one
-vectorized :func:`eval_cutoff` call and evaluate B only where the cutoff
-is nonzero; :func:`kernel_bound_constant` calibrates the kernel bound on
-the values they got.
+The module does not evaluate the kernel.  The pair builder of both
+equations, ``kernel.screened_pairs``, screens pairs with one vectorized
+:func:`eval_cutoff` call, evaluates B only where the cutoff is nonzero, and
+calibrates the kernel bound on those values with
+:func:`kernel_bound_constant`.
 """
 
 from __future__ import annotations
@@ -219,8 +219,6 @@ def kernel_bound_constant(table_x, table_y, table_B) -> float:
     taken as the empirical supremum over the evaluated pairs, so the bound
     it enters holds on those pairs by construction.
     """
-    x = np.asarray(table_x, dtype=float)
-    y = np.asarray(table_y, dtype=float)
-    B = np.asarray(table_B, dtype=float)
-    vals = B * (x + y) * np.exp(-0.5 * (x + y))
+    s = np.asarray(table_x, dtype=float) + np.asarray(table_y, dtype=float)
+    vals = np.asarray(table_B, dtype=float) * s * np.exp(-0.5 * s)
     return float(np.max(vals)) if vals.size else 0.0

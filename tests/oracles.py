@@ -16,6 +16,14 @@ large-beta concentration of the majorant onto the diagonal, the
 beta-scaling maps, the three-way classification of the coupling region,
 the decoupling gap and the truncated collision rate.
 
+:func:`kernel_table` and :func:`rate_matrix` are the two screened batches
+that the full kernel table and the dense reduced rate matrix ran before
+both equations shared one pair builder (``kernel.screened_pairs``), and
+:func:`slots` the atom slot list and :func:`table_components` the block
+splitter as they were built on the dense matrix.
+:func:`dense_rates` is the one place where a test turns an atom state's
+rate pairs back into a dense matrix.
+
 :func:`diagonal_series_coefficients` derives the package's literal
 diagonal series from exact rationals, and :func:`diagonal_series_value`
 and :func:`solve_rho` are the numpy-scalar forms of the diagonal series
@@ -61,10 +69,10 @@ from comptonsim._dop853 import Counts
 from comptonsim.kernel import PhysicalParams, diagonal_closed_form, eval_majorant
 from comptonsim.reduced_solver import (
     _FLAT_R,
+    AtomSystemState,
     NonContraction,
     flatness_certificate,
     pointwise_growth_constant,
-    rate_matrix,
 )
 from comptonsim.truncation import (
     NoRoot,
@@ -75,6 +83,92 @@ from comptonsim.truncation import (
     eval_cutoff,
     gamma1,
 )
+
+
+def kernel_table(pp: PhysicalParams, tp: TruncationParams, grid, n: int) -> dict:
+    """``RegularizedKernel.build`` as it was before the pair builder was
+    shared: the pairs i <= j where both tapers are nonzero, screened by one
+    cutoff call and evaluated by one ``kernel.eval_kernel_batch`` call.
+    Returns the screened ``i``, ``j`` and table values ``vals``, the dense
+    ``table``, the kernel's ``pair_i``, ``pair_j`` and ``pair_c``, and
+    ``c_star``."""
+    xs = grid.nodes
+    tx = np.asarray(full_solver.taper(n, xs))
+    i, j = np.triu_indices(xs.size)
+    on = (tx[i] != 0.0) & (tx[j] != 0.0)
+    i, j = i[on], j[on]
+    phi = eval_cutoff(tp, xs[i], xs[j])
+    on = phi != 0.0
+    i, j, phi = i[on], j[on], phi[on]
+    B, _ = kernel.eval_kernel_batch(pp, xs[i], xs[j])
+    vals = phi * B * tx[i] * tx[j]
+    table = np.zeros((xs.size, xs.size))
+    table[i, j] = vals
+    table[j, i] = vals
+    off = (i != j) & (vals != 0.0)
+    pair_i, pair_j = i[off], j[off]
+    w = grid.weights
+    pair_c = vals[off] * (w[pair_i] * w[pair_j])
+    c_star = truncation.kernel_bound_constant(xs[i], xs[j], B)
+    return dict(i=i, j=j, vals=vals, table=table, pair_i=pair_i, pair_j=pair_j, pair_c=pair_c, c_star=c_star)
+
+
+def rate_matrix(pp: PhysicalParams, tp: TruncationParams, locations) -> tuple[np.ndarray, float]:
+    """The dense physical rate matrix at sorted locations, and its bound
+    constant, as the reduced solver built it before its rates became pairs.
+
+    R[i, j] = cutoff * B(x_i, x_j)/(x_i x_j) * (e^{-x_i} - e^{-x_j}) for
+    i < j and R[j, i] = -R[i, j], so R is exactly antisymmetric.  One
+    vectorized cutoff call picks the pairs of distinct locations where the
+    cutoff is nonzero; only those reach ``kernel.eval_kernel_batch``, and
+    C_star is calibrated on them.
+    """
+    x = np.asarray(locations, dtype=float)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("locations must be sorted")
+    i, j = np.triu_indices(x.size, 1)
+    phi = eval_cutoff(tp, x[i], x[j])
+    on = (phi != 0.0) & (x[i] != x[j])
+    i, j, phi = i[on], j[on], phi[on]
+    B, _ = kernel.eval_kernel_batch(pp, x[i], x[j])
+    e = np.array([math.exp(-v) for v in x.tolist()])
+    R = np.zeros((x.size, x.size))
+    R[i, j] = phi * B / (x[i] * x[j]) * (e[i] - e[j])
+    R[j, i] = -R[i, j]
+    return R, truncation.kernel_bound_constant(x[i], x[j], B)
+
+
+def dense_rates(state) -> np.ndarray:
+    """An atom state's rate pairs as the dense antisymmetric matrix R,
+    filled as the reduced runs' reducer fills it: zeros, then R_ij at each
+    pair and R_ji = -R_ij."""
+    x, i, j = state.locations, state.pair_i, state.pair_j
+    R = np.zeros((x.size, x.size))
+    R[i, j] = state.pair_r
+    R[j, i] = -R[i, j]
+    return R
+
+
+def table_components(u, locations, R) -> tuple[measure.Component, ...]:
+    """The blocks of the support of atom carriers u under the dense rate
+    matrix R at ``locations``, as the splitter cut them before the rates
+    became pairs: the gap after support atom a splits when the boolean
+    submatrix of the support's links has no entry in ``linked[:a, a:]``."""
+    x, m = measure.support(*u)
+    idx = np.searchsorted(locations, x)
+    linked = R[np.ix_(idx, idx)] != 0.0
+    return measure._partition(x, m, np.array([not linked[:a, a:].any() for a in range(1, x.size)], dtype=bool))
+
+
+def slots(R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """An atom state's slot list as it was built from the dense R: the
+    nonzero upper entries R_ij give a gain slot (row i) and a loss slot
+    (row j), sorted by (row, partner); (row, i, j, signed rate)."""
+    i, j = np.nonzero(np.triu(R, 1))
+    r = R[i, j]
+    row, partner = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((partner, row))
+    return tuple(a[order] for a in (row, np.concatenate([i, i]), np.concatenate([j, j]), np.concatenate([r, -r])))
 
 
 def step(u: np.ndarray, kern, dt: float, dt_min: float = 1e-8) -> tuple[np.ndarray, float]:
@@ -712,8 +806,8 @@ class Recorded:
         zero, and divided by the node weights for a density run."""
         U = np.clip(records, 0.0, None)
         if grid is None:
-            return cls(times, U, state0.locations, state0.rate_matrix, state0=state0)
-        return cls(times, U / grid.weights, grid.nodes, state0.rate_matrix, w=grid.weights, grid=grid)
+            return cls(times, U, state0.locations, dense_rates(state0), state0=state0)
+        return cls(times, U / grid.weights, grid.nodes, dense_rates(state0), w=grid.weights, grid=grid)
 
     def _row_sums(self, f=None, a=0, b=None):
         U, w = self.U, self.w
@@ -805,10 +899,10 @@ def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0
     total0 = math.fsum(initial[1]) if rec.grid is None else float(np.vecdot(rec.U[0], rec.w))
     support0 = measure.support(*initial)[0].tolist()
     if rec.grid is None:
-        blocks = rs._table_components(initial, rec.state0)
+        blocks = table_components(initial, rec.x, rec.R)
         limit_atoms = list(zip(*(a.tolist() for a in measure.support(*final))))
         at = np.searchsorted(rec.x, [x for x, _ in limit_atoms])
-        pairwise = not np.any(rec.state0.rate_matrix[np.ix_(at, at)])
+        pairwise = not np.any(rec.R[np.ix_(at, at)])
         tols = [rs._LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
         pad = lambda x, gap: 0.0
     else:
@@ -942,7 +1036,8 @@ def reduced_columns(x, R, records, eta, weights=None) -> dict:
     the points x, with the rate matrix R), handed to it by the run driver
     in ``dop853``'s blocks; the columns of densities when node ``weights``
     are given."""
-    reducer = reduced_solver._Reducer(np.asarray(x, dtype=float), R, len(records), weights, eta, ())
+    state = AtomSystemState.from_table(x, np.zeros(len(x)), R)
+    reducer = reduced_solver._Reducer(state, len(records), weights, eta, ())
     with replaying(records):
         _dop853.integrate(None, records[0], np.arange(float(len(records))), None, reducer.reduce)
     return reducer.columns

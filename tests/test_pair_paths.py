@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from comptonsim import _dop853
 from comptonsim._dop853 import _DENSE_CHUNK, ATOL, RTOL
 from comptonsim import full_solver as full_solver_module
 from comptonsim import kernel as kernel_module
-from comptonsim import reduced_solver as reduced_solver_module
 from comptonsim.full_solver import (
     _BLOCK_ROWS,
     RegularizedKernel,
@@ -58,13 +58,13 @@ from comptonsim.harness import (
     run_full_experiment,
     run_reduced_experiment,
 )
-from comptonsim.kernel import PhysicalParams, eval_kernel_batch
+from comptonsim.kernel import PhysicalParams, eval_kernel_batch, screened_pairs
 from comptonsim.measure import Grid, planck_density
 from comptonsim.reduced_solver import (
     AtomSystemState,
     atom_ode_rhs,
     lyapunov_check,
-    rate_matrix,
+    rate_pairs,
     run_atoms,
     run_density,
 )
@@ -77,6 +77,7 @@ from comptonsim.truncation import (
 )
 
 import oracles
+from oracles import dense_rates, rate_matrix
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -202,12 +203,21 @@ def loop_rate_matrix(pp, tp, locs, tol=1e-10):
     return R, c_star
 
 
+def physical_rates(pp, tp, locs):
+    """The package's physical rate pairs at sorted locs as the dense R that
+    ``oracles.dense_rates`` fills, and C_star."""
+    i, j, r, c_star = rate_pairs(pp, tp, locs)
+    pairs = types.SimpleNamespace(locations=np.asarray(locs, dtype=float), pair_i=i, pair_j=j, pair_r=r)
+    return dense_rates(pairs), c_star
+
+
 @contextlib.contextmanager
 def kernel_calls():
     """Record the (x, y, tol) of every pair handed to the kernel inside the
-    block: each pair of the batches that the consumers pass to
-    eval_kernel_batch, and each call of the scalar eval_kernel that the
-    oracles make."""
+    block: each pair of the batches that the pair builder and the dense
+    oracles pass to eval_kernel_batch (each looks it up in ``kernel`` when
+    called), and each call of the scalar eval_kernel that the oracles
+    make."""
     seen = []
     real_scalar = oracles.eval_kernel
     real_batch = kernel_module.eval_kernel_batch
@@ -220,8 +230,7 @@ def kernel_calls():
         seen.extend((a, b, tol) for a, b in zip(np.asarray(x).tolist(), np.asarray(y).tolist()))
         return real_batch(pp, x, y, tol, *args, **kwargs)
 
-    patched = [(oracles, "eval_kernel", scalar)]
-    patched += [(mod, "eval_kernel_batch", batch) for mod in (full_solver_module, reduced_solver_module)]
+    patched = [(oracles, "eval_kernel", scalar), (kernel_module, "eval_kernel_batch", batch)]
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in patched]
     for mod, name, fn in patched:
         setattr(mod, name, fn)
@@ -289,7 +298,7 @@ class TestAtomRhsAgainstLoop:
         upper = np.triu(rng.normal(size=(n_atoms, n_atoms)), 1)
         upper[rng.random((n_atoms, n_atoms)) < 0.3] = 0.0
         R = upper - upper.T
-        state = AtomSystemState(locations=locs, masses=rng.uniform(0.0, 1.0, n_atoms), rate_matrix=R)
+        state = AtomSystemState.from_table(locs, rng.uniform(0.0, 1.0, n_atoms), R)
         assert np.array_equal(atom_ode_rhs(state), loop_atom_ode_rhs(R, state.masses))
         # integrator undershoot: small negative and zero masses
         m = state.masses.copy()
@@ -303,7 +312,7 @@ class TestAtomRhsAgainstLoop:
         locs = np.array([1.0, 1.2, 1.45, 1.7, 2.6, 3.1])
         masses = np.array([0.3, 0.1, 0.25, 0.05, 0.2, 0.1])
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
-        assert np.array_equal(atom_ode_rhs(state), loop_atom_ode_rhs(state.rate_matrix, masses))
+        assert np.array_equal(atom_ode_rhs(state), loop_atom_ode_rhs(dense_rates(state), masses))
 
 
 @st.composite
@@ -336,7 +345,7 @@ def rhs_cases(n_atoms):
     upper = np.triu(rng.normal(size=(n_atoms, n_atoms)), 1)
     upper[rng.random((n_atoms, n_atoms)) < 0.3] = 0.0
     R = upper - upper.T
-    state = AtomSystemState(locations=locs, masses=rng.uniform(0.0, 1.0, n_atoms), rate_matrix=R)
+    state = AtomSystemState.from_table(locs, rng.uniform(0.0, 1.0, n_atoms), R)
     undershoot = state.masses.copy()
     undershoot[rng.random(n_atoms) < 0.3] = -1e-14
     undershoot[rng.random(n_atoms) < 0.2] = 0.0
@@ -352,7 +361,7 @@ class TestAtomRhsAgainstTriu:
             fast, ref = atom_ode_rhs(state, m), triu_atom_ode_rhs(R, m)
             assert np.array_equal(fast, ref)
             assert np.array_equal(np.signbit(fast), np.signbit(ref))
-        assert np.array_equal(state.rate_matrix, R)  # the state is only read
+        assert np.array_equal(dense_rates(state), R)  # the state is only read
 
     @pytest.mark.parametrize("n_atoms", range(41))
     def test_stacked_rows_are_the_1d_calls(self, n_atoms):
@@ -365,7 +374,7 @@ class TestAtomRhsAgainstTriu:
                 row, one = rates[idx], atom_ode_rhs(state, shaped[idx])
                 assert np.array_equal(row, one)
                 assert np.array_equal(np.signbit(row), np.signbit(one))
-        assert np.array_equal(state.rate_matrix, R)
+        assert np.array_equal(dense_rates(state), R)
 
 
 @st.composite
@@ -379,8 +388,7 @@ def slot_cases(draw):
     density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     upper = np.triu(rng.normal(size=(n, n)), 1) * (rng.random((n, n)) < density)
     R = upper - upper.T
-    state = AtomSystemState(locations=np.cumsum(rng.uniform(0.05, 0.3, n)) + 1.0,
-                            masses=rng.uniform(0.0, 1.0, n), rate_matrix=R)
+    state = AtomSystemState.from_table(np.cumsum(rng.uniform(0.05, 0.3, n)) + 1.0, rng.uniform(0.0, 1.0, n), R)
     stack = rng.uniform(0.0, 1.0, (draw(st.integers(1, _DENSE_CHUNK)), n))
     kind = rng.random(stack.shape)
     stack[kind < 0.15] = 0.0
@@ -390,13 +398,13 @@ def slot_cases(draw):
 
 
 class Poisoned:
-    """Stands in for a state's rate matrix that must not be read."""
+    """Stands in for a state's rate pairs, which must not be read."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"rate_matrix.{name} read")
+        raise AssertionError(f"rate pairs .{name} read")
 
     def __array__(self, *args, **kwargs):
-        raise AssertionError("rate_matrix read as an array")
+        raise AssertionError("rate pairs read as an array")
 
 
 class TestAtomRhsOverSlots:
@@ -419,7 +427,8 @@ class TestAtomRhsOverSlots:
         state, _, masses = rhs_cases(16)
         stack = np.stack(masses)
         before = [atom_ode_rhs(state), atom_ode_rhs(state, stack)]
-        object.__setattr__(state, "rate_matrix", Poisoned())
+        for name in ("pair_i", "pair_j", "pair_r"):
+            object.__setattr__(state, name, Poisoned())
         after = [atom_ode_rhs(state), atom_ode_rhs(state, stack)]
         for a, b in zip(before, after):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -537,7 +546,7 @@ def seed7_trajectories(seed7_runs):
 
 def atom_form(traj, records):
     """Rate matrix, points and the clipped records as point masses."""
-    return traj.state0.rate_matrix, traj.locations, np.clip(records, 0.0, None)
+    return dense_rates(traj.state0), traj.locations, np.clip(records, 0.0, None)
 
 
 def picard_form(traj, records):
@@ -1131,7 +1140,7 @@ class TestScreenedBatchAgainstLoops:
     @given(grid=grids(), tp=truncations())
     def test_rate_matrix_on_grids(self, grid, tp):
         with kernel_calls() as seen:
-            R, c_star = rate_matrix(PP, tp, grid.nodes)
+            R, c_star = physical_rates(PP, tp, grid.nodes)
         with kernel_calls() as ref:
             R_ref, c_ref = loop_rate_matrix(PP, tp, grid.nodes, 1e-10)
         assert seen == ref
@@ -1140,7 +1149,7 @@ class TestScreenedBatchAgainstLoops:
 
     def test_rate_matrix_on_picard_grid(self):
         grid = Grid.log_spaced(0.5, 30.0, 128)
-        R, c_star = rate_matrix(PP, TP, grid.nodes)
+        R, c_star = physical_rates(PP, TP, grid.nodes)
         R_ref, c_ref = loop_rate_matrix(PP, TP, grid.nodes)
         assert np.array_equal(R, R_ref) and c_star == c_ref
 
@@ -1150,21 +1159,22 @@ class TestScreenedBatchAgainstLoops:
         locs = np.sort(rng.uniform(0.05, 8.0, 16))
         state = AtomSystemState.from_physical(PP, TP, locs, np.full(16, 1.0 / 16))
         R_ref, _ = loop_rate_matrix(PP, TP, locs)
-        assert np.array_equal(state.rate_matrix, R_ref)
+        assert np.array_equal(dense_rates(state), R_ref)
 
     def test_repeated_location_does_not_couple(self):
         # an atom sitting on a grid node appears twice among the support points
         locs = [1.0, 1.2, 1.2, 1.5]
         with kernel_calls() as seen:
-            R, _ = rate_matrix(PP, TP, locs)
+            R, _ = physical_rates(PP, TP, locs)
         with kernel_calls() as ref:
             R_ref, _ = loop_rate_matrix(PP, TP, locs)
         assert R[1, 2] == 0.0 and R[2, 1] == 0.0
         assert np.array_equal(R, R_ref) and seen == ref
 
     def test_rate_matrix_needs_sorted_locations(self):
-        with pytest.raises(ValueError, match="sorted"):
-            rate_matrix(PP, TP, [1.2, 1.0])
+        # the rate pairs are built at the locations of a state, which must increase
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AtomSystemState.from_physical(PP, TP, [1.2, 1.0], [0.5, 0.5])
 
     def test_batch_matches_scalar_kernel(self):
         x = np.array([0.1, 1.0, 2.0, 5.0])
@@ -1175,6 +1185,76 @@ class TestScreenedBatchAgainstLoops:
             assert (values[k], errors[k]) == (s.value, s.abs_error_estimate)
         empty = eval_kernel_batch(PP, np.zeros(0), np.zeros(0))
         assert empty[0].shape == empty[1].shape == (0,)
+
+
+@st.composite
+def log_grids(draw):
+    """A log-spaced grid of 2 to 200 nodes in [0.01, 40]."""
+    return Grid.log_spaced(draw(st.floats(0.01, 0.5)), draw(st.floats(1.0, 40.0)), draw(st.integers(2, 200)))
+
+
+@st.composite
+def sorted_locations(draw):
+    """0 to 40 sorted atom locations in [0, 12]; in some draws positive ones
+    repeat (the dense oracle's cutoff call raises on a repeated origin)."""
+    x = draw(st.lists(st.floats(0.0, 12.0), max_size=40, unique=True))
+    if any(x) and draw(st.booleans()):
+        x += draw(st.lists(st.sampled_from([v for v in x if v > 0.0]), max_size=3))
+    return np.sort(np.array(x, dtype=float))
+
+
+class TestPairBuilderAgainstOracles:
+    """``kernel.screened_pairs`` through both of its candidate sets against
+    the screened batch each caller ran before it was shared: the pairs
+    i <= j inside the taper (``oracles.kernel_table``) and the pairs i < j
+    of distinct locations (``oracles.rate_matrix``).  The same points reach
+    the kernel in the same order, and the pairs, values, C_star and atom
+    slots keep their bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid=log_grids(), atoms=sorted_locations(), tp=truncations(), n=st.integers(1, 30))
+    def test_both_candidate_sets(self, grid, atoms, tp, n):
+        xs = grid.nodes
+        with kernel_calls() as seen:
+            kern = RegularizedKernel.build(PP, tp, grid, n)
+        with kernel_calls() as ref:
+            old = oracles.kernel_table(PP, tp, grid, n)
+        assert seen == ref
+        for name in ("table", "pair_i", "pair_j", "pair_c"):
+            assert np.array_equal(bits(getattr(kern, name)), bits(old[name]))
+        assert kern.bound_constant == old["c_star"]
+        tx = np.asarray(taper(n, xs))
+        i, j, phi_b, c_star = screened_pairs(PP, tp, xs, True, tx != 0.0)
+        assert np.array_equal(i, old["i"]) and np.array_equal(j, old["j"])
+        assert np.array_equal(bits(phi_b * tx[i] * tx[j]), bits(old["vals"])) and c_star == old["c_star"]
+
+        for x in (xs, atoms):
+            with kernel_calls() as seen:
+                i, j, r, c_star = rate_pairs(PP, tp, x)
+            with kernel_calls() as ref:
+                R, c_ref = rate_matrix(PP, tp, x)
+            assert seen == ref and c_star == c_ref
+            upper_i, upper_j = np.nonzero(np.triu(R, 1))
+            assert np.array_equal(i, upper_i) and np.array_equal(j, upper_j)
+            assert np.array_equal(bits(r), bits(R[i, j]))
+            if np.all(np.diff(x) > 0.0):
+                state = AtomSystemState(x, np.zeros(x.size), i, j, r)
+                for got, want in zip(state._slots, oracles.slots(R), strict=True):
+                    assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+                assert np.array_equal(dense_rates(state), R)
+
+    def test_a_rate_that_rounds_to_zero_is_no_pair(self):
+        # e^{-x} rounds to one float at these two neighbouring floats, so the
+        # screened pair reaches the kernel and C_star but has rate 0.0; the
+        # dense oracle held it as 0.0 above the diagonal and -0.0 below
+        x = [0.37933140325466697, math.nextafter(0.37933140325466697, 1.0)]
+        with kernel_calls() as seen:
+            i, j, r, c_star = rate_pairs(PP, TP, x)
+        with kernel_calls() as ref:
+            R, c_ref = rate_matrix(PP, TP, x)
+        assert seen == ref and len(seen) == 1 and c_star == c_ref
+        assert i.size == j.size == r.size == 0
+        assert np.signbit(R[1, 0]) and not np.any(R)
 
 
 class TestCutoffProperties:

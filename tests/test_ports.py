@@ -24,13 +24,12 @@ from comptonsim.reduced_solver import (
     AtomSystemState,
     _table_components,
     atom_ode_rhs,
-    rate_matrix,
     run_atoms,
     run_density,
 )
 from comptonsim.truncation import TruncationParams
 import oracles
-from oracles import _cumulative_simpson, spying
+from oracles import _cumulative_simpson, dense_rates, rate_matrix, spying
 
 
 def antisymmetric_state(rng, n: int, scale: float = 1.0) -> AtomSystemState:
@@ -210,7 +209,7 @@ class TestRecordBlocksThroughTheIntegrator:
         pp, tp = PhysicalParams(), TruncationParams.solve(0.5, 1.0, 0.8)
         if kind == "atoms":
             state = antisymmetric_state(rng, n, scale=0.1)
-            state = AtomSystemState.from_table(state.locations, state.masses * (rng.random(n) > 0.3), state.rate_matrix)
+            state = AtomSystemState.from_table(state.locations, state.masses * (rng.random(n) > 0.3), dense_rates(state))
             traj, blocks = handed_blocks(run_atoms, state, 5.0, eta=0.3, n_record=n_record, stationarity_window=1.0)
             rec = oracles.Recorded.of_records(traj.times, np.concatenate(blocks), state)
             row0 = np.clip(state.masses, 0.0, None)

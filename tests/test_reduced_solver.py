@@ -33,13 +33,12 @@ from comptonsim.reduced_solver import (
     classify_limit,
     flatness_certificate,
     lyapunov_check,
-    rate_matrix,
     run_atoms,
     run_density,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff, gamma2
 import oracles
-from oracles import eval_kernel
+from oracles import dense_rates, eval_kernel, rate_matrix
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -188,21 +187,38 @@ class TestRateKernel:
             with pytest.raises(ValueError, match="exactly antisymmetric"):
                 AtomSystemState.from_table([1.0, 2.0], [0.5, 0.5], table)
             with pytest.raises(ValueError, match="exactly antisymmetric"):
-                AtomSystemState(locations=[1.0, 2.0], masses=[0.5, 0.5], rate_matrix=np.array(table))
+                AtomSystemState.from_table([1.0, 2.0], [0.5, 0.5], np.array(table))
         state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], EXAMPLE51["table"])
-        assert np.array_equal(state.rate_matrix, -state.rate_matrix.T)
+        R = dense_rates(state)
+        assert np.array_equal(R, -R.T)
 
     def test_rate_matrix_is_a_read_only_copy_in_a_frozen_state(self):
-        # the atom RHS reads slots built from the matrix once, so neither an
-        # in-place write nor a new matrix may reach a constructed state
+        # the atom RHS reads slots built from the pairs once, so neither an
+        # in-place write nor new pairs may reach a constructed state
         table = np.array(EXAMPLE51["table"], dtype=float)
         state = AtomSystemState.from_table(EXAMPLE51["locations"], EXAMPLE51["masses"], table)
-        with pytest.raises(ValueError, match="read-only"):
-            state.rate_matrix[0, 1] = 2.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            state.rate_matrix = np.zeros_like(table)
+        for name in ("pair_i", "pair_j", "pair_r"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(state, name)[0] = 2
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, np.zeros(1))
         table[0, 1] = 99.0  # the caller's table stays its own
-        assert np.array_equal(state.rate_matrix, np.array(EXAMPLE51["table"], dtype=float))
+        assert np.array_equal(dense_rates(state), np.array(EXAMPLE51["table"], dtype=float))
+
+    @pytest.mark.parametrize("name, locations, masses", [
+        ("locations", [1.0, math.nan, 3.0], [0.2, 0.3, 0.5]),
+        ("locations", [1.0, 2.0, math.inf], [0.2, 0.3, 0.5]),
+        ("masses", [1.0, 2.0, 3.0], [0.2, math.nan, 0.5]),
+        ("masses", [1.0, 2.0, 3.0], [0.2, math.inf, 0.5]),
+    ], ids=["nan-location", "inf-location", "nan-mass", "inf-mass"])
+    def test_non_finite_atoms_are_refused(self, name, locations, masses):
+        # NaN passed the increasing and nonnegative tests, since a comparison
+        # with it is false: the run reported M1 = nan (inf at an infinite
+        # location), and a NaN mass stopped only at DOP853's finite-y0 check
+        with pytest.raises(ValueError, match=f"^atom {name} must be finite$"):
+            AtomSystemState.from_table(locations, masses, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=f"^atom {name} must be finite$"):
+            AtomSystemState.from_physical(PP, TP, locations, masses)
 
     def test_chain_example_coupling_consistent_with_region(self):
         # the synthetic chain matches the geometry at these locations
@@ -293,7 +309,7 @@ class TestRunAtoms:
     def test_state_without_atoms_is_refused(self):
         # numpy's own "zero-size array to reduction operation minimum"
         # error came after the integration
-        empty = AtomSystemState(locations=np.zeros(0), masses=np.zeros(0), rate_matrix=np.zeros((0, 0)))
+        empty = AtomSystemState.from_table(np.zeros(0), np.zeros(0), np.zeros((0, 0)))
         with time_limit(5.0), pytest.raises(ValueError, match="^the atom system has no atoms to integrate$"):
             run_atoms(empty, 1.0, eta=0.3, n_record=3)
 
@@ -329,9 +345,9 @@ def one_state_dissipation(st: AtomSystemState, alpha: float) -> float:
     """The moment dissipation of the state's masses as one record: the
     reducer's column for the orders 2 and 3 it computes, which must be the
     formula's bits (``oracles.dissipation``); the formula for any other."""
-    (d,) = oracles.dissipation(st.rate_matrix, st.locations, st.masses[None, :], alpha)
+    (d,) = oracles.dissipation(dense_rates(st), st.locations, st.masses[None, :], alpha)
     if alpha in (2.0, 3.0):
-        columns = oracles.reduced_columns(st.locations, st.rate_matrix, st.masses[None, :], 0.3)
+        columns = oracles.reduced_columns(st.locations, dense_rates(st), st.masses[None, :], 0.3)
         assert np.array_equal(as_bits(columns[f"D_{alpha:g}"]), as_bits([d]))
     return d
 
@@ -552,6 +568,21 @@ class TestDensityRunAgainstFixedPoint:
         assert all(rep.monotone.values()) and rep.exp_moment_monotone and rep.balance_ok
 
 
+@st.composite
+def sparse_tables(draw):
+    """Up to 30 atoms with a random sparse antisymmetric table whose zeros
+    are 0.0 or -0.0, masses with empty atoms among them, and a random
+    increasing subset ``at`` of the atoms."""
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.normal(size=(n, n)), 1) * (rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.6])))
+    R = upper - upper.T
+    R[(R == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    masses = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.25)
+    at = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    return np.cumsum(rng.uniform(0.05, 1.0, n)) + 0.5, masses, R, at
+
+
 class TestClassifyLimit:
     def test_chain_limit(self):
         traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=2001, stationarity_window=1.0)
@@ -658,6 +689,19 @@ class TestClassifyLimit:
         state = AtomSystemState.from_physical(PP, TP, locs, masses)
         assert _table_components((locs, masses), state) == components((locs, masses), TP)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=sparse_tables())
+    def test_pairs_split_and_couple_as_the_dense_table(self, case):
+        # the prefix maximum of j against linked[:a, a:] on the support and on
+        # a subset of it; and classify_limit's coupling of limit atoms at
+        # (each a block alone) against R[np.ix_(at, at)]
+        locs, masses, R, at = case
+        state = AtomSystemState.from_table(locs, masses, R)
+        for u in ((locs, masses), (locs[at], masses[at])):
+            assert _table_components(u, state) == oracles.table_components(u, locs, R)
+        limit = (locs[at], np.ones(at.size))
+        assert (len(_table_components(limit, state)) == at.size) == (not np.any(R[np.ix_(at, at)]))
+
     def test_not_converged_raised(self):
         traj = run_atoms(chain_state(), 3.0, eta=0.3, n_record=301, stationarity_window=1.0)
         with pytest.raises(NotConverged):
@@ -671,7 +715,7 @@ class TestClassifyLimit:
 
     def test_queue_monotone_series(self):
         traj, masses = spied(run_atoms, chain_state(), 50.0, eta=0.3, n_record=501)
-        rec = oracles.Recorded(traj.times, masses, traj.locations, traj.state0.rate_matrix)
+        rec = oracles.Recorded(traj.times, masses, traj.locations, dense_rates(traj.state0))
         for r in (0.5, 1.2, 2.0, 3.0):
             series = rec.window_mass_series(r)
             assert np.all(np.diff(series) <= 1e-14)
