@@ -42,16 +42,7 @@ from .full_solver import (
     run_full,
 )
 from .measure import Grid, atom_arrays, check_exp_rate, grid_density, planck_density, relative_drift, save_snapshot
-from .reduced_solver import (
-    _FLAT_R,
-    AtomSystemState,
-    NotConverged,
-    classify_limit,
-    flatness_certificate,
-    lyapunov_check,
-    run_atoms,
-    run_density,
-)
+from .reduced_solver import AtomSystemState, NotConverged, classify_limit, lyapunov_check, run_atoms, run_density
 from .truncation import TruncationParams, gamma1, gamma2
 
 __all__ = [
@@ -508,9 +499,12 @@ def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifes
 def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, classify: bool = True) -> tuple[RunManifest, object]:
     """Reduced-equation run in 'atoms' or 'picard' mode.
 
-    The atom state (and with it an explicit ``reduced.rate_table``) or the
-    density's flatness certificate is checked before the output directory
-    is made.  The run reduces its records as it goes; ``trajectory.csv``
+    The run checks its own input: a ``ValueError`` of the atom state
+    (``reduced.rate_table`` for an explicit table) or of ``run_density``
+    (the flatness certificate, the kernel's domain) is a config error of
+    that section.  Nothing is written before the run returns, so a config
+    error or a ``StepCollapse`` leaves no output directory.  The run
+    reduces its records as it goes; ``trajectory.csv``
     holds its columns t, M0, M1, M2, X_eta and D_2, and the Lyapunov check
     reads them with M3 and D_3.  With ``classify`` the run also reduces the
     classifier's windows (over ``reduced.stationarity_window``), and
@@ -524,29 +518,29 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
             raise ValidationError("initial: atoms mode needs a purely atomic initial state")
         locs, masses = u0.atoms
         if red["rate_table"] is None:
-            state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses)
+            with _section("initial"):
+                state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses)
         else:
             with _section("reduced.rate_table"):
                 state = AtomSystemState.from_table(locs, masses, red["rate_table"])
     elif mode == "picard":
         if u0.density is None:
             raise ValidationError("initial: picard mode needs a density initial state")
-        with _section("initial"):
-            flatness_certificate(cfg.grid, u0.density, _FLAT_R, cfg.eta)
     else:
         raise ValidationError("mode must be 'atoms' or 'picard'")
-    os.makedirs(out_dir, exist_ok=True)
     manifest = _run_manifest(cfg)
 
     window = red["stationarity_window"] if classify else None
     if mode == "atoms":
         traj = run_atoms(state, red["t_end"], n_record=red["n_record"], eta=cfg.eta, stationarity_window=window)
     else:
-        traj = run_density(cfg.grid, u0.density, cfg.physical, cfg.truncation, t_end=red["t_end"], eta=cfg.eta,
-                           dt=red["dt"], stationarity_window=window)
+        with _section("initial"):
+            traj = run_density(cfg.grid, u0.density, cfg.physical, cfg.truncation, t_end=red["t_end"],
+                               eta=cfg.eta, dt=red["dt"], stationarity_window=window)
         manifest.derived_constants["C_0"] = traj.growth_constant
         manifest.telemetry.update(flatness_integral=traj.flatness[0], tail_integral=traj.flatness[1])
     manifest.telemetry.update(_integrator_telemetry(traj))
+    os.makedirs(out_dir, exist_ok=True)
 
     rep = lyapunov_check(traj)
     columns = (traj.times, traj.M0, traj.M1, traj.M2, traj.X_eta, traj.D_2)

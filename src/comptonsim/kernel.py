@@ -25,6 +25,7 @@ rationals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,10 @@ def _integrand(s: np.ndarray, d2, c, beta: float, m: float) -> np.ndarray:
     return (1.0 + t * t) * 2.0 * s / np.sqrt(r2) * np.exp(expo)
 
 
+# The largest x + y the kernel takes, 2 ln(max float) = 1419.57...: above it
+# the factor e^{(x + y)/2} of the quadrature and the closed form overflows.
+_MAX_PAIR_SUM = 2.0 * math.log(sys.float_info.max)
+
 # Panels per pair before the quadrature gives up, read at call time (the
 # tests' scalar reference reads it too, and shrinks it to test the budget).
 _MAX_PANELS = 4000
@@ -162,8 +167,9 @@ def eval_kernel_batch(
     (:func:`screened_pairs`) and CSV dump takes its values from here.
     ``tol`` is a relative tolerance in (0, 1e-3]: every returned error
     satisfies ``err <= tol * value``, and a pair that does not reach it within
-    ``_MAX_PANELS`` (4000) panels raises NonConvergence.  Points must be
-    positive (``ValueError``).
+    ``_MAX_PANELS`` (4000) panels raises NonConvergence.  The domain is
+    x, y > 0 and x + y <= 2 ln(max float) (1419.57...): a pair outside it
+    raises a ``ValueError`` that names it.
 
     B is symmetric bit for bit, so each unordered pair is integrated once.
     Pairs with |x - y| < 1e-8 (x + y) take the diagonal closed form, with
@@ -188,6 +194,10 @@ def eval_kernel_batch(
         raise ValueError("tol must lie in (0, 1e-3]")
     if x.size == 0:
         return np.zeros(0), np.zeros(0)
+    k = int(np.argmax(x + y)) if x.max() + y.max() > _MAX_PAIR_SUM else 0  # x + y only when a pair may be outside
+    if x[k] + y[k] > _MAX_PAIR_SUM:
+        raise ValueError(f"kernel overflows at (x={float(x[k])!r}, y={float(y[k])!r}): "
+                         f"x + y > 2 ln(max float) = {_MAX_PAIR_SUM:.2f}")
     # each unordered pair once: (min, max) viewed as one complex key
     keys = np.stack([np.minimum(x, y), np.maximum(x, y)], axis=1).view(complex).ravel()
     keys, inverse = np.unique(keys, return_inverse=True)

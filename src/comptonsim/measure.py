@@ -7,8 +7,9 @@ as its carriers, points with their masses: the atoms of positive mass
 (:func:`atom_carriers`), or every node of a density with its mass w u
 (:func:`node_carriers`).  This module checks config input into these
 arrays, and provides the overflow guard of the exponential moment, the
-bounded-Lipschitz distance, the partition of the support into decoupled
-blocks, and the JSON snapshot writer, whose floats read back bit for bit.
+bounded-Lipschitz distance, the blocks a partition of the support is cut
+into (the rule that cuts them is the rate pairs', in ``reduced_solver``),
+and the JSON snapshot writer, whose floats read back bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .truncation import TruncationParams, eval_cutoff
 
 __all__ = [
     "Grid",
@@ -32,7 +31,6 @@ __all__ = [
     "relative_drift",
     "check_exp_rate",
     "bl_distance",
-    "components",
     "planck_density",
     "save_snapshot",
 ]
@@ -229,22 +227,6 @@ def _partition(x: np.ndarray, m: np.ndarray, splits: np.ndarray) -> tuple[Compon
     bounds = [0, *(np.flatnonzero(splits) + 1).tolist(), x.size] if x.size else []
     x, m = x.tolist(), m.tolist()
     return tuple(Component(points=tuple(x[a:b]), masses=tuple(m[a:b])) for a, b in zip(bounds, bounds[1:]))
-
-
-def components(u, tp: TruncationParams) -> tuple[Component, ...]:
-    """Partition the :func:`support` of carriers u (points, masses) into a
-    left-to-right tuple of blocks separated by decoupling gaps.
-
-    A gap between consecutive support carriers p < q splits the support
-    exactly when the cutoff vanishes at (p, q).  The cutoff's support shrinks
-    as a pair widens, so then no pair across the gap couples.  This is the
-    rule gamma1(q) >= p read off the cutoff itself: the two can disagree for
-    a p within rounding of gamma1(q), and the cutoff is what the rate tables
-    see.  Consecutive blocks are then separated by q - gamma1(q), the
-    decoupling gap at the right block's minimum q, up to that rounding.
-    """
-    x, m = support(*u)
-    return _partition(x, m, eval_cutoff(tp, x[:-1], x[1:]) == 0.0)
 
 
 def planck_density(grid: Grid, mu: float = 0.0) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._dop853 import integrate
 from .kernel import PhysicalParams, screened_pairs
-from .measure import Component, Grid, _partition, atom_carriers, bl_distance, components, node_carriers, support
+from .measure import Component, Grid, _partition, atom_carriers, bl_distance, node_carriers, support
 from .truncation import TruncationParams, eval_cutoff
 
 __all__ = [
@@ -253,18 +253,19 @@ class _LimitWindows:
     pads: tuple[tuple[float, float], ...]
     columns: list[tuple[int, int]]  # the column range of each block's window, then each tail's
     masses: list[float]
+    state: AtomSystemState = field(repr=False, compare=False)  # the run's: its pairs cut the final blocks too
     last: np.ndarray | None = None  # each tail's mass at the last record reduced, as a column
     drift: float = -math.inf
     rise: float = -math.inf
 
     @classmethod
-    def of(cls, support0: np.ndarray, blocks, pad, x: np.ndarray, stationarity_window: float,
-           previous: int) -> "_LimitWindows":
-        """Windows of the initial blocks, each padded on both sides by
-        ``pad(edge, gap to the neighbouring block)``, and of the ten tail
-        thresholds at the 5 % to 95 % quantiles of the points ``support0`` of
-        the initial support (none when it is empty); sorted points make a
-        window a range of columns."""
+    def of(cls, state: AtomSystemState, initial, pad, stationarity_window: float, previous: int) -> "_LimitWindows":
+        """Windows of the blocks of the ``initial`` carriers under the pairs of
+        ``state``, each padded on both sides by ``pad(edge, gap to the
+        neighbouring block)``, and of the ten tail thresholds at the 5 % to
+        95 % quantiles of the initial support (none when it is empty); the
+        state's sorted points make a window a range of columns."""
+        blocks, support0, x = _table_components(initial, state), support(*initial)[0], state.locations
         def window(lo: float, hi: float) -> tuple[int, int]:
             return int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
 
@@ -276,7 +277,7 @@ class _LimitWindows:
         tails = _quantiles(support0, np.linspace(0.05, 0.95, 10)) if support0.size else ()
         columns = [window(c.min_point - a, c.max_point + b) for c, (a, b) in zip(blocks, pads)]
         columns += [window(float(r), math.inf) for r in tails]
-        return cls(stationarity_window, previous, tuple(blocks), tuple(pads), columns, [c.mass for c in blocks])
+        return cls(stationarity_window, previous, blocks, tuple(pads), columns, [c.mass for c in blocks], state)
 
     def reduce(self, V: np.ndarray) -> None:
         """Fold a block of records, as point masses V, into the extremes."""
@@ -342,14 +343,15 @@ class AtomTrajectory(_ReducedRun):
 
 
 def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float, window: float | None,
-                 grid: Grid | None = None, tp: TruncationParams | None = None) -> dict:
+                 grid: Grid | None = None) -> dict:
     """Integrate ``state`` to t_end (``_dop853.integrate``, its floor on the
     masses) and reduce its n_record records (see :class:`_Reducer`), which
     are densities on ``grid`` when one is given.  With a stationarity
     ``window`` the classifier's windows are those of the initial state
-    (record 0 as DOP853 emits it, clipped): the blocks of the rate pairs for
-    atoms, the cutoff blocks of ``tp`` padded by :func:`_block_pad` for a
-    density.  Returns the fields of :class:`_ReducedRun`."""
+    (record 0 as DOP853 emits it, clipped), cut by the state's rate pairs;
+    the run kind picks the carriers (atoms of positive mass, or every node)
+    and the pads (none, or :func:`_block_pad`).  Returns the fields of
+    :class:`_ReducedRun`."""
     m0 = state.masses.copy()
     times = np.linspace(0.0, t_end, n_record)
     keep, limit = (0, n_record - 1), None
@@ -359,12 +361,10 @@ def _reduced_run(state: AtomSystemState, t_end: float, n_record: int, eta: float
         keep = tuple(sorted({0, previous, n_record - 1}))
         row0 = np.clip(m0, 0.0, None)
         if grid is None:
-            initial = atom_carriers(state.locations, row0)
-            blocks, pad = _table_components(initial, state), lambda x, gap: 0.0
+            initial, pad = atom_carriers(state.locations, row0), lambda x, gap: 0.0
         else:
-            initial = node_carriers(grid, row0 / weights)
-            blocks, pad = components(initial, tp), lambda x, gap: _block_pad(grid.nodes, x, gap)
-        limit = _LimitWindows.of(support(*initial)[0], blocks, pad, state.locations, window, previous)
+            initial, pad = node_carriers(grid, row0 / weights), lambda x, gap: _block_pad(grid.nodes, x, gap)
+        limit = _LimitWindows.of(state, initial, pad, window, previous)
     reducer = _Reducer(state, n_record, weights, eta, keep, limit)
     row, a, b, r = state._slots
     slotless = row.size == 0
@@ -539,11 +539,11 @@ def run_density(
     divided by w into a density.  The records are equally spaced at about
     ``dt`` (``ceil(t_end/dt) + 1`` of them, at least 2).  A
     ``stationarity_window`` keeps the density one window before the end
-    and reduces the windows of the initial density's cutoff blocks, each
-    padded by :func:`_block_pad`, and of the tail thresholds.  ``t_end``
-    and ``dt`` must be positive and finite, u0 on the grid and eta above
-    (1 - theta)/2; the flatness certificate (exponent ``_FLAT_R`` = 1) is
-    checked before anything runs.
+    and reduces the windows of the initial density's blocks, each padded by
+    :func:`_block_pad`, and of the tail thresholds.  ``t_end`` and ``dt``
+    must be positive and finite, u0 on the grid and eta above (1 - theta)/2;
+    the flatness certificate (exponent ``_FLAT_R`` = 1) and the kernel's
+    domain are checked before anything runs (``ValueError``).
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0.0 < value < math.inf:
@@ -556,7 +556,7 @@ def run_density(
     i, j, r, c_star = rate_pairs(pp, tp, grid.nodes)
     state = AtomSystemState(grid.nodes, u0 * grid.weights, i, j, r)
     n_record = max(2, math.ceil(t_end / dt) + 1)
-    fields = _reduced_run(state, t_end, n_record, eta, stationarity_window, grid, tp)
+    fields = _reduced_run(state, t_end, n_record, eta, stationarity_window, grid)
     return PicardTrajectory(**fields, grid=grid, growth_constant=pointwise_growth_constant(tp, c_star, flatness[1]),
                             flatness=flatness)
 
@@ -601,9 +601,9 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
     atom trajectory's total mass is the ``math.fsum`` of its masses, its
     surviving atoms are the limit atoms, and its rate pairs couple them; a
     density trajectory's is the ``np.vecdot`` with the node weights, it
-    takes one mass-weighted limit atom per final cutoff block, couples by
-    the cutoff and widens the support by 1.5 grid cells.  The run's initial
-    blocks (padded by :func:`_block_pad` for a density) are checked to
+    takes one mass-weighted limit atom per final block (cut as the initial
+    ones are), couples by the cutoff and widens the support by 1.5 grid
+    cells.  The run's initial blocks (padded by :func:`_block_pad` for a density) are checked to
     ``_LIMIT_MASS_TOL`` (1e-8) of the total mass, a location to
     ``_LIMIT_LOCATION_TOL`` (1e-9) relative to max(1, x).  Every block
     window's mass must stay within ten times the block tolerance of the
@@ -637,7 +637,7 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
         limit_atoms = [
             (c.points[0], c.mass) if len(c.points) == 1
             else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
-            for c in components(final, tp)
+            for c in _table_components(final, windows.state)
         ]
         locs = np.array([x for x, _ in limit_atoms])
         i, j = np.triu_indices(locs.size, 1)
@@ -682,12 +682,13 @@ def classify_limit(traj, tp: TruncationParams, limit_tol: float = 1e-8) -> Limit
 
 
 def _table_components(u, state: AtomSystemState) -> tuple[Component, ...]:
-    """Blocks of the support of atom carriers u (locations, masses) under the
-    state's rate pairs, cut by the splitter of :func:`components`: the gap
-    between consecutive support atoms p < q splits the support when no pair
-    of support atoms spans it, i.e. when the prefix maximum of j over those
-    pairs (i, j) with i <= p is below q (on a physical table, the cutoff
-    rule of :func:`components`)."""
+    """The one block rule of both run kinds: blocks of the support of
+    carriers u (points, masses) at the state's locations under its rate
+    pairs.  The gap between consecutive support points p < q splits the
+    support when no pair of support points spans it, i.e. when the prefix
+    maximum of j over those pairs (i, j) with i <= p is below q (on physical
+    pairs, where the cutoff vanishes at (p, q), but for two points whose
+    e^{-x} round to one float)."""
     x, m = support(*u)
     idx = np.searchsorted(state.locations, x)
     inside = np.zeros(state.locations.size, dtype=bool)

@@ -20,7 +20,10 @@ the decoupling gap and the truncated collision rate.
 that the full kernel table and the dense reduced rate matrix ran before
 both equations shared one pair builder (``kernel.screened_pairs``), and
 :func:`slots` the atom slot list and :func:`table_components` the block
-splitter as they were built on the dense matrix.
+splitter as they were built on the dense matrix.  :func:`components` is
+the block rule that cut a density's blocks where the cutoff vanishes
+between neighbouring support nodes, before both run kinds split by their
+rate pairs; the tests hold the pair rule to it.
 :func:`dense_rates` is the one place where a test turns an atom state's
 rate pairs back into a dense matrix.
 
@@ -158,6 +161,22 @@ def table_components(u, locations, R) -> tuple[measure.Component, ...]:
     idx = np.searchsorted(locations, x)
     linked = R[np.ix_(idx, idx)] != 0.0
     return measure._partition(x, m, np.array([not linked[:a, a:].any() for a in range(1, x.size)], dtype=bool))
+
+
+def components(u, tp: TruncationParams) -> tuple[measure.Component, ...]:
+    """Partition the support of carriers u (points, masses) into a
+    left-to-right tuple of blocks separated by decoupling gaps.
+
+    A gap between consecutive support carriers p < q splits the support
+    exactly when the cutoff vanishes at (p, q).  The cutoff's support shrinks
+    as a pair widens, so then no pair across the gap couples.  This is the
+    rule gamma1(q) >= p read off the cutoff itself: the two can disagree for
+    a p within rounding of gamma1(q), and the cutoff is what the rate tables
+    see.  Consecutive blocks are then separated by q - gamma1(q), the
+    decoupling gap at the right block's minimum q, up to that rounding.
+    """
+    x, m = measure.support(*u)
+    return measure._partition(x, m, eval_cutoff(tp, x[:-1], x[1:]) == 0.0)
 
 
 def slots(R: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -906,11 +925,11 @@ def classify_recorded(rec: Recorded, tp, limit_tol=1e-8, stationarity_window=1.0
         tols = [rs._LIMIT_LOCATION_TOL * max(1.0, max(support0, default=1.0))] * len(limit_atoms)
         pad = lambda x, gap: 0.0
     else:
-        blocks = measure.components(initial, tp)
+        blocks = components(initial, tp)
         limit_atoms = [
             (c.points[0], c.mass) if len(c.points) == 1
             else (float(np.dot(c.points, c.masses) / np.sum(c.masses)), float(np.sum(c.masses)))
-            for c in measure.components(final, tp)
+            for c in components(final, tp)
         ]
         locs = np.array([x for x, _ in limit_atoms])
         i, j = np.triu_indices(locs.size, 1)

@@ -89,6 +89,8 @@ BAD_ARGUMENTS = {
     "kernel-table --grid-min -1": "grid_min and grid_max must be positive and finite",
     "kernel-table --grid-points -3": "grid_points must be >= 1; got -3",
     "kernel-table --beta 0": "beta must be positive",
+    # x + y above 2 ln(max float), where the kernel's factor e^{(x + y)/2} overflows: an OverflowError traceback
+    "kernel-table --grid-min 700 --grid-max 800 --grid-points 3": "kernel overflows at (x=800.0, y=800.0)",
     "region-dump --theta 1.5": "need 0 < theta < theta1 < 1",
     "region-dump --theta1 0.4": "need 0 < theta < theta1 < 1",
     "region-dump --delta-star 0": "delta_star must be positive",
@@ -118,6 +120,14 @@ NOT_FLAT = {"grid": {"min": 0.005, "max": 30.0, "n": 32}, "reduced": {"t_end": 0
 # eta * the top grid node (0.375 * 3000) or the largest atom location (0.375 * 2000) exceeds 700
 WIDE_GRID = {"grid": {"min": 0.02, "max": 3000.0, "n": 32}, "solver": {"t_end": 0.01}}
 FAR_ATOM = {"initial": {"preset": "atoms", "atoms": [[1.0, 0.4], [2000.0, 0.6]]}}
+# kernel pairs with x + y above 2 ln(max float), where the kernel's factor
+# e^{(x + y)/2} overflows: each was an OverflowError traceback, the Picard
+# one over an empty output directory
+KERNEL_OVERFLOW_ATOMS = {"initial": {"preset": "atoms", "atoms": [[750.0, 0.5], [760.0, 0.5]]},
+                         "reduced": {"t_end": 1.0, "n_record": 11}}
+KERNEL_OVERFLOW_PICARD = {"grid": {"min": 1.0, "max": 1500.0, "n": 64},
+                          "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 1.0},
+                          "reduced": {"t_end": 1.0, "stationarity_window": 0.5}, "diagnostics": {"eta": 0.3}}
 # states whose first rate overflows (the CI step "Overflowing states stop")
 OVERFLOWING_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 1e300], [1.1, 1e300], [1.2, 1e300]]},
                      "reduced": {"t_end": 5.0, "n_record": 11}}
@@ -444,6 +454,7 @@ class TestCli:
             "integration failed: Required step size is less than spacing between numbers."
             " (error estimate not finite since t=0.0)"
         )
+        assert not (tmp_path / "out").exists()  # a run writes nothing before it returns
 
     def test_simulate_full_small(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -604,6 +615,10 @@ class TestCli:
         # a NoRoot traceback (exit 1)
         pytest.param({"truncation": {"delta_star": 1e-300}}, "truncation: residual not positive at rho=0",
                      id="delta_star-1e-300"),
+        pytest.param(KERNEL_OVERFLOW_ATOMS, {
+            "simulate-full": "initial: the full equation needs a density",
+            "simulate-reduced": "initial: kernel overflows at (x=750.0, y=760.0)",
+        }, id="kernel-overflow-atoms"),
     ])
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, data, message):
         if isinstance(message, dict):
@@ -617,7 +632,9 @@ class TestCli:
         (["simulate-reduced", "--mode", "atoms"], {}, "initial: atoms mode needs a purely atomic"),
         (["simulate-reduced", "--mode", "picard"], TWO_ATOMS, "initial: picard mode needs a density"),
         (["simulate-reduced", "--mode", "picard"], NOT_FLAT, "initial: density has mass where e^{r/x^{3/2}} overflows"),
-    ], ids=["full-atoms", "atoms-density", "picard-atoms", "picard-not-flat"])
+        (["simulate-reduced", "--mode", "picard"], KERNEL_OVERFLOW_PICARD,
+         "initial: kernel overflows at (x=1335.6021579756127, y=1500.0)"),
+    ], ids=["full-atoms", "atoms-density", "picard-atoms", "picard-not-flat", "picard-kernel-overflow"])
     def test_initial_state_of_the_wrong_kind(self, tmp_path, capsys, command, data, message):
         assert_invalid_config(tmp_path, capsys, command, data, message)
 
@@ -634,6 +651,7 @@ class TestCli:
         assert proc.stderr.splitlines()[-1] == (
             "comptonsim._dop853.StepCollapse: integration failed: initial step estimate is not finite at t=0.0: nan"
         )
+        assert not (tmp_path / "out").exists()
 
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])

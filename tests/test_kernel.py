@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +185,21 @@ class TestBatchContract:
     def test_rejects_tolerance(self, tol):
         with pytest.raises(ValueError):
             eval_kernel_batch(PP, np.array([1.0]), np.array([2.0]), tol)
+
+    def test_domain_ends_where_the_exponential_factor_overflows(self):
+        # x + y = 2 ln(max float) is the largest sum whose factor e^{(x + y)/2}
+        # is finite; one float beyond it was an OverflowError traceback, off
+        # the diagonal (quadrature prefactor) and on it (closed form)
+        top = 2.0 * math.log(sys.float_info.max)
+        x = np.array([700.0, 0.5 * top])
+        y = top - x
+        assert np.all(x + y == top)
+        values, errors = eval_kernel_batch(PP, x, y)
+        assert np.all(np.isfinite(values) & (values > 0.0) & np.isfinite(errors))
+        for p, q in zip(x.tolist(), y.tolist()):
+            beyond = math.nextafter(q, math.inf)
+            with pytest.raises(ValueError, match=re.escape(f"kernel overflows at (x={p!r}, y={beyond!r})")):
+                eval_kernel_batch(PP, np.array([1.0, p]), np.array([2.0, beyond]))
 
     def test_empty_batch(self):
         values, errors = eval_kernel_batch(PP, np.zeros(0), np.zeros(0))

@@ -20,14 +20,13 @@ from comptonsim.measure import (
     atom_arrays,
     atom_carriers,
     bl_distance,
-    components,
     grid_density,
     node_carriers,
     planck_density,
     save_snapshot,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff
-from oracles import exp_moment, moment, signed_point_masses, z_gap
+from oracles import components, exp_moment, moment, signed_point_masses, z_gap
 
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
 

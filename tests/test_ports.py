@@ -19,7 +19,6 @@ from comptonsim import _dop853
 from comptonsim._dop853 import _DENSE_CHUNK, _DENSE_FLOATS, ATOL, dop853
 from comptonsim.kernel import PhysicalParams
 from comptonsim.measure import Grid, planck_density
-from comptonsim.measure import components
 from comptonsim.reduced_solver import (
     AtomSystemState,
     _table_components,
@@ -29,7 +28,7 @@ from comptonsim.reduced_solver import (
 )
 from comptonsim.truncation import TruncationParams
 import oracles
-from oracles import _cumulative_simpson, dense_rates, rate_matrix, spying
+from oracles import _cumulative_simpson, components, dense_rates, rate_matrix, spying
 
 
 def antisymmetric_state(rng, n: int, scale: float = 1.0) -> AtomSystemState:

@@ -18,7 +18,7 @@ from comptonsim._dop853 import StepSizeTooSmall
 from comptonsim.full_solver import StepCollapse
 from comptonsim.harness import EXAMPLE51, build_initial
 from comptonsim.kernel import PhysicalParams
-from comptonsim.measure import Grid, components, planck_density, relative_drift
+from comptonsim.measure import Grid, node_carriers, planck_density, relative_drift
 from comptonsim.reduced_solver import (
     AtomSystemState,
     AtomTrajectory,
@@ -33,12 +33,13 @@ from comptonsim.reduced_solver import (
     classify_limit,
     flatness_certificate,
     lyapunov_check,
+    rate_pairs,
     run_atoms,
     run_density,
 )
 from comptonsim.truncation import TruncationParams, eval_cutoff, gamma2
 import oracles
-from oracles import dense_rates, eval_kernel, rate_matrix
+from oracles import components, dense_rates, eval_kernel, rate_matrix
 
 PP = PhysicalParams()
 TP = TruncationParams.solve(0.5, 1.0, 0.8)
@@ -583,6 +584,22 @@ def sparse_tables(draw):
     return np.cumsum(rng.uniform(0.05, 1.0, n)) + 0.5, masses, R, at
 
 
+@st.composite
+def grid_densities(draw):
+    """A log grid of 2-64 nodes in [0.01, 40], an admissible truncation and
+    a density on the grid with zero nodes and a hole (a run of zero nodes),
+    one random node positive."""
+    grid = Grid.log_spaced(draw(st.floats(0.01, 1.0)), draw(st.floats(2.0, 40.0)), draw(st.integers(2, 64)))
+    theta = draw(st.floats(0.1, 0.85))
+    tp = TruncationParams.solve(theta, draw(st.floats(0.05, 5.0)), draw(st.floats(theta + 0.02, 0.97)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 1.0, grid.n) * (rng.random(grid.n) > draw(st.sampled_from([0.0, 0.3, 0.7])))
+    start = rng.integers(grid.n)
+    u[start:start + rng.integers(grid.n // 2 + 1)] = 0.0
+    u[rng.integers(grid.n)] = rng.uniform(0.5, 1.0)
+    return grid, tp, u
+
+
 class TestClassifyLimit:
     def test_chain_limit(self):
         traj = run_atoms(chain_state(), 200.0, eta=0.3, n_record=2001, stationarity_window=1.0)
@@ -690,6 +707,16 @@ class TestClassifyLimit:
         assert _table_components((locs, masses), state) == components((locs, masses), TP)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=grid_densities())
+    def test_grid_pair_blocks_are_the_cutoff_blocks(self, case):
+        # both run kinds cut their blocks by the rate pairs; a density's were
+        # cut where the cutoff vanishes between neighbouring support nodes
+        grid, tp, u = case
+        state = AtomSystemState(grid.nodes, grid.weights * u, *rate_pairs(PP, tp, grid.nodes)[:3])
+        carriers = node_carriers(grid, u)
+        assert _table_components(carriers, state) == components(carriers, tp)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=sparse_tables())
     def test_pairs_split_and_couple_as_the_dense_table(self, case):
         # the prefix maximum of j against linked[:a, a:] on the support and on
@@ -733,7 +760,8 @@ class TestClassifyLimit:
         rows = rng.uniform(0.0, 1.0, (7, 12)) * (rng.random((7, 12)) > 0.3)  # some carriers empty
         x = np.sort(rng.uniform(0.3, 11.0, 12))
         a, b = int(np.searchsorted(x, lo, side="left")), int(np.searchsorted(x, hi, side="right"))
-        windows = _LimitWindows(1.0, 5, (), (), [(a, b), (a, b)], [0.0])
+        pairless = AtomSystemState(x, np.zeros(x.size), (), (), ())  # the reduction reads no pairs
+        windows = _LimitWindows(1.0, 5, (), (), [(a, b), (a, b)], [0.0], pairless)
         windows.reduce(rows[:split])
         windows.reduce(rows[split:])
         sums = [math.fsum(m for xi, m in zip(x, row) if lo <= xi <= hi) for row in rows]
@@ -745,7 +773,7 @@ class TestClassifyLimit:
         # no carrier sits between two neighbours: the window between them is empty
         mid = 0.5 * (x[4] + x[5])
         a, b = int(np.searchsorted(x, mid, side="left")), int(np.searchsorted(x, mid, side="right"))
-        empty = _LimitWindows(1.0, 5, (), (), [(a, b)], [0.0])
+        empty = _LimitWindows(1.0, 5, (), (), [(a, b)], [0.0], pairless)
         empty.reduce(rows)
         assert empty.drift == 0.0
 
