@@ -132,20 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    if args.command in ("simulate-full", "simulate-reduced"):
-        # the runs check the initial state's kind before they write anything
-        try:
-            cfg = load_config(args.config, equation="full" if args.command == "simulate-full" else "reduced")
-            if args.command == "simulate-full":
-                manifest, _ = run_full_experiment(cfg, args.out)
-            else:
-                manifest, _ = run_reduced_experiment(cfg, args.out, mode=args.mode)
-        except (ParseError, ValidationError) as e:
-            print(f"invalid config {args.config}: {e}", file=sys.stderr)
-            return 2
-        _print_assertions(manifest.assertions)
-        return 0 if manifest.all_passed else 1
-
     if args.command == "verify":
         results = verify_suite(seed=args.seed, out_dir=args.out)
         _print_assertions(results)
@@ -159,10 +145,19 @@ def main(argv: list[str] | None = None) -> int:
         except UnknownPreset as e:
             print(e.args[0], file=sys.stderr)
             return 2
-        _print_assertions(manifest.assertions)
-        return 0 if manifest.all_passed else 1
-
-    raise AssertionError("unreachable")
+    else:
+        # the runs check the initial state's kind before they write anything
+        try:
+            cfg = load_config(args.config, equation="full" if args.command == "simulate-full" else "reduced")
+            if args.command == "simulate-full":
+                manifest, _ = run_full_experiment(cfg, args.out)
+            else:
+                manifest, _ = run_reduced_experiment(cfg, args.out, mode=args.mode)
+        except (ParseError, ValidationError) as e:
+            print(f"invalid config {args.config}: {e}", file=sys.stderr)
+            return 2
+    _print_assertions(manifest.assertions)
+    return 0 if manifest.all_passed else 1
 
 
 def _print_assertions(assertions: list[dict]) -> None:

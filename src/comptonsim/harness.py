@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -319,33 +319,14 @@ class RunManifest:
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    def write(self, out_dir: str) -> str:
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as f:
+    def write(self, out_dir: str) -> None:
+        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
             json.dump(asdict(self), f, indent=1)
-        return path
-
-
-def _manifest_for(cfg_raw: dict, **derived_constants) -> RunManifest:
-    canonical = json.dumps(cfg_raw, sort_keys=True).encode()
-    return RunManifest(
-        config_hash=hashlib.sha256(canonical).hexdigest(),
-        version=__version__,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        derived_constants=derived_constants,
-    )
 
 
 def _integrator_telemetry(traj) -> dict:
     """The DOP853 counts of a run: evaluations, accepted and rejected steps."""
     return {"dop853_nfev": traj.nfev, "dop853_steps": traj.steps, "dop853_rejected": traj.rejected}
-
-
-def _run_manifest(cfg: ExperimentConfig, **constants) -> RunManifest:
-    """A run's manifest, its derived constants the band constants rho_star
-    and rho1, then ``constants`` (the run's own), then eta."""
-    tp = cfg.truncation
-    return _manifest_for(cfg.raw, rho_star=tp.rho_star, rho1=tp.rho1, **constants, eta=cfg.eta)
 
 
 _CSV_ROWS = 512  # rows formatted and written at a time
@@ -435,65 +416,108 @@ def write_region_dump(
     _write_csv(path, ["x", "gamma1", "gamma2", "d1_lower", "d1_upper"], columns)
 
 
+class _Run(NamedTuple):
+    """What a run hands the experiment pipeline: ``traj`` for the caller, the
+    manifest's ``constants`` and ``telemetry``, trajectory.csv's ``columns``
+    by name (``t`` first), the ``snapshots`` it kept (record index to
+    density on the grid), and a reduced run's limit.json payload ``limit``
+    and ``limit_structure`` assertion ``verdict``."""
+
+    traj: object
+    constants: dict
+    telemetry: dict
+    columns: dict
+    snapshots: dict
+    limit: dict | None = None
+    verdict: tuple[str, bool, str] | None = None
+
+
+def _experiment(cfg: ExperimentConfig, run, checks, out_dir: str) -> tuple[RunManifest, object]:
+    """The one experiment pipeline: ``run(cfg)`` refuses a config it cannot
+    run (``ValidationError``) before it computes, and returns a
+    :class:`_Run`; each of ``checks`` (the equation's, then a preset's) maps
+    the config and the run to assertions ``(name, passed, detail)``.  Only
+    then is the output directory made, so a config error or a
+    ``StepCollapse`` leaves none.  A snapshot is named by its record time,
+    and index when two times print alike (horizons below 5e-7).  A failed
+    check is a FAIL in manifest.json, written last and once."""
+    canonical = json.dumps(cfg.raw, sort_keys=True).encode()
+    manifest = RunManifest(config_hash=hashlib.sha256(canonical).hexdigest(), version=__version__,
+                           created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
+    out = run(cfg)
+    manifest.derived_constants.update(out.constants)
+    manifest.telemetry.update(out.telemetry)
+    for check in checks:
+        for assertion in check(cfg, out):
+            manifest.check(*assertion)
+
+    os.makedirs(out_dir, exist_ok=True)
+    if out.columns:
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), list(out.columns), out.columns.values())
+        manifest.outputs.append("trajectory.csv")
+    if out.limit is not None:
+        with open(os.path.join(out_dir, "limit.json"), "w") as f:
+            json.dump(out.limit, f, indent=1)
+        manifest.outputs.append("limit.json")
+    stamps = [f"{out.columns['t'][i]:.6f}" for i in out.snapshots]
+    for (i, density), stamp in zip(out.snapshots.items(), stamps):
+        name = f"snapshot_{stamp}.json" if len(set(stamps)) == len(stamps) else f"snapshot_{stamp}_{i}.json"
+        save_snapshot(cfg.grid, density, os.path.join(out_dir, name))
+        manifest.outputs.append(name)
+    manifest.write(out_dir)
+    return manifest, out.traj
+
+
 def run_full_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[RunManifest, TrajectoryRecord]:
     """Full-equation run: trajectory.csv, manifest, and snapshots of the
-    initial and the last recorded state, named by their times (and record
-    indices when the two stamps coincide, on horizons below 5e-7).
+    initial and the last recorded state.
 
     A run whose mass drift exceeds ``solver.mass_tolerance`` still writes
     every output; its manifest records ``mass_conservation`` as FAIL.  The
-    growth-rate constant C_eta is computed here once: the manifest records
-    it, and the ``exp_moment_growth_bound`` check holds X_eta at every
-    record under e^{C_eta t} X_eta(0), with X_eta(0) the first recorded
-    value.  The telemetry records the run's evaluation count, its accepted
-    and rejected steps, and its one-sided pair count, the pairs the recorded
-    dissipation leaves out.
+    growth-rate constant C_eta is computed once, by the run: the manifest
+    records it, and the ``exp_moment_growth_bound`` check holds X_eta at
+    every record under e^{C_eta t} X_eta(0), with X_eta(0) the first
+    recorded value.  The telemetry records the run's evaluation count, its
+    accepted and rejected steps, and its one-sided pair count, the pairs the
+    recorded dissipation leaves out.
     """
+    return _experiment(cfg, _full, [_full_checks], out_dir)
+
+
+def _full(cfg: ExperimentConfig) -> _Run:
     u0 = cfg.initial_measure()
     if u0.density is None:
         raise ValidationError("initial: the full equation needs a density initial state")
-    os.makedirs(out_dir, exist_ok=True)
-    kern = RegularizedKernel.build(cfg.physical, cfg.truncation, cfg.grid, cfg.regularization_index)
-    c_eta = exp_moment_rate(cfg.truncation, kern.bound_constant, cfg.eta)
-    manifest = _run_manifest(cfg, C_star=kern.bound_constant, C_eta=c_eta)
+    tp = cfg.truncation
+    kern = RegularizedKernel.build(cfg.physical, tp, cfg.grid, cfg.regularization_index)
+    c_eta = exp_moment_rate(tp, kern.bound_constant, cfg.eta)
     traj = run_full(u0.density, kern, cfg.solver)
-    manifest.telemetry.update(_integrator_telemetry(traj), one_sided_pairs=traj.one_sided_pairs)
+    return _Run(
+        traj,
+        {"rho_star": tp.rho_star, "rho1": tp.rho1, "C_star": kern.bound_constant, "C_eta": c_eta, "eta": cfg.eta},
+        {**_integrator_telemetry(traj), "one_sided_pairs": traj.one_sided_pairs},
+        {"t": traj.times, "M0": traj.M0, "X_eta": traj.X_eta, "H": traj.H, "D_total": traj.entropy_dissipation,
+         "alpha_est": traj.origin_mass_series},
+        {0: u0.density, len(traj.times) - 1: traj.final},
+    )
 
-    columns = [traj.times, traj.M0, traj.X_eta, traj.H, traj.entropy_dissipation, traj.origin_mass_series]
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "X_eta", "H", "D_total", "alpha_est"], columns)
-    manifest.outputs.append("trajectory.csv")
 
-    last = len(traj.times) - 1
-    stamps = [f"{traj.times[0]:.6f}", f"{traj.times[last]:.6f}"]
-    for i, stamp, density in zip((0, last), stamps, (u0.density, traj.final)):
-        name = f"snapshot_{stamp}.json" if stamps[0] != stamps[1] else f"snapshot_{stamp}_{i}.json"
-        save_snapshot(cfg.grid, density, os.path.join(out_dir, name))
-        manifest.outputs.append(name)
-
+def _full_checks(cfg: ExperimentConfig, run: _Run) -> list[tuple[str, bool, str]]:
+    traj = run.traj
     drift = relative_drift(traj.M0)
-    manifest.check("mass_conservation", drift <= cfg.solver.mass_tolerance, f"max drift {drift:.3e}")
     x0 = float(traj.X_eta[0])
-    bound = np.array([_growth_bound(c_eta, t, x0) for t in traj.times.tolist()])
+    bound = np.array([_growth_bound(run.constants["C_eta"], t, x0) for t in traj.times.tolist()])
     bounded = bound > 0.0  # a massless run has bound 0: no ratio, not 0/0
-    manifest.check(
-        "exp_moment_growth_bound",
-        bool(np.all(traj.X_eta <= (1.0 + 1e-6) * bound)),
-        f"max X_eta/bound {np.max(traj.X_eta[bounded] / bound[bounded], initial=0.0):.6f}",
-    )
     balance = entropy_balance_check(traj)
-    manifest.check(
-        "dissipation_nonnegative", balance.dissipation_nonnegative, f"min D {min(traj.entropy_dissipation):.3e}"
-    )
-    manifest.check(
-        "entropy_monotone_nondecreasing", balance.entropy_monotone, f"Delta H {balance.entropy_change:.6e}"
-    )
-    manifest.check(
-        "entropy_dissipation_balance",
-        balance.residual <= balance.tolerance,
-        f"residual {balance.residual:.3e} tol {balance.tolerance:.3e}",
-    )
-    manifest.write(out_dir)
-    return manifest, traj
+    return [
+        ("mass_conservation", drift <= cfg.solver.mass_tolerance, f"max drift {drift:.3e}"),
+        ("exp_moment_growth_bound", bool(np.all(traj.X_eta <= (1.0 + 1e-6) * bound)),
+         f"max X_eta/bound {np.max(traj.X_eta[bounded] / bound[bounded], initial=0.0):.6f}"),
+        ("dissipation_nonnegative", balance.dissipation_nonnegative, f"min D {min(traj.entropy_dissipation):.3e}"),
+        ("entropy_monotone_nondecreasing", balance.entropy_monotone, f"Delta H {balance.entropy_change:.6e}"),
+        ("entropy_dissipation_balance", balance.residual <= balance.tolerance,
+         f"residual {balance.residual:.3e} tol {balance.tolerance:.3e}"),
+    ]
 
 
 def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, classify: bool = True) -> tuple[RunManifest, object]:
@@ -502,118 +526,99 @@ def run_reduced_experiment(cfg: ExperimentConfig, out_dir: str, mode: str, class
     The run checks its own input: a ``ValueError`` of the atom state
     (``reduced.rate_table`` for an explicit table) or of ``run_density``
     (the flatness certificate, the kernel's domain) is a config error of
-    that section.  Nothing is written before the run returns, so a config
-    error or a ``StepCollapse`` leaves no output directory.  The run
-    reduces its records as it goes; ``trajectory.csv``
+    that section.  The run reduces its records as it goes; ``trajectory.csv``
     holds its columns t, M0, M1, M2, X_eta and D_2, and the Lyapunov check
     reads them with M3 and D_3.  With ``classify`` the run also reduces the
     classifier's windows (over ``reduced.stationarity_window``), and
     ``limit.json`` holds the verdict.  A density run's telemetry also holds
     the flatness integrals of its initial density.
     """
+    return _experiment(cfg, lambda cfg: _reduced(cfg, mode, classify), [_reduced_checks], out_dir)
+
+
+def _reduced(cfg: ExperimentConfig, mode: str, classify: bool) -> _Run:
     u0 = cfg.initial_measure()
-    red = cfg.reduced
+    red, tp = cfg.reduced, cfg.truncation
+    window = red["stationarity_window"] if classify else None
+    constants, telemetry, snapshots = {"rho_star": tp.rho_star, "rho1": tp.rho1, "eta": cfg.eta}, {}, {}
     if mode == "atoms":
         if u0.atoms is None or u0.atoms[0].size == 0:
             raise ValidationError("initial: atoms mode needs a purely atomic initial state")
         locs, masses = u0.atoms
         if red["rate_table"] is None:
             with _section("initial"):
-                state = AtomSystemState.from_physical(cfg.physical, cfg.truncation, locs, masses)
+                state = AtomSystemState.from_physical(cfg.physical, tp, locs, masses)
         else:
             with _section("reduced.rate_table"):
                 state = AtomSystemState.from_table(locs, masses, red["rate_table"])
+        traj = run_atoms(state, red["t_end"], n_record=red["n_record"], eta=cfg.eta, stationarity_window=window)
     elif mode == "picard":
         if u0.density is None:
             raise ValidationError("initial: picard mode needs a density initial state")
+        with _section("initial"):
+            traj = run_density(cfg.grid, u0.density, cfg.physical, tp, t_end=red["t_end"],
+                               eta=cfg.eta, dt=red["dt"], stationarity_window=window)
+        constants["C_0"] = traj.growth_constant
+        telemetry.update(flatness_integral=traj.flatness[0], tail_integral=traj.flatness[1])
+        snapshots[len(traj.times) - 1] = traj.states[-1]
     else:
         raise ValidationError("mode must be 'atoms' or 'picard'")
-    manifest = _run_manifest(cfg)
+    telemetry.update(_integrator_telemetry(traj))
 
-    window = red["stationarity_window"] if classify else None
-    if mode == "atoms":
-        traj = run_atoms(state, red["t_end"], n_record=red["n_record"], eta=cfg.eta, stationarity_window=window)
-    else:
-        with _section("initial"):
-            traj = run_density(cfg.grid, u0.density, cfg.physical, cfg.truncation, t_end=red["t_end"],
-                               eta=cfg.eta, dt=red["dt"], stationarity_window=window)
-        manifest.derived_constants["C_0"] = traj.growth_constant
-        manifest.telemetry.update(flatness_integral=traj.flatness[0], tail_integral=traj.flatness[1])
-    manifest.telemetry.update(_integrator_telemetry(traj))
-    os.makedirs(out_dir, exist_ok=True)
-
-    rep = lyapunov_check(traj)
-    columns = (traj.times, traj.M0, traj.M1, traj.M2, traj.X_eta, traj.D_2)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "M0", "M1", "M2", "X_eta", "D_2"], columns)
-    manifest.outputs.append("trajectory.csv")
-
-    drift = relative_drift(traj.M0)
-    tol = 1e-12 if mode == "atoms" else 1e-10
-    manifest.check("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}")
-    manifest.check(
-        "moments_nonincreasing", all(rep.monotone.values()) and rep.exp_moment_monotone,
-        f"monotone {rep.monotone}",
-    )
-    manifest.check(
-        "moment_dissipation_balance", rep.balance_ok,
-        f"max rel balance error {max(rep.max_balance_error.values(), default=0.0):.3e}",
-    )
-
-    limit_payload: dict = {"mode": mode}
+    limit, verdict = {"mode": mode}, None
     if not classify:
-        limit_payload.update(skipped="classification disabled for this run", error="classification disabled")
+        limit.update(skipped="classification disabled for this run", error="classification disabled")
     else:
         try:
-            cls = classify_limit(traj, cfg.truncation, limit_tol=red["limit_tol"])
+            cls = classify_limit(traj, tp, limit_tol=red["limit_tol"])
         except NotConverged as e:
-            limit_payload["error"] = str(e)
-            manifest.check("limit_structure", False, str(e))
+            limit["error"] = str(e)
+            verdict = ("limit_structure", False, str(e))
         else:
-            limit_payload.update(asdict(cls))  # tuples dump as lists
-            manifest.check("limit_structure", cls.passed, f"atoms {cls.atoms}")
-    with open(os.path.join(out_dir, "limit.json"), "w") as f:
-        json.dump(limit_payload, f, indent=1)
-    manifest.outputs.append("limit.json")
-    if mode == "picard":
-        name = f"snapshot_{traj.times[-1]:.6f}.json"
-        save_snapshot(cfg.grid, traj.states[-1], os.path.join(out_dir, name))
-        manifest.outputs.append(name)
-    manifest.write(out_dir)
-    return manifest, traj
+            limit.update(asdict(cls))  # tuples dump as lists
+            verdict = ("limit_structure", cls.passed, f"atoms {cls.atoms}")
+    columns = {"t": traj.times, "M0": traj.M0, "M1": traj.M1, "M2": traj.M2, "X_eta": traj.X_eta, "D_2": traj.D_2}
+    return _Run(traj, constants, telemetry, columns, snapshots, limit, verdict)
+
+
+def _reduced_checks(cfg: ExperimentConfig, run: _Run) -> list[tuple[str, bool, str]]:
+    rep = lyapunov_check(run.traj)
+    drift = relative_drift(run.traj.M0)
+    tol = 1e-12 if run.limit["mode"] == "atoms" else 1e-10
+    return [
+        ("mass_conservation", drift <= tol, f"max rel drift {drift:.3e}"),
+        ("moments_nonincreasing", all(rep.monotone.values()) and rep.exp_moment_monotone, f"monotone {rep.monotone}"),
+        ("moment_dissipation_balance", rep.balance_ok,
+         f"max rel balance error {max(rep.max_balance_error.values(), default=0.0):.3e}"),
+    ] + ([run.verdict] if run.verdict else [])
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: each is a config, a run, and the run's checks with its own
 
 
-def _full_preset(out_dir: str, initial: dict) -> tuple[ExperimentConfig, RunManifest, TrajectoryRecord]:
-    # the equilibrium and over-planck runs differ only in their initial data
-    cfg = load_config(data={
-        "grid": {"min": 0.02, "max": 22.0, "n": 128},
-        "initial": initial,
-        "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20},
-    })
-    return cfg, *run_full_experiment(cfg, out_dir)
+# the equilibrium and over-planck runs differ only in their initial data and their own check
+_FULL_PRESET = {"grid": {"min": 0.02, "max": 22.0, "n": 128},
+                "solver": {"t_end": 1.0, "dt_init": 1e-3, "record_every": 20}}
 
 
-def _preset_equilibrium(out_dir: str, seed: int) -> RunManifest:
-    cfg, manifest, traj = _full_preset(out_dir, {"preset": "planck_mu", "mu": -1.0})
-    drift_l1 = float(np.dot(cfg.grid.weights, np.abs(traj.final - cfg.initial_measure().density)))
-    manifest.check("equilibrium_stationarity", drift_l1 <= 1e-5, f"L1 drift {drift_l1:.3e}")
-    manifest.write(out_dir)
-    return manifest
+def _preset_equilibrium(seed: int) -> tuple:
+    def stationary(cfg, run):
+        drift_l1 = float(np.dot(cfg.grid.weights, np.abs(run.traj.final - cfg.initial_measure().density)))
+        return [("equilibrium_stationarity", drift_l1 <= 1e-5, f"L1 drift {drift_l1:.3e}")]
+
+    cfg = load_config(data={**_FULL_PRESET, "initial": {"preset": "planck_mu", "mu": -1.0}})
+    return cfg, _full, [_full_checks, stationary]
 
 
-def _preset_over_planck(out_dir: str, seed: int) -> RunManifest:
-    _, manifest, traj = _full_preset(out_dir, {"preset": "scaled_planck", "factor": 2.0, "mu": -1.0})
-    h = traj.H
-    manifest.check(
-        "entropy_rises_toward_saturation",
-        bool(h[-1] > h[0] and np.all(np.diff(h) >= -1e-12 * abs(h[0]))),
-        f"H {h[0]:.6f} -> {h[-1]:.6f}",
-    )
-    manifest.write(out_dir)
-    return manifest
+def _preset_over_planck(seed: int) -> tuple:
+    def saturating(cfg, run):
+        h = run.traj.H
+        return [("entropy_rises_toward_saturation", bool(h[-1] > h[0] and np.all(np.diff(h) >= -1e-12 * abs(h[0]))),
+                 f"H {h[0]:.6f} -> {h[-1]:.6f}")]
+
+    cfg = load_config(data={**_FULL_PRESET, "initial": {"preset": "scaled_planck", "factor": 2.0, "mu": -1.0}})
+    return cfg, _full, [_full_checks, saturating]
 
 
 EXAMPLE51 = {
@@ -623,88 +628,84 @@ EXAMPLE51 = {
 }
 
 
-def _preset_example51(out_dir: str, seed: int) -> RunManifest:
+def _preset_example51(seed: int) -> tuple:
+    def chain(cfg, run):
+        final = run.traj.final_masses()
+        z_floor = 0.2 * math.exp(-1.0) - 1e-9
+        survivors = [x for x, m in zip(EXAMPLE51["locations"], final) if m > 1e-12]
+        return [("middle_atom_extinct", final[1] <= 1e-16, f"y(200) = {final[1]:.3e}"),
+                ("right_atom_floor", final[2] >= z_floor, f"z(200) = {final[2]:.9f} >= {z_floor:.9f}"),
+                ("survivors_are_endpoints", survivors == [1.0, 2.4], f"{survivors}")]
+
     cfg = load_config(data={
         "initial": {"preset": "atoms", "atoms": [[x, m] for x, m in zip(EXAMPLE51["locations"], EXAMPLE51["masses"])]},
         "reduced": {"t_end": 200.0, "n_record": 20001, "rate_table": EXAMPLE51["table"]},
     }, equation="reduced")
-    manifest, traj = run_reduced_experiment(cfg, out_dir, mode="atoms")
-    final = traj.final_masses()
-    z_floor = 0.2 * math.exp(-1.0) - 1e-9
-    manifest.check("middle_atom_extinct", final[1] <= 1e-16, f"y(200) = {final[1]:.3e}")
-    manifest.check("right_atom_floor", final[2] >= z_floor, f"z(200) = {final[2]:.9f} >= {z_floor:.9f}")
-    survivors = [x for x, m in zip(EXAMPLE51["locations"], final) if m > 1e-12]
-    manifest.check("survivors_are_endpoints", survivors == [1.0, 2.4], f"{survivors}")
-    manifest.write(out_dir)
-    return manifest
+    return cfg, lambda cfg: _reduced(cfg, "atoms", True), [_reduced_checks, chain]
 
 
-def _preset_flat_picard(out_dir: str, seed: int) -> RunManifest:
+def _preset_flat_picard(seed: int) -> tuple:
+    def enveloped(cfg, run):
+        env = run.traj.pointwise_envelope(len(run.traj.times) - 1, cfg.initial_measure().density)
+        ok = bool(np.all(run.traj.states[-1] <= env * (1.0 + 1e-9)))
+        return [("pointwise_flatness_envelope", ok, "u(T) <= u0 exp(T C0 / x^{3/2})")]
+
     cfg = load_config(data={
         "grid": {"min": 0.5, "max": 30.0, "n": 128},
         "initial": {"preset": "truncated_planck", "mu": 0.0, "support_min": 0.5},
         "reduced": {"t_end": 1.0, "dt": 1e-3, "limit_tol": 1e-8, "stationarity_window": 0.5},
         "diagnostics": {"eta": 0.3},
     }, equation="reduced")
-    manifest, traj = run_reduced_experiment(cfg, out_dir, mode="picard", classify=False)
-    u0 = cfg.initial_measure()
-    env = traj.pointwise_envelope(len(traj.times) - 1, u0.density)
-    ok = bool(np.all(traj.states[-1] <= env * (1.0 + 1e-9)))
-    manifest.check("pointwise_flatness_envelope", ok, "u(T) <= u0 exp(T C0 / x^{3/2})")
-    manifest.write(out_dir)
-    return manifest
+    return cfg, lambda cfg: _reduced(cfg, "picard", False), [_reduced_checks, enveloped]
 
 
-def _preset_kernel_verify(out_dir: str, seed: int) -> RunManifest:
-    os.makedirs(out_dir, exist_ok=True)
-    cfg = load_config(data={})
-    manifest = _manifest_for({"preset": "kernel-verify", "seed": seed})
-    pp = cfg.physical
-    rng = np.random.default_rng(seed)
+def _preset_kernel_verify(seed: int) -> tuple:
+    def checks(cfg, run):
+        pp = cfg.physical
+        rng = np.random.default_rng(seed)
 
-    # the quadrature itself on the diagonal, which eval_kernel_batch hands
-    # to the closed form
-    xs = np.array([0.1, 1.0, 10.0])
-    quadrature, _ = _bisect_batch(pp, xs, xs, 1e-10)
-    worst = 0.0
-    for x, q in zip(xs.tolist(), quadrature.tolist()):
-        c = diagonal_closed_form(pp, x)
-        worst = max(worst, abs(q - c) / c)
-    manifest.check("diagonal_oracle", worst <= 1e-8, f"max rel err {worst:.3e}")
+        # the quadrature itself on the diagonal, which eval_kernel_batch hands
+        # to the closed form
+        xs = np.array([0.1, 1.0, 10.0])
+        quadrature, _ = _bisect_batch(pp, xs, xs, 1e-10)
+        worst = 0.0
+        for x, q in zip(xs.tolist(), quadrature.tolist()):
+            c = diagonal_closed_form(pp, x)
+            worst = max(worst, abs(q - c) / c)
+        yield "diagonal_oracle", worst <= 1e-8, f"max rel err {worst:.3e}"
 
-    samples = [tuple(rng.uniform(0.05, 10.0, 2)) for _ in range(100)]
-    samples = [(x, y) if x != y else (x, y + 0.1) for x, y in samples]
-    B, err = eval_kernel_batch(pp, *np.array(samples).T)
-    bad_major = 0
-    for (x, y), b, e in zip(samples, B.tolist(), err.tolist()):
-        if b > eval_majorant(pp, x, y) + e or eval_majorant(pp, x, y) > peak_bound(pp, x, y) * (1 + 1e-12):
-            bad_major += 1
-    manifest.check("majorant_domination", bad_major == 0, f"{bad_major} violations of 100")
-    sign = verify_antidiagonal_monotonicity(pp, samples)
-    manifest.check("antidiagonal_sign", sign.passed, f"{len(sign.violations)} violations of {sign.checked}")
+        samples = [tuple(rng.uniform(0.05, 10.0, 2)) for _ in range(100)]
+        samples = [(x, y) if x != y else (x, y + 0.1) for x, y in samples]
+        B, err = eval_kernel_batch(pp, *np.array(samples).T)
+        bad_major = 0
+        for (x, y), b, e in zip(samples, B.tolist(), err.tolist()):
+            if b > eval_majorant(pp, x, y) + e or eval_majorant(pp, x, y) > peak_bound(pp, x, y) * (1 + 1e-12):
+                bad_major += 1
+        yield "majorant_domination", bad_major == 0, f"{bad_major} violations of 100"
+        sign = verify_antidiagonal_monotonicity(pp, samples)
+        yield "antidiagonal_sign", sign.passed, f"{len(sign.violations)} violations of {sign.checked}"
 
-    x_hi = 100.0
-    tail = diagonal_closed_form(pp, x_hi) * x_hi**2 * math.exp(-x_hi) / math.sqrt(pp.beta)
-    target = 2.0 * math.sqrt(2.0 * math.pi * pp.m * pp.beta)
-    manifest.check("large_energy_asymptote", abs(tail / target - 1.0) <= 0.01, f"ratio {tail / target:.6f}")
-    rem = [
-        diagonal_closed_form(pp, x) / math.sqrt(pp.beta) - (44.0 / 15.0) * (1.0 / x + 1.0)
-        for x in (1e-2, 1e-3)
-    ]
-    order = math.log10(abs(rem[0] / rem[1]))
-    manifest.check("small_energy_remainder_order", 0.9 <= order <= 1.1, f"measured order {order:.4f}")
+        x_hi = 100.0
+        tail = diagonal_closed_form(pp, x_hi) * x_hi**2 * math.exp(-x_hi) / math.sqrt(pp.beta)
+        target = 2.0 * math.sqrt(2.0 * math.pi * pp.m * pp.beta)
+        yield "large_energy_asymptote", abs(tail / target - 1.0) <= 0.01, f"ratio {tail / target:.6f}"
+        rem = [
+            diagonal_closed_form(pp, x) / math.sqrt(pp.beta) - (44.0 / 15.0) * (1.0 / x + 1.0)
+            for x in (1e-2, 1e-3)
+        ]
+        order = math.log10(abs(rem[0] / rem[1]))
+        yield "small_energy_remainder_order", 0.9 <= order <= 1.1, f"measured order {order:.4f}"
 
-    for theta, ds in ((0.3, 1.0), (0.5, 1.0), (0.5, 0.1), (0.8, 5.0)):
-        tp = TruncationParams.solve(theta, ds, 0.5 * (1.0 + theta))
-        r1 = abs(gamma1(tp, ds * (1 - 1e-14)) - theta * ds)
-        r2 = abs(gamma2(tp, theta * ds * (1 - 1e-14)) - ds)
-        manifest.check(
-            f"boundary_continuity_theta={theta}_delta={ds}",
-            r1 <= 1e-12 * ds and r2 <= 1e-10,
-            f"residuals {r1:.2e}, {r2:.2e}",
-        )
-    manifest.write(out_dir)
-    return manifest
+        for theta, ds in ((0.3, 1.0), (0.5, 1.0), (0.5, 0.1), (0.8, 5.0)):
+            tp = TruncationParams.solve(theta, ds, 0.5 * (1.0 + theta))
+            r1 = abs(gamma1(tp, ds * (1 - 1e-14)) - theta * ds)
+            r2 = abs(gamma2(tp, theta * ds * (1 - 1e-14)) - ds)
+            yield (f"boundary_continuity_theta={theta}_delta={ds}", r1 <= 1e-12 * ds and r2 <= 1e-10,
+                   f"residuals {r1:.2e}, {r2:.2e}")
+
+    # no run and no output but the manifest, which hashes only the preset and its seed
+    cfg = replace(load_config(data={}), raw={"preset": "kernel-verify", "seed": seed})
+    return cfg, lambda cfg: _Run(None, {}, {}, {}, {}), [checks]
 
 
 _PRESETS = {
@@ -724,7 +725,7 @@ def run_preset(name: str, out_dir: str, seed: int | None = None) -> RunManifest:
     """Run a named scenario; outputs land in out_dir, manifest summarizes."""
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset '{name}'; available presets: {', '.join(preset_names())}")
-    return _PRESETS[name](out_dir, _DEFAULTS["seed"] if seed is None else seed)
+    return _experiment(*_PRESETS[name](_DEFAULTS["seed"] if seed is None else seed), out_dir)[0]
 
 
 def verify_suite(seed: int = 7, out_dir: str | None = None) -> list[dict]:

@@ -24,7 +24,7 @@ from comptonsim.harness import (
     run_reduced_experiment,
 )
 from comptonsim.measure import Grid
-from comptonsim import reduced_solver
+from comptonsim import harness, reduced_solver
 from comptonsim.full_solver import StepCollapse
 from oracles import growth_bound
 
@@ -134,6 +134,7 @@ OVERFLOWING_ATOMS = {"initial": {"preset": "atoms", "atoms": [[1.0, 1e300], [1.1
 OVERFLOWING_PICARD = {"grid": {"min": 1.0, "max": 30.0, "n": 8},
                       "initial": {"preset": "scaled_planck", "factor": 1e300, "mu": 0.0},
                       "reduced": {"t_end": 1.0, "stationarity_window": 0.5}, "diagnostics": {"eta": 0.3}}
+OVERFLOWING_FULL = {"grid": {"n": 16}, "initial": {"preset": "scaled_planck", "factor": 1e300}, "solver": {"t_end": 0.01}}
 
 
 class TestLoadConfig:
@@ -638,20 +639,47 @@ class TestCli:
     def test_initial_state_of_the_wrong_kind(self, tmp_path, capsys, command, data, message):
         assert_invalid_config(tmp_path, capsys, command, data, message)
 
-    @pytest.mark.parametrize("mode, data", [("atoms", OVERFLOWING_ATOMS), ("picard", OVERFLOWING_PICARD)])
+    @pytest.mark.parametrize("mode, data", [("atoms", OVERFLOWING_ATOMS), ("picard", OVERFLOWING_PICARD),
+                                            ("full", OVERFLOWING_FULL)])
     def test_overflowing_state_exits_1_at_t0(self, tmp_path, mode, data):
-        # each looped without end at t = 0 on a NaN initial step; the timeout bounds a loop
+        # the reduced runs looped without end at t = 0 on a NaN initial step (the
+        # timeout bounds a loop); the full run left an empty output directory
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-        args = ["simulate-reduced", "--mode", mode, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        command = ["simulate-full"] if mode == "full" else ["simulate-reduced", "--mode", mode]
+        args = [*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-m", "comptonsim.cli", *args], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1] == (
-            "comptonsim._dop853.StepCollapse: integration failed: initial step estimate is not finite at t=0.0: nan"
+        assert proc.stderr.splitlines()[-1] == "comptonsim._dop853.StepCollapse: " + (
+            "non-finite density rate at t=0.0" if mode == "full"
+            else "integration failed: initial step estimate is not finite at t=0.0: nan"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        "simulate-full --config full.json",
+        "simulate-reduced --mode atoms --config atoms.json",
+        "simulate-reduced --mode picard --config picard.json",
+        *(f"preset {name}" for name in ("equilibrium", "over-planck", "example51", "flat-picard", "kernel-verify")),
+    ])
+    def test_one_directory_and_one_manifest_per_run(self, tmp_path, monkeypatch, args):
+        # every run goes through one pipeline, which makes its output directory
+        # once and writes manifest.json once; four presets wrote it twice
+        for name, data in (("full.json", SHORT_FULL_CONFIG), ("atoms.json", TWO_ATOMS),
+                           ("picard.json", COARSE_PICARD_CONFIG)):
+            (tmp_path / name).write_text(json.dumps(data))
+        calls = []
+        real_makedirs, real_write = os.makedirs, harness.RunManifest.write
+        monkeypatch.setattr(os, "makedirs", lambda *a, **k: calls.append("makedirs") or real_makedirs(*a, **k))
+        monkeypatch.setattr(harness.RunManifest, "write",
+                            lambda self, out_dir: calls.append("write") or real_write(self, out_dir))
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in args.split()]
+        assert cli_main([*args, "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["makedirs", "write"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(
+            json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"] + ["manifest.json"])
 
     def test_preset_unknown_exit_code(self, tmp_path):
         rc = cli_main(["preset", "nope", "--out", str(tmp_path / "x")])

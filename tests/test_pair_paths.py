@@ -1272,3 +1272,72 @@ class TestCutoffProperties:
         scalar = [eval_cutoff(tp, float(a), float(b)) for a, b in zip(x, y)]
         assert np.array_equal(bits(vec), bits(scalar))
         assert np.array_equal(bits(vec), bits(eval_cutoff(tp, y, x)))
+
+
+@st.composite
+def two_equation_cases(draw):
+    """A log grid that may reach past either end of the taper's plateau
+    [1/n, n] onto its flanks (and past them), an admissible truncation, a
+    regularization index n, and a density with some zero nodes."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 20]))
+    lo = draw(st.floats(0.02, 1.0))
+    grid = Grid.log_spaced(lo, draw(st.floats(max(2.0, 2.0 * lo), 30.0)), draw(st.integers(8, 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 2.0, grid.n)
+    u[rng.random(grid.n) < 0.2] = 0.0
+    return grid, draw(truncations()), n, u
+
+
+class TestReducedRateIsTheQuadraticFlux:
+    """The reduced equation keeps the quadratic terms of the full one.  The
+    full flux c_ij (A_i u_j - A_j u_i), A = (x^2 + u) e^{-x}, splits into a
+    linear part c_ij (x_i^2 e^{-x_i} u_j - x_j^2 e^{-x_j} u_i) and a
+    quadratic part c_ij u_i u_j (e^{-x_i} - e^{-x_j}).  With c_ij = cutoff
+    B taper(x_i) taper(x_j) w_i w_j and R_ij = cutoff B (e^{-x_i} -
+    e^{-x_j}) / (x_i x_j), the quadratic part is R_ij m_i m_j g_ij at node
+    masses m = w u, with g_ij = x_i x_j taper(x_i) taper(x_j): 1 on the
+    plateau, where taper(x) = 1/x, below 1 on the flanks and 0 past them.
+    Each equation builds its own pairs from ``kernel.screened_pairs``, so
+    this holds a change to one side's candidates, screen or rate formula."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(case=two_equation_cases())
+    def test_pairs_rates_and_quadratic_part(self, case):
+        grid, tp, n, u = case
+        x, w = grid.nodes, grid.weights
+        kern = RegularizedKernel.build(PP, tp, grid, n)
+        i, j, r, _ = rate_pairs(PP, tp, x)
+        t = taper(n, x)
+        g = x * t
+        plateau = (x >= 1.0 / n) & (x <= n)
+        e = np.array([math.exp(-v) for v in x.tolist()])  # as rate_pairs takes them
+        full = dict(zip(zip(kern.pair_i.tolist(), kern.pair_j.tolist()), kern.pair_c.tolist()))
+        reduced = dict(zip(zip(i.tolist(), j.tolist()), r.tolist()))
+
+        # the pair lists: a full pair is a reduced one unless its rate rounds
+        # to zero; a reduced pair inside the taper's support is a full one
+        assert all(p in reduced or e[p[0]] == e[p[1]] for p in full)
+        assert all(p in full for p in reduced if g[p[0]] * g[p[1]] > 0.0)
+        on_plateau = {p for p in reduced if plateau[p[0]] and plateau[p[1]]}
+        assert on_plateau == {p for p in full if plateau[p[0]] and plateau[p[1]] and e[p[0]] != e[p[1]]}
+
+        # the rates, pair by pair, to roundoff
+        for (a, b), c in full.items():
+            if (a, b) in reduced:
+                quadratic, rate = c * (e[a] - e[b]), reduced[a, b] * w[a] * w[b]
+                assert quadratic == pytest.approx(rate * g[a] * g[b], rel=1e-14, abs=0.0)
+                if (a, b) in on_plateau:
+                    assert quadratic == pytest.approx(rate, rel=1e-14, abs=0.0)
+
+        # the rates of change: collision_rhs less its linear part against the
+        # atom rates of the node masses, within the pairwise sum of |terms|
+        A = (x * x + u) * np.exp(-x)
+        pi, pj, pc = kern.pair_i, kern.pair_j, kern.pair_c
+        linear = pc * (x[pi] ** 2 * np.exp(-x[pi]) * u[pj] - x[pj] ** 2 * np.exp(-x[pj]) * u[pi])
+        terms = pc * (np.abs(A[pi] * u[pj]) + np.abs(A[pj] * u[pi]))
+        quadratic = collision_rhs(u, kern) - (np.bincount(pi, linear, x.size) - np.bincount(pj, linear, x.size)) / w
+        bound = 16 * np.finfo(float).eps * (np.bincount(pi, terms, x.size) + np.bincount(pj, terms, x.size)) / w
+        rates = [r * g[i] * g[j]] + ([r] if plateau.all() else [])
+        for rate in rates:
+            atoms = atom_ode_rhs(AtomSystemState(x, w * u, i, j, rate)) / w
+            assert np.all(np.abs(quadratic - atoms) <= bound)
